@@ -60,23 +60,23 @@ func benchORAM(b *testing.B, cfg Config) {
 }
 
 func BenchmarkAccessMetadataOnly(b *testing.B) {
-	benchORAM(b, Config{Blocks: 1 << 14, BlockSize: 0, Encryption: EncryptNone})
+	benchORAM(b, Spec{Blocks: 1 << 14, BlockSize: 0, Encryption: EncryptNone})
 }
 
 func BenchmarkAccessPlaintext(b *testing.B) {
-	benchORAM(b, Config{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptNone})
+	benchORAM(b, Spec{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptNone})
 }
 
 func BenchmarkAccessCounterEncrypted(b *testing.B) {
-	benchORAM(b, Config{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptCounter})
+	benchORAM(b, Spec{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptCounter})
 }
 
 func BenchmarkAccessStrawmanEncrypted(b *testing.B) {
-	benchORAM(b, Config{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptStrawman})
+	benchORAM(b, Spec{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptStrawman})
 }
 
 func BenchmarkAccessCounterWithIntegrity(b *testing.B) {
-	benchORAM(b, Config{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptCounter, Integrity: true})
+	benchORAM(b, Spec{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptCounter, Integrity: true})
 }
 
 // ---------- persistent-backend benchmarks ----------
@@ -88,12 +88,12 @@ func BenchmarkAccessCounterWithIntegrity(b *testing.B) {
 // holds the overhead to relative bounds against the in-memory baseline.
 
 func BenchmarkFileBackendAccess(b *testing.B) {
-	benchORAM(b, Config{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptCounter,
+	benchORAM(b, Spec{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptCounter,
 		Backend: BackendFile, Dir: b.TempDir()})
 }
 
 func BenchmarkFileBackendWAL(b *testing.B) {
-	benchORAM(b, Config{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptCounter,
+	benchORAM(b, Spec{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptCounter,
 		Backend: BackendFile, Dir: b.TempDir(), WAL: true, WALDepth: 64})
 }
 
@@ -102,7 +102,7 @@ func BenchmarkFileBackendWAL(b *testing.B) {
 // WAL (log fsync, apply, msync, truncate) — the durability cadence a
 // sync-minded deployment would run.
 func BenchmarkFileBackendWALEpochFlush(b *testing.B) {
-	cfg := Config{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptCounter,
+	cfg := Spec{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptCounter,
 		Backend: BackendFile, Dir: b.TempDir(), WAL: true,
 		Rand: rand.New(rand.NewSource(1))}
 	o, err := New(cfg)
@@ -137,7 +137,7 @@ func BenchmarkFileBackendWALEpochFlush(b *testing.B) {
 }
 
 func BenchmarkAccessSuperBlock2(b *testing.B) {
-	benchORAM(b, Config{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptNone, SuperBlockSize: 2, Z: 4})
+	benchORAM(b, Spec{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptNone, SuperBlockSize: 2, Z: 4})
 }
 
 // BenchmarkAccessConstantTimeStash prices the fixed-length masked stash
@@ -146,15 +146,15 @@ func BenchmarkAccessSuperBlock2(b *testing.B) {
 // the full scan window regardless of where — or whether — the block sits.
 func BenchmarkAccessConstantTimeStash(b *testing.B) {
 	b.Run("plaintext", func(b *testing.B) {
-		benchORAM(b, Config{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptNone, ConstantTimeStash: true})
+		benchORAM(b, Spec{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptNone, ConstantTimeStash: true})
 	})
 	b.Run("counter", func(b *testing.B) {
-		benchORAM(b, Config{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptCounter, ConstantTimeStash: true})
+		benchORAM(b, Spec{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptCounter, ConstantTimeStash: true})
 	})
 }
 
 func BenchmarkHierarchyAccess(b *testing.B) {
-	h, err := NewHierarchy(HierarchyConfig{
+	h, err := NewHierarchy(Spec{
 		Blocks: 1 << 12, BlockSize: 128, PosBlockSize: 32,
 		OnChipPosMapMax: 1 << 10, Encryption: EncryptNone,
 		Rand: rand.New(rand.NewSource(3)),
@@ -185,7 +185,7 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 // so steady state must stay allocation-free (scripts/check_alloc_gate.sh
 // holds this bench to the same budget as the other Access benches).
 func BenchmarkAccessRecursivePLBHit(b *testing.B) {
-	h, err := NewHierarchy(HierarchyConfig{
+	h, err := NewHierarchy(Spec{
 		Blocks: 1 << 12, BlockSize: 128, PosBlockSize: 32,
 		OnChipPosMapMax: 1 << 10, Encryption: EncryptNone,
 		PLBBytes: 1 << 14,
@@ -226,7 +226,7 @@ func BenchmarkAccessRecursivePLBHit(b *testing.B) {
 }
 
 func BenchmarkExclusiveLoadStore(b *testing.B) {
-	o, err := New(Config{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptNone,
+	o, err := New(Spec{Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptNone,
 		Rand: rand.New(rand.NewSource(5))})
 	if err != nil {
 		b.Fatal(err)
@@ -280,7 +280,7 @@ func BenchmarkDRAMPathReadSubtreeVsNaive(b *testing.B) {
 
 // newBenchSharded builds and pre-fills a sharded ORAM over the whole
 // logical address space so the benchmarks measure steady state.
-func newBenchSharded(b *testing.B, cfg ShardedConfig) *Sharded {
+func newBenchSharded(b *testing.B, cfg Spec) *Sharded {
 	b.Helper()
 	s, err := NewSharded(cfg)
 	if err != nil {
@@ -314,9 +314,9 @@ func BenchmarkShardedThroughput(b *testing.B) {
 	const blockSize = 64
 	for _, shards := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := newBenchSharded(b, ShardedConfig{
+			s := newBenchSharded(b, Spec{
 				Shards: shards,
-				Config: Config{Blocks: blocks, BlockSize: blockSize, Encryption: EncryptNone},
+				Blocks: blocks, BlockSize: blockSize, Encryption: EncryptNone,
 			})
 			defer s.Close()
 			var seed atomic.Int64
@@ -385,9 +385,9 @@ func BenchmarkShardedThroughputEncrypted(b *testing.B) {
 	const blockSize = 64
 	for _, shards := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := newBenchSharded(b, ShardedConfig{
+			s := newBenchSharded(b, Spec{
 				Shards: shards,
-				Config: Config{Blocks: blocks, BlockSize: blockSize, Encryption: EncryptCounter},
+				Blocks: blocks, BlockSize: blockSize, Encryption: EncryptCounter,
 			})
 			defer s.Close()
 			var seed atomic.Int64
@@ -420,14 +420,12 @@ func BenchmarkShardedDRAM(b *testing.B) {
 	const blockSize = 64
 	for _, shards := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := newBenchSharded(b, ShardedConfig{
+			s := newBenchSharded(b, Spec{
 				Shards: shards,
-				Config: Config{
-					Blocks: blocks, BlockSize: blockSize,
-					Encryption:   EncryptNone,
-					Backend:      BackendDRAM,
-					DRAMChannels: 2,
-				},
+				Blocks: blocks, BlockSize: blockSize,
+				Encryption:   EncryptNone,
+				Backend:      BackendDRAM,
+				DRAMChannels: 2,
 			})
 			defer s.Close()
 			pre, _ := s.TimingStats()
@@ -468,15 +466,13 @@ func BenchmarkShardedDRAM(b *testing.B) {
 func benchmarkSched(b *testing.B, sched MemSched) {
 	const blocks = 1 << 12
 	const blockSize = 64
-	s := newBenchSharded(b, ShardedConfig{
+	s := newBenchSharded(b, Spec{
 		Shards: 2,
-		Config: Config{
-			Blocks: blocks, BlockSize: blockSize,
-			Encryption:   EncryptNone,
-			Backend:      BackendDRAM,
-			DRAMChannels: 2,
-			DRAMSched:    sched,
-		},
+		Blocks: blocks, BlockSize: blockSize,
+		Encryption:   EncryptNone,
+		Backend:      BackendDRAM,
+		DRAMChannels: 2,
+		DRAMSched:    sched,
 	})
 	defer s.Close()
 	pre, _ := s.TimingStats()
@@ -519,9 +515,9 @@ func BenchmarkShardedBatch(b *testing.B) {
 	const batch = 64
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := newBenchSharded(b, ShardedConfig{
+			s := newBenchSharded(b, Spec{
 				Shards: shards,
-				Config: Config{Blocks: blocks, BlockSize: blockSize, Encryption: EncryptNone},
+				Blocks: blocks, BlockSize: blockSize, Encryption: EncryptNone,
 			})
 			defer s.Close()
 			rng := rand.New(rand.NewSource(300))
@@ -560,11 +556,11 @@ func BenchmarkShardedLatency(b *testing.B) {
 	for _, mode := range []string{"sync", "async"} {
 		for _, shards := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("mode=%s/shards=%d", mode, shards), func(b *testing.B) {
-				s := newBenchSharded(b, ShardedConfig{
+				s := newBenchSharded(b, Spec{
 					Shards: shards,
-					Config: Config{Blocks: blocks, BlockSize: blockSize,
-						Encryption:    EncryptCounter,
-						AsyncEviction: mode == "async"},
+					Blocks: blocks, BlockSize: blockSize,
+					Encryption:    EncryptCounter,
+					AsyncEviction: mode == "async",
 				})
 				defer s.Close()
 				rng := rand.New(rand.NewSource(600))
@@ -606,10 +602,10 @@ func BenchmarkShardedBatchRandom(b *testing.B) {
 	const batch = 64
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := newBenchSharded(b, ShardedConfig{
+			s := newBenchSharded(b, Spec{
 				Shards:    shards,
 				Partition: PartitionRandom,
-				Config:    Config{Blocks: blocks, BlockSize: blockSize, Encryption: EncryptNone},
+				Blocks:    blocks, BlockSize: blockSize, Encryption: EncryptNone,
 			})
 			defer s.Close()
 			rng := rand.New(rand.NewSource(400))
@@ -642,11 +638,11 @@ func BenchmarkShardedBatchPadded(b *testing.B) {
 	const batch = 64
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s := newBenchSharded(b, ShardedConfig{
+			s := newBenchSharded(b, Spec{
 				Shards:    shards,
 				Partition: PartitionRandom,
 				Padded:    true,
-				Config:    Config{Blocks: blocks, BlockSize: blockSize, Encryption: EncryptNone},
+				Blocks:    blocks, BlockSize: blockSize, Encryption: EncryptNone,
 			})
 			defer s.Close()
 			rng := rand.New(rand.NewSource(500))

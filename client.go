@@ -163,9 +163,10 @@ const (
 	PosMapRecursive
 )
 
-// Spec is the declarative construction specification consumed by Open:
-// one literal that composes the paper's design-space axes instead of
-// three incompatible constructors. The three composition axes are
+// Spec is the declarative construction specification — the paper's design
+// point (DZ3Pb32 and friends) as one literal, and the only configuration
+// type of the package: every constructor takes it. The three composition
+// axes are
 //
 //	Shards:  how many independent trees serve the address space (the
 //	         concurrency axis; 0/1 = a single tree behind the scheduler),
@@ -175,136 +176,246 @@ const (
 //	Backend: what the buckets cost (the timing axis — BackendMem for
 //	         untimed functional serving, BackendDRAM to charge every
 //	         bucket of every tree to one shared cycle-accurate DDR3
-//	         model).
+//	         model, BackendFile to persist them).
 //
 // Everything else parameterizes the trees themselves (sizes, encryption,
 // integrity, the staged access path) or the scheduler (partition, queue
-// depth, padded batches). A sharded recursive spec builds one Hierarchy
-// per shard: per-shard keys derive from Key via the shard domain and
-// per-level keys from those via the hierarchy domain, so no two trees
+// depth, padded batches). A knob that would be inert on the selected axis
+// values is rejected, never ignored, so a design-space sweep cannot vary a
+// field that changes nothing. A sharded recursive spec builds one
+// Hierarchy per shard: per-shard keys derive from Key via the shard domain
+// and per-level keys from those via the hierarchy domain, so no two trees
 // anywhere share one-time pads; under BackendDRAM every level of every
 // shard attaches its own port (disjoint physical region) to one shared
 // memory bus.
 type Spec struct {
-	// Blocks is the total logical address space (required).
+	// Blocks is the total logical address space, addresses 0..Blocks-1
+	// (required). Sharded constructions split it across the shards by
+	// Partition; every other tree parameter applies to each shard's tree.
 	Blocks uint64
-	// BlockSize is the block payload in bytes (0 = metadata-only
-	// simulation mode).
+	// BlockSize is the block payload in bytes (128 in the paper). Zero
+	// selects metadata-only mode (no payloads; protocol simulation), which
+	// leaves a flat tree nothing to encrypt.
 	BlockSize int
 
-	// Shards is the number of independent per-shard engines behind the
-	// request scheduler (default 1; must not exceed Blocks).
+	// Shards is the number of independent per-shard engines, each owned by
+	// its own worker goroutine behind the request scheduler (default 1;
+	// must not exceed Blocks). New and NewHierarchy build one bare engine
+	// and reject the serving-layer knobs of this group.
 	Shards int
 	// Partition selects the address split across shards (default
 	// PartitionStripe; PartitionRandom hides request routing).
 	Partition Partition
-	// Padded switches batches to the fixed-shape padded schedule (see
-	// ShardedConfig.Padded).
+	// Padded switches ReadBatch/WriteBatch to the padded batch mode: every
+	// batch touches every shard an equal number of times — the larger of
+	// ceil(batchSize/Shards) and the busiest shard's real demand — with
+	// scheduler-issued dummy accesses (real random-path accesses) filling
+	// the empty slots, so an observer of the shard schedule cannot tell
+	// which slots carried real requests. Under PartitionRandom the whole
+	// shape is additionally independent of the requested addresses; under
+	// the fixed partitions its height still tracks the busiest shard (see
+	// DESIGN.md's decision table). Padding overhead is counted in
+	// Stats.PaddingAccesses. Single operations are never padded.
 	Padded bool
 	// QueueDepth is the per-shard request queue length (default 128).
 	QueueDepth int
-	// EvictionsPerIdle caps idle background evictions per gap (see
-	// ShardedConfig.EvictionsPerIdle; meaningful with AsyncEviction).
+	// EvictionsPerIdle caps how many background-eviction dummy accesses a
+	// shard worker issues per idle gap (default 4; negative disables idle
+	// eviction, leaving only write-back completion). Only meaningful with
+	// AsyncEviction, which turns each shard into a two-stage pipeline: the
+	// worker answers a request as soon as its path has been read and
+	// merged, then completes the deferred write-back — and runs background
+	// stash eviction — during idle queue time. Under sustained saturation
+	// the deferred work drains inline and throughput matches the
+	// synchronous mode. Close, snapshots (Stats, ShardStats, StashSize)
+	// and Flush all drain fully first, so observed state always matches
+	// the synchronous protocol. See DESIGN.md (pipelining) and SECURITY.md
+	// (why the idle-time schedule leaks nothing).
 	EvictionsPerIdle int
 
-	// PosMap selects the position-map policy (default PosMapOnChip).
+	// PosMap selects the position-map policy (default PosMapOnChip;
+	// NewHierarchy implies PosMapRecursive).
 	PosMap PosMapPolicy
 	// PosBlockSize is the position-map ORAM block size under
-	// PosMapRecursive (default 32, the paper's practical choice).
+	// PosMapRecursive (default 32, the paper's best practical choice,
+	// Section 3.3.3).
 	PosBlockSize int
 	// OnChipPosMapMax bounds each shard's final on-chip map in bytes
 	// under PosMapRecursive (default 200 KB, Section 4.1.5; the bound is
 	// per shard).
 	OnChipPosMapMax uint64
 	// PosZ is the position-map ORAM bucket capacity under PosMapRecursive
-	// (default 3).
+	// (default 3; the paper's DZ3Pb32 uses Z 3 and PosZ 3).
 	PosZ int
-	// PLBBytes provisions a position-map lookaside cache per shard under
-	// PosMapRecursive (Section 3.3.3; see HierarchyConfig.PLBBytes): hits
-	// skip the elided chain levels, dirty labels write back on eviction
-	// and Flush. 0 disables. The default mode leaks chain length per
-	// access (SECURITY.md); see PLBConstantShape.
+	// PLBBytes provisions the position-map lookaside cache of Section
+	// 3.3.3 per shard under PosMapRecursive: a small set-associative
+	// write-back LRU of group→leaf labels in front of every position-map
+	// interface (the byte budget splits evenly across them). A hit makes
+	// the cached label authoritative and skips the backing access and
+	// every smaller ORAM above it — the chain-shortening acceleration the
+	// paper pairs with recursion. Dirty evictions and Flush write the
+	// exact cached label back, so logical state stays bit-identical to the
+	// uncached protocol. 0 disables. The default mode leaks chain length
+	// per access (SECURITY.md); see PLBConstantShape.
 	PLBBytes uint64
 	// PLBConstantShape pads every PLB hit with dummy-shaped accesses to
-	// the elided levels — the oblivious endpoint of the PLB axis.
-	// Requires PLBBytes > 0.
+	// the elided levels so hits and misses are indistinguishable on the
+	// wire — the oblivious endpoint of the PLB axis. Requires PLBBytes > 0.
 	PLBConstantShape bool
-	// Overlap enables the Figure 5(b) speculative cross-request overlap of
-	// the recursion chain under PosMapRecursive + BackendDRAM: up to
-	// Overlap consecutive rounds pipeline across the chain's per-level
-	// ports (see HierarchyConfig.Overlap). 0 keeps the serial 5(a) clock.
+	// Overlap enables the Figure 5(b) speculative cross-request overlap
+	// under PosMapRecursive + BackendDRAM: the chain scheduler keeps the
+	// last Overlap rounds' data-ORAM completions in a window, and a new
+	// round's smallest-ORAM stages may issue as soon as the oldest
+	// windowed round completed — request t+1's posmap walk overlaps
+	// request t's data access. Within one round the Figure 5(a)
+	// dependency is preserved: a level never issues before the posmap
+	// stage that named its path completed. Each level's port also accepts
+	// two stages in flight, so one round's write-back overlaps the next
+	// round's read of the same tree. 0 keeps the strictly serial 5(a)
+	// chain clock. Contradicts DRAMSerialize.
 	Overlap int
 
-	// Z is the (data) bucket capacity (default 3).
+	// Z is the (data) bucket capacity (default 3, the paper's sweet spot
+	// for large ORAMs; small ORAMs may prefer 2 — see Figure 9).
 	Z int
-	// Utilization sizes each data tree (default 0.5).
+	// Utilization sizes each data tree: Blocks / (Z * bucket count), in
+	// (0,1] (default 0.5, Section 4.1.3). Ignored when LeafLevel is set.
 	Utilization float64
-	// StashCapacity is C per ORAM in blocks (default 200).
+	// LeafLevel overrides the derived (data) tree depth when > 0, sizing
+	// every shard's tree alike — the statistical tests pin tree geometry
+	// with it.
+	LeafLevel int
+	// StashCapacity is C per ORAM in blocks (default 200, Section 4.1.2).
+	// The background eviction of Section 3.1 keeps occupancy at or below
+	// C - Z(L+1) between accesses, so the stash cannot overflow.
 	StashCapacity int
-	// ConstantTimeStash makes every stash scan fixed-length and
-	// branchless-masked on every tree in the construction, closing the
-	// stash timing side channel (see Config.ConstantTimeStash). Results
-	// are bit-identical to the default mode.
+	// ConstantTimeStash replaces the stash's early-return lookup scans
+	// with fixed-length masked scans (crypto/subtle) over a preallocated
+	// window on every tree in the construction, so where — and whether — a
+	// block sits in the stash changes neither the instruction count nor
+	// the memory-touch count of an access. This closes the stash timing
+	// side channel of the secure-processor threat model (SECURITY.md);
+	// results are bit-identical to the default mode. Costs a full-window
+	// scan per lookup: with the default C=200 stash a modest constant per
+	// access.
 	ConstantTimeStash bool
-	// SuperBlockSize statically merges adjacent blocks (Section 3.2).
-	// Note super blocks group shard-local adjacency: combine with
-	// PartitionRange when they should capture program locality.
+	// SuperBlockSize statically merges groups of adjacent (data) blocks
+	// (Section 3.2); 0 or 1 disables merging. Super blocks group
+	// shard-local adjacency: combine with PartitionRange when they should
+	// capture program locality.
 	SuperBlockSize int
-	// Encryption selects the bucket encryption (default counter-based).
+	// Encryption selects the bucket encryption of every tree (default
+	// counter-based).
 	Encryption Encryption
-	// Integrity enables the Section 5 authentication tree per tree.
+	// Integrity enables the Section 5 authentication tree per tree: every
+	// path read is verified for authenticity and freshness.
 	Integrity bool
-	// Key is the 16-byte master secret; every shard (and every hierarchy
-	// level within a shard) encrypts under an independently derived
-	// subkey. Random if nil.
+	// Key is the 16-byte processor secret; a fresh random key is drawn
+	// when nil (the paper draws a new key per program run to defeat replay
+	// of old ciphertexts). A bare New encrypts under it directly; every
+	// shard, and every hierarchy level within an engine, encrypts under an
+	// independently derived AES-128 subkey — CounterScheme's pad depends
+	// only on (key, bucketID, counter) and every tree numbers its buckets
+	// from zero, so sharing one key would reuse one-time pads. Whenever a
+	// tree encrypts, any other length is rejected rather than silently
+	// downgrading an intended AES-256 setup.
 	Key []byte
 
-	// AsyncEviction enables the staged access path on every engine:
-	// respond after path read and merge, defer write-back I/O to idle
-	// time (see Config.AsyncEviction).
+	// AsyncEviction enables the staged access path on every tree:
+	// Read/Write/Update return as soon as every path has been read and
+	// merged and the eviction placement computed; the write-back I/O
+	// (serialization, encryption, authentication, store write) is deferred
+	// onto a bounded per-tree queue, and stash draining is expected to
+	// happen in idle time. Someone must drain: shard workers do it
+	// automatically during idle queue time; the owner of a bare engine
+	// calls StepBackground (e.g. between requests) and Flush when
+	// quiescing. Logical contents are never stale — reads of paths with
+	// pending write-backs are served from the write buffer — and the stash
+	// bound still holds: if deferred work piles up faster than idle time
+	// drains it, draining falls back inline, degrading to the synchronous
+	// protocol rather than failing.
 	AsyncEviction bool
-	// MaxDeferredWriteBacks caps each tree's deferred write-back queue —
-	// under BackendDRAM, the modeled write-buffer depth.
+	// MaxDeferredWriteBacks caps each tree's deferred write-back queue
+	// under AsyncEviction (default core.DefaultMaxDeferredWriteBacks).
+	// With BackendDRAM the queue is exactly the modeled memory
+	// controller's write buffer, so this knob is the write-buffer-depth
+	// experiment: deeper buffers group write-backs together (fewer
+	// read/write bus turnarounds, more write-buffer read hits) at the
+	// price of more pinned path copies. See EXPERIMENTS.md.
 	MaxDeferredWriteBacks int
 
-	// Backend selects the storage cost model (default BackendMem;
-	// BackendFile persists every tree under Dir).
+	// Backend selects the bucket storage backend of every tree (default
+	// BackendMem). BackendDRAM wraps each store in a timed layer on ONE
+	// shared memory bus — one port per tree, so every shard and every
+	// hierarchy level owns a disjoint row-aligned region and concurrent
+	// shards contend for the same modeled channels and banks, the
+	// multi-channel deployment the paper analyzes; TimingStats then
+	// reports modeled cycles for the whole construction.
 	Backend Backend
 	// Dir is the directory holding the tree (and WAL) files under
-	// BackendFile: one file per tree, named per shard and per hierarchy
-	// level. Required there, rejected elsewhere.
+	// BackendFile: one file per tree, named "oram" for a bare engine and
+	// "shard<i>" per shard, with a "-l<level>" suffix per hierarchy level.
+	// Required there, rejected elsewhere: a directory that silently does
+	// nothing would be an inert knob.
 	Dir string
-	// WAL wraps every tree file in a write-ahead log under BackendFile,
-	// making the deferred write-back pipeline crash-consistent: logged
-	// before acknowledged, checkpointed on Flush, replayed on reopen.
+	// WAL wraps every tree file in a write-ahead log under BackendFile
+	// (internal/storage.WAL): every path write-back is logged before it is
+	// acknowledged, Flush checkpoints the log into the tree file and
+	// truncates it, and reopening after a crash replays the logged prefix
+	// — the deferred write-back pipeline becomes crash-consistent.
 	WAL bool
 	// WALDepth self-checkpoints each tree's log after that many path
 	// frames (0 = only on Flush/Close). Requires WAL.
 	WALDepth int
-	// DRAMChannels, DRAMLayout, DRAMSerialize parameterize the shared
-	// DDR3 model under BackendDRAM (see Config).
-	DRAMChannels  int
-	DRAMLayout    DRAMLayout
+	// DRAMChannels is the number of independent DDR3 channels under
+	// BackendDRAM (0 = default 2; the paper sweeps 1/2/4).
+	DRAMChannels int
+	// DRAMLayout selects the bucket-to-row placement under BackendDRAM
+	// (default LayoutSubtree, the paper's packed-subtree layout).
+	DRAMLayout DRAMLayout
+	// DRAMSerialize is a modeling baseline under BackendDRAM: issue every
+	// tree's memory stages at the global completion frontier, forbidding
+	// any overlap between different shards' path reads and write-backs. It
+	// exists so the intra-access-overlap gain of the shared scheduler is
+	// measurable (EXPERIMENTS.md); leave it false for the actual model.
 	DRAMSerialize bool
 	// DRAMSched selects the controller's command scheduling under
-	// BackendDRAM: MemSchedInOrder (default) or MemSchedFRFCFS, whose
-	// open per-channel queue DRAMQueueDepth and DRAMStarveCap
-	// parameterize (see Config).
-	DRAMSched      MemSched
+	// BackendDRAM: MemSchedInOrder (default) or MemSchedFRFCFS, the open
+	// per-channel queue that reorders for row-buffer locality and
+	// bank-level parallelism.
+	DRAMSched MemSched
+	// DRAMQueueDepth is the open-queue window per channel under
+	// MemSchedFRFCFS (0 = default 8; depth 1 reproduces in-order issue
+	// exactly).
 	DRAMQueueDepth int
-	DRAMStarveCap  int
+	// DRAMStarveCap bounds how many times younger row hits may bypass the
+	// oldest queued request under MemSchedFRFCFS before it is forced
+	// (0 = default 4).
+	DRAMStarveCap int
 
-	// Rand makes the whole construction deterministic (simulation only);
-	// independent per-shard, router and padding streams are derived from
-	// it exactly as in NewSharded.
+	// Rand, when set, makes all randomness (leaf selection, per-block
+	// keys, routing) deterministic for reproducible simulation; production
+	// use must leave it nil, and leaves then come from crypto/rand. A bare
+	// engine consumes it directly. The serving layer never shares one
+	// generator across shards (math/rand generators are not
+	// goroutine-safe): it seeds an independent generator per shard from
+	// draws on this one, in shard order, then one for the router and one
+	// for padding — so a fixed parent seed reproduces the whole sharded
+	// simulation.
 	Rand *rand.Rand
-	// OnPathAccess, when set, observes every path every tree touches —
-	// the adversary's full view: shard is the serving shard, level the
-	// ORAM within its chain (0 = data ORAM; always 0 for PosMapOnChip).
-	// Called from the shard worker goroutines; distinct shards invoke it
-	// concurrently.
+	// OnPathAccess, when set, observes every path every tree touches, in
+	// order, real and dummy alike — the adversary's full view: shard is
+	// the serving shard (0 for a bare engine), level the ORAM within its
+	// chain (0 = data ORAM; always 0 for PosMapOnChip). It runs
+	// synchronously on the accessing goroutine — the shard workers, so
+	// distinct shards invoke it concurrently (per-shard accumulators
+	// indexed by the shard argument need no locking).
 	OnPathAccess func(shard, level int, leaf uint64)
 }
+
+// Config is the pre-Spec name of the flat-tree configuration, kept as an
+// alias so existing New(Config{...}) literals keep compiling.
+type Config = Spec
 
 // LeakageClass tags what a composition leaks beyond the Path ORAM
 // guarantee, factored along the two independent channels SECURITY.md's
@@ -372,145 +483,13 @@ func (s Spec) LeakageClass() LeakageClass {
 
 // Open builds the serving layer described by spec and returns it as a
 // Client: N shards (flat trees or recursive hierarchies per PosMap)
-// behind the batched request scheduler, on an untimed or shared-timed
-// storage backend. Open is the one constructor that composes every axis;
-// the bare constructors (New, NewHierarchy, NewSharded) remain supported
-// for direct, single-construction use.
+// behind the batched request scheduler, on an untimed, shared-timed or
+// persistent storage backend. It is NewSharded typed as the interface;
+// New and NewHierarchy build a single bare engine from the same Spec.
 func Open(spec Spec) (Client, error) {
-	cfg := ShardedConfig{
-		Shards:           spec.Shards,
-		Partition:        spec.Partition,
-		Padded:           spec.Padded,
-		QueueDepth:       spec.QueueDepth,
-		EvictionsPerIdle: spec.EvictionsPerIdle,
-		Config: Config{
-			Blocks:                spec.Blocks,
-			BlockSize:             spec.BlockSize,
-			Z:                     spec.Z,
-			Utilization:           spec.Utilization,
-			StashCapacity:         spec.StashCapacity,
-			ConstantTimeStash:     spec.ConstantTimeStash,
-			SuperBlockSize:        spec.SuperBlockSize,
-			Encryption:            spec.Encryption,
-			Integrity:             spec.Integrity,
-			Key:                   spec.Key,
-			AsyncEviction:         spec.AsyncEviction,
-			MaxDeferredWriteBacks: spec.MaxDeferredWriteBacks,
-			Backend:               spec.Backend,
-			DRAMChannels:          spec.DRAMChannels,
-			DRAMLayout:            spec.DRAMLayout,
-			DRAMSerialize:         spec.DRAMSerialize,
-			DRAMSched:             spec.DRAMSched,
-			DRAMQueueDepth:        spec.DRAMQueueDepth,
-			DRAMStarveCap:         spec.DRAMStarveCap,
-			Dir:                   spec.Dir,
-			WAL:                   spec.WAL,
-			WALDepth:              spec.WALDepth,
-			Rand:                  spec.Rand,
-		},
+	s, err := NewSharded(spec)
+	if err != nil {
+		return nil, err
 	}
-	// Reject knobs that would be silently inert on the selected axis
-	// values, so a design-space sweep never varies a field that changes
-	// nothing (non-default DRAM knobs need the timed backend; recursion
-	// knobs need the recursive position map).
-	if spec.Backend != BackendDRAM &&
-		(spec.DRAMChannels != 0 || spec.DRAMLayout != LayoutSubtree || spec.DRAMSerialize) {
-		return nil, fmt.Errorf("pathoram: DRAMChannels/DRAMLayout/DRAMSerialize parameterize the timed backend; set Backend: BackendDRAM")
-	}
-	if spec.Backend != BackendDRAM && spec.DRAMSched != MemSchedInOrder {
-		return nil, fmt.Errorf("pathoram: DRAMSched parameterizes the timed backend; set Backend: BackendDRAM")
-	}
-	if spec.DRAMSched != MemSchedFRFCFS && (spec.DRAMQueueDepth != 0 || spec.DRAMStarveCap != 0) {
-		return nil, fmt.Errorf("pathoram: DRAMQueueDepth/DRAMStarveCap parameterize the open queue; set DRAMSched: MemSchedFRFCFS")
-	}
-	if spec.Backend != BackendFile && (spec.Dir != "" || spec.WAL || spec.WALDepth != 0) {
-		return nil, fmt.Errorf("pathoram: Dir/WAL/WALDepth parameterize the persistent backend; set Backend: BackendFile")
-	}
-	if spec.Backend == BackendFile && spec.Dir == "" {
-		return nil, fmt.Errorf("pathoram: BackendFile needs Dir (where the tree files live)")
-	}
-	if !spec.WAL && spec.WALDepth != 0 {
-		return nil, fmt.Errorf("pathoram: WALDepth bounds the write-ahead log; set WAL: true")
-	}
-	switch spec.PosMap {
-	case PosMapOnChip:
-		if spec.PosBlockSize != 0 || spec.OnChipPosMapMax != 0 || spec.PosZ != 0 {
-			return nil, fmt.Errorf("pathoram: PosBlockSize/OnChipPosMapMax/PosZ parameterize the recursive position map; set PosMap: PosMapRecursive")
-		}
-		if spec.PLBBytes != 0 || spec.PLBConstantShape || spec.Overlap != 0 {
-			return nil, fmt.Errorf("pathoram: PLBBytes/PLBConstantShape/Overlap accelerate the recursive position-map chain; set PosMap: PosMapRecursive")
-		}
-		if spec.OnPathAccess != nil {
-			hook := spec.OnPathAccess
-			cfg.OnShardPathAccess = func(sh int, leaf uint64) { hook(sh, 0, leaf) }
-		}
-		return NewSharded(cfg)
-	case PosMapRecursive:
-		// The chain accelerations have their own mode requirements;
-		// surface them here with Spec vocabulary rather than letting every
-		// shard's constructor fail identically.
-		if spec.PLBConstantShape && spec.PLBBytes == 0 {
-			return nil, fmt.Errorf("pathoram: PLBConstantShape pads PLB hits; set PLBBytes > 0")
-		}
-		if spec.Overlap < 0 {
-			return nil, fmt.Errorf("pathoram: Overlap must be >= 0")
-		}
-		if spec.Overlap > 0 {
-			if spec.Backend != BackendDRAM {
-				return nil, fmt.Errorf("pathoram: Overlap schedules modeled memory time; set Backend: BackendDRAM")
-			}
-			if spec.DRAMSerialize {
-				return nil, fmt.Errorf("pathoram: Overlap and DRAMSerialize are contradictory schedules; drop one")
-			}
-		}
-		// Position-map levels always carry payloads, so encryption
-		// material is in play even for a metadata-only data ORAM.
-		needKeys := spec.Encryption != EncryptNone
-		return newSharded(cfg, needKeys, func(i int, sc Config) (clientEngine, error) {
-			hc := HierarchyConfig{
-				Blocks:                sc.Blocks,
-				BlockSize:             sc.BlockSize,
-				DataZ:                 sc.Z,
-				PosZ:                  spec.PosZ,
-				PosBlockSize:          spec.PosBlockSize,
-				OnChipPosMapMax:       spec.OnChipPosMapMax,
-				Utilization:           sc.Utilization,
-				SuperBlockSize:        sc.SuperBlockSize,
-				StashCapacity:         sc.StashCapacity,
-				ConstantTimeStash:     sc.ConstantTimeStash,
-				Encryption:            sc.Encryption,
-				Key:                   sc.Key,
-				Integrity:             sc.Integrity,
-				AsyncEviction:         sc.AsyncEviction,
-				MaxDeferredWriteBacks: sc.MaxDeferredWriteBacks,
-				Backend:               sc.Backend,
-				DRAMChannels:          sc.DRAMChannels,
-				DRAMLayout:            sc.DRAMLayout,
-				DRAMSerialize:         sc.DRAMSerialize,
-				DRAMSched:             sc.DRAMSched,
-				DRAMQueueDepth:        sc.DRAMQueueDepth,
-				DRAMStarveCap:         sc.DRAMStarveCap,
-				PLBBytes:              spec.PLBBytes,
-				PLBConstantShape:      spec.PLBConstantShape,
-				Overlap:               spec.Overlap,
-				Dir:                   sc.Dir,
-				WAL:                   sc.WAL,
-				WALDepth:              sc.WALDepth,
-				Rand:                  sc.Rand,
-				bus:                   sc.bus,
-				storeName:             sc.storeName,
-			}
-			if spec.OnPathAccess != nil {
-				hook, sh := spec.OnPathAccess, i
-				hc.OnPathAccess = func(level int, leaf uint64) { hook(sh, level, leaf) }
-			}
-			h, err := NewHierarchy(hc)
-			if err != nil {
-				return nil, err
-			}
-			return hierarchyEngine{h}, nil
-		})
-	default:
-		return nil, fmt.Errorf("pathoram: unknown position-map policy %d", spec.PosMap)
-	}
+	return s, nil
 }

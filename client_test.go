@@ -37,11 +37,11 @@ func TestClientInterfaceCompliance(t *testing.T) {
 	const blockSize = 16
 	builds := map[string]func() (Client, error){
 		"oram": func() (Client, error) {
-			return New(Config{Blocks: blocks, BlockSize: blockSize,
+			return New(Spec{Blocks: blocks, BlockSize: blockSize,
 				Encryption: EncryptNone, Rand: rand.New(rand.NewSource(1))})
 		},
 		"hierarchy": func() (Client, error) {
-			return NewHierarchy(HierarchyConfig{Blocks: blocks, BlockSize: blockSize,
+			return NewHierarchy(Spec{Blocks: blocks, BlockSize: blockSize,
 				PosBlockSize: 16, OnChipPosMapMax: 128,
 				Encryption: EncryptNone, Rand: rand.New(rand.NewSource(2))})
 		},
@@ -191,10 +191,10 @@ func TestClientShardedRecursiveEquivalence(t *testing.T) {
 		t.Fatalf("recursive spec built a chain of depth %d, want >= 2", got)
 	}
 
-	flat, err := NewSharded(ShardedConfig{
+	flat, err := NewSharded(Spec{
 		Shards: shards,
-		Config: Config{Blocks: blocks, BlockSize: blockSize,
-			Encryption: EncryptNone, Rand: rand.New(rand.NewSource(43))},
+		Blocks: blocks, BlockSize: blockSize,
+		Encryption: EncryptNone, Rand: rand.New(rand.NewSource(43)),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,15 +27,13 @@ func TestPooledCTEquivalenceReplay(t *testing.T) {
 			name := fmt.Sprintf("%s/%s", partName, mode)
 			t.Run(name, func(t *testing.T) {
 				build := func(ct bool) *Sharded {
-					s, err := NewSharded(ShardedConfig{
+					s, err := NewSharded(Spec{
 						Shards: 4, Partition: part,
-						Config: Config{
-							Blocks: blocks, BlockSize: blockSize,
-							Encryption:        EncryptCounter,
-							ConstantTimeStash: ct,
-							AsyncEviction:     async,
-							Rand:              testRand(91),
-						},
+						Blocks: blocks, BlockSize: blockSize,
+						Encryption:        EncryptCounter,
+						ConstantTimeStash: ct,
+						AsyncEviction:     async,
+						Rand:              testRand(91),
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -126,7 +124,7 @@ func TestPooledCTEquivalenceReplay(t *testing.T) {
 // entry was never revisited); extractRange sweeps stably, so membership
 // no longer depends on stash order.
 func TestLoadMultiMemberSuperBlockGroup(t *testing.T) {
-	o, err := New(Config{
+	o, err := New(Spec{
 		Blocks: 256, BlockSize: 8, SuperBlockSize: 4, Z: 4, Rand: testRand(21),
 	})
 	if err != nil {

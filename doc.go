@@ -22,25 +22,28 @@
 //     space partitioned over N independent Path ORAM shards behind a
 //     batched request scheduler, with optional oblivious request routing
 //     (PartitionRandom) and padded, fixed-shape batch schedules
-//     (ShardedConfig.Padded);
-//   - a staged access path (Config.AsyncEviction): respond after path
+//     (Spec.Padded);
+//   - a staged access path (Spec.AsyncEviction): respond after path
 //     read and stash merge, defer write-back I/O and background eviction
 //     to idle queue time — Section 3.1.1's background eviction and the
 //     Figure 5 phase-overlap study applied to the serving layer;
-//   - a timed storage backend (Config.Backend: BackendDRAM): every
+//   - a timed storage backend (Spec.Backend: BackendDRAM): every
 //     shard's bucket I/O charged to one shared cycle-accurate DDR3 model
 //     behind a memory-channel scheduler, so the serving layer reports
 //     modeled hardware cycles, row-hit rates and bandwidth (TimingStats)
 //     — the paper's design-space currency — while staying bit-identical
 //     to the untimed backend;
 //   - a unified client API: the Client interface, satisfied by ORAM,
-//     Hierarchy and Sharded alike, and the Open(Spec) constructor whose
-//     declarative Spec composes the design-space axes — Shards: N,
-//     PosMap: OnChip|Recursive, Backend: mem|dram — so sharded ORAMs
-//     with recursive position maps on a shared timed memory bus are one
-//     config literal. Hierarchical shards attach one membus port per
-//     level, making the recursion's Figure 5 orderings and Table 2
-//     latencies come from live recursive traffic;
+//     Hierarchy and Sharded alike, and one configuration type, Spec,
+//     which composes the design-space axes — Shards: N, PosMap:
+//     OnChip|Recursive, Backend: mem|dram|file — so sharded ORAMs with
+//     recursive position maps on a shared timed memory bus are one
+//     literal. Every constructor (Open, New, NewHierarchy, NewSharded)
+//     takes it and runs the same two steps: resolve (defaults, one table
+//     of knob rules, key, memory bus) and buildTree (one tree's storage
+//     stack). Hierarchical shards attach one membus port per level,
+//     making the recursion's Figure 5 orderings and Table 2 latencies
+//     come from live recursive traffic;
 //   - pluggable persistent storage (Spec.Backend: BackendFile, Spec.WAL):
 //     the ciphertext tree in an mmap'd file with an optional write-ahead
 //     log, so the deferred write-back pipeline survives crashes — and a

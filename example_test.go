@@ -12,7 +12,7 @@ import (
 // A minimal oblivious block store: every Read/Write is one random-looking
 // path access.
 func ExampleNew() {
-	oram, err := pathoram.New(pathoram.Config{
+	oram, err := pathoram.New(pathoram.Spec{
 		Blocks:    1024,
 		BlockSize: 64,
 		Rand:      rand.New(rand.NewSource(1)), // deterministic for the example only
@@ -35,7 +35,7 @@ func ExampleNew() {
 // The exclusive interface of Section 3.3.1: Load removes a block from the
 // ORAM (plus its super-block siblings); Store returns it for free.
 func ExampleORAM_Load() {
-	oram, err := pathoram.New(pathoram.Config{
+	oram, err := pathoram.New(pathoram.Spec{
 		Blocks:         256,
 		BlockSize:      16,
 		SuperBlockSize: 2,
@@ -70,13 +70,11 @@ func ExampleORAM_Load() {
 // shards, each behind its own worker goroutine — all methods are safe for
 // concurrent use, and batches fan out across shards in parallel.
 func ExampleNewSharded() {
-	store, err := pathoram.NewSharded(pathoram.ShardedConfig{
-		Shards: 4,
-		Config: pathoram.Config{
-			Blocks:    4096,
-			BlockSize: 64,
-			Rand:      rand.New(rand.NewSource(4)), // deterministic for the example only
-		},
+	store, err := pathoram.NewSharded(pathoram.Spec{
+		Blocks:    4096,
+		BlockSize: 64,
+		Shards:    4,
+		Rand:      rand.New(rand.NewSource(4)), // deterministic for the example only
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -142,7 +140,7 @@ func ExampleOpen() {
 // A hierarchical ORAM keeps the position map oblivious too: H ORAMs are
 // accessed per request, smallest first (Section 2.3).
 func ExampleNewHierarchy() {
-	mem, err := pathoram.NewHierarchy(pathoram.HierarchyConfig{
+	mem, err := pathoram.NewHierarchy(pathoram.Spec{
 		Blocks:          1 << 12,
 		BlockSize:       32,
 		PosBlockSize:    16,

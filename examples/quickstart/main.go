@@ -15,7 +15,7 @@ func main() {
 	// 4096 blocks of 128 bytes, Z=3 at 50% utilization (the paper's
 	// recommended large-ORAM configuration), counter-based randomized
 	// encryption, integrity verification on.
-	oram, err := pathoram.New(pathoram.Config{
+	oram, err := pathoram.New(pathoram.Spec{
 		Blocks:    4096,
 		BlockSize: 128,
 		Z:         3,

@@ -31,10 +31,10 @@ type llc struct {
 }
 
 func main() {
-	mem, err := pathoram.NewHierarchy(pathoram.HierarchyConfig{
+	mem, err := pathoram.NewHierarchy(pathoram.Spec{
 		Blocks:          lines,
 		BlockSize:       lineBytes,
-		DataZ:           4, // DZ4Pb32+SB: the paper's best Figure 12 configuration
+		Z:               4, // DZ4Pb32+SB: the paper's best Figure 12 configuration
 		PosZ:            3,
 		PosBlockSize:    32,
 		SuperBlockSize:  2,

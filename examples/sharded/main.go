@@ -21,12 +21,10 @@ func main() {
 	// full Path ORAM (counter-encrypted here) with its own derived key,
 	// its own tree and stash, and its own worker goroutine; the scheduler
 	// in front makes the whole thing safe for any number of callers.
-	store, err := pathoram.NewSharded(pathoram.ShardedConfig{
-		Shards: 4,
-		Config: pathoram.Config{
-			Blocks:    16384,
-			BlockSize: 64,
-		},
+	store, err := pathoram.NewSharded(pathoram.Spec{
+		Blocks:    16384,
+		BlockSize: 64,
+		Shards:    4,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -114,14 +112,12 @@ func main() {
 	// batch touch every shard equally often (dummy-filled). SECURITY.md
 	// has the full argument; the cost shows up as pad/real overhead and
 	// a two-leg (fetch + relocate) access path.
-	hidden, err := pathoram.NewSharded(pathoram.ShardedConfig{
+	hidden, err := pathoram.NewSharded(pathoram.Spec{
+		Blocks:    4096,
+		BlockSize: 64,
 		Shards:    4,
 		Partition: pathoram.PartitionRandom,
 		Padded:    true,
-		Config: pathoram.Config{
-			Blocks:    4096,
-			BlockSize: 64,
-		},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -12,6 +12,8 @@ import (
 // panic. Constructed clients then run the canonical workload and must
 // honor read-your-writes, Flush idempotence and Close cleanliness
 // regardless of which corner of the design space the bytes selected.
+// Flat single-shard inputs additionally go to New: both constructors run
+// the same resolve pass, so they must agree on accept/reject.
 
 // specSource decodes bounded Spec fields from a fuzz byte stream,
 // yielding zeros once the stream runs dry (so short inputs explore the
@@ -90,6 +92,20 @@ func FuzzOpenSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec := specFromBytes(data)
 		_ = spec.LeakageClass() // total on every spec, valid or not
+		if spec.Shards <= 1 && spec.PosMap == PosMapOnChip {
+			bare := spec
+			bare.Partition, bare.Padded, bare.QueueDepth, bare.EvictionsPerIdle = PartitionStripe, false, 0, 0
+			bare.Rand = nil
+			o, errNew := New(bare)
+			c, errOpen := Open(bare)
+			if (errNew == nil) != (errOpen == nil) {
+				t.Fatalf("New and Open disagree: New=%v Open=%v (spec %+v)", errNew, errOpen, bare)
+			}
+			if errNew == nil {
+				o.Close()
+				c.Close()
+			}
+		}
 		client, err := Open(spec)
 		if err != nil {
 			return // invalid specs error; panics are the only failure

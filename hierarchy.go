@@ -1,157 +1,22 @@
 package pathoram
 
 import (
-	crand "crypto/rand"
-	"fmt"
-	"math/rand"
-
 	"repro/internal/core"
-	"repro/internal/encrypt"
 	"repro/internal/hierarchy"
 	"repro/internal/membus"
-	"repro/internal/storage"
-	"repro/internal/treemath"
 )
 
-// HierarchyConfig describes a hierarchical Path ORAM (Section 2.3): the
-// data ORAM's position map lives in a second ORAM, recursively, until the
-// final map fits on-chip.
-type HierarchyConfig struct {
-	// Blocks is the number of addressable data blocks.
-	Blocks uint64
-	// BlockSize is the data ORAM's block size in bytes (128 in the paper;
-	// 0 = metadata-only data ORAM for simulation).
-	BlockSize int
-	// DataZ / PosZ are bucket capacities (paper: DZ3Pb32 uses 3 and 3).
-	DataZ, PosZ int
-	// PosBlockSize is the position-map ORAM block size (Section 3.3.3;
-	// the paper's best practical choice is 32 bytes).
-	PosBlockSize int
-	// OnChipPosMapMax bounds the final on-chip position map in bytes
-	// (default 200 KB, Section 4.1.5).
-	OnChipPosMapMax uint64
-	// Utilization sizes the data ORAM tree (default 0.5).
-	Utilization float64
-	// SuperBlockSize statically merges adjacent data blocks.
-	SuperBlockSize int
-	// StashCapacity is C per ORAM (default 200).
-	StashCapacity int
-	// Encryption selects the bucket encryption for every level. Each
-	// level gets an independent key derived from Key so one-time pads are
-	// never shared across trees.
-	Encryption Encryption
-	// Key is the 16-byte master key (random if nil).
-	Key []byte
-	// Integrity enables a Section 5 authentication tree per level.
-	Integrity bool
-	// ConstantTimeStash enables fixed-length masked stash scans on every
-	// level of the chain (see Config.ConstantTimeStash).
-	ConstantTimeStash bool
-	// AsyncEviction enables the staged access path on every level of the
-	// chain: Read/Write/Update return once every level's path has been
-	// read and merged and its eviction placement computed; the write-back
-	// I/O of all levels is deferred onto bounded per-level queues, drained
-	// by StepBackground (shard workers call it automatically) and Flush.
-	// Stash and position-map state stay bit-identical to the synchronous
-	// protocol; logical contents are never stale.
-	AsyncEviction bool
-	// MaxDeferredWriteBacks caps each level's deferred write-back queue
-	// under AsyncEviction (default core.DefaultMaxDeferredWriteBacks).
-	// With BackendDRAM each level's queue is that tree's modeled
-	// write-buffer depth, exactly as for a flat ORAM.
-	MaxDeferredWriteBacks int
-	// Backend selects the bucket storage backend for every level (default
-	// BackendMem). BackendDRAM attaches one membus port per level — every
-	// ORAM of the chain owns a disjoint row-aligned region of one shared
-	// DDR3 model — so TimingStats reports modeled cycles for the live
-	// recursive traffic: H path reads and H write-backs per access, in
-	// chain order (the Figure 5(a) serialized ordering within an access;
-	// different shards of a sharded deployment still overlap).
-	Backend Backend
-	// DRAMChannels is the number of independent DDR3 channels under
-	// BackendDRAM (default 2). Inside a sharded deployment every shard —
-	// and every level of every shard — shares one memory system.
-	DRAMChannels int
-	// DRAMLayout selects the bucket-to-row placement under BackendDRAM
-	// (default LayoutSubtree).
-	DRAMLayout DRAMLayout
-	// DRAMSerialize is the no-overlap modeling baseline (see
-	// Config.DRAMSerialize).
-	DRAMSerialize bool
-	// DRAMSched, DRAMQueueDepth, DRAMStarveCap select the controller's
-	// command scheduling (see Config.DRAMSched): in-order issue or the
-	// open FR-FCFS queue, shared by every level of the chain.
-	DRAMSched      MemSched
-	DRAMQueueDepth int
-	DRAMStarveCap  int
-	// PLBBytes provisions the position-map lookaside cache of Section
-	// 3.3.3: a small set-associative write-back LRU of group→leaf labels
-	// in front of every position-map interface (the byte budget splits
-	// evenly across them). A hit makes the cached label authoritative and
-	// skips the backing access and every smaller ORAM above it — the
-	// chain-shortening acceleration the paper pairs with recursion. Dirty
-	// evictions and Flush write the exact cached label back, so logical
-	// state stays bit-identical to the uncached protocol. 0 disables.
-	PLBBytes uint64
-	// PLBConstantShape pads every PLB hit with dummy-shaped accesses to
-	// the elided levels so hits and misses are indistinguishable on the
-	// wire — the oblivious endpoint of the PLB axis (see SECURITY.md; the
-	// default leaks chain length per access). Requires PLBBytes > 0.
-	PLBConstantShape bool
-	// Overlap enables the Figure 5(b) speculative cross-request overlap
-	// under BackendDRAM: the chain scheduler keeps the last Overlap
-	// rounds' data-ORAM completions in a window, and a new round's
-	// smallest-ORAM stages may issue as soon as the oldest windowed round
-	// completed — request t+1's posmap walk overlaps request t's data
-	// access. Within one round the Figure 5(a) dependency is preserved: a
-	// level never issues before the posmap stage that named its path
-	// completed. Each level's port also accepts two stages in flight, so
-	// one round's write-back overlaps the next round's read of the same
-	// tree. 0 keeps the strictly serial 5(a) chain clock. Requires
-	// BackendDRAM without DRAMSerialize.
-	Overlap int
-	// Dir is the directory holding the per-level tree (and WAL) files
-	// under BackendFile: every ORAM of the chain persists in its own
-	// file, named <prefix>-l<level>. Required there, rejected elsewhere.
-	Dir string
-	// WAL wraps every level's tree file in a write-ahead log under
-	// BackendFile (see Config.WAL); WALDepth bounds each log between
-	// Flushes (see Config.WALDepth).
-	WAL      bool
-	WALDepth int
-	// Rand makes the construction deterministic (simulation only).
-	Rand *rand.Rand
-	// OnPathAccess, when set, observes every path access in the whole
-	// chain, in order: level 0 is the data ORAM, higher levels the
-	// recursively smaller position-map ORAMs. This is the adversary's
-	// full view of one hierarchy's traffic. It runs synchronously on the
-	// accessing goroutine.
-	OnPathAccess func(level int, leaf uint64)
-	// bus, when set, attaches every level to an existing shared memory
-	// scheduler instead of creating one — Open injects the bus it built so
-	// all shards (and all their levels) contend for the same channels.
-	bus *membus.Bus
-	// storeName is the per-chain file-name prefix under BackendFile
-	// ("oram" standalone; NewSharded injects a per-shard prefix).
-	storeName string
-}
-
-// Hierarchy is a hierarchical Path ORAM. Like ORAM it is single-threaded —
-// one goroutine owns it — and satisfies Client: the sharded serving layer
-// can run one Hierarchy per shard behind its request scheduler (see Open
-// with PosMap: PosMapRecursive).
+// Hierarchy is a hierarchical Path ORAM (Section 2.3): the data ORAM's
+// position map lives in a second ORAM, recursively, until the final map
+// fits on-chip. Like ORAM it is single-threaded — one goroutine owns it —
+// and satisfies Client: the sharded serving layer can run one Hierarchy per
+// shard behind its request scheduler (see Open with PosMap:
+// PosMapRecursive). Its trees are held in construction order: smallest
+// position-map ORAM first, data ORAM last.
 type Hierarchy struct {
-	inner *hierarchy.ORAM
-	cfg   HierarchyConfig
-	// ports holds one membus port per level under BackendDRAM (attach
-	// order: smallest position-map ORAM first, data ORAM last — the
-	// construction order of the chain).
-	ports []*membus.Port
-	// footprints collects the per-level external-memory accountants.
-	footprints []interface{ MemoryBytes() uint64 }
-	// persists holds each level's durable storage under BackendFile, in
-	// construction order: Flush syncs them all, Close closes them all.
-	persists []storage.Storage
+	trees
+	inner  *hierarchy.ORAM
+	blocks uint64
 }
 
 // chainSched is the modeled clock of one hierarchy's recursion chain. In
@@ -242,244 +107,80 @@ func (t *levelTimer) WritePath(leaf uint64, deferred bool) {
 	t.port.WritePath(leaf, deferred)
 }
 
-// NewHierarchy builds the chain. Every ORAM in it — the data ORAM and all
+// NewHierarchy builds one bare recursion chain from spec (PosMapRecursive
+// implied, no serving layer). Every ORAM in it — the data ORAM and all
 // position-map ORAMs — gets its own store with the configured encryption
-// and (optionally) integrity layer, and background eviction is coordinated
-// across the chain exactly as in Section 3.1.1. Under BackendDRAM every
-// level also gets its own port on the (shared or private) memory bus.
-func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	if cfg.Blocks == 0 {
-		return nil, fmt.Errorf("pathoram: Blocks must be >= 1")
+// (under a per-level key derived from Key) and, optionally, integrity
+// layer; background eviction is coordinated across the chain exactly as in
+// Section 3.1.1. Under BackendDRAM every level also gets its own port on
+// the memory bus; under BackendFile its own tree file.
+func NewHierarchy(spec Spec) (*Hierarchy, error) {
+	spec.PosMap = PosMapRecursive
+	p, err := resolveBare(spec, "NewHierarchy")
+	if err != nil {
+		return nil, err
 	}
-	if cfg.DataZ == 0 {
-		cfg.DataZ = 3
-	}
-	if cfg.PosZ == 0 {
-		cfg.PosZ = 3
-	}
-	if cfg.PosBlockSize == 0 {
-		cfg.PosBlockSize = 32
-	}
-	if cfg.StashCapacity == 0 {
-		cfg.StashCapacity = 200
-	}
-	if cfg.Integrity && cfg.Encryption == EncryptNone {
-		return nil, fmt.Errorf("pathoram: integrity verification requires encryption")
-	}
-	switch cfg.Backend {
-	case BackendMem, BackendDRAM:
-		if cfg.Dir != "" || cfg.WAL || cfg.WALDepth != 0 {
-			return nil, fmt.Errorf("pathoram: Dir/WAL/WALDepth parameterize the persistent backend; set Backend: BackendFile")
-		}
-	case BackendFile:
-		if cfg.Dir == "" {
-			return nil, fmt.Errorf("pathoram: BackendFile needs Dir (where the tree files live)")
-		}
-		if cfg.BlockSize == 0 {
-			return nil, fmt.Errorf("pathoram: BackendFile persists payloads; metadata-only mode (BlockSize 0) has nothing to persist")
-		}
-		if !cfg.WAL && cfg.WALDepth != 0 {
-			return nil, fmt.Errorf("pathoram: WALDepth bounds the write-ahead log; set WAL: true")
-		}
-	default:
-		return nil, fmt.Errorf("pathoram: unknown backend %d", cfg.Backend)
-	}
-	if cfg.storeName == "" {
-		cfg.storeName = "oram"
-	}
-	switch cfg.DRAMLayout {
-	case LayoutSubtree, LayoutNaive:
-	default:
-		return nil, fmt.Errorf("pathoram: unknown DRAM layout %d", cfg.DRAMLayout)
-	}
-	switch cfg.DRAMSched {
-	case MemSchedInOrder, MemSchedFRFCFS:
-	default:
-		return nil, fmt.Errorf("pathoram: unknown memory scheduler %d", cfg.DRAMSched)
-	}
-	if cfg.DRAMQueueDepth < 0 || cfg.DRAMStarveCap < 0 {
-		return nil, fmt.Errorf("pathoram: DRAMQueueDepth/DRAMStarveCap must be >= 0")
-	}
-	if cfg.DRAMSched != MemSchedFRFCFS && (cfg.DRAMQueueDepth != 0 || cfg.DRAMStarveCap != 0) {
-		return nil, fmt.Errorf("pathoram: DRAMQueueDepth/DRAMStarveCap parameterize the open queue; set DRAMSched: MemSchedFRFCFS")
-	}
-	if cfg.Overlap < 0 {
-		return nil, fmt.Errorf("pathoram: Overlap must be >= 0")
-	}
-	if cfg.Overlap > 0 {
-		if cfg.Backend != BackendDRAM {
-			return nil, fmt.Errorf("pathoram: Overlap schedules modeled memory time; set Backend: BackendDRAM")
-		}
-		if cfg.DRAMSerialize {
-			return nil, fmt.Errorf("pathoram: Overlap and DRAMSerialize are contradictory schedules; drop one")
-		}
-	}
-	if cfg.PLBConstantShape && cfg.PLBBytes == 0 {
-		return nil, fmt.Errorf("pathoram: PLBConstantShape pads PLB hits; set PLBBytes > 0")
-	}
-	if cfg.Key == nil {
-		cfg.Key = make([]byte, encrypt.KeySize)
-		if _, err := crand.Read(cfg.Key); err != nil {
-			return nil, fmt.Errorf("pathoram: drawing key: %w", err)
-		}
-	} else {
-		cfg.Key = append([]byte(nil), cfg.Key...)
-	}
-	var leaves core.LeafSource
-	if cfg.Rand != nil {
-		leaves = core.NewMathLeafSource(cfg.Rand)
-	} else {
-		leaves = core.NewCryptoLeafSource()
-	}
+	return newHierarchy(p, p.bareSeed())
+}
 
-	h := &Hierarchy{cfg: cfg}
-
-	// openLevelPersist builds one level's durable storage stack under
-	// BackendFile: Dir/<prefix>-l<level>.tree (+ .wal), tracked on the
-	// hierarchy for Flush-time sync and Close-time release.
-	openLevelPersist := func(level int, numBuckets uint64, stride int) (storage.Storage, error) {
-		pc := Config{
-			Dir: cfg.Dir, WAL: cfg.WAL, WALDepth: cfg.WALDepth,
-			storeName: fmt.Sprintf("%s-l%d", cfg.storeName, level),
-		}
-		p, err := pc.openPersist(numBuckets, stride)
-		if err != nil {
-			return nil, err
-		}
-		h.persists = append(h.persists, p)
-		return p, nil
-	}
-
-	// makeStore builds one level's bucket store and reports the byte
-	// footprint a bucket occupies on the modeled memory bus.
-	makeStore := func(level int, leafLevel, z, blockBytes int) (core.PathStore, int, error) {
-		if cfg.Encryption == EncryptNone || blockBytes == 0 {
-			// Metadata-only data ORAMs have nothing to encrypt; plain
-			// stores still move their headers over the modeled bus.
-			if cfg.Backend == BackendFile {
-				persist, err := openLevelPersist(level, treemath.New(leafLevel).NumBuckets(), storage.PlainRecordBytes(z, blockBytes))
-				if err != nil {
-					return nil, 0, err
-				}
-				ps, err := storage.NewPathStore(persist, leafLevel, z, blockBytes)
-				if err != nil {
-					return nil, 0, err
-				}
-				h.footprints = append(h.footprints, ps)
-				return ps, modeledBucketBytes(nil, z, blockBytes), nil
-			}
-			ms, err := core.NewMemStore(leafLevel, z, blockBytes)
-			return ms, modeledBucketBytes(nil, z, blockBytes), err
-		}
-		key, err := deriveKey(cfg.Key, level)
-		if err != nil {
-			return nil, 0, err
-		}
-		sub := Config{Encryption: cfg.Encryption, Key: key, Rand: cfg.Rand}
-		scheme, err := sub.buildScheme(treemath.New(leafLevel).NumBuckets())
-		if err != nil {
-			return nil, 0, err
-		}
-		scfg := encrypt.StoreConfig{
-			LeafLevel: leafLevel, Z: z, BlockBytes: blockBytes, Scheme: scheme,
-		}
-		if cfg.Integrity {
-			scfg.Auth = encrypt.NewAuthTree(leafLevel, z, blockBytes, scheme)
-		}
-		if cfg.Backend == BackendFile {
-			persist, err := openLevelPersist(level, treemath.New(leafLevel).NumBuckets(), encrypt.PaddedBucketBytes(scheme, z, blockBytes))
-			if err != nil {
-				return nil, 0, err
-			}
-			scfg.Backing = persist
-		}
-		es, err := encrypt.NewStore(scfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		h.footprints = append(h.footprints, es)
-		return es, modeledBucketBytes(scheme, z, blockBytes), nil
-	}
-
-	// Under BackendDRAM, wrap every level's store in a timed layer with
-	// its own port on one shared bus: an injected one (sharded
-	// deployments) or a private one (standalone hierarchy).
-	bus := cfg.bus
-	if cfg.Backend == BackendDRAM && bus == nil {
-		var err error
-		schedCfg := Config{
-			DRAMSched:      cfg.DRAMSched,
-			DRAMQueueDepth: cfg.DRAMQueueDepth,
-			DRAMStarveCap:  cfg.DRAMStarveCap,
-		}
-		if bus, err = membus.New(membus.Config{
-			Channels:  cfg.DRAMChannels,
-			Layout:    cfg.DRAMLayout.membusLayout(),
-			Serialize: cfg.DRAMSerialize,
-			Sched:     schedCfg.dramSchedConfig(),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	sched := &chainSched{overlap: cfg.Overlap > 0}
+// newHierarchy builds the recursive engine e of plan p.
+func newHierarchy(p *plan, e engineSeed) (*Hierarchy, error) {
+	h := &Hierarchy{blocks: e.blocks}
+	sched := &chainSched{overlap: p.Overlap > 0}
 	if sched.overlap {
-		sched.ring = make([]uint64, cfg.Overlap)
+		sched.ring = make([]uint64, p.Overlap)
 	}
-	factory := func(level int, leafLevel, z, blockBytes int) (core.PathStore, error) {
-		store, busBytes, err := makeStore(level, leafLevel, z, blockBytes)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Backend != BackendDRAM {
-			return store, nil
-		}
-		port, err := bus.AttachShard(leafLevel, busBytes)
-		if err != nil {
-			return nil, err
-		}
-		if sched.overlap {
-			// Two stages in flight per tree: one round's write-back and the
-			// next round's read of the same level may coexist.
-			port.SetMaxInFlight(2)
-		}
-		h.ports = append(h.ports, port)
-		return core.NewTimedStore(store, &levelTimer{port: port, sched: sched, level: level})
-	}
-
 	hcfg := hierarchy.Config{
-		Blocks:                cfg.Blocks,
-		DataBlockBytes:        cfg.BlockSize,
-		DataZ:                 cfg.DataZ,
-		PosZ:                  cfg.PosZ,
-		DataUtilization:       cfg.Utilization,
-		PosBlockBytes:         cfg.PosBlockSize,
-		OnChipPosMapMax:       cfg.OnChipPosMapMax,
-		SuperBlock:            cfg.SuperBlockSize,
-		StashCapacity:         cfg.StashCapacity,
+		Blocks:                e.blocks,
+		DataBlockBytes:        p.BlockSize,
+		DataZ:                 p.Z,
+		PosZ:                  p.PosZ,
+		DataUtilization:       p.Utilization,
+		DataLeafLevel:         p.LeafLevel,
+		PosBlockBytes:         p.PosBlockSize,
+		OnChipPosMapMax:       p.OnChipPosMapMax,
+		SuperBlock:            p.SuperBlockSize,
+		StashCapacity:         p.StashCapacity,
 		BackgroundEviction:    true,
-		DeferWriteBack:        cfg.AsyncEviction,
-		MaxDeferredWriteBacks: cfg.MaxDeferredWriteBacks,
-		ConstantTimeStash:     cfg.ConstantTimeStash,
-		NewStore:              factory,
-		Leaves:                leaves,
-		PLBBytes:              cfg.PLBBytes,
-		PLBConstantShape:      cfg.PLBConstantShape,
+		DeferWriteBack:        p.AsyncEviction,
+		MaxDeferredWriteBacks: p.MaxDeferredWriteBacks,
+		ConstantTimeStash:     p.ConstantTimeStash,
+		Leaves:                leafSource(e.rand),
+		PLBBytes:              p.PLBBytes,
+		PLBConstantShape:      p.PLBConstantShape,
+		NewStore: func(level int, leafLevel, z, blockBytes int) (core.PathStore, error) {
+			t, err := p.buildTree(e, level, leafLevel, z, blockBytes)
+			if err != nil {
+				return nil, err
+			}
+			h.add(t)
+			if p.bus == nil {
+				return t.store, nil
+			}
+			port, err := p.bus.AttachShard(leafLevel, t.busBytes)
+			if err != nil {
+				return nil, err
+			}
+			if sched.overlap {
+				// Two stages in flight per tree: one round's write-back and the
+				// next round's read of the same level may coexist.
+				port.SetMaxInFlight(2)
+			}
+			h.ports = append(h.ports, port)
+			return core.NewTimedStore(t.store, &levelTimer{port: port, sched: sched, level: level})
+		},
 	}
 	if sched.overlap {
 		hcfg.OnRoundStart = sched.beginRound
 	}
-	if cfg.OnPathAccess != nil {
-		hook := cfg.OnPathAccess
-		hcfg.OnPathAccess = func(level int, leaf uint64, _ core.AccessKind) { hook(level, leaf) }
+	if hook := p.OnPathAccess; hook != nil {
+		hcfg.OnPathAccess = func(level int, leaf uint64, _ core.AccessKind) { hook(e.shard, level, leaf) }
 	}
-	inner, err := hierarchy.New(hcfg)
-	if err != nil {
-		for _, p := range h.persists {
-			p.Close()
-		}
+	var err error
+	if h.inner, err = hierarchy.New(hcfg); err != nil {
+		h.close()
 		return nil, err
 	}
-	h.inner = inner
 	return h, nil
 }
 
@@ -537,13 +238,13 @@ func (h *Hierarchy) Store(addr uint64, data []byte) error {
 // out across shards), under the shared batch contract (see
 // serialReadBatch).
 func (h *Hierarchy) ReadBatch(addrs []uint64) ([][]byte, error) {
-	return serialReadBatch(addrs, h.cfg.Blocks, h.Read)
+	return serialReadBatch(addrs, h.blocks, h.Read)
 }
 
 // WriteBatch writes data[i] to addrs[i], back to back on the calling
 // goroutine, under the shared batch contract (see serialWriteBatch).
 func (h *Hierarchy) WriteBatch(addrs []uint64, data [][]byte) error {
-	return serialWriteBatch(addrs, data, h.cfg.Blocks, h.Write)
+	return serialWriteBatch(addrs, data, h.blocks, h.Write)
 }
 
 // PaddingAccess performs one dummy-shaped access through the whole chain:
@@ -572,13 +273,7 @@ func (h *Hierarchy) Flush() error {
 	if err := h.inner.Flush(); err != nil {
 		return err
 	}
-	var first error
-	for _, p := range h.persists {
-		if err := p.Sync(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return h.sync()
 }
 
 // PendingWriteBacks returns the total deferred path write-backs across
@@ -593,10 +288,8 @@ func (h *Hierarchy) PendingWriteBacks() int { return h.inner.PendingWriteBacks()
 // reported even when later levels close cleanly.
 func (h *Hierarchy) Close() error {
 	err := h.inner.Flush()
-	for _, p := range h.persists {
-		if e := p.Close(); err == nil {
-			err = e
-		}
+	if e := h.close(); err == nil {
+		err = e
 	}
 	return err
 }
@@ -617,7 +310,7 @@ func (h *Hierarchy) OnChipBytes() uint64 {
 }
 
 // PLBOnChipBytes returns the provisioned footprint of the position-map
-// lookaside caches (0 without HierarchyConfig.PLBBytes).
+// lookaside caches (0 without Spec.PLBBytes).
 func (h *Hierarchy) PLBOnChipBytes() uint64 { return h.inner.PLBOnChipBytes() }
 
 // ChainLengthHist returns the chain-length histogram: entry n counts
@@ -653,13 +346,7 @@ func (h *Hierarchy) StashSize() int { return h.inner.StashSize() }
 
 // ExternalMemoryBytes returns the summed external storage footprint of
 // every level (0 for plain in-memory stores).
-func (h *Hierarchy) ExternalMemoryBytes() uint64 {
-	var total uint64
-	for _, f := range h.footprints {
-		total += f.MemoryBytes()
-	}
-	return total
-}
+func (h *Hierarchy) ExternalMemoryBytes() uint64 { return h.externalMemoryBytes() }
 
 // TimingStats returns the modeled memory-timing counters merged over the
 // chain's per-level ports (counters sum, the completion frontier takes
@@ -667,16 +354,7 @@ func (h *Hierarchy) ExternalMemoryBytes() uint64 {
 // deferred write-back charges land on the flush schedule; snapshot after
 // Flush for access-complete totals (Sharded's snapshots do this
 // automatically).
-func (h *Hierarchy) TimingStats() (TimingStats, bool) {
-	if len(h.ports) == 0 {
-		return TimingStats{}, false
-	}
-	var merged TimingStats
-	for _, p := range h.ports {
-		merged = merged.Merge(p.Stats())
-	}
-	return merged, true
-}
+func (h *Hierarchy) TimingStats() (TimingStats, bool) { return h.timingStats() }
 
 // DummyRounds returns the number of coordinated background-eviction rounds.
 func (h *Hierarchy) DummyRounds() uint64 { return h.inner.DummyRounds() }

@@ -11,9 +11,9 @@ import (
 // staged access path through the chain, and the per-level timed backend.
 // Named TestHierarchy* for the CI `-run 'Client|Hierarchy'` shard.
 
-func testHierarchy(t *testing.T, mutate func(*HierarchyConfig)) *Hierarchy {
+func testHierarchy(t *testing.T, mutate func(*Spec)) *Hierarchy {
 	t.Helper()
-	cfg := HierarchyConfig{
+	cfg := Spec{
 		Blocks: 2048, BlockSize: 16,
 		PosBlockSize: 16, OnChipPosMapMax: 256,
 		Encryption: EncryptNone,
@@ -83,8 +83,8 @@ func TestHierarchyAggregateStats(t *testing.T) {
 // real traffic.
 func TestHierarchyPaddingTouchesEveryLevel(t *testing.T) {
 	var order []int
-	h := testHierarchy(t, func(cfg *HierarchyConfig) {
-		cfg.OnPathAccess = func(level int, _ uint64) { order = append(order, level) }
+	h := testHierarchy(t, func(cfg *Spec) {
+		cfg.OnPathAccess = func(_, level int, _ uint64) { order = append(order, level) }
 	})
 	hn := h.NumORAMs()
 	order = order[:0]
@@ -125,11 +125,11 @@ func TestHierarchyAsyncBitIdenticalToSync(t *testing.T) {
 	}
 	run := func(async bool) (*Hierarchy, *[]access) {
 		log := &[]access{}
-		h := testHierarchy(t, func(cfg *HierarchyConfig) {
+		h := testHierarchy(t, func(cfg *Spec) {
 			cfg.AsyncEviction = async
 			cfg.MaxDeferredWriteBacks = 3 // small: exercise the cap drain
 			cfg.Rand = rand.New(rand.NewSource(33))
-			cfg.OnPathAccess = func(level int, leaf uint64) {
+			cfg.OnPathAccess = func(_, level int, leaf uint64) {
 				*log = append(*log, access{level, leaf})
 			}
 		})
@@ -191,7 +191,7 @@ func TestHierarchyAsyncBitIdenticalToSync(t *testing.T) {
 // port per level on one bus, chain-serialized modeled time, and charges
 // that account for every level's traffic.
 func TestHierarchyTimedBackend(t *testing.T) {
-	h := testHierarchy(t, func(cfg *HierarchyConfig) {
+	h := testHierarchy(t, func(cfg *Spec) {
 		cfg.Backend = BackendDRAM
 		cfg.DRAMChannels = 2
 	})
@@ -240,7 +240,7 @@ func TestHierarchyTimedBackend(t *testing.T) {
 // encryption and integrity on every level under the unified constructor
 // defaults (counter scheme, derived per-level keys).
 func TestHierarchyReadYourWritesEncrypted(t *testing.T) {
-	h, err := NewHierarchy(HierarchyConfig{
+	h, err := NewHierarchy(Spec{
 		Blocks: 512, BlockSize: 16,
 		PosBlockSize: 16, OnChipPosMapMax: 128,
 		Encryption: EncryptCounter, Integrity: true,

@@ -1,18 +1,10 @@
 package pathoram
 
 import (
-	crand "crypto/rand"
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
 
 	"repro/internal/core"
-	"repro/internal/dram"
-	"repro/internal/encrypt"
-	"repro/internal/integrity"
 	"repro/internal/membus"
-	"repro/internal/storage"
 	"repro/internal/treemath"
 )
 
@@ -47,9 +39,9 @@ const (
 	// DESIGN.md's "Timed serving layer".
 	BackendDRAM
 	// BackendFile persists each bucket tree in one flat mmap'd file under
-	// Config.Dir (internal/storage.File): reads alias the mapping, writes
+	// Spec.Dir (internal/storage.File): reads alias the mapping, writes
 	// copy into it, and Flush is the durability epoch (msync). Combine
-	// with Config.WAL for crash consistency of the deferred write-back
+	// with Spec.WAL for crash consistency of the deferred write-back
 	// pipeline. Logical behavior is bit-identical to BackendMem.
 	BackendFile
 )
@@ -97,456 +89,78 @@ type Block struct {
 	Data []byte
 }
 
-// Config describes a single Path ORAM.
-type Config struct {
-	// Blocks is the number of addressable blocks (addresses 0..Blocks-1).
-	Blocks uint64
-	// BlockSize is the block payload in bytes. Zero selects metadata-only
-	// mode (no payloads; useful for protocol simulation), which forces
-	// EncryptNone.
-	BlockSize int
-	// Z is the bucket capacity (default 3, the paper's sweet spot for
-	// large ORAMs; small ORAMs may prefer 2 — see Figure 9).
-	Z int
-	// Utilization sizes the tree: Blocks / (Z * bucket count) (default
-	// 0.5, Section 4.1.3). Ignored when LeafLevel is set.
-	Utilization float64
-	// LeafLevel overrides the derived tree depth when > 0.
-	LeafLevel int
-	// StashCapacity is C in blocks (default 200, Section 4.1.2). The
-	// background eviction of Section 3.1 keeps occupancy at or below
-	// C - Z(L+1) between accesses, so the stash cannot overflow.
-	StashCapacity int
-	// SuperBlockSize statically merges groups of adjacent blocks
-	// (Section 3.2). 0 or 1 disables merging.
-	SuperBlockSize int
-	// Encryption selects the bucket encryption (default counter-based).
-	Encryption Encryption
-	// Key is the 16-byte processor secret key; a fresh random key is
-	// drawn when nil (the paper draws a new key per program run to
-	// defeat replay of old ciphertexts).
-	Key []byte
-	// Integrity enables the Section 5 authentication tree: every path
-	// read is verified for authenticity and freshness.
-	Integrity bool
-	// DisableBackgroundEviction turns off automatic dummy accesses
-	// (simulation only: the stash can then overflow, which is Path ORAM
-	// failure).
-	DisableBackgroundEviction bool
-	// AsyncEviction enables the staged access path: Read/Write/Update
-	// return as soon as the path has been read and merged and the eviction
-	// placement computed; the write-back I/O (serialization, encryption,
-	// authentication, store write) is deferred onto a bounded queue, and
-	// stash draining is expected to happen in idle time. Someone must
-	// drain: inside a Sharded the shard workers do it automatically during
-	// idle queue time; a standalone ORAM owner calls StepBackground (e.g.
-	// between requests) and Flush when quiescing. Logical contents are
-	// never stale — reads of paths with pending write-backs are served
-	// from the write buffer — and the stash bound still holds: if deferred
-	// work piles up faster than idle time drains it, draining falls back
-	// inline, degrading to the synchronous protocol rather than failing.
-	AsyncEviction bool
-	// MaxDeferredWriteBacks caps the deferred write-back queue under
-	// AsyncEviction (default core.DefaultMaxDeferredWriteBacks). With
-	// BackendDRAM the queue is exactly the modeled memory controller's
-	// write buffer, so this knob is the write-buffer-depth experiment:
-	// deeper buffers group write-backs together (fewer read/write bus
-	// turnarounds, more write-buffer read hits) at the price of more
-	// pinned path copies. See EXPERIMENTS.md.
-	MaxDeferredWriteBacks int
-	// ConstantTimeStash replaces the stash's early-return lookup scans with
-	// fixed-length masked scans (crypto/subtle) over a preallocated window,
-	// so where — and whether — a block sits in the stash changes neither the
-	// instruction count nor the memory-touch count of an access. This closes
-	// the stash timing side channel of the secure-processor threat model
-	// (see SECURITY.md); the ORAM's observable behavior is otherwise
-	// bit-identical. Requires a bounded stash (the default StashCapacity
-	// qualifies). Costs a full-window scan per lookup: with the default
-	// C=200 stash this is a modest constant per access.
-	ConstantTimeStash bool
-	// Backend selects the bucket storage backend (default BackendMem).
-	// BackendDRAM wraps the store in a timed layer charging a shared
-	// cycle-accurate DDR3 model; TimingStats then reports modeled cycles.
-	Backend Backend
-	// DRAMChannels is the number of independent DDR3 channels under
-	// BackendDRAM (default 2; the paper sweeps 1/2/4). Inside a
-	// ShardedConfig all shards share one memory system with this many
-	// channels.
-	DRAMChannels int
-	// DRAMLayout selects the bucket-to-row placement under BackendDRAM
-	// (default LayoutSubtree, the paper's packed-subtree layout).
-	DRAMLayout DRAMLayout
-	// DRAMSerialize is a modeling baseline: issue every shard's memory
-	// stages at the global completion frontier, forbidding any overlap
-	// between different shards' path reads and write-backs. It exists so
-	// the intra-access-overlap gain of the shared scheduler is measurable
-	// (EXPERIMENTS.md); leave it false for the actual model.
-	DRAMSerialize bool
-	// DRAMSched selects the controller's command scheduling under
-	// BackendDRAM: MemSchedInOrder (default) or MemSchedFRFCFS, the open
-	// per-channel queue that reorders for row-buffer locality and
-	// bank-level parallelism.
-	DRAMSched MemSched
-	// DRAMQueueDepth is the open-queue window per channel under
-	// MemSchedFRFCFS (0 = default 8; depth 1 reproduces in-order issue
-	// exactly).
-	DRAMQueueDepth int
-	// DRAMStarveCap bounds how many times younger row hits may bypass the
-	// oldest queued request under MemSchedFRFCFS before it is forced
-	// (0 = default 4).
-	DRAMStarveCap int
-	// Dir is the directory holding the tree (and WAL) files under
-	// BackendFile. Required there, rejected elsewhere: a directory that
-	// silently does nothing would be an inert knob.
-	Dir string
-	// WAL, under BackendFile, wraps the tree file in a write-ahead log
-	// (internal/storage.WAL): every path write-back is logged before it
-	// is acknowledged, Flush checkpoints the log into the tree file and
-	// truncates it, and reopening after a crash replays the logged
-	// prefix — the deferred write-back FIFO becomes crash-consistent.
-	// Requires BackendFile (a WAL over volatile memory is an inert knob).
-	WAL bool
-	// WALDepth, when > 0, bounds the WAL between Flushes: after that many
-	// logged path frames the log self-checkpoints. 0 checkpoints only on
-	// Flush/Close. Requires WAL.
-	WALDepth int
-	// bus, when set, attaches this ORAM to an existing shared memory
-	// scheduler instead of creating one — NewSharded injects the bus it
-	// built so all shards contend for the same channels.
-	bus *membus.Bus
-	// storeName is the per-tree file-name prefix under BackendFile
-	// ("oram" standalone; NewSharded and NewHierarchy derive unique
-	// prefixes per shard and per recursion level).
-	storeName string
-	// Rand, when set, makes all randomness (leaf selection, per-block
-	// keys) deterministic for reproducible simulation. Production use
-	// must leave it nil: leaves then come from crypto/rand. NewSharded
-	// never shares one generator across shards (math/rand generators are
-	// not goroutine-safe); it derives an independent per-shard generator
-	// from this one instead, keeping sharded simulations reproducible.
-	Rand *rand.Rand
-	// OnPathAccess, when set, observes every path the ORAM touches, in
-	// order, real and dummy alike — exactly the adversary's view of the
-	// access sequence. Observability/test hook; it runs synchronously on
-	// the accessing goroutine. In a ShardedConfig the hook is copied into
-	// every shard, whose workers invoke it concurrently — it must be safe
-	// for concurrent use there (or use OnShardPathAccess, whose shard
-	// index makes per-shard accumulators race-free).
-	OnPathAccess func(leaf uint64)
-}
-
-func (c *Config) applyDefaults() error {
-	if c.Blocks == 0 {
-		return fmt.Errorf("pathoram: Blocks must be >= 1")
-	}
-	if c.Z == 0 {
-		c.Z = 3
-	}
-	if c.Utilization == 0 {
-		c.Utilization = 0.5
-	}
-	if c.Utilization < 0 || c.Utilization > 1 {
-		return fmt.Errorf("pathoram: utilization %v out of (0,1]", c.Utilization)
-	}
-	if c.StashCapacity == 0 {
-		c.StashCapacity = 200
-	}
-	if c.SuperBlockSize == 0 {
-		c.SuperBlockSize = 1
-	}
-	if c.LeafLevel == 0 {
-		slots := uint64(float64(c.Blocks) / c.Utilization)
-		l := 0
-		for uint64(c.Z)*(1<<uint(l+1)-1) < slots && l < treemath.MaxLeafLevel {
-			l++
-		}
-		for uint64(c.Z)*(1<<uint(l+1)-1) < c.Blocks && l < treemath.MaxLeafLevel {
-			l++
-		}
-		c.LeafLevel = l
-	}
-	if c.BlockSize == 0 && c.Encryption != EncryptNone {
-		c.Encryption = EncryptNone
-	}
-	switch c.Backend {
-	case BackendMem, BackendDRAM:
-		if c.Dir != "" {
-			return fmt.Errorf("pathoram: Dir names the tree-file directory; set Backend: BackendFile")
-		}
-		if c.WAL || c.WALDepth != 0 {
-			return fmt.Errorf("pathoram: WAL/WALDepth make the file backend crash-consistent; set Backend: BackendFile")
-		}
-	case BackendFile:
-		if c.Dir == "" {
-			return fmt.Errorf("pathoram: BackendFile needs Dir (where the tree files live)")
-		}
-		if c.BlockSize == 0 {
-			return fmt.Errorf("pathoram: BackendFile persists payloads; metadata-only mode (BlockSize 0) has nothing to persist")
-		}
-		if !c.WAL && c.WALDepth != 0 {
-			return fmt.Errorf("pathoram: WALDepth bounds the write-ahead log; set WAL: true")
-		}
-	default:
-		return fmt.Errorf("pathoram: unknown backend %d", c.Backend)
-	}
-	if c.WALDepth < 0 {
-		return fmt.Errorf("pathoram: WALDepth=%d must be >= 0", c.WALDepth)
-	}
-	if c.storeName == "" {
-		c.storeName = "oram"
-	}
-	switch c.DRAMLayout {
-	case LayoutSubtree, LayoutNaive:
-	default:
-		return fmt.Errorf("pathoram: unknown DRAM layout %d", c.DRAMLayout)
-	}
-	if c.DRAMChannels < 0 {
-		return fmt.Errorf("pathoram: DRAMChannels=%d must be >= 1", c.DRAMChannels)
-	}
-	switch c.DRAMSched {
-	case MemSchedInOrder, MemSchedFRFCFS:
-	default:
-		return fmt.Errorf("pathoram: unknown memory scheduler %d", c.DRAMSched)
-	}
-	if c.DRAMQueueDepth < 0 || c.DRAMStarveCap < 0 {
-		return fmt.Errorf("pathoram: DRAMQueueDepth/DRAMStarveCap must be >= 0")
-	}
-	if c.DRAMSched != MemSchedFRFCFS && (c.DRAMQueueDepth != 0 || c.DRAMStarveCap != 0) {
-		return fmt.Errorf("pathoram: DRAMQueueDepth/DRAMStarveCap parameterize the open queue; set DRAMSched: MemSchedFRFCFS")
-	}
-	if c.Key == nil {
-		c.Key = make([]byte, encrypt.KeySize)
-		if _, err := crand.Read(c.Key); err != nil {
-			return fmt.Errorf("pathoram: drawing key: %w", err)
-		}
-	} else {
-		// Copy so a caller mutating its slice afterwards cannot desync the
-		// schemes built from it.
-		c.Key = append([]byte(nil), c.Key...)
-	}
-	return nil
-}
-
-func (c *Config) leafSource() core.LeafSource {
-	if c.Rand != nil {
-		return core.NewMathLeafSource(c.Rand)
-	}
-	return core.NewCryptoLeafSource()
-}
-
-// buildScheme constructs the encryption scheme for one tree.
-func (c *Config) buildScheme(numBuckets uint64) (encrypt.Scheme, error) {
-	switch c.Encryption {
-	case EncryptCounter:
-		return encrypt.NewCounterScheme(c.Key, numBuckets)
-	case EncryptStrawman:
-		if c.Rand != nil {
-			return encrypt.NewStrawmanScheme(c.Key, c.Rand)
-		}
-		return encrypt.NewStrawmanScheme(c.Key, crand.Reader)
-	default:
-		return nil, fmt.Errorf("pathoram: scheme %d has no cipher", c.Encryption)
-	}
-}
-
 // ORAM is a single Path ORAM with a private, oblivious block interface.
 // It is single-threaded: one goroutine owns it (the sharded serving layer
 // enforces exactly that ownership for its engines). It satisfies Client;
 // the batch operations run their requests back to back on the calling
 // goroutine.
 type ORAM struct {
-	cfg     Config
-	inner   *core.ORAM
-	auth    *integrity.Tree
-	pos     *core.OnChipPositionMap
-	store   interface{ MemoryBytes() uint64 }
-	port    *membus.Port    // BackendDRAM: this tree's window onto the shared bus
-	persist storage.Storage // BackendFile: the durable storage under the store
+	trees
+	inner  *core.ORAM
+	pos    *core.OnChipPositionMap
+	blocks uint64
 }
 
-// modeledBucketBytes returns the byte footprint one bucket occupies on the
-// modeled memory bus: the actual external stride for encrypted stores, and
-// the plaintext serialization (padded to the DRAM access granularity) for
-// plain stores — metadata-only trees still move their headers.
-func modeledBucketBytes(scheme encrypt.Scheme, z, blockBytes int) int {
-	if scheme != nil {
-		return encrypt.PaddedBucketBytes(scheme, z, blockBytes)
+// New builds one bare flat ORAM from spec (PosMapOnChip, no serving
+// layer): Key encrypts the tree directly and Rand is consumed directly.
+func New(spec Spec) (*ORAM, error) {
+	if spec.PosMap != PosMapOnChip {
+		return nil, fmt.Errorf("pathoram: New builds a flat tree; PosMapRecursive needs NewHierarchy or Open")
 	}
-	raw := encrypt.PlainBucketBytes(z, blockBytes)
-	if r := raw % encrypt.PadGranularity; r != 0 {
-		raw += encrypt.PadGranularity - r
-	}
-	return raw
-}
-
-// attachTiming wraps store in the timed layer, attaching to the injected
-// shared bus or — for a standalone DRAM-backed ORAM — a private one.
-func (c *Config) attachTiming(store core.PathStore, scheme encrypt.Scheme) (core.PathStore, *membus.Port, error) {
-	bus := c.bus
-	if bus == nil {
-		var err error
-		if bus, err = membus.New(membus.Config{
-			Channels:  c.DRAMChannels,
-			Layout:    c.DRAMLayout.membusLayout(),
-			Serialize: c.DRAMSerialize,
-			Sched:     c.dramSchedConfig(),
-		}); err != nil {
-			return nil, nil, err
-		}
-	}
-	port, err := bus.AttachShard(c.LeafLevel, modeledBucketBytes(scheme, c.Z, c.BlockSize))
-	if err != nil {
-		return nil, nil, err
-	}
-	timed, err := core.NewTimedStore(store, port)
-	if err != nil {
-		return nil, nil, err
-	}
-	return timed, port, nil
-}
-
-func (l DRAMLayout) membusLayout() membus.Layout {
-	if l == LayoutNaive {
-		return membus.LayoutNaive
-	}
-	return membus.LayoutSubtree
-}
-
-// dramSchedConfig translates the public scheduler knobs into the
-// controller's configuration.
-func (c *Config) dramSchedConfig() dram.SchedConfig {
-	policy := dram.SchedInOrder
-	if c.DRAMSched == MemSchedFRFCFS {
-		policy = dram.SchedFRFCFS
-	}
-	return dram.SchedConfig{
-		Policy:        policy,
-		QueueDepth:    c.DRAMQueueDepth,
-		StarvationCap: c.DRAMStarveCap,
-	}
-}
-
-// openPersist builds the BackendFile storage stack for one tree: the
-// mmap'd flat tree file at Dir/<name>.tree, optionally wrapped in the
-// write-ahead log at Dir/<name>.wal (replaying any crash-left prefix).
-func (c *Config) openPersist(numBuckets uint64, stride int) (storage.Storage, error) {
-	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("pathoram: creating Dir: %w", err)
-	}
-	base := filepath.Join(c.Dir, c.storeName)
-	var st storage.Storage
-	st, err := storage.OpenFile(base+".tree", numBuckets, stride)
+	p, err := resolveBare(spec, "New")
 	if err != nil {
 		return nil, err
 	}
-	if c.WAL {
-		w, err := storage.OpenWAL(st, base+".wal", storage.WALConfig{CheckpointEvery: c.WALDepth})
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		st = w
-	}
-	return st, nil
+	return newORAM(p, p.bareSeed())
 }
 
-// New builds an ORAM from the configuration.
-func New(cfg Config) (*ORAM, error) {
-	if err := cfg.applyDefaults(); err != nil {
+// newORAM builds the flat engine e of plan p.
+func newORAM(p *plan, e engineSeed) (_ *ORAM, err error) {
+	o := &ORAM{blocks: e.blocks}
+	defer func() {
+		if err != nil {
+			o.close()
+		}
+	}()
+	leafLevel := p.leafLevel(e.blocks)
+	t, err := p.buildTree(e, 0, leafLevel, p.Z, p.BlockSize)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Integrity && cfg.Encryption == EncryptNone {
-		return nil, fmt.Errorf("pathoram: integrity verification requires encryption (hashes cover ciphertexts)")
-	}
-	tree := treemath.New(cfg.LeafLevel)
-	var store core.PathStore
-	var scheme encrypt.Scheme
-	var auth *integrity.Tree
-	var footprint interface{ MemoryBytes() uint64 }
-	var persist storage.Storage
-	if cfg.Encryption == EncryptNone {
-		if cfg.Backend == BackendFile {
-			var err error
-			persist, err = cfg.openPersist(tree.NumBuckets(), storage.PlainRecordBytes(cfg.Z, cfg.BlockSize))
-			if err != nil {
-				return nil, err
-			}
-			ps, err := storage.NewPathStore(persist, cfg.LeafLevel, cfg.Z, cfg.BlockSize)
-			if err != nil {
-				persist.Close()
-				return nil, err
-			}
-			store, footprint = ps, ps
-		} else {
-			ms, err := core.NewMemStore(cfg.LeafLevel, cfg.Z, cfg.BlockSize)
-			if err != nil {
-				return nil, err
-			}
-			store = ms
-		}
-	} else {
-		var err error
-		if scheme, err = cfg.buildScheme(tree.NumBuckets()); err != nil {
-			return nil, err
-		}
-		scfg := encrypt.StoreConfig{
-			LeafLevel: cfg.LeafLevel, Z: cfg.Z, BlockBytes: cfg.BlockSize,
-			Scheme: scheme,
-		}
-		if cfg.Integrity {
-			auth = encrypt.NewAuthTree(cfg.LeafLevel, cfg.Z, cfg.BlockSize, scheme)
-			scfg.Auth = auth
-		}
-		if cfg.Backend == BackendFile {
-			persist, err = cfg.openPersist(tree.NumBuckets(), encrypt.PaddedBucketBytes(scheme, cfg.Z, cfg.BlockSize))
-			if err != nil {
-				return nil, err
-			}
-			scfg.Backing = persist
-		}
-		es, err := encrypt.NewStore(scfg)
+	o.add(t)
+	if p.bus != nil {
+		port, err := p.bus.AttachShard(leafLevel, t.busBytes)
 		if err != nil {
-			if persist != nil {
-				persist.Close()
-			}
 			return nil, err
 		}
-		store = es
-		footprint = es
-	}
-	var port *membus.Port
-	if cfg.Backend == BackendDRAM {
-		var err error
-		if store, port, err = cfg.attachTiming(store, scheme); err != nil {
+		o.ports = append(o.ports, port)
+		if t.store, err = core.NewTimedStore(t.store, port); err != nil {
 			return nil, err
 		}
 	}
-	src := cfg.leafSource()
 	params := core.Params{
-		LeafLevel:             cfg.LeafLevel,
-		Z:                     cfg.Z,
-		BlockBytes:            cfg.BlockSize,
-		Blocks:                cfg.Blocks,
-		StashCapacity:         cfg.StashCapacity,
-		SuperBlock:            cfg.SuperBlockSize,
-		BackgroundEviction:    !cfg.DisableBackgroundEviction && cfg.StashCapacity > 0,
-		DeferWriteBack:        cfg.AsyncEviction,
-		MaxDeferredWriteBacks: cfg.MaxDeferredWriteBacks,
-		ConstantTimeStash:     cfg.ConstantTimeStash,
+		LeafLevel:             leafLevel,
+		Z:                     p.Z,
+		BlockBytes:            p.BlockSize,
+		Blocks:                e.blocks,
+		StashCapacity:         p.StashCapacity,
+		SuperBlock:            p.SuperBlockSize,
+		BackgroundEviction:    true,
+		DeferWriteBack:        p.AsyncEviction,
+		MaxDeferredWriteBacks: p.MaxDeferredWriteBacks,
+		ConstantTimeStash:     p.ConstantTimeStash,
 	}
-	if cfg.OnPathAccess != nil {
-		hook := cfg.OnPathAccess
-		params.OnPathAccess = func(leaf uint64, _ core.AccessKind) { hook(leaf) }
+	if hook := p.OnPathAccess; hook != nil {
+		params.OnPathAccess = func(leaf uint64, _ core.AccessKind) { hook(e.shard, 0, leaf) }
 	}
-	pos, err := core.NewOnChipPositionMap(params.Groups(), tree.NumLeaves(), src)
-	if err != nil {
+	src := leafSource(e.rand)
+	if o.pos, err = core.NewOnChipPositionMap(params.Groups(), treemath.New(leafLevel).NumLeaves(), src); err != nil {
 		return nil, err
 	}
-	inner, err := core.New(params, store, pos, src)
-	if err != nil {
+	if o.inner, err = core.New(params, t.store, o.pos, src); err != nil {
 		return nil, err
 	}
-	return &ORAM{cfg: cfg, inner: inner, auth: auth, pos: pos, store: footprint, port: port, persist: persist}, nil
+	return o, nil
 }
 
 // Read returns a copy of the block at addr (zero-filled if never written).
@@ -600,14 +214,14 @@ func (o *ORAM) Store(addr uint64, data []byte) error {
 // (a single tree has no intra-batch parallelism to exploit — Sharded
 // does), under the shared batch contract (see serialReadBatch).
 func (o *ORAM) ReadBatch(addrs []uint64) ([][]byte, error) {
-	return serialReadBatch(addrs, o.cfg.Blocks, o.Read)
+	return serialReadBatch(addrs, o.blocks, o.Read)
 }
 
 // WriteBatch writes data[i] to addrs[i] for every i, back to back on the
 // calling goroutine, under the shared batch contract (see
 // serialWriteBatch).
 func (o *ORAM) WriteBatch(addrs []uint64, data [][]byte) error {
-	return serialWriteBatch(addrs, data, o.cfg.Blocks, o.Write)
+	return serialWriteBatch(addrs, data, o.blocks, o.Write)
 }
 
 // PaddingAccess performs one dummy path access — a freshly drawn uniform
@@ -647,10 +261,7 @@ func (o *ORAM) Flush() error {
 	if err := o.inner.Flush(); err != nil {
 		return err
 	}
-	if o.persist != nil {
-		return o.persist.Sync()
-	}
-	return nil
+	return o.sync()
 }
 
 // PendingWriteBacks returns the number of deferred path write-backs not
@@ -669,12 +280,7 @@ func (o *ORAM) Stats() Stats { return o.inner.Stats() }
 // AsyncEviction a write-back's cycles land when the flush schedule issues
 // it, so snapshot after Flush (Sharded does this automatically) to see
 // access-complete totals.
-func (o *ORAM) TimingStats() (TimingStats, bool) {
-	if o.port == nil {
-		return TimingStats{}, false
-	}
-	return o.port.Stats(), true
-}
+func (o *ORAM) TimingStats() (TimingStats, bool) { return o.timingStats() }
 
 // ResetStats clears the protocol counters (peak occupancy included).
 // BlocksInORAM is a live occupancy gauge, not a counter, and survives the
@@ -685,7 +291,7 @@ func (o *ORAM) ResetStats() { o.inner.ResetStats() }
 func (o *ORAM) StashSize() int { return o.inner.StashSize() }
 
 // LeafLevel returns L; the tree has L+1 levels.
-func (o *ORAM) LeafLevel() int { return o.cfg.LeafLevel }
+func (o *ORAM) LeafLevel() int { return o.inner.Params().LeafLevel }
 
 // NumORAMs returns the number of ORAMs an access walks: 1 — a flat ORAM
 // keeps its whole position map on chip. (Hierarchy returns the chain
@@ -716,19 +322,12 @@ func (o *ORAM) OnChipBytes() uint64 {
 // error — flush, sync, or close — is the one reported.
 func (o *ORAM) Close() error {
 	err := o.inner.Flush()
-	if o.persist != nil {
-		if e := o.persist.Close(); err == nil {
-			err = e
-		}
+	if e := o.close(); err == nil {
+		err = e
 	}
 	return err
 }
 
 // ExternalMemoryBytes returns the external storage footprint (0 for plain
 // in-memory stores).
-func (o *ORAM) ExternalMemoryBytes() uint64 {
-	if o.store == nil {
-		return 0
-	}
-	return o.store.MemoryBytes()
-}
+func (o *ORAM) ExternalMemoryBytes() uint64 { return o.externalMemoryBytes() }

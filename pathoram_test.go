@@ -9,7 +9,7 @@ import (
 func testRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestNewDefaults(t *testing.T) {
-	o, err := New(Config{Blocks: 1000, BlockSize: 64, Rand: testRand(1)})
+	o, err := New(Spec{Blocks: 1000, BlockSize: 64, Rand: testRand(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,13 +23,13 @@ func TestNewDefaults(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(Spec{}); err == nil {
 		t.Error("zero blocks accepted")
 	}
-	if _, err := New(Config{Blocks: 10, Utilization: 1.5}); err == nil {
+	if _, err := New(Spec{Blocks: 10, Utilization: 1.5}); err == nil {
 		t.Error("utilization > 1 accepted")
 	}
-	if _, err := New(Config{Blocks: 10, BlockSize: 8, Encryption: EncryptNone, Integrity: true}); err == nil {
+	if _, err := New(Spec{Blocks: 10, BlockSize: 8, Encryption: EncryptNone, Integrity: true}); err == nil {
 		t.Error("integrity without encryption accepted")
 	}
 }
@@ -40,7 +40,7 @@ func TestReadWriteAllSchemes(t *testing.T) {
 			if withAuth && enc == EncryptNone {
 				continue
 			}
-			o, err := New(Config{
+			o, err := New(Spec{
 				Blocks: 256, BlockSize: 32,
 				Encryption: enc, Integrity: withAuth,
 				Rand: testRand(int64(enc)*10 + 3),
@@ -78,7 +78,7 @@ func TestReadWriteAllSchemes(t *testing.T) {
 }
 
 func TestUpdateAndStats(t *testing.T) {
-	o, err := New(Config{Blocks: 64, BlockSize: 8, Rand: testRand(5)})
+	o, err := New(Spec{Blocks: 64, BlockSize: 8, Rand: testRand(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestUpdateAndStats(t *testing.T) {
 }
 
 func TestExclusiveInterfaceWithSuperBlocks(t *testing.T) {
-	o, err := New(Config{
+	o, err := New(Spec{
 		Blocks: 128, BlockSize: 16, SuperBlockSize: 2, Rand: testRand(7),
 	})
 	if err != nil {
@@ -134,7 +134,7 @@ func TestExclusiveInterfaceWithSuperBlocks(t *testing.T) {
 }
 
 func TestMetadataOnlyForcesPlaintext(t *testing.T) {
-	o, err := New(Config{Blocks: 100, Rand: testRand(9)})
+	o, err := New(Spec{Blocks: 100, Rand: testRand(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestMetadataOnlyForcesPlaintext(t *testing.T) {
 
 func TestDeterministicWithSeed(t *testing.T) {
 	run := func() Stats {
-		o, err := New(Config{Blocks: 200, BlockSize: 8, StashCapacity: 60, Rand: testRand(42)})
+		o, err := New(Spec{Blocks: 200, BlockSize: 8, StashCapacity: 60, Rand: testRand(42)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 
 func TestHierarchyEndToEnd(t *testing.T) {
 	for _, enc := range []Encryption{EncryptNone, EncryptCounter} {
-		h, err := NewHierarchy(HierarchyConfig{
+		h, err := NewHierarchy(Spec{
 			Blocks:          4096,
 			BlockSize:       16,
 			PosBlockSize:    16,
@@ -225,7 +225,7 @@ func TestHierarchyEndToEnd(t *testing.T) {
 }
 
 func TestHierarchyUpdateLoadStore(t *testing.T) {
-	h, err := NewHierarchy(HierarchyConfig{
+	h, err := NewHierarchy(Spec{
 		Blocks: 1024, BlockSize: 8, PosBlockSize: 16,
 		OnChipPosMapMax: 256, Rand: testRand(21),
 	})
@@ -250,10 +250,10 @@ func TestHierarchyUpdateLoadStore(t *testing.T) {
 }
 
 func TestHierarchyValidation(t *testing.T) {
-	if _, err := NewHierarchy(HierarchyConfig{}); err == nil {
+	if _, err := NewHierarchy(Spec{}); err == nil {
 		t.Error("zero blocks accepted")
 	}
-	if _, err := NewHierarchy(HierarchyConfig{Blocks: 10, Encryption: EncryptNone, Integrity: true}); err == nil {
+	if _, err := NewHierarchy(Spec{Blocks: 10, Encryption: EncryptNone, Integrity: true}); err == nil {
 		t.Error("integrity without encryption accepted")
 	}
 }
@@ -280,7 +280,7 @@ func TestObliviousness(t *testing.T) {
 	// CPL of consecutive paths for a scanning program vs a single-block
 	// hammering program.
 	meanCPL := func(workload func(i int) uint64) float64 {
-		o, err := New(Config{Blocks: 512, BlockSize: 0, StashCapacity: 100, Rand: testRand(33)})
+		o, err := New(Spec{Blocks: 512, BlockSize: 0, StashCapacity: 100, Rand: testRand(33)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,416 @@
+package pathoram
+
+import (
+	crand "crypto/rand"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+
+	"repro/internal/core"
+	"repro/internal/dram"
+	"repro/internal/encrypt"
+	"repro/internal/membus"
+	"repro/internal/storage"
+	"repro/internal/treemath"
+)
+
+// This file is the one construction path every constructor shares: resolve
+// turns a Spec into a validated plan (defaults once, one table of knob
+// rules, the key and the shared memory bus each made in one place), and
+// buildTree turns the plan into one bucket tree's storage stack. A new knob
+// is one Spec field, one default here and one rule row.
+
+// rule is one row of the knob table: a condition on the defaulted Spec
+// that makes it invalid, and what to tell the caller. Most rows reject a
+// knob that would be silently inert on the selected axis values, so a
+// design-space sweep never varies a field that changes nothing.
+type rule struct {
+	violated func(s *Spec) bool
+	msg      string
+}
+
+var rules = []rule{
+	{func(s *Spec) bool { return s.Blocks == 0 }, "Blocks must be >= 1"},
+	{func(s *Spec) bool { return s.Shards < 1 }, "Shards must be >= 1"},
+	{func(s *Spec) bool { return uint64(s.Shards) > s.Blocks },
+		"more Shards than Blocks; every shard needs at least one block"},
+	{func(s *Spec) bool { return s.Partition < PartitionStripe || s.Partition > PartitionRandom }, "unknown Partition"},
+	{func(s *Spec) bool { return s.PosMap < PosMapOnChip || s.PosMap > PosMapRecursive },
+		"unknown position-map policy PosMap"},
+	{func(s *Spec) bool { return s.Encryption < EncryptCounter || s.Encryption > EncryptNone }, "unknown Encryption scheme"},
+	{func(s *Spec) bool { return s.Backend < BackendMem || s.Backend > BackendFile }, "unknown Backend"},
+	{func(s *Spec) bool { return s.DRAMLayout < LayoutSubtree || s.DRAMLayout > LayoutNaive }, "unknown DRAMLayout"},
+	{func(s *Spec) bool { return s.DRAMSched < MemSchedInOrder || s.DRAMSched > MemSchedFRFCFS },
+		"unknown memory scheduler DRAMSched"},
+	{func(s *Spec) bool { return !(s.Utilization > 0 && s.Utilization <= 1) }, "Utilization must lie in (0,1]"},
+	{func(s *Spec) bool { return s.LeafLevel < 0 || s.LeafLevel > treemath.MaxLeafLevel },
+		"LeafLevel out of range"},
+	{func(s *Spec) bool { return s.Integrity && s.Encryption == EncryptNone },
+		"integrity verification requires encryption (hashes cover ciphertexts)"},
+	// Subkeys are AES-128 blocks of an AES KDF, and a bare tree keeps the
+	// same rule: quietly accepting a 32-byte key would downgrade an
+	// intended AES-256 setup on some constructors and not others. A key no
+	// tree will use (plaintext simulation) may be anything.
+	{func(s *Spec) bool {
+		return s.Encryption != EncryptNone && s.Key != nil && len(s.Key) != encrypt.KeySize
+	},
+		"Key must be 16 bytes (every tree encrypts under AES-128)"},
+
+	{func(s *Spec) bool {
+		return s.Backend != BackendDRAM && (s.DRAMChannels != 0 || s.DRAMLayout != LayoutSubtree || s.DRAMSerialize)
+	}, "DRAMChannels/DRAMLayout/DRAMSerialize parameterize the timed backend; set Backend: BackendDRAM"},
+	{func(s *Spec) bool { return s.Backend != BackendDRAM && s.DRAMSched != MemSchedInOrder },
+		"DRAMSched parameterizes the timed backend; set Backend: BackendDRAM"},
+	{func(s *Spec) bool {
+		return s.DRAMSched != MemSchedFRFCFS && (s.DRAMQueueDepth != 0 || s.DRAMStarveCap != 0)
+	}, "DRAMQueueDepth/DRAMStarveCap parameterize the open queue; set DRAMSched: MemSchedFRFCFS"},
+	{func(s *Spec) bool { return s.DRAMChannels < 0 }, "DRAMChannels must be >= 0 (0 = the default 2)"},
+	{func(s *Spec) bool { return s.DRAMQueueDepth < 0 || s.DRAMStarveCap < 0 },
+		"DRAMQueueDepth/DRAMStarveCap must be >= 0"},
+
+	{func(s *Spec) bool { return s.Backend != BackendFile && (s.Dir != "" || s.WAL || s.WALDepth != 0) },
+		"Dir/WAL/WALDepth parameterize the persistent backend; set Backend: BackendFile"},
+	{func(s *Spec) bool { return s.Backend == BackendFile && s.Dir == "" },
+		"BackendFile needs Dir (where the tree files live)"},
+	{func(s *Spec) bool { return s.Backend == BackendFile && s.BlockSize == 0 },
+		"BackendFile persists payloads; metadata-only mode (BlockSize 0) has nothing to persist"},
+	{func(s *Spec) bool { return !s.WAL && s.WALDepth != 0 }, "WALDepth bounds the write-ahead log; set WAL: true"},
+	{func(s *Spec) bool { return s.WALDepth < 0 }, "WALDepth must be >= 0"},
+
+	{func(s *Spec) bool {
+		return s.PosMap == PosMapOnChip && (s.PosBlockSize != 0 || s.OnChipPosMapMax != 0 || s.PosZ != 0)
+	}, "PosBlockSize/OnChipPosMapMax/PosZ parameterize the recursive position map; set PosMap: PosMapRecursive"},
+	{func(s *Spec) bool {
+		return s.PosMap == PosMapOnChip && (s.PLBBytes != 0 || s.PLBConstantShape || s.Overlap != 0)
+	}, "PLBBytes/PLBConstantShape/Overlap accelerate the recursive position-map chain; set PosMap: PosMapRecursive"},
+	{func(s *Spec) bool { return s.PLBConstantShape && s.PLBBytes == 0 },
+		"PLBConstantShape pads PLB hits; set PLBBytes > 0"},
+	{func(s *Spec) bool { return s.Overlap < 0 }, "Overlap must be >= 0"},
+	{func(s *Spec) bool { return s.Overlap > 0 && s.Backend != BackendDRAM },
+		"Overlap schedules modeled memory time; set Backend: BackendDRAM"},
+	{func(s *Spec) bool { return s.Overlap > 0 && s.DRAMSerialize },
+		"Overlap and DRAMSerialize are contradictory schedules; drop one"},
+}
+
+// plan is a resolved Spec: defaults applied, every rule passed, the key
+// drawn or copied, and — under BackendDRAM — the one memory bus every tree
+// of the construction attaches to. Engines are built from it directly.
+type plan struct {
+	Spec
+	bus *membus.Bus
+}
+
+// resolve is step one of every constructor.
+func resolve(spec Spec) (*plan, error) {
+	p := &plan{Spec: spec}
+	if p.Shards == 0 {
+		p.Shards = 1
+	}
+	if p.Z == 0 {
+		p.Z = 3
+	}
+	if p.Utilization == 0 {
+		p.Utilization = 0.5
+	}
+	if p.StashCapacity == 0 {
+		p.StashCapacity = 200
+	}
+	if p.SuperBlockSize == 0 {
+		p.SuperBlockSize = 1
+	}
+	if p.PosMap == PosMapRecursive {
+		if p.PosZ == 0 {
+			p.PosZ = 3
+		}
+		if p.PosBlockSize == 0 {
+			p.PosBlockSize = 32
+		}
+	} else if p.BlockSize == 0 {
+		// A metadata-only flat tree has nothing to encrypt. (A recursive
+		// one still encrypts its position-map levels, which always carry
+		// payloads.)
+		p.Encryption = EncryptNone
+	}
+	for _, r := range rules {
+		if r.violated(&p.Spec) {
+			return nil, fmt.Errorf("pathoram: %s", r.msg)
+		}
+	}
+	if p.Key == nil {
+		p.Key = make([]byte, encrypt.KeySize)
+		if _, err := crand.Read(p.Key); err != nil {
+			return nil, fmt.Errorf("pathoram: drawing key: %w", err)
+		}
+	} else {
+		// Copy so a caller mutating its slice afterwards cannot desync the
+		// schemes built from it.
+		p.Key = append([]byte(nil), p.Key...)
+	}
+	if p.Backend == BackendDRAM {
+		// One memory scheduler for the whole construction: every tree's
+		// path reads and write-backs land on the same modeled channels
+		// (the attach order fixes the physical address map).
+		layout, policy := membus.LayoutSubtree, dram.SchedInOrder
+		if p.DRAMLayout == LayoutNaive {
+			layout = membus.LayoutNaive
+		}
+		if p.DRAMSched == MemSchedFRFCFS {
+			policy = dram.SchedFRFCFS
+		}
+		var err error
+		if p.bus, err = membus.New(membus.Config{
+			Channels:  p.DRAMChannels,
+			Layout:    layout,
+			Serialize: p.DRAMSerialize,
+			Sched:     dram.SchedConfig{Policy: policy, QueueDepth: p.DRAMQueueDepth, StarvationCap: p.DRAMStarveCap},
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// resolveBare is resolve for the single-engine constructors: the
+// serving-layer knobs would be silently inert there, so they are rejected.
+func resolveBare(spec Spec, ctor string) (*plan, error) {
+	if spec.Shards > 1 || spec.Partition != PartitionStripe || spec.Padded || spec.QueueDepth != 0 || spec.EvictionsPerIdle != 0 {
+		return nil, fmt.Errorf("pathoram: %s builds one bare engine; Shards/Partition/Padded/QueueDepth/EvictionsPerIdle parameterize the serving layer (use Open)", ctor)
+	}
+	return resolve(spec)
+}
+
+// engineSeed is what distinguishes one engine of a construction from its
+// siblings: which shard it reports as, how many blocks it serves, its key
+// and generator (never shared between engines) and its tree-file prefix.
+type engineSeed struct {
+	shard  int
+	blocks uint64
+	key    []byte
+	rand   *rand.Rand
+	name   string
+}
+
+// bareSeed is the seed of a standalone engine: the whole address space,
+// the Spec's key and generator used directly.
+func (p *plan) bareSeed() engineSeed {
+	return engineSeed{blocks: p.Blocks, key: p.Key, rand: p.Rand, name: "oram"}
+}
+
+// streams derives the serving layer's independent generators, each seeded
+// from one draw on Rand: one per shard in shard order, then the router's
+// (only when PartitionRandom has one), then the padding drawer's. That
+// order is part of every seeded replay. All nil when Rand is nil.
+func (p *plan) streams() (shards []*rand.Rand, router, padding *rand.Rand) {
+	derive := func() *rand.Rand {
+		if p.Rand == nil {
+			return nil
+		}
+		return rand.New(rand.NewSource(p.Rand.Int63()))
+	}
+	shards = make([]*rand.Rand, p.Shards)
+	for i := range shards {
+		shards[i] = derive()
+	}
+	if p.Partition == PartitionRandom {
+		router = derive()
+	}
+	return shards, router, derive()
+}
+
+// leafSource wraps a generator as a leaf source, falling back to
+// crypto/rand when the construction is not deterministic.
+func leafSource(r *rand.Rand) core.LeafSource {
+	if r != nil {
+		return core.NewMathLeafSource(r)
+	}
+	return core.NewCryptoLeafSource()
+}
+
+// leafLevel returns the data-tree depth for an engine of the given size:
+// the explicit override, or the shallowest tree that keeps the configured
+// utilization (and holds every block).
+func (p *plan) leafLevel(blocks uint64) int {
+	if p.LeafLevel > 0 {
+		return p.LeafLevel
+	}
+	slots := uint64(float64(blocks) / p.Utilization)
+	l := 0
+	for uint64(p.Z)*(1<<uint(l+1)-1) < max(slots, blocks) && l < treemath.MaxLeafLevel {
+		l++
+	}
+	return l
+}
+
+// tree is one bucket tree's storage stack, as built by buildTree.
+type tree struct {
+	store core.PathStore
+	// busBytes is the footprint one bucket occupies on the modeled memory
+	// bus: the external stride for encrypted stores, the plaintext
+	// serialization padded to the DRAM access granularity for plain ones —
+	// metadata-only trees still move their headers.
+	busBytes int
+	// footprint accounts external memory (nil for plain in-memory stores).
+	footprint interface{ MemoryBytes() uint64 }
+	// persist is the durable storage under the store (BackendFile only).
+	persist storage.Storage
+}
+
+// buildTree is step two of every constructor, run once by the flat engine
+// and once per level by the hierarchy: it builds the store of one tree —
+// plain or encrypting (and authenticating), in memory or on Dir's files —
+// leaving only the timing attachment to the caller (a flat port and a
+// chain's per-level timer genuinely differ). Trees of a recursive chain
+// are named <prefix>-l<level> and encrypt under a per-level subkey. On
+// error nothing stays open.
+func (p *plan) buildTree(e engineSeed, level, leafLevel, z, blockBytes int) (t tree, err error) {
+	numBuckets := treemath.New(leafLevel).NumBuckets()
+	name, key := e.name, e.key
+	if p.PosMap == PosMapRecursive {
+		name = fmt.Sprintf("%s-l%d", name, level)
+	}
+	var scheme encrypt.Scheme
+	stride := storage.PlainRecordBytes(z, blockBytes)
+	t.busBytes = encrypt.PlainBucketBytes(z, blockBytes)
+	if r := t.busBytes % encrypt.PadGranularity; r != 0 {
+		t.busBytes += encrypt.PadGranularity - r
+	}
+	// Metadata-only trees have nothing to encrypt.
+	if p.Encryption != EncryptNone && blockBytes > 0 {
+		if p.PosMap == PosMapRecursive {
+			if key, err = deriveKey(key, level); err != nil {
+				return tree{}, err
+			}
+		}
+		switch {
+		case p.Encryption == EncryptCounter:
+			scheme, err = encrypt.NewCounterScheme(key, numBuckets)
+		case e.rand != nil:
+			scheme, err = encrypt.NewStrawmanScheme(key, e.rand)
+		default:
+			scheme, err = encrypt.NewStrawmanScheme(key, crand.Reader)
+		}
+		if err != nil {
+			return tree{}, err
+		}
+		stride = encrypt.PaddedBucketBytes(scheme, z, blockBytes)
+		t.busBytes = stride
+	}
+	if p.Backend == BackendFile {
+		// The mmap'd flat tree file at Dir/<name>.tree, optionally wrapped
+		// in the write-ahead log at Dir/<name>.wal (replaying any
+		// crash-left prefix).
+		if err := os.MkdirAll(p.Dir, 0o755); err != nil {
+			return tree{}, fmt.Errorf("pathoram: creating Dir: %w", err)
+		}
+		base := filepath.Join(p.Dir, name)
+		if t.persist, err = storage.OpenFile(base+".tree", numBuckets, stride); err != nil {
+			return tree{}, err
+		}
+		defer func() {
+			if err != nil {
+				t.persist.Close()
+				t = tree{}
+			}
+		}()
+		if p.WAL {
+			w, err := storage.OpenWAL(t.persist, base+".wal", storage.WALConfig{CheckpointEvery: p.WALDepth})
+			if err != nil {
+				return t, err
+			}
+			t.persist = w
+		}
+	}
+	switch {
+	case scheme != nil:
+		scfg := encrypt.StoreConfig{LeafLevel: leafLevel, Z: z, BlockBytes: blockBytes, Scheme: scheme, Backing: t.persist}
+		if p.Integrity {
+			scfg.Auth = encrypt.NewAuthTree(leafLevel, z, blockBytes, scheme)
+		}
+		es, err := encrypt.NewStore(scfg)
+		if err != nil {
+			return t, err
+		}
+		t.store, t.footprint = es, es
+	case t.persist != nil:
+		ps, err := storage.NewPathStore(t.persist, leafLevel, z, blockBytes)
+		if err != nil {
+			return t, err
+		}
+		t.store, t.footprint = ps, ps
+	default:
+		if t.store, err = core.NewMemStore(leafLevel, z, blockBytes); err != nil {
+			return t, err
+		}
+	}
+	return t, nil
+}
+
+// trees is the storage-side state of the bucket trees one engine owns, in
+// construction order: one entry for a flat ORAM, one per level for a
+// hierarchy (smallest position-map ORAM first, data ORAM last).
+type trees struct {
+	// ports holds one membus port per tree under BackendDRAM.
+	ports []*membus.Port
+	// footprints collects the per-tree external-memory accountants.
+	footprints []interface{ MemoryBytes() uint64 }
+	// persists holds each tree's durable storage under BackendFile.
+	persists []storage.Storage
+}
+
+// add takes ownership of a built tree's handles.
+func (ts *trees) add(t tree) {
+	if t.footprint != nil {
+		ts.footprints = append(ts.footprints, t.footprint)
+	}
+	if t.persist != nil {
+		ts.persists = append(ts.persists, t.persist)
+	}
+}
+
+// sync makes every tree durable (msync; WAL checkpoint and truncate),
+// reporting the first error.
+func (ts *trees) sync() error {
+	var first error
+	for _, p := range ts.persists {
+		if err := p.Sync(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// close checkpoints and closes every tree file (and WAL), reporting the
+// first error even when later trees close cleanly.
+func (ts *trees) close() error {
+	var first error
+	for _, p := range ts.persists {
+		if err := p.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// externalMemoryBytes sums the external storage footprint of every tree.
+func (ts *trees) externalMemoryBytes() uint64 {
+	var total uint64
+	for _, f := range ts.footprints {
+		total += f.MemoryBytes()
+	}
+	return total
+}
+
+// timingStats merges the modeled memory-timing counters over the trees'
+// ports (counters sum, the completion frontier takes the max). The bool is
+// false when no model is attached.
+func (ts *trees) timingStats() (TimingStats, bool) {
+	if len(ts.ports) == 0 {
+		return TimingStats{}, false
+	}
+	var merged TimingStats
+	for _, p := range ts.ports {
+		merged = merged.Merge(p.Stats())
+	}
+	return merged, true
+}

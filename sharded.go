@@ -2,10 +2,8 @@ package pathoram
 
 import (
 	"crypto/aes"
-	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -37,70 +35,11 @@ const (
 	// the address. Every access becomes two path accesses (fetch from the
 	// current home, relocate to the new one), and every shard must be
 	// sized for the whole address space — the storage and bandwidth price
-	// of hiding the routing. Combine with ShardedConfig.Padded for
+	// of hiding the routing. Combine with Spec.Padded for
 	// batches whose shard schedule has a fixed, input-independent shape;
 	// see SECURITY.md for exactly what each combination hides.
 	PartitionRandom
 )
-
-// ShardedConfig describes a sharded, concurrency-safe ORAM: N independent
-// Path ORAM instances behind a batched request scheduler.
-type ShardedConfig struct {
-	// Config is the per-shard template. Blocks is the TOTAL logical
-	// address space; it is split across the shards by Partition, and every
-	// other field applies to each shard individually (an explicit
-	// LeafLevel, for instance, sizes every shard's tree). Key is the
-	// master secret: each shard receives its own key derived from it, and
-	// Rand seeds an independent per-shard generator — neither is ever
-	// shared between shards (see NewSharded). Exception: the timed
-	// backend. With Backend: BackendDRAM every shard attaches to ONE
-	// shared memory scheduler (DRAMChannels channels, DRAMLayout
-	// placement), so concurrent shards contend for the same modeled
-	// channels and banks — the multi-channel deployment the paper
-	// analyzes. TimingStats then reports modeled cycles for the whole
-	// fleet.
-	Config
-	// Shards is the number of independent Path ORAM instances, each owned
-	// by its own worker goroutine. Default 1. Must not exceed Blocks.
-	Shards int
-	// Partition selects the address-space split (default PartitionStripe).
-	Partition Partition
-	// QueueDepth is the per-shard request queue length (default 128).
-	QueueDepth int
-	// EvictionsPerIdle caps how many background-eviction dummy accesses a
-	// worker issues per idle gap (default 4; negative disables idle
-	// eviction, leaving only write-back completion). Only meaningful with
-	// AsyncEviction (promoted from Config), which turns each shard into a
-	// two-stage pipeline: the worker answers a request as soon as its path
-	// has been read and merged, then completes the deferred write-back —
-	// and runs background stash eviction — during idle queue time.
-	// Client-visible latency pays only for the read half of each access;
-	// under sustained saturation the deferred work drains inline and
-	// throughput matches the synchronous mode. Close, Inspect-based
-	// snapshots (Stats, ShardStats, StashSize) and Flush all drain fully
-	// first, so observed state always matches the synchronous protocol.
-	// See DESIGN.md (pipelining) and SECURITY.md (why the idle-time
-	// schedule leaks nothing).
-	EvictionsPerIdle int
-	// Padded switches ReadBatch/WriteBatch to the padded batch mode:
-	// every batch touches every shard an equal number of times — the
-	// larger of ceil(batchSize/Shards) and the busiest shard's real
-	// demand — with scheduler-issued dummy accesses (OpPadding, real
-	// random-path accesses) filling the empty slots. An observer of the
-	// shard schedule cannot tell which slots carried real requests.
-	// Under PartitionRandom the whole shape is additionally independent
-	// of the requested addresses; under the fixed partitions the shape's
-	// height still tracks the busiest shard (see DESIGN.md's decision
-	// table). Padding overhead is counted in Stats.PaddingAccesses.
-	// Single operations are never padded.
-	Padded bool
-	// OnShardPathAccess, when set, observes every path each shard touches
-	// — the adversary's per-shard view of the access sequence. It is
-	// called from the shard worker goroutines, so distinct shards invoke
-	// it concurrently; the callback must tolerate that (per-shard
-	// accumulators indexed by the shard argument need no locking).
-	OnShardPathAccess func(shard int, leaf uint64)
-}
 
 // Sharded is a concurrency-safe ORAM serving layer. It partitions the
 // logical address space over independent Path ORAM shards, each owned
@@ -175,171 +114,88 @@ func (e hierarchyEngine) Load(addr uint64) ([]byte, bool, []core.Slot, error) {
 	return e.Hierarchy.inner.Load(addr)
 }
 
-// engineFactory builds shard i's engine from its fully specialized
-// per-shard Config (Blocks narrowed to the shard's slice, Key and Rand
-// independently derived, the shared bus injected, hooks wrapped). Open
-// supplies a factory that builds hierarchies; NewSharded's builds flat
-// ORAMs.
-type engineFactory func(i int, sc Config) (clientEngine, error)
-
-// NewSharded builds the sharded ORAM. Per-shard derivations keep the
-// shards cryptographically and statistically independent:
-//
-//   - Keys: cfg.Key (drawn fresh when nil) acts as a master secret; shard i
-//     encrypts under AES_master(i). Sharing one key would reuse one-time
-//     pads — CounterScheme's pad depends only on (key, bucketID, counter)
-//     and every shard numbers its buckets from zero.
-//   - Randomness: when cfg.Rand is set, each shard gets its own generator
-//     seeded from a draw on cfg.Rand (which is consumed in shard order, so
-//     a fixed parent seed reproduces the whole sharded simulation).
-//     math/rand generators are not goroutine-safe; sharing one across
-//     workers would be a data race.
-func NewSharded(cfg ShardedConfig) (*Sharded, error) {
-	// Flat shards derive per-shard keys only when encryption is actually
-	// in use (BlockSize 0 forces EncryptNone in applyDefaults): an unused
-	// Key of arbitrary length must not fail a plaintext simulation.
-	needKeys := cfg.Encryption != EncryptNone && cfg.BlockSize > 0
-	return newSharded(cfg, needKeys, func(_ int, sc Config) (clientEngine, error) {
-		o, err := New(sc)
-		if err != nil {
-			return nil, err
-		}
-		return oramEngine{o}, nil
-	})
-}
-
-// newSharded is the shared serving-layer builder: it validates the
-// config, derives the per-shard key/randomness material, builds the
-// shared memory bus when the backend is timed, constructs one engine per
-// shard through the factory, and starts the worker pool.
-func newSharded(cfg ShardedConfig, needKeys bool, build engineFactory) (*Sharded, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("pathoram: Shards=%d must be >= 1", cfg.Shards)
-	}
-	if cfg.Blocks == 0 {
-		return nil, fmt.Errorf("pathoram: Blocks must be >= 1")
-	}
-	if uint64(cfg.Shards) > cfg.Blocks {
-		return nil, fmt.Errorf("pathoram: %d shards for %d blocks; every shard needs at least one block", cfg.Shards, cfg.Blocks)
-	}
-	switch cfg.Partition {
-	case PartitionStripe, PartitionRange, PartitionRandom:
-	default:
-		return nil, fmt.Errorf("pathoram: unknown partition %d", cfg.Partition)
-	}
-	// The master must be exactly 16 bytes — AES-KDF subkeys are AES-128,
-	// and quietly accepting a 32-byte master would downgrade an intended
-	// AES-256 setup. needKeys is the construction's own rule for whether
-	// encryption material is in play (hierarchies encrypt their
-	// position-map levels even when the data ORAM is metadata-only).
-	var keys [][]byte
-	if needKeys {
-		master := cfg.Key
-		if master == nil {
-			master = make([]byte, encrypt.KeySize)
-			if _, err := crand.Read(master); err != nil {
-				return nil, fmt.Errorf("pathoram: drawing master key: %w", err)
-			}
-		} else if len(master) != encrypt.KeySize {
-			return nil, fmt.Errorf("pathoram: master key is %d bytes, want %d (per-shard subkeys are AES-128)",
-				len(master), encrypt.KeySize)
-		}
-		var err error
-		if keys, err = deriveShardKeys(master, cfg.Shards); err != nil {
-			return nil, err
-		}
-	}
-	n := uint64(cfg.Shards)
-	s := &Sharded{
-		engines:   make([]clientEngine, cfg.Shards),
-		blocks:    cfg.Blocks,
-		blockSize: cfg.BlockSize,
-		n:         n,
-		partition: cfg.Partition,
-		padded:    cfg.Padded,
-		base:      cfg.Blocks / n,
-		big:       cfg.Blocks % n,
-	}
-	if cfg.Backend == BackendDRAM {
-		// One memory scheduler for the whole deployment: every shard's
-		// path reads and write-backs land on the same modeled channels, in
-		// shard order (the attach order fixes the physical address map).
-		bus, err := membus.New(membus.Config{
-			Channels:  cfg.DRAMChannels,
-			Layout:    cfg.DRAMLayout.membusLayout(),
-			Serialize: cfg.DRAMSerialize,
-			Sched:     cfg.dramSchedConfig(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		cfg.bus = bus
-		s.bus = bus
-	}
-	engines := make([]shard.Engine, cfg.Shards)
-	for i := range s.engines {
-		sc := cfg.Config
-		sc.Blocks = s.shardBlocks(i)
-		// Per-shard file names: shard i's trees live under Dir as
-		// "shard<i>[-l<level>]" so shards never collide in one directory.
-		sc.storeName = fmt.Sprintf("shard%d", i)
-		if keys != nil {
-			sc.Key = keys[i]
-		}
-		if cfg.Rand != nil {
-			sc.Rand = rand.New(rand.NewSource(cfg.Rand.Int63()))
-		}
-		if cfg.OnShardPathAccess != nil {
-			hook, inner := cfg.OnShardPathAccess, cfg.Config.OnPathAccess
-			sc.OnPathAccess = func(leaf uint64) {
-				if inner != nil {
-					inner(leaf)
-				}
-				hook(i, leaf)
-			}
-		}
-		e, err := build(i, sc)
-		if err != nil {
-			return nil, fmt.Errorf("pathoram: building shard %d: %w", i, err)
-		}
-		s.engines[i] = e
-		engines[i] = e
-	}
-	pool, err := shard.NewPool(engines, shard.Config{
-		QueueDepth:       cfg.QueueDepth,
-		IdleWork:         cfg.AsyncEviction,
-		EvictionsPerIdle: cfg.EvictionsPerIdle,
-	})
+// NewSharded builds the serving layer described by spec — Open returns
+// the same value typed as Client. Per-shard derivations keep the shards
+// cryptographically and statistically independent: shard i encrypts under
+// AES_Key('S', i) (sharing one key would reuse one-time pads, since every
+// shard numbers its buckets from zero) and owns a generator seeded from a
+// draw on Rand (math/rand generators are not goroutine-safe; sharing one
+// across workers would be a data race). If construction fails, every tree
+// file already opened is closed again.
+func NewSharded(spec Spec) (_ *Sharded, err error) {
+	p, err := resolve(spec)
 	if err != nil {
 		return nil, err
 	}
-	s.pool = pool
-	if cfg.Partition == PartitionRandom {
-		// The router's shard draws get their own source: deterministic
-		// (derived from cfg.Rand, after the per-shard seeds, so existing
-		// seeded simulations keep their per-shard streams) or crypto.
-		var src core.LeafSource
-		if cfg.Rand != nil {
-			src = core.NewMathLeafSource(rand.New(rand.NewSource(cfg.Rand.Int63())))
-		} else {
-			src = core.NewCryptoLeafSource()
+	n := uint64(p.Shards)
+	s := &Sharded{
+		blocks:    p.Blocks,
+		blockSize: p.BlockSize,
+		n:         n,
+		partition: p.Partition,
+		padded:    p.Padded,
+		bus:       p.bus,
+		base:      p.Blocks / n,
+		big:       p.Blocks % n,
+	}
+	defer func() {
+		if err != nil {
+			for _, e := range s.engines {
+				e.Close()
+			}
 		}
-		s.router = newRandomRouter(cfg.Blocks, newShardDrawer(src, cfg.Shards))
+	}()
+	var keys [][]byte
+	if p.Encryption != EncryptNone {
+		if keys, err = deriveShardKeys(p.Key, p.Shards); err != nil {
+			return nil, err
+		}
 	}
-	// The single-operation PaddingAccess targets a uniformly drawn shard;
-	// its draws get their own source, derived last so the per-shard and
-	// router streams of existing seeded simulations stay unchanged.
-	var padSrc core.LeafSource
-	if cfg.Rand != nil {
-		padSrc = core.NewMathLeafSource(rand.New(rand.NewSource(cfg.Rand.Int63())))
-	} else {
-		padSrc = core.NewCryptoLeafSource()
+	rands, routerRand, padRand := p.streams()
+	engines := make([]shard.Engine, p.Shards)
+	for i := range engines {
+		// Shard i's trees live under Dir as "shard<i>[-l<level>]" so shards
+		// never collide in one directory.
+		seed := engineSeed{shard: i, blocks: s.shardBlocks(i), rand: rands[i], name: fmt.Sprintf("shard%d", i)}
+		if keys != nil {
+			seed.key = keys[i]
+		}
+		e, err := p.newEngine(seed)
+		if err != nil {
+			return nil, fmt.Errorf("pathoram: building shard %d: %w", i, err)
+		}
+		s.engines = append(s.engines, e)
+		engines[i] = e
 	}
-	s.padDraws = newShardDrawer(padSrc, cfg.Shards)
+	if s.pool, err = shard.NewPool(engines, shard.Config{
+		QueueDepth:       p.QueueDepth,
+		IdleWork:         p.AsyncEviction,
+		EvictionsPerIdle: p.EvictionsPerIdle,
+	}); err != nil {
+		return nil, err
+	}
+	if p.Partition == PartitionRandom {
+		s.router = newRandomRouter(p.Blocks, newShardDrawer(leafSource(routerRand), p.Shards))
+	}
+	// The single-operation PaddingAccess targets a uniformly drawn shard.
+	s.padDraws = newShardDrawer(leafSource(padRand), p.Shards)
 	return s, nil
+}
+
+// newEngine builds one per-shard engine of the plan's kind.
+func (p *plan) newEngine(e engineSeed) (clientEngine, error) {
+	if p.PosMap == PosMapRecursive {
+		h, err := newHierarchy(p, e)
+		if err != nil {
+			return nil, err
+		}
+		return hierarchyEngine{h}, nil
+	}
+	o, err := newORAM(p, e)
+	if err != nil {
+		return nil, err
+	}
+	return oramEngine{o}, nil
 }
 
 // Key-derivation domains. Every construction that expands the master key

@@ -14,17 +14,15 @@ import (
 // Tests for the async (staged) serving mode. Everything here is named
 // TestAsync* so CI can run the whole async suite with `-run Async`.
 
-// asyncConfig returns a ShardedConfig with the staged pipeline on.
-func asyncConfig(shards int, blocks uint64, part Partition, seed int64) ShardedConfig {
-	return ShardedConfig{
+// asyncConfig returns a Spec with the staged pipeline on.
+func asyncConfig(shards int, blocks uint64, part Partition, seed int64) Spec {
+	return Spec{
 		Shards:    shards,
 		Partition: part,
-		Config: Config{
-			Blocks: blocks, BlockSize: 16,
-			Encryption:    EncryptCounter,
-			AsyncEviction: true,
-			Rand:          rand.New(rand.NewSource(seed)),
-		},
+		Blocks:    blocks, BlockSize: 16,
+		Encryption:    EncryptCounter,
+		AsyncEviction: true,
+		Rand:          rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -39,11 +37,11 @@ func TestAsyncEquivalenceReplay(t *testing.T) {
 	for _, part := range []Partition{PartitionStripe, PartitionRange, PartitionRandom} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", partName(part), shards), func(t *testing.T) {
-				syncS, err := NewSharded(ShardedConfig{
+				syncS, err := NewSharded(Spec{
 					Shards: shards, Partition: part,
-					Config: Config{Blocks: blocks, BlockSize: 16,
-						Encryption: EncryptCounter,
-						Rand:       rand.New(rand.NewSource(11))},
+					Blocks: blocks, BlockSize: 16,
+					Encryption: EncryptCounter,
+					Rand:       rand.New(rand.NewSource(11)),
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -249,7 +247,7 @@ func TestAsyncInspectSnapshotsConsistent(t *testing.T) {
 // ResetStats clears the staged counters while keeping the occupancy
 // gauge.
 func TestAsyncSingleORAMWiring(t *testing.T) {
-	o, err := New(Config{
+	o, err := New(Spec{
 		Blocks: 128, BlockSize: 16,
 		Encryption:    EncryptCounter,
 		AsyncEviction: true,
@@ -326,15 +324,13 @@ func TestAsyncLeafSequencesUniform(t *testing.T) {
 			for i := range hists {
 				hists[i] = make([]uint64, 1<<leafLevel)
 			}
-			s, err := NewSharded(ShardedConfig{
+			s, err := NewSharded(Spec{
 				Shards: shards,
-				Config: Config{
-					Blocks: blocks, LeafLevel: leafLevel, Z: 4,
-					StashCapacity: 150,
-					AsyncEviction: true,
-					Rand:          rand.New(rand.NewSource(9002)),
-				},
-				OnShardPathAccess: func(sh int, leaf uint64) { hists[sh][leaf]++ },
+				Blocks: blocks, LeafLevel: leafLevel, Z: 4,
+				StashCapacity: 150,
+				AsyncEviction: true,
+				Rand:          rand.New(rand.NewSource(9002)),
+				OnPathAccess:  func(sh, _ int, leaf uint64) { hists[sh][leaf]++ },
 			})
 			if err != nil {
 				t.Fatal(err)

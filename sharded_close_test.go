@@ -32,15 +32,12 @@ func TestShardedCloseSurfacesFirstEngineError(t *testing.T) {
 	errShard1 := errors.New("shard 1: injected close failure")
 	errShard2 := errors.New("shard 2: injected close failure")
 	closed := make([]bool, 4)
-	cfg := ShardedConfig{
-		Config: Config{Blocks: 64, BlockSize: 16},
-		Shards: 4,
+	s, err := NewSharded(Spec{Blocks: 64, BlockSize: 16, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s, err := newSharded(cfg, true, func(i int, sc Config) (clientEngine, error) {
-		o, err := New(sc)
-		if err != nil {
-			return nil, err
-		}
+	// Sharded.Close closes s.engines; the pool keeps driving the real ones.
+	for i, e := range s.engines {
 		var injected error
 		switch i {
 		case 1:
@@ -48,10 +45,7 @@ func TestShardedCloseSurfacesFirstEngineError(t *testing.T) {
 		case 2:
 			injected = errShard2
 		}
-		return failingCloseEngine{clientEngine: trackClose{oramEngine{o}, &closed[i]}, err: injected}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		s.engines[i] = failingCloseEngine{clientEngine: trackClose{e, &closed[i]}, err: injected}
 	}
 	// Touch every shard so the close path drains real in-flight state.
 	for addr := uint64(0); addr < 8; addr++ {
@@ -90,19 +84,12 @@ func (e trackClose) Close() error {
 // reporting success once the workers are gone.
 func TestShardedCloseIdempotentKeepsEngineError(t *testing.T) {
 	errEngine := errors.New("engine: injected close failure")
-	cfg := ShardedConfig{
-		Config: Config{Blocks: 16, BlockSize: 16},
-		Shards: 2,
-	}
-	s, err := newSharded(cfg, true, func(i int, sc Config) (clientEngine, error) {
-		o, err := New(sc)
-		if err != nil {
-			return nil, err
-		}
-		return failingCloseEngine{clientEngine: oramEngine{o}, err: fmt.Errorf("%w (shard %d)", errEngine, i)}, nil
-	})
+	s, err := NewSharded(Spec{Blocks: 16, BlockSize: 16, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, e := range s.engines {
+		s.engines[i] = failingCloseEngine{clientEngine: e, err: fmt.Errorf("%w (shard %d)", errEngine, i)}
 	}
 	if err := s.Close(); !errors.Is(err, errEngine) {
 		t.Fatalf("first Close returned %v, want the injected engine error", err)

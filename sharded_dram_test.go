@@ -15,7 +15,7 @@ import (
 // named TestDRAM* so CI can run the timed-backend suite with
 // `-run 'DRAM|Timed'`.
 
-// dramConfig returns a ShardedConfig on the timed backend. Async runs
+// dramConfig returns a Spec on the timed backend. Async runs
 // disable idle eviction (EvictionsPerIdle: -1): idle-time dummy accesses
 // fire on the goroutine scheduler's whim and would consume per-shard
 // randomness nondeterministically, while write-back *completions* — the
@@ -23,19 +23,17 @@ import (
 // post-Flush state (TestStagedBitIdenticalToSync pins that). With them
 // off, a single-client replay is fully deterministic, which is what lets
 // the equivalence test demand byte-identical trees.
-func dramConfig(shards int, blocks uint64, part Partition, async bool, seed int64) ShardedConfig {
-	return ShardedConfig{
+func dramConfig(shards int, blocks uint64, part Partition, async bool, seed int64) Spec {
+	return Spec{
 		Shards:           shards,
 		Partition:        part,
 		EvictionsPerIdle: -1,
-		Config: Config{
-			Blocks: blocks, BlockSize: 16,
-			Encryption:    EncryptNone,
-			Backend:       BackendDRAM,
-			DRAMChannels:  2,
-			AsyncEviction: async,
-			Rand:          rand.New(rand.NewSource(seed)),
-		},
+		Blocks:           blocks, BlockSize: 16,
+		Encryption:    EncryptNone,
+		Backend:       BackendDRAM,
+		DRAMChannels:  2,
+		AsyncEviction: async,
+		Rand:          rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -91,14 +89,14 @@ func TestDRAMEquivalenceReplay(t *testing.T) {
 	for _, part := range []Partition{PartitionStripe, PartitionRange, PartitionRandom} {
 		for _, async := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/async=%v", partName(part), async), func(t *testing.T) {
-				leafLog := func() ([][]uint64, func(int, uint64)) {
+				leafLog := func() ([][]uint64, func(int, int, uint64)) {
 					logs := make([][]uint64, shards)
-					return logs, func(sh int, leaf uint64) { logs[sh] = append(logs[sh], leaf) }
+					return logs, func(sh, _ int, leaf uint64) { logs[sh] = append(logs[sh], leaf) }
 				}
 				memLeaves, memHook := leafLog()
 				memCfg := dramConfig(shards, blocks, part, async, 99)
-				memCfg.Backend = BackendMem
-				memCfg.OnShardPathAccess = memHook
+				memCfg.Backend, memCfg.DRAMChannels = BackendMem, 0
+				memCfg.OnPathAccess = memHook
 				memS, err := NewSharded(memCfg)
 				if err != nil {
 					t.Fatal(err)
@@ -107,7 +105,7 @@ func TestDRAMEquivalenceReplay(t *testing.T) {
 
 				dramLeaves, dramHook := leafLog()
 				dramCfg := dramConfig(shards, blocks, part, async, 99)
-				dramCfg.OnShardPathAccess = dramHook
+				dramCfg.OnPathAccess = dramHook
 				dramS, err := NewSharded(dramCfg)
 				if err != nil {
 					t.Fatal(err)
@@ -218,15 +216,13 @@ func TestDRAMTimedLeafUniform(t *testing.T) {
 			for i := range hists {
 				hists[i] = make([]uint64, 1<<leafLevel)
 			}
-			s, err := NewSharded(ShardedConfig{
+			s, err := NewSharded(Spec{
 				Shards: shards,
-				Config: Config{
-					Blocks: blocks, LeafLevel: leafLevel, Z: 4,
-					StashCapacity: 150,
-					Backend:       BackendDRAM,
-					Rand:          rand.New(rand.NewSource(4242)),
-				},
-				OnShardPathAccess: func(sh int, leaf uint64) { hists[sh][leaf]++ },
+				Blocks: blocks, LeafLevel: leafLevel, Z: 4,
+				StashCapacity: 150,
+				Backend:       BackendDRAM,
+				Rand:          rand.New(rand.NewSource(4242)),
+				OnPathAccess:  func(sh, _ int, leaf uint64) { hists[sh][leaf]++ },
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -349,7 +345,7 @@ func TestDRAMConcurrentClients(t *testing.T) {
 // DRAM-backed ORAM builds its own private bus, reports timing, and the
 // write-buffer mapping charges deferred write-backs on the flush schedule.
 func TestDRAMSingleORAMTiming(t *testing.T) {
-	o, err := New(Config{
+	o, err := New(Spec{
 		Blocks: 128, BlockSize: 16,
 		Encryption:            EncryptCounter,
 		Backend:               BackendDRAM,
@@ -394,7 +390,7 @@ func TestDRAMSingleORAMTiming(t *testing.T) {
 		t.Errorf("BytesPerCycle = %v", ts.BytesPerCycle())
 	}
 	// Mem backend reports none.
-	o2, err := New(Config{Blocks: 64, BlockSize: 16, Encryption: EncryptNone,
+	o2, err := New(Spec{Blocks: 64, BlockSize: 16, Encryption: EncryptNone,
 		Rand: rand.New(rand.NewSource(9))})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 )
 
 // Adversary-view tests for the oblivious routing modes (PartitionRandom,
-// ShardedConfig.Padded). The adversary observes, per shard, every path
+// Spec.Padded). The adversary observes, per shard, every path
 // access (OnShardPathAccess) — real, padding and background-eviction
 // accesses are indistinguishable on the wire, so the observable is the
 // per-shard access schedule. SECURITY.md states the properties these tests
@@ -47,18 +47,16 @@ func adversarialPatterns(k int, blocks uint64) map[string][]uint64 {
 func paddedRandomCounts(t *testing.T, shards int, blocks uint64, addrs []uint64, write bool) []uint64 {
 	t.Helper()
 	counts := make([]uint64, shards)
-	s, err := NewSharded(ShardedConfig{
+	s, err := NewSharded(Spec{
 		Shards:    shards,
 		Partition: PartitionRandom,
 		Padded:    true,
-		Config: Config{
-			Blocks: blocks, BlockSize: 16,
-			// Generous stash: background eviction must never fire, so the
-			// observed counts are exactly the batch schedule.
-			StashCapacity: 400,
-			Rand:          rand.New(rand.NewSource(31337)),
-		},
-		OnShardPathAccess: func(sh int, _ uint64) { counts[sh]++ },
+		Blocks:    blocks, BlockSize: 16,
+		// Generous stash: background eviction must never fire, so the
+		// observed counts are exactly the batch schedule.
+		StashCapacity: 400,
+		Rand:          rand.New(rand.NewSource(31337)),
+		OnPathAccess:  func(sh, _ int, _ uint64) { counts[sh]++ },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,15 +131,13 @@ func TestPaddedBatchesStayFlatAcrossBatches(t *testing.T) {
 	const shards = 4
 	const blocks = 256
 	counts := make([]uint64, shards)
-	s, err := NewSharded(ShardedConfig{
+	s, err := NewSharded(Spec{
 		Shards:    shards,
 		Partition: PartitionRandom,
 		Padded:    true,
-		Config: Config{
-			Blocks: blocks, BlockSize: 8, StashCapacity: 400,
-			Rand: rand.New(rand.NewSource(99)),
-		},
-		OnShardPathAccess: func(sh int, _ uint64) { counts[sh]++ },
+		Blocks:    blocks, BlockSize: 8, StashCapacity: 400,
+		Rand:         rand.New(rand.NewSource(99)),
+		OnPathAccess: func(sh, _ int, _ uint64) { counts[sh]++ },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,11 +202,11 @@ func TestPaddedFixedPartitionFlatCounts(t *testing.T) {
 	const shards = 4
 	const blocks = 256
 	const k = 32
-	s, err := NewSharded(ShardedConfig{
+	s, err := NewSharded(Spec{
 		Shards: shards,
 		Padded: true,
-		Config: Config{Blocks: blocks, BlockSize: 8, StashCapacity: 400,
-			Rand: rand.New(rand.NewSource(5))},
+		Blocks: blocks, BlockSize: 8, StashCapacity: 400,
+		Rand: rand.New(rand.NewSource(5)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -284,11 +280,11 @@ func TestRandomPartitionShardChoiceUniform(t *testing.T) {
 	}
 	for name, w := range workloads {
 		t.Run(name, func(t *testing.T) {
-			s, err := NewSharded(ShardedConfig{
+			s, err := NewSharded(Spec{
 				Shards:    shards,
 				Partition: PartitionRandom,
-				Config: Config{Blocks: blocks,
-					Rand: rand.New(rand.NewSource(2024))},
+				Blocks:    blocks,
+				Rand:      rand.New(rand.NewSource(2024)),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -364,7 +360,7 @@ func TestRandomPartitionMatchesSingleORAM(t *testing.T) {
 		return out
 	}
 
-	single, err := New(Config{Blocks: blocks, BlockSize: blockSize,
+	single, err := New(Spec{Blocks: blocks, BlockSize: blockSize,
 		Encryption: EncryptCounter, Rand: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
@@ -392,11 +388,11 @@ func TestRandomPartitionMatchesSingleORAM(t *testing.T) {
 	for _, padded := range []bool{false, true} {
 		for _, shards := range []int{1, 3, 4} {
 			t.Run(fmt.Sprintf("padded=%v/shards=%d", padded, shards), func(t *testing.T) {
-				s, err := NewSharded(ShardedConfig{
+				s, err := NewSharded(Spec{
 					Shards: shards, Partition: PartitionRandom, Padded: padded,
-					Config: Config{Blocks: blocks, BlockSize: blockSize,
-						Encryption: EncryptCounter, Integrity: true,
-						Rand: rand.New(rand.NewSource(2))},
+					Blocks: blocks, BlockSize: blockSize,
+					Encryption: EncryptCounter, Integrity: true,
+					Rand: rand.New(rand.NewSource(2)),
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -453,10 +449,10 @@ func TestRandomPartitionSemantics(t *testing.T) {
 	const blockSize = 8
 	newStore := func(padded bool) *Sharded {
 		t.Helper()
-		s, err := NewSharded(ShardedConfig{
+		s, err := NewSharded(Spec{
 			Shards: 4, Partition: PartitionRandom, Padded: padded,
-			Config: Config{Blocks: blocks, BlockSize: blockSize,
-				Rand: rand.New(rand.NewSource(6))},
+			Blocks: blocks, BlockSize: blockSize,
+			Rand: rand.New(rand.NewSource(6)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -525,9 +521,9 @@ func TestRandomPartitionSemantics(t *testing.T) {
 	}
 
 	// Metadata-only stores reject Update like a single ORAM does.
-	s, err := NewSharded(ShardedConfig{
+	s, err := NewSharded(Spec{
 		Shards: 2, Partition: PartitionRandom,
-		Config: Config{Blocks: 16, Rand: rand.New(rand.NewSource(6))},
+		Blocks: 16, Rand: rand.New(rand.NewSource(6)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -546,10 +542,10 @@ func TestRandomPartitionConcurrentClients(t *testing.T) {
 	const clients = 8
 	const perClient = 32
 	const blockSize = 16
-	s, err := NewSharded(ShardedConfig{
+	s, err := NewSharded(Spec{
 		Shards:    shards,
 		Partition: PartitionRandom,
-		Config:    Config{Blocks: clients * perClient, BlockSize: blockSize},
+		Blocks:    clients * perClient, BlockSize: blockSize,
 	})
 	if err != nil {
 		t.Fatal(err)

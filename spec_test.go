@@ -1,0 +1,222 @@
+package pathoram
+
+import (
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// Tests for the construction seam: the one rule table, the one resolve
+// pass, and the shared builder's cleanup path.
+
+// ruleTrips holds, per row of rules and in the same order, a Spec that
+// trips exactly that row first.
+var ruleTrips = []Spec{
+	{BlockSize: 8},
+	{Blocks: 64, Shards: -1},
+	{Blocks: 4, Shards: 5},
+	{Blocks: 64, Partition: Partition(9)},
+	{Blocks: 64, PosMap: PosMapPolicy(9)},
+	{Blocks: 64, BlockSize: 8, Encryption: Encryption(9)},
+	{Blocks: 64, Backend: Backend(9)},
+	{Blocks: 64, Backend: BackendDRAM, DRAMLayout: DRAMLayout(9)},
+	{Blocks: 64, Backend: BackendDRAM, DRAMSched: MemSched(9)},
+	{Blocks: 64, Utilization: 1.5},
+	{Blocks: 64, LeafLevel: -1},
+	{Blocks: 64, BlockSize: 8, Encryption: EncryptNone, Integrity: true},
+	{Blocks: 64, BlockSize: 8, Key: make([]byte, 32)},
+	{Blocks: 64, DRAMChannels: 4},
+	{Blocks: 64, DRAMSched: MemSchedFRFCFS},
+	{Blocks: 64, Backend: BackendDRAM, DRAMQueueDepth: 4},
+	{Blocks: 64, Backend: BackendDRAM, DRAMChannels: -1},
+	{Blocks: 64, Backend: BackendDRAM, DRAMSched: MemSchedFRFCFS, DRAMStarveCap: -1},
+	{Blocks: 64, BlockSize: 8, WAL: true},
+	{Blocks: 64, BlockSize: 8, Backend: BackendFile},
+	{Blocks: 64, Backend: BackendFile, Dir: "unused"},
+	{Blocks: 64, BlockSize: 8, Backend: BackendFile, Dir: "unused", WALDepth: 4},
+	{Blocks: 64, BlockSize: 8, Backend: BackendFile, Dir: "unused", WAL: true, WALDepth: -1},
+	{Blocks: 64, PosZ: 3},
+	{Blocks: 64, PLBBytes: 1024},
+	{Blocks: 64, PosMap: PosMapRecursive, PLBConstantShape: true},
+	{Blocks: 64, PosMap: PosMapRecursive, Backend: BackendDRAM, Overlap: -1},
+	{Blocks: 64, PosMap: PosMapRecursive, Overlap: 2},
+	{Blocks: 64, PosMap: PosMapRecursive, Backend: BackendDRAM, DRAMSerialize: true, Overlap: 2},
+}
+
+// TestSpecRules trips every row of the rule table once and pushes the
+// tripping Spec through every constructor that accepts its axes: each must
+// fail with that row's message — one table, one vocabulary.
+func TestSpecRules(t *testing.T) {
+	if len(ruleTrips) != len(rules) {
+		t.Fatalf("%d tripping specs for %d rules; every row needs exactly one", len(ruleTrips), len(rules))
+	}
+	for i, spec := range ruleTrips {
+		want := "pathoram: " + rules[i].msg
+		check := func(ctor string, err error) {
+			t.Helper()
+			if err == nil || err.Error() != want {
+				t.Errorf("rule %d via %s: got %v, want %q", i, ctor, err, want)
+			}
+		}
+		_, err := resolve(spec)
+		check("resolve", err)
+		_, err = Open(spec)
+		check("Open", err)
+		_, err = NewSharded(spec)
+		check("NewSharded", err)
+		// The bare constructors only accept the axes of one known engine.
+		if spec.Shards > 1 || spec.Partition != PartitionStripe || spec.PosMap > PosMapRecursive {
+			continue
+		}
+		if spec.PosMap == PosMapRecursive {
+			_, err = NewHierarchy(spec)
+			check("NewHierarchy", err)
+		} else {
+			_, err = New(spec)
+			check("New", err)
+		}
+	}
+}
+
+// TestSpecBareConstructorsRejectServingAxes: the single-engine
+// constructors reject what they would otherwise ignore.
+func TestSpecBareConstructorsRejectServingAxes(t *testing.T) {
+	for name, mutate := range map[string]func(*Spec){
+		"shards":     func(s *Spec) { s.Shards = 2 },
+		"partition":  func(s *Spec) { s.Partition = PartitionRange },
+		"padded":     func(s *Spec) { s.Padded = true },
+		"queue":      func(s *Spec) { s.QueueDepth = 8 },
+		"idle-evict": func(s *Spec) { s.EvictionsPerIdle = 2 },
+	} {
+		spec := Spec{Blocks: 64, BlockSize: 8}
+		mutate(&spec)
+		if _, err := New(spec); err == nil {
+			t.Errorf("%s: New accepted a serving-layer knob", name)
+		}
+		if _, err := NewHierarchy(spec); err == nil {
+			t.Errorf("%s: NewHierarchy accepted a serving-layer knob", name)
+		}
+		if c, err := Open(spec); err != nil {
+			t.Errorf("%s: Open rejected it: %v", name, err)
+		} else {
+			c.Close()
+		}
+	}
+	if _, err := New(Spec{Blocks: 64, BlockSize: 8, PosMap: PosMapRecursive}); err == nil {
+		t.Error("New accepted PosMapRecursive")
+	}
+}
+
+// TestSpecNoInertField reflects over Spec: starting from a minimal valid
+// Spec, setting any one exported field to a different value must either be
+// rejected or change the resolved plan. A field resolve normalizes away —
+// or a new field nobody wired into a default, a rule or the plan — fails
+// here.
+func TestSpecNoInertField(t *testing.T) {
+	minimal := func() Spec {
+		return Spec{Blocks: 64, BlockSize: 16, Key: []byte("0123456789abcdef")}
+	}
+	base, err := resolve(minimal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := reflect.TypeOf(Spec{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if !f.IsExported() {
+			t.Errorf("Spec.%s is unexported; Spec is the public surface, plan holds derived state", f.Name)
+			continue
+		}
+		spec := minimal()
+		v := reflect.ValueOf(&spec).Elem().Field(i)
+		switch f.Name {
+		case "Key":
+			v.SetBytes([]byte("fedcba9876543210"))
+		case "Rand":
+			v.Set(reflect.ValueOf(rand.New(rand.NewSource(1))))
+		case "OnPathAccess":
+			v.Set(reflect.ValueOf(func(int, int, uint64) {}))
+		default:
+			switch v.Kind() {
+			case reflect.Bool:
+				v.SetBool(true)
+			case reflect.Int:
+				v.SetInt(v.Int() + 2) // 1 is several fields' default
+			case reflect.Uint64:
+				v.SetUint(v.Uint() + 1)
+			case reflect.Float64:
+				v.SetFloat(0.75)
+			case reflect.String:
+				v.SetString("somewhere")
+			default:
+				t.Fatalf("Spec.%s has kind %v; teach this test to set it", f.Name, v.Kind())
+			}
+		}
+		p, err := resolve(spec)
+		if err != nil {
+			continue // rejected: not inert
+		}
+		if reflect.DeepEqual(p, base) {
+			t.Errorf("Spec.%s = %v is accepted and changes nothing in the resolved plan", f.Name, v.Interface())
+		}
+	}
+}
+
+// TestSpecValidationGapsClosed pins the three checks that only some
+// constructors made before the single rule table: each was accepted (or
+// misreported) on at least one path.
+func TestSpecValidationGapsClosed(t *testing.T) {
+	// Utilization outside (0,1] was rejected on flat trees and silently
+	// replaced by 0.5 on recursive ones.
+	if c, err := Open(Spec{Blocks: 64, BlockSize: 8, PosMap: PosMapRecursive, Utilization: 1.5}); err == nil {
+		c.Close()
+		t.Error("recursive spec with Utilization 1.5 accepted")
+	}
+	// A 32-byte key was rejected by the serving layer and accepted by the
+	// bare constructors (one of which derived AES-128 subkeys from it).
+	key32 := make([]byte, 32)
+	if _, err := New(Config{Blocks: 64, BlockSize: 8, Key: key32}); err == nil {
+		t.Error("New accepted a 32-byte key")
+	}
+	if _, err := NewHierarchy(Spec{Blocks: 64, BlockSize: 8, Key: key32}); err == nil {
+		t.Error("NewHierarchy accepted a 32-byte key")
+	}
+	// DRAMChannels 0 is the accepted default, so the bound is 0, not 1.
+	_, err := New(Config{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMChannels: -1})
+	if err == nil || strings.Contains(err.Error(), ">= 1") {
+		t.Errorf("DRAMChannels -1: got %v, want a rejection naming the real bound (>= 0)", err)
+	}
+}
+
+// TestOpenFailureClosesTreeFiles: when a later shard fails to build, the
+// tree files and WALs the earlier shards already opened are closed again.
+func TestOpenFailureClosesTreeFiles(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors through /proc/self/fd")
+	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	dir := t.TempDir()
+	// Shard 2's tree file cannot be opened: its name is taken by a directory.
+	if err := os.Mkdir(filepath.Join(dir, "shard2.tree"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := openFDs()
+	c, err := Open(Spec{Blocks: 96, BlockSize: 16, Shards: 3, Backend: BackendFile, Dir: dir, WAL: true})
+	if err == nil {
+		c.Close()
+		t.Fatal("Open succeeded with shard 2's tree file blocked")
+	}
+	if after := openFDs(); after != before {
+		t.Errorf("%d descriptors open after the failed Open, %d before: shards 0 and 1 leaked their files", after, before)
+	}
+}
