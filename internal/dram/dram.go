@@ -7,11 +7,7 @@
 // then columns, then banks, and lastly rows.
 package dram
 
-import (
-	"fmt"
-
-	"repro/internal/statmath"
-)
+import "fmt"
 
 // Timing collects DDR3 timing parameters in memory-bus clock cycles.
 type Timing struct {
@@ -91,7 +87,7 @@ type Stats struct {
 	DataBusBusyCycles   uint64
 	LastCompletionCycle uint64
 	// QueueOccupancyPeak is the high-water mark of any channel's open
-	// command-queue window (SchedFRFCFS only; the in-order path holds one
+	// command-queue window (SchedFRFCFS only; SchedInOrder holds one
 	// request per channel by construction and leaves it 0). Like
 	// LastCompletionCycle it is a high-water mark: max under Merge, advance
 	// under Sub.
@@ -133,13 +129,22 @@ func (s Stats) Merge(other Stats) Stats {
 // Sub returns the counters accrued between the prev snapshot and s (prev
 // must be an earlier snapshot of the same counters): additive counters
 // subtract, and the high-water marks (LastCompletionCycle,
-// QueueOccupancyPeak) become their advance over the interval. The field
-// enumeration lives in statmath.SubCounters, shared with membus.Stats.Delta
-// — membus builds its per-port attribution and pre-fill-excluded deltas on
-// Merge and Sub, so a new field added here is aggregated and diffed
-// correctly everywhere by construction.
+// QueueOccupancyPeak) become their advance over the interval.
+// membus.Stats.Delta builds its pre-fill-excluded views on it; the
+// reflection tests in this package and in membus fail by field name when
+// a new counter is missing here or in Merge.
 func (s Stats) Sub(prev Stats) Stats {
-	return statmath.SubCounters(s, prev)
+	s.Reads -= prev.Reads
+	s.Writes -= prev.Writes
+	s.RowHits -= prev.RowHits
+	s.RowMisses -= prev.RowMisses
+	s.Refreshes -= prev.Refreshes
+	s.DataBusBusyCycles -= prev.DataBusBusyCycles
+	s.LastCompletionCycle -= prev.LastCompletionCycle
+	s.QueueOccupancyPeak -= prev.QueueOccupancyPeak
+	s.BankOverlapActs -= prev.BankOverlapActs
+	s.StarvationForced -= prev.StarvationForced
+	return s
 }
 
 // RowHitRate returns hits / (hits+misses) for this snapshot (0 when the
@@ -166,22 +171,18 @@ type channel struct {
 	lastDataEnd uint64
 	lastActAt   uint64
 	nextRefresh uint64
+	queue       []queued // the open batch's requests for this channel (see sched.go)
 }
 
 // System is one memory system instance.
 type System struct {
-	g       Geometry
-	t       Timing
-	sched   SchedConfig
-	chans   []channel
-	stats   Stats
-	headBuf []uint64 // AccessAll per-channel arrival clocks (reused)
-
-	// Open-queue scheduler scratch (reused across batches; see sched.go).
-	schedStart []int32        // per-channel segment offsets into schedIdx
-	schedIdx   []int32        // request indices grouped by channel
-	schedAdm   []uint64       // per-request window admission cycles
-	timedBuf   []TimedRequest // AccessAll -> AccessAllTimed adapter batch
+	g        Geometry
+	cols     uint64 // column accesses per row
+	t        Timing
+	sched    SchedConfig
+	chans    []channel
+	stats    Stats
+	enqueued int // requests in the open batch (the next one's trace index)
 
 	// trace, when set, observes every issued column access: the request's
 	// index in the submitted batch, its admission cycle, and its completion
@@ -199,24 +200,31 @@ func New(g Geometry, t Timing) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{g: g, t: t, sched: sched, chans: make([]channel, g.Channels)}
+	s := &System{
+		g: g, cols: uint64(g.RowBytes / g.AccessBytes), t: t,
+		sched: sched, chans: make([]channel, g.Channels),
+	}
+	for i := range s.chans {
+		s.chans[i].banks = make([]bank, g.Banks)
+	}
 	s.Reset()
 	return s, nil
 }
 
-// Reset clears all timing state and statistics.
+// Reset clears all timing state and statistics, and drops any open batch.
 func (s *System) Reset() {
 	for i := range s.chans {
 		c := &s.chans[i]
-		c.banks = make([]bank, s.g.Banks)
 		for b := range c.banks {
-			c.banks[b].openRow = -1
+			c.banks[b] = bank{openRow: -1}
 		}
 		c.busFreeAt, c.lastDataEnd, c.lastActAt = 0, 0, 0
 		c.lastWrite = false
 		c.nextRefresh = uint64(s.t.TREFI)
+		c.queue = c.queue[:0]
 	}
 	s.stats = Stats{}
+	s.enqueued = 0
 }
 
 // Geometry returns the configured shape.
@@ -235,9 +243,8 @@ func (s *System) Map(addr uint64) Location {
 	var loc Location
 	loc.Channel = int(u % uint64(s.g.Channels))
 	u /= uint64(s.g.Channels)
-	cols := uint64(s.g.RowBytes / s.g.AccessBytes)
-	loc.Col = u % cols
-	u /= cols
+	loc.Col = u % s.cols
+	u /= s.cols
 	loc.Bank = int(u % uint64(s.g.Banks))
 	u /= uint64(s.g.Banks)
 	loc.Row = u
@@ -248,7 +255,13 @@ func (s *System) Map(addr uint64) Location {
 // returns its completion cycle (data fully transferred).
 func (s *System) Access(at uint64, addr uint64, write bool) uint64 {
 	loc := s.Map(addr)
-	c := &s.chans[loc.Channel]
+	return s.accessLoc(&s.stats, &s.chans[loc.Channel], loc.Bank, int64(loc.Row), at, write)
+}
+
+// accessLoc runs one decoded column access through channel c's bank and
+// bus state machine and counts its events into st: the system totals, or
+// the issuing batch's per-tag counters that Drain folds into them.
+func (s *System) accessLoc(st *Stats, c *channel, bankIdx int, row int64, at uint64, write bool) uint64 {
 	t := at
 
 	// Refresh: close every row and stall through the refresh window.
@@ -261,14 +274,14 @@ func (s *System) Access(at uint64, addr uint64, write bool) uint64 {
 				c.banks[b].openRow = -1
 			}
 			c.nextRefresh += uint64(s.t.TREFI)
-			s.stats.Refreshes++
+			st.Refreshes++
 		}
 	}
 
-	b := &c.banks[loc.Bank]
+	b := &c.banks[bankIdx]
 	var casEarliest uint64
-	if b.openRow != int64(loc.Row) {
-		s.stats.RowMisses++
+	if b.openRow != row {
+		st.RowMisses++
 		act := t
 		if b.openRow >= 0 {
 			pre := max64(t, b.preReadyAt)
@@ -278,14 +291,14 @@ func (s *System) Access(at uint64, addr uint64, write bool) uint64 {
 		if c.lastDataEnd > 0 && act < c.lastDataEnd {
 			// This bank activates while another bank's data transfer is
 			// still on the channel's bus — bank-level parallelism.
-			s.stats.BankOverlapActs++
+			st.BankOverlapActs++
 		}
 		b.actAt = act
 		c.lastActAt = act
-		b.openRow = int64(loc.Row)
+		b.openRow = row
 		casEarliest = act + uint64(s.t.TRCD)
 	} else {
-		s.stats.RowHits++
+		st.RowHits++
 		casEarliest = max64(t, b.actAt+uint64(s.t.TRCD))
 	}
 	casEarliest = max64(casEarliest, b.casReadyAt)
@@ -311,21 +324,21 @@ func (s *System) Access(at uint64, addr uint64, write bool) uint64 {
 	b.casReadyAt = dataStart - lat + uint64(s.t.TCCD)
 	if write {
 		b.preReadyAt = max64(b.actAt+uint64(s.t.TRAS), dataEnd+uint64(s.t.TWR))
-		s.stats.Writes++
+		st.Writes++
 	} else {
 		b.preReadyAt = max64(b.actAt+uint64(s.t.TRAS), dataStart)
-		s.stats.Reads++
+		st.Reads++
 	}
-	s.stats.DataBusBusyCycles += uint64(s.t.TBURST)
-	if dataEnd > s.stats.LastCompletionCycle {
-		s.stats.LastCompletionCycle = dataEnd
+	st.DataBusBusyCycles += uint64(s.t.TBURST)
+	if dataEnd > st.LastCompletionCycle {
+		st.LastCompletionCycle = dataEnd
 	}
 	return dataEnd
 }
 
 // AccessAll submits a batch arriving at the given cycle under the
-// configured scheduling policy. Under SchedInOrder (the default) requests
-// are routed to their channels and queued per channel in slice order: each
+// configured scheduling policy. Requests are routed to their channels and
+// queued per channel in slice order. Under SchedInOrder (the default) each
 // channel's controller holds one request in flight, so request k+1 on a
 // channel enters the bank state machine only when request k's data
 // transfer has completed. Distinct channels proceed independently — every
@@ -340,37 +353,10 @@ func (s *System) Access(at uint64, addr uint64, write bool) uint64 {
 // serialization came from the shared data bus. TestDRAMAccessAllQueues
 // pins the per-channel chaining.)
 func (s *System) AccessAll(at uint64, reqs []Request) uint64 {
-	if s.sched.Policy == SchedFRFCFS {
-		if cap(s.timedBuf) < len(reqs) {
-			s.timedBuf = make([]TimedRequest, len(reqs))
-		}
-		timed := s.timedBuf[:len(reqs)]
-		for i, r := range reqs {
-			timed[i] = TimedRequest{Addr: r.Addr, Write: r.Write, At: at}
-		}
-		return s.AccessAllTimed(timed, nil, nil)
+	for _, r := range reqs {
+		s.Enqueue(at, r.Addr, 1, r.Write, 0)
 	}
-	if cap(s.headBuf) < len(s.chans) {
-		s.headBuf = make([]uint64, len(s.chans))
-	}
-	heads := s.headBuf[:len(s.chans)]
-	for i := range heads {
-		heads[i] = at
-	}
-	var done uint64
-	for i, r := range reqs {
-		ch := s.Map(r.Addr).Channel
-		arr := heads[ch]
-		d := s.Access(arr, r.Addr, r.Write)
-		if s.trace != nil {
-			s.trace(i, arr, d)
-		}
-		heads[ch] = d
-		if d > done {
-			done = d
-		}
-	}
-	return done
+	return s.Drain(nil)
 }
 
 // PeakBytesPerCycle returns the theoretical aggregate data-bus bandwidth:

@@ -2,8 +2,11 @@ package dram
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testutil"
 )
 
 func newSys(t *testing.T, channels int) *System {
@@ -244,6 +247,31 @@ func TestDRAMStatsMerge(t *testing.T) {
 	}
 }
 
+// TestDRAMStatsMergeSubCoverAllFields is the field-completeness pair: in
+// a snapshot whose every counter is distinct and non-zero, merging with
+// the zero value must be the identity and subtracting the snapshot from
+// itself must leave nothing, so a counter added to Stats without updating
+// Merge or Sub is reported here by name.
+func TestDRAMStatsMergeSubCoverAllFields(t *testing.T) {
+	var full Stats
+	n := testutil.FillDistinct(&full)
+	if got := (Stats{}).Merge(full); got != full {
+		t.Errorf("Stats{}.Merge(full) = %+v, want %+v — Merge drops a field", got, full)
+	}
+	if got := full.Merge(Stats{}); got != full {
+		t.Errorf("full.Merge(Stats{}) = %+v, want %+v — Merge drops a field", got, full)
+	}
+	diff := reflect.ValueOf(full.Sub(full))
+	if diff.NumField() != n {
+		t.Fatalf("Stats has %d fields but FillDistinct set %d", diff.NumField(), n)
+	}
+	for i := 0; i < diff.NumField(); i++ {
+		if !diff.Field(i).IsZero() {
+			t.Errorf("Sub left field %s = %v — new counters must be subtracted", diff.Type().Field(i).Name, diff.Field(i))
+		}
+	}
+}
+
 // TestDRAMStatsResetAfterMergeSource re-pins Reset in the aggregation
 // context: a system whose counters were merged out continues from a clean
 // slate, and its fresh stats still merge correctly.
@@ -313,9 +341,17 @@ func TestRefreshDisabled(t *testing.T) {
 func TestResetClearsState(t *testing.T) {
 	s := newSys(t, 2)
 	s.Access(0, 0, false)
+	banks := &s.chans[0].banks[0]
+	s.Enqueue(0, 64, 3, true, 0) // an open batch is dropped, not issued later
 	s.Reset()
 	if s.Stats() != (Stats{}) {
 		t.Error("Reset left stats")
+	}
+	if &s.chans[0].banks[0] != banks {
+		t.Error("Reset reallocated the bank state instead of clearing it")
+	}
+	if s.Drain(nil) != 0 || s.Stats() != (Stats{}) {
+		t.Error("Reset left requests queued")
 	}
 	// After reset, the same access must behave like a cold start.
 	d1 := s.Access(0, 0, false)

@@ -88,115 +88,109 @@ func (s *System) SetSched(cfg SchedConfig) error {
 // in.
 func (s *System) Sched() SchedConfig { return s.sched }
 
-// TimedRequest is one column access with its own earliest-arrival cycle
-// and an attribution tag. Batches with heterogeneous arrivals are how the
-// bus merges contemporaneous stages from different ports into one
-// scheduling window; the tag (a small non-negative index chosen by the
-// caller) routes each access's completion and counter delta back to its
-// stage.
-type TimedRequest struct {
-	Addr  uint64
-	Write bool
-	At    uint64
-	Tag   int
+// queued is one column access of the open batch, decoded once at Enqueue
+// so that the window scan and the bank state machine read only this
+// record.
+type queued struct {
+	row   int64  // compared against the bank's open row
+	at    uint64 // earliest issue: arrival, raised to the window admission cycle
+	idx   int32  // position in the batch (trace hook)
+	tag   int32
+	bank  int32
+	write bool
 }
 
-// AccessAllTimed submits a batch of requests carrying per-request arrival
-// floors through the configured policy and returns the completion cycle
-// of the last request. When tagDone/tagStats are non-nil they must be
-// indexed by every request's Tag; each tag's entry accumulates the max
-// completion cycle and the Merge of its requests' counter deltas (with
-// the high-water fields carrying absolute values, so merging tags
-// reproduces the system totals). Requests should be in nondecreasing
-// arrival order per channel — slice order is the queue's arrival order.
-func (s *System) AccessAllTimed(reqs []TimedRequest, tagDone []uint64, tagStats []Stats) uint64 {
-	nch := len(s.chans)
-	if cap(s.schedStart) < nch+1 {
-		s.schedStart = make([]int32, nch+1)
+// Enqueue appends n consecutive column accesses, the first at addr and
+// each AccessBytes further on, to the open batch. They arrive at cycle at
+// and carry the attribution tag (a small non-negative index chosen by the
+// caller) that routes their counters back to their stage. Batches with
+// heterogeneous arrivals are how the bus merges contemporaneous stages
+// from different ports into one scheduling window. Enqueue order is each
+// channel's queue order and should be nondecreasing in arrival per
+// channel. The address is decoded once and then stepped the way Map
+// interleaves: channel first, then column, bank, row.
+func (s *System) Enqueue(at, addr uint64, n int, write bool, tag int) {
+	loc := s.Map(addr)
+	for ; n > 0; n-- {
+		c := &s.chans[loc.Channel]
+		c.queue = append(c.queue, queued{
+			row: int64(loc.Row), at: at, idx: int32(s.enqueued),
+			tag: int32(tag), bank: int32(loc.Bank), write: write,
+		})
+		s.enqueued++
+		if loc.Channel++; loc.Channel == s.g.Channels {
+			loc.Channel = 0
+			if loc.Col++; loc.Col == s.cols {
+				loc.Col = 0
+				if loc.Bank++; loc.Bank == s.g.Banks {
+					loc.Bank = 0
+					loc.Row++
+				}
+			}
+		}
 	}
-	start := s.schedStart[:nch+1]
-	for i := range start {
-		start[i] = 0
-	}
-	for i := range reqs {
-		start[s.Map(reqs[i].Addr).Channel+1]++
-	}
-	for c := 0; c < nch; c++ {
-		start[c+1] += start[c]
-	}
-	if cap(s.schedIdx) < len(reqs) {
-		s.schedIdx = make([]int32, len(reqs))
-		s.schedAdm = make([]uint64, len(reqs))
-	}
-	idx := s.schedIdx[:len(reqs)]
-	// Stable counting sort by channel: cursor[c] runs from start[c] to
-	// start[c+1]; reuse the headBuf scratch as the cursor array.
-	if cap(s.headBuf) < nch {
-		s.headBuf = make([]uint64, nch)
-	}
-	cur := s.headBuf[:nch]
-	for c := range cur {
-		cur[c] = uint64(start[c])
-	}
-	for i := range reqs {
-		c := s.Map(reqs[i].Addr).Channel
-		idx[cur[c]] = int32(i)
-		cur[c]++
-	}
+}
 
+// Drain issues the open batch through the configured policy, channel by
+// channel, and returns the completion cycle of its last request (0 for an
+// empty batch). A non-nil tagStats must be indexed by every enqueued tag;
+// each entry is overwritten with the counters of its tag's requests, the
+// high-water fields carrying absolute values (the tag's last completion,
+// the system's queue peak as of its last issue), so merging the entries
+// reproduces the batch's contribution to the system totals.
+func (s *System) Drain(tagStats []Stats) uint64 {
+	for i := range tagStats {
+		tagStats[i] = Stats{}
+	}
 	var done uint64
-	for c := 0; c < nch; c++ {
-		if d := s.drainChannel(reqs, idx[start[c]:start[c+1]], s.schedAdm[start[c]:start[c+1]], tagDone, tagStats); d > done {
+	for i := range s.chans {
+		c := &s.chans[i]
+		if d := s.drainChannel(c, tagStats); d > done {
 			done = d
 		}
+		c.queue = c.queue[:0]
+	}
+	s.enqueued = 0
+	for i := range tagStats {
+		s.stats = s.stats.Merge(tagStats[i])
 	}
 	return done
 }
 
-// drainChannel issues one channel's segment of the batch. pend holds the
-// channel's request indices in arrival order; adm is the parallel
-// window-admission clock (entry j is valid once j is inside the window).
-func (s *System) drainChannel(reqs []TimedRequest, pend []int32, adm []uint64, tagDone []uint64, tagStats []Stats) uint64 {
-	q := s.sched.QueueDepth
-	cap_ := s.sched.StarvationCap
-	if s.sched.Policy == SchedInOrder {
-		q, cap_ = 1, 0
-	}
-	w := q
-	if len(pend) < w {
-		w = len(pend)
+// drainChannel issues one channel's share of the open batch. Events are
+// counted straight into the issuing request's tag entry (or the system
+// totals when the batch is untagged), so an issue slot costs no snapshot
+// and no diff; the queue peak is a gauge of the whole system and is kept
+// on the system totals, then copied to the tag.
+func (s *System) drainChannel(c *channel, tagStats []Stats) uint64 {
+	q, starveCap := s.sched.QueueDepth, s.sched.StarvationCap
+	inOrder := s.sched.Policy == SchedInOrder
+	if inOrder {
+		q, starveCap = 1, 0
 	}
 	// The initial window is admitted at batch submission: each entry may
-	// issue as soon as its own arrival allows.
-	for j := 0; j < w; j++ {
-		adm[j] = reqs[pend[j]].At
-	}
+	// issue as soon as its own arrival allows. Later entries are held to
+	// the completion that admits them (below).
+	pend := c.queue
 	bypass := 0
 	var done uint64
 	for len(pend) > 0 {
-		w = q
-		if len(pend) < w {
-			w = len(pend)
-		}
-		if uint64(w) > s.stats.QueueOccupancyPeak {
+		w := min(q, len(pend))
+		if !inOrder && uint64(w) > s.stats.QueueOccupancyPeak {
 			s.stats.QueueOccupancyPeak = uint64(w)
 		}
-		before := s.stats
-		pick := 0
+		pick, forced := 0, false
 		if w > 1 {
 			hit := -1
-			for j := 0; j < w; j++ {
-				loc := s.Map(reqs[pend[j]].Addr)
-				if s.chans[loc.Channel].banks[loc.Bank].openRow == int64(loc.Row) {
+			for j := range pend[:w] {
+				if c.banks[pend[j].bank].openRow == pend[j].row {
 					hit = j
 					break
 				}
 			}
-			if bypass >= cap_ {
+			if bypass >= starveCap {
 				// Forced oldest: the cap overrides the row-hit preference.
-				if hit > 0 {
-					s.stats.StarvationForced++
-				}
+				forced = hit > 0
 			} else if hit > 0 {
 				pick = hit
 			}
@@ -206,37 +200,31 @@ func (s *System) drainChannel(reqs []TimedRequest, pend []int32, adm []uint64, t
 		} else {
 			bypass++
 		}
-		ri := pend[pick]
-		r := reqs[ri]
-		arr := adm[pick]
-		if r.At > arr {
-			arr = r.At
+		r := &pend[pick]
+		st := &s.stats
+		if tagStats != nil {
+			st = &tagStats[r.tag]
+			st.QueueOccupancyPeak = s.stats.QueueOccupancyPeak
 		}
-		d := s.Access(arr, r.Addr, r.Write)
+		if forced {
+			st.StarvationForced++
+		}
+		d := s.accessLoc(st, c, int(r.bank), r.row, r.at, r.write)
 		if s.trace != nil {
-			s.trace(int(ri), arr, d)
+			s.trace(int(r.idx), r.at, d)
 		}
 		if d > done {
 			done = d
 		}
-		if tagDone != nil && d > tagDone[r.Tag] {
-			tagDone[r.Tag] = d
+		// Close the gap by shifting the (at most q-1) older entries up and
+		// advancing the head: order is kept and the tail never moves.
+		if pick > 0 {
+			copy(pend[1:pick+1], pend[:pick])
 		}
-		if tagStats != nil {
-			diff := s.stats.Sub(before)
-			// High-water fields carry absolute values per tag so a Merge
-			// over tags reproduces the system's own maxima.
-			diff.LastCompletionCycle = d
-			diff.QueueOccupancyPeak = s.stats.QueueOccupancyPeak
-			tagStats[r.Tag] = tagStats[r.Tag].Merge(diff)
-		}
-		copy(pend[pick:], pend[pick+1:])
-		copy(adm[pick:], adm[pick+1:])
-		pend = pend[:len(pend)-1]
-		adm = adm[:len(adm)-1]
+		pend = pend[1:]
 		// The completed issue admits the next request into the window.
-		if len(pend) >= q {
-			adm[q-1] = d
+		if len(pend) >= q && pend[q-1].at < d {
+			pend[q-1].at = d
 		}
 	}
 	return done

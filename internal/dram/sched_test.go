@@ -178,3 +178,34 @@ func TestFRFCFSBeatsInOrderOnConflictingStreams(t *testing.T) {
 			frfcfs.Stats().QueueOccupancyPeak, DefaultQueueDepth)
 	}
 }
+
+// TestQueueOccupancyPeakOnlyUnderFRFCFS pins the counter's documented
+// meaning: the in-order policy holds one request per channel by
+// construction and leaves the peak 0 however the batch is submitted,
+// while FR-FCFS reports its window — 1 at depth 1, the full depth once a
+// channel holds that many requests.
+func TestQueueOccupancyPeakOnlyUnderFRFCFS(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  SchedConfig
+		want uint64
+	}{
+		{SchedConfig{Policy: SchedInOrder}, 0},
+		{SchedConfig{Policy: SchedFRFCFS, QueueDepth: 1}, 1},
+		{SchedConfig{Policy: SchedFRFCFS, QueueDepth: 5}, 5},
+	} {
+		s := schedSys(t, 1, tc.cfg)
+		tags := make([]Stats, 1)
+		s.Enqueue(0, 0, 32, false, 0)
+		s.Drain(tags)
+		if got := s.Stats().QueueOccupancyPeak; got != tc.want {
+			t.Errorf("%+v: system queue peak %d, want %d", tc.cfg, got, tc.want)
+		}
+		if got := tags[0].QueueOccupancyPeak; got != tc.want {
+			t.Errorf("%+v: tag queue peak %d, want %d", tc.cfg, got, tc.want)
+		}
+		s.AccessAll(s.Stats().LastCompletionCycle, []Request{{Addr: 0}, {Addr: 64}})
+		if got := s.Stats().QueueOccupancyPeak; got != tc.want {
+			t.Errorf("%+v: queue peak %d after AccessAll, want %d", tc.cfg, got, tc.want)
+		}
+	}
+}

@@ -33,8 +33,6 @@
 // overflow valve force-drains at maxQueuedStages to bound memory.
 package membus
 
-import "repro/internal/dram"
-
 const (
 	// reorderWindowCycles is the merged-window span under FR-FCFS: heads
 	// within this many cycles of the oldest head schedule as one batch.
@@ -199,9 +197,7 @@ func (b *Bus) safeToRetire(cand *Port, arr uint64) bool {
 // retireHeadLocked applies one port's head stage at its arrival cycle.
 // Caller holds the bus lock.
 func (b *Bus) retireHeadLocked(p *Port) {
-	ev := &p.evq[p.evHead]
-	p.applyStage(p.headArrival(), ev.leaf, ev.skip, ev.write, ev.deferred)
-	p.popHead()
+	b.retireLocked([]*Port{p}, []uint64{p.headArrival()})
 }
 
 // retireWindowLocked forms and retires the FR-FCFS merged scheduling
@@ -221,13 +217,6 @@ func (b *Bus) retireWindowLocked(require bool) bool {
 				return false
 			}
 		}
-	}
-	if b.tagDone == nil {
-		n := len(b.ports)
-		b.batchPorts = make([]*Port, 0, n)
-		b.batchArr = make([]uint64, 0, n)
-		b.tagDone = make([]uint64, n)
-		b.tagStats = make([]dram.Stats, n)
 	}
 	members := b.batchPorts[:0]
 	arrs := b.batchArr[:0]
@@ -249,40 +238,6 @@ func (b *Bus) retireWindowLocked(require bool) bool {
 		}
 	}
 	b.batchPorts, b.batchArr = members, arrs
-
-	g := uint64(b.sys.Geometry().AccessBytes)
-	reqs := b.timedBuf[:0]
-	for slot, p := range members {
-		ev := &p.evq[p.evHead]
-		b.tagDone[slot] = arrs[slot] // a fully skipped stage completes at arrival
-		b.tagStats[slot] = dram.Stats{}
-		for d := 0; d <= p.tree.LeafLevel(); d++ {
-			if ev.skip != nil && ev.skip[d] {
-				p.stats.SkippedBuckets++
-				continue
-			}
-			base := p.mapper.BucketAddr(p.tree.PathBucket(ev.leaf, d))
-			for off := uint64(0); off < uint64(p.bucketBytes); off += g {
-				reqs = append(reqs, dram.TimedRequest{
-					Addr: base + off, Write: ev.write, At: arrs[slot], Tag: slot,
-				})
-			}
-		}
-	}
-	b.timedBuf = reqs
-	if len(reqs) > 0 {
-		b.sys.AccessAllTimed(reqs, b.tagDone, b.tagStats)
-	}
-	peak := b.sys.Stats().QueueOccupancyPeak
-	for slot, p := range members {
-		ev := &p.evq[p.evHead]
-		delta := b.tagStats[slot]
-		// Same high-water convention as applyStage: the port's own stage
-		// completion and the system's cumulative queue peak.
-		delta.LastCompletionCycle = b.tagDone[slot]
-		delta.QueueOccupancyPeak = peak
-		p.finishStage(arrs[slot], b.tagDone[slot], delta, ev.write, ev.deferred)
-		p.popHead()
-	}
+	b.retireLocked(members, arrs)
 	return true
 }

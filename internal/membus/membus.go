@@ -215,11 +215,9 @@ type Bus struct {
 	// Event-ordered arbitration state (see eventq.go).
 	queued     int // stages enqueued across all ports, not yet retired
 	valveCount uint64
-	timedBuf   []dram.TimedRequest // merged-window request batch (reused)
-	batchPorts []*Port             // merged-window members (reused)
+	batchPorts []*Port // merged-window members (reused)
 	batchArr   []uint64
-	tagDone    []uint64
-	tagStats   []dram.Stats
+	tagStats   []dram.Stats // per-member counters of the batch being retired (reused)
 }
 
 // New builds a bus with the paper's DDR3 geometry and timing.
@@ -366,7 +364,6 @@ type Port struct {
 	doneRing []uint64
 	ringHead int
 	stats    Stats
-	reqBuf   []dram.Request // per-stage column-access batch (reused)
 
 	// Pending-stage FIFO for event-ordered arbitration: charges enqueue
 	// here and retire in global key order (see eventq.go). evq is a ring
@@ -464,14 +461,8 @@ func (p *Port) charge(leaf uint64, skip []bool, write, deferred bool) {
 	defer b.mu.Unlock()
 	if b.serialize {
 		b.drainAllLocked()
-		at := p.floor
-		if oldest := p.doneRing[p.ringHead]; oldest > at {
-			at = oldest
-		}
-		if b.frontier > at {
-			at = b.frontier
-		}
-		p.applyStage(at, leaf, skip, write, deferred)
+		p.enqueue(leaf, skip, write, deferred)
+		b.retireLocked([]*Port{p}, []uint64{max(p.headArrival(), b.frontier)})
 		return
 	}
 	p.enqueue(leaf, skip, write, deferred)
@@ -486,38 +477,44 @@ func (p *Port) charge(leaf uint64, skip []bool, write, deferred bool) {
 	}
 }
 
-// applyStage plays one stage's column accesses into the shared memory
-// system at the given arrival cycle and does the port's completion and
-// attribution bookkeeping. Caller holds the bus lock.
-func (p *Port) applyStage(at uint64, leaf uint64, skip []bool, write, deferred bool) {
-	b := p.bus
-	g := uint64(b.sys.Geometry().AccessBytes)
-	reqs := p.reqBuf[:0]
-	for d := 0; d <= p.tree.LeafLevel(); d++ {
-		if skip != nil && skip[d] {
-			p.stats.SkippedBuckets++
-			continue
-		}
-		base := p.mapper.BucketAddr(p.tree.PathBucket(leaf, d))
-		for off := uint64(0); off < uint64(p.bucketBytes); off += g {
-			reqs = append(reqs, dram.Request{Addr: base + off, Write: write})
+// retireLocked plays the head stage of every member into the shared
+// memory system as one batch — member i's column accesses arrive at
+// arrs[i] and are tagged i, one address decode per bucket — then does each
+// port's completion and attribution bookkeeping and pops the stage.
+// Caller holds the bus lock.
+func (b *Bus) retireLocked(members []*Port, arrs []uint64) {
+	if len(b.tagStats) < len(members) {
+		b.tagStats = make([]dram.Stats, len(b.ports))
+	}
+	g := b.sys.Geometry().AccessBytes
+	for slot, p := range members {
+		ev := &p.evq[p.evHead]
+		bursts := (p.bucketBytes + g - 1) / g
+		for d := 0; d <= p.tree.LeafLevel(); d++ {
+			if ev.skip != nil && ev.skip[d] {
+				p.stats.SkippedBuckets++
+				continue
+			}
+			base := p.mapper.BucketAddr(p.tree.PathBucket(ev.leaf, d))
+			b.sys.Enqueue(arrs[slot], base, bursts, ev.write, slot)
 		}
 	}
-	p.reqBuf = reqs
-	before := b.sys.Stats()
-	done := at
-	if len(reqs) > 0 {
-		done = b.sys.AccessAll(at, reqs)
+	deltas := b.tagStats[:len(members)]
+	b.sys.Drain(deltas)
+	peak := b.sys.Stats().QueueOccupancyPeak
+	for slot, p := range members {
+		ev := &p.evq[p.evHead]
+		delta := deltas[slot]
+		// The high-water fields carry this port's own view: its stage's
+		// completion (a fully skipped stage completes at arrival and
+		// advances nothing globally) and the system's cumulative queue
+		// peak, so merging ports reproduces the system maxima.
+		done := max(arrs[slot], delta.LastCompletionCycle)
+		delta.LastCompletionCycle = done
+		delta.QueueOccupancyPeak = peak
+		p.finishStage(arrs[slot], done, delta, ev.write, ev.deferred)
+		p.popHead()
 	}
-	after := b.sys.Stats()
-	delta := after.Sub(before)
-	// The high-water fields carry this port's own view: its stage's
-	// completion (a fully skipped stage advances nothing globally) and the
-	// system's cumulative queue peak, so merging ports reproduces the
-	// system maxima.
-	delta.LastCompletionCycle = done
-	delta.QueueOccupancyPeak = after.QueueOccupancyPeak
-	p.finishStage(at, done, delta, write, deferred)
 }
 
 // finishStage records one retired stage's completion and counters.
