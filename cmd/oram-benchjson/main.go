@@ -27,6 +27,8 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+
+	"repro/internal/encrypt"
 )
 
 // Benchmark is one parsed result line. Metrics holds every reported
@@ -44,6 +46,7 @@ type Report struct {
 	GOARCH     string      `json:"goarch,omitempty"`
 	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	Keystream  string      `json:"keystream,omitempty"` // this host's pad generator: the gate scripts pipe go test into this command
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -76,6 +79,7 @@ func main() {
 	if len(rep.Benchmarks) == 0 {
 		log.Fatal("no benchmark lines found in input")
 	}
+	rep.Keystream = encrypt.KeystreamImpl()
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

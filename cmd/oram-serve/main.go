@@ -29,6 +29,7 @@ import (
 	"time"
 
 	pathoram "repro"
+	"repro/internal/encrypt"
 	"repro/internal/explore"
 	"repro/internal/membus"
 )
@@ -76,8 +77,8 @@ func main() {
 		log.Fatal("-cpuprofile/-memprofile capture one configuration; pass a single -shards value")
 	}
 
-	fmt.Printf("oram-serve: %d blocks x %dB, %s encryption, integrity=%v, partition=%s, posmap=%s, padded=%v, async=%v\n",
-		sf.Blocks, sf.BlockSize, sf.Encrypt, sf.Integrity, sf.Partition, sf.PosMap, sf.Padded, sf.Async)
+	fmt.Printf("oram-serve: %d blocks x %dB, %s encryption (keystream %s), integrity=%v, partition=%s, posmap=%s, padded=%v, async=%v\n",
+		sf.Blocks, sf.BlockSize, sf.Encrypt, encrypt.KeystreamImpl(), sf.Integrity, sf.Partition, sf.PosMap, sf.Padded, sf.Async)
 	if sf.Recursive() {
 		fmt.Printf("posmap: recursive (%dB posmap blocks, %dB on-chip bound per shard)\n", sf.PosBlock, sf.OnChipMax)
 		if sf.PLBBytes > 0 {

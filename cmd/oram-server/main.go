@@ -27,6 +27,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/encrypt"
 	"repro/internal/explore"
 	"repro/internal/service"
 )
@@ -75,8 +76,8 @@ func main() {
 	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("listening on %s (%d blocks x %dB, %d shards/tenant, storage=%s, wal=%v, async=%v)",
-		*addr, sf.Blocks, sf.BlockSize, *shards, sf.Storage, sf.WAL, sf.Async)
+	log.Printf("listening on %s (%d blocks x %dB, %d shards/tenant, storage=%s, wal=%v, async=%v, keystream=%s)",
+		*addr, sf.Blocks, sf.BlockSize, *shards, sf.Storage, sf.WAL, sf.Async, encrypt.KeystreamImpl())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -75,19 +75,31 @@ func specFromBytes(data []byte) Spec {
 		spec.DRAMLayout = DRAMLayout(s.next() % 3)
 		spec.DRAMSerialize = s.next()%2 == 1
 	}
+	if s.next()%2 == 1 {
+		// Huge-bucket points: blocks of up to 256 KiB straddle the counter
+		// scheme's 1 MiB pad bound (Z >= 4 must be refused, Z <= 3 run
+		// thousands of keystream groups per bucket). Few blocks, so the
+		// accepted trees stay small.
+		spec.BlockSize <<= 12
+		spec.Blocks = spec.Blocks%4 + 1
+	}
 	return spec
 }
 
 func FuzzOpenSpec(f *testing.F) {
 	// Seed corpus: defaults, a sharded dram point, a recursive point, an
-	// async constant-time point, inert-knob rejections, and a strawman-
-	// encryption padded point.
+	// async constant-time point, inert-knob rejections, a strawman-
+	// encryption padded point, and the counter scheme's pad-space bound.
 	f.Add([]byte{})
 	f.Add([]byte{63, 16, 1, 0, 0, 0, 4, 100, 0, 1, 0, 8, 0, 0, 7, 7})
 	f.Add([]byte{127, 32, 4, 2, 0, 0, 0, 0, 1, 1, 0, 16, 1, 2, 1, 2, 1, 4, 1, 0, 1, 2, 1, 1})
 	f.Add([]byte{255, 0, 2, 1, 1, 1, 5, 50, 1, 2, 1, 0, 1, 1, 3, 9, 1, 8, 1, 3})
 	f.Add([]byte{10, 8, 0, 3, 0, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 1, 32, 64, 2})
 	f.Add([]byte{40, 24, 3, 0, 1, 0, 3, 120, 0, 3, 1, 4, 1, 1, 1, 1, 1, 6, 0, 0, 1, 3, 2, 1})
+	// Z=4 x 256 KiB blocks under EncryptCounter: one bucket would wrap the
+	// pad's chunk index — refused — and its Z=3 neighbour, which runs.
+	f.Add([]byte{3, 64, 1, 0, 0, 0, 4, 200, 0, 0, 0, 0, 0, 0, 7, 7, 0, 0, 0, 0, 1})
+	f.Add([]byte{3, 64, 1, 0, 0, 0, 3, 200, 0, 0, 0, 0, 0, 0, 7, 7, 0, 0, 0, 0, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec := specFromBytes(data)

@@ -56,25 +56,22 @@ type Scheme interface {
 // distinct. Overhead: 8 bytes per bucket (vs. 16 per block for the
 // strawman — the paper's 2Z reduction).
 type CounterScheme struct {
-	block    cipher.Block
+	ks       *keystream
 	counters []uint64
-	// seed/pad are xorPad's AES input/output scratch. Passing stack
-	// arrays through the cipher.Block interface makes them escape — two
-	// heap allocations per bucket — so the scheme owns them instead.
-	// This makes CounterScheme single-goroutine, matching the ownership
-	// of every other per-shard container on the hot path.
-	seed, pad [aes.BlockSize]byte
 }
 
 // NewCounterScheme builds the scheme for a tree of numBuckets buckets under
 // the 16-byte processor key. Counters start at zero but, per the paper,
 // need no particular initial value.
 func NewCounterScheme(key []byte, numBuckets uint64) (*CounterScheme, error) {
-	b, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("encrypt: %w", err)
+	if numBuckets > MaxCounterBuckets {
+		return nil, fmt.Errorf("encrypt: %d buckets exceed the counter scheme's 2^48 bucket IDs", numBuckets)
 	}
-	return &CounterScheme{block: b, counters: make([]uint64, numBuckets)}, nil
+	ks, err := newKeystream(key)
+	if err != nil {
+		return nil, err
+	}
+	return &CounterScheme{ks: ks, counters: make([]uint64, numBuckets)}, nil
 }
 
 // Name implements Scheme.
@@ -92,13 +89,13 @@ func (s *CounterScheme) Seal(bucketID uint64, plain []byte, z int, out []byte) e
 	if len(out) != len(plain)+8 {
 		return fmt.Errorf("encrypt: seal buffer %d want %d", len(out), len(plain)+8)
 	}
-	if bucketID >= uint64(len(s.counters)) {
-		return fmt.Errorf("encrypt: bucket %d out of range", bucketID)
+	if err := s.checkBucket(bucketID, len(plain)); err != nil {
+		return err
 	}
 	s.counters[bucketID]++
 	ctr := s.counters[bucketID]
 	binary.LittleEndian.PutUint64(out[:8], ctr)
-	s.xorPad(bucketID, ctr, plain, out[8:])
+	s.ks.xor(bucketID, ctr, plain, out[8:])
 	return nil
 }
 
@@ -107,18 +104,31 @@ func (s *CounterScheme) Open(bucketID uint64, ct []byte, z int, out []byte) erro
 	if len(ct) < 8 || len(out) != len(ct)-8 {
 		return fmt.Errorf("encrypt: open buffer %d for ct %d", len(out), len(ct))
 	}
+	if err := s.checkBucket(bucketID, len(out)); err != nil {
+		return err
+	}
+	ctr := binary.LittleEndian.Uint64(ct[:8])
+	s.ks.xor(bucketID, ctr, ct[8:], out)
+	return nil
+}
+
+// checkBucket fails closed on anything that would leave the pad space: a
+// bucket outside the counter table, or a plaintext long enough to wrap the
+// 16-bit chunk index and reuse a pad block.
+func (s *CounterScheme) checkBucket(bucketID uint64, plainBytes int) error {
 	if bucketID >= uint64(len(s.counters)) {
 		return fmt.Errorf("encrypt: bucket %d out of range", bucketID)
 	}
-	ctr := binary.LittleEndian.Uint64(ct[:8])
-	s.xorPad(bucketID, ctr, ct[8:], out)
+	if plainBytes > MaxCounterBucketBytes {
+		return fmt.Errorf("encrypt: %d-byte bucket exceeds the counter scheme's %d pad bytes per counter", plainBytes, MaxCounterBucketBytes)
+	}
 	return nil
 }
 
 // SealPath implements Scheme: one Seal per level, through the concrete
 // receiver (no per-bucket interface dispatch). The AES key schedule is
-// shared across the whole path — it lives in s.block — and xorPad streams
-// the pad word-wise, so the call allocates nothing.
+// shared across the whole tree — it lives in s.ks — and the keystream
+// kernel runs once per bucket, so the call allocates nothing.
 func (s *CounterScheme) SealPath(ids []uint64, plain [][]byte, z int, out [][]byte) error {
 	if len(plain) != len(ids) || len(out) != len(ids) {
 		return fmt.Errorf("encrypt: seal path of %d ids, %d plain, %d out", len(ids), len(plain), len(out))
@@ -145,38 +155,6 @@ func (s *CounterScheme) OpenPath(ids []uint64, ct [][]byte, z int, out [][]byte)
 		}
 	}
 	return nil
-}
-
-// xorPad XORs src with the OTP stream AES_K(bucketID || ctr || i) into dst.
-func (s *CounterScheme) xorPad(bucketID, ctr uint64, src, dst []byte) {
-	seed, pad := s.seed[:], s.pad[:]
-	// 6 bytes of bucket ID (trees are capped well below 2^48 buckets),
-	// 8 bytes of counter, 2 bytes of chunk index.
-	seed[0] = byte(bucketID)
-	seed[1] = byte(bucketID >> 8)
-	seed[2] = byte(bucketID >> 16)
-	seed[3] = byte(bucketID >> 24)
-	seed[4] = byte(bucketID >> 32)
-	seed[5] = byte(bucketID >> 40)
-	binary.LittleEndian.PutUint64(seed[6:14], ctr)
-	// Full blocks XOR 8 bytes at a time; the pad byte stream is identical
-	// to a per-byte XOR, only the grouping changes.
-	off, i := 0, uint16(0)
-	for ; off+aes.BlockSize <= len(src); off, i = off+aes.BlockSize, i+1 {
-		binary.LittleEndian.PutUint16(seed[14:16], i)
-		s.block.Encrypt(pad[:], seed[:])
-		lo := binary.LittleEndian.Uint64(src[off:]) ^ binary.LittleEndian.Uint64(pad[:8])
-		hi := binary.LittleEndian.Uint64(src[off+8:]) ^ binary.LittleEndian.Uint64(pad[8:])
-		binary.LittleEndian.PutUint64(dst[off:], lo)
-		binary.LittleEndian.PutUint64(dst[off+8:], hi)
-	}
-	if off < len(src) {
-		binary.LittleEndian.PutUint16(seed[14:16], i)
-		s.block.Encrypt(pad[:], seed[:])
-		for j := 0; off+j < len(src); j++ {
-			dst[off+j] = src[off+j] ^ pad[j]
-		}
-	}
 }
 
 // StrawmanScheme is the per-block random-key scheme of Section 2.2.1: each

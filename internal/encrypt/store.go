@@ -130,6 +130,10 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		z:      cfg.Z,
 		pbytes: PlainBucketBytes(cfg.Z, cfg.BlockBytes),
 	}
+	if _, counter := cfg.Scheme.(*CounterScheme); counter && s.pbytes > MaxCounterBucketBytes {
+		return nil, fmt.Errorf("encrypt: Z=%d buckets of %dB blocks are %dB of plaintext; the counter scheme pads at most %dB per bucket",
+			cfg.Z, cfg.BlockBytes, s.pbytes, MaxCounterBucketBytes)
+	}
 	s.cbytes = s.pbytes + cfg.Scheme.Overhead(cfg.Z)
 	s.stride = s.cbytes
 	if r := s.stride % PadGranularity; r != 0 {
@@ -297,35 +301,36 @@ func (s *Store) WritePath(leaf uint64, buckets [][]core.Slot) error {
 	if len(buckets) != s.tree.Levels() {
 		return fmt.Errorf("encrypt: got %d buckets, want %d", len(buckets), s.tree.Levels())
 	}
+	// Validate the whole path before touching any state: a bad bucket must
+	// not consume the outstanding read or leave a half-serialized path in
+	// plainPath.
+	for d, bucket := range buckets {
+		if len(bucket) > s.z {
+			return fmt.Errorf("encrypt: bucket at level %d overfull (%d > %d)", d, len(bucket), s.z)
+		}
+		for _, b := range bucket {
+			if len(b.Data) != s.cfg.BlockBytes {
+				return fmt.Errorf("encrypt: block %d payload %dB, want %dB", b.Addr, len(b.Data), s.cfg.BlockBytes)
+			}
+		}
+	}
 	reach := s.pathReachability(leaf)
 	if s.outstanding[leaf]--; s.outstanding[leaf] == 0 {
 		delete(s.outstanding, leaf)
 	}
 	slotBytes := slotHeaderBytes + s.cfg.BlockBytes
-	for d := 0; d <= s.tree.LeafLevel(); d++ {
-		if len(buckets[d]) > s.z {
-			return fmt.Errorf("encrypt: bucket at level %d overfull (%d > %d)", d, len(buckets[d]), s.z)
-		}
+	for d, bucket := range buckets {
 		s.idsBuf[d] = s.tree.PathBucket(leaf, d)
 		plain := s.plainPath[d]
-		for i := 0; i < s.z; i++ {
+		for i, b := range bucket {
 			rec := plain[i*slotBytes : (i+1)*slotBytes]
-			if i < len(buckets[d]) {
-				b := buckets[d][i]
-				binary.LittleEndian.PutUint64(rec[:8], b.Addr+1)
-				binary.LittleEndian.PutUint32(rec[8:12], b.Leaf)
-				if len(b.Data) != s.cfg.BlockBytes {
-					return fmt.Errorf("encrypt: block %d payload %dB, want %dB", b.Addr, len(b.Data), s.cfg.BlockBytes)
-				}
-				copy(rec[slotHeaderBytes:slotBytes], b.Data)
-			} else {
-				// Dummy block: zero header; zero payload keeps plaintext
-				// deterministic, the randomized encryption hides it.
-				for j := 0; j < slotBytes; j++ {
-					rec[j] = 0
-				}
-			}
+			binary.LittleEndian.PutUint64(rec[:8], b.Addr+1)
+			binary.LittleEndian.PutUint32(rec[8:12], b.Leaf)
+			copy(rec[slotHeaderBytes:], b.Data)
 		}
+		// Dummy blocks: zero header; zero payload keeps plaintext
+		// deterministic, the randomized encryption hides it.
+		clear(plain[len(bucket)*slotBytes:])
 		s.ctRefs[d] = s.sealBufs[d][:s.cbytes]
 	}
 	// Seal the whole path in one call into the store-owned record

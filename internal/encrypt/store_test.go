@@ -478,3 +478,76 @@ func TestOnBucketAccessHook(t *testing.T) {
 		t.Errorf("hook saw (%d,%d) want (5,5)", reads, writes)
 	}
 }
+
+// TestWritePathAllDummiesOverFullPath writes a path with every slot
+// occupied, then the same path with every bucket empty: the dummy fill
+// must wipe each slot's header, so the read back yields no blocks.
+func TestWritePathAllDummiesOverFullPath(t *testing.T) {
+	const leafLevel, z, blockBytes = 3, 3, 21
+	scheme, _ := NewCounterScheme(testKey, 15)
+	store, err := NewStore(StoreConfig{LeafLevel: leafLevel, Z: z, BlockBytes: blockBytes, Scheme: scheme})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := make([][]core.Slot, leafLevel+1)
+	for d := range full {
+		for i := 0; i < z; i++ {
+			full[d] = append(full[d], core.Slot{Addr: uint64(d*z + i), Leaf: 5, Data: fill(0xff, blockBytes)})
+		}
+	}
+	for _, tc := range []struct {
+		write [][]core.Slot
+		want  int
+	}{{full, (leafLevel + 1) * z}, {make([][]core.Slot, leafLevel+1), 0}} {
+		if _, err := store.ReadPath(5, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.WritePath(5, tc.write); err != nil {
+			t.Fatal(err)
+		}
+		got, err := store.ReadPath(5, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(flatten(got)); n != tc.want {
+			t.Errorf("read back %d blocks, want %d", n, tc.want)
+		}
+		if err := store.WritePath(5, tc.write); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWritePathRejectsBadPayloadUntouched: a wrong-size payload deep in
+// the path is refused before anything is serialized or the outstanding
+// read consumed, so the corrected write-back still lands.
+func TestWritePathRejectsBadPayloadUntouched(t *testing.T) {
+	scheme, _ := NewCounterScheme(testKey, 31)
+	store, err := NewStore(StoreConfig{LeafLevel: 4, Z: 2, BlockBytes: 8, Scheme: scheme})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.ReadPath(9, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	buckets := make([][]core.Slot, 5)
+	buckets[0] = []core.Slot{{Addr: 1, Leaf: 9, Data: fill(1, 8)}}
+	buckets[4] = []core.Slot{{Addr: 2, Leaf: 9, Data: fill(2, 7)}}
+	if err := store.WritePath(9, buckets); err == nil {
+		t.Fatal("7-byte payload accepted by an 8-byte store")
+	}
+	if _, writes := store.Traffic(); writes != 0 || scheme.Counter(0) != 0 {
+		t.Errorf("refused write-back reached the tree: %d bucket writes, root counter %d", writes, scheme.Counter(0))
+	}
+	buckets[4][0].Data = fill(2, 8)
+	if err := store.WritePath(9, buckets); err != nil {
+		t.Fatalf("corrected write-back refused: %v", err)
+	}
+	got, err := store.ReadPath(9, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(flatten(got)); n != 2 {
+		t.Errorf("read back %d blocks, want 2", n)
+	}
+}

@@ -56,6 +56,12 @@ var rules = []rule{
 		return s.Encryption != EncryptNone && s.Key != nil && len(s.Key) != encrypt.KeySize
 	},
 		"Key must be 16 bytes (every tree encrypts under AES-128)"},
+	// One counter pads at most 65536 chunks; a larger bucket would reuse pad
+	// blocks. (LeafLevel already keeps trees far below 2^48 bucket IDs.)
+	{func(s *Spec) bool {
+		return s.Encryption == EncryptCounter && max(encrypt.PlainBucketBytes(s.Z, s.BlockSize),
+			encrypt.PlainBucketBytes(s.PosZ, s.PosBlockSize)) > encrypt.MaxCounterBucketBytes
+	}, "bucket plaintext Z*(12+BlockSize) exceeds the 1 MiB one counter can pad under EncryptCounter; shrink Z or BlockSize"},
 
 	{func(s *Spec) bool {
 		return s.Backend != BackendDRAM && (s.DRAMChannels != 0 || s.DRAMLayout != LayoutSubtree || s.DRAMSerialize)

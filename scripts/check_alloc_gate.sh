@@ -20,6 +20,11 @@
 # serving path — event rings, skip-mask pool, merged-window batch
 # scratch, and the per-channel scheduling window — must reach steady
 # state without per-op allocation, same as the in-order path it extends.
+#
+# Counter encryption is also held to a relative cost (PR 14): with the
+# 8-wide AES-NI keystream kernel a counter-encrypted access is ~4x a
+# plaintext one (11x when pads were generated a block at a time), so
+# more than 7x means the kernel has stopped being the path that runs.
 set -eu
 
 out="${1:-BENCH_pr6.json}"
@@ -30,7 +35,8 @@ go test -run xxx \
   -benchtime "$benchtime" -benchmem . |
   go run ./cmd/oram-benchjson -out "$out" \
     -gate 'BenchmarkAccessPlaintext|BenchmarkAccessCounterEncrypted|BenchmarkAccessConstantTimeStash|BenchmarkAccessRecursivePLBHit|BenchmarkShardedThroughput|BenchmarkSchedFRFCFS2Shard' \
-    -max-allocs 1
+    -max-allocs 1 \
+    -require 'BenchmarkAccessCounterEncrypted:ns/op<7*BenchmarkAccessPlaintext:ns/op'
 
 echo "wrote $out"
 

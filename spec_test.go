@@ -1,6 +1,7 @@
 package pathoram
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -29,6 +30,7 @@ var ruleTrips = []Spec{
 	{Blocks: 64, LeafLevel: -1},
 	{Blocks: 64, BlockSize: 8, Encryption: EncryptNone, Integrity: true},
 	{Blocks: 64, BlockSize: 8, Key: make([]byte, 32)},
+	{Blocks: 2, Z: 4, BlockSize: 1<<18 - 11},
 	{Blocks: 64, DRAMChannels: 4},
 	{Blocks: 64, DRAMSched: MemSchedFRFCFS},
 	{Blocks: 64, Backend: BackendDRAM, DRAMQueueDepth: 4},
@@ -189,6 +191,32 @@ func TestSpecValidationGapsClosed(t *testing.T) {
 	_, err := New(Config{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMChannels: -1})
 	if err == nil || strings.Contains(err.Error(), ">= 1") {
 		t.Errorf("DRAMChannels -1: got %v, want a rejection naming the real bound (>= 0)", err)
+	}
+}
+
+// TestSpecCounterPadBound: the largest bucket one counter can pad — Z=4
+// blocks of 256 KiB minus the slot header, exactly 65536 AES chunks —
+// opens and round-trips (ruleTrips holds the refused neighbour, one byte
+// per block more); the same geometry without the counter scheme has no
+// such bound.
+func TestSpecCounterPadBound(t *testing.T) {
+	for _, spec := range []Spec{
+		{Blocks: 2, Z: 4, BlockSize: 1<<18 - 12},
+		{Blocks: 2, Z: 4, BlockSize: 1<<18 - 11, Encryption: EncryptNone},
+	} {
+		c, err := Open(spec)
+		if err != nil {
+			t.Fatalf("BlockSize %d, encryption %v refused: %v", spec.BlockSize, spec.Encryption, err)
+		}
+		want := bytes.Repeat([]byte{0xc3}, spec.BlockSize)
+		want[len(want)-1] = 0x3c // lives in the bucket's last chunks
+		if err := c.Write(1, want); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := c.Read(1); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("BlockSize %d: round trip failed (err %v)", spec.BlockSize, err)
+		}
+		c.Close()
 	}
 }
 
