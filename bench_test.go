@@ -84,7 +84,7 @@ func BenchmarkAccessCounterWithIntegrity(b *testing.B) {
 // Same geometry as BenchmarkAccessCounterEncrypted, so the numbers read
 // as pure storage overhead: every ReadInto rewrites its path, so the
 // mmap'd tree file sees Z(L+1) record writes per op and the WAL variant
-// additionally appends one log frame per op. scripts/check_bench_pr10.sh
+// additionally appends one log frame per op. scripts/check_gates.sh
 // holds the overhead to relative bounds against the in-memory baseline.
 
 func BenchmarkFileBackendAccess(b *testing.B) {
@@ -182,7 +182,7 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 // whose labels all fit in the lookaside cache, so after warmup every
 // access resolves its leaf in the PLB and touches only the data ORAM.
 // The hit path shares the pooled-buffer discipline of the flat hot path,
-// so steady state must stay allocation-free (scripts/check_alloc_gate.sh
+// so steady state must stay allocation-free (scripts/check_gates.sh
 // holds this bench to the same budget as the other Access benches).
 func BenchmarkAccessRecursivePLBHit(b *testing.B) {
 	h, err := NewHierarchy(Spec{
@@ -459,7 +459,7 @@ func BenchmarkShardedDRAM(b *testing.B) {
 // benchmarkSched drives a 2-shard timed instance under concurrent
 // single-op reads and reports the modeled columns the PR 9 gate compares:
 // cycles/op, row-hit rate, and ops per modeled second. Both scheduling
-// policies run the identical load; check_bench_pr9.sh requires the
+// policies run the identical load; check_gates.sh requires the
 // FR-FCFS variant to win on all three. The queued hot path is also in
 // the allocation gate — the event queue's rings, skip-mask pool, and
 // batch scratch must reach steady state without per-op allocation.

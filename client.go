@@ -163,6 +163,13 @@ const (
 	PosMapRecursive
 )
 
+// posMapNames spells PosMapPolicy as text (-posmap).
+var posMapNames = []string{"flat", "recursive"}
+
+func (p PosMapPolicy) String() string                { return enumName(posMapNames, p) }
+func (p PosMapPolicy) MarshalText() ([]byte, error)  { return []byte(p.String()), nil }
+func (p *PosMapPolicy) UnmarshalText(b []byte) error { return parseEnum(posMapNames, b, p) }
+
 // Spec is the declarative construction specification — the paper's design
 // point (DZ3Pb32 and friends) as one literal, and the only configuration
 // type of the package: every constructor takes it. The three composition
@@ -221,7 +228,7 @@ type Spec struct {
 	QueueDepth int
 	// EvictionsPerIdle caps how many background-eviction dummy accesses a
 	// shard worker issues per idle gap (default 4; negative disables idle
-	// eviction, leaving only write-back completion). Only meaningful with
+	// eviction, leaving only write-back completion). Requires
 	// AsyncEviction, which turns each shard into a two-stage pipeline: the
 	// worker answers a request as soon as its path has been read and
 	// merged, then completes the deferred write-back — and runs background
@@ -336,7 +343,7 @@ type Spec struct {
 	// protocol rather than failing.
 	AsyncEviction bool
 	// MaxDeferredWriteBacks caps each tree's deferred write-back queue
-	// under AsyncEviction (default core.DefaultMaxDeferredWriteBacks).
+	// (default core.DefaultMaxDeferredWriteBacks). Requires AsyncEviction.
 	// With BackendDRAM the queue is exactly the modeled memory
 	// controller's write buffer, so this knob is the write-buffer-depth
 	// experiment: deeper buffers group write-backs together (fewer

@@ -362,17 +362,19 @@ func TestClientDRAMRecursiveReplay(t *testing.T) {
 					Encryption:    EncryptNone,
 					Backend:       backend,
 					AsyncEviction: async,
-					// Idle evictions fire on the goroutine scheduler's whim
-					// and would consume randomness nondeterministically;
-					// write-back completions are the only other idle work and
-					// never change the post-Flush state.
-					EvictionsPerIdle: -1,
-					Rand:             rand.New(rand.NewSource(77)),
+					Rand:          rand.New(rand.NewSource(77)),
 					OnPathAccess: func(sh, lvl int, leaf uint64) {
 						mu.Lock()
 						*log = append(*log, access{sh, lvl, leaf})
 						mu.Unlock()
 					},
+				}
+				if async {
+					// Idle evictions fire on the goroutine scheduler's whim
+					// and would consume randomness nondeterministically;
+					// write-back completions are the only other idle work and
+					// never change the post-Flush state.
+					spec.EvictionsPerIdle = -1
 				}
 				if backend == BackendDRAM {
 					spec.DRAMChannels = 2

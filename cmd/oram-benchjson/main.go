@@ -7,7 +7,7 @@
 // Example:
 //
 //	go test -run xxx -bench 'Access|Sharded' -benchmem . |
-//	    go run ./cmd/oram-benchjson -out BENCH_pr6.json \
+//	    go run ./cmd/oram-benchjson -out BENCH.json \
 //	        -gate 'BenchmarkAccessCounterEncrypted|BenchmarkShardedThroughputEncrypted' \
 //	        -max-allocs 1
 //

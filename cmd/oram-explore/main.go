@@ -7,8 +7,8 @@
 // raise -ws (and be patient) to approach paper scale.
 //
 // -grid switches to the automated design-space explorer: it sweeps a
-// declarative configuration grid (a preset name or a JSON file, see
-// internal/explore.Grid) under the workload suite, marks the Pareto
+// declarative configuration grid (a preset name or a JSON file of flag
+// axes, see internal/explore.Grid) under the workload suite, marks the Pareto
 // frontier over {p99 latency, modeled cycles/op, on-chip bytes}, prints
 // the frontier table and writes a schema-validated JSON report:
 //
@@ -37,7 +37,7 @@ func main() {
 		ws         = flag.Uint64("ws", 0, "working-set blocks (0 = per-figure default)")
 		perBlock   = flag.Int("accesses-per-block", 0, "accesses per block (paper: 10; 0 = default)")
 		seed       = flag.Int64("seed", 1, "PRNG seed")
-		grid       = flag.String("grid", "", "design-space sweep: preset (smoke|full) or a JSON grid file; replaces the figure modes")
+		grid       = flag.String("grid", "", "design-space sweep: preset ("+strings.Join(explore.PresetNames(), "|")+") or a JSON grid file; replaces the figure modes")
 		out        = flag.String("out", "BENCH_pr7.json", "report path for -grid")
 		ops        = flag.Int("ops", 2048, "measured operations per (config, workload) cell (with -grid)")
 		warmup     = flag.Int("warmup", 256, "unmeasured warm-up operations per cell (with -grid)")

@@ -29,6 +29,8 @@ import (
 	"time"
 
 	pathoram "repro"
+	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/encrypt"
 	"repro/internal/explore"
 	"repro/internal/membus"
@@ -37,11 +39,18 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("oram-serve: ")
-	// The Spec axes come from the shared flag set in internal/explore, so
-	// oram-serve and oram-explore cannot drift on names or defaults; only
-	// the load-generation knobs are registered here.
-	var sf explore.SpecFlags
-	sf.AddFlags(flag.CommandLine)
+	// The construction comes from Spec's text form in internal/explore, so
+	// oram-serve, oram-server and the explorer grids cannot drift on names;
+	// only the load-generation knobs are registered here. Every Spec flag
+	// but -shards goes on the command line: this binary sweeps that axis.
+	spec := pathoram.Spec{Blocks: 1 << 14, BlockSize: 64}
+	specFlags := flag.NewFlagSet("spec", flag.ContinueOnError)
+	explore.BindSpec(specFlags, &spec)
+	specFlags.VisitAll(func(f *flag.Flag) {
+		if f.Name != "shards" {
+			flag.Var(f.Value, f.Name, f.Usage)
+		}
+	})
 	var (
 		shardsCSV = flag.String("shards", "1,2,4,8", "comma-separated shard counts to sweep")
 		clients   = flag.Int("clients", 8, "concurrent closed-loop clients")
@@ -56,19 +65,21 @@ func main() {
 	)
 	flag.Parse()
 
-	explicit := explore.Explicit(flag.CommandLine)
-	if err := sf.CheckExplicit(explicit); err != nil {
+	// Inert construction flags are rejected by pathoram's rule table.
+	if err := spec.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	if sf.Padded && *batch <= 0 {
-		log.Fatal("-padded pads batch schedules; combine it with -batch > 0")
+	if spec.Padded && *batch <= 0 {
+		log.Fatal("-padded pads batch schedules; set -batch > 0")
 	}
-	if *paced && sf.Backend != "dram" {
-		log.Fatal("-paced admits ops by modeled memory time; combine it with -backend dram")
+	if *paced && spec.Backend != pathoram.BackendDRAM {
+		log.Fatal("-paced admits ops by modeled memory time; it needs -backend dram")
 	}
-	if explicit["mthink"] && !*paced {
-		log.Fatal("-mthink sets modeled think cycles for the paced loop; combine it with -paced")
-	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "mthink" && !*paced {
+			log.Fatal("-mthink sets modeled think cycles for the paced loop; it needs -paced")
+		}
+	})
 	shardCounts, err := parseInts(*shardsCSV)
 	if err != nil {
 		log.Fatalf("parsing -shards: %v", err)
@@ -77,41 +88,34 @@ func main() {
 		log.Fatal("-cpuprofile/-memprofile capture one configuration; pass a single -shards value")
 	}
 
+	recursive, timed := spec.PosMap == pathoram.PosMapRecursive, spec.Backend == pathoram.BackendDRAM
 	fmt.Printf("oram-serve: %d blocks x %dB, %s encryption (keystream %s), integrity=%v, partition=%s, posmap=%s, padded=%v, async=%v\n",
-		sf.Blocks, sf.BlockSize, sf.Encrypt, encrypt.KeystreamImpl(), sf.Integrity, sf.Partition, sf.PosMap, sf.Padded, sf.Async)
-	if sf.Recursive() {
-		fmt.Printf("posmap: recursive (%dB posmap blocks, %dB on-chip bound per shard)\n", sf.PosBlock, sf.OnChipMax)
-		if sf.PLBBytes > 0 {
-			fmt.Printf("plb: %dB per shard, constant-shape=%v\n", sf.PLBBytes, sf.PLBConst)
+		spec.Blocks, spec.BlockSize, spec.Encryption, encrypt.KeystreamImpl(), spec.Integrity, spec.Partition, spec.PosMap, spec.Padded, spec.AsyncEviction)
+	if recursive {
+		fmt.Printf("posmap: recursive (posmap block bytes=%s, on-chip bound bytes per shard=%s)\n",
+			knob(spec.PosBlockSize, 0), knob(int(spec.OnChipPosMapMax), 0))
+		if spec.PLBBytes > 0 {
+			fmt.Printf("plb: %dB per shard, constant-shape=%v\n", spec.PLBBytes, spec.PLBConstantShape)
 		}
-		if sf.Overlap > 0 {
-			fmt.Printf("overlap: %d requests pipeline across the posmap chain (Figure 5(b))\n", sf.Overlap)
+		if spec.Overlap > 0 {
+			fmt.Printf("overlap: %d requests pipeline across the posmap chain (Figure 5(b))\n", spec.Overlap)
 		}
 	}
-	if sf.Backend == "dram" {
-		depth := sf.MaxDefer
-		if depth == 0 {
-			depth = 8 // core.DefaultMaxDeferredWriteBacks, the resolved value
-		}
-		fmt.Printf("backend: dram (%d channels, %s layout, serialize=%v, write-buffer depth=%d)\n",
-			sf.Channels, sf.Layout, sf.DRAMSer, depth)
-		if sf.MemSched == "frfcfs" {
-			qd, sc := sf.MemQueue, sf.StarveCap
-			if qd == 0 {
-				qd = 8 // dram.DefaultQueueDepth, the resolved value
-			}
-			if sc == 0 {
-				sc = 4 // dram.DefaultStarvationCap
-			}
-			fmt.Printf("sched: frfcfs (open command queue depth=%d, starvation cap=%d)\n", qd, sc)
+	if timed {
+		fmt.Printf("backend: dram (channels=%s, %s layout, serialize=%v, write-buffer depth=%s)\n",
+			knob(spec.DRAMChannels, 0), spec.DRAMLayout, spec.DRAMSerialize,
+			knob(spec.MaxDeferredWriteBacks, core.DefaultMaxDeferredWriteBacks))
+		if spec.DRAMSched == pathoram.MemSchedFRFCFS {
+			fmt.Printf("sched: frfcfs (open command queue depth=%s, starvation cap=%s)\n",
+				knob(spec.DRAMQueueDepth, dram.DefaultQueueDepth), knob(spec.DRAMStarveCap, dram.DefaultStarvationCap))
 		}
 		if *paced {
 			fmt.Printf("paced: closed loop on the modeled clock, think=%d cycles/op\n", *mthink)
 		}
 	}
-	if sf.Storage == "file" {
-		fmt.Printf("storage: file (dir=%s, wal=%v, wal-depth=%d) — latencies include real I/O\n",
-			sf.Dir, sf.WAL, sf.WALDepth)
+	if spec.Backend == pathoram.BackendFile {
+		fmt.Printf("backend: file (dir=%s, wal=%v, wal-depth=%d) — latencies include real I/O\n",
+			spec.Dir, spec.WAL, spec.WALDepth)
 	}
 	fmt.Printf("load: %d clients, %d ops/config, batch=%d, writefrac=%.2f, think=%v, GOMAXPROCS=%d\n\n",
 		*clients, *ops, *batch, *writeFrac, *think, runtime.GOMAXPROCS(0))
@@ -119,19 +123,23 @@ func main() {
 	w := newTable(os.Stdout)
 	w.row("shards", "levels", "posmap-B", "plb-hit", "chain-len", "wall", "ops/s", "speedup", "p50", "p95", "p99", "dummy/real", "pad/real", "stash-peak", "imbalance", "row-hit", "B/cyc", "rd-cyc", "Mcycles", "model-ops/s")
 	var baseline float64
+	seed := flag.Lookup("seed").Value
 	for _, n := range shardCounts {
 		// One Spec covers the whole sweep: sharding, position-map recursion
-		// and the timed backend are axes of the same constructor.
-		spec, err := sf.Spec(n)
-		if err != nil {
+		// and the timed backend are axes of the same constructor. Setting
+		// -seed to itself restarts its stream, so a seeded row does not
+		// depend on the rows before it.
+		if err := seed.Set(seed.String()); err != nil {
 			log.Fatal(err)
 		}
-		if spec.Backend == pathoram.BackendFile {
+		cfg := spec
+		cfg.Shards = n
+		if cfg.Backend == pathoram.BackendFile {
 			// Tree-file geometry depends on the shard count, so each sweep
 			// point gets its own subdirectory under -dir.
-			spec.Dir = filepath.Join(spec.Dir, fmt.Sprintf("shards%d", n))
+			cfg.Dir = filepath.Join(cfg.Dir, fmt.Sprintf("shards%d", n))
 		}
-		res, err := runConfig(spec, load{
+		res, err := runConfig(cfg, load{
 			clients: *clients, ops: *ops, batch: *batch, writeFrac: *writeFrac,
 			think: *think, paced: *paced, mthink: *mthink,
 			cpuProfile: *cpuProf, memProfile: *memProf,
@@ -162,16 +170,16 @@ func main() {
 	}
 	w.flush()
 	fmt.Println("\nlevels    = ORAMs per access chain (1 = flat on-chip posmap); posmap-B = summed on-chip posmap bytes")
-	if sf.Recursive() {
+	if recursive {
 		fmt.Println("chain-len = mean path accesses per op across the recursion chain (PLB hits shrink it)")
-		if sf.PLBBytes > 0 {
+		if spec.PLBBytes > 0 {
 			fmt.Println("plb-hit   = position-map lookaside cache hit rate across all chain interfaces")
 		}
 	}
 	fmt.Println("imbalance = busiest shard's executed real requests / mean (1.00 is perfectly even)")
 	fmt.Println("pad/real  = scheduler padding accesses per real access (padded batch overhead)")
 	fmt.Println("p50/p95/p99 = client-visible latency per submission (per op, or per batch with -batch)")
-	if sf.Backend == "dram" {
+	if timed {
 		fmt.Println("row-hit = DRAM row-buffer hit rate; B/cyc = achieved bytes per memory cycle")
 		fmt.Println("rd-cyc  = mean modeled path-read latency (DDR3 cycles, the access's critical path)")
 		fmt.Println("Mcycles = modeled completion frontier of the measured traffic (millions of cycles)")
@@ -183,7 +191,7 @@ func main() {
 }
 
 // load holds the client-side load-generation knobs; everything about the
-// ORAM construction itself lives in the pathoram.Spec built by SpecFlags.
+// ORAM construction itself lives in the pathoram.Spec the flags fill in.
 type load struct {
 	clients    int
 	ops        int
@@ -218,7 +226,7 @@ func runConfig(spec pathoram.Spec, c load) (res result, err error) {
 		return result{}, err
 	}
 	s := client.(*pathoram.Sharded)
-	// A Close error is a real result under -storage file: a failed final
+	// A Close error is a real result under -backend file: a failed final
 	// checkpoint/msync means the measured run's durable state is suspect,
 	// so it must surface (and main exits non-zero on it).
 	defer func() {
@@ -452,6 +460,18 @@ func pacedWait(s *pathoram.Sharded, p *pacer) {
 		}
 		runtime.Gosched()
 	}
+}
+
+// knob renders a numeric Spec knob for the header: 0 selects the owning
+// layer's default, printed from its exported constant where there is one.
+func knob(v, def int) string {
+	if v == 0 {
+		v = def
+	}
+	if v == 0 {
+		return "default"
+	}
+	return strconv.Itoa(v)
 }
 
 func parseInts(csv string) ([]int, error) {

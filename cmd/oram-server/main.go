@@ -1,14 +1,14 @@
 // Command oram-server serves multi-tenant ORAM over HTTP: one
 // pathoram.Client per tenant (per-tenant keys derived from a service
-// master through the domain-separated KDF), the construction axes shared
-// with oram-serve/oram-explore via the internal/explore flag set, and a
+// master through the domain-separated KDF), the construction read from
+// Spec's text form (the internal/explore flag set oram-serve shares), and a
 // graceful drain on SIGTERM/SIGINT — in-flight requests finish, then
 // every tenant flushes, checkpoints its WAL and closes its tree files.
 // A failed drain (e.g. a file-backend Sync error) exits non-zero.
 //
 // Example — two durable tenants on a file+WAL backend:
 //
-//	oram-server -addr 127.0.0.1:8470 -storage file -dir /var/lib/oram -wal \
+//	oram-server -addr 127.0.0.1:8470 -backend file -dir /var/lib/oram -wal \
 //	    -tenants alice,bob -blocks 16384 -blocksize 64 -async
 //
 // See internal/service.Handler for the endpoint list.
@@ -27,6 +27,7 @@ import (
 	"syscall"
 	"time"
 
+	pathoram "repro"
 	"repro/internal/encrypt"
 	"repro/internal/explore"
 	"repro/internal/service"
@@ -35,21 +36,20 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("oram-server: ")
-	var sf explore.SpecFlags
-	sf.AddFlags(flag.CommandLine)
+	// Every tenant is built from this Spec.
+	spec := pathoram.Spec{Blocks: 1 << 14, BlockSize: 64, Shards: 1}
+	explore.BindSpec(flag.CommandLine, &spec)
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8470", "listen address")
-		shards   = flag.Int("shards", 1, "shards per tenant")
 		tenants  = flag.String("tenants", "", "comma-separated tenant names to create at startup (more via PUT /v1/tenants/{name})")
 		maxTen   = flag.Int("max-tenants", 0, "tenant admission limit (0 = 64)")
 		keyHex   = flag.String("master-key", "", "hex service master key, 32 hex chars (empty = drawn fresh; supply it for durable deployments, or nothing sealed by a previous process can be desealed)")
 		drainFor = flag.Duration("drain-timeout", 30*time.Second, "bound on waiting out in-flight HTTP requests during shutdown")
 	)
 	flag.Parse()
-	if err := sf.CheckExplicit(explore.Explicit(flag.CommandLine)); err != nil {
-		log.Fatal(err)
-	}
-	spec, err := sf.Spec(*shards)
+	// Inert flags are rejected by pathoram's rule table now, not when the
+	// first tenant is created.
+	err := spec.Validate()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,8 +76,8 @@ func main() {
 	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("listening on %s (%d blocks x %dB, %d shards/tenant, storage=%s, wal=%v, async=%v, keystream=%s)",
-		*addr, sf.Blocks, sf.BlockSize, *shards, sf.Storage, sf.WAL, sf.Async, encrypt.KeystreamImpl())
+	log.Printf("listening on %s (%d blocks x %dB, %d shards/tenant, backend=%s, wal=%v, async=%v, keystream=%s)",
+		*addr, spec.Blocks, spec.BlockSize, spec.Shards, spec.Backend, spec.WAL, spec.AsyncEviction, encrypt.KeystreamImpl())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -126,8 +126,10 @@ func TestHierarchyAsyncBitIdenticalToSync(t *testing.T) {
 	run := func(async bool) (*Hierarchy, *[]access) {
 		log := &[]access{}
 		h := testHierarchy(t, func(cfg *Spec) {
-			cfg.AsyncEviction = async
-			cfg.MaxDeferredWriteBacks = 3 // small: exercise the cap drain
+			if async {
+				cfg.AsyncEviction = true
+				cfg.MaxDeferredWriteBacks = 3 // small: exercise the cap drain
+			}
 			cfg.Rand = rand.New(rand.NewSource(33))
 			cfg.OnPathAccess = func(_, level int, leaf uint64) {
 				*log = append(*log, access{level, leaf})

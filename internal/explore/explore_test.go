@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,172 +13,38 @@ import (
 	"repro/internal/testutil"
 )
 
-func TestGridPointsSmokePreset(t *testing.T) {
-	g := Presets["smoke"]
-	points, err := g.Points(1)
+// tuple is the part of a point's Spec the preset goldens pin.
+type tuple struct {
+	Shards           int                   `json:"shards"`
+	PosMap           pathoram.PosMapPolicy `json:"posmap"`
+	Backend          pathoram.Backend      `json:"backend"`
+	Partition        pathoram.Partition    `json:"partition"`
+	Padded           bool                  `json:"padded"`
+	AsyncEviction    bool                  `json:"async"`
+	PLBBytes         uint64                `json:"plb_bytes"`
+	PLBConstantShape bool                  `json:"plb_constant_shape"`
+	Overlap          int                   `json:"overlap"`
+	DRAMSched        pathoram.MemSched     `json:"mem_sched"`
+	DRAMQueueDepth   int                   `json:"mem_queue"`
+	WAL              bool                  `json:"wal"`
+}
+
+// pointSpecs enumerates g and opens and closes every point (file points
+// each in their own directory, the way the runner isolates them),
+// returning the Specs in enumeration order.
+func pointSpecs(t *testing.T, g Grid) []pathoram.Spec {
+	t.Helper()
+	points, err := g.Points(1, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 8 {
-		t.Fatalf("smoke preset enumerates %d points, want 8 (2 shards x 2 posmaps x 2 backends)", len(points))
-	}
+	var specs []pathoram.Spec
 	seen := map[string]bool{}
 	for _, p := range points {
 		if seen[p.Name] {
 			t.Errorf("duplicate point %q", p.Name)
 		}
 		seen[p.Name] = true
-		spec, err := p.Spec()
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		c, err := pathoram.Open(spec)
-		if err != nil {
-			t.Fatalf("%s: Open: %v", p.Name, err)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", p.Name, err)
-		}
-	}
-}
-
-func TestGridSyncPointsCanonicalizeIdleAxis(t *testing.T) {
-	g := Grid{
-		Blocks: 256, BlockSize: 16,
-		MaxDeferred:   []int{0, 4},
-		IdleEvictions: []int{0, 2},
-	}
-	points, err := g.Points(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The idle axis is inert on synchronous points: 1 sync point (idle
-	// collapsed) + 2 async points.
-	if len(points) != 3 {
-		names := make([]string, len(points))
-		for i, p := range points {
-			names[i] = p.Name
-		}
-		t.Fatalf("got %d points %v, want 3 (sync idle axis canonicalized away)", len(points), names)
-	}
-}
-
-// TestPLBOverlapGridCanonicalization pins the inert-axis collapse for the
-// position-map acceleration axes: flat points carry no PLB or overlap,
-// constant-shape rides only on a non-zero PLB, and overlap rides only on
-// dram-backed recursion — so the product never enumerates duplicate
-// configurations.
-func TestPLBOverlapGridCanonicalization(t *testing.T) {
-	g := Grid{
-		Blocks: 256, BlockSize: 16,
-		PosMaps:       []string{"flat", "recursive"},
-		Backends:      []string{"mem", "dram"},
-		OnChipMax:     128,
-		PLBBytes:      []uint64{0, 2048},
-		PLBConstShape: []bool{false, true},
-		Overlaps:      []int{0, 2},
-	}
-	points, err := g.Points(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// flat/mem 1, flat/dram 1 (all three axes inert), recursive/mem 3
-	// (plb=0, plb, plb+cs; overlap inert), recursive/dram 6 (those three
-	// x overlap {0,2}).
-	if len(points) != 11 {
-		names := make([]string, len(points))
-		for i, p := range points {
-			names[i] = p.Name
-		}
-		t.Fatalf("got %d points %v, want 11 (inert acceleration axes canonicalized away)", len(points), names)
-	}
-	seen := map[string]bool{}
-	for _, p := range points {
-		if seen[p.Name] {
-			t.Errorf("duplicate point %q", p.Name)
-		}
-		seen[p.Name] = true
-		if strings.Contains(p.Name, "pm=flat") &&
-			(strings.Contains(p.Name, "/plb=") || strings.Contains(p.Name, "/ov=")) {
-			t.Errorf("flat point %q carries an acceleration suffix", p.Name)
-		}
-		if strings.Contains(p.Name, "/ov=") && !strings.Contains(p.Name, "be=dram") {
-			t.Errorf("point %q overlaps without a timed backend", p.Name)
-		}
-	}
-}
-
-// TestPR8PresetOpens checks the pr8 preset enumerates the PLB x overlap
-// sweep and that every point constructs.
-func TestPR8PresetOpens(t *testing.T) {
-	points, err := Presets["pr8"].Points(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 4 {
-		t.Fatalf("pr8 preset enumerates %d points, want 4 (plb {0,4096} x ov {0,4})", len(points))
-	}
-	for _, p := range points {
-		spec, err := p.Spec()
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		c, err := pathoram.Open(spec)
-		if err != nil {
-			t.Fatalf("%s: Open: %v", p.Name, err)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", p.Name, err)
-		}
-	}
-}
-
-// TestStorageGridCanonicalization pins the inert-axis collapse for the
-// persistence axes: the wal axis rides only on file-storage points, and
-// the storage axis collapses to mem on dram-backed points.
-func TestStorageGridCanonicalization(t *testing.T) {
-	g := Grid{
-		Blocks: 256, BlockSize: 16,
-		Backends: []string{"mem", "dram"},
-		Storages: []string{"mem", "file"},
-		WALs:     []bool{false, true},
-		Dir:      t.TempDir(),
-	}
-	points, err := g.Points(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// be=mem: stor=mem 1 (wal inert) + stor=file 2 (wal {off,on}); be=dram:
-	// 1 (both axes inert).
-	if len(points) != 4 {
-		names := make([]string, len(points))
-		for i, p := range points {
-			names[i] = p.Name
-		}
-		t.Fatalf("got %d points %v, want 4 (inert persistence axes canonicalized away)", len(points), names)
-	}
-	for _, p := range points {
-		if strings.Contains(p.Name, "be=dram") && strings.Contains(p.Name, "stor=file") {
-			t.Errorf("dram point %q carries file storage", p.Name)
-		}
-		if strings.Contains(p.Name, "+wal") && !strings.Contains(p.Name, "stor=file") {
-			t.Errorf("point %q logs without file storage", p.Name)
-		}
-	}
-}
-
-// TestPR10PresetOpens checks the pr10 persistence preset enumerates the
-// mem/file x wal x write-back sweep and that every point constructs (each
-// in its own directory, the way the runner isolates them).
-func TestPR10PresetOpens(t *testing.T) {
-	points, err := Presets["pr10"].Points(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 6 {
-		t.Fatalf("pr10 preset enumerates %d points, want 6 (stor {mem,file+wal axis} x defer {0,8})", len(points))
-	}
-	for _, p := range points {
 		spec, err := p.Spec()
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
@@ -192,19 +59,133 @@ func TestPR10PresetOpens(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", p.Name, err)
 		}
+		specs = append(specs, spec)
+	}
+	return specs
+}
+
+// TestPresetPoints holds every preset to the points it enumerated before
+// Grid became a list of flag axes (testdata/preset_points.json, recorded
+// from the per-axis Grid at PR 14): the same number of points, in the same
+// order, with the same axis values — and every one opens.
+func TestPresetPoints(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "preset_points.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string][]tuple
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if len(golden) != len(Presets) {
+		t.Errorf("%d presets, %d goldens", len(Presets), len(golden))
+	}
+	for _, name := range PresetNames() {
+		t.Run(name, func(t *testing.T) {
+			var got []tuple
+			for _, s := range pointSpecs(t, Presets[name]) {
+				got = append(got, tuple{s.Shards, s.PosMap, s.Backend, s.Partition, s.Padded, s.AsyncEviction,
+					s.PLBBytes, s.PLBConstantShape, s.Overlap, s.DRAMSched, s.DRAMQueueDepth, s.WAL})
+			}
+			if !reflect.DeepEqual(got, golden[name]) {
+				t.Errorf("%d points %+v\nwant %d points %+v", len(got), got, len(golden[name]), golden[name])
+			}
+		})
 	}
 }
 
+// The next three grids cross an axis with one it is inert on: the rule
+// table prunes the product, so no configuration is enumerated twice under
+// two names and no point varies a knob that changes nothing.
+
+func TestGridSyncPointsCanonicalizeIdleAxis(t *testing.T) {
+	specs := pointSpecs(t, Grid{
+		Base: "-blocks 256 -blocksize 16",
+		Axes: [][]string{
+			{"-async=false", "-async -max-deferred 4"},
+			{"-idle-evictions 0", "-idle-evictions 2"},
+		},
+		Workloads: []string{"uniform"},
+	})
+	// 1 sync point (no idle pipeline to budget) + 2 async points.
+	if len(specs) != 3 {
+		t.Fatalf("got %d points, want 3", len(specs))
+	}
+	for _, s := range specs {
+		if !s.AsyncEviction && s.EvictionsPerIdle != 0 {
+			t.Errorf("sync point carries an idle-eviction budget: %+v", s)
+		}
+	}
+}
+
+func TestPLBOverlapGridCanonicalization(t *testing.T) {
+	specs := pointSpecs(t, Grid{
+		Base: "-blocks 256 -blocksize 16",
+		Axes: [][]string{
+			{"-posmap flat", "-posmap recursive -onchip-max 128"},
+			{"-backend mem", "-backend dram"},
+			{"-plb-bytes 0", "-plb-bytes 2048"},
+			{"-plb-constant-shape=false", "-plb-constant-shape"},
+			{"-overlap 0", "-overlap 2"},
+		},
+		Workloads: []string{"uniform"},
+	})
+	// flat/mem 1, flat/dram 1 (no chain to cache or pipeline), recursive/mem
+	// 3 (plb=0, plb, plb+cs; nothing modeled to overlap), recursive/dram 6
+	// (those three x overlap {0,2}).
+	if len(specs) != 11 {
+		t.Fatalf("got %d points, want 11", len(specs))
+	}
+	for _, s := range specs {
+		if s.PosMap == pathoram.PosMapOnChip && (s.PLBBytes != 0 || s.Overlap != 0) {
+			t.Errorf("flat point carries an acceleration knob: %+v", s)
+		}
+		if s.Overlap != 0 && s.Backend != pathoram.BackendDRAM {
+			t.Errorf("point overlaps without a timed backend: %+v", s)
+		}
+	}
+}
+
+func TestStorageGridCanonicalization(t *testing.T) {
+	specs := pointSpecs(t, Grid{
+		Base: "-blocks 256 -blocksize 16",
+		Axes: [][]string{
+			{"-backend mem", "-backend dram", "-backend file"},
+			{"-wal=false", "-wal"},
+		},
+		Workloads: []string{"uniform"},
+	})
+	// mem 1, dram 1 (nothing to log), file 2 (wal off, on).
+	if len(specs) != 4 {
+		t.Fatalf("got %d points, want 4", len(specs))
+	}
+	for _, s := range specs {
+		if s.WAL && s.Backend != pathoram.BackendFile {
+			t.Errorf("point logs without file storage: %+v", s)
+		}
+	}
+}
+
+// TestGridRejectsUnknownAxisValues: whatever Spec's text form cannot parse
+// fails the whole grid before any measurement runs, and so does a grid
+// that names no workload or whose every combination the rule table
+// rejects.
 func TestGridRejectsUnknownAxisValues(t *testing.T) {
+	uniform := []string{"uniform"}
 	for _, g := range []Grid{
-		{Backends: []string{"disk"}},
-		{PosMaps: []string{"cuckoo"}},
-		{Partitions: []string{"hash"}},
-		{Workloads: []string{"nosuch"}},
-		{Storages: []string{"tape"}},
+		{Base: "-blocks 64", Axes: [][]string{{"-backend disk"}}, Workloads: uniform},
+		{Base: "-blocks 64", Axes: [][]string{{"-posmap flat", "-posmap cuckoo"}}, Workloads: uniform},
+		{Base: "-blocks 64 -partition hash", Workloads: uniform},
+		{Base: "-blocks 64", Axes: [][]string{{"-storage tape"}}, Workloads: uniform},
+		{Base: "-blocks 64", Axes: [][]string{{"-shards many"}}, Workloads: uniform},
+		{Base: "-blocks 64", Axes: [][]string{{"shards=2"}}, Workloads: uniform},
+		{Base: "-blocks 64", Axes: [][]string{{}}, Workloads: uniform},
+		{Base: "-blocks 64", Workloads: []string{"nosuch"}},
+		{Base: "-blocks 64"},
+		{Base: "-blocks 64", Axes: [][]string{{"-channels 2", "-channels 4"}}, Workloads: uniform},
 	} {
-		if _, err := g.Points(1); err == nil {
-			t.Errorf("grid %+v: Points accepted an unknown axis value", g)
+		if points, err := g.Points(1, t.Logf); err == nil {
+			t.Errorf("grid %+v: Points returned %d points, want an error", g, len(points))
 		}
 	}
 }
@@ -212,7 +193,7 @@ func TestGridRejectsUnknownAxisValues(t *testing.T) {
 func TestLoadGridJSONRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "grid.json")
-	src := Grid{Blocks: 512, BlockSize: 16, Shards: []int{1, 2}, Backends: []string{"mem"}}
+	src := Presets["smoke"]
 	data, err := json.Marshal(src)
 	if err != nil {
 		t.Fatal(err)
@@ -224,18 +205,27 @@ func TestLoadGridJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Blocks != 512 || len(g.Shards) != 2 {
+	if !reflect.DeepEqual(g, src) {
 		t.Errorf("loaded grid %+v, want %+v", g, src)
 	}
-	// Typoed axes must be rejected, not silently ignored.
-	if err := os.WriteFile(path, []byte(`{"sharts": [1]}`), 0o644); err != nil {
-		t.Fatal(err)
+	// Typoed keys — and the per-axis keys of the old Grid — must be
+	// rejected, not silently ignored.
+	for _, doc := range []string{`{"sharts": [1]}`, `{"shards": [1, 4], "backends": ["mem"]}`} {
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadGrid(path); err == nil {
+			t.Errorf("LoadGrid accepted %s", doc)
+		}
 	}
-	if _, err := LoadGrid(path); err == nil {
-		t.Error("LoadGrid accepted a grid with an unknown field")
+	_, err = LoadGrid("nosuchpreset")
+	if err == nil || !strings.Contains(err.Error(), "unknown preset") {
+		t.Fatalf("LoadGrid(nosuchpreset) = %v, want unknown-preset error", err)
 	}
-	if _, err := LoadGrid("nosuchpreset"); err == nil || !strings.Contains(err.Error(), "unknown preset") {
-		t.Errorf("LoadGrid(nosuchpreset) = %v, want unknown-preset error", err)
+	for name := range Presets {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-preset error %q does not list preset %q", err, name)
+		}
 	}
 }
 

@@ -2,399 +2,193 @@ package explore
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 
 	pathoram "repro"
 )
 
-// Grid is the declarative sweep description: one slice per construction
-// axis, enumerated as a cartesian product. Empty axes collapse to their
-// single default value, so a grid names only the axes it varies. Grids
-// load from JSON (see LoadGrid) or from the built-in presets.
+// Grid is the declarative sweep description, written in the text form of
+// pathoram.Spec: the flags BindSpec registers. Every point starts from the
+// flag string Base; each axis is a list of alternative flag strings (one
+// flag, or several that belong together, or "" for "leave Base alone"), and
+// the grid is the cartesian product of the axes, first axis outermost. A
+// combination pathoram's rule table rejects — an inert knob, more shards
+// than blocks — is not a point, so a grid simply names the axes it crosses
+// and the table prunes the product. Grids load from JSON (see LoadGrid) or
+// from the built-in presets.
 type Grid struct {
-	// Blocks / BlockSize fix the working set for every point; the
-	// design-space axes below vary the construction around it.
-	Blocks    uint64 `json:"blocks"`
-	BlockSize int    `json:"blocksize"`
-
-	Shards     []int    `json:"shards"`     // default [1]
-	PosMaps    []string `json:"posmaps"`    // "flat" | "recursive"; default ["flat"]
-	Backends   []string `json:"backends"`   // "mem" | "dram"; default ["mem"]
-	Partitions []string `json:"partitions"` // "stripe" | "range" | "random"; default ["stripe"]
-	Padded     []bool   `json:"padded"`     // default [false]; true points run batched submission
-	CTStash    []bool   `json:"ctstash"`    // default [false]
-	// MaxDeferred sweeps the staged write-back queue depth; 0 means the
-	// fully synchronous protocol (AsyncEviction off).
-	MaxDeferred []int `json:"maxdeferred"` // default [0]
-	// IdleEvictions sweeps the background-eviction budget per idle gap.
-	// Inert on synchronous points, where it is canonicalized to 0 so the
-	// product contains no duplicate configurations.
-	IdleEvictions []int `json:"idleevictions"` // default [0]
-	// PLBBytes sweeps the position-map lookaside cache budget; inert on
-	// flat-posmap points (canonicalized to 0, like IdleEvictions above).
-	PLBBytes []uint64 `json:"plbbytes"` // default [0]
-	// PLBConstShape sweeps the constant-shape padding mode; inert when the
-	// point carries no PLB (canonicalized to false).
-	PLBConstShape []bool `json:"plbconstshape"` // default [false]
-	// Overlaps sweeps the Figure 5(b) speculative chain depth; inert
-	// unless the point is recursive AND dram-backed (canonicalized to 0).
-	Overlaps []int `json:"overlaps"` // default [0]
-	// MemScheds sweeps the memory-controller scheduling policy; inert on
-	// mem-backed points (canonicalized to "inorder").
-	MemScheds []string `json:"memscheds"` // "inorder" | "frfcfs"; default ["inorder"]
-	// QueueDepths sweeps the FR-FCFS per-channel command-queue depth
-	// (0 = the default 8); inert on inorder points (canonicalized to 0).
-	QueueDepths []int `json:"queuedepths"` // default [0]
-	// Storages sweeps the bucket-storage substrate: "file" points run on
-	// real mmap'd tree files (a fresh per-point temp directory under Dir),
-	// so their latencies include real I/O. Inert on dram-backed points
-	// (canonicalized to "mem") — the timed model and real files are
-	// different substrates of the same Backend axis.
-	Storages []string `json:"storages"` // "mem" | "file"; default ["mem"]
-	// WALs sweeps write-ahead logging on file-storage points (inert —
-	// canonicalized to false — on mem-storage points).
-	WALs []bool `json:"wals"` // default [false]
-	// Dir is the base directory for file-storage points ("" = the OS temp
-	// directory). Each point runs in its own fresh subdirectory, removed
-	// after the point completes.
-	Dir string `json:"dir"`
-
-	// OnChipMax / PosBlock parameterize recursive-posmap points only.
-	OnChipMax uint64 `json:"onchipmax"` // default 2048 B
-	PosBlock  int    `json:"posblock"`  // default 32 B
-
-	Workloads []string `json:"workloads"` // default ["uniform"]
+	Base      string     `json:"base"`
+	Axes      [][]string `json:"axes"`
+	Workloads []string   `json:"workloads"`
 }
 
-// Point is one enumerated configuration: a human-readable name encoding
-// the axis values, the Spec that builds it, and whether the runner must
-// use padded batched submission.
+// Point is one enumerated configuration. Its name is the flag string that
+// sets it apart from Base: appended to Base on an oram-serve or oram-server
+// command line, it builds the same construction.
 type Point struct {
-	Name   string
-	Flags  SpecFlags
-	Shards int
-	Padded bool
+	Name string
+	args []string
 }
 
-// Spec builds a fresh pathoram.Spec for the point. Fresh matters: the
-// Spec carries the seeded randomness source, which must not be shared
-// between instances.
-func (p Point) Spec() (pathoram.Spec, error) { return p.Flags.Spec(p.Shards) }
-
-func (g *Grid) normalize() {
-	if g.Blocks == 0 {
-		g.Blocks = 4096
+// Spec builds a fresh pathoram.Spec for the point by parsing its flags
+// through BindSpec. Fresh matters: the Spec carries the seeded randomness
+// source, which must not be shared between instances. Knob rules are not
+// checked here. File-backend points that name no -dir live under the OS
+// temp directory (the runner gives each its own subdirectory there).
+func (p Point) Spec() (pathoram.Spec, error) {
+	var spec pathoram.Spec
+	fs := flag.NewFlagSet("point", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	BindSpec(fs, &spec)
+	if err := fs.Parse(p.args); err != nil {
+		return spec, err
 	}
-	if g.BlockSize == 0 {
-		g.BlockSize = 32
+	if fs.NArg() > 0 {
+		return spec, fmt.Errorf("%q is not a flag", fs.Arg(0))
 	}
-	if len(g.Shards) == 0 {
-		g.Shards = []int{1}
+	if spec.Backend == pathoram.BackendFile && spec.Dir == "" {
+		spec.Dir = os.TempDir()
 	}
-	if len(g.PosMaps) == 0 {
-		g.PosMaps = []string{"flat"}
-	}
-	if len(g.Backends) == 0 {
-		g.Backends = []string{"mem"}
-	}
-	if len(g.Partitions) == 0 {
-		g.Partitions = []string{"stripe"}
-	}
-	if len(g.Padded) == 0 {
-		g.Padded = []bool{false}
-	}
-	if len(g.CTStash) == 0 {
-		g.CTStash = []bool{false}
-	}
-	if len(g.MaxDeferred) == 0 {
-		g.MaxDeferred = []int{0}
-	}
-	if len(g.IdleEvictions) == 0 {
-		g.IdleEvictions = []int{0}
-	}
-	if len(g.PLBBytes) == 0 {
-		g.PLBBytes = []uint64{0}
-	}
-	if len(g.PLBConstShape) == 0 {
-		g.PLBConstShape = []bool{false}
-	}
-	if len(g.Overlaps) == 0 {
-		g.Overlaps = []int{0}
-	}
-	if len(g.MemScheds) == 0 {
-		g.MemScheds = []string{"inorder"}
-	}
-	if len(g.QueueDepths) == 0 {
-		g.QueueDepths = []int{0}
-	}
-	if len(g.Storages) == 0 {
-		g.Storages = []string{"mem"}
-	}
-	if len(g.WALs) == 0 {
-		g.WALs = []bool{false}
-	}
-	if g.OnChipMax == 0 {
-		g.OnChipMax = 2048
-	}
-	if g.PosBlock == 0 {
-		g.PosBlock = 32
-	}
-	if len(g.Workloads) == 0 {
-		g.Workloads = []string{"uniform"}
-	}
+	return spec, nil
 }
 
 // Points enumerates the grid. Every returned point builds a Spec that
-// Open accepts; axis values Open would reject (unknown names, inert-knob
-// combinations) surface as errors here, before any measurement runs.
-func (g Grid) Points(seed int64) ([]Point, error) {
-	g.normalize()
+// Open accepts; an unknown flag, an unparsable value or an unknown
+// workload is an error here, before any measurement runs, and so is a grid
+// none of whose combinations is a point. Rejected combinations go to logf.
+func (g Grid) Points(seed int64, logf func(format string, args ...any)) ([]Point, error) {
+	if len(g.Workloads) == 0 {
+		return nil, fmt.Errorf("grid names no workload")
+	}
 	for _, w := range g.Workloads {
 		if WorkloadByName(w) == nil {
 			return nil, fmt.Errorf("unknown workload %q", w)
 		}
 	}
-	var points []Point
-	seen := map[string]bool{}
-	for _, shards := range g.Shards {
-		for _, pm := range g.PosMaps {
-			for _, be := range g.Backends {
-				for _, part := range g.Partitions {
-					for _, padded := range g.Padded {
-						for _, ct := range g.CTStash {
-							for _, md := range g.MaxDeferred {
-								for _, idle := range g.IdleEvictions {
-									if md == 0 {
-										// Synchronous points have no idle
-										// pipeline; canonicalize so the idle
-										// axis does not duplicate them.
-										idle = 0
-									}
-									for _, plb := range g.PLBBytes {
-										for _, pcs := range g.PLBConstShape {
-											for _, ov := range g.Overlaps {
-												if pm != "recursive" {
-													// Flat posmaps have no chain to
-													// cache or pipeline; canonicalize
-													// all three axes.
-													plb, pcs, ov = 0, false, 0
-												}
-												if plb == 0 {
-													pcs = false
-												}
-												if be != "dram" {
-													ov = 0
-												}
-												for _, sched := range g.MemScheds {
-													for _, qd := range g.QueueDepths {
-														if be != "dram" {
-															// No timed controller to
-															// schedule; canonicalize both
-															// axes.
-															sched, qd = "inorder", 0
-														}
-														if sched != "frfcfs" {
-															qd = 0
-														}
-														for _, stor := range g.Storages {
-															for _, wal := range g.WALs {
-																if be != "mem" {
-																	// The timed model and real files
-																	// are different substrates;
-																	// canonicalize both axes.
-																	stor = "mem"
-																}
-																if stor != "file" {
-																	wal = false
-																}
-																p, err := g.point(shards, pm, be, part, padded, ct, md, idle, plb, pcs, ov, sched, qd, stor, wal, seed, len(points))
-																if err != nil {
-																	return nil, err
-																}
-																if seen[p.Name] {
-																	continue
-																}
-																seen[p.Name] = true
-																points = append(points, p)
-															}
-														}
-													}
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-			}
+	total := 1
+	for i, axis := range g.Axes {
+		if len(axis) == 0 {
+			return nil, fmt.Errorf("grid axis %d lists no alternative", i)
 		}
+		total *= len(axis)
 	}
-	return points, nil
-}
-
-func (g Grid) point(shards int, pm, be, part string, padded, ct bool, md, idle int, plb uint64, pcs bool, ov int, sched string, qd int, stor string, wal bool, seed int64, idx int) (Point, error) {
-	// The mode-dependent knobs (recursion, DRAM) are populated
-	// unconditionally: SpecFlags.Spec copies them into the Spec only when
-	// their mode is selected, exactly as the flag defaults behave.
-	sf := SpecFlags{
-		Blocks: g.Blocks, BlockSize: g.BlockSize,
-		Encrypt:   "counter",
-		Partition: part,
-		PosMap:    pm,
-		PosBlock:  g.PosBlock,
-		OnChipMax: g.OnChipMax,
-		Padded:    padded,
-		Queue:     128,
+	var points []Point
+	var rejected error
+	for i := 0; i < total; i++ {
+		// Combination i, read as a mixed-radix number over the axes (last
+		// axis fastest), picks one alternative per axis.
+		args, differs := strings.Fields(g.Base), []string(nil)
+		rem, stride := i, total
+		for _, axis := range g.Axes {
+			stride /= len(axis)
+			alt := strings.Fields(axis[rem/stride])
+			rem %= stride
+			args, differs = append(args, alt...), append(differs, alt...)
+		}
 		// Distinct deterministic seed per point: neighboring configs stay
 		// reproducible without sharing a randomness stream.
-		Seed:     seed + int64(idx)*7919,
-		Backend:  be,
-		Channels: 2,
-		Layout:   "subtree",
-		CTStash:  ct,
-	}
-	if md > 0 {
-		sf.Async = true
-		sf.MaxDefer = md
-		sf.IdleEv = idle
-	}
-	sf.PLBBytes = plb
-	sf.PLBConst = pcs
-	sf.Overlap = ov
-	sf.MemSched = sched
-	if sched == "frfcfs" {
-		sf.MemQueue = qd
-	}
-	sf.Storage = stor
-	if stor == "file" {
-		sf.WAL = wal
-		// Placeholder for validation only: the runner substitutes a fresh
-		// per-point temp directory before Open (see runPoint).
-		sf.Dir = g.Dir
-		if sf.Dir == "" {
-			sf.Dir = os.TempDir()
+		p := Point{
+			Name: strings.Join(differs, " "),
+			args: append(args, "-seed", strconv.FormatInt(seed+int64(len(points))*7919, 10)),
 		}
-	}
-	// Validate the axis values now by building a Spec once; the runner
-	// builds its own fresh one per Open.
-	if _, err := sf.Spec(shards); err != nil {
-		return Point{}, err
-	}
-	name := fmt.Sprintf("shards=%d/pm=%s/be=%s/part=%s", shards, pm, be, part)
-	if padded {
-		name += "/padded"
-	}
-	if ct {
-		name += "/ct"
-	}
-	if md > 0 {
-		name += fmt.Sprintf("/defer=%d", md)
-		if idle != 0 {
-			name += fmt.Sprintf("/idle=%d", idle)
+		if p.Name == "" {
+			p.Name = g.Base
 		}
-	}
-	if plb > 0 {
-		name += fmt.Sprintf("/plb=%d", plb)
-		if pcs {
-			name += "+cs"
+		spec, err := p.Spec()
+		if err != nil {
+			return nil, fmt.Errorf("grid point %q: %w", p.Name, err)
 		}
-	}
-	if ov > 0 {
-		name += fmt.Sprintf("/ov=%d", ov)
-	}
-	if sched == "frfcfs" {
-		name += "/sched=frfcfs"
-		if qd > 0 {
-			name += fmt.Sprintf("/qd=%d", qd)
+		if rejected = spec.Validate(); rejected != nil {
+			logf("not a point: %s: %v", p.Name, rejected)
+			continue
 		}
+		points = append(points, p)
 	}
-	if stor == "file" {
-		name += "/stor=file"
-		if wal {
-			name += "+wal"
-		}
+	if len(points) == 0 {
+		return nil, fmt.Errorf("grid has no points: all %d combinations rejected, the last with: %v", total, rejected)
 	}
-	return Point{Name: name, Flags: sf, Shards: shards, Padded: padded}, nil
+	logf("%d of %d combinations are points", len(points), total)
+	return points, nil
 }
 
 // Presets are the named grids cmd/oram-explore accepts in place of a
 // JSON file. "smoke" is the CI grid: 8 points, two workloads, seconds of
 // runtime. "full" is the EXPERIMENTS.md grid: every axis the paper
-// explores, 64 points across three workloads. "pr8" is the position-map
-// acceleration grid: PLB budget x overlap depth on a recursive
-// dram-backed chain. "pr9" is the memory-controller grid: inorder vs
-// FR-FCFS at two queue depths on a 2-shard dram point. "pr10" is the
-// persistence grid: mem vs file storage x WAL x write-back mode, where
-// the async win is measured against real I/O instead of modeled cycles.
+// explores, 64 points across three workloads.
 var Presets = map[string]Grid{
 	"smoke": {
-		Blocks: 1024, BlockSize: 32,
-		Shards:    []int{1, 4},
-		PosMaps:   []string{"flat", "recursive"},
-		Backends:  []string{"mem", "dram"},
-		OnChipMax: 512,
+		Base: "-blocks 1024 -blocksize 32",
+		Axes: [][]string{
+			{"-shards 1", "-shards 4"},
+			{"-posmap flat", "-posmap recursive -onchip-max 512"},
+			{"-backend mem", "-backend dram"},
+		},
 		Workloads: []string{"uniform", "zipf"},
 	},
 	"full": {
-		Blocks: 4096, BlockSize: 32,
-		Shards:      []int{1, 4},
-		PosMaps:     []string{"flat", "recursive"},
-		Backends:    []string{"mem", "dram"},
-		Partitions:  []string{"stripe", "random"},
-		Padded:      []bool{false, true},
-		MaxDeferred: []int{0, 8},
-		OnChipMax:   2048,
-		Workloads:   []string{"uniform", "zipf", "hammer"},
+		Base: "-blocks 4096 -blocksize 32",
+		Axes: [][]string{
+			{"-shards 1", "-shards 4"},
+			{"-posmap flat", "-posmap recursive -onchip-max 2048"},
+			{"-backend mem", "-backend dram"},
+			{"-partition stripe", "-partition random"},
+			{"-padded=false", "-padded"},
+			{"-async=false", "-async"},
+		},
+		Workloads: []string{"uniform", "zipf", "hammer"},
 	},
 	// "pr8" isolates the position-map acceleration axes: a recursive
 	// dram-backed chain swept over PLB budget x overlap depth, on the two
 	// workloads where the PLB's locality sensitivity shows (zipf hits,
 	// uniform mostly misses).
 	"pr8": {
-		Blocks: 1024, BlockSize: 32,
-		Shards:    []int{1},
-		PosMaps:   []string{"recursive"},
-		Backends:  []string{"dram"},
-		OnChipMax: 512,
-		PLBBytes:  []uint64{0, 4096},
-		Overlaps:  []int{0, 4},
+		Base: "-blocks 1024 -blocksize 32 -shards 1 -posmap recursive -onchip-max 512 -backend dram",
+		Axes: [][]string{
+			{"-plb-bytes 0", "-plb-bytes 4096"},
+			{"-overlap 0", "-overlap 4"},
+		},
 		Workloads: []string{"uniform", "zipf"},
 	},
 	// "pr9" isolates the memory-controller scheduling axes: a 2-shard
 	// dram-backed sweep over inorder vs the FR-FCFS open queue at two
-	// depths, on both workload shapes. The qd axis canonicalizes to 0 on
-	// inorder points, so the product is 3 configs x 2 workloads.
+	// depths, on both workload shapes. A queue depth means nothing to the
+	// inorder controller, so the product is 3 configs x 2 workloads.
 	"pr9": {
-		Blocks: 1024, BlockSize: 32,
-		Shards:      []int{2},
-		PosMaps:     []string{"flat"},
-		Backends:    []string{"dram"},
-		MemScheds:   []string{"inorder", "frfcfs"},
-		QueueDepths: []int{0, 16},
-		Workloads:   []string{"uniform", "zipf"},
+		Base: "-blocks 1024 -blocksize 32 -shards 2 -backend dram",
+		Axes: [][]string{
+			{"-mem-sched inorder", "-mem-sched frfcfs"},
+			{"-mem-queue 0", "-mem-queue 16"},
+		},
+		Workloads: []string{"uniform", "zipf"},
 	},
 	// "pr10" isolates the persistence axes: mem vs file storage, WAL on
-	// and off, sync vs deferred write-back — 6 configs after the wal axis
-	// canonicalizes to false on mem points. File-point latencies include
-	// real mmap/msync I/O, which is where async should show a much larger
-	// win than it did against modeled cycles.
+	// and off, sync vs deferred write-back — 6 configs, since only files
+	// have a log. File-point latencies include real mmap/msync I/O, which
+	// is where async should show a much larger win than it did against
+	// modeled cycles.
 	"pr10": {
-		Blocks: 1024, BlockSize: 32,
-		Shards:      []int{1},
-		PosMaps:     []string{"flat"},
-		Storages:    []string{"mem", "file"},
-		WALs:        []bool{false, true},
-		MaxDeferred: []int{0, 8},
-		Workloads:   []string{"uniform"},
+		Base: "-blocks 1024 -blocksize 32 -shards 1",
+		Axes: [][]string{
+			{"-async=false", "-async"},
+			{"-backend mem", "-backend file"},
+			{"-wal=false", "-wal"},
+		},
+		Workloads: []string{"uniform"},
 	},
 }
 
+// PresetNames lists the built-in grids.
+func PresetNames() []string { return slices.Sorted(maps.Keys(Presets)) }
+
 // LoadGrid resolves name either as a preset or as a path to a JSON grid
-// description (unknown JSON fields are rejected to catch typoed axes).
+// description (unknown JSON fields are rejected to catch typoed keys).
 func LoadGrid(name string) (Grid, error) {
 	if g, ok := Presets[name]; ok {
 		return g, nil
@@ -402,7 +196,7 @@ func LoadGrid(name string) (Grid, error) {
 	f, err := os.Open(name)
 	if err != nil {
 		if !strings.ContainsAny(name, "./\\") {
-			return Grid{}, fmt.Errorf("unknown preset %q (have: smoke, full, pr8, pr9, pr10) and no such file", name)
+			return Grid{}, fmt.Errorf("unknown preset %q (have: %s) and no such file", name, strings.Join(PresetNames(), ", "))
 		}
 		return Grid{}, err
 	}

@@ -41,7 +41,6 @@ type Row struct {
 // no cell is charged for its predecessor's debt. logf (optional)
 // receives one progress line per point.
 func Run(g Grid, opts Options, logf func(format string, args ...any)) ([]Row, error) {
-	g.normalize()
 	if opts.Ops <= 0 {
 		opts.Ops = 2048
 	}
@@ -51,12 +50,12 @@ func Run(g Grid, opts Options, logf func(format string, args ...any)) ([]Row, er
 	if opts.Batch <= 0 {
 		opts.Batch = 16
 	}
-	points, err := g.Points(opts.Seed)
-	if err != nil {
-		return nil, err
-	}
 	if logf == nil {
 		logf = func(string, ...any) {}
+	}
+	points, err := g.Points(opts.Seed, logf)
+	if err != nil {
+		return nil, err
 	}
 	var rows []Row
 	for pi, p := range points {
@@ -79,7 +78,7 @@ func runPoint(g Grid, p Point, opts Options) ([]Row, error) {
 		// Fresh directory per point: tree files carry no client state
 		// (position map, stash), so a point must never decode another
 		// run's leftovers. Removed when the point completes.
-		dir, err := os.MkdirTemp(g.Dir, "oram-point-")
+		dir, err := os.MkdirTemp(spec.Dir, "oram-point-")
 		if err != nil {
 			return nil, err
 		}
@@ -95,10 +94,10 @@ func runPoint(g Grid, p Point, opts Options) ([]Row, error) {
 
 	// Pre-fill the whole working set so every workload measures steady
 	// state, not cold-map behavior.
-	buf := make([]byte, g.BlockSize)
+	buf := make([]byte, spec.BlockSize)
 	const chunk = 1024
-	for lo := uint64(0); lo < g.Blocks; lo += chunk {
-		hi := min(lo+chunk, g.Blocks)
+	for lo := uint64(0); lo < spec.Blocks; lo += chunk {
+		hi := min(lo+chunk, spec.Blocks)
 		addrs := make([]uint64, 0, chunk)
 		data := make([][]byte, 0, chunk)
 		for a := lo; a < hi; a++ {
@@ -114,8 +113,8 @@ func runPoint(g Grid, p Point, opts Options) ([]Row, error) {
 	for wi, wname := range g.Workloads {
 		w := WorkloadByName(wname)
 		rng := rand.New(rand.NewSource(opts.Seed + int64(wi)*104729 + 1))
-		gen := w.New(rng, g.Blocks)
-		row, err := runCell(client, spec, p, gen, opts)
+		gen := w.New(rng, spec.Blocks)
+		row, err := runCell(client, spec, gen, opts)
 		if err != nil {
 			return nil, fmt.Errorf("workload %s: %w", wname, err)
 		}
@@ -131,7 +130,7 @@ func runPoint(g Grid, p Point, opts Options) ([]Row, error) {
 // warm-up phase, baseline reset (the timing snapshot flushes, charging
 // any warm-up debt before measurement), then the measured phase with
 // per-submission latencies.
-func runCell(client pathoram.Client, spec pathoram.Spec, p Point, gen Gen, opts Options) (Row, error) {
+func runCell(client pathoram.Client, spec pathoram.Spec, gen Gen, opts Options) (Row, error) {
 	payload := make([]byte, spec.BlockSize)
 	i := 0
 	for ; i < opts.Warmup; i++ {
@@ -144,7 +143,7 @@ func runCell(client pathoram.Client, spec pathoram.Spec, p Point, gen Gen, opts 
 
 	var lats []time.Duration
 	start := time.Now()
-	if p.Padded {
+	if spec.Padded {
 		// Padded mode pads batch schedules; submit whole batches so the
 		// padding machinery actually engages. Latencies are per batch.
 		addrs := make([]uint64, opts.Batch)
@@ -184,7 +183,7 @@ func runCell(client pathoram.Client, spec pathoram.Spec, p Point, gen Gen, opts 
 	}
 	wall := time.Since(start)
 	measured := opts.Ops
-	if p.Padded {
+	if spec.Padded {
 		// Batches round up to whole submissions.
 		measured = (opts.Ops + opts.Batch - 1) / opts.Batch * opts.Batch
 	}
@@ -208,14 +207,14 @@ func runCell(client pathoram.Client, spec pathoram.Spec, p Point, gen Gen, opts 
 		"pad/real":   st.PaddingPerReal(),
 		"stash-peak": float64(st.StashPeak),
 	}
-	if p.Padded {
+	if spec.Padded {
 		m["batch"] = float64(opts.Batch)
 	}
-	if p.Flags.Recursive() {
+	if spec.PosMap == pathoram.PosMapRecursive {
 		// Mean posmap-chain length per op: H with no PLB, shrinking toward
 		// 1.0 as hits skip levels (or pinned at H under constant shape).
 		m["chain-len"] = st.MeanChainLength()
-		if p.Flags.PLBBytes > 0 {
+		if spec.PLBBytes > 0 {
 			m["plb-hit"] = st.PLBHitRate()
 		}
 	}

@@ -27,7 +27,7 @@ type Benchmark struct {
 	Pareto     bool               `json:"pareto"`
 }
 
-// Report is the top-level BENCH_pr7.json document.
+// Report is the top-level document of an explorer report (BENCH_pr7.json).
 type Report struct {
 	GOOS       string      `json:"goos,omitempty"`
 	GOARCH     string      `json:"goarch,omitempty"`

@@ -2,265 +2,87 @@
 // cmd/oram-explore -grid: a workload generator suite, a sweep runner that
 // drives every configuration point through the public Client API, and a
 // Pareto pass over the collected metrics (latency, modeled cycles,
-// on-chip bytes). It also owns the Spec-building flag set shared with
-// cmd/oram-serve, so the two binaries cannot drift on flag names,
-// defaults, or the inert-knob rejection rules.
+// on-chip bytes). It also owns the text form of pathoram.Spec — the flag
+// set cmd/oram-serve and cmd/oram-server parse and a Grid sweeps — so the
+// binaries and the grids cannot drift on flag names.
 package explore
 
 import (
 	"flag"
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	pathoram "repro"
 )
 
-// SpecFlags is the command-line surface of pathoram.Spec: one field per
-// construction axis, registered with AddFlags and decoded with Spec.
-// cmd/oram-serve and cmd/oram-explore both embed it, which keeps flag
-// names, defaults and help text identical across binaries.
-type SpecFlags struct {
-	Blocks    uint64
-	BlockSize int
-	Encrypt   string
-	Integrity bool
-	Partition string
-	PosMap    string
-	PosBlock  int
-	OnChipMax uint64
-	Padded    bool
-	Queue     int
-	Seed      int64
-	Async     bool
-	IdleEv    int
-	Backend   string
-	Channels  int
-	Layout    string
-	DRAMSer   bool
-	MemSched  string
-	MemQueue  int
-	StarveCap int
-	MaxDefer  int
-	CTStash   bool
-	PLBBytes  uint64
-	PLBConst  bool
-	Overlap   int
-	Storage   string
-	Dir       string
-	WAL       bool
-	WALDepth  int
+// BindSpec registers the text form of pathoram.Spec on fs: one flag per
+// field, each writing straight into spec, whose current values are the
+// defaults. 0 on a numeric knob selects the Spec default. Nothing is
+// checked here: a flag that is inert on the selected axis values is
+// rejected by pathoram's rule table, in Spec vocabulary, when the Spec is
+// validated or opened.
+func BindSpec(fs *flag.FlagSet, spec *pathoram.Spec) {
+	fs.Uint64Var(&spec.Blocks, "blocks", spec.Blocks, "total logical blocks")
+	fs.IntVar(&spec.BlockSize, "blocksize", spec.BlockSize, "block payload bytes (0 = metadata only)")
+
+	fs.IntVar(&spec.Shards, "shards", spec.Shards, "independent trees behind the request scheduler (0 = 1)")
+	fs.TextVar(&spec.Partition, "partition", spec.Partition, "address partition: stripe|range|random (random hides request->shard routing)")
+	fs.BoolVar(&spec.Padded, "padded", spec.Padded, "padded batch mode: every batch touches every shard equally often (requires batched submission)")
+	fs.IntVar(&spec.QueueDepth, "queue", spec.QueueDepth, "per-shard request queue depth (0 = 128)")
+	fs.IntVar(&spec.EvictionsPerIdle, "idle-evictions", spec.EvictionsPerIdle, "max background evictions per idle gap (0 = 4, negative disables; with -async)")
+
+	fs.TextVar(&spec.PosMap, "posmap", spec.PosMap, "position map: flat (on-chip, 4B/block) | recursive (per-shard hierarchical ORAM chain, Section 2.3)")
+	fs.IntVar(&spec.PosBlockSize, "pos-block", spec.PosBlockSize, "position-map ORAM block size in bytes (0 = 32; with -posmap recursive)")
+	fs.Uint64Var(&spec.OnChipPosMapMax, "onchip-max", spec.OnChipPosMapMax, "per-shard bound on the final on-chip position map in bytes (0 = 200 KB; with -posmap recursive)")
+	fs.IntVar(&spec.PosZ, "pos-z", spec.PosZ, "position-map ORAM bucket capacity (0 = 3; with -posmap recursive)")
+	fs.Uint64Var(&spec.PLBBytes, "plb-bytes", spec.PLBBytes, "position-map lookaside cache budget per shard in bytes, split across the chain's interfaces; hits skip the elided levels (0 = off; with -posmap recursive)")
+	fs.BoolVar(&spec.PLBConstantShape, "plb-constant-shape", spec.PLBConstantShape, "pad PLB hits with dummy accesses to the elided levels so hits and misses look identical on the wire (with -plb-bytes)")
+	fs.IntVar(&spec.Overlap, "overlap", spec.Overlap, "Figure 5(b) speculative chain overlap: up to N consecutive requests pipeline across the recursion chain (0 = serial 5(a); with -posmap recursive -backend dram)")
+
+	fs.IntVar(&spec.Z, "z", spec.Z, "data bucket capacity in blocks (0 = 3)")
+	fs.Float64Var(&spec.Utilization, "utilization", spec.Utilization, "blocks per tree slot, in (0,1] (0 = 0.5)")
+	fs.IntVar(&spec.LeafLevel, "leaf-level", spec.LeafLevel, "data tree depth override (0 = derived from -utilization)")
+	fs.IntVar(&spec.StashCapacity, "stash", spec.StashCapacity, "stash capacity per tree in blocks (0 = 200)")
+	fs.BoolVar(&spec.ConstantTimeStash, "ct-stash", spec.ConstantTimeStash, "constant-time stash scans: fixed-length masked lookups on every tree (closes the stash timing channel)")
+	fs.IntVar(&spec.SuperBlockSize, "superblock", spec.SuperBlockSize, "adjacent blocks merged into one super block (0 or 1 = off)")
+	fs.TextVar(&spec.Encryption, "encrypt", spec.Encryption, "bucket encryption: counter|strawman|none")
+	fs.BoolVar(&spec.Integrity, "integrity", spec.Integrity, "enable the authentication tree")
+
+	fs.BoolVar(&spec.AsyncEviction, "async", spec.AsyncEviction, "staged access path: respond after the path read, write back and evict during idle queue time")
+	fs.IntVar(&spec.MaxDeferredWriteBacks, "max-deferred", spec.MaxDeferredWriteBacks, "deferred write-back queue depth = modeled write-buffer depth (0 = 8; with -async)")
+
+	fs.TextVar(&spec.Backend, "backend", spec.Backend, "bucket storage: mem (untimed) | dram (shared cycle-accurate DDR3 model; adds the modeled-cycle columns) | file (one mmap'd tree file per ORAM under -dir, msync on Flush)")
+	fs.StringVar(&spec.Dir, "dir", spec.Dir, "directory holding the tree files (with -backend file)")
+	fs.BoolVar(&spec.WAL, "wal", spec.WAL, "write-ahead log: path writes are logged before ack and checkpointed into the tree file on Flush, making the deferred write-back pipeline crash-consistent (with -backend file)")
+	fs.IntVar(&spec.WALDepth, "wal-depth", spec.WALDepth, "auto-checkpoint after this many logged path writes (0 = checkpoint only on Flush/close; with -wal)")
+	fs.IntVar(&spec.DRAMChannels, "channels", spec.DRAMChannels, "independent DDR3 channels shared by all shards (0 = 2; with -backend dram)")
+	fs.TextVar(&spec.DRAMLayout, "layout", spec.DRAMLayout, "bucket-to-row placement: subtree|naive (with -backend dram)")
+	fs.BoolVar(&spec.DRAMSerialize, "dram-serialize", spec.DRAMSerialize, "modeling baseline: forbid inter-shard overlap on the memory channels (with -backend dram)")
+	fs.TextVar(&spec.DRAMSched, "mem-sched", spec.DRAMSched, "memory-controller scheduling: inorder | frfcfs (open per-channel command queue, row hits first; with -backend dram)")
+	fs.IntVar(&spec.DRAMQueueDepth, "mem-queue", spec.DRAMQueueDepth, "per-channel command-queue depth (0 = 8; depth 1 reproduces inorder exactly; with -mem-sched frfcfs)")
+	fs.IntVar(&spec.DRAMStarveCap, "starve-cap", spec.DRAMStarveCap, "row-hit bypasses before the oldest request is forced (0 = 4; with -mem-sched frfcfs)")
+
+	fs.Var(&seedFlag{rand: &spec.Rand}, "seed", "deterministic ORAM randomness when != 0")
 }
 
-// AddFlags registers every Spec axis on fs. The shard count is
-// deliberately absent: both binaries sweep it, so it is a parameter of
-// Spec(), not a flag.
-func (sf *SpecFlags) AddFlags(fs *flag.FlagSet) {
-	fs.Uint64Var(&sf.Blocks, "blocks", 1<<14, "total logical blocks")
-	fs.IntVar(&sf.BlockSize, "blocksize", 64, "block payload bytes")
-	fs.StringVar(&sf.Encrypt, "encrypt", "counter", "bucket encryption: none|counter|strawman")
-	fs.BoolVar(&sf.Integrity, "integrity", false, "enable the authentication tree")
-	fs.StringVar(&sf.Partition, "partition", "stripe", "address partition: stripe|range|random (random hides request->shard routing)")
-	fs.StringVar(&sf.PosMap, "posmap", "flat", "position map: flat (on-chip, 4B/block) | recursive (per-shard hierarchical ORAM chain, Section 2.3)")
-	fs.IntVar(&sf.PosBlock, "pos-block", 32, "position-map ORAM block size in bytes (with -posmap recursive)")
-	fs.Uint64Var(&sf.OnChipMax, "onchip-max", 200<<10, "per-shard bound on the final on-chip position map in bytes (with -posmap recursive)")
-	fs.BoolVar(&sf.Padded, "padded", false, "padded batch mode: every batch touches every shard equally often (requires batched submission)")
-	fs.IntVar(&sf.Queue, "queue", 128, "per-shard request queue depth")
-	fs.Int64Var(&sf.Seed, "seed", 0, "deterministic ORAM randomness when != 0")
-	fs.BoolVar(&sf.Async, "async", false, "staged access path: respond after the path read, write back and evict during idle queue time")
-	fs.IntVar(&sf.IdleEv, "idle-evictions", 0, "max background evictions per idle gap (0 = default, negative disables; with -async)")
-	fs.StringVar(&sf.Backend, "backend", "mem", "storage backend: mem (untimed) | dram (shared cycle-accurate DDR3 model; adds the modeled-cycle columns)")
-	fs.IntVar(&sf.Channels, "channels", 2, "independent DDR3 channels shared by all shards (with -backend dram)")
-	fs.StringVar(&sf.Layout, "layout", "subtree", "bucket-to-row placement: subtree|naive (with -backend dram)")
-	fs.BoolVar(&sf.DRAMSer, "dram-serialize", false, "modeling baseline: forbid inter-shard overlap on the memory channels (with -backend dram)")
-	fs.StringVar(&sf.MemSched, "mem-sched", "inorder", "memory-controller scheduling: inorder | frfcfs (open per-channel command queue, row hits first; with -backend dram)")
-	fs.IntVar(&sf.MemQueue, "mem-queue", 0, "per-channel command-queue depth (0 = default 8; depth 1 reproduces inorder exactly; with -mem-sched frfcfs)")
-	fs.IntVar(&sf.StarveCap, "starve-cap", 0, "row-hit bypasses before the oldest request is forced (0 = default 4; with -mem-sched frfcfs)")
-	fs.IntVar(&sf.MaxDefer, "max-deferred", 0, "deferred write-back queue depth = modeled write-buffer depth (0 = default 8; with -async)")
-	fs.BoolVar(&sf.CTStash, "ct-stash", false, "constant-time stash scans: fixed-length masked lookups on every tree (closes the stash timing channel)")
-	fs.Uint64Var(&sf.PLBBytes, "plb-bytes", 0, "position-map lookaside cache budget per shard in bytes, split across the chain's interfaces; hits skip the elided levels (0 = off; with -posmap recursive)")
-	fs.BoolVar(&sf.PLBConst, "plb-constant-shape", false, "pad PLB hits with dummy accesses to the elided levels so hits and misses look identical on the wire (with -plb-bytes)")
-	fs.IntVar(&sf.Overlap, "overlap", 0, "Figure 5(b) speculative chain overlap: up to N consecutive requests pipeline across the recursion chain (0 = serial 5(a); with -posmap recursive -backend dram)")
-	fs.StringVar(&sf.Storage, "storage", "mem", "bucket storage: mem (in-process arena) | file (one mmap'd tree file per ORAM under -dir, msync on Flush)")
-	fs.StringVar(&sf.Dir, "dir", "", "directory holding the tree files (with -storage file)")
-	fs.BoolVar(&sf.WAL, "wal", false, "write-ahead log: path writes are logged before ack and checkpointed into the tree file on Flush, making the deferred write-back pipeline crash-consistent (with -storage file)")
-	fs.IntVar(&sf.WALDepth, "wal-depth", 0, "auto-checkpoint after this many logged path writes (0 = checkpoint only on Flush/close; with -wal)")
+// seedFlag is -seed. Set installs a fresh generator (none for 0), and
+// String keeps the number, so setting the flag to its own text again
+// restarts the stream: every construction must own its generator.
+type seedFlag struct {
+	n    int64
+	rand **rand.Rand
 }
 
-// Explicit returns the set of flag names the user actually passed on fs.
-// It must be called after fs.Parse; CheckExplicit consumes the result.
-func Explicit(fs *flag.FlagSet) map[string]bool {
-	m := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { m[f.Name] = true })
-	return m
-}
+func (s *seedFlag) String() string { return strconv.FormatInt(s.n, 10) }
 
-// CheckExplicit rejects flags that would be silently inert in the
-// selected mode, so a sweep never varies a knob that changes nothing.
-// explicit is the set of flag names the user passed (see Explicit).
-func (sf *SpecFlags) CheckExplicit(explicit map[string]bool) error {
-	if sf.Backend != "dram" {
-		for _, name := range []string{"channels", "layout", "dram-serialize", "mem-sched"} {
-			if explicit[name] {
-				return fmt.Errorf("-%s only affects the timed backend; combine it with -backend dram", name)
-			}
-		}
+func (s *seedFlag) Set(v string) error {
+	n, err := strconv.ParseInt(v, 0, 64)
+	if err != nil {
+		return err
 	}
-	if sf.MemSched != "frfcfs" {
-		for _, name := range []string{"mem-queue", "starve-cap"} {
-			if explicit[name] {
-				return fmt.Errorf("-%s parameterizes the open command queue; combine it with -mem-sched frfcfs", name)
-			}
-		}
-	}
-	if sf.PosMap != "recursive" {
-		for _, name := range []string{"pos-block", "onchip-max", "plb-bytes", "plb-constant-shape", "overlap"} {
-			if explicit[name] {
-				return fmt.Errorf("-%s parameterizes the recursive position map; combine it with -posmap recursive", name)
-			}
-		}
-	}
-	if explicit["plb-constant-shape"] && sf.PLBBytes == 0 {
-		return fmt.Errorf("-plb-constant-shape pads PLB hits, but there is no PLB; combine it with -plb-bytes")
-	}
-	if explicit["overlap"] && sf.Backend != "dram" {
-		return fmt.Errorf("-overlap schedules modeled memory time; combine it with -backend dram")
-	}
-	if explicit["max-deferred"] && !sf.Async {
-		// Meaningful with or without -backend dram (it bounds the staged
-		// path's pinned memory either way) — but only under -async.
-		return fmt.Errorf("-max-deferred sizes the deferred write-back queue; combine it with -async")
-	}
-	if sf.Storage != "file" {
-		for _, name := range []string{"dir", "wal", "wal-depth"} {
-			if explicit[name] {
-				return fmt.Errorf("-%s parameterizes the persistent backend; combine it with -storage file", name)
-			}
-		}
-	}
-	if explicit["wal-depth"] && !sf.WAL {
-		return fmt.Errorf("-wal-depth bounds the write-ahead log; combine it with -wal")
+	s.n, *s.rand = n, nil
+	if n != 0 {
+		*s.rand = rand.New(rand.NewSource(n))
 	}
 	return nil
 }
-
-// Spec decodes the flag values into a pathoram.Spec for the given shard
-// count. The DRAM and recursion knobs ride along only when their mode is
-// selected — Open rejects them (even at their flag defaults) otherwise,
-// which is exactly the regression this conditional encodes.
-func (sf *SpecFlags) Spec(shards int) (pathoram.Spec, error) {
-	var enc pathoram.Encryption
-	switch sf.Encrypt {
-	case "none":
-		enc = pathoram.EncryptNone
-	case "counter":
-		enc = pathoram.EncryptCounter
-	case "strawman":
-		enc = pathoram.EncryptStrawman
-	default:
-		return pathoram.Spec{}, fmt.Errorf("unknown -encrypt %q", sf.Encrypt)
-	}
-	var part pathoram.Partition
-	switch sf.Partition {
-	case "stripe":
-		part = pathoram.PartitionStripe
-	case "range":
-		part = pathoram.PartitionRange
-	case "random":
-		part = pathoram.PartitionRandom
-	default:
-		return pathoram.Spec{}, fmt.Errorf("unknown -partition %q", sf.Partition)
-	}
-	switch sf.PosMap {
-	case "flat", "recursive":
-	default:
-		return pathoram.Spec{}, fmt.Errorf("unknown -posmap %q", sf.PosMap)
-	}
-	var back pathoram.Backend
-	switch sf.Backend {
-	case "mem":
-		back = pathoram.BackendMem
-	case "dram":
-		back = pathoram.BackendDRAM
-	default:
-		return pathoram.Spec{}, fmt.Errorf("unknown -backend %q", sf.Backend)
-	}
-	switch sf.Storage {
-	case "mem":
-	case "file":
-		// The timed model and the persistent backend are different
-		// substrates of the same Backend axis: pick one.
-		if back == pathoram.BackendDRAM {
-			return pathoram.Spec{}, fmt.Errorf("-storage file persists on real files, -backend dram simulates DDR3 timing; pick one")
-		}
-		if sf.Dir == "" {
-			return pathoram.Spec{}, fmt.Errorf("-storage file needs -dir (where the tree files live)")
-		}
-		back = pathoram.BackendFile
-	default:
-		return pathoram.Spec{}, fmt.Errorf("unknown -storage %q", sf.Storage)
-	}
-	var lay pathoram.DRAMLayout
-	switch sf.Layout {
-	case "subtree":
-		lay = pathoram.LayoutSubtree
-	case "naive":
-		lay = pathoram.LayoutNaive
-	default:
-		return pathoram.Spec{}, fmt.Errorf("unknown -layout %q", sf.Layout)
-	}
-	var sched pathoram.MemSched
-	switch sf.MemSched {
-	case "inorder":
-		sched = pathoram.MemSchedInOrder
-	case "frfcfs":
-		sched = pathoram.MemSchedFRFCFS
-	default:
-		return pathoram.Spec{}, fmt.Errorf("unknown -mem-sched %q", sf.MemSched)
-	}
-	spec := pathoram.Spec{
-		Blocks: sf.Blocks, BlockSize: sf.BlockSize,
-		Shards:           shards,
-		Partition:        part,
-		Padded:           sf.Padded,
-		QueueDepth:       sf.Queue,
-		EvictionsPerIdle: sf.IdleEv,
-		Encryption:       enc, Integrity: sf.Integrity,
-		ConstantTimeStash:     sf.CTStash,
-		AsyncEviction:         sf.Async,
-		MaxDeferredWriteBacks: sf.MaxDefer,
-		Backend:               back,
-	}
-	if back == pathoram.BackendFile {
-		spec.Dir = sf.Dir
-		spec.WAL = sf.WAL
-		spec.WALDepth = sf.WALDepth
-	}
-	if back == pathoram.BackendDRAM {
-		spec.DRAMChannels = sf.Channels
-		spec.DRAMLayout = lay
-		spec.DRAMSerialize = sf.DRAMSer
-		spec.DRAMSched = sched
-		if sched == pathoram.MemSchedFRFCFS {
-			spec.DRAMQueueDepth = sf.MemQueue
-			spec.DRAMStarveCap = sf.StarveCap
-		}
-	}
-	if sf.PosMap == "recursive" {
-		spec.PosMap = pathoram.PosMapRecursive
-		spec.PosBlockSize = sf.PosBlock
-		spec.OnChipPosMapMax = sf.OnChipMax
-		spec.PLBBytes = sf.PLBBytes
-		spec.PLBConstantShape = sf.PLBConst
-		if back == pathoram.BackendDRAM {
-			spec.Overlap = sf.Overlap
-		}
-	}
-	if sf.Seed != 0 {
-		spec.Rand = rand.New(rand.NewSource(sf.Seed))
-	}
-	return spec, nil
-}
-
-// Recursive reports whether the recursive position map is selected —
-// callers use it for mode-dependent output, not Spec construction.
-func (sf *SpecFlags) Recursive() bool { return sf.PosMap == "recursive" }

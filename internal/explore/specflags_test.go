@@ -2,31 +2,35 @@ package explore
 
 import (
 	"flag"
+	"io"
+	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	pathoram "repro"
 )
 
-// parse runs args through a fresh FlagSet the way the binaries do and
-// returns the decoded flags plus the explicit set.
-func parse(t *testing.T, args ...string) (*SpecFlags, map[string]bool) {
-	t.Helper()
+// parse runs args through BindSpec the way the binaries do — their default
+// working set, then the command line — and then through the rule table, as
+// Open would.
+func parse(args ...string) (pathoram.Spec, error) {
+	spec := pathoram.Spec{Blocks: 1 << 14, BlockSize: 64}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	var sf SpecFlags
-	sf.AddFlags(fs)
+	fs.SetOutput(io.Discard)
+	BindSpec(fs, &spec)
 	if err := fs.Parse(args); err != nil {
-		t.Fatalf("parse %v: %v", args, err)
+		return spec, err
 	}
-	return &sf, Explicit(fs)
+	return spec, spec.Validate()
 }
 
 func TestSpecFlagsTable(t *testing.T) {
 	cases := []struct {
 		name       string
 		args       []string
-		checkErr   string // substring of the CheckExplicit error, "" = ok
-		specErr    string // substring of the Spec error, "" = ok
+		wantErr    string // substring of the parse or rule-table error, "" = ok
 		shards     int
 		wantSpec   func(t *testing.T, s pathoram.Spec)
 		wantOpenOK bool // additionally Open a small instance and close it
@@ -102,28 +106,28 @@ func TestSpecFlagsTable(t *testing.T) {
 			},
 		},
 		{
-			name:     "explicit channels under mem rejected",
-			args:     []string{"-channels", "4"},
-			shards:   1,
-			checkErr: "-channels only affects the timed backend",
+			name:    "explicit channels under mem rejected",
+			args:    []string{"-channels", "4"},
+			shards:  1,
+			wantErr: "DRAMChannels/DRAMLayout/DRAMSerialize parameterize the timed backend",
 		},
 		{
-			name:     "explicit layout under mem rejected",
-			args:     []string{"-layout", "naive"},
-			shards:   1,
-			checkErr: "-layout only affects the timed backend",
+			name:    "explicit layout under mem rejected",
+			args:    []string{"-layout", "naive"},
+			shards:  1,
+			wantErr: "DRAMChannels/DRAMLayout/DRAMSerialize parameterize the timed backend",
 		},
 		{
-			name:     "explicit pos-block under flat posmap rejected",
-			args:     []string{"-pos-block", "64"},
-			shards:   1,
-			checkErr: "-pos-block parameterizes the recursive position map",
+			name:    "explicit pos-block under flat posmap rejected",
+			args:    []string{"-pos-block", "64"},
+			shards:  1,
+			wantErr: "PosBlockSize/OnChipPosMapMax/PosZ parameterize the recursive position map",
 		},
 		{
-			name:     "max-deferred without async rejected",
-			args:     []string{"-max-deferred", "4"},
-			shards:   1,
-			checkErr: "-max-deferred sizes the deferred write-back queue",
+			name:    "max-deferred without async rejected",
+			args:    []string{"-max-deferred", "4"},
+			shards:  1,
+			wantErr: "MaxDeferredWriteBacks sizes the deferred write-back queue",
 		},
 		{
 			name:   "max-deferred with async carried",
@@ -136,22 +140,22 @@ func TestSpecFlagsTable(t *testing.T) {
 			},
 		},
 		{
-			name:     "explicit plb-bytes under flat posmap rejected",
-			args:     []string{"-plb-bytes", "4096"},
-			shards:   1,
-			checkErr: "-plb-bytes parameterizes the recursive position map",
+			name:    "explicit plb-bytes under flat posmap rejected",
+			args:    []string{"-plb-bytes", "4096"},
+			shards:  1,
+			wantErr: "PLBBytes/PLBConstantShape/Overlap accelerate the recursive position-map chain",
 		},
 		{
-			name:     "plb-constant-shape without a PLB rejected",
-			args:     []string{"-posmap", "recursive", "-plb-constant-shape"},
-			shards:   1,
-			checkErr: "-plb-constant-shape pads PLB hits, but there is no PLB",
+			name:    "plb-constant-shape without a PLB rejected",
+			args:    []string{"-posmap", "recursive", "-plb-constant-shape"},
+			shards:  1,
+			wantErr: "PLBConstantShape pads PLB hits; set PLBBytes > 0",
 		},
 		{
-			name:     "explicit overlap under mem backend rejected",
-			args:     []string{"-posmap", "recursive", "-overlap", "4"},
-			shards:   1,
-			checkErr: "-overlap schedules modeled memory time",
+			name:    "explicit overlap under mem backend rejected",
+			args:    []string{"-posmap", "recursive", "-overlap", "4"},
+			shards:  1,
+			wantErr: "Overlap schedules modeled memory time",
 		},
 		{
 			name: "full acceleration flags carried and Open accepts",
@@ -185,35 +189,35 @@ func TestSpecFlagsTable(t *testing.T) {
 			name:    "unknown encryption rejected",
 			args:    []string{"-encrypt", "rot13"},
 			shards:  1,
-			specErr: `unknown -encrypt "rot13"`,
+			wantErr: `unknown pathoram.Encryption "rot13"`,
 		},
 		{
 			name:    "unknown partition rejected",
 			args:    []string{"-partition", "hash"},
 			shards:  1,
-			specErr: `unknown -partition "hash"`,
+			wantErr: `unknown pathoram.Partition "hash"`,
 		},
 		{
 			name:    "unknown posmap rejected",
 			args:    []string{"-posmap", "cuckoo"},
 			shards:  1,
-			specErr: `unknown -posmap "cuckoo"`,
+			wantErr: `unknown pathoram.PosMapPolicy "cuckoo"`,
 		},
 		{
 			name:    "unknown backend rejected",
 			args:    []string{"-backend", "disk"},
 			shards:  1,
-			specErr: `unknown -backend "disk"`,
+			wantErr: `unknown pathoram.Backend "disk"`,
 		},
 		{
 			name:    "unknown layout rejected",
 			args:    []string{"-backend", "dram", "-layout", "spiral"},
 			shards:  1,
-			specErr: `unknown -layout "spiral"`,
+			wantErr: `unknown pathoram.DRAMLayout "spiral"`,
 		},
 		{
 			name:   "file storage carries its knobs and Open accepts",
-			args:   []string{"-blocks", "256", "-blocksize", "16", "-storage", "file", "-dir", "@TMP", "-wal", "-wal-depth", "4"},
+			args:   []string{"-blocks", "256", "-blocksize", "16", "-backend", "file", "-dir", "@TMP", "-wal", "-wal-depth", "4"},
 			shards: 2,
 			wantSpec: func(t *testing.T, s pathoram.Spec) {
 				if s.Backend != pathoram.BackendFile || s.Dir == "" || !s.WAL || s.WALDepth != 4 {
@@ -238,40 +242,40 @@ func TestSpecFlagsTable(t *testing.T) {
 			wantOpenOK: true,
 		},
 		{
-			name:     "explicit wal without file storage rejected",
-			args:     []string{"-wal"},
-			shards:   1,
-			checkErr: "-wal parameterizes the persistent backend",
+			name:    "explicit wal without file storage rejected",
+			args:    []string{"-wal"},
+			shards:  1,
+			wantErr: "Dir/WAL/WALDepth parameterize the persistent backend",
 		},
 		{
-			name:     "explicit dir without file storage rejected",
-			args:     []string{"-dir", "@TMP"},
-			shards:   1,
-			checkErr: "-dir parameterizes the persistent backend",
+			name:    "explicit dir without file storage rejected",
+			args:    []string{"-dir", "@TMP"},
+			shards:  1,
+			wantErr: "Dir/WAL/WALDepth parameterize the persistent backend",
 		},
 		{
-			name:     "wal-depth without wal rejected",
-			args:     []string{"-storage", "file", "-dir", "@TMP", "-wal-depth", "8"},
-			shards:   1,
-			checkErr: "-wal-depth bounds the write-ahead log",
+			name:    "wal-depth without wal rejected",
+			args:    []string{"-backend", "file", "-dir", "@TMP", "-wal-depth", "8"},
+			shards:  1,
+			wantErr: "WALDepth bounds the write-ahead log",
 		},
 		{
 			name:    "file storage without dir rejected",
-			args:    []string{"-storage", "file"},
+			args:    []string{"-backend", "file"},
 			shards:  1,
-			specErr: "-storage file needs -dir",
+			wantErr: "BackendFile needs Dir",
 		},
 		{
 			name:    "file storage under dram backend rejected",
-			args:    []string{"-backend", "dram", "-storage", "file", "-dir", "@TMP"},
+			args:    []string{"-backend", "dram", "-dir", "@TMP"},
 			shards:  1,
-			specErr: "pick one",
+			wantErr: "Dir/WAL/WALDepth parameterize the persistent backend",
 		},
 		{
 			name:    "unknown storage rejected",
 			args:    []string{"-storage", "tape"},
 			shards:  1,
-			specErr: `unknown -storage "tape"`,
+			wantErr: "flag provided but not defined: -storage",
 		},
 	}
 	for _, tc := range cases {
@@ -283,26 +287,15 @@ func TestSpecFlagsTable(t *testing.T) {
 				}
 				args[i] = a
 			}
-			sf, explicit := parse(t, args...)
-			err := sf.CheckExplicit(explicit)
-			if tc.checkErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.checkErr) {
-					t.Fatalf("CheckExplicit = %v, want error containing %q", err, tc.checkErr)
+			spec, err := parse(append(args, "-shards", strconv.Itoa(tc.shards))...)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("got %v, want error containing %q", err, tc.wantErr)
 				}
 				return
 			}
 			if err != nil {
-				t.Fatalf("CheckExplicit: %v", err)
-			}
-			spec, err := sf.Spec(tc.shards)
-			if tc.specErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.specErr) {
-					t.Fatalf("Spec = %v, want error containing %q", err, tc.specErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("Spec: %v", err)
+				t.Fatal(err)
 			}
 			if tc.wantSpec != nil {
 				tc.wantSpec(t, spec)
@@ -317,5 +310,77 @@ func TestSpecFlagsTable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSpecFlagsBindEveryField reflects over pathoram.Spec: setting any one
+// registered flag changes exactly one field, and every exported field but
+// the two that have no text (Key, OnPathAccess) is bound by exactly one
+// flag — a knob without a string form cannot be swept, and fails here.
+func TestSpecFlagsBindEveryField(t *testing.T) {
+	// One of these parses as a non-default value of every flag type.
+	probes := []string{"7", "true", "recursive", "dram", "random", "strawman", "naive", "frfcfs"}
+	boundBy := map[string][]string{}
+	var names []string
+	fs := flag.NewFlagSet("names", flag.ContinueOnError)
+	BindSpec(fs, new(pathoram.Spec))
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	for _, name := range names {
+		var changed []string
+		for _, probe := range probes {
+			spec, err := Point{args: []string{"-" + name + "=" + probe}}.Spec()
+			if err != nil {
+				continue
+			}
+			v := reflect.ValueOf(spec)
+			for i := 0; i < v.NumField(); i++ {
+				if !v.Field(i).IsZero() {
+					changed = append(changed, v.Type().Field(i).Name)
+				}
+			}
+			break
+		}
+		if len(changed) != 1 {
+			t.Errorf("-%s changes fields %v, want exactly one", name, changed)
+			continue
+		}
+		boundBy[changed[0]] = append(boundBy[changed[0]], name)
+	}
+	st := reflect.TypeOf(pathoram.Spec{})
+	for i := 0; i < st.NumField(); i++ {
+		field := st.Field(i).Name
+		want := 1
+		if field == "Key" || field == "OnPathAccess" {
+			want = 0
+		}
+		if got := boundBy[field]; len(got) != want {
+			t.Errorf("Spec.%s is bound by flags %v, want %d", field, got, want)
+		}
+	}
+}
+
+// TestSpecFlagsSeedRestartsStream: setting -seed to its own text installs
+// a fresh generator replaying the same stream — how a sweep gives every
+// construction its own copy of the seeded randomness.
+func TestSpecFlagsSeedRestartsStream(t *testing.T) {
+	var spec pathoram.Spec
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	BindSpec(fs, &spec)
+	if err := fs.Parse([]string{"-seed", "42"}); err != nil {
+		t.Fatal(err)
+	}
+	first := spec.Rand
+	if want := rand.New(rand.NewSource(42)).Int63(); first.Int63() != want {
+		t.Fatal("-seed 42 is not source 42")
+	}
+	seed := fs.Lookup("seed").Value
+	if err := seed.Set(seed.String()); err != nil {
+		t.Fatal(err)
+	}
+	if spec.Rand == first || spec.Rand.Int63() != rand.New(rand.NewSource(42)).Int63() {
+		t.Error("re-setting -seed did not restart the stream on a fresh generator")
+	}
+	if err := seed.Set("0"); err != nil || spec.Rand != nil {
+		t.Errorf("-seed 0 left a generator (err %v)", err)
 	}
 }

@@ -2,11 +2,32 @@ package pathoram
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/membus"
 	"repro/internal/treemath"
 )
+
+// enumName and parseEnum are the text codec the Spec enums share: names[v]
+// spells value v. The table beside each enum's constants is the only place
+// a spelling lives — flags, grids and reports all go through it.
+func enumName[E ~int](names []string, v E) string {
+	if v < 0 || int(v) >= len(names) {
+		return fmt.Sprintf("%T(%d)", v, int(v))
+	}
+	return names[v]
+}
+
+func parseEnum[E ~int](names []string, text []byte, v *E) error {
+	for i, name := range names {
+		if name == string(text) {
+			*v = E(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown %T %q (have %s)", *v, text, strings.Join(names, "|"))
+}
 
 // Encryption selects the randomized bucket-encryption scheme.
 type Encryption int
@@ -22,6 +43,13 @@ const (
 	// simulation and benchmarking: a real deployment must encrypt.
 	EncryptNone
 )
+
+// encryptionNames spells Encryption as text (-encrypt).
+var encryptionNames = []string{"counter", "strawman", "none"}
+
+func (e Encryption) String() string                { return enumName(encryptionNames, e) }
+func (e Encryption) MarshalText() ([]byte, error)  { return []byte(e.String()), nil }
+func (e *Encryption) UnmarshalText(b []byte) error { return parseEnum(encryptionNames, b, e) }
 
 // Backend selects the storage backend behind each ORAM's bucket tree.
 type Backend int
@@ -46,6 +74,13 @@ const (
 	BackendFile
 )
 
+// backendNames spells Backend as text (-backend).
+var backendNames = []string{"mem", "dram", "file"}
+
+func (b Backend) String() string                { return enumName(backendNames, b) }
+func (b Backend) MarshalText() ([]byte, error)  { return []byte(b.String()), nil }
+func (b *Backend) UnmarshalText(t []byte) error { return parseEnum(backendNames, t, b) }
+
 // DRAMLayout selects the bucket-to-physical-address placement under
 // BackendDRAM (Section 3.3.4 of the paper).
 type DRAMLayout int
@@ -58,6 +93,13 @@ const (
 	// baseline.
 	LayoutNaive
 )
+
+// layoutNames spells DRAMLayout as text (-layout).
+var layoutNames = []string{"subtree", "naive"}
+
+func (l DRAMLayout) String() string                { return enumName(layoutNames, l) }
+func (l DRAMLayout) MarshalText() ([]byte, error)  { return []byte(l.String()), nil }
+func (l *DRAMLayout) UnmarshalText(b []byte) error { return parseEnum(layoutNames, b, l) }
 
 // MemSched selects the memory controller's command scheduling under
 // BackendDRAM (the open-queue axis of the design space).
@@ -75,6 +117,13 @@ const (
 	// numbers assume. See DRAMQueueDepth and DRAMStarveCap.
 	MemSchedFRFCFS
 )
+
+// memSchedNames spells MemSched as text (-mem-sched).
+var memSchedNames = []string{"inorder", "frfcfs"}
+
+func (m MemSched) String() string                { return enumName(memSchedNames, m) }
+func (m MemSched) MarshalText() ([]byte, error)  { return []byte(m.String()), nil }
+func (m *MemSched) UnmarshalText(b []byte) error { return parseEnum(memSchedNames, b, m) }
 
 // Stats re-exports the protocol counters.
 type Stats = core.Stats

@@ -19,7 +19,8 @@ import (
 // turns a Spec into a validated plan (defaults once, one table of knob
 // rules, the key and the shared memory bus each made in one place), and
 // buildTree turns the plan into one bucket tree's storage stack. A new knob
-// is one Spec field, one default here and one rule row.
+// is one Spec field, one default here, one rule row and — its text form —
+// one flag line in internal/explore.BindSpec.
 
 // rule is one row of the knob table: a condition on the defaulted Spec
 // that makes it invalid, and what to tell the caller. Most rows reject a
@@ -62,6 +63,11 @@ var rules = []rule{
 		return s.Encryption == EncryptCounter && max(encrypt.PlainBucketBytes(s.Z, s.BlockSize),
 			encrypt.PlainBucketBytes(s.PosZ, s.PosBlockSize)) > encrypt.MaxCounterBucketBytes
 	}, "bucket plaintext Z*(12+BlockSize) exceeds the 1 MiB one counter can pad under EncryptCounter; shrink Z or BlockSize"},
+
+	{func(s *Spec) bool { return !s.AsyncEviction && s.MaxDeferredWriteBacks != 0 },
+		"MaxDeferredWriteBacks sizes the deferred write-back queue; set AsyncEviction: true"},
+	{func(s *Spec) bool { return !s.AsyncEviction && s.EvictionsPerIdle != 0 },
+		"EvictionsPerIdle budgets idle-time eviction on the staged access path; set AsyncEviction: true"},
 
 	{func(s *Spec) bool {
 		return s.Backend != BackendDRAM && (s.DRAMChannels != 0 || s.DRAMLayout != LayoutSubtree || s.DRAMSerialize)
@@ -107,9 +113,16 @@ type plan struct {
 	bus *membus.Bus
 }
 
-// resolve is step one of every constructor.
-func resolve(spec Spec) (*plan, error) {
-	p := &plan{Spec: spec}
+// Validate reports the first knob rule the Spec breaks — the error every
+// constructor would return for it — without building anything.
+func (s Spec) Validate() error {
+	_, err := s.defaulted()
+	return err
+}
+
+// defaulted applies the defaults and then the rule table.
+func (s Spec) defaulted() (*plan, error) {
+	p := &plan{Spec: s}
 	if p.Shards == 0 {
 		p.Shards = 1
 	}
@@ -143,6 +156,15 @@ func resolve(spec Spec) (*plan, error) {
 			return nil, fmt.Errorf("pathoram: %s", r.msg)
 		}
 	}
+	return p, nil
+}
+
+// resolve is step one of every constructor.
+func resolve(spec Spec) (*plan, error) {
+	p, err := spec.defaulted()
+	if err != nil {
+		return nil, err
+	}
 	if p.Key == nil {
 		p.Key = make([]byte, encrypt.KeySize)
 		if _, err := crand.Read(p.Key); err != nil {
@@ -164,7 +186,6 @@ func resolve(spec Spec) (*plan, error) {
 		if p.DRAMSched == MemSchedFRFCFS {
 			policy = dram.SchedFRFCFS
 		}
-		var err error
 		if p.bus, err = membus.New(membus.Config{
 			Channels:  p.DRAMChannels,
 			Layout:    layout,

@@ -15,19 +15,21 @@ import (
 // overlap, both through Open(Spec). Named TestPLB*/TestOverlap* for the
 // CI `-run 'PLB|Overlap'` shard.
 
-// plbSpec is a small recursive spec with a PLB, deterministic and with
-// idle eviction disabled so single-client replays are exactly
-// reproducible (see dramConfig's rationale).
+// plbSpec is a small deterministic recursive spec with a PLB. Variants that
+// turn on AsyncEviction go through async, which also disables idle eviction
+// so single-client replays stay exactly reproducible (see dramConfig's
+// rationale).
 func plbSpec(seed int64) Spec {
 	return Spec{
 		Blocks: 300, BlockSize: 16, Shards: 2,
 		PosMap: PosMapRecursive, PosBlockSize: 16, OnChipPosMapMax: 128,
-		PLBBytes:         2048,
-		Encryption:       EncryptNone,
-		EvictionsPerIdle: -1,
-		Rand:             rand.New(rand.NewSource(seed)),
+		PLBBytes:   2048,
+		Encryption: EncryptNone,
+		Rand:       rand.New(rand.NewSource(seed)),
 	}
 }
+
+func async(s *Spec) { s.AsyncEviction, s.EvictionsPerIdle = true, -1 }
 
 // replayPLB drives one seeded workload through a spec variant and returns
 // the per-shard data-level leaf sequences and the post-Flush per-shard,
@@ -95,9 +97,9 @@ func TestPLBClientEquivalenceReplay(t *testing.T) {
 	}
 	variants := []variant{
 		{"mem/sync", nil},
-		{"mem/async", func(s *Spec) { s.AsyncEviction = true }},
+		{"mem/async", async},
 		{"dram/sync", func(s *Spec) { s.Backend = BackendDRAM }},
-		{"dram/async", func(s *Spec) { s.Backend = BackendDRAM; s.AsyncEviction = true }},
+		{"dram/async", func(s *Spec) { s.Backend = BackendDRAM; async(s) }},
 	}
 	baseLeaves, baseTrees := replayPLB(t, variants[0].mutate)
 	var total int

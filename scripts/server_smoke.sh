@@ -11,7 +11,7 @@ dir="${1:-$(mktemp -d)}"
 addr="127.0.0.1:${PORT:-8471}"
 
 go build -o "$dir/oram-server" ./cmd/oram-server
-"$dir/oram-server" -addr "$addr" -storage file -dir "$dir/data" -wal \
+"$dir/oram-server" -addr "$addr" -backend file -dir "$dir/data" -wal \
   -tenants alice,bob -blocks 512 -blocksize 16 >"$dir/server.log" 2>&1 &
 pid=$!
 trap 'kill "$pid" 2>/dev/null || true' EXIT

@@ -41,6 +41,13 @@ const (
 	PartitionRandom
 )
 
+// partitionNames spells Partition as text (-partition).
+var partitionNames = []string{"stripe", "range", "random"}
+
+func (p Partition) String() string                { return enumName(partitionNames, p) }
+func (p Partition) MarshalText() ([]byte, error)  { return []byte(p.String()), nil }
+func (p *Partition) UnmarshalText(b []byte) error { return parseEnum(partitionNames, b, p) }
+
 // Sharded is a concurrency-safe ORAM serving layer. It partitions the
 // logical address space over independent Path ORAM shards, each owned
 // exclusively by a worker goroutine, and schedules requests onto them:

@@ -24,17 +24,20 @@ import (
 // off, a single-client replay is fully deterministic, which is what lets
 // the equivalence test demand byte-identical trees.
 func dramConfig(shards int, blocks uint64, part Partition, async bool, seed int64) Spec {
-	return Spec{
-		Shards:           shards,
-		Partition:        part,
-		EvictionsPerIdle: -1,
-		Blocks:           blocks, BlockSize: 16,
+	spec := Spec{
+		Shards:    shards,
+		Partition: part,
+		Blocks:    blocks, BlockSize: 16,
 		Encryption:    EncryptNone,
 		Backend:       BackendDRAM,
 		DRAMChannels:  2,
 		AsyncEviction: async,
 		Rand:          rand.New(rand.NewSource(seed)),
 	}
+	if async {
+		spec.EvictionsPerIdle = -1
+	}
+	return spec
 }
 
 // memTree reaches through a shard's store wrappers to the underlying

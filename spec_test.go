@@ -2,6 +2,7 @@ package pathoram
 
 import (
 	"bytes"
+	"encoding"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -31,6 +32,8 @@ var ruleTrips = []Spec{
 	{Blocks: 64, BlockSize: 8, Encryption: EncryptNone, Integrity: true},
 	{Blocks: 64, BlockSize: 8, Key: make([]byte, 32)},
 	{Blocks: 2, Z: 4, BlockSize: 1<<18 - 11},
+	{Blocks: 64, MaxDeferredWriteBacks: 4},
+	{Blocks: 64, EvictionsPerIdle: 2},
 	{Blocks: 64, DRAMChannels: 4},
 	{Blocks: 64, DRAMSched: MemSchedFRFCFS},
 	{Blocks: 64, Backend: BackendDRAM, DRAMQueueDepth: 4},
@@ -71,7 +74,7 @@ func TestSpecRules(t *testing.T) {
 		_, err = NewSharded(spec)
 		check("NewSharded", err)
 		// The bare constructors only accept the axes of one known engine.
-		if spec.Shards > 1 || spec.Partition != PartitionStripe || spec.PosMap > PosMapRecursive {
+		if spec.Shards > 1 || spec.Partition != PartitionStripe || spec.PosMap > PosMapRecursive || spec.EvictionsPerIdle != 0 {
 			continue
 		}
 		if spec.PosMap == PosMapRecursive {
@@ -92,7 +95,7 @@ func TestSpecBareConstructorsRejectServingAxes(t *testing.T) {
 		"partition":  func(s *Spec) { s.Partition = PartitionRange },
 		"padded":     func(s *Spec) { s.Padded = true },
 		"queue":      func(s *Spec) { s.QueueDepth = 8 },
-		"idle-evict": func(s *Spec) { s.EvictionsPerIdle = 2 },
+		"idle-evict": func(s *Spec) { s.AsyncEviction, s.EvictionsPerIdle = true, 2 },
 	} {
 		spec := Spec{Blocks: 64, BlockSize: 8}
 		mutate(&spec)
@@ -113,19 +116,42 @@ func TestSpecBareConstructorsRejectServingAxes(t *testing.T) {
 	}
 }
 
+// enabledBy says, for every Spec field, where it means something: nil for
+// a field that is live on every Spec, otherwise the mutation that selects
+// the axis values under which it is (the minimal Spec below selects none:
+// flat, synchronous, in memory). A new field must be entered here — and so
+// be given either a use everywhere or a rule row.
+var enabledBy = func() map[string]func(*Spec) {
+	recursive := func(s *Spec) { s.PosMap = PosMapRecursive }
+	async := func(s *Spec) { s.AsyncEviction = true }
+	dram := func(s *Spec) { s.Backend = BackendDRAM }
+	frfcfs := func(s *Spec) { s.Backend, s.DRAMSched = BackendDRAM, MemSchedFRFCFS }
+	file := func(s *Spec) { s.Backend, s.Dir = BackendFile, "somewhere" }
+	return map[string]func(*Spec){
+		"Blocks": nil, "BlockSize": nil, "Shards": nil, "Partition": nil, "Padded": nil, "QueueDepth": nil,
+		"PosMap": nil, "Z": nil, "Utilization": nil, "LeafLevel": nil, "StashCapacity": nil,
+		"ConstantTimeStash": nil, "SuperBlockSize": nil, "Encryption": nil, "Integrity": nil, "Key": nil,
+		"AsyncEviction": nil, "Backend": nil, "Rand": nil, "OnPathAccess": nil,
+
+		"EvictionsPerIdle": async, "MaxDeferredWriteBacks": async,
+		"PosBlockSize": recursive, "OnChipPosMapMax": recursive, "PosZ": recursive, "PLBBytes": recursive,
+		"PLBConstantShape": func(s *Spec) { s.PosMap, s.PLBBytes = PosMapRecursive, 1024 },
+		"Overlap":          func(s *Spec) { s.PosMap, s.Backend = PosMapRecursive, BackendDRAM },
+		"Dir":              func(s *Spec) { s.Backend = BackendFile },
+		"WAL":              file,
+		"WALDepth":         func(s *Spec) { file(s); s.WAL = true },
+		"DRAMChannels":     dram, "DRAMLayout": dram, "DRAMSerialize": dram, "DRAMSched": dram,
+		"DRAMQueueDepth": frfcfs, "DRAMStarveCap": frfcfs,
+	}
+}()
+
 // TestSpecNoInertField reflects over Spec: starting from a minimal valid
-// Spec, setting any one exported field to a different value must either be
-// rejected or change the resolved plan. A field resolve normalizes away —
-// or a new field nobody wired into a default, a rule or the plan — fails
-// here.
+// Spec, setting any one exported field to a different value is accepted
+// exactly when enabledBy says the field is live there; a field that only
+// parameterizes some other axis value must be rejected until that value is
+// selected, and accepted once it is. A rule row missing for such a knob —
+// it would be silently ignored — fails here.
 func TestSpecNoInertField(t *testing.T) {
-	minimal := func() Spec {
-		return Spec{Blocks: 64, BlockSize: 16, Key: []byte("0123456789abcdef")}
-	}
-	base, err := resolve(minimal())
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := reflect.TypeOf(Spec{})
 	for i := 0; i < st.NumField(); i++ {
 		f := st.Field(i)
@@ -133,7 +159,12 @@ func TestSpecNoInertField(t *testing.T) {
 			t.Errorf("Spec.%s is unexported; Spec is the public surface, plan holds derived state", f.Name)
 			continue
 		}
-		spec := minimal()
+		enable, listed := enabledBy[f.Name]
+		if !listed {
+			t.Errorf("Spec.%s is not in enabledBy; say where the field is live", f.Name)
+			continue
+		}
+		spec := Spec{Blocks: 64, BlockSize: 16, Key: []byte("0123456789abcdef")}
 		v := reflect.ValueOf(&spec).Elem().Field(i)
 		switch f.Name {
 		case "Key":
@@ -147,7 +178,11 @@ func TestSpecNoInertField(t *testing.T) {
 			case reflect.Bool:
 				v.SetBool(true)
 			case reflect.Int:
-				v.SetInt(v.Int() + 2) // 1 is several fields' default
+				if f.Type.PkgPath() != "" {
+					v.SetInt(1) // the enum's first non-default value
+				} else {
+					v.SetInt(2) // 1 is several fields' default
+				}
 			case reflect.Uint64:
 				v.SetUint(v.Uint() + 1)
 			case reflect.Float64:
@@ -158,14 +193,62 @@ func TestSpecNoInertField(t *testing.T) {
 				t.Fatalf("Spec.%s has kind %v; teach this test to set it", f.Name, v.Kind())
 			}
 		}
-		p, err := resolve(spec)
-		if err != nil {
-			continue // rejected: not inert
+		err := spec.Validate()
+		if enable == nil {
+			if err != nil {
+				t.Errorf("Spec.%s = %v rejected on the minimal Spec: %v", f.Name, v.Interface(), err)
+			}
+			continue
 		}
-		if reflect.DeepEqual(p, base) {
-			t.Errorf("Spec.%s = %v is accepted and changes nothing in the resolved plan", f.Name, v.Interface())
+		if err == nil {
+			t.Errorf("Spec.%s = %v is accepted where it changes nothing; it needs a rule row", f.Name, v.Interface())
+		}
+		enable(&spec)
+		if err := spec.Validate(); err != nil {
+			t.Errorf("Spec.%s = %v rejected where enabledBy says it is live: %v", f.Name, v.Interface(), err)
 		}
 	}
+}
+
+// checkEnumText: every value of one Spec enum round-trips through its text
+// form, the name table covers exactly the constants up to last, and a name
+// outside the table — including what an out-of-range value prints as — is
+// rejected.
+func checkEnumText[E ~int, P interface {
+	*E
+	encoding.TextUnmarshaler
+}](t *testing.T, names []string, last E) {
+	t.Helper()
+	if int(last) != len(names)-1 {
+		t.Errorf("%T: %d names for constants 0..%d", last, len(names), int(last))
+	}
+	for i := range names {
+		text, err := any(E(i)).(encoding.TextMarshaler).MarshalText()
+		if err != nil || string(text) != names[i] {
+			t.Errorf("%T(%d) marshals as %q, %v; want %q", last, i, text, err, names[i])
+		}
+		var back E
+		if err := P(&back).UnmarshalText(text); err != nil || back != E(i) {
+			t.Errorf("%T: %q unmarshals as %d, %v; want %d", last, text, int(back), err, i)
+		}
+	}
+	beyond, _ := any(last + 1).(encoding.TextMarshaler).MarshalText()
+	for _, bad := range []string{"", "no-such-name", strings.ToUpper(names[0]), string(beyond)} {
+		var v E
+		if err := P(&v).UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("%T: unknown name %q accepted as %d", last, bad, int(v))
+		}
+	}
+}
+
+// TestSpecEnumText pins the text form of the six Spec enums.
+func TestSpecEnumText(t *testing.T) {
+	checkEnumText(t, encryptionNames, EncryptNone)
+	checkEnumText(t, backendNames, BackendFile)
+	checkEnumText(t, partitionNames, PartitionRandom)
+	checkEnumText(t, posMapNames, PosMapRecursive)
+	checkEnumText(t, layoutNames, LayoutNaive)
+	checkEnumText(t, memSchedNames, MemSchedFRFCFS)
 }
 
 // TestSpecValidationGapsClosed pins the three checks that only some
