@@ -1,11 +1,8 @@
 package pathoram
 
-// One benchmark per table and figure of the paper's evaluation, plus
-// primitive-operation benchmarks for the library itself. The figure
-// benchmarks run the (scaled) experiment and attach its headline numbers
-// as custom benchmark metrics, so `go test -bench=. -benchmem` both
-// exercises the code paths and reports the reproduced quantities.
-// cmd/oram-experiments prints the full paper-style tables.
+// Primitive-operation benchmarks for the library itself. The benchmarks
+// of the paper's tables and figures live in internal/exp (which imports
+// this package through internal/explore, so they cannot sit here).
 
 import (
 	"fmt"
@@ -16,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exp"
 	"repro/internal/membus"
 	"repro/internal/trace"
 
@@ -248,31 +244,6 @@ func BenchmarkExclusiveLoadStore(b *testing.B) {
 		if err := o.Store(a, d); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkDRAMPathReadSubtreeVsNaive(b *testing.B) {
-	for _, strat := range []string{"naive", "subtree"} {
-		strat := strat
-		b.Run(strat, func(b *testing.B) {
-			var lastCycles float64
-			for i := 0; i < b.N; i++ {
-				res, err := exp.RunFig11(exp.Fig11Config{
-					WorkingSet: 1 << 25, Channels: []int{2},
-					Settings: []exp.Setting{exp.DZ3Pb32}, Accesses: 16, Seed: 7,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pt := res.Points[0]
-				if strat == "naive" {
-					lastCycles = pt.Naive
-				} else {
-					lastCycles = pt.Subtree
-				}
-			}
-			b.ReportMetric(lastCycles, "DRAMcycles/access")
-		})
 	}
 }
 
@@ -661,175 +632,6 @@ func BenchmarkShardedBatchPadded(b *testing.B) {
 			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "ops/s")
 			b.ReportMetric(s.Stats().PaddingPerReal(), "pad/real")
 		})
-	}
-}
-
-// ---------- per-figure benchmarks ----------
-
-func BenchmarkFig03StashOccupancy(b *testing.B) {
-	cfg := exp.DefaultFig3()
-	cfg.WorkingSetBlocks = 1 << 12
-	cfg.Zs = []int{3, 4}
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig3(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Histograms[3].Mean(), "Z3_mean_stash")
-		b.ReportMetric(res.Histograms[3].TailProb(50), "Z3_P_ge_50")
-	}
-}
-
-func BenchmarkFig04CPLAttack(b *testing.B) {
-	cfg := exp.DefaultFig4()
-	cfg.Experiments = 10
-	cfg.Accesses = 1000
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig4(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Secure.Mean(), "secure_cpl")
-		b.ReportMetric(res.InsecureCongested.Mean(), "insecure_cpl")
-	}
-}
-
-func BenchmarkFig05AccessOrder(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig5(exp.DZ3Pb32, 1<<25, 2, 16, 31)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.SeqReturn, "seq_return_cycles")
-		b.ReportMetric(res.PipelinedReturn, "pipe_return_cycles")
-	}
-}
-
-func BenchmarkFig07DummyRatio(b *testing.B) {
-	cfg := exp.DefaultFig7()
-	cfg.WorkingSetBlocks = 1 << 12
-	cfg.AccessesPerBlock = 6
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig7(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Ratio[1][200], "Z1_dummy_ratio")
-		b.ReportMetric(res.Ratio[3][200], "Z3_dummy_ratio")
-	}
-}
-
-func BenchmarkFig08Utilization(b *testing.B) {
-	cfg := exp.DefaultFig8()
-	cfg.WorkingSetBlocks = 1 << 12
-	cfg.AccessesPerBlock = 6
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig8(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if best := res.Best(); best != nil {
-			b.ReportMetric(float64(best.Z), "best_Z")
-			b.ReportMetric(best.Overhead, "best_overhead")
-		}
-	}
-}
-
-func BenchmarkFig09Capacity(b *testing.B) {
-	cfg := exp.DefaultFig9()
-	cfg.WorkingSets = []uint64{1 << 10, 1 << 13}
-	cfg.AccessesPerBlock = 6
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig9(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, pt := range res.Points {
-			if pt.Z == 3 && pt.WorkingSet == 1<<13 {
-				b.ReportMetric(pt.Overhead, "Z3_overhead_8k")
-			}
-		}
-	}
-}
-
-func BenchmarkFig10Hierarchy(b *testing.B) {
-	cfg := exp.DefaultFig10()
-	cfg.SimWorkingSet = 1 << 12
-	cfg.SimAccesses = 1 << 14
-	cfg.Settings = []exp.Setting{exp.DZ3Pb32, exp.BaseORAM}
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig10(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		red, err := res.ReductionVsBase("DZ3Pb32")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*red, "overhead_reduction_%")
-	}
-}
-
-func BenchmarkFig11Placement(b *testing.B) {
-	cfg := exp.DefaultFig11()
-	cfg.Settings = []exp.Setting{exp.DZ3Pb32}
-	cfg.Channels = []int{2}
-	cfg.Accesses = 24
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig11(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pt := res.Points[0]
-		b.ReportMetric(pt.Naive/pt.Theoretical, "naive_vs_theory")
-		b.ReportMetric(pt.Subtree/pt.Theoretical, "subtree_vs_theory")
-	}
-}
-
-func BenchmarkTable2Latency(b *testing.B) {
-	cfg := exp.DefaultTable2()
-	cfg.Accesses = 24
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunTable2(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if row := res.Find("DZ3Pb32"); row != nil {
-			b.ReportMetric(float64(row.ReturnCycles), "DZ3Pb32_return_cyc")
-			b.ReportMetric(float64(row.FinishCycles), "DZ3Pb32_finish_cyc")
-		}
-	}
-}
-
-func BenchmarkFig12SPEC(b *testing.B) {
-	cfg := exp.DefaultFig12()
-	cfg.Instructions = 50_000
-	cfg.Warmup = 50_000
-	cfg.SimWorkingSet = 1 << 12
-	cfg.SimAccesses = 1 << 14
-	cfg.Benchmarks = []string{"mcf", "libquantum", "hmmer"}
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunFig12(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		imp, err := res.ImprovementVsBase("DZ4Pb32+SB")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*imp, "improvement_%")
-	}
-}
-
-func BenchmarkIntegrityOverhead(b *testing.B) {
-	cfg := exp.DefaultIntegrity()
-	cfg.Accesses = 500
-	for i := 0; i < b.N; i++ {
-		res, err := exp.RunIntegrity(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.HashReadsPerAccess, "hash_reads/access")
 	}
 }
 

@@ -1,19 +1,21 @@
-// Command oram-explore runs the Path ORAM design-space explorations of
-// Section 4.1: stash occupancy (Figure 3), dummy-access ratios (Figure 7),
-// the utilization sweep (Figure 8), the capacity sweep (Figure 9) and the
-// hierarchical overhead breakdown (Figure 10).
+// Command oram-explore is the evaluation driver. Its modes:
 //
-// Problem sizes default to scaled-down working sets that finish in seconds;
-// raise -ws (and be patient) to approach paper scale.
+//	oram-explore -grid smoke              # sweep a grid: a preset or a JSON file of flag axes
+//	oram-explore -grid fig8 -ops 131072   # a paper figure is a preset: the sweep, then the paper's table
+//	oram-explore -check explore-smoke.json
+//	oram-explore -paper [-quick]          # every table and figure of the paper (EXPERIMENTS.md's source)
+//	oram-explore -record mcf -out mcf.pot # record a synthetic benchmark trace ...
+//	oram-explore -replay mcf.pot          # ... and replay it through the processor model
 //
-// -grid switches to the automated design-space explorer: it sweeps a
-// declarative configuration grid (a preset name or a JSON file of flag
-// axes, see internal/explore.Grid) under the workload suite, marks the Pareto
-// frontier over {p99 latency, modeled cycles/op, on-chip bytes}, prints
-// the frontier table and writes a schema-validated JSON report:
-//
-//	oram-explore -grid smoke -out BENCH_pr7.json
-//	oram-explore -check BENCH_pr7.json
+// -grid sweeps a declarative configuration grid (internal/explore.Grid)
+// under the workload suite, marks the Pareto frontier over {p99 latency,
+// modeled cycles/op, on-chip bytes}, prints the frontier table and writes a
+// schema-validated JSON report to explore-<grid>.json (or -out). Figures
+// 7-10 and the stash and super-block ablations are presets; the rest of
+// the paper's evaluation (stash occupancy, the CPL attack, the DRAM and
+// processor studies, integrity) runs under -paper. Problem sizes are scaled
+// down so everything finishes in minutes; raise a grid's -ops to tighten
+// its rates.
 package main
 
 import (
@@ -22,122 +24,52 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
+	"repro/internal/cpu"
 	"repro/internal/exp"
 	"repro/internal/explore"
+	"repro/internal/trace"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("oram-explore: ")
 	var (
-		fig        = flag.Int("fig", 0, "figure to reproduce: 3, 7, 8, 9 or 10 (0 = all)")
-		ws         = flag.Uint64("ws", 0, "working-set blocks (0 = per-figure default)")
-		perBlock   = flag.Int("accesses-per-block", 0, "accesses per block (paper: 10; 0 = default)")
-		seed       = flag.Int64("seed", 1, "PRNG seed")
-		grid       = flag.String("grid", "", "design-space sweep: preset ("+strings.Join(explore.PresetNames(), "|")+") or a JSON grid file; replaces the figure modes")
-		out        = flag.String("out", "BENCH_pr7.json", "report path for -grid")
-		ops        = flag.Int("ops", 2048, "measured operations per (config, workload) cell (with -grid)")
-		warmup     = flag.Int("warmup", 256, "unmeasured warm-up operations per cell (with -grid)")
-		batch      = flag.Int("batch", 16, "submission batch size for padded configs (with -grid)")
+		grid       = flag.String("grid", "", "design-space sweep: preset ("+strings.Join(explore.PresetNames(), "|")+") or a JSON grid file")
+		paper      = flag.Bool("paper", false, "print the consolidated paper report")
+		quick      = flag.Bool("quick", false, "with -paper: smaller problem sizes (smoke run)")
+		record     = flag.String("record", "", "benchmark profile to record as a trace (e.g. mcf)")
+		replay     = flag.String("replay", "", "trace file to replay through the CPU model")
 		checkPath  = flag.String("check", "", "validate an existing report against the embedded schema and exit")
 		minConfigs = flag.Int("min-configs", 0, "with -check: minimum distinct configurations the report must cover")
+		out        = flag.String("out", "", "output path (default explore-<grid>.json with -grid, trace.pot with -record)")
+		ops        = flag.Int("ops", 2048, "with -grid: measured operations per (config, workload) cell")
+		warmup     = flag.Int("warmup", 256, "unmeasured warm-up operations per cell")
+		batch      = flag.Int("batch", 16, "submission batch size for padded configs")
+		seed       = flag.Int64("seed", 1, "PRNG seed")
 	)
 	flag.Parse()
 
-	if *checkPath != "" {
+	opts := explore.Options{Ops: *ops, Warmup: *warmup, Batch: *batch, Seed: *seed}
+	switch {
+	case *checkPath != "":
 		runCheck(*checkPath, *minConfigs)
-		return
+	case *grid != "":
+		runGrid(*grid, *out, opts)
+	case *paper:
+		runPaper(*quick, opts)
+	case *record != "":
+		recordTrace(*record, *out, *seed)
+	case *replay != "":
+		replayTrace(*replay)
+	default:
+		flag.Usage()
+		os.Exit(2)
 	}
-	if *grid != "" {
-		runGrid(*grid, *out, explore.Options{Ops: *ops, Warmup: *warmup, Batch: *batch, Seed: *seed})
-		return
-	}
-
-	run := func(f int) {
-		switch f {
-		case 3:
-			cfg := exp.DefaultFig3()
-			apply3(&cfg, *ws, *perBlock, *seed)
-			res, err := exp.RunFig3(cfg)
-			check(err)
-			fmt.Println(res.Table())
-		case 7:
-			cfg := exp.DefaultFig7()
-			if *ws != 0 {
-				cfg.WorkingSetBlocks = *ws
-			}
-			if *perBlock != 0 {
-				cfg.AccessesPerBlock = *perBlock
-			}
-			cfg.Seed = *seed
-			res, err := exp.RunFig7(cfg)
-			check(err)
-			fmt.Println(res.Table())
-		case 8:
-			cfg := exp.DefaultFig8()
-			if *ws != 0 {
-				cfg.WorkingSetBlocks = *ws
-			}
-			if *perBlock != 0 {
-				cfg.AccessesPerBlock = *perBlock
-			}
-			cfg.Seed = *seed
-			res, err := exp.RunFig8(cfg)
-			check(err)
-			fmt.Println(res.Table())
-			if best := res.Best(); best != nil {
-				fmt.Printf("best configuration: Z=%d at %.0f%% utilization (overhead %.1f)\n\n",
-					best.Z, 100*best.Utilization, best.Overhead)
-			}
-		case 9:
-			cfg := exp.DefaultFig9()
-			if *perBlock != 0 {
-				cfg.AccessesPerBlock = *perBlock
-			}
-			cfg.Seed = *seed
-			res, err := exp.RunFig9(cfg)
-			check(err)
-			fmt.Println(res.Table())
-		case 10:
-			cfg := exp.DefaultFig10()
-			if *ws != 0 {
-				cfg.SimWorkingSet = *ws
-			}
-			cfg.Seed = *seed
-			res, err := exp.RunFig10(cfg)
-			check(err)
-			fmt.Println(res.Table())
-			if red, err := res.ReductionVsBase("DZ3Pb32"); err == nil {
-				fmt.Printf("DZ3Pb32 overhead reduction vs baseORAM: %.1f%% (paper: 41.8%%)\n", 100*red)
-			}
-			if red, err := res.ReductionVsBase("DZ4Pb32"); err == nil {
-				fmt.Printf("DZ4Pb32 overhead reduction vs baseORAM: %.1f%% (paper: 35.0%%)\n\n", 100*red)
-			}
-		default:
-			log.Printf("unknown figure %d", f)
-			os.Exit(2)
-		}
-	}
-	if *fig == 0 {
-		for _, f := range []int{3, 7, 8, 9, 10} {
-			run(f)
-		}
-		return
-	}
-	run(*fig)
-}
-
-func apply3(cfg *exp.Fig3Config, ws uint64, perBlock int, seed int64) {
-	if ws != 0 {
-		cfg.WorkingSetBlocks = ws
-	}
-	if perBlock != 0 {
-		cfg.AccessesPerBlock = perBlock
-	}
-	cfg.Seed = seed
 }
 
 func check(err error) {
@@ -148,8 +80,8 @@ func check(err error) {
 
 // runCheck validates an existing report file against the embedded
 // schema's constraints and additionally requires a non-empty marked
-// Pareto frontier and (when minConfigs > 0) a minimum sweep breadth —
-// the properties CI's explore-smoke job gates on.
+// Pareto frontier that no infeasible row sits on and (when minConfigs > 0)
+// a minimum sweep breadth — the properties CI's gates job holds.
 func runCheck(path string, minConfigs int) {
 	data, err := os.ReadFile(path)
 	check(err)
@@ -160,6 +92,9 @@ func runCheck(path string, minConfigs int) {
 	configs := map[string]bool{}
 	for _, b := range rep.Benchmarks {
 		if b.Pareto {
+			if b.Metrics["infeasible"] != 0 {
+				log.Fatalf("%s: infeasible row %s is Pareto-marked", path, b.Name)
+			}
 			frontier++
 		}
 		configs[b.Config] = true
@@ -174,11 +109,14 @@ func runCheck(path string, minConfigs int) {
 		path, len(rep.Benchmarks), len(configs), frontier)
 }
 
-// runGrid sweeps the grid, marks the frontier, prints the table and
-// writes the report.
+// runGrid sweeps the grid, marks the frontier, writes the report and
+// prints the frontier — and, for a figure preset, the paper's table.
 func runGrid(gridName, outPath string, opts explore.Options) {
 	g, err := explore.LoadGrid(gridName)
 	check(err)
+	if outPath == "" {
+		outPath = "explore-" + strings.TrimSuffix(filepath.Base(gridName), ".json") + ".json"
+	}
 	rows, err := explore.Run(g, opts, log.Printf)
 	check(err)
 	explore.MarkPareto(rows, explore.Objectives)
@@ -192,15 +130,19 @@ func runGrid(gridName, outPath string, opts explore.Options) {
 	front := explore.Frontier(rows)
 	fmt.Printf("\n%d configurations x workloads measured; %d on the Pareto frontier over {%s}\n\n",
 		len(rows), len(front), strings.Join(explore.Objectives, ", "))
-	w := newTable(os.Stdout)
-	w.row("workload", "config", "p99-ns", "cycles/op", "onchip-B", "ns/op", "leakage")
+	t := &exp.Table{Header: []string{"workload", "config", "p99-ns", "cycles/op", "onchip-B", "ns/op", "leakage"}}
 	for _, r := range front {
-		w.row(r.Workload, r.Config,
+		t.AddRow(r.Workload, r.Config,
 			metric(r, "p99-ns"), metric(r, "cycles/op"), metric(r, "onchip-B"),
 			metric(r, "ns/op"), r.Leakage)
 	}
-	w.flush()
-	fmt.Printf("\nreport written to %s (validate with -check %s)\n", outPath, outPath)
+	fmt.Println(t)
+	if render, ok := exp.Figures[gridName]; ok {
+		cells, err := exp.Cells(g, rows)
+		check(err)
+		show(render(cells))
+	}
+	fmt.Printf("report written to %s (validate with -check %s)\n", outPath, outPath)
 }
 
 func metric(r explore.Row, key string) string {
@@ -211,33 +153,161 @@ func metric(r explore.Row, key string) string {
 	return strconv.FormatFloat(v, 'g', 6, 64)
 }
 
-// table is a minimal right-aligned column printer (same shape as
-// cmd/oram-serve's).
-type table struct {
-	out  *os.File
-	rows [][]string
+func show(t *exp.Table, err error) {
+	check(err)
+	fmt.Println(t)
 }
 
-func newTable(out *os.File) *table { return &table{out: out} }
+// report prints the table of a runner's result.
+func report(res interface{ Table() *exp.Table }, err error) {
+	check(err)
+	fmt.Println(res.Table())
+}
 
-func (t *table) row(cells ...string) { t.rows = append(t.rows, cells) }
-
-func (t *table) flush() {
-	if len(t.rows) == 0 {
-		return
+// runPaper regenerates every table and figure of the paper's evaluation
+// in one run. The protocol figures are the explore presets, swept at
+// opts.Seed with 8 measured accesses per block of the working set; the
+// bespoke runners keep their recorded seeds.
+func runPaper(quick bool, opts explore.Options) {
+	start := time.Now()
+	section := func(name string) {
+		fmt.Printf("\n######## %s (t=%s) ########\n\n", name, time.Since(start).Round(time.Second))
 	}
-	widths := make([]int, len(t.rows[0]))
-	for _, r := range t.rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+	ws, capacities := uint64(1<<14), []uint64{1 << 10, 1 << 12, 1 << 14, 1 << 16}
+	if quick {
+		ws, capacities = 1<<12, capacities[:2]
+	}
+	opts.Ops = 8 * int(ws)
+	sweep := func(g explore.Grid) []exp.Cell {
+		cells, err := exp.Sweep(g, opts)
+		check(err)
+		return cells
+	}
+
+	vsBase := func(what string, of func(string) (float64, error), name string, paper float64) {
+		if v, err := of(name); err == nil {
+			fmt.Printf("%s %s vs baseORAM: %.1f%% (paper: %.1f%%)\n", name, what, 100*v, paper)
 		}
 	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			fmt.Fprintf(t.out, "%*s  ", widths[i], c)
-		}
-		fmt.Fprintln(t.out)
+
+	section("Figure 3: stash occupancy")
+	f3 := exp.DefaultFig3()
+	if quick {
+		f3.WorkingSetBlocks = 1 << 12
 	}
+	report(exp.RunFig3(f3))
+
+	section("Figure 4: CPL attack on insecure eviction")
+	f4 := exp.DefaultFig4()
+	if quick {
+		f4.Experiments = 20
+	}
+	report(exp.RunFig4(f4))
+
+	section("Figure 7: dummy/real ratio vs stash size")
+	show(exp.Figures["fig7"](sweep(explore.Fig7Grid(ws))))
+
+	section("Figure 8: access overhead vs utilization")
+	c8 := sweep(explore.Fig8Grid(ws))
+	show(exp.Figures["fig8"](c8))
+	if best := exp.Best(c8); best != nil {
+		fmt.Printf("best: Z=%d at %.0f%% utilization, overhead %.1f\n",
+			best.Spec.Z, 100*best.Utilization(), best.Overhead())
+	}
+
+	section("Figure 9: access overhead vs capacity")
+	show(exp.Figures["fig9"](sweep(explore.Fig9Grid(capacities...))))
+
+	section("Figure 10: hierarchical overhead breakdown")
+	c10 := sweep(explore.Fig10Grid(ws))
+	r10 := exp.RunFig10(c10)
+	fmt.Println(r10.Table())
+	vsBase("reduction", r10.ReductionVsBase, "DZ3Pb32", 41.8)
+	vsBase("reduction", r10.ReductionVsBase, "DZ4Pb32", 35.0)
+
+	section("Figure 5: hierarchical access ordering")
+	report(exp.RunFig5(exp.DZ3Pb32, exp.PaperWorkingSet, 2, 32, 31))
+
+	section("Figure 11: DRAM placement")
+	f11 := exp.DefaultFig11()
+	if quick {
+		f11.Accesses = 16
+	}
+	report(exp.RunFig11(f11))
+
+	section("Table 2: latency and on-chip storage")
+	report(exp.RunTable2(exp.DefaultTable2()))
+
+	section("Figure 12: SPEC benchmark slowdowns")
+	cSB := sweep(explore.SuperBlockGrid(ws))
+	f12 := exp.DefaultFig12()
+	if quick {
+		f12.Instructions = 100_000
+		f12.Warmup = 100_000
+	}
+	r12, err := exp.RunFig12(f12, append(c10, cSB...))
+	check(err)
+	fmt.Println(r12.Table())
+	vsBase("improvement", r12.ImprovementVsBase, "DZ3Pb32", 43.9)
+	vsBase("improvement", r12.ImprovementVsBase, "DZ4Pb32+SB", 52.4)
+
+	section("Section 5: integrity verification")
+	report(exp.RunIntegrity(exp.DefaultIntegrity()))
+
+	section("Ablations beyond the paper's figures")
+	show(exp.Figures["ablate-superblock"](cSB))
+	ex := exp.DefaultExclusiveAblation()
+	if quick {
+		ex.Instructions, ex.Warmup = 400_000, 400_000
+	}
+	report(exp.RunExclusiveAblation(ex))
+	fmt.Println(exp.RunEncryptionAblation(exp.PaperWorkingSet).Table())
+	show(exp.Figures["ablate-stash"](sweep(explore.StashGrid(ws))))
+	report(exp.RunDRAMChannelScaling(exp.DZ3Pb32, exp.PaperWorkingSet, []int{1, 2, 4, 8}, 32, 41))
+
+	fmt.Printf("\ntotal runtime: %s\n", time.Since(start).Round(time.Millisecond))
+}
+
+// recordTrace writes a million instructions of a synthetic benchmark
+// profile to a trace file, so experiments can be repeated bit-identically
+// or fed with externally produced traces in the same format
+// (internal/trace.Write).
+func recordTrace(profile, out string, seed int64) {
+	const n = 1_000_000
+	p := trace.ProfileByName(profile)
+	if p == nil {
+		var names []string
+		for _, p := range trace.SPEC06() {
+			names = append(names, p.Name)
+		}
+		log.Fatalf("unknown profile %q (have: %s)", profile, strings.Join(names, ", "))
+	}
+	if out == "" {
+		out = "trace.pot"
+	}
+	f, err := os.Create(out)
+	check(err)
+	check(trace.Write(f, trace.Record(p.Generator(seed), n)))
+	st, err := f.Stat()
+	check(err)
+	check(f.Close())
+	fmt.Printf("recorded %d instructions of %s to %s (%.2f bytes/instr)\n",
+		n, profile, out, float64(st.Size())/float64(n))
+}
+
+// replayTrace runs a recorded trace through the processor model with the
+// DZ3Pb32 ORAM of Table 2 as main memory.
+func replayTrace(path string) {
+	f, err := os.Open(path)
+	check(err)
+	defer f.Close()
+	instrs, err := trace.Read(f)
+	check(err)
+	gen, err := trace.NewReplayer(instrs)
+	check(err)
+	mem := &cpu.ORAMMemory{ReturnLat: 1848, FinishLat: 3440}
+	res, err := cpu.Run(cpu.Default(), gen, mem, uint64(len(instrs)))
+	check(err)
+	fmt.Printf("replayed %d instructions: CPI=%.2f MPKI=%.2f (DZ3Pb32 ORAM memory)\n",
+		res.Instructions, res.CPI(), res.MPKI())
 }

@@ -103,9 +103,10 @@
 //     cmd/oram-server: one Client per tenant under a domain-separated
 //     derived key, JSON and streaming NDJSON batch endpoints, graceful
 //     drain.
-//   - internal/exp — the experiment runners regenerating every figure and
-//     table of the evaluation; cmd/* are their command-line drivers, and
-//     cmd/oram-serve drives the sharded serving layer.
+//   - internal/exp — every figure and table of the evaluation: the
+//     protocol figures are internal/explore grid presets rendered here,
+//     the rest keep a runner; cmd/oram-explore prints them (-grid, -paper),
+//     and cmd/oram-serve drives the sharded serving layer.
 //
 // The serving layer's threat model — what an adversary observing per-shard
 // traffic and request routing learns under each partition and batch mode —

@@ -2,11 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/cpu"
-	"repro/internal/dram"
+	"repro/internal/explore"
 	"repro/internal/trace"
 )
 
@@ -16,102 +15,66 @@ import (
 // (Section 3.3.1), the counter-based encryption (Section 2.2.2), and the
 // stash-capacity choice C=200 (Section 4.1.2).
 
-// SuperBlockAblationConfig sweeps the static super-block size.
-type SuperBlockAblationConfig struct {
-	Sizes         []int
-	DataZs        []int
-	SimWorkingSet uint64
-	SimAccesses   int
-	Stash         int
-	Seed          int64
-}
-
-// DefaultSuperBlockAblation returns the default sweep.
-func DefaultSuperBlockAblation() SuperBlockAblationConfig {
-	return SuperBlockAblationConfig{
-		Sizes:         []int{1, 2, 4},
-		DataZs:        []int{3, 4},
-		SimWorkingSet: 1 << 13,
-		SimAccesses:   1 << 14,
-		Stash:         200,
-		Seed:          41,
-	}
-}
-
 // SuperBlockAblationRow is one (Z, |S|) measurement.
 type SuperBlockAblationRow struct {
 	DataZ     int
 	Size      int
 	DummyRate float64
 	// MissRatio is the L2 miss ratio on a spatially local workload
-	// relative to |S|=1 (the prefetch benefit side of the trade-off).
+	// relative to the first |S| measured at the same Z (the prefetch
+	// benefit side of the trade-off).
 	MissRatio float64
-	// NetSpeedup is the wall-clock ratio vs |S|=1 on that workload,
-	// including the dummy-rate occupancy penalty.
+	// NetSpeedup is the wall-clock ratio vs that same baseline on that
+	// workload, including the dummy-rate occupancy penalty.
 	NetSpeedup float64
 }
 
 // SuperBlockAblationResult holds the sweep.
 type SuperBlockAblationResult struct {
-	Config SuperBlockAblationConfig
-	Rows   []SuperBlockAblationRow
+	Rows []SuperBlockAblationRow
 }
 
-// RunSuperBlockAblation measures, for each super-block size: the dummy-rate
-// cost (protocol side) and the miss/runtime benefit on a streaming
-// workload (processor side).
-func RunSuperBlockAblation(cfg SuperBlockAblationConfig) (*SuperBlockAblationResult, error) {
-	res := &SuperBlockAblationResult{Config: cfg}
+// RunSuperBlockAblation joins, for each cell of the ablate-superblock
+// grid, the measured dummy-rate cost (protocol side) with the miss and
+// runtime benefit on a streaming workload (processor side).
+func RunSuperBlockAblation(cells []Cell) (*SuperBlockAblationResult, error) {
+	res := &SuperBlockAblationResult{}
 	prof := trace.Profile{
 		Name: "stream", MemFrac: 0.3, StoreFrac: 0.3,
 		SeqFrac: 0.3, StackFrac: 0.4, WorkingSet: 256 << 20,
 	}
 	coreCfg := cpu.Default()
-	for _, z := range cfg.DataZs {
-		var baseMisses, baseCycles float64
-		for _, size := range cfg.Sizes {
-			set := Setting{
-				Name: fmt.Sprintf("DZ%dS%d", z, size), DataZ: z, PosZ: 3,
-				DataBlockBytes: 128, PosBlockBytes: 32,
-				Scheme: analysis.SchemeCounter, SuperBlock: size,
-			}
-			rate, err := set.MeasureDummyRate(cfg.SimWorkingSet, cfg.Stash, cfg.SimAccesses, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			if math.IsInf(rate, 1) {
-				// Background eviction cannot keep up: the configuration
-				// is infeasible (effective Z below 1).
-				res.Rows = append(res.Rows, SuperBlockAblationRow{
-					DataZ: z, Size: size, DummyRate: rate,
-				})
-				continue
-			}
-			// Processor side: super blocks of size s prefetch the s-line
-			// group; the CPU model supports pairs, so model larger sizes
-			// as pairs plus the measured dummy rate (documented
-			// approximation; the protocol side above is exact).
-			mem := &cpu.ORAMMemory{
-				ReturnLat: 1900, FinishLat: 3500,
-				DummyRate:  rate,
-				SuperBlock: size > 1,
-			}
-			r, err := cpu.RunWithWarmup(coreCfg, prof.Generator(cfg.Seed+7), mem, 100_000, 200_000)
-			if err != nil {
-				return nil, err
-			}
-			row := SuperBlockAblationRow{DataZ: z, Size: size, DummyRate: rate}
-			if size == cfg.Sizes[0] {
-				baseMisses = float64(r.L2Misses)
-				baseCycles = float64(r.Cycles)
-				row.MissRatio = 1
-				row.NetSpeedup = 1
-			} else {
-				row.MissRatio = float64(r.L2Misses) / baseMisses
-				row.NetSpeedup = baseCycles / float64(r.Cycles)
-			}
+	type baseline struct{ misses, cycles float64 }
+	bases := map[int]baseline{}
+	for _, c := range cells {
+		row := SuperBlockAblationRow{DataZ: c.Spec.Z, Size: max(1, c.Spec.SuperBlockSize), DummyRate: c.DummyRate()}
+		if c.Infeasible() {
+			// Background eviction cannot keep up: the configuration
+			// is infeasible (effective Z below 1).
 			res.Rows = append(res.Rows, row)
+			continue
 		}
+		// Processor side: super blocks of size s prefetch the s-line
+		// group; the CPU model supports pairs, so model larger sizes
+		// as pairs plus the measured dummy rate (documented
+		// approximation; the protocol side above is exact).
+		mem := &cpu.ORAMMemory{
+			ReturnLat: 1900, FinishLat: 3500,
+			DummyRate:  row.DummyRate,
+			SuperBlock: row.Size > 1,
+		}
+		r, err := cpu.RunWithWarmup(coreCfg, prof.Generator(48), mem, 100_000, 200_000)
+		if err != nil {
+			return nil, err
+		}
+		base, ok := bases[row.DataZ]
+		if !ok {
+			base = baseline{float64(r.L2Misses), float64(r.Cycles)}
+			bases[row.DataZ] = base
+		}
+		row.MissRatio = float64(r.L2Misses) / base.misses
+		row.NetSpeedup = base.cycles / float64(r.Cycles)
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
@@ -236,7 +199,7 @@ type EncryptionAblationResult struct {
 func RunEncryptionAblation(wsBlocks uint64) *EncryptionAblationResult {
 	res := &EncryptionAblationResult{}
 	for _, z := range []int{1, 2, 3, 4, 8} {
-		l, valid := treeFor(wsBlocks, 0.5, z)
+		l, valid := explore.TreeFor(wsBlocks, 0.5, z)
 		res.LeafLevel = l
 		ctr := analysis.ORAMConfig{LeafLevel: l, Z: z, BlockBytes: 128,
 			ValidBlocks: valid, Scheme: analysis.SchemeCounter}
@@ -276,21 +239,22 @@ type StashAblationResult struct {
 	StashKBs []float64
 }
 
-// RunStashAblation measures the dummy rate and on-chip cost across stash
-// capacities (complementing Figure 7 at the hierarchy level).
-func RunStashAblation(set Setting, wsBlocks uint64, accesses int, stashes []int, seed int64) (*StashAblationResult, error) {
-	res := &StashAblationResult{Setting: set, Stashes: stashes}
-	h, err := set.Hierarchy(1 << 25)
+// RunStashAblation joins the ablate-stash grid's measured dummy rates
+// with the on-chip cost of each capacity at paper scale (complementing
+// Figure 7 at the hierarchy level).
+func RunStashAblation(cells []Cell) (*StashAblationResult, error) {
+	if len(cells) == 0 {
+		return nil, fmt.Errorf("exp: stash ablation over no cells")
+	}
+	res := &StashAblationResult{Setting: settingOf(cells[0].Spec)}
+	h, err := res.Setting.Hierarchy(PaperWorkingSet)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range stashes {
-		rate, err := set.MeasureDummyRate(wsBlocks, c, accesses, seed)
-		if err != nil {
-			return nil, err
-		}
-		res.Rates = append(res.Rates, rate)
-		res.StashKBs = append(res.StashKBs, float64(h.StashBits(c))/8/1024)
+	for _, c := range cells {
+		res.Stashes = append(res.Stashes, c.Spec.StashCapacity)
+		res.Rates = append(res.Rates, c.DummyRate())
+		res.StashKBs = append(res.StashKBs, float64(h.StashBits(c.Spec.StashCapacity))/8/1024)
 	}
 	return res, nil
 }
@@ -349,7 +313,3 @@ func (r *DRAMChannelScalingResult) Table() *Table {
 	}
 	return t
 }
-
-// dram import is used by RunDRAMChannelScaling indirectly through
-// newHierSim; keep an explicit reference for clarity of dependencies.
-var _ = dram.DDR3Micron

@@ -3,13 +3,15 @@ package exp
 import (
 	"math"
 	"testing"
+
+	"repro/internal/explore"
 )
 
 func TestSuperBlockAblation(t *testing.T) {
-	cfg := DefaultSuperBlockAblation()
-	cfg.SimWorkingSet = 1 << 12
-	cfg.SimAccesses = 1 << 13
-	res, err := RunSuperBlockAblation(cfg)
+	// 2^11 blocks: the largest size at which every |S| is still feasible at
+	// the paper's stash, so the monotonicity below compares measured rates.
+	cells := measure(t, explore.SuperBlockGrid(1<<11), 1<<13, 41)
+	res, err := RunSuperBlockAblation(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,9 +33,9 @@ func TestSuperBlockAblation(t *testing.T) {
 		t.Errorf("DZ4 |S|=2 miss ratio %.2f, want ~0.5", z4s2.MissRatio)
 	}
 	// Dummy rate must be monotone in |S| for fixed Z.
-	for _, z := range cfg.DataZs {
+	for _, z := range []int{3, 4} {
 		prev := -1.0
-		for _, s := range cfg.Sizes {
+		for _, s := range []int{1, 2, 4} {
 			row := find(z, s)
 			if row == nil {
 				t.Fatalf("missing row Z=%d S=%d", z, s)
@@ -45,6 +47,15 @@ func TestSuperBlockAblation(t *testing.T) {
 		}
 	}
 	_ = res.Table().String()
+
+	// An infeasible cell (as |S| = 4 at Z=3 is from 2^12 blocks up) stays a
+	// row, with an unbounded dummy rate and no processor-side numbers.
+	stuck := cells[2]
+	stuck.Row.Metrics = map[string]float64{"infeasible": 1}
+	res, err = RunSuperBlockAblation([]Cell{stuck})
+	if err != nil || !math.IsInf(res.Rows[0].DummyRate, 1) || res.Rows[0].NetSpeedup != 0 {
+		t.Errorf("infeasible cell rendered as %+v (%v)", res, err)
+	}
 }
 
 func TestExclusiveAblation(t *testing.T) {
@@ -91,9 +102,12 @@ func TestEncryptionAblation(t *testing.T) {
 }
 
 func TestStashAblationMonotone(t *testing.T) {
-	res, err := RunStashAblation(DZ3Pb32SB, 1<<12, 1<<13, []int{120, 200, 400}, 3)
+	res, err := RunStashAblation(measure(t, explore.StashGrid(1<<12), 1<<13, 3))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Setting.Name != "DZ3Pb32+SB" || len(res.Stashes) != 5 || res.Stashes[0] != 120 {
+		t.Fatalf("stash grid rendered as %s over %v", res.Setting.Name, res.Stashes)
 	}
 	for i := 1; i < len(res.Rates); i++ {
 		if res.Rates[i] > res.Rates[i-1]+1e-9 {

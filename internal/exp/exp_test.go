@@ -1,9 +1,42 @@
 package exp
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/explore"
 )
+
+// measure sweeps g at ops measured accesses per point.
+func measure(tb testing.TB, g explore.Grid, ops int, seed int64) []Cell {
+	tb.Helper()
+	cells, err := Sweep(g, explore.Options{Ops: ops, Seed: seed})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cells
+}
+
+// find returns the first cell matching pred.
+func find(tb testing.TB, cells []Cell, what string, pred func(Cell) bool) Cell {
+	tb.Helper()
+	for _, c := range cells {
+		if pred(c) {
+			return c
+		}
+	}
+	tb.Fatalf("no cell for %s", what)
+	return Cell{}
+}
+
+// tree finds the first (Z, utilization) point of a tree grid.
+func tree(tb testing.TB, cells []Cell, z int, u float64) Cell {
+	return find(tb, cells, fmt.Sprintf("Z=%d at %.0f%%", z, 100*u), func(c Cell) bool {
+		return c.Spec.Z == z && math.Abs(c.Utilization()-u) < 0.005
+	})
+}
 
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Title: "T", Header: []string{"a", "bb"}, Note: "n"}
@@ -43,6 +76,26 @@ func TestFig3SmallRun(t *testing.T) {
 	}
 }
 
+// TestFig3GoldenThroughSpec pins the mean occupancies RunFig3 produced
+// while it still built core.ORAM by hand with an unbounded stash (recorded
+// at the commit before the swap): the pathoram.New-built runner, whose
+// "infinite" stash is a capacity no run can reach, reproduces them to the
+// last printed digit, so the surface swap changed nothing.
+func TestFig3GoldenThroughSpec(t *testing.T) {
+	cfg := DefaultFig3()
+	cfg.WorkingSetBlocks = 1 << 12
+	cfg.Zs = []int{1, 2, 3}
+	res, err := RunFig3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for z, want := range map[int]string{1: "413.504248", 2: "21.173578", 3: "0.422436"} {
+		if got := fmt.Sprintf("%.6f", res.Histograms[z].Mean()); got != want {
+			t.Errorf("Z=%d mean occupancy %s, want %s", z, got, want)
+		}
+	}
+}
+
 func TestFig4AttackSeparates(t *testing.T) {
 	cfg := DefaultFig4()
 	cfg.Experiments = 15
@@ -74,90 +127,85 @@ func TestFig4AttackSeparates(t *testing.T) {
 }
 
 func TestFig7RatiosOrdered(t *testing.T) {
-	cfg := DefaultFig7()
-	cfg.WorkingSetBlocks = 1 << 11
-	cfg.AccessesPerBlock = 8
-	cfg.StashSizes = []int{100, 400}
-	res, err := RunFig7(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cells := measure(t, explore.Fig7Grid(1<<11), 8<<11, 3)
+	ratio := func(z, stash int) float64 {
+		c := find(t, cells, fmt.Sprintf("Z=%d C=%d", z, stash), func(c Cell) bool {
+			return c.Spec.Z == z && c.Spec.StashCapacity == stash && !c.Infeasible()
+		})
+		return c.DummyRate()
 	}
 	// The paper's finding: Z=1 needs far more dummies than Z=2, Z=3.
-	if res.Ratio[1][100] < 5*res.Ratio[3][100] {
-		t.Errorf("Z=1 ratio %.3f not far above Z=3 %.3f", res.Ratio[1][100], res.Ratio[3][100])
+	if ratio(1, 100) < 5*ratio(3, 100) || ratio(1, 100) == 0 {
+		t.Errorf("Z=1 ratio %.3f not far above Z=3 %.3f", ratio(1, 100), ratio(3, 100))
 	}
 	// Z>=2 ratios are low.
-	if res.Ratio[3][100] > 0.5 {
-		t.Errorf("Z=3 ratio %.3f unexpectedly high", res.Ratio[3][100])
+	if ratio(3, 100) > 0.5 {
+		t.Errorf("Z=3 ratio %.3f unexpectedly high", ratio(3, 100))
 	}
-	_ = res.Table().String()
+	tab, _ := Figures["fig7"](cells)
+	for _, want := range []string{"stash size", "Z=3", "800"} {
+		if !strings.Contains(tab.String(), want) {
+			t.Errorf("Figure 7 table missing %q:\n%s", want, tab)
+		}
+	}
 }
 
 func TestFig8ShapeAndBest(t *testing.T) {
 	// At 2^13 blocks (a "1 MB-class" ORAM in paper terms) the paper's
-	// qualitative findings already hold: Z=1 is infeasible at high
-	// utilization, moderate Z at moderate utilization wins, Z=8 wastes
-	// bandwidth. (Z=3 only overtakes Z=2 at much larger trees, Fig. 9.)
-	cfg := DefaultFig8()
-	cfg.WorkingSetBlocks = 1 << 13
-	cfg.AccessesPerBlock = 6
-	cfg.Utilizations = []float64{0.25, 0.50, 0.80}
-	cfg.Zs = []int{1, 2, 3, 4, 8}
-	res, err := RunFig8(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Z=1 at 80% utilization must be infeasible (paper: missing bars).
-	if pt := res.find(1, 0.80); pt == nil || !pt.Infeasible {
-		t.Error("Z=1 at 80% should be infeasible")
-	}
+	// qualitative findings already hold: moderate Z at moderate utilization
+	// wins, Z=8 wastes bandwidth. (Z=3 only overtakes Z=2 at much larger
+	// trees, Fig. 9.)
+	const ws = 1 << 13
+	g := explore.Fig8Grid(ws)
+	g.Axes[0] = append(explore.TreeAxis([]uint64{ws}, []int{1}, 0.25, 0.50), // Z=1 at 80%: see below
+		explore.TreeAxis([]uint64{ws}, []int{2, 3, 4, 8}, 0.25, 0.50, 0.80)...)
+	cells := measure(t, g, 6*ws, 5)
 	// The best point should be Z=2..4 at moderate utilization; Z=8 and
 	// Z=1 must not win.
-	best := res.Best()
+	best := Best(cells)
 	if best == nil {
 		t.Fatal("no feasible points")
 	}
-	if best.Z < 2 || best.Z > 4 {
-		t.Errorf("best Z=%d at %.0f%%, expected Z in 2..4", best.Z, 100*best.Utilization)
+	if best.Spec.Z < 2 || best.Spec.Z > 4 {
+		t.Errorf("best Z=%d at %.0f%%, expected Z in 2..4", best.Spec.Z, 100*best.Utilization())
 	}
 	// Z=8 carries much more overhead than Z=3 at 50%.
-	z3 := res.find(3, 0.50)
-	z8 := res.find(8, 0.50)
-	if z3 == nil || z8 == nil || z8.Overhead < 1.5*z3.Overhead {
-		t.Errorf("Z=8 (%.0f) should be far above Z=3 (%.0f) at 50%%", z8.Overhead, z3.Overhead)
+	z3, z8 := tree(t, cells, 3, 0.50), tree(t, cells, 8, 0.50)
+	if z8.Overhead() < 1.5*z3.Overhead() {
+		t.Errorf("Z=8 (%.0f) should be far above Z=3 (%.0f) at 50%%", z8.Overhead(), z3.Overhead())
 	}
 	// Low utilization costs more than moderate for Z=3 (longer paths).
-	z3lo := res.find(3, 0.25)
-	if z3lo == nil || z3lo.Overhead <= z3.Overhead {
+	if z3lo := tree(t, cells, 3, 0.25); z3lo.Overhead() <= z3.Overhead() {
 		t.Errorf("Z=3: 25%% util (%.0f) should cost more than 50%% (%.0f)",
-			z3lo.Overhead, z3.Overhead)
+			z3lo.Overhead(), z3.Overhead())
 	}
-	_ = res.Table().String()
+
+	// Z=1 at 80% utilization must be infeasible (paper: missing bars) — a
+	// row of the sweep, not a failed sweep — and render as a "-" in the
+	// Z=1 column of the 80% row. An infeasible point ends on the engine's
+	// livelock guard, 2^20 dummy accesses that each cost a path, so this
+	// one is asserted on trees of 2^9 blocks, the stash scaled along.
+	g = explore.Fig8Grid(1 << 9)
+	g.Base += " -stash 32"
+	g.Axes[0] = explore.TreeAxis([]uint64{1 << 9}, []int{1, 3}, 0.80)
+	cells = measure(t, g, 6<<9, 5)
+	if !tree(t, cells, 1, 0.80).Infeasible() {
+		t.Error("Z=1 at 80% should be infeasible")
+	}
+	tab, _ := Figures["fig8"](cells)
+	if len(tab.Rows) != 1 || tab.Rows[0][0] != "80.0%" || tab.Rows[0][1] != "-" || tab.Rows[0][2] == "-" {
+		t.Errorf("Figure 8's 80%% row should have Z=1 missing and Z=3 present:\n%s", tab)
+	}
 }
 
 func TestFig9Scaling(t *testing.T) {
-	cfg := DefaultFig9()
-	cfg.WorkingSets = []uint64{1 << 9, 1 << 13}
-	cfg.AccessesPerBlock = 6
-	cfg.Zs = []int{2, 3}
-	res, err := RunFig9(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := explore.Fig9Grid(1<<9, 1<<13)
+	g.Axes[0] = explore.TreeAxis([]uint64{1 << 9, 1 << 13}, []int{2, 3}, 0.5)
+	cells := measure(t, g, 6<<13, 9)
 	// Overhead grows roughly linearly in L: capacity x16 adds 4 levels,
 	// so overhead must grow, but by far less than 2x.
-	for _, z := range cfg.Zs {
-		var small, big float64
-		for _, pt := range res.Points {
-			if pt.Z != z {
-				continue
-			}
-			if pt.WorkingSet == cfg.WorkingSets[0] {
-				small = pt.Overhead
-			} else {
-				big = pt.Overhead
-			}
-		}
+	for _, z := range []int{2, 3} {
+		small, big := tree(t, cells[:2], z, 0.5).Overhead(), tree(t, cells[2:], z, 0.5).Overhead()
 		if big <= small {
 			t.Errorf("Z=%d: overhead should grow with capacity (%.0f vs %.0f)", z, small, big)
 		}
@@ -165,17 +213,16 @@ func TestFig9Scaling(t *testing.T) {
 			t.Errorf("Z=%d: overhead grew superlinearly (%.0f vs %.0f)", z, small, big)
 		}
 	}
-	_ = res.Table().String()
+	tab, _ := Figures["fig9"](cells)
+	if len(tab.Rows) != 2 || tab.Rows[0][0] != "2^10" || tab.Rows[1][0] != "2^14" || len(tab.Header) != 3 {
+		t.Errorf("Figure 9 table is not 2 capacities x 2 Zs:\n%s", tab)
+	}
 }
 
 func TestFig10ReductionVsBase(t *testing.T) {
-	cfg := DefaultFig10()
-	cfg.SimWorkingSet = 1 << 11
-	cfg.SimAccesses = 1 << 14
-	cfg.Settings = []Setting{DZ3Pb32, DZ4Pb32, BaseORAM}
-	res, err := RunFig10(cfg)
-	if err != nil {
-		t.Fatal(err)
+	res := RunFig10(smallFig10())
+	if len(res.Rows) != 11 || res.Rows[10].Setting.Name != "baseORAM" || res.Find("DZ4Pb12") == nil {
+		t.Fatalf("fig10 grid did not yield the paper's 11 settings: %+v", res.Rows)
 	}
 	red, err := res.ReductionVsBase("DZ3Pb32")
 	if err != nil {
@@ -306,11 +353,12 @@ func TestSettingHierarchyDZ3Pb32(t *testing.T) {
 func TestMeasureDummyRateSuperBlockCostsMore(t *testing.T) {
 	// Section 3.2.3: statically merged super blocks behave like a smaller
 	// Z, so they must need more dummy accesses at steady state.
-	plain, err := DZ3Pb32.MeasureDummyRate(1<<13, 200, 1<<14, 3)
+	cells := smallSuperBlock()
+	plain, err := dummyRate(cells, "DZ3Pb32")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := DZ3Pb32SB.MeasureDummyRate(1<<13, 200, 1<<14, 3)
+	sb, err := dummyRate(cells, "DZ3Pb32+SB")
 	if err != nil {
 		t.Fatal(err)
 	}

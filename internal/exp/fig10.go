@@ -1,57 +1,13 @@
 package exp
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/analysis"
-)
+// PaperWorkingSet is the scale the analytical hierarchies are sized at:
+// 2^25 blocks = 4 GB of 128-byte blocks (Figures 10-12, Table 2).
+const PaperWorkingSet uint64 = 1 << 25
 
-// Fig10Config parameterizes the hierarchical overhead breakdown: for each
-// configuration the paper stacks each ORAM's contribution to Equation 2.
-// The analytical hierarchy is sized at paper scale (bit-exact); the dummy
-// rate is measured on a scaled functional hierarchy (see
-// Setting.MeasureDummyRate).
-type Fig10Config struct {
-	// PaperWorkingSet sizes the analytical hierarchy (default 2^25 blocks
-	// = 4 GB of 128-byte blocks).
-	PaperWorkingSet uint64
-	// SimWorkingSet sizes the scaled dummy-rate measurement.
-	SimWorkingSet uint64
-	SimAccesses   int
-	Stash         int
-	Settings      []Setting
-	Seed          int64
-}
-
-// DefaultFig10 returns the paper's configuration sweep: position-map block
-// sizes {8,12,16,32,64} for data Z in {3,4}, plus baseORAM.
-func DefaultFig10() Fig10Config {
-	var settings []Setting
-	for _, z := range []int{3, 4} {
-		for _, pb := range []int{8, 12, 16, 32, 64} {
-			settings = append(settings, Setting{
-				Name:           fmt.Sprintf("DZ%dPb%d", z, pb),
-				DataZ:          z,
-				PosZ:           3,
-				DataBlockBytes: 128,
-				PosBlockBytes:  pb,
-				Scheme:         analysis.SchemeCounter,
-				SuperBlock:     1,
-			})
-		}
-	}
-	settings = append(settings, BaseORAM)
-	return Fig10Config{
-		PaperWorkingSet: 1 << 25,
-		SimWorkingSet:   1 << 14,
-		SimAccesses:     1 << 17,
-		Stash:           200,
-		Settings:        settings,
-		Seed:            11,
-	}
-}
-
-// Fig10Row is one configuration's breakdown.
+// Fig10Row is one configuration's breakdown: the stack the paper plots
+// is each ORAM's contribution to Equation 2.
 type Fig10Row struct {
 	Setting   Setting
 	DummyRate float64
@@ -64,34 +20,31 @@ type Fig10Row struct {
 
 // Fig10Result holds all configurations.
 type Fig10Result struct {
-	Config Fig10Config
-	Rows   []Fig10Row
+	Rows []Fig10Row
 }
 
-// RunFig10 sizes each hierarchy analytically and measures its dummy rate
-// on the scaled simulation.
-func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
-	res := &Fig10Result{Config: cfg}
-	for i, s := range cfg.Settings {
-		row := Fig10Row{Setting: s}
-		h, err := s.Hierarchy(cfg.PaperWorkingSet)
-		if err != nil {
+// RunFig10 sizes the hierarchy of every cell's setting analytically at
+// paper scale (bit-exact) and evaluates Equation 2 at the dummy rate the
+// fig10 grid measured on its scaled functional hierarchy.
+func RunFig10(cells []Cell) *Fig10Result {
+	res := &Fig10Result{}
+	for _, c := range cells {
+		row := Fig10Row{Setting: settingOf(c.Spec), DummyRate: c.DummyRate()}
+		h, err := row.Setting.Hierarchy(PaperWorkingSet)
+		switch {
+		case err != nil:
 			row.Err = err.Error()
-			res.Rows = append(res.Rows, row)
-			continue
+		case c.Infeasible():
+			row.Err = "infeasible: dummy-access budget exploded"
+		default:
+			row.Breakdown = h.OverheadBreakdown(row.DummyRate)
+			row.Total = h.AccessOverhead(row.DummyRate)
+			row.NumORAMs = h.NumORAMs()
+			row.PosMapKB = float64(h.OnChipPosMapBits) / 8 / 1024
 		}
-		rate, err := s.MeasureDummyRate(cfg.SimWorkingSet, cfg.Stash, cfg.SimAccesses, cfg.Seed+int64(i))
-		if err != nil {
-			return nil, err
-		}
-		row.DummyRate = rate
-		row.Breakdown = h.OverheadBreakdown(rate)
-		row.Total = h.AccessOverhead(rate)
-		row.NumORAMs = h.NumORAMs()
-		row.PosMapKB = float64(h.OnChipPosMapBits) / 8 / 1024
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return res
 }
 
 // Table renders the Figure 10 stacked bars as columns per ORAM.

@@ -11,21 +11,17 @@ import (
 
 // Fig12Config parameterizes the secure-processor benchmark study: SPEC-like
 // workloads on the Table 1 core, with main memory being either DRAM
-// (insecure baseline) or one of the Path ORAM configurations.
+// (insecure baseline) or one of the Path ORAM configurations. Each
+// configuration's dummy rate comes from the hierarchy grids' cells (the
+// fig10 and ablate-superblock presets between them cover the defaults).
 type Fig12Config struct {
 	Benchmarks   []string
 	Settings     []Setting
 	Instructions uint64
 	Warmup       uint64
 	Channels     int
-	// WorkingSet sizes the ORAM latency computation (paper scale).
-	WorkingSet uint64
-	// SimWorkingSet / SimAccesses size the dummy-rate measurement.
-	SimWorkingSet uint64
-	SimAccesses   int
-	Stash         int
-	Table2        Table2Config
-	Seed          int64
+	Table2       Table2Config
+	Seed         int64
 }
 
 // DefaultFig12 returns the paper's Figure 12 setup with scaled instruction
@@ -38,17 +34,13 @@ func DefaultFig12() Fig12Config {
 	t2 := DefaultTable2()
 	t2.Settings = []Setting{BaseORAM, DZ3Pb32, DZ3Pb32SB, DZ4Pb32, DZ4Pb32SB}
 	return Fig12Config{
-		Benchmarks:    names,
-		Settings:      []Setting{BaseORAM, DZ3Pb32, DZ3Pb32SB, DZ4Pb32SB},
-		Instructions:  400_000,
-		Warmup:        400_000,
-		Channels:      4,
-		WorkingSet:    1 << 25,
-		SimWorkingSet: 1 << 14,
-		SimAccesses:   1 << 16,
-		Stash:         200,
-		Table2:        t2,
-		Seed:          23,
+		Benchmarks:   names,
+		Settings:     []Setting{BaseORAM, DZ3Pb32, DZ3Pb32SB, DZ4Pb32SB},
+		Instructions: 400_000,
+		Warmup:       400_000,
+		Channels:     4,
+		Table2:       t2,
+		Seed:         23,
 	}
 }
 
@@ -60,9 +52,19 @@ type ORAMModel struct {
 	DummyRate float64
 }
 
+// dummyRate finds the measured rate of the named setting (first match).
+func dummyRate(cells []Cell, name string) (float64, error) {
+	for _, c := range cells {
+		if settingOf(c.Spec).Name == name && !c.Infeasible() {
+			return c.DummyRate(), nil
+		}
+	}
+	return 0, fmt.Errorf("exp: no feasible grid cell measures %s", name)
+}
+
 // BuildORAMModels derives {return, finish, dummy-rate} for each setting
-// (the Table 2 -> Section 4.3 pipeline).
-func BuildORAMModels(cfg Fig12Config) ([]ORAMModel, error) {
+// (the Table 2 -> Section 4.3 pipeline), reading the rates from cells.
+func BuildORAMModels(cfg Fig12Config, cells []Cell) ([]ORAMModel, error) {
 	t2cfg := cfg.Table2
 	t2cfg.Settings = nil
 	// Deduplicate latency measurements: the +SB variants share latencies
@@ -90,13 +92,13 @@ func BuildORAMModels(cfg Fig12Config) ([]ORAMModel, error) {
 		return nil, err
 	}
 	var models []ORAMModel
-	for i, s := range cfg.Settings {
+	for _, s := range cfg.Settings {
 		base := latencyName(s)
 		row := t2.Find(base.Name)
 		if row == nil {
 			return nil, fmt.Errorf("exp: no Table 2 row for %s", base.Name)
 		}
-		rate, err := s.MeasureDummyRate(cfg.SimWorkingSet, cfg.Stash, cfg.SimAccesses, cfg.Seed+int64(i)*101)
+		rate, err := dummyRate(cells, s.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -129,8 +131,8 @@ type Fig12Result struct {
 
 // RunFig12 executes every benchmark against the DRAM baseline and each
 // ORAM configuration.
-func RunFig12(cfg Fig12Config) (*Fig12Result, error) {
-	models, err := BuildORAMModels(cfg)
+func RunFig12(cfg Fig12Config, cells []Cell) (*Fig12Result, error) {
+	models, err := BuildORAMModels(cfg, cells)
 	if err != nil {
 		return nil, err
 	}

@@ -4,15 +4,18 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
+	pathoram "repro"
+	"repro/internal/explore"
 	"repro/internal/stats"
 )
 
 // Fig3Config parameterizes the stash-occupancy study (Figure 3): an ORAM
 // with an infinite stash and no background eviction, filled to the target
-// utilization and then sampled after every access. The paper uses a 4 GB
-// ORAM with a 2 GB working set; occupancy distributions depend on Z and
-// utilization, not absolute capacity, so the default is scaled down.
+// utilization and then sampled after every access — per-access
+// observation, which is why this figure is a runner and not a grid. The
+// paper uses a 4 GB ORAM with a 2 GB working set; occupancy distributions
+// depend on Z and utilization, not absolute capacity, so the default is
+// scaled down.
 type Fig3Config struct {
 	WorkingSetBlocks uint64
 	Utilization      float64
@@ -39,7 +42,6 @@ func DefaultFig3() Fig3Config {
 type Fig3Result struct {
 	Config     Fig3Config
 	Histograms map[int]*stats.Histogram // by Z
-	Valid      map[int]uint64           // realized working set per Z
 }
 
 // RunFig3 fills each ORAM, then samples stash occupancy after every access.
@@ -47,42 +49,34 @@ func RunFig3(cfg Fig3Config) (*Fig3Result, error) {
 	res := &Fig3Result{
 		Config:     cfg,
 		Histograms: map[int]*stats.Histogram{},
-		Valid:      map[int]uint64{},
 	}
 	for _, z := range cfg.Zs {
-		leafLevel, valid := treeFor(cfg.WorkingSetBlocks, cfg.Utilization, z)
-		h := stats.NewHistogram(1 << 16)
-		measuring := false
-		p := core.Params{
-			LeafLevel:     leafLevel,
-			Z:             z,
-			Blocks:        valid,
-			StashCapacity: 0, // infinite stash
-			AfterAccess: func(n int, kind core.AccessKind) {
-				if measuring {
-					h.Observe(n)
-				}
-			},
-		}
-		o, err := buildMetaORAM(p, cfg.Seed+int64(z))
+		leafLevel, valid := explore.TreeFor(cfg.WorkingSetBlocks, cfg.Utilization, z)
+		// A stash that holds every block plus a path never reaches the
+		// background-eviction threshold: the paper's infinite stash.
+		o, err := pathoram.New(pathoram.Spec{
+			Blocks: valid, LeafLevel: leafLevel, Z: z,
+			StashCapacity: int(valid) + z*(leafLevel+1),
+			Rand:          rand.New(rand.NewSource(cfg.Seed + int64(z))),
+		})
 		if err != nil {
 			return nil, err
 		}
 		for b := uint64(0); b < valid; b++ {
-			if _, err := o.Access(b, core.OpWrite, nil); err != nil {
+			if err := o.Write(b, nil); err != nil {
 				return nil, err
 			}
 		}
-		measuring = true
+		h := stats.NewHistogram(1 << 16)
 		rng := rand.New(rand.NewSource(cfg.Seed + 100 + int64(z)))
 		n := int(valid) * cfg.AccessesPerBlock
 		for i := 0; i < n; i++ {
-			if _, err := o.Access(rng.Uint64()%valid, core.OpWrite, nil); err != nil {
+			if err := o.Write(rng.Uint64()%valid, nil); err != nil {
 				return nil, err
 			}
+			h.Observe(o.StashSize())
 		}
 		res.Histograms[z] = h
-		res.Valid[z] = valid
 	}
 	return res, nil
 }
@@ -106,18 +100,4 @@ func (r *Fig3Result) Table() *Table {
 		t.AddRow(row...)
 	}
 	return t
-}
-
-// buildMetaORAM wires a metadata-only ORAM with an on-chip map.
-func buildMetaORAM(p core.Params, seed int64) (*core.ORAM, error) {
-	store, err := core.NewMemStore(p.LeafLevel, p.Z, 0)
-	if err != nil {
-		return nil, err
-	}
-	src := core.NewMathLeafSource(rand.New(rand.NewSource(seed)))
-	pos, err := core.NewOnChipPositionMap(p.Groups(), 1<<uint(p.LeafLevel), src)
-	if err != nil {
-		return nil, err
-	}
-	return core.New(p, store, pos, src)
 }

@@ -163,3 +163,19 @@ func (r *Fig4Result) Table() *Table {
 		f3(r.InsecureCongested.Mean()), bias(r.InsecureCongested.Mean()), f3(r.InsecureCongested.Std()))
 	return t
 }
+
+// buildMetaORAM wires a metadata-only ORAM with an on-chip map straight
+// from core: the attack needs the EvictInsecureRemap policy, which Spec
+// rightly cannot express.
+func buildMetaORAM(p core.Params, seed int64) (*core.ORAM, error) {
+	store, err := core.NewMemStore(p.LeafLevel, p.Z, 0)
+	if err != nil {
+		return nil, err
+	}
+	src := core.NewMathLeafSource(rand.New(rand.NewSource(seed)))
+	pos, err := core.NewOnChipPositionMap(p.Groups(), 1<<uint(p.LeafLevel), src)
+	if err != nil {
+		return nil, err
+	}
+	return core.New(p, store, pos, src)
+}

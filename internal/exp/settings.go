@@ -1,13 +1,10 @@
 package exp
 
 import (
-	"errors"
-	"math"
-	"math/rand"
+	"fmt"
 
+	pathoram "repro"
 	"repro/internal/analysis"
-	"repro/internal/core"
-	"repro/internal/hierarchy"
 )
 
 // Setting names one hierarchical ORAM configuration from Section 4
@@ -76,46 +73,24 @@ func (s Setting) Hierarchy(wsBlocks uint64) (analysis.Hierarchy, error) {
 	})
 }
 
-// MeasureDummyRate fills a scaled functional hierarchy, then measures the
-// steady-state DA/RA ratio (Equations 1-2) under uniform random accesses.
-// The rate depends on Z, utilization and stash headroom more than on
-// absolute capacity (Figure 9), but it does grow with tree depth; see
-// EXPERIMENTS.md for the scales used versus the paper's.
-func (s Setting) MeasureDummyRate(wsBlocks uint64, stash int, accesses int, seed int64) (float64, error) {
-	h, err := hierarchy.New(hierarchy.Config{
-		Blocks:             wsBlocks,
-		DataBlockBytes:     0, // metadata-only data ORAM
-		DataZ:              s.DataZ,
-		PosZ:               s.PosZ,
-		PosBlockBytes:      s.PosBlockBytes,
-		OnChipPosMapMax:    1 << 10,
-		SuperBlock:         s.SuperBlock,
-		StashCapacity:      stash,
-		BackgroundEviction: true,
-		MaxDummyRun:        1 << 14, // declare infeasibility early
-		Leaves:             core.NewMathLeafSource(rand.New(rand.NewSource(seed))),
-	})
-	if err != nil {
-		return 0, err
+// settingOf names the Section 4 setting a hierarchy grid point builds:
+// baseORAM when it has baseORAM's shape, otherwise DZ<Z>Pb<bytes>, with
+// "+SB" for the paper's static pairs and "+S<n>" for other group sizes.
+func settingOf(spec pathoram.Spec) Setting {
+	if spec.Z == BaseORAM.DataZ && spec.PosZ == BaseORAM.PosZ && spec.PosBlockSize == BaseORAM.PosBlockBytes {
+		return BaseORAM
 	}
-	// Fill phase: the paper's experiments run on a populated ORAM.
-	for b := uint64(0); b < wsBlocks; b++ {
-		if _, err := h.Access(b, core.OpWrite, nil); err != nil {
-			if errors.Is(err, core.ErrLivelock) {
-				return math.Inf(1), nil // infeasible configuration
-			}
-			return 0, err
-		}
+	s := Setting{
+		Name:  fmt.Sprintf("DZ%dPb%d", spec.Z, spec.PosBlockSize),
+		DataZ: spec.Z, PosZ: spec.PosZ,
+		DataBlockBytes: 128, PosBlockBytes: spec.PosBlockSize,
+		Scheme: analysis.SchemeCounter, SuperBlock: max(1, spec.SuperBlockSize),
 	}
-	h.ResetStats()
-	rng := rand.New(rand.NewSource(seed + 1))
-	for i := 0; i < accesses; i++ {
-		if _, err := h.Access(rng.Uint64()%wsBlocks, core.OpWrite, nil); err != nil {
-			if errors.Is(err, core.ErrLivelock) {
-				return math.Inf(1), nil
-			}
-			return 0, err
-		}
+	switch {
+	case s.SuperBlock == 2:
+		s.Name += "+SB"
+	case s.SuperBlock > 2:
+		s.Name += fmt.Sprintf("+S%d", s.SuperBlock)
 	}
-	return h.DummyPerReal(), nil
+	return s
 }

@@ -1,10 +1,13 @@
-// Package exp contains the experiment runners that regenerate every table
-// and figure of the paper's evaluation (Sections 4 and 5). Each runner
-// returns a Table whose rows mirror what the paper plots; cmd/ binaries and
-// the root-level benchmarks drive them. Default problem sizes are scaled
-// down from the paper's 4-8 GB ORAMs so the suite runs in seconds; the
-// cmd tools expose flags for paper-scale runs (see EXPERIMENTS.md for the
-// scales used and the paper-vs-measured comparison).
+// Package exp regenerates every table and figure of the paper's
+// evaluation (Sections 4 and 5) as a Table whose rows mirror what the paper
+// plots; cmd/oram-explore prints them and this package's benchmarks attach
+// their headline numbers. A figure is an internal/explore preset, rendered
+// here from its measured rows (grids.go), unless it needs per-access
+// observation (Figure 3), a policy Spec refuses (Figure 4), a counter no
+// Client exports (Section 5) or paper-scale trees that cannot be
+// materialized (Figures 5, 11, 12 and Table 2) — those keep a runner.
+// Default problem sizes are scaled down from the paper's 4-8 GB ORAMs so
+// the suite runs in seconds (see EXPERIMENTS.md for the scales used).
 package exp
 
 import (
@@ -66,13 +69,6 @@ func (t *Table) String() string {
 		fmt.Fprintf(&b, "note: %s\n", t.Note)
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }

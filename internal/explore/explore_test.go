@@ -27,6 +27,14 @@ type tuple struct {
 	DRAMSched        pathoram.MemSched     `json:"mem_sched"`
 	DRAMQueueDepth   int                   `json:"mem_queue"`
 	WAL              bool                  `json:"wal"`
+	// The tree shape, which the figure presets sweep.
+	Blocks         uint64 `json:"blocks"`
+	Z              int    `json:"z"`
+	LeafLevel      int    `json:"leaf_level"`
+	StashCapacity  int    `json:"stash"`
+	SuperBlockSize int    `json:"superblock"`
+	PosZ           int    `json:"pos_z"`
+	PosBlockSize   int    `json:"pos_block"`
 }
 
 // pointSpecs enumerates g and opens and closes every point (file points
@@ -64,10 +72,12 @@ func pointSpecs(t *testing.T, g Grid) []pathoram.Spec {
 	return specs
 }
 
-// TestPresetPoints holds every preset to the points it enumerated before
-// Grid became a list of flag axes (testdata/preset_points.json, recorded
-// from the per-axis Grid at PR 14): the same number of points, in the same
-// order, with the same axis values — and every one opens.
+// TestPresetPoints holds every preset to its recorded points
+// (testdata/preset_points.json; the serving-layer presets recorded from the
+// per-axis Grid at PR 14, the figure presets — whose trees repeat what
+// exp's per-figure sweeps built through treeFor — when they became grids):
+// the same number of points, in the same order, with the same axis values
+// and tree shapes — and every one opens.
 func TestPresetPoints(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "preset_points.json"))
 	if err != nil {
@@ -85,7 +95,8 @@ func TestPresetPoints(t *testing.T) {
 			var got []tuple
 			for _, s := range pointSpecs(t, Presets[name]) {
 				got = append(got, tuple{s.Shards, s.PosMap, s.Backend, s.Partition, s.Padded, s.AsyncEviction,
-					s.PLBBytes, s.PLBConstantShape, s.Overlap, s.DRAMSched, s.DRAMQueueDepth, s.WAL})
+					s.PLBBytes, s.PLBConstantShape, s.Overlap, s.DRAMSched, s.DRAMQueueDepth, s.WAL,
+					s.Blocks, s.Z, s.LeafLevel, s.StashCapacity, s.SuperBlockSize, s.PosZ, s.PosBlockSize})
 			}
 			if !reflect.DeepEqual(got, golden[name]) {
 				t.Errorf("%d points %+v\nwant %d points %+v", len(got), got, len(golden[name]), golden[name])
@@ -390,5 +401,65 @@ func TestStashOccupancyBoundedUnderAllWorkloads(t *testing.T) {
 				t.Errorf("measured %d real accesses, want 4000", st.RealAccesses)
 			}
 		})
+	}
+}
+
+// TestMetadataOnlyGridReports: a -blocksize 0 grid — every figure preset
+// is one — has no payload for ext-blowup to divide by; the metric is
+// omitted, not NaN, so the report still marshals and validates.
+func TestMetadataOnlyGridReports(t *testing.T) {
+	g := Grid{Base: "-blocks 1024 -blocksize 0", Axes: [][]string{{"-z 2", "-z 3"}}, Workloads: []string{"uniform"}}
+	rows, err := Run(g, Options{Ops: 256, Seed: 1}, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	MarkPareto(rows, Objectives)
+	data, err := json.Marshal(NewReport("meta", Objectives, rows))
+	if err != nil {
+		t.Fatalf("report does not marshal: %v", err)
+	}
+	if err := ValidateReport(data); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if _, ok := r.Metrics["ext-blowup"]; ok {
+			t.Errorf("%s: ext-blowup reported for a payload-free point", r.Config)
+		}
+	}
+}
+
+// TestInfeasiblePointIsARow: a point whose background eviction cannot
+// keep up (Z=1 over-full with a minimal stash: the paper's missing bars)
+// comes back as an infeasible row beside its feasible neighbor — it does
+// not fail the sweep — and never lands on the frontier.
+func TestInfeasiblePointIsARow(t *testing.T) {
+	g := Grid{
+		Base:      "-blocksize 0 -leaf-level 9",
+		Axes:      [][]string{{"-z 1 -blocks 900 -stash 12", "-z 4 -blocks 1024 -stash 60"}},
+		Workloads: []string{"uniform", "zipf"},
+	}
+	rows, err := Run(g, Options{Ops: 2048, Seed: 1}, t.Logf)
+	if err != nil {
+		t.Fatalf("an infeasible point failed the sweep: %v", err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows, want 2 points x 2 workloads", len(rows))
+	}
+	MarkPareto(rows, []string{"infeasible", "onchip-B"})
+	for i, r := range rows {
+		if infeasible := r.Metrics["infeasible"] == 1; infeasible != (i < 2) {
+			t.Errorf("%s/%s: metrics %v", r.Config, r.Workload, r.Metrics)
+		} else if infeasible && (r.Pareto || len(r.Metrics) != 1 || r.Ops < 1) {
+			t.Errorf("infeasible row %+v: want unmarked, iterations >= 1 and no other metric", r)
+		} else if !infeasible && !r.Pareto {
+			t.Errorf("%s/%s: the only feasible point of its group is off the frontier", r.Config, r.Workload)
+		}
+	}
+	data, err := json.Marshal(NewReport("infeasible", Objectives, rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateReport(data); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -59,6 +59,12 @@ func (p Point) Spec() (pathoram.Spec, error) {
 	return spec, nil
 }
 
+// Spec rebuilds the Spec behind a measured row from the row's config name
+// (seedless: a renderer reads the shape, it does not construct).
+func (g Grid) Spec(config string) (pathoram.Spec, error) {
+	return Point{args: append(strings.Fields(g.Base), strings.Fields(config)...)}.Spec()
+}
+
 // Points enumerates the grid. Every returned point builds a Spec that
 // Open accepts; an unknown flag, an unparsable value or an unknown
 // workload is an error here, before any measurement runs, and so is a grid
@@ -121,8 +127,17 @@ func (g Grid) Points(seed int64, logf func(format string, args ...any)) ([]Point
 // Presets are the named grids cmd/oram-explore accepts in place of a
 // JSON file. "smoke" is the CI grid: 8 points, two workloads, seconds of
 // runtime. "full" is the EXPERIMENTS.md grid: every axis the paper
-// explores, 64 points across three workloads.
+// explores, 64 points across three workloads. "fig7" .. "fig10" and the
+// two "ablate-" grids are the paper's protocol figures at their scaled
+// default sizes (figures.go).
 var Presets = map[string]Grid{
+	"fig7":              Fig7Grid(1 << 14),
+	"fig8":              Fig8Grid(1 << 14),
+	"fig9":              Fig9Grid(1<<10, 1<<12, 1<<14, 1<<16),
+	"fig10":             Fig10Grid(1 << 14),
+	"ablate-stash":      StashGrid(1 << 14),
+	"ablate-superblock": SuperBlockGrid(1 << 14),
+
 	"smoke": {
 		Base: "-blocks 1024 -blocksize 32",
 		Axes: [][]string{

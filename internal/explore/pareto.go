@@ -16,8 +16,8 @@ var Objectives = []string{"p99-ns", "cycles/op", "onchip-B"}
 // workload that carry the same subset of the requested objectives.
 // (Untimed points have no cycles/op; comparing them against timed points
 // on a frontier that ignores cycles would crown them for free, so they
-// form their own group over the objectives they do have.) Rows carrying
-// none of the objectives are left unmarked.
+// form their own group over the objectives they do have.) Infeasible rows
+// and rows carrying none of the objectives are left unmarked.
 func MarkPareto(rows []Row, objectives []string) {
 	groups := map[string][]int{}
 	for i, r := range rows {
@@ -27,7 +27,7 @@ func MarkPareto(rows []Row, objectives []string) {
 				have = append(have, o)
 			}
 		}
-		if len(have) == 0 {
+		if len(have) == 0 || r.Metrics["infeasible"] != 0 {
 			rows[i].Pareto = false
 			continue
 		}

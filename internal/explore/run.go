@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	pathoram "repro"
+	"repro/internal/core"
 	"repro/internal/membus"
 )
 
@@ -38,8 +40,9 @@ type Row struct {
 // comparisons want neighboring workloads over identical steady-state
 // instances. Workload boundaries re-establish a clean baseline anyway:
 // stats reset and the timing snapshot flushes deferred write-backs, so
-// no cell is charged for its predecessor's debt. logf (optional)
-// receives one progress line per point.
+// no cell is charged for its predecessor's debt. A point whose background
+// eviction cannot keep up is reported, not fatal: see dummyBudget. logf
+// (optional) receives one progress line per point.
 func Run(g Grid, opts Options, logf func(format string, args ...any)) ([]Row, error) {
 	if opts.Ops <= 0 {
 		opts.Ops = 2048
@@ -93,29 +96,30 @@ func runPoint(g Grid, p Point, opts Options) ([]Row, error) {
 	leak := spec.LeakageClass().String()
 
 	// Pre-fill the whole working set so every workload measures steady
-	// state, not cold-map behavior.
+	// state, not cold-map behavior. One access at a time: a fill that
+	// livelocks must stop at its first guard trip, and a batch would run
+	// every address it holds into the guard before reporting.
 	buf := make([]byte, spec.BlockSize)
-	const chunk = 1024
-	for lo := uint64(0); lo < spec.Blocks; lo += chunk {
-		hi := min(lo+chunk, spec.Blocks)
-		addrs := make([]uint64, 0, chunk)
-		data := make([][]byte, 0, chunk)
-		for a := lo; a < hi; a++ {
-			addrs = append(addrs, a)
-			data = append(data, buf)
-		}
-		if err := client.WriteBatch(addrs, data); err != nil {
-			return nil, err
-		}
+	err = unmeasured(client, int(spec.Blocks), func(a int) error {
+		return client.Write(uint64(a), buf)
+	})
+	if err != nil && !infeasible(err) {
+		return nil, fmt.Errorf("fill: %w", err)
 	}
 
 	var rows []Row
 	for wi, wname := range g.Workloads {
-		w := WorkloadByName(wname)
-		rng := rand.New(rand.NewSource(opts.Seed + int64(wi)*104729 + 1))
-		gen := w.New(rng, spec.Blocks)
-		row, err := runCell(client, spec, gen, opts)
-		if err != nil {
+		var row Row
+		if err == nil {
+			w := WorkloadByName(wname)
+			rng := rand.New(rand.NewSource(opts.Seed + int64(wi)*104729 + 1))
+			row, err = runCell(client, spec, w.New(rng, spec.Blocks), opts)
+		}
+		// Once the point has tripped, its remaining cells are infeasible
+		// too: the engine that livelocked stays failed.
+		if infeasible(err) {
+			row = Row{Ops: opts.Ops, Metrics: map[string]float64{"infeasible": 1}}
+		} else if err != nil {
 			return nil, fmt.Errorf("workload %s: %w", wname, err)
 		}
 		row.Config = p.Name
@@ -126,69 +130,112 @@ func runPoint(g Grid, p Point, opts Options) ([]Row, error) {
 	return rows, nil
 }
 
+// dummyBudget is the paper's "so inefficient that we cannot finish"
+// line (Section 4.1.3, the missing bars of Figure 8): a phase — the fill,
+// a warm-up, a measured run — whose dummy accesses exceed this many per
+// real access (per budgetWindow real accesses if it made fewer, so one
+// early burst does not condemn a point), or that trips the engine's
+// livelock guard, makes the point a row whose only metric is infeasible: 1
+// instead of being run to the end or failing the sweep.
+const (
+	dummyBudget  = 50
+	budgetWindow = 1024
+)
+
+var errInfeasible = errors.New("explore: dummy-access budget exhausted")
+
+func infeasible(err error) bool {
+	return errors.Is(err, errInfeasible) || errors.Is(err, core.ErrLivelock)
+}
+
+// overBudget holds the accesses made since base against the dummy budget.
+func overBudget(st, base pathoram.Stats) error {
+	if st.DummyAccesses-base.DummyAccesses > dummyBudget*max(st.RealAccesses-base.RealAccesses, budgetWindow) {
+		return errInfeasible
+	}
+	return nil
+}
+
+// unmeasured runs steps 0..n-1 of the fill or a warm-up, checking the
+// budget every budgetWindow steps and at the end: a fixed cadence, so the
+// same seed condemns the same points on every host, and one that cuts a
+// hopeless phase off after a window rather than after the whole phase.
+// Reading the counters flushes a deferred-eviction engine, which is why
+// the measured phase is checked only once, by the Stats it ends with.
+func unmeasured(client pathoram.Client, n int, step func(i int) error) error {
+	base := client.Stats()
+	for i := 0; i < n; i++ {
+		if err := step(i); err != nil {
+			return err
+		}
+		if (i+1)%budgetWindow == 0 || i == n-1 {
+			if err := overBudget(client.Stats(), base); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // runCell measures one workload against an already-filled client:
 // warm-up phase, baseline reset (the timing snapshot flushes, charging
 // any warm-up debt before measurement), then the measured phase with
 // per-submission latencies.
 func runCell(client pathoram.Client, spec pathoram.Spec, gen Gen, opts Options) (Row, error) {
 	payload := make([]byte, spec.BlockSize)
-	i := 0
-	for ; i < opts.Warmup; i++ {
-		if err := step(client, gen, i, payload); err != nil {
-			return Row{}, err
-		}
+	if err := unmeasured(client, opts.Warmup, func(i int) error {
+		return step(client, gen, i, payload)
+	}); err != nil {
+		return Row{}, err
 	}
 	client.ResetStats()
 	preTiming, timed := client.TimingStats()
 
-	var lats []time.Duration
-	start := time.Now()
+	measured, submissions, submit := opts.Ops, opts.Ops, func(n int) error {
+		return step(client, gen, opts.Warmup+n, payload)
+	}
 	if spec.Padded {
 		// Padded mode pads batch schedules; submit whole batches so the
-		// padding machinery actually engages. Latencies are per batch.
+		// padding machinery actually engages. Latencies are per batch,
+		// and batches round up to whole submissions.
 		addrs := make([]uint64, opts.Batch)
 		data := make([][]byte, opts.Batch)
 		for j := range data {
 			data[j] = payload
 		}
-		for done := 0; done < opts.Ops; done += opts.Batch {
+		submissions = (opts.Ops + opts.Batch - 1) / opts.Batch
+		measured = submissions * opts.Batch
+		submit = func(n int) error {
 			var write bool
 			for j := range addrs {
-				a, w := gen(i)
+				a, w := gen(opts.Warmup + n*opts.Batch + j)
 				addrs[j] = a
 				if j == 0 {
 					write = w
 				}
-				i++
 			}
-			t0 := time.Now()
 			if write {
-				if err := client.WriteBatch(addrs, data); err != nil {
-					return Row{}, err
-				}
-			} else if _, err := client.ReadBatch(addrs); err != nil {
-				return Row{}, err
+				return client.WriteBatch(addrs, data)
 			}
-			lats = append(lats, time.Since(t0))
+			_, err := client.ReadBatch(addrs)
+			return err
 		}
-	} else {
-		for n := 0; n < opts.Ops; n++ {
-			t0 := time.Now()
-			if err := step(client, gen, i, payload); err != nil {
-				return Row{}, err
-			}
-			lats = append(lats, time.Since(t0))
-			i++
+	}
+	lats := make([]time.Duration, 0, submissions)
+	start := time.Now()
+	for n := 0; n < submissions; n++ {
+		t0 := time.Now()
+		if err := submit(n); err != nil {
+			return Row{}, err
 		}
+		lats = append(lats, time.Since(t0))
 	}
 	wall := time.Since(start)
-	measured := opts.Ops
-	if spec.Padded {
-		// Batches round up to whole submissions.
-		measured = (opts.Ops + opts.Batch - 1) / opts.Batch * opts.Batch
-	}
 
 	st := client.Stats()
+	if err := overBudget(st, pathoram.Stats{}); err != nil {
+		return Row{}, err
+	}
 	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
 	pct := func(q float64) float64 {
 		if len(lats) == 0 {
@@ -202,10 +249,13 @@ func runCell(client pathoram.Client, spec pathoram.Spec, gen Gen, opts Options) 
 		"p95-ns":     pct(0.95),
 		"p99-ns":     pct(0.99),
 		"onchip-B":   float64(client.OnChipBytes()),
-		"ext-blowup": float64(client.ExternalMemoryBytes()) / float64(spec.Blocks*uint64(spec.BlockSize)),
 		"dummy/real": st.DummyPerReal(),
 		"pad/real":   st.PaddingPerReal(),
 		"stash-peak": float64(st.StashPeak),
+	}
+	if logical := spec.Blocks * uint64(spec.BlockSize); logical > 0 {
+		// A metadata-only point stores no payload to blow up.
+		m["ext-blowup"] = float64(client.ExternalMemoryBytes()) / float64(logical)
 	}
 	if spec.Padded {
 		m["batch"] = float64(opts.Batch)

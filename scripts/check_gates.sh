@@ -33,10 +33,12 @@
 #
 # Explorer grids: smoke (2 shard counts x 2 position-map policies x 2
 # backends), pr8 (PLB budget x Figure 5(b) overlap depth on a recursive
-# dram-backed chain) and pr9 (inorder vs FR-FCFS at two queue depths) must
-# each complete, validate against the embedded schema, cover their 8 / 4 /
-# 3 configurations and carry a non-empty Pareto frontier over {p99 latency,
-# cycles/op, on-chip bytes}.
+# dram-backed chain), pr9 (inorder vs FR-FCFS at two queue depths) and the
+# paper's Figure 7 (Z x stash) and Figure 8 (Z x utilization, whose Z=1
+# points above 2/3 full come back as infeasible rows) must each complete,
+# validate against the embedded schema, cover their 8 / 4 / 3 / 12 / 40
+# configurations and carry a non-empty Pareto frontier over {p99 latency,
+# cycles/op, on-chip bytes} with no infeasible row on it.
 set -eu
 
 out="${1:-BENCH.json}"
@@ -62,7 +64,7 @@ go test -run xxx \
 
 echo "wrote $out"
 
-for grid in smoke:8 pr8:4 pr9:3; do
+for grid in smoke:8 pr8:4 pr9:3 fig7:12 fig8:40; do
   report="$explore-${grid%:*}-ci.json"
   go run ./cmd/oram-explore -grid "${grid%:*}" -ops "$ops" -warmup "$warmup" -seed 1 -out "$report"
   go run ./cmd/oram-explore -check "$report" -min-configs "${grid#*:}"
