@@ -6,18 +6,19 @@ import (
 )
 
 // Client is the unified interface every top-level construction satisfies:
-// the flat ORAM, the hierarchical Hierarchy (recursive position map,
-// Section 2.3) and the sharded serving layer Sharded — and therefore every
-// point of the paper's design space reachable through Open. Code written
-// against Client composes the axes freely: the same workload runs against
-// a flat tree, a recursive chain, or a sharded fleet of either, timed or
-// untimed, by changing only the Spec that built the client.
+// the engine ORAM — a flat tree, or with a recursive position map (Section
+// 2.3) a chain of them — and the sharded serving layer Sharded — and
+// therefore every point of the paper's design space reachable through
+// Open. Code written against Client composes the axes freely: the same
+// workload runs against a flat tree, a recursive chain, or a sharded fleet
+// of either, timed or untimed, by changing only the Spec that built the
+// client.
 //
 // Concurrency: a Client built by Open is always safe for concurrent use
-// (Open returns the serving layer). The bare constructors New and
-// NewHierarchy return single-threaded Clients — one goroutine must own
-// them, which is exactly the ownership the serving layer enforces when it
-// uses them as shard engines.
+// (Open returns the serving layer). The bare constructor New (and
+// NewHierarchy, the same call) returns a single-threaded Client — one
+// goroutine must own it, which is exactly the ownership the serving layer
+// enforces when it uses engines as shards.
 type Client interface {
 	// Read returns a copy of the block at addr (zero-filled if never
 	// written). One oblivious access — one path per ORAM the construction
@@ -84,7 +85,6 @@ type Client interface {
 // Every top-level construction satisfies Client.
 var (
 	_ Client = (*ORAM)(nil)
-	_ Client = (*Hierarchy)(nil)
 	_ Client = (*Sharded)(nil)
 )
 
@@ -100,8 +100,8 @@ func validateAddrs(addrs []uint64, blocks uint64) error {
 }
 
 // serialReadBatch implements the single-threaded half of the shared batch
-// contract (ORAM and Hierarchy run requests back to back on the calling
-// goroutine; Sharded fans out instead): validate up front, then execute
+// contract (an engine runs requests back to back on the calling goroutine;
+// Sharded fans out instead): validate up front, then execute
 // every request, returning the first per-request failure with nil at
 // failed slots.
 func serialReadBatch(addrs []uint64, blocks uint64, read func(uint64) ([]byte, error)) ([][]byte, error) {
@@ -151,15 +151,15 @@ type PosMapPolicy int
 
 const (
 	// PosMapOnChip keeps each shard's whole position map in trusted
-	// memory: one flat Path ORAM per shard, 4 bytes of on-chip state per
-	// block. The default.
+	// memory: one flat Path ORAM per shard — a chain of length one — and
+	// 4 bytes of on-chip state per block. The default.
 	PosMapOnChip PosMapPolicy = iota
 	// PosMapRecursive stores each shard's position map in a second,
 	// smaller ORAM, recursively, until the final map fits in
-	// OnChipPosMapMax bytes: one Hierarchy per shard. Every access then
-	// walks the whole chain, smallest ORAM first — on-chip state shrinks
-	// from O(N) to the fixed cap at the price of H path accesses per
-	// operation.
+	// OnChipPosMapMax bytes. Every access then walks the whole chain,
+	// smallest ORAM first — on-chip state shrinks from O(N) to the fixed
+	// cap at the price of H path accesses per operation. (A map that
+	// already fits is a chain of one ORAM, like PosMapOnChip's.)
 	PosMapRecursive
 )
 
@@ -189,8 +189,8 @@ func (p *PosMapPolicy) UnmarshalText(b []byte) error { return parseEnum(posMapNa
 // integrity, the staged access path) or the scheduler (partition, queue
 // depth, padded batches). A knob that would be inert on the selected axis
 // values is rejected, never ignored, so a design-space sweep cannot vary a
-// field that changes nothing. A sharded recursive spec builds one
-// Hierarchy per shard: per-shard keys derive from Key via the shard domain
+// field that changes nothing. A sharded recursive spec builds one chain
+// per shard: per-shard keys derive from Key via the shard domain
 // and per-level keys from those via the hierarchy domain, so no two trees
 // anywhere share one-time pads; under BackendDRAM every level of every
 // shard attaches its own port (disjoint physical region) to one shared
@@ -207,8 +207,8 @@ type Spec struct {
 
 	// Shards is the number of independent per-shard engines, each owned by
 	// its own worker goroutine behind the request scheduler (default 1;
-	// must not exceed Blocks). New and NewHierarchy build one bare engine
-	// and reject the serving-layer knobs of this group.
+	// must not exceed Blocks). New builds one bare engine and rejects the
+	// serving-layer knobs of this group.
 	Shards int
 	// Partition selects the address split across shards (default
 	// PartitionStripe; PartitionRandom hides request routing).
@@ -241,7 +241,8 @@ type Spec struct {
 	EvictionsPerIdle int
 
 	// PosMap selects the position-map policy (default PosMapOnChip;
-	// NewHierarchy implies PosMapRecursive).
+	// NewHierarchy implies PosMapRecursive). Every policy builds the same
+	// engine; what the value selects is listed in DESIGN.md ("One engine").
 	PosMap PosMapPolicy
 	// PosBlockSize is the position-map ORAM block size under
 	// PosMapRecursive (default 32, the paper's best practical choice,
@@ -285,8 +286,16 @@ type Spec struct {
 	// Z is the (data) bucket capacity (default 3, the paper's sweet spot
 	// for large ORAMs; small ORAMs may prefer 2 — see Figure 9).
 	Z int
-	// Utilization sizes each data tree: Blocks / (Z * bucket count), in
-	// (0,1] (default 0.5, Section 4.1.3). Ignored when LeafLevel is set.
+	// Utilization is the target fill of each data tree, in (0,1] (default
+	// 0.5, Section 4.1.3): the engine wants about Blocks/Utilization slots
+	// and picks a depth by one of two rules. A PosMapOnChip tree is the
+	// shallowest that reaches them, so its real fill, Blocks / (Z * bucket
+	// count), is at or under the target (33% for the default Z 3 on a
+	// power-of-two Blocks); a PosMapRecursive data tree takes the depth
+	// nearest them in log space, never below capacity, so its fill may sit
+	// up to 1.41x over the target (67% there). TestSpecDataTreeSizingRules
+	// pins both; DESIGN.md ("One engine") records why they differ. Ignored
+	// when LeafLevel is set.
 	Utilization float64
 	// LeafLevel overrides the derived (data) tree depth when > 0, sizing
 	// every shard's tree alike — the statistical tests pin tree geometry
@@ -489,10 +498,10 @@ func (s Spec) LeakageClass() LeakageClass {
 }
 
 // Open builds the serving layer described by spec and returns it as a
-// Client: N shards (flat trees or recursive hierarchies per PosMap)
-// behind the batched request scheduler, on an untimed, shared-timed or
-// persistent storage backend. It is NewSharded typed as the interface;
-// New and NewHierarchy build a single bare engine from the same Spec.
+// Client: N shards (flat trees or recursive chains per PosMap) behind the
+// batched request scheduler, on an untimed, shared-timed or persistent
+// storage backend. It is NewSharded typed as the interface; New builds a
+// single bare engine from the same Spec.
 func Open(spec Spec) (Client, error) {
 	s, err := NewSharded(spec)
 	if err != nil {

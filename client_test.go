@@ -22,11 +22,7 @@ func hierEngine(t *testing.T, c Client, i int) *Hierarchy {
 	if !ok {
 		t.Fatalf("Open returned %T, want *Sharded", c)
 	}
-	e, ok := s.engines[i].(hierarchyEngine)
-	if !ok {
-		t.Fatalf("shard %d engine is %T, want a hierarchy", i, s.engines[i])
-	}
-	return e.Hierarchy
+	return s.engines[i]
 }
 
 // TestClientInterfaceCompliance drives every construction — flat ORAM,

@@ -215,9 +215,13 @@ var procSuffix = regexp.MustCompile(`-\d+$`)
 //
 //	BenchmarkName-8   \t  2000 \t 2622 ns/op \t 0 B/op \t 0 allocs/op
 //
-// with any number of trailing "value unit" metric pairs.
+// with any number of trailing "value unit" metric pairs. A sweep in which
+// anything failed ("--- FAIL: BenchmarkX", go test's closing "FAIL") is an
+// error: the failed benchmark has no result line, so the gates would pass
+// over the ones that remain.
 func parse(r io.Reader) (Report, error) {
 	var rep Report
+	failed := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -234,6 +238,11 @@ func parse(r io.Reader) (Report, error) {
 			continue
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+			continue
+		case strings.HasPrefix(line, "--- FAIL") || line == "FAIL" || strings.HasPrefix(line, "FAIL\t"):
+			if failed == "" {
+				failed = line
+			}
 			continue
 		case !strings.HasPrefix(line, "Benchmark"):
 			continue
@@ -263,6 +272,9 @@ func parse(r io.Reader) (Report, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return rep, err
+	}
+	if failed != "" {
+		return rep, fmt.Errorf("the benchmark sweep failed (%q); a benchmark that did not finish cannot pass a gate", failed)
 	}
 	return rep, nil
 }

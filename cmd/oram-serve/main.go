@@ -410,11 +410,11 @@ func runConfig(spec pathoram.Spec, c load) (res result, err error) {
 		plbHit:       "-", chainLen: "-",
 		rowHit: "-", bytesPerCyc: "-", readCyc: "-", mcycles: "-", modelOps: "-",
 	}
-	if spec.PosMap == pathoram.PosMapRecursive {
+	if st.ChainSamples > 0 {
 		res.chainLen = fmt.Sprintf("%.2f", st.MeanChainLength())
-		if spec.PLBBytes > 0 {
-			res.plbHit = fmt.Sprintf("%.3f", st.PLBHitRate())
-		}
+	}
+	if spec.PLBBytes > 0 {
+		res.plbHit = fmt.Sprintf("%.3f", st.PLBHitRate())
 	}
 	if timed {
 		// Diff against the post-pre-fill snapshot so the modeled columns

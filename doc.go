@@ -8,7 +8,7 @@
 // that the sequence of memory locations touched is computationally
 // independent of the program's access pattern. This package provides:
 //
-//   - the single Path ORAM (New) with the paper's optimizations: provably
+//   - the Path ORAM engine (New) with the paper's optimizations: provably
 //     secure background eviction (Section 3.1), static super blocks
 //     (Section 3.2) and the exclusive Load/Store interface for
 //     cache-attached use (Section 3.3.1);
@@ -17,7 +17,8 @@
 //   - integrity verification via the mirrored authentication tree of
 //     Section 5 (tamper and replay detection with no initialization pass);
 //   - the hierarchical construction of Section 2.3, which stores the
-//     position map in recursively smaller ORAMs (see NewHierarchy);
+//     position map in recursively smaller ORAMs (PosMap: PosMapRecursive)
+//     — the same engine: a flat ORAM is the chain of length one;
 //   - a sharded, concurrency-safe serving layer (NewSharded): the address
 //     space partitioned over N independent Path ORAM shards behind a
 //     batched request scheduler, with optional oblivious request routing
@@ -33,15 +34,16 @@
 //     modeled hardware cycles, row-hit rates and bandwidth (TimingStats)
 //     — the paper's design-space currency — while staying bit-identical
 //     to the untimed backend;
-//   - a unified client API: the Client interface, satisfied by ORAM,
-//     Hierarchy and Sharded alike, and one configuration type, Spec,
+//   - a unified client API: the Client interface, satisfied by the
+//     engine ORAM and by Sharded alike, and one configuration type, Spec,
 //     which composes the design-space axes — Shards: N, PosMap:
 //     OnChip|Recursive, Backend: mem|dram|file — so sharded ORAMs with
 //     recursive position maps on a shared timed memory bus are one
 //     literal. Every constructor (Open, New, NewHierarchy, NewSharded)
-//     takes it and runs the same two steps: resolve (defaults, one table
-//     of knob rules, key, memory bus) and buildTree (one tree's storage
-//     stack). Hierarchical shards attach one membus port per level,
+//     takes it and runs the same steps: resolve (defaults, one table of
+//     knob rules, key, memory bus), newEngine (size and assemble one
+//     chain) and buildTree (one tree's storage stack, once per level).
+//     Hierarchical shards attach one membus port per level,
 //     making the recursion's Figure 5 orderings and Table 2 latencies
 //     come from live recursive traffic;
 //   - pluggable persistent storage (Spec.Backend: BackendFile, Spec.WAL):

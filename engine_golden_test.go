@@ -1,0 +1,516 @@
+package pathoram
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"hash"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// The engine goldens pin "same results" across a change to how engines are
+// built: one fixed seeded op stream runs on a bare engine (New, or
+// NewHierarchy for a recursive spec) and on a 2-shard Open of each variant
+// below, and everything an engine can show for it — the paths it touched,
+// what it returned, its counters, its modeled time, its tree files — must
+// equal the constants recorded at the commit before the change. Re-record
+// with
+//
+//	go test -run TestEngineGolden -record-engine-golden . | grep '^	"' > body
+//
+// and paste the lines over the body of engineGoldens; a change that means
+// to move one says which and why.
+var recordEngineGolden = flag.Bool("record-engine-golden", false,
+	"print the engineGoldens table body instead of comparing against it")
+
+// engineGolden is what one run leaves behind, each view in text form.
+type engineGolden struct {
+	// trace digests the OnPathAccess (level, leaf) sequence, one digest
+	// per shard in shard order.
+	trace string
+	// out digests every returned payload, found flag, group address and
+	// background-step outcome, in op order.
+	out string
+	// stats is the closing Stats, field for field (%+v).
+	stats string
+	// onChip is OnChipBytes.
+	onChip uint64
+	// timing is the closing TimingStats (%+v), "untimed" under BackendMem.
+	timing string
+	// files digests the closed tree files by name and content, "" when
+	// nothing persists.
+	files string
+}
+
+// goldenKey is a fixed processor secret, so ciphertext is a constant.
+var goldenKey = []byte("engine-golden-k!")
+
+// engineGoldenVariants are the design points the goldens cover. Each spec
+// is built fresh per run (dir is a fresh directory, used by the file
+// variants only).
+var engineGoldenVariants = []struct {
+	name string
+	spec func(dir string) Spec
+}{
+	{"plain", func(string) Spec { return Spec{BlockSize: 16, Encryption: EncryptNone} }},
+	{"meta", func(string) Spec { return Spec{} }},
+	{"super", func(string) Spec { return Spec{BlockSize: 16, Encryption: EncryptNone, SuperBlockSize: 4} }},
+	// Z=2 at 50% with four to six blocks of stash headroom: background
+	// eviction runs, so DummyAccesses and MaxDummyRun are non-zero.
+	{"tight", func(string) Spec {
+		return Spec{BlockSize: 16, Encryption: EncryptNone, Z: 2, Utilization: 0.75, StashCapacity: 24}
+	}},
+	{"tight-async", func(string) Spec {
+		return Spec{BlockSize: 16, Encryption: EncryptNone, Z: 2, Utilization: 0.75, StashCapacity: 24,
+			AsyncEviction: true, MaxDeferredWriteBacks: 4}
+	}},
+	{"ct", func(string) Spec { return Spec{BlockSize: 16, Encryption: EncryptNone, ConstantTimeStash: true} }},
+	{"dram", func(string) Spec { return Spec{BlockSize: 16, Encryption: EncryptNone, Backend: BackendDRAM} }},
+	{"dram-frfcfs", func(string) Spec {
+		return Spec{BlockSize: 16, Encryption: EncryptNone, Backend: BackendDRAM, DRAMSched: MemSchedFRFCFS}
+	}},
+	{"dram-async", func(string) Spec {
+		return Spec{BlockSize: 16, Encryption: EncryptNone, Backend: BackendDRAM, AsyncEviction: true}
+	}},
+	{"dram-serialize", func(string) Spec {
+		return Spec{BlockSize: 16, Encryption: EncryptNone, Backend: BackendDRAM, DRAMSerialize: true}
+	}},
+	{"file-counter", func(dir string) Spec {
+		return Spec{BlockSize: 16, Key: goldenKey, Backend: BackendFile, Dir: dir}
+	}},
+	{"counter-integrity", func(string) Spec { return Spec{BlockSize: 16, Key: goldenKey, Integrity: true} }},
+	{"rec-plb", func(string) Spec {
+		return Spec{BlockSize: 16, Encryption: EncryptNone,
+			PosMap: PosMapRecursive, PosBlockSize: 16, OnChipPosMapMax: 64, PLBBytes: 512}
+	}},
+	{"rec-tight", func(string) Spec {
+		return Spec{BlockSize: 16, Encryption: EncryptNone, Z: 2, PosZ: 2, Utilization: 0.75, StashCapacity: 24,
+			PosMap: PosMapRecursive, PosBlockSize: 16, OnChipPosMapMax: 64}
+	}},
+	{"rec-plb-dram-overlap", func(string) Spec {
+		return Spec{BlockSize: 16, Encryption: EncryptNone,
+			PosMap: PosMapRecursive, PosBlockSize: 16, OnChipPosMapMax: 64, PLBBytes: 512,
+			Backend: BackendDRAM, Overlap: 2}
+	}},
+	{"rec-file-counter", func(dir string) Spec {
+		return Spec{BlockSize: 16, Key: goldenKey, Backend: BackendFile, Dir: dir,
+			PosMap: PosMapRecursive, PosBlockSize: 16, OnChipPosMapMax: 64}
+	}},
+}
+
+// engineGoldenMasks lists the views that are not a function of the seed at
+// the parent commit, so no golden can hold them. Each was seen moving there
+// over 60 runs (20 each at GOMAXPROCS 1/2/4) plus 24 under -race; every
+// other field of every case, PendingWriteBackPeak included, held still.
+var engineGoldenMasks = map[string]struct{ timing, dummyRuns bool }{
+	// Two async shards complete deferred write-backs in idle queue time —
+	// when the goroutine scheduler gets to them — so the modeled cycle a
+	// write-back is charged at depends on the host (Cycles 966,818–969,151,
+	// SkippedBuckets 11,525–11,693).
+	"dram-async/open2": {timing: true},
+	// DRAMSerialize issues every stage at the global frontier, which two
+	// shard workers race to advance (RowHits 142,596–142,650, Cycles
+	// 1,132,291–1,132,603).
+	"dram-serialize/open2": {timing: true},
+	// Two shards of real chains: each level timer quiesces the shared bus
+	// after every stage, racing the other shard's submissions (Cycles
+	// 2,618,772–2,621,227) — ROADMAP's determinism hole (1).
+	"rec-plb-dram-overlap/open2": {timing: true},
+	// Not host noise but a parent-side bug the same change fixes: a real
+	// chain reported MaxDummyRun and IdleEvictions as 0 whatever it drained
+	// (644 dummy accesses here). TestHierarchyDummyRoundCounters pins the
+	// fixed values; every other field of these runs is held.
+	"rec-tight/bare":  {dummyRuns: true},
+	"rec-tight/open2": {dummyRuns: true},
+}
+
+// digest accumulates one view of a run.
+type digest struct{ h hash.Hash }
+
+func newDigest() *digest { return &digest{sha256.New()} }
+
+func (d *digest) u64(vs ...uint64) {
+	var b [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], v)
+		d.h.Write(b[:])
+	}
+}
+
+func (d *digest) bytes(p []byte) {
+	d.u64(uint64(len(p)))
+	d.h.Write(p)
+}
+
+func (d *digest) flag(b bool) {
+	if b {
+		d.u64(1)
+	} else {
+		d.u64(0)
+	}
+}
+
+func (d *digest) String() string { return fmt.Sprintf("%x", d.h.Sum(nil)[:8]) }
+
+// runEngineGolden drives the fixed op stream through one client of the
+// variant and returns what it left behind.
+func runEngineGolden(t *testing.T, spec Spec, shards int) engineGolden {
+	t.Helper()
+	const blocks, ops, batch = 1024, 2500, 8
+	spec.Blocks = blocks
+	spec.Shards = shards
+	spec.Rand = rand.New(rand.NewSource(23))
+	if shards > 1 && spec.AsyncEviction {
+		// Idle-time eviction fires on the goroutine scheduler's whim and
+		// draws leaves; write-back completion, the other idle work, draws
+		// none (see dramConfig).
+		spec.EvictionsPerIdle = -1
+	}
+	traces := make([]*digest, shards)
+	for i := range traces {
+		traces[i] = newDigest()
+	}
+	spec.OnPathAccess = func(shard, level int, leaf uint64) { traces[shard].u64(uint64(level), leaf) }
+
+	var c Client
+	var err error
+	switch {
+	case shards > 1:
+		c, err = Open(spec)
+	case spec.PosMap == PosMapRecursive:
+		c, err = NewHierarchy(spec)
+	default:
+		c, err = New(spec)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	out := newDigest()
+	rng := rand.New(rand.NewSource(29))
+	payload := func() []byte {
+		p := make([]byte, spec.BlockSize)
+		rng.Read(p)
+		return p
+	}
+	addr := func() uint64 { return rng.Uint64() % blocks }
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]byte, spec.BlockSize)
+	addrs := make([]uint64, batch)
+	data := make([][]byte, batch)
+	// A sharded async pump returns whichever shard's write-back the
+	// workers have not got to yet; only the eviction-free form is replayable.
+	pumpEvicts := !(shards > 1 && spec.AsyncEviction)
+	for op := 0; op < ops; op++ {
+		switch k := rng.Intn(16); {
+		case k < 4:
+			must(c.Write(addr(), payload()))
+		case k < 6:
+			got, err := c.Read(addr())
+			must(err)
+			out.bytes(got)
+		case k < 8:
+			found, err := c.ReadInto(addr(), dst)
+			must(err)
+			out.flag(found)
+			out.bytes(dst)
+		case k < 10 && spec.BlockSize == 0:
+			must(c.Write(addr(), nil)) // metadata-only trees have nothing to update
+		case k < 10:
+			must(c.Update(addr(), func(d []byte) {
+				for i := range d {
+					d[i]++
+				}
+			}))
+		case k < 12:
+			a := addr()
+			got, found, group, err := c.Load(a)
+			must(err)
+			out.flag(found)
+			out.bytes(got)
+			if !found {
+				got = make([]byte, spec.BlockSize)
+			}
+			must(c.Store(a, got))
+			for _, g := range group {
+				out.u64(g.Addr)
+				out.bytes(g.Data)
+				must(c.Store(g.Addr, g.Data))
+			}
+		case k < 13:
+			must(c.PaddingAccess())
+		case k < 14:
+			w, err := c.StepBackground(pumpEvicts)
+			must(err)
+			if pumpEvicts {
+				out.u64(uint64(w))
+			}
+		case k < 15:
+			for j := range addrs {
+				addrs[j] = addr()
+			}
+			got, err := c.ReadBatch(addrs)
+			must(err)
+			for _, g := range got {
+				out.bytes(g)
+			}
+		default:
+			for j := range addrs {
+				addrs[j], data[j] = addr(), payload()
+			}
+			must(c.WriteBatch(addrs, data))
+		}
+	}
+	must(c.Flush())
+
+	g := engineGolden{out: out.String(), onChip: c.OnChipBytes(), timing: "untimed"}
+	g.stats = fmt.Sprintf("%+v", c.Stats())
+	if ts, ok := c.TimingStats(); ok {
+		g.timing = fmt.Sprintf("%+v", ts)
+	}
+	must(c.Close())
+	var parts []string
+	for _, d := range traces {
+		parts = append(parts, d.String())
+	}
+	g.trace = strings.Join(parts, " ")
+	if spec.Dir != "" {
+		names, err := filepath.Glob(filepath.Join(spec.Dir, "*"))
+		must(err)
+		sort.Strings(names)
+		files := newDigest()
+		for _, name := range names {
+			content, err := os.ReadFile(name)
+			must(err)
+			files.bytes([]byte(filepath.Base(name)))
+			files.bytes(content)
+		}
+		g.files = files.String()
+	}
+	return g
+}
+
+// maskStat blanks one "Name:value" field of a %+v rendering.
+func maskStat(s, name string) string {
+	i := strings.Index(s, name+":")
+	if i < 0 {
+		return s
+	}
+	j := i + len(name) + 1
+	k := j
+	for k < len(s) && s[k] != ' ' && s[k] != '}' {
+		k++
+	}
+	return s[:j] + "*" + s[k:]
+}
+
+// TestEngineGolden replays every variant, bare and behind two shards,
+// against the recorded constants.
+func TestEngineGolden(t *testing.T) {
+	for _, v := range engineGoldenVariants {
+		for _, mode := range []struct {
+			name   string
+			shards int
+		}{{"bare", 1}, {"open2", 2}} {
+			key := v.name + "/" + mode.name
+			t.Run(key, func(t *testing.T) {
+				got := runEngineGolden(t, v.spec(t.TempDir()), mode.shards)
+				mask := engineGoldenMasks[key]
+				if mask.timing {
+					got.timing = "masked"
+				}
+				if mask.dummyRuns {
+					got.stats = maskStat(maskStat(got.stats, "MaxDummyRun"), "IdleEvictions")
+				}
+				if *recordEngineGolden {
+					fmt.Printf("\t%q: {\n\t\ttrace: %q, out: %q, onChip: %d, files: %q,\n\t\tstats:  %q,\n\t\ttiming: %q,\n\t},\n",
+						key, got.trace, got.out, got.onChip, got.files, got.stats, got.timing)
+					return
+				}
+				want, ok := engineGoldens[key]
+				if !ok {
+					t.Fatalf("no golden recorded for %s", key)
+				}
+				if got != want {
+					t.Errorf("engine results moved:\n got %+v\nwant %+v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// engineGoldens holds the constants, recorded at aca03de (the parent of
+// the one-engine change).
+var engineGoldens = map[string]engineGolden{
+	"plain/bare": {
+		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"plain/open2": {
+		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"meta/bare": {
+		trace: "965f831d2a90d9dc", out: "dc04b47ced8787e6", onChip: 6496, files: "",
+		stats:  "{RealAccesses:4200 DummyAccesses:0 PaddingAccesses:138 EvictionAccesses:0 Stores:302 StashPeak:8 BlocksInORAM:927 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"meta/open2": {
+		trace: "d1b41b4b1705b06e c690db7c5a2cef1b", out: "dc04b47ced8787e6", onChip: 8896, files: "",
+		stats:  "{RealAccesses:4200 DummyAccesses:0 PaddingAccesses:138 EvictionAccesses:0 Stores:302 StashPeak:6 BlocksInORAM:927 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"super/bare": {
+		trace: "29b2ec7b346ca9d8", out: "b295a15cabf55d44", onChip: 6624, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:57 PaddingAccesses:176 EvictionAccesses:0 Stores:862 StashPeak:174 BlocksInORAM:915 MaxDummyRun:4 DeferredWriteBacks:0 IdleEvictions:47 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"super/open2": {
+		trace: "131d685469fb6903 934ffdcc0a367949", out: "a66f95ed3903afa8", onChip: 12224, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:861 StashPeak:91 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"tight/bare": {
+		trace: "04dc630bdb85f811", out: "c915691b9ed3bbab", onChip: 4768, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:108 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:9 DeferredWriteBacks:0 IdleEvictions:16 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"tight/open2": {
+		trace: "e3a069b3f6d7397e 982bbfeeb64876ad", out: "c91504dd498df2ac", onChip: 5440, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:41 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:7 BlocksInORAM:915 MaxDummyRun:5 DeferredWriteBacks:0 IdleEvictions:18 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"tight-async/bare": {
+		trace: "8e3db149105b761d", out: "006ec18777d3f559", onChip: 4768, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:192 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:13 DeferredWriteBacks:4519 IdleEvictions:0 PendingWriteBackPeak:4 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"tight-async/open2": {
+		trace: "a84bc1d5c5ded82f 48147ce492ed1672", out: "13b3c1941d354305", onChip: 5440, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:38 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:7 BlocksInORAM:915 MaxDummyRun:14 DeferredWriteBacks:4365 IdleEvictions:0 PendingWriteBackPeak:4 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"ct/bare": {
+		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"ct/open2": {
+		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"dram/bare": {
+		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "{DRAM:{Reads:86540 Writes:86540 RowHits:160850 RowMisses:12230 Refreshes:474 DataBusBusyCycles:692320 LastCompletionCycle:1234734 QueueOccupancyPeak:0 BankOverlapActs:0 StarvationForced:0} PathReads:4327 PathWrites:4327 DeferredWrites:0 SkippedBuckets:0 ReadCycles:722119 WriteCycles:512615 Cycles:1234734 AccessBytes:64}",
+	},
+	"dram/open2": {
+		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "{DRAM:{Reads:77886 Writes:77886 RowHits:139494 RowMisses:16278 Refreshes:420 DataBusBusyCycles:623088 LastCompletionCycle:1093744 QueueOccupancyPeak:0 BankOverlapActs:2168 StarvationForced:0} PathReads:4327 PathWrites:4327 DeferredWrites:0 SkippedBuckets:0 ReadCycles:1188660 WriteCycles:983918 Cycles:1093744 AccessBytes:64}",
+	},
+	"dram-frfcfs/bare": {
+		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "{DRAM:{Reads:86540 Writes:86540 RowHits:163448 RowMisses:9632 Refreshes:188 DataBusBusyCycles:692320 LastCompletionCycle:489149 QueueOccupancyPeak:8 BankOverlapActs:7308 StarvationForced:0} PathReads:4327 PathWrites:4327 DeferredWrites:0 SkippedBuckets:0 ReadCycles:254857 WriteCycles:234292 Cycles:489149 AccessBytes:64}",
+	},
+	"dram-frfcfs/open2": {
+		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "{DRAM:{Reads:77886 Writes:77886 RowHits:141864 RowMisses:13908 Refreshes:168 DataBusBusyCycles:623088 LastCompletionCycle:440814 QueueOccupancyPeak:8 BankOverlapActs:9180 StarvationForced:5826} PathReads:4327 PathWrites:4327 DeferredWrites:0 SkippedBuckets:0 ReadCycles:480928 WriteCycles:394789 Cycles:440814 AccessBytes:64}",
+	},
+	"dram-async/bare": {
+		trace: "0435ac0c94299a11", out: "006ec18777d3f559", onChip: 9696, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:4327 IdleEvictions:0 PendingWriteBackPeak:8 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "{DRAM:{Reads:48320 Writes:86540 RowHits:116340 RowMisses:18520 Refreshes:394 DataBusBusyCycles:539440 LastCompletionCycle:1026250 QueueOccupancyPeak:0 BankOverlapActs:0 StarvationForced:0} PathReads:4327 PathWrites:4327 DeferredWrites:4327 SkippedBuckets:19110 ReadCycles:450949 WriteCycles:575301 Cycles:1026250 AccessBytes:64}",
+	},
+	"dram-async/open2": {
+		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "13b3c1941d354305", onChip: 15296, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:4327 IdleEvictions:0 PendingWriteBackPeak:8 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "masked",
+	},
+	"dram-serialize/bare": {
+		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "{DRAM:{Reads:86540 Writes:86540 RowHits:160850 RowMisses:12230 Refreshes:474 DataBusBusyCycles:692320 LastCompletionCycle:1234734 QueueOccupancyPeak:0 BankOverlapActs:0 StarvationForced:0} PathReads:4327 PathWrites:4327 DeferredWrites:0 SkippedBuckets:0 ReadCycles:722119 WriteCycles:512615 Cycles:1234734 AccessBytes:64}",
+	},
+	"dram-serialize/open2": {
+		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "masked",
+	},
+	"file-counter/bare": {
+		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "5268c4ccaf568730",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"file-counter/open2": {
+		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "42440aa3051bf967",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"counter-integrity/bare": {
+		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"counter-integrity/open2": {
+		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"rec-plb/bare": {
+		trace: "05ae54c286a75e22", out: "60ca52d48750c82e", onChip: 22752, files: "",
+		stats:  "{RealAccesses:16552 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:540 PLBMisses:11910 PLBWriteBacks:491 ChainLevels:16552 ChainSamples:4151}",
+		timing: "untimed",
+	},
+	"rec-plb/open2": {
+		trace: "6fc65f7395e9d213 256652349de52cb1", out: "60ca52d48750c82e", onChip: 45440, files: "",
+		stats:  "{RealAccesses:16351 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:1209 PLBMisses:11231 PLBWriteBacks:969 ChainLevels:16349 ChainSamples:4151}",
+		timing: "untimed",
+	},
+	"rec-tight/bare": {
+		trace: "53fb0b003a39c524", out: "51d8b96024732467", onChip: 2752, files: "",
+		stats:  "{RealAccesses:16604 DummyAccesses:644 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:9 BlocksInORAM:1251 MaxDummyRun:* DeferredWriteBacks:0 IdleEvictions:* PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		timing: "untimed",
+	},
+	"rec-tight/open2": {
+		trace: "200f7941af997e06 1a87097cf5fef1bc", out: "41fb665f2b4dda39", onChip: 5440, files: "",
+		stats:  "{RealAccesses:16604 DummyAccesses:252 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:8 BlocksInORAM:1251 MaxDummyRun:* DeferredWriteBacks:0 IdleEvictions:* PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		timing: "untimed",
+	},
+	"rec-plb-dram-overlap/bare": {
+		trace: "05ae54c286a75e22", out: "60ca52d48750c82e", onChip: 22752, files: "",
+		stats:  "{RealAccesses:16552 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:540 PLBMisses:11910 PLBWriteBacks:491 ChainLevels:16552 ChainSamples:4151}",
+		timing: "{DRAM:{Reads:233230 Writes:233230 RowHits:430500 RowMisses:35960 Refreshes:1224 DataBusBusyCycles:1865840 LastCompletionCycle:3187184 QueueOccupancyPeak:0 BankOverlapActs:10002 StarvationForced:0} PathReads:17256 PathWrites:17256 DeferredWrites:0 SkippedBuckets:0 ReadCycles:5935027 WriteCycles:2012402 Cycles:3187184 AccessBytes:64}",
+	},
+	"rec-plb-dram-overlap/open2": {
+		trace: "6fc65f7395e9d213 256652349de52cb1", out: "60ca52d48750c82e", onChip: 45440, files: "",
+		stats:  "{RealAccesses:16351 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:1209 PLBMisses:11231 PLBWriteBacks:969 ChainLevels:16349 ChainSamples:4151}",
+		timing: "masked",
+	},
+	"rec-file-counter/bare": {
+		trace: "f73fa9983c21871c", out: "60ca52d48750c82e", onChip: 22464, files: "7baf0213b726d568",
+		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:9 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		timing: "untimed",
+	},
+	"rec-file-counter/open2": {
+		trace: "36a94f09dffe540a 05270bb86ba567c2", out: "60ca52d48750c82e", onChip: 44864, files: "249aa4d171d4244a",
+		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		timing: "untimed",
+	},
+}

@@ -31,7 +31,8 @@ type llc struct {
 }
 
 func main() {
-	mem, err := pathoram.NewHierarchy(pathoram.Spec{
+	mem, err := pathoram.New(pathoram.Spec{
+		PosMap:          pathoram.PosMapRecursive,
 		Blocks:          lines,
 		BlockSize:       lineBytes,
 		Z:               4, // DZ4Pb32+SB: the paper's best Figure 12 configuration
@@ -97,7 +98,7 @@ func main() {
 		mem.DummyRounds(), mem.DummyPerReal())
 }
 
-func (c *llc) insert(addr uint64, d []byte, mem *pathoram.Hierarchy) {
+func (c *llc) insert(addr uint64, d []byte, mem *pathoram.ORAM) {
 	if _, ok := c.data[addr]; ok {
 		return
 	}

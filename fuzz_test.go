@@ -12,8 +12,9 @@ import (
 // panic. Constructed clients then run the canonical workload and must
 // honor read-your-writes, Flush idempotence and Close cleanliness
 // regardless of which corner of the design space the bytes selected.
-// Flat single-shard inputs additionally go to New: both constructors run
-// the same resolve pass, so they must agree on accept/reject.
+// Single-shard inputs, flat and recursive, additionally go to New: both
+// constructors run the same resolve pass and the same engine builder, so
+// they must agree on accept/reject.
 
 // specSource decodes bounded Spec fields from a fuzz byte stream,
 // yielding zeros once the stream runs dry (so short inputs explore the
@@ -104,7 +105,7 @@ func FuzzOpenSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec := specFromBytes(data)
 		_ = spec.LeakageClass() // total on every spec, valid or not
-		if spec.Shards <= 1 && spec.PosMap == PosMapOnChip {
+		if spec.Shards <= 1 {
 			bare := spec
 			bare.Partition, bare.Padded, bare.QueueDepth, bare.EvictionsPerIdle = PartitionStripe, false, 0, 0
 			bare.Rand = nil

@@ -276,3 +276,105 @@ func TestHierarchyReadYourWritesEncrypted(t *testing.T) {
 		}
 	}
 }
+
+// TestHierarchyDummyRoundCounters: a real chain keeps the two eviction
+// counters a lone tree keeps. Stats.MaxDummyRun is the longest inline
+// drain in coordinated rounds, Stats.IdleEvictions the rounds
+// StepBackground issued in idle time — both checked against what the test
+// can count from outside (DummyRounds before and after each call).
+func TestHierarchyDummyRoundCounters(t *testing.T) {
+	h := testHierarchy(t, func(s *Spec) {
+		s.Blocks, s.Z, s.PosZ, s.Utilization, s.StashCapacity = 1024, 2, 2, 0.75, 24
+		s.OnChipPosMapMax = 64
+	})
+	if h.NumORAMs() < 3 {
+		t.Fatalf("want a real chain, got %d ORAMs", h.NumORAMs())
+	}
+	rng := rand.New(rand.NewSource(23))
+	var longest, idle uint64
+	for i := 0; i < 3000; i++ {
+		before := h.DummyRounds()
+		if i%4 == 3 {
+			w, err := h.StepBackground(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w == BgEviction {
+				idle++
+			}
+			continue
+		}
+		if err := h.Write(rng.Uint64()%1024, make([]byte, 16)); err != nil {
+			t.Fatal(err)
+		}
+		longest = max(longest, h.DummyRounds()-before)
+	}
+	if longest == 0 || idle == 0 {
+		t.Fatalf("the workload drained %d rounds inline at most and %d in idle time; it must do both", longest, idle)
+	}
+	st := h.Stats()
+	if uint64(st.MaxDummyRun) != longest {
+		t.Errorf("Stats.MaxDummyRun = %d, longest inline drain was %d rounds", st.MaxDummyRun, longest)
+	}
+	if st.IdleEvictions != idle {
+		t.Errorf("Stats.IdleEvictions = %d, StepBackground issued %d idle rounds", st.IdleEvictions, idle)
+	}
+	if data := h.LevelStats()[0]; data.IdleEvictions != idle || data.IdleEvictions > data.DummyAccesses {
+		t.Errorf("data level reports %d idle evictions of %d dummy accesses, want %d", data.IdleEvictions, data.DummyAccesses, idle)
+	}
+	h.ResetStats()
+	if st := h.Stats(); st.MaxDummyRun != 0 || st.IdleEvictions != 0 {
+		t.Errorf("ResetStats left MaxDummyRun %d, IdleEvictions %d", st.MaxDummyRun, st.IdleEvictions)
+	}
+}
+
+// TestHierarchyChainLengthViews: Stats' ChainLevels/ChainSamples and
+// ChainLengthHist are two views of one count and must agree — on a real
+// chain, where every operation is sampled, and on a chain of one ORAM,
+// which has no chain to measure and samples nothing in either view
+// (however the one-ORAM chain was asked for).
+func TestHierarchyChainLengthViews(t *testing.T) {
+	for name, mutate := range map[string]func(*Spec){
+		"flat":                     func(s *Spec) { s.PosMap, s.PosBlockSize, s.OnChipPosMapMax = PosMapOnChip, 0, 0 },
+		"recursive, map fits":      func(s *Spec) { s.OnChipPosMapMax = 1 << 20 },
+		"recursive, 3+ ORAMs":      func(s *Spec) { s.OnChipPosMapMax = 64 },
+		"recursive, 3+ ORAMs, PLB": func(s *Spec) { s.OnChipPosMapMax, s.PLBBytes = 64, 512 },
+	} {
+		spec := Spec{
+			Blocks: 1024, BlockSize: 16, Encryption: EncryptNone,
+			PosMap: PosMapRecursive, PosBlockSize: 16,
+			Rand: rand.New(rand.NewSource(24)),
+		}
+		mutate(&spec)
+		o, err := New(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		const ops = 400
+		for i := uint64(0); i < ops; i++ {
+			if _, err := o.Read(i * 5 % 1024); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := o.Stats()
+		var samples, levels uint64
+		for n, count := range o.ChainLengthHist() {
+			samples += count
+			levels += uint64(n) * count
+		}
+		if samples != st.ChainSamples || levels != st.ChainLevels {
+			t.Errorf("%s: histogram holds %d samples / %d levels, Stats %d / %d",
+				name, samples, levels, st.ChainSamples, st.ChainLevels)
+		}
+		want := uint64(ops)
+		if o.NumORAMs() == 1 {
+			want = 0
+		} else if o.NumORAMs() < 3 {
+			t.Errorf("%s: chain of %d ORAMs, want at least 3", name, o.NumORAMs())
+		}
+		if st.ChainSamples != want {
+			t.Errorf("%s: %d ORAMs sampled %d chain lengths over %d ops, want %d",
+				name, o.NumORAMs(), st.ChainSamples, ops, want)
+		}
+	}
+}

@@ -260,13 +260,16 @@ func runCell(client pathoram.Client, spec pathoram.Spec, gen Gen, opts Options) 
 	if spec.Padded {
 		m["batch"] = float64(opts.Batch)
 	}
-	if spec.PosMap == pathoram.PosMapRecursive {
+	if st.ChainSamples > 0 {
 		// Mean posmap-chain length per op: H with no PLB, shrinking toward
-		// 1.0 as hits skip levels (or pinned at H under constant shape).
+		// 1.0 as hits skip levels (or pinned at H under constant shape). A
+		// recursive point whose map already fits on chip is the flat engine
+		// and samples no chain; it omits the column rather than report an
+		// impossible 0-length chain.
 		m["chain-len"] = st.MeanChainLength()
-		if spec.PLBBytes > 0 {
-			m["plb-hit"] = st.PLBHitRate()
-		}
+	}
+	if spec.PLBBytes > 0 {
+		m["plb-hit"] = st.PLBHitRate()
 	}
 	if timed {
 		// Diff against the post-warm-up snapshot so the modeled columns

@@ -128,6 +128,12 @@ type ORAM struct {
 
 	dummyRounds uint64
 	maxDummyRun int
+	// idleRounds counts the dummy rounds StepBackground issued in idle time
+	// and longestRun the longest inline drain, in rounds — what a lone
+	// core.ORAM keeps as IdleEvictions and MaxDummyRun. Stats reports both
+	// on the data level.
+	idleRounds uint64
+	longestRun int
 
 	// Chain-length accounting: curChain counts the ORAM path accesses of
 	// the operation in flight (the data level plus every backing access the
@@ -149,12 +155,8 @@ func New(cfg Config) (*ORAM, error) {
 	if cfg.Leaves == nil {
 		return nil, fmt.Errorf("hierarchy: leaf source is required")
 	}
-	if cfg.DataZ < 1 || cfg.PosZ < 1 {
+	if cfg.DataZ < 1 {
 		return nil, fmt.Errorf("hierarchy: Z values must be >= 1")
-	}
-	if cfg.PosBlockBytes < labelBytes {
-		return nil, fmt.Errorf("hierarchy: position-map blocks of %dB cannot hold a %d-byte label",
-			cfg.PosBlockBytes, labelBytes)
 	}
 	if cfg.DataUtilization <= 0 || cfg.DataUtilization > 1 {
 		cfg.DataUtilization = 0.5
@@ -292,6 +294,15 @@ func planLevels(cfg Config) ([]LevelInfo, error) {
 	entries := (cfg.Blocks + uint64(sb) - 1) / uint64(sb) // groups of the data ORAM
 	k := uint64(cfg.PosBlockBytes / labelBytes)
 	for entries*labelBytes > cfg.OnChipPosMapMax {
+		// The position-map parameters matter only once a map spills: a chain
+		// whose first map already fits on chip (a flat ORAM) never reads them.
+		if cfg.PosZ < 1 {
+			return nil, fmt.Errorf("hierarchy: Z values must be >= 1")
+		}
+		if cfg.PosBlockBytes < labelBytes {
+			return nil, fmt.Errorf("hierarchy: position-map blocks of %dB cannot hold a %d-byte label",
+				cfg.PosBlockBytes, labelBytes)
+		}
 		if len(infos) > 16 {
 			return nil, fmt.Errorf("hierarchy: position-map chain did not converge")
 		}
@@ -341,7 +352,8 @@ func (h *ORAM) Level(i int) *core.ORAM { return h.levels[i] }
 // Stats returns per-level counters (index 0 = data ORAM). PLB counters are
 // attributed to the backing level whose accesses the cache filters (the
 // PLB in front of level i+1 shows up in out[i+1]); the chain-length
-// aggregate lands on the data level.
+// aggregate and the coordinated-eviction counters (IdleEvictions,
+// MaxDummyRun, both in rounds) land on the data level.
 func (h *ORAM) Stats() []core.Stats {
 	out := make([]core.Stats, len(h.levels))
 	for i, o := range h.levels {
@@ -358,6 +370,8 @@ func (h *ORAM) Stats() []core.Stats {
 	}
 	out[0].ChainLevels += h.chainLevels
 	out[0].ChainSamples += h.chainSamples
+	out[0].IdleEvictions += h.idleRounds
+	out[0].MaxDummyRun = max(out[0].MaxDummyRun, h.longestRun)
 	return out
 }
 
@@ -390,7 +404,7 @@ func (h *ORAM) ResetStats() {
 	for _, o := range h.levels {
 		o.ResetStats()
 	}
-	h.dummyRounds = 0
+	h.dummyRounds, h.idleRounds, h.longestRun = 0, 0, 0
 	h.chainLevels, h.chainSamples = 0, 0
 	for i := range h.chainHist {
 		h.chainHist[i] = 0
@@ -423,8 +437,13 @@ func (h *ORAM) beginOp() {
 	h.curChain = 1
 }
 
-// recordChain closes the count beginOp opened.
+// recordChain closes the count beginOp opened. A one-ORAM chain has no
+// chain to measure: it samples nothing, in Stats and the histogram alike,
+// so a flat ORAM reports ChainSamples 0 ("not a hierarchy").
 func (h *ORAM) recordChain() {
+	if len(h.levels) == 1 {
+		return
+	}
 	h.chainSamples++
 	h.chainLevels += h.curChain
 	idx := h.curChain
@@ -542,15 +561,10 @@ func (h *ORAM) StepBackground(allowEviction bool) (core.BackgroundWork, error) {
 		}
 	}
 	if allowEviction && h.cfg.BackgroundEviction && h.needsIdleEviction() {
-		if h.cfg.OnRoundStart != nil {
-			h.cfg.OnRoundStart()
+		if err := h.dummyRound(); err != nil {
+			return core.BgEviction, err
 		}
-		for i := len(h.levels) - 1; i >= 0; i-- {
-			if err := h.levels[i].DummyAccess(); err != nil {
-				return core.BgEviction, err
-			}
-		}
-		h.dummyRounds++
+		h.idleRounds++
 		return core.BgEviction, nil
 	}
 	return core.BgNone, nil
@@ -624,8 +638,7 @@ func (h *ORAM) plbFlush() error {
 }
 
 // drain coordinates background eviction: while any stash exceeds its
-// threshold, issue one dummy request to each ORAM in normal access order
-// (smallest first, data ORAM last — Section 3.1.1).
+// threshold, issue one dummy round (Section 3.1.1).
 func (h *ORAM) drain() error {
 	if !h.cfg.BackgroundEviction {
 		return nil
@@ -635,17 +648,28 @@ func (h *ORAM) drain() error {
 		if run >= h.maxDummyRun {
 			return core.ErrLivelock
 		}
-		if h.cfg.OnRoundStart != nil {
-			h.cfg.OnRoundStart()
+		if err := h.dummyRound(); err != nil {
+			return err
 		}
-		for i := len(h.levels) - 1; i >= 0; i-- {
-			if err := h.levels[i].DummyAccess(); err != nil {
-				return err
-			}
-		}
-		h.dummyRounds++
 		run++
 	}
+	h.longestRun = max(h.longestRun, run)
+	return nil
+}
+
+// dummyRound issues one dummy request to each ORAM in normal access order
+// (smallest first, data ORAM last) — the unit of coordinated eviction, for
+// the inline drain and the idle step alike.
+func (h *ORAM) dummyRound() error {
+	if h.cfg.OnRoundStart != nil {
+		h.cfg.OnRoundStart()
+	}
+	for i := len(h.levels) - 1; i >= 0; i-- {
+		if err := h.levels[i].DummyAccess(); err != nil {
+			return err
+		}
+	}
+	h.dummyRounds++
 	return nil
 }
 

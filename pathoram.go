@@ -5,8 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/hierarchy"
 	"repro/internal/membus"
-	"repro/internal/treemath"
 )
 
 // enumName and parseEnum are the text codec the Spec enums share: names[v]
@@ -138,82 +138,56 @@ type Block struct {
 	Data []byte
 }
 
-// ORAM is a single Path ORAM with a private, oblivious block interface.
-// It is single-threaded: one goroutine owns it (the sharded serving layer
-// enforces exactly that ownership for its engines). It satisfies Client;
-// the batch operations run their requests back to back on the calling
-// goroutine.
+// ORAM is the one engine: a Path ORAM together with the recursion chain
+// that stores its position map (Section 2.3). The data ORAM's map lives in
+// a second, smaller ORAM, recursively, until the final map fits on chip —
+// and a flat ORAM is simply the chain that stops at once, because its
+// whole map already does (PosMapOnChip; NumORAMs is then 1). Its trees are
+// held in construction order: smallest position-map ORAM first, data ORAM
+// last. It is single-threaded: one goroutine owns it (the sharded serving
+// layer enforces exactly that ownership for its per-shard engines). It
+// satisfies Client; the batch operations run their requests back to back
+// on the calling goroutine.
 type ORAM struct {
 	trees
-	inner  *core.ORAM
-	pos    *core.OnChipPositionMap
+	inner  *hierarchy.ORAM
 	blocks uint64
 }
 
-// New builds one bare flat ORAM from spec (PosMapOnChip, no serving
-// layer): Key encrypts the tree directly and Rand is consumed directly.
+// Hierarchy is the pre-one-engine name of a recursive ORAM, kept as an
+// alias so existing *Hierarchy declarations keep compiling.
+type Hierarchy = ORAM
+
+// New builds one bare engine from spec (no serving layer): a flat tree, or
+// under PosMap: PosMapRecursive a recursion chain. Key encrypts a flat tree
+// directly — each level of a chain under a per-level key derived from it —
+// and Rand is consumed directly. Every ORAM of a chain gets its own store
+// with the configured encryption and, optionally, integrity layer;
+// background eviction is coordinated across the chain exactly as in Section
+// 3.1.1. Under BackendDRAM every level also gets its own port on the memory
+// bus; under BackendFile its own tree file. The serving-layer knobs would
+// be silently inert on one engine, so they are rejected.
 func New(spec Spec) (*ORAM, error) {
-	if spec.PosMap != PosMapOnChip {
-		return nil, fmt.Errorf("pathoram: New builds a flat tree; PosMapRecursive needs NewHierarchy or Open")
+	if spec.Shards > 1 || spec.Partition != PartitionStripe || spec.Padded || spec.QueueDepth != 0 || spec.EvictionsPerIdle != 0 {
+		return nil, fmt.Errorf("pathoram: New and NewHierarchy build one bare engine; Shards/Partition/Padded/QueueDepth/EvictionsPerIdle parameterize the serving layer (use Open)")
 	}
-	p, err := resolveBare(spec, "New")
+	p, err := resolve(spec)
 	if err != nil {
 		return nil, err
 	}
-	return newORAM(p, p.bareSeed())
+	// The whole address space, the Spec's key and generator used directly.
+	return p.newEngine(engineSeed{blocks: p.Blocks, key: p.Key, rand: p.Rand, name: "oram"})
 }
 
-// newORAM builds the flat engine e of plan p.
-func newORAM(p *plan, e engineSeed) (_ *ORAM, err error) {
-	o := &ORAM{blocks: e.blocks}
-	defer func() {
-		if err != nil {
-			o.close()
-		}
-	}()
-	leafLevel := p.leafLevel(e.blocks)
-	t, err := p.buildTree(e, 0, leafLevel, p.Z, p.BlockSize)
-	if err != nil {
-		return nil, err
-	}
-	o.add(t)
-	if p.bus != nil {
-		port, err := p.bus.AttachShard(leafLevel, t.busBytes)
-		if err != nil {
-			return nil, err
-		}
-		o.ports = append(o.ports, port)
-		if t.store, err = core.NewTimedStore(t.store, port); err != nil {
-			return nil, err
-		}
-	}
-	params := core.Params{
-		LeafLevel:             leafLevel,
-		Z:                     p.Z,
-		BlockBytes:            p.BlockSize,
-		Blocks:                e.blocks,
-		StashCapacity:         p.StashCapacity,
-		SuperBlock:            p.SuperBlockSize,
-		BackgroundEviction:    true,
-		DeferWriteBack:        p.AsyncEviction,
-		MaxDeferredWriteBacks: p.MaxDeferredWriteBacks,
-		ConstantTimeStash:     p.ConstantTimeStash,
-	}
-	if hook := p.OnPathAccess; hook != nil {
-		params.OnPathAccess = func(leaf uint64, _ core.AccessKind) { hook(e.shard, 0, leaf) }
-	}
-	src := leafSource(e.rand)
-	if o.pos, err = core.NewOnChipPositionMap(params.Groups(), treemath.New(leafLevel).NumLeaves(), src); err != nil {
-		return nil, err
-	}
-	if o.inner, err = core.New(params, t.store, o.pos, src); err != nil {
-		return nil, err
-	}
-	return o, nil
+// NewHierarchy is New with PosMap: PosMapRecursive implied.
+func NewHierarchy(spec Spec) (*Hierarchy, error) {
+	spec.PosMap = PosMapRecursive
+	return New(spec)
 }
 
 // Read returns a copy of the block at addr (zero-filled if never written).
-// One oblivious path access.
+// One oblivious path access in every ORAM of the chain, position-map ORAMs
+// first (Section 2.3) — one in all for a flat ORAM.
 func (o *ORAM) Read(addr uint64) ([]byte, error) {
 	return o.inner.Access(addr, core.OpRead, nil)
 }
@@ -222,12 +196,12 @@ func (o *ORAM) Read(addr uint64) ([]byte, error) {
 // must be BlockSize bytes), avoiding the per-read result allocation of
 // Read — the hot-path form for throughput-sensitive callers. found reports
 // whether the block was ever written; on a miss dst is zero-filled. One
-// oblivious path access.
+// oblivious access.
 func (o *ORAM) ReadInto(addr uint64, dst []byte) (found bool, err error) {
 	return o.inner.ReadInto(addr, dst)
 }
 
-// Write replaces the block at addr. One oblivious path access.
+// Write replaces the block at addr. One oblivious access.
 func (o *ORAM) Write(addr uint64, data []byte) error {
 	_, err := o.inner.Access(addr, core.OpWrite, data)
 	return err
@@ -254,13 +228,13 @@ func (o *ORAM) Load(addr uint64) (data []byte, found bool, group []Block, err er
 }
 
 // Store returns a previously loaded block. It inserts straight into the
-// stash — no path access (Section 3.3.1).
+// data ORAM's stash — no path access (Section 3.3.1).
 func (o *ORAM) Store(addr uint64, data []byte) error {
 	return o.inner.Store(addr, data)
 }
 
 // ReadBatch reads every address, back to back on the calling goroutine
-// (a single tree has no intra-batch parallelism to exploit — Sharded
+// (a single engine has no intra-batch parallelism to exploit — Sharded
 // does), under the shared batch contract (see serialReadBatch).
 func (o *ORAM) ReadBatch(addrs []uint64) ([][]byte, error) {
 	return serialReadBatch(addrs, o.blocks, o.Read)
@@ -273,11 +247,13 @@ func (o *ORAM) WriteBatch(addrs []uint64, data [][]byte) error {
 	return serialWriteBatch(addrs, data, o.blocks, o.Write)
 }
 
-// PaddingAccess performs one dummy path access — a freshly drawn uniform
-// path is read and written back, remapping nothing — and counts it as
-// scheduler padding (Stats.PaddingAccesses). On the memory bus it is
-// indistinguishable from a real access; the sharded serving layer's padded
-// batch mode uses it to fill the dummy slots of a fixed-shape schedule.
+// PaddingAccess performs one dummy-shaped access through the whole chain:
+// one freshly drawn uniform path read and written back in every ORAM,
+// smallest first, remapping nothing — the same ORAMs in the same order as
+// a real access, so an observer of the memory traffic cannot tell them
+// apart. Counted as scheduler padding in every level's
+// Stats.PaddingAccesses; the sharded serving layer's padded batch mode uses
+// it to fill the dummy slots of a fixed-shape schedule.
 func (o *ORAM) PaddingAccess() error { return o.inner.PaddingAccess() }
 
 // BackgroundWork reports what one StepBackground call did.
@@ -291,21 +267,22 @@ const (
 )
 
 // StepBackground performs one unit of deferred work — completing one
-// pending path write-back, or (when allowEviction is set and the stash
-// sits above the idle low-water mark) issuing one background-eviction
-// dummy access — and reports which. Under AsyncEviction, call it whenever
-// the ORAM would otherwise sit idle; BgNone means there is nothing useful
-// to do right now. Inside a Sharded the shard workers call it for you.
+// pending path write-back on some level, or (when allowEviction is set and
+// some stash sits above the idle low-water mark) issuing one coordinated
+// dummy round through the whole chain — and reports which. Under
+// AsyncEviction, call it whenever the ORAM would otherwise sit idle; BgNone
+// means there is nothing useful to do right now. Inside a Sharded the shard
+// workers call it for you.
 func (o *ORAM) StepBackground(allowEviction bool) (BackgroundWork, error) {
 	return o.inner.StepBackground(allowEviction)
 }
 
-// Flush completes every deferred path write-back and fully drains
-// background eviction, leaving the ORAM in a state the synchronous
-// protocol could have produced. Under BackendFile it is also the
-// durability epoch: the tree file is msync'd (and the WAL, if enabled,
-// checkpointed and truncated) before Flush returns. A no-op without
-// AsyncEviction on volatile backends.
+// Flush completes every level's deferred path write-backs and fully drains
+// coordinated background eviction, leaving the ORAM in a state the
+// synchronous protocol could have produced. Under BackendFile it is also
+// the durability epoch: every tree file is msync'd (and the WAL, if
+// enabled, checkpointed and truncated) before Flush returns. A no-op
+// without AsyncEviction on volatile backends.
 func (o *ORAM) Flush() error {
 	if err := o.inner.Flush(); err != nil {
 		return err
@@ -313,15 +290,31 @@ func (o *ORAM) Flush() error {
 	return o.sync()
 }
 
-// PendingWriteBacks returns the number of deferred path write-backs not
-// yet completed (always 0 without AsyncEviction).
+// PendingWriteBacks returns the number of deferred path write-backs, over
+// all levels, not yet completed (always 0 without AsyncEviction).
 func (o *ORAM) PendingWriteBacks() int { return o.inner.PendingWriteBacks() }
 
-// Stats returns the protocol counters.
-func (o *ORAM) Stats() Stats { return o.inner.Stats() }
+// Stats returns the aggregate protocol counters of the whole chain: every
+// level's counters merged with core.Stats.Merge semantics (counters sum,
+// stash peaks take the worst level) — for a flat ORAM, its one tree's. One
+// program access contributes NumORAMs RealAccesses, one per level, so
+// DummyPerReal on the merged view is the per-path-access rate;
+// DummyRounds/DummyPerReal report the paper's per-program-access Equation
+// 2 factor.
+func (o *ORAM) Stats() Stats {
+	var merged Stats
+	for _, s := range o.inner.Stats() {
+		merged = merged.Merge(s)
+	}
+	return merged
+}
 
-// TimingStats returns the modeled memory-timing counters of this tree's
-// port on the shared memory scheduler: DRAM traffic and row-hit counters,
+// LevelStats returns per-level protocol counters (index 0 = data ORAM).
+func (o *ORAM) LevelStats() []Stats { return o.inner.Stats() }
+
+// TimingStats returns the modeled memory-timing counters merged over the
+// per-level ports on the shared memory scheduler (counters sum, the
+// completion frontier takes the max): DRAM traffic and row-hit counters,
 // stage-2/stage-5 path charges, and the modeled completion frontier in
 // DDR3 cycles. The bool is false under BackendMem (no model attached).
 // Implements shard.TimedEngine, so pools aggregate these like protocol
@@ -331,44 +324,67 @@ func (o *ORAM) Stats() Stats { return o.inner.Stats() }
 // access-complete totals.
 func (o *ORAM) TimingStats() (TimingStats, bool) { return o.timingStats() }
 
-// ResetStats clears the protocol counters (peak occupancy included).
-// BlocksInORAM is a live occupancy gauge, not a counter, and survives the
-// reset.
+// ResetStats clears every level's protocol counters and the coordinated
+// dummy-round count (peak occupancy included). BlocksInORAM is a live
+// occupancy gauge, not a counter, and survives the reset.
 func (o *ORAM) ResetStats() { o.inner.ResetStats() }
 
-// StashSize returns the current stash occupancy in blocks.
+// StashSize returns the current stash occupancy in blocks, summed over
+// every level.
 func (o *ORAM) StashSize() int { return o.inner.StashSize() }
 
-// LeafLevel returns L; the tree has L+1 levels.
-func (o *ORAM) LeafLevel() int { return o.inner.Params().LeafLevel }
+// LeafLevel returns the data tree's L; that tree has L+1 levels.
+func (o *ORAM) LeafLevel() int { return o.inner.Level(0).Params().LeafLevel }
 
-// NumORAMs returns the number of ORAMs an access walks: 1 — a flat ORAM
-// keeps its whole position map on chip. (Hierarchy returns the chain
-// length H; the accessor exists on both so the serving layer can report
-// the recursion depth uniformly.)
-func (o *ORAM) NumORAMs() int { return 1 }
+// NumORAMs returns H, the number of ORAMs an access walks: 1 for a flat
+// ORAM, which keeps its whole position map on chip.
+func (o *ORAM) NumORAMs() int { return o.inner.NumORAMs() }
 
-// OnChipPositionMapBytes returns the on-chip position-map footprint at
-// 4 bytes per entry — for a flat ORAM, the whole map.
-func (o *ORAM) OnChipPositionMapBytes() uint64 { return o.pos.SizeBits(32) / 8 }
+// Layout describes the sized chain for reporting (index 0 = data ORAM).
+func (o *ORAM) Layout() []hierarchy.LevelInfo { return o.inner.Layout() }
+
+// OnChipPositionMapBytes returns the final on-chip position map's
+// footprint at 4 bytes per entry — for a flat ORAM, the whole map.
+func (o *ORAM) OnChipPositionMapBytes() uint64 { return o.inner.OnChipPosMapBytes() }
+
+// PLBOnChipBytes returns the provisioned footprint of the position-map
+// lookaside caches (0 without Spec.PLBBytes).
+func (o *ORAM) PLBOnChipBytes() uint64 { return o.inner.PLBOnChipBytes() }
 
 // OnChipBytes returns the total trusted-memory provision of the
-// construction: the on-chip position map plus the stash bound (C slots of
-// payload and metadata — the processor reserves it whether or not the
-// stash fills; see core.Params.StashBoundBytes). This is the on-chip-bytes
-// objective of the paper's design space: recursion trades it against
-// extra path accesses per operation.
+// construction: the final on-chip position map, every level's stash bound
+// (C slots of payload and metadata — the processor reserves it whether or
+// not the stash fills; see core.Params.StashBoundBytes), plus the PLB's
+// tag/label arrays when one is provisioned. This is the on-chip-bytes
+// objective of the paper's design space: recursion shrinks the first term
+// at the price of the others and of extra path accesses per operation.
 func (o *ORAM) OnChipBytes() uint64 {
-	return o.OnChipPositionMapBytes() + o.inner.Params().StashBoundBytes()
+	return o.inner.OnChipPosMapBytes() + o.inner.StashBoundBytes() + o.inner.PLBOnChipBytes()
 }
+
+// ChainLengthHist returns the chain-length histogram: entry n counts
+// program operations whose oblivious access needed n ORAM path accesses.
+// Without a PLB every operation lands on n = NumORAMs; PLB hits move mass
+// to shorter chains, dirty-eviction write-backs to longer ones. A flat
+// ORAM has no chain to measure and leaves every bucket 0, as it leaves
+// Stats.ChainSamples.
+func (o *ORAM) ChainLengthHist() []uint64 { return o.inner.ChainLengthHist() }
+
+// DummyRounds returns the number of coordinated background-eviction
+// rounds: one dummy access to every ORAM of the chain each.
+func (o *ORAM) DummyRounds() uint64 { return o.inner.DummyRounds() }
+
+// DummyPerReal returns the per-program-access DA/RA factor of Equation 2.
+func (o *ORAM) DummyPerReal() float64 { return o.inner.DummyPerReal() }
 
 // Close quiesces the ORAM: every deferred write-back is completed and
 // background eviction fully drained (Flush). On volatile backends it owns
 // no goroutines or external handles, so unlike Sharded.Close it does not
 // invalidate the receiver — it is the Client interface's quiesce point.
-// Under BackendFile it additionally checkpoints and closes the tree file
-// (and WAL); the ORAM then rejects further I/O, and the first backend
-// error — flush, sync, or close — is the one reported.
+// Under BackendFile it additionally checkpoints and closes every level's
+// tree file (and WAL); the ORAM then rejects further I/O, and the first
+// backend error — flush, sync, or close — is the one reported even when
+// later levels close cleanly.
 func (o *ORAM) Close() error {
 	err := o.inner.Flush()
 	if e := o.close(); err == nil {
@@ -377,6 +393,6 @@ func (o *ORAM) Close() error {
 	return err
 }
 
-// ExternalMemoryBytes returns the external storage footprint (0 for plain
-// in-memory stores).
+// ExternalMemoryBytes returns the summed external storage footprint of
+// every level (0 for plain in-memory stores).
 func (o *ORAM) ExternalMemoryBytes() uint64 { return o.externalMemoryBytes() }

@@ -3,6 +3,7 @@ package pathoram
 import (
 	crand "crypto/rand"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/encrypt"
+	"repro/internal/hierarchy"
 	"repro/internal/membus"
 	"repro/internal/storage"
 	"repro/internal/treemath"
@@ -198,15 +200,6 @@ func resolve(spec Spec) (*plan, error) {
 	return p, nil
 }
 
-// resolveBare is resolve for the single-engine constructors: the
-// serving-layer knobs would be silently inert there, so they are rejected.
-func resolveBare(spec Spec, ctor string) (*plan, error) {
-	if spec.Shards > 1 || spec.Partition != PartitionStripe || spec.Padded || spec.QueueDepth != 0 || spec.EvictionsPerIdle != 0 {
-		return nil, fmt.Errorf("pathoram: %s builds one bare engine; Shards/Partition/Padded/QueueDepth/EvictionsPerIdle parameterize the serving layer (use Open)", ctor)
-	}
-	return resolve(spec)
-}
-
 // engineSeed is what distinguishes one engine of a construction from its
 // siblings: which shard it reports as, how many blocks it serves, its key
 // and generator (never shared between engines) and its tree-file prefix.
@@ -218,10 +211,90 @@ type engineSeed struct {
 	name   string
 }
 
-// bareSeed is the seed of a standalone engine: the whole address space,
-// the Spec's key and generator used directly.
-func (p *plan) bareSeed() engineSeed {
-	return engineSeed{blocks: p.Blocks, key: p.Key, rand: p.Rand, name: "oram"}
+// newEngine is the one engine builder — the only place a chain is sized
+// and assembled, for the bare constructors and for every shard of the
+// serving layer. A flat engine (PosMapOnChip) is the chain of length one:
+// the on-chip cap is lifted, so sizing stops after the data ORAM. What
+// PosMap still selects besides that cap is listed in DESIGN.md ("One
+// engine"): the data-tree sizing rule here, the timer attachment below,
+// and buildTree's file names and key domain. On error nothing stays open.
+func (p *plan) newEngine(e engineSeed) (_ *ORAM, err error) {
+	o := &ORAM{blocks: e.blocks}
+	defer func() {
+		if err != nil {
+			o.close()
+		}
+	}()
+	sched := &chainSched{overlap: p.Overlap > 0}
+	cfg := hierarchy.Config{
+		Blocks:                e.blocks,
+		DataBlockBytes:        p.BlockSize,
+		DataZ:                 p.Z,
+		PosZ:                  p.PosZ,
+		DataUtilization:       p.Utilization,
+		DataLeafLevel:         p.LeafLevel,
+		PosBlockBytes:         p.PosBlockSize,
+		OnChipPosMapMax:       p.OnChipPosMapMax,
+		SuperBlock:            p.SuperBlockSize,
+		StashCapacity:         p.StashCapacity,
+		BackgroundEviction:    true,
+		DeferWriteBack:        p.AsyncEviction,
+		MaxDeferredWriteBacks: p.MaxDeferredWriteBacks,
+		ConstantTimeStash:     p.ConstantTimeStash,
+		Leaves:                leafSource(e.rand),
+		PLBBytes:              p.PLBBytes,
+		PLBConstantShape:      p.PLBConstantShape,
+	}
+	if p.PosMap == PosMapOnChip {
+		cfg.DataLeafLevel = p.leafLevel(e.blocks)
+		cfg.OnChipPosMapMax = math.MaxUint64
+	}
+	if sched.overlap {
+		sched.ring = make([]uint64, p.Overlap)
+		cfg.OnRoundStart = sched.beginRound
+	}
+	if hook := p.OnPathAccess; hook != nil {
+		cfg.OnPathAccess = func(level int, leaf uint64, _ core.AccessKind) { hook(e.shard, level, leaf) }
+	}
+	cfg.NewStore = func(level int, leafLevel, z, blockBytes int) (core.PathStore, error) {
+		t, err := p.buildTree(e, level, leafLevel, z, blockBytes)
+		if err != nil {
+			return nil, err
+		}
+		o.add(t)
+		if p.bus == nil {
+			return t.store, nil
+		}
+		port, err := p.bus.AttachShard(leafLevel, t.busBytes)
+		if err != nil {
+			return nil, err
+		}
+		o.ports = append(o.ports, port)
+		if p.PosMap == PosMapOnChip {
+			// A flat tree's port is its own timer: its readyAt already
+			// serializes the tree's stages. A levelTimer would also quiesce
+			// the shared bus after every stage, which with several shards
+			// moves the modeled arbitration (DESIGN.md, "One engine").
+			return core.NewTimedStore(t.store, port)
+		}
+		if sched.overlap {
+			// Two stages in flight per tree: one round's write-back and the
+			// next round's read of the same level may coexist.
+			port.SetMaxInFlight(2)
+		}
+		return core.NewTimedStore(t.store, &levelTimer{port: port, sched: sched, level: level})
+	}
+	if o.inner, err = hierarchy.New(cfg); err != nil {
+		return nil, err
+	}
+	// Chain length is known only after sizing, so the rule table cannot
+	// see this inert knob: a PLB caches position-map ORAM lookups, and a
+	// chain of one has no position-map ORAM.
+	if p.PLBBytes > 0 && o.inner.NumORAMs() == 1 {
+		return nil, fmt.Errorf("pathoram: PLBBytes caches position-map ORAM lookups, but the whole position map (%d bytes) fits on chip and the chain is one ORAM; lower OnChipPosMapMax below it or drop PLBBytes",
+			o.inner.OnChipPosMapBytes())
+	}
+	return o, nil
 }
 
 // streams derives the serving layer's independent generators, each seeded
@@ -283,13 +356,14 @@ type tree struct {
 	persist storage.Storage
 }
 
-// buildTree is step two of every constructor, run once by the flat engine
-// and once per level by the hierarchy: it builds the store of one tree —
-// plain or encrypting (and authenticating), in memory or on Dir's files —
-// leaving only the timing attachment to the caller (a flat port and a
-// chain's per-level timer genuinely differ). Trees of a recursive chain
-// are named <prefix>-l<level> and encrypt under a per-level subkey. On
-// error nothing stays open.
+// buildTree is step two of every constructor, run once per level of the
+// engine's chain: it builds the store of one tree — plain or encrypting
+// (and authenticating), in memory or on Dir's files — leaving only the
+// timing attachment to newEngine. Trees of a PosMapRecursive engine are
+// named <prefix>-l<level> and encrypt under a per-level subkey; a flat
+// engine's one tree keeps the bare prefix and the engine key
+// (engine_golden_test.go pins the resulting files). On error nothing
+// stays open.
 func (p *plan) buildTree(e engineSeed, level, leafLevel, z, blockBytes int) (t tree, err error) {
 	numBuckets := treemath.New(leafLevel).NumBuckets()
 	name, key := e.name, e.key
@@ -374,8 +448,8 @@ func (p *plan) buildTree(e engineSeed, level, leafLevel, z, blockBytes int) (t t
 }
 
 // trees is the storage-side state of the bucket trees one engine owns, in
-// construction order: one entry for a flat ORAM, one per level for a
-// hierarchy (smallest position-map ORAM first, data ORAM last).
+// construction order: one entry per level of its chain (smallest
+// position-map ORAM first, data ORAM last) — one in all for a flat ORAM.
 type trees struct {
 	// ports holds one membus port per tree under BackendDRAM.
 	ports []*membus.Port

@@ -366,3 +366,44 @@ func TestPLBOverlapSpecValidation(t *testing.T) {
 	}
 	c.Close()
 }
+
+// TestPLBInertOnOneORAMChain: a PLB caches position-map ORAM lookups, so
+// on a recursive spec whose map already fits on chip — a chain of one —
+// it would cache nothing. Chain length is known only after sizing, so the
+// engine builder, not the rule table, rejects it: through every
+// constructor, naming the knob that decides, and closing the tree file it
+// had already opened. The same PLB is live once the cap forces a chain.
+func TestPLBInertOnOneORAMChain(t *testing.T) {
+	spec := Spec{Blocks: 64, BlockSize: 8, PLBBytes: 1024, PLBConstantShape: true,
+		Backend: BackendFile, Dir: t.TempDir()}
+	recursive := spec
+	recursive.PosMap = PosMapRecursive
+	for name, build := range map[string]func() (Client, error){
+		"New":          func() (Client, error) { return New(recursive) },
+		"NewHierarchy": func() (Client, error) { return NewHierarchy(spec) },
+		"Open":         func() (Client, error) { return Open(recursive) },
+	} {
+		before := openFDs(t)
+		c, err := build()
+		if err == nil {
+			c.Close()
+			t.Errorf("%s built a PLB in front of no position-map ORAM", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "PLBBytes") || !strings.Contains(err.Error(), "OnChipPosMapMax") {
+			t.Errorf("%s: %v; want the message to name PLBBytes and OnChipPosMapMax", name, err)
+		}
+		if after := openFDs(t); after != before {
+			t.Errorf("%s: %d descriptors open after the rejection, %d before", name, after, before)
+		}
+	}
+	spec.OnChipPosMapMax = 64
+	h, err := NewHierarchy(spec)
+	if err != nil {
+		t.Fatalf("the same PLB on a real chain: %v", err)
+	}
+	defer h.Close()
+	if h.NumORAMs() < 2 || h.PLBOnChipBytes() == 0 {
+		t.Errorf("OnChipPosMapMax 64: %d ORAMs, %d PLB bytes; want a chain with a live PLB", h.NumORAMs(), h.PLBOnChipBytes())
+	}
+}

@@ -67,7 +67,7 @@ func (p *Partition) UnmarshalText(b []byte) error { return parseEnum(partitionNa
 // deployment guidance (uniform partitioning, padding batches with dummy
 // accesses when request-to-shard routing itself must be hidden).
 type Sharded struct {
-	engines   []clientEngine
+	engines   []*ORAM
 	pool      *shard.Pool
 	blocks    uint64
 	blockSize int
@@ -87,38 +87,14 @@ type Sharded struct {
 	base, big uint64
 }
 
-// clientEngine is what the serving layer needs from one per-shard engine:
-// the scheduler interface plus the Client observability surface. Flat
-// ORAMs and Hierarchies both qualify (via thin adapters reconciling
-// Load's public Block group type with the scheduler's core.Slot).
-type clientEngine interface {
-	shard.Engine
-	Close() error
-	Stats() Stats
-	ResetStats()
-	StashSize() int
-	PendingWriteBacks() int
-	ExternalMemoryBytes() uint64
-	NumORAMs() int
-	OnChipPositionMapBytes() uint64
-	OnChipBytes() uint64
-	TimingStats() (TimingStats, bool)
-}
+// shardEngine presents an engine to the request scheduler, whose Load
+// speaks core.Slot (engine-local addresses; the serving layer translates
+// them) where the public ORAM.Load speaks Block. Everything else is
+// promoted.
+type shardEngine struct{ *ORAM }
 
-// oramEngine adapts a flat *ORAM to clientEngine: the scheduler's Load
-// speaks core.Slot (engine-local addresses), the public ORAM.Load speaks
-// Block. Everything else is promoted.
-type oramEngine struct{ *ORAM }
-
-func (e oramEngine) Load(addr uint64) ([]byte, bool, []core.Slot, error) {
-	return e.ORAM.inner.Load(addr)
-}
-
-// hierarchyEngine adapts a *Hierarchy the same way.
-type hierarchyEngine struct{ *Hierarchy }
-
-func (e hierarchyEngine) Load(addr uint64) ([]byte, bool, []core.Slot, error) {
-	return e.Hierarchy.inner.Load(addr)
+func (e shardEngine) Load(addr uint64) ([]byte, bool, []core.Slot, error) {
+	return e.inner.Load(addr)
 }
 
 // NewSharded builds the serving layer described by spec — Open returns
@@ -172,7 +148,7 @@ func NewSharded(spec Spec) (_ *Sharded, err error) {
 			return nil, fmt.Errorf("pathoram: building shard %d: %w", i, err)
 		}
 		s.engines = append(s.engines, e)
-		engines[i] = e
+		engines[i] = shardEngine{e}
 	}
 	if s.pool, err = shard.NewPool(engines, shard.Config{
 		QueueDepth:       p.QueueDepth,
@@ -187,22 +163,6 @@ func NewSharded(spec Spec) (_ *Sharded, err error) {
 	// The single-operation PaddingAccess targets a uniformly drawn shard.
 	s.padDraws = newShardDrawer(leafSource(padRand), p.Shards)
 	return s, nil
-}
-
-// newEngine builds one per-shard engine of the plan's kind.
-func (p *plan) newEngine(e engineSeed) (clientEngine, error) {
-	if p.PosMap == PosMapRecursive {
-		h, err := newHierarchy(p, e)
-		if err != nil {
-			return nil, err
-		}
-		return hierarchyEngine{h}, nil
-	}
-	o, err := newORAM(p, e)
-	if err != nil {
-		return nil, err
-	}
-	return oramEngine{o}, nil
 }
 
 // Key-derivation domains. Every construction that expands the master key
@@ -681,7 +641,7 @@ func (s *Sharded) Stats() Stats {
 // directly).
 func (s *Sharded) ShardStats() []Stats {
 	out := make([]Stats, len(s.engines))
-	_ = s.pool.InspectAll(s.inspectors(func(i int, e clientEngine) { out[i] = e.Stats() }))
+	_ = s.pool.InspectAll(s.inspectors(func(i int, e *ORAM) { out[i] = e.Stats() }))
 	return out
 }
 
@@ -690,11 +650,11 @@ func (s *Sharded) ShardStats() []Stats {
 // occupancy gauge, not a counter, and survives the reset. The scheduler's
 // own counters are cumulative; diff SchedulerStats snapshots instead.
 func (s *Sharded) ResetStats() {
-	_ = s.pool.InspectAll(s.inspectors(func(_ int, e clientEngine) { e.ResetStats() }))
+	_ = s.pool.InspectAll(s.inspectors(func(_ int, e *ORAM) { e.ResetStats() }))
 }
 
 // inspectors adapts a per-shard closure to the pool's fan-out form.
-func (s *Sharded) inspectors(fn func(i int, e clientEngine)) []func() {
+func (s *Sharded) inspectors(fn func(i int, e *ORAM)) []func() {
 	fns := make([]func(), len(s.engines))
 	for i, e := range s.engines {
 		fns[i] = func() { fn(i, e) }
@@ -744,7 +704,7 @@ func (s *Sharded) ModeledFrontier() (uint64, bool) {
 // owed, so this is a plain barrier when nothing is deferred.
 func (s *Sharded) Flush() error {
 	errs := make([]error, len(s.engines))
-	if err := s.pool.InspectAll(s.inspectors(func(i int, e clientEngine) { errs[i] = e.Flush() })); err != nil {
+	if err := s.pool.InspectAll(s.inspectors(func(i int, e *ORAM) { errs[i] = e.Flush() })); err != nil {
 		return err
 	}
 	for _, err := range errs {
@@ -762,7 +722,7 @@ func (s *Sharded) Flush() error {
 // AsyncEviction, and after Close or Flush.
 func (s *Sharded) PendingWriteBacks() int {
 	counts := make([]int, len(s.engines))
-	_ = s.pool.PeekAll(s.inspectors(func(i int, e clientEngine) { counts[i] = e.PendingWriteBacks() }))
+	_ = s.pool.PeekAll(s.inspectors(func(i int, e *ORAM) { counts[i] = e.PendingWriteBacks() }))
 	var total int
 	for _, n := range counts {
 		total += n
@@ -773,7 +733,7 @@ func (s *Sharded) PendingWriteBacks() int {
 // StashSize returns the summed stash occupancy over all shards.
 func (s *Sharded) StashSize() int {
 	sizes := make([]int, len(s.engines))
-	_ = s.pool.InspectAll(s.inspectors(func(i int, e clientEngine) { sizes[i] = e.StashSize() }))
+	_ = s.pool.InspectAll(s.inspectors(func(i int, e *ORAM) { sizes[i] = e.StashSize() }))
 	var total int
 	for _, n := range sizes {
 		total += n
@@ -785,7 +745,7 @@ func (s *Sharded) StashSize() int {
 // shards (0 for plain in-memory stores).
 func (s *Sharded) ExternalMemoryBytes() uint64 {
 	sizes := make([]uint64, len(s.engines))
-	_ = s.pool.InspectAll(s.inspectors(func(i int, e clientEngine) { sizes[i] = e.ExternalMemoryBytes() }))
+	_ = s.pool.InspectAll(s.inspectors(func(i int, e *ORAM) { sizes[i] = e.ExternalMemoryBytes() }))
 	var total uint64
 	for _, n := range sizes {
 		total += n

@@ -4,22 +4,27 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/storage"
 )
 
-// failingCloseEngine wraps a real engine, closes it for real, but reports
-// an injected backend error — simulating a shard whose tree file fails
-// its final checkpoint.
-type failingCloseEngine struct {
-	clientEngine
-	err error
+// failingCloseStorage is a tree's durable storage whose final checkpoint
+// fails: placed in a real engine's persists, it makes that engine's own
+// Close path report err (nil: close cleanly), and records that the close
+// ran. Only Sync and Close are ever called on a persists entry.
+type failingCloseStorage struct {
+	storage.Storage
+	err  error
+	done *bool
 }
 
-func (e failingCloseEngine) Close() error {
-	cerr := e.clientEngine.Close()
-	if e.err != nil {
-		return e.err
+func (f *failingCloseStorage) Sync() error { return nil }
+
+func (f *failingCloseStorage) Close() error {
+	if f.done != nil {
+		*f.done = true
 	}
-	return cerr
+	return f.err
 }
 
 // TestShardedCloseSurfacesFirstEngineError pins the close-error contract
@@ -36,7 +41,6 @@ func TestShardedCloseSurfacesFirstEngineError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sharded.Close closes s.engines; the pool keeps driving the real ones.
 	for i, e := range s.engines {
 		var injected error
 		switch i {
@@ -45,7 +49,7 @@ func TestShardedCloseSurfacesFirstEngineError(t *testing.T) {
 		case 2:
 			injected = errShard2
 		}
-		s.engines[i] = failingCloseEngine{clientEngine: trackClose{e, &closed[i]}, err: injected}
+		e.persists = append(e.persists, &failingCloseStorage{err: injected, done: &closed[i]})
 	}
 	// Touch every shard so the close path drains real in-flight state.
 	for addr := uint64(0); addr < 8; addr++ {
@@ -67,17 +71,6 @@ func TestShardedCloseSurfacesFirstEngineError(t *testing.T) {
 	}
 }
 
-// trackClose records that the underlying engine's Close actually ran.
-type trackClose struct {
-	clientEngine
-	done *bool
-}
-
-func (e trackClose) Close() error {
-	*e.done = true
-	return e.clientEngine.Close()
-}
-
 // TestShardedCloseIdempotentKeepsEngineError pins re-close semantics:
 // Close is idempotent at the pool layer, and a repeated Close still
 // surfaces the engines' (sticky) backend failure rather than silently
@@ -89,7 +82,7 @@ func TestShardedCloseIdempotentKeepsEngineError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range s.engines {
-		s.engines[i] = failingCloseEngine{clientEngine: e, err: fmt.Errorf("%w (shard %d)", errEngine, i)}
+		e.persists = append(e.persists, &failingCloseStorage{err: fmt.Errorf("%w (shard %d)", errEngine, i)})
 	}
 	if err := s.Close(); !errors.Is(err, errEngine) {
 		t.Fatalf("first Close returned %v, want the injected engine error", err)

@@ -44,7 +44,7 @@ func dramConfig(shards int, blocks uint64, part Partition, async bool, seed int6
 // MemStore (EncryptNone configs only).
 func memTree(t *testing.T, o *ORAM) *core.MemStore {
 	t.Helper()
-	return memTreeOf(t, o.inner.BucketStore())
+	return memTreeOf(t, o.inner.Level(0).BucketStore())
 }
 
 func memTreeOf(t *testing.T, store core.PathStore) *core.MemStore {
@@ -62,11 +62,10 @@ func memTreeOf(t *testing.T, store core.PathStore) *core.MemStore {
 // shardORAM unwraps shard i's engine as a flat *ORAM (flat configs only).
 func shardORAM(t *testing.T, s *Sharded, i int) *ORAM {
 	t.Helper()
-	e, ok := s.engines[i].(oramEngine)
-	if !ok {
-		t.Fatalf("shard %d engine is %T, want a flat ORAM", i, s.engines[i])
+	if n := s.engines[i].NumORAMs(); n != 1 {
+		t.Fatalf("shard %d engine is a chain of %d ORAMs, want a flat ORAM", i, n)
 	}
-	return e.ORAM
+	return s.engines[i]
 }
 
 // treeSnapshot serializes a MemStore's full contents (level, position,

@@ -111,8 +111,72 @@ func TestSpecBareConstructorsRejectServingAxes(t *testing.T) {
 			c.Close()
 		}
 	}
-	if _, err := New(Spec{Blocks: 64, BlockSize: 8, PosMap: PosMapRecursive}); err == nil {
-		t.Error("New accepted PosMapRecursive")
+	// One engine: New honours PosMap, and NewHierarchy is New with
+	// PosMapRecursive implied — the same seeded spec walks the same
+	// (level, leaf) trace through either, on a real chain.
+	walk := func(build func(Spec) (*ORAM, error), spec Spec) (trace []uint64) {
+		spec.Rand = rand.New(rand.NewSource(5))
+		spec.OnPathAccess = func(_, level int, leaf uint64) { trace = append(trace, uint64(level), leaf) }
+		o, err := build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Close()
+		if n := o.NumORAMs(); n < 3 {
+			t.Fatalf("chain of %d ORAMs, want at least 3", n)
+		}
+		for a := uint64(0); a < 200; a++ {
+			if err := o.Write(a*7%512, make([]byte, 8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return trace
+	}
+	spec := Spec{Blocks: 512, BlockSize: 8, PosBlockSize: 16, OnChipPosMapMax: 64}
+	viaHierarchy := walk(NewHierarchy, spec)
+	spec.PosMap = PosMapRecursive
+	if viaNew := walk(New, spec); !reflect.DeepEqual(viaNew, viaHierarchy) {
+		t.Error("New(PosMapRecursive) and NewHierarchy walked different (level, leaf) traces")
+	}
+}
+
+// TestSpecDataTreeSizingRules pins the two rules that turn (Blocks, Z,
+// Utilization) into a data-tree depth, which PosMap still selects between
+// (DESIGN.md, "One engine"): a flat engine takes the shallowest tree at or
+// under the requested utilization (plan.leafLevel), a recursive one the
+// level nearest in log space, floored at capacity (hierarchy.planLevels) —
+// so the same triple can land a recursive data tree one level shallower,
+// above the utilization asked for. Unifying them moves declared
+// workloads' trees and is its own change; until then neither may drift.
+func TestSpecDataTreeSizingRules(t *testing.T) {
+	for _, tc := range []struct {
+		blocks          uint64
+		z               int
+		utilization     float64
+		flat, recursive int
+	}{
+		{4096, 3, 0.5, 11, 10},
+		{1 << 14, 3, 0.5, 13, 12},
+		{1 << 15, 3, 0.5, 14, 13}, // flat-enc's shards: L=14 at 33%
+		{1 << 16, 3, 0.5, 15, 14}, // dram-rec-*'s data ORAM: L=14 at 67%
+		{4096, 1, 0.5, 13, 12},    // a Z=1 tree at 50%: Figure 8's feasibility edge
+		{4096, 2, 0.75, 11, 11},
+	} {
+		for _, posMap := range []PosMapPolicy{PosMapOnChip, PosMapRecursive} {
+			o, err := New(Spec{Blocks: tc.blocks, Z: tc.z, Utilization: tc.utilization,
+				PosMap: posMap, Encryption: EncryptNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.flat
+			if posMap == PosMapRecursive {
+				want = tc.recursive
+			}
+			if got := o.LeafLevel(); got != want {
+				t.Errorf("Blocks %d, Z %d, Utilization %v, PosMap %v: data tree L=%d, want %d",
+					tc.blocks, tc.z, tc.utilization, posMap, got, want)
+			}
+		}
 	}
 }
 
@@ -303,31 +367,35 @@ func TestSpecCounterPadBound(t *testing.T) {
 	}
 }
 
-// TestOpenFailureClosesTreeFiles: when a later shard fails to build, the
-// tree files and WALs the earlier shards already opened are closed again.
-func TestOpenFailureClosesTreeFiles(t *testing.T) {
+// openFDs counts this process's open descriptors (Linux only; other
+// platforms skip the calling test).
+func openFDs(t *testing.T) int {
+	t.Helper()
 	if runtime.GOOS != "linux" {
 		t.Skip("counts descriptors through /proc/self/fd")
 	}
-	openFDs := func() int {
-		ents, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(ents)
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
 	}
+	return len(ents)
+}
+
+// TestOpenFailureClosesTreeFiles: when a later shard fails to build, the
+// tree files and WALs the earlier shards already opened are closed again.
+func TestOpenFailureClosesTreeFiles(t *testing.T) {
 	dir := t.TempDir()
 	// Shard 2's tree file cannot be opened: its name is taken by a directory.
 	if err := os.Mkdir(filepath.Join(dir, "shard2.tree"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	before := openFDs()
+	before := openFDs(t)
 	c, err := Open(Spec{Blocks: 96, BlockSize: 16, Shards: 3, Backend: BackendFile, Dir: dir, WAL: true})
 	if err == nil {
 		c.Close()
 		t.Fatal("Open succeeded with shard 2's tree file blocked")
 	}
-	if after := openFDs(); after != before {
+	if after := openFDs(t); after != before {
 		t.Errorf("%d descriptors open after the failed Open, %d before: shards 0 and 1 leaked their files", after, before)
 	}
 }
