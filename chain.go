@@ -13,7 +13,8 @@ import "repro/internal/membus"
 // beginRound resets dep to the oldest windowed completion, so a new
 // round's smallest-ORAM stages issue while up to depth-1 earlier rounds
 // are still in their data stages — cross-request speculation bounded by
-// the window. All state is owned by the engine's single goroutine.
+// the window. All state is owned by the replay side of the engine's
+// timingLane, which calls beginRound and the levelTimers in record order.
 type chainSched struct {
 	overlap bool
 	chain   uint64   // 5(a): shared serial clock
@@ -44,8 +45,8 @@ func (s *chainSched) noteData(done uint64) {
 // overlap mode only reads advance the dependency (a write-back publishes
 // no label), so one level's write-back overlaps the next level's read —
 // and across rounds the scheduler's window lets consecutive requests
-// pipeline. The scheduler is owned by the engine's single goroutine;
-// the port methods take the bus lock.
+// pipeline. Scheduler and timer are reached only through the engine's
+// timingLane; the port methods take the bus lock.
 type levelTimer struct {
 	port     *membus.Port
 	sched    *chainSched

@@ -8,7 +8,10 @@
 // started with, bit for bit.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SchedPolicy selects how a batch's column accesses are ordered per
 // channel.
@@ -108,25 +111,44 @@ type queued struct {
 // from different ports into one scheduling window. Enqueue order is each
 // channel's queue order and should be nondecreasing in arrival per
 // channel. The address is decoded once and then stepped the way Map
-// interleaves: channel first, then column, bank, row.
+// interleaves: channel first, then column, bank, row. So burst i of the run
+// sits on channel (first+i) mod Channels, and each channel's share — every
+// Channels-th burst, one column apart — is filled in one go: its queue is
+// resliced once per call, and each record is written field by field into
+// its slot (a record built on the stack and copied over stalls on store
+// forwarding every burst).
 func (s *System) Enqueue(at, addr uint64, n int, write bool, tag int) {
-	loc := s.Map(addr)
-	for ; n > 0; n-- {
-		c := &s.chans[loc.Channel]
-		c.queue = append(c.queue, queued{
-			row: int64(loc.Row), at: at, idx: int32(s.enqueued),
-			tag: int32(tag), bank: int32(loc.Bank), write: write,
-		})
-		s.enqueued++
-		if loc.Channel++; loc.Channel == s.g.Channels {
-			loc.Channel = 0
-			if loc.Col++; loc.Col == s.cols {
-				loc.Col = 0
-				if loc.Bank++; loc.Bank == s.g.Banks {
-					loc.Bank = 0
-					loc.Row++
-				}
-			}
+	first := s.Map(addr)
+	nch := s.g.Channels
+	for k := 0; k < nch && k < n; k++ {
+		c := &s.chans[first.Channel]
+		base, share := len(c.queue), (n-k+nch-1)/nch
+		q := slices.Grow(c.queue, share)[:base+share]
+		c.queue = q
+		loc, idx := first, int32(s.enqueued+k)
+		for j := base; j < len(q); j++ {
+			e := &q[j]
+			e.row, e.at, e.idx = int64(loc.Row), at, idx
+			e.tag, e.bank, e.write = int32(tag), int32(loc.Bank), write
+			idx += int32(nch)
+			s.nextCol(&loc)
+		}
+		if first.Channel++; first.Channel == nch {
+			first.Channel = 0
+			s.nextCol(&first)
+		}
+	}
+	s.enqueued += n
+}
+
+// nextCol steps loc one column access on within its channel: column, then
+// bank, then row.
+func (s *System) nextCol(loc *Location) {
+	if loc.Col++; loc.Col == s.cols {
+		loc.Col = 0
+		if loc.Bank++; loc.Bank == s.g.Banks {
+			loc.Bank = 0
+			loc.Row++
 		}
 	}
 }

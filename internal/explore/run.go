@@ -230,6 +230,14 @@ func runCell(client pathoram.Client, spec pathoram.Spec, gen Gen, opts Options) 
 		}
 		lats = append(lats, time.Since(t0))
 	}
+	var postTiming pathoram.TimingStats
+	if timed {
+		// Before the clock stops: the snapshot replays what the timing
+		// lanes still hold (and flushes, charging every deferred
+		// write-back the traffic owed), so ns/op prices the whole
+		// simulator, not only its recording half.
+		postTiming, _ = client.TimingStats()
+	}
 	wall := time.Since(start)
 
 	st := client.Stats()
@@ -273,11 +281,8 @@ func runCell(client pathoram.Client, spec pathoram.Spec, gen Gen, opts Options) 
 	}
 	if timed {
 		// Diff against the post-warm-up snapshot so the modeled columns
-		// describe the measured traffic only; the closing snapshot
-		// flushes first, charging every deferred write-back the traffic
-		// owed.
-		post, _ := client.TimingStats()
-		d := post.Delta(preTiming)
+		// describe the measured traffic only.
+		d := postTiming.Delta(preTiming)
 		m["cycles/op"] = float64(d.Cycles) / float64(measured)
 		m["row-hit"] = d.RowHitRate()
 		if d.Cycles > 0 {

@@ -318,10 +318,12 @@ func (o *ORAM) LevelStats() []Stats { return o.inner.Stats() }
 // stage-2/stage-5 path charges, and the modeled completion frontier in
 // DDR3 cycles. The bool is false under BackendMem (no model attached).
 // Implements shard.TimedEngine, so pools aggregate these like protocol
-// stats. Note the counters advance when I/O is *charged*: under
-// AsyncEviction a write-back's cycles land when the flush schedule issues
-// it, so snapshot after Flush (Sharded does this automatically) to see
-// access-complete totals.
+// stats. A quiesce point of the engine's timing lane: it returns only once
+// every charge recorded so far has been replayed, so call it from the
+// goroutine that owns the ORAM. Note the counters advance when I/O is
+// *charged*: under AsyncEviction a write-back's cycles land when the flush
+// schedule issues it, so snapshot after Flush (Sharded does this
+// automatically) to see access-complete totals.
 func (o *ORAM) TimingStats() (TimingStats, bool) { return o.timingStats() }
 
 // ResetStats clears every level's protocol counters and the coordinated
@@ -378,9 +380,11 @@ func (o *ORAM) DummyRounds() uint64 { return o.inner.DummyRounds() }
 func (o *ORAM) DummyPerReal() float64 { return o.inner.DummyPerReal() }
 
 // Close quiesces the ORAM: every deferred write-back is completed and
-// background eviction fully drained (Flush). On volatile backends it owns
-// no goroutines or external handles, so unlike Sharded.Close it does not
-// invalidate the receiver — it is the Client interface's quiesce point.
+// background eviction fully drained (Flush), and under BackendDRAM every
+// recorded charge is replayed and the replay goroutine gone when it
+// returns. On volatile backends it then owns no goroutines or external
+// handles, so unlike Sharded.Close it does not invalidate the receiver —
+// it is the Client interface's quiesce point.
 // Under BackendFile it additionally checkpoints and closes every level's
 // tree file (and WAL); the ORAM then rejects further I/O, and the first
 // backend error — flush, sync, or close — is the one reported even when

@@ -226,6 +226,11 @@ func (p *plan) newEngine(e engineSeed) (_ *ORAM, err error) {
 		}
 	}()
 	sched := &chainSched{overlap: p.Overlap > 0}
+	if p.bus != nil {
+		// Modeled time is replayed one step behind the protocol: every
+		// timer below is reached only through the engine's lane.
+		o.lane = &timingLane{round: sched.beginRound}
+	}
 	cfg := hierarchy.Config{
 		Blocks:                e.blocks,
 		DataBlockBytes:        p.BlockSize,
@@ -251,7 +256,7 @@ func (p *plan) newEngine(e engineSeed) (_ *ORAM, err error) {
 	}
 	if sched.overlap {
 		sched.ring = make([]uint64, p.Overlap)
-		cfg.OnRoundStart = sched.beginRound
+		cfg.OnRoundStart = o.lane.roundStart
 	}
 	if hook := p.OnPathAccess; hook != nil {
 		cfg.OnPathAccess = func(level int, leaf uint64, _ core.AccessKind) { hook(e.shard, level, leaf) }
@@ -270,19 +275,20 @@ func (p *plan) newEngine(e engineSeed) (_ *ORAM, err error) {
 			return nil, err
 		}
 		o.ports = append(o.ports, port)
-		if p.PosMap == PosMapOnChip {
-			// A flat tree's port is its own timer: its readyAt already
-			// serializes the tree's stages. A levelTimer would also quiesce
-			// the shared bus after every stage, which with several shards
-			// moves the modeled arbitration (DESIGN.md, "One engine").
-			return core.NewTimedStore(t.store, port)
+		// A flat tree's port is its own timer: its readyAt already
+		// serializes the tree's stages. A levelTimer would also quiesce
+		// the shared bus after every stage, which with several shards
+		// moves the modeled arbitration (DESIGN.md, "One engine").
+		var timer core.PathTimer = port
+		if p.PosMap != PosMapOnChip {
+			if sched.overlap {
+				// Two stages in flight per tree: one round's write-back and
+				// the next round's read of the same level may coexist.
+				port.SetMaxInFlight(2)
+			}
+			timer = &levelTimer{port: port, sched: sched, level: level}
 		}
-		if sched.overlap {
-			// Two stages in flight per tree: one round's write-back and the
-			// next round's read of the same level may coexist.
-			port.SetMaxInFlight(2)
-		}
-		return core.NewTimedStore(t.store, &levelTimer{port: port, sched: sched, level: level})
+		return core.NewTimedStore(t.store, o.lane.attach(timer))
 	}
 	if o.inner, err = hierarchy.New(cfg); err != nil {
 		return nil, err
@@ -451,8 +457,10 @@ func (p *plan) buildTree(e engineSeed, level, leafLevel, z, blockBytes int) (t t
 // construction order: one entry per level of its chain (smallest
 // position-map ORAM first, data ORAM last) — one in all for a flat ORAM.
 type trees struct {
-	// ports holds one membus port per tree under BackendDRAM.
+	// ports holds one membus port per tree under BackendDRAM, and lane the
+	// replay lane every charge reaches them through (nil otherwise).
 	ports []*membus.Port
+	lane  *timingLane
 	// footprints collects the per-tree external-memory accountants.
 	footprints []interface{ MemoryBytes() uint64 }
 	// persists holds each tree's durable storage under BackendFile.
@@ -481,9 +489,11 @@ func (ts *trees) sync() error {
 	return first
 }
 
-// close checkpoints and closes every tree file (and WAL), reporting the
-// first error even when later trees close cleanly.
+// close replays what the lane still holds and stops its goroutine, then
+// checkpoints and closes every tree file (and WAL), reporting the first
+// error even when later trees close cleanly.
 func (ts *trees) close() error {
+	ts.lane.close()
 	var first error
 	for _, p := range ts.persists {
 		if err := p.Close(); err != nil && first == nil {
@@ -503,12 +513,14 @@ func (ts *trees) externalMemoryBytes() uint64 {
 }
 
 // timingStats merges the modeled memory-timing counters over the trees'
-// ports (counters sum, the completion frontier takes the max). The bool is
-// false when no model is attached.
+// ports (counters sum, the completion frontier takes the max), after the
+// lane has replayed every charge recorded so far. The bool is false when no
+// model is attached.
 func (ts *trees) timingStats() (TimingStats, bool) {
 	if len(ts.ports) == 0 {
 		return TimingStats{}, false
 	}
+	ts.lane.quiesce()
 	var merged TimingStats
 	for _, p := range ts.ports {
 		merged = merged.Merge(p.Stats())

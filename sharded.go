@@ -679,13 +679,22 @@ func (s *Sharded) SchedulerStats() SchedulerStats { return s.pool.Stats() }
 // Snapshots are taken on the workers through the same serialized Inspect
 // path as Stats, and under AsyncEviction each shard flushes first, so the
 // returned cycle counts always include every write-back owed by the
-// traffic observed so far. The bool is false under BackendMem.
-func (s *Sharded) TimingStats() (TimingStats, bool) { return s.pool.TimingStats() }
+// traffic observed so far. Every shard's timing lane is quiesced before any
+// port is read: one port's Stats forces the whole shared bus, and forcing
+// it while another shard's lane still holds stages would retire those out
+// of event order. The bool is false under BackendMem.
+func (s *Sharded) TimingStats() (TimingStats, bool) {
+	if s.bus != nil {
+		_ = s.pool.InspectAll(s.inspectors(func(_ int, e *ORAM) { e.lane.quiesce() }))
+	}
+	return s.pool.TimingStats()
+}
 
 // ModeledFrontier returns the shared memory bus's completion frontier —
 // the modeled cycle of the latest retired stage — without quiescing the
-// event queue, so it is cheap enough to poll per operation and may lag
-// the exact frontier by the stages still in the reorder window. Paced
+// event queue or the shards' timing lanes, so it is cheap enough to poll
+// per operation and may lag the exact frontier by the stages still in the
+// reorder window plus at most one lane (laneCap charges) per shard. Paced
 // load drivers use it as the modeled clock. The bool is false under
 // BackendMem.
 func (s *Sharded) ModeledFrontier() (uint64, bool) {
