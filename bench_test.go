@@ -228,14 +228,25 @@ func BenchmarkAccessRecursivePLBHit(b *testing.B) {
 // pace of the slower; the allocation gate in scripts/check_gates.sh holds
 // recording (the ring's inline skip masks) and replay (event rings, window
 // scratch) to the budget of the other Access benches.
-func BenchmarkAccessRecursiveDRAM(b *testing.B) {
-	h, err := New(Spec{
+func BenchmarkAccessRecursiveDRAM(b *testing.B) { benchmarkAccessRecursive(b, true) }
+
+// BenchmarkAccessRecursiveUntimed is BenchmarkAccessRecursiveDRAM's spec
+// without the memory model (no Backend, DRAMSched or Overlap): the protocol
+// half alone, the pace the timed access would keep if replay were free.
+// scripts/check_gates.sh bounds the ratio of the two.
+func BenchmarkAccessRecursiveUntimed(b *testing.B) { benchmarkAccessRecursive(b, false) }
+
+func benchmarkAccessRecursive(b *testing.B, timed bool) {
+	spec := Spec{
 		Blocks: 1 << 12, BlockSize: 128, Encryption: EncryptNone,
 		PosMap: PosMapRecursive, PosBlockSize: 32, OnChipPosMapMax: 1 << 10,
-		PLBBytes: 1 << 10, Overlap: 2,
-		Backend: BackendDRAM, DRAMSched: MemSchedFRFCFS,
-		Rand: rand.New(rand.NewSource(3)),
-	})
+		PLBBytes: 1 << 10,
+		Rand:     rand.New(rand.NewSource(3)),
+	}
+	if timed {
+		spec.Overlap, spec.Backend, spec.DRAMSched = 2, BackendDRAM, MemSchedFRFCFS
+	}
+	h, err := New(spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -258,7 +269,9 @@ func BenchmarkAccessRecursiveDRAM(b *testing.B) {
 	}
 	post, _ := h.TimingStats()
 	b.StopTimer()
-	b.ReportMetric(float64(post.Delta(pre).Cycles)/float64(b.N), "cycles/op")
+	if timed {
+		b.ReportMetric(float64(post.Delta(pre).Cycles)/float64(b.N), "cycles/op")
+	}
 }
 
 func BenchmarkExclusiveLoadStore(b *testing.B) {

@@ -53,7 +53,7 @@ type Client interface {
 	// completion, or background eviction when allowed) and reports which.
 	StepBackground(allowEviction bool) (BackgroundWork, error)
 	// Flush completes all deferred work, leaving a state the synchronous
-	// protocol could have produced.
+	// protocol could have produced that holds until the next request.
 	Flush() error
 	// PendingWriteBacks counts deferred path write-backs not yet
 	// completed.
@@ -227,7 +227,8 @@ type Spec struct {
 	// QueueDepth is the per-shard request queue length (default 128).
 	QueueDepth int
 	// EvictionsPerIdle caps how many background-eviction dummy accesses a
-	// shard worker issues per idle gap (default 4; negative disables idle
+	// shard worker issues per idle gap — the gap after a request, never
+	// after Flush or a snapshot (default 4; negative disables idle
 	// eviction, leaving only write-back completion). Requires
 	// AsyncEviction, which turns each shard into a two-stage pipeline: the
 	// worker answers a request as soon as its path has been read and

@@ -7,7 +7,10 @@
 // then columns, then banks, and lastly rows.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Timing collects DDR3 timing parameters in memory-bus clock cycles.
 type Timing struct {
@@ -178,6 +181,7 @@ type channel struct {
 type System struct {
 	g        Geometry
 	cols     uint64 // column accesses per row
+	shifts   decodeShifts
 	t        Timing
 	sched    SchedConfig
 	chans    []channel
@@ -189,6 +193,8 @@ type System struct {
 	// cycle. Test hook for issue-order and multiset properties; nil in
 	// production.
 	trace func(reqIdx int, arrival, done uint64)
+
+	longestStreak uint64 // most bursts one issueStreak pass issued (test hook)
 }
 
 // New builds a memory system with the default in-order scheduling policy.
@@ -204,6 +210,7 @@ func New(g Geometry, t Timing) (*System, error) {
 		g: g, cols: uint64(g.RowBytes / g.AccessBytes), t: t,
 		sched: sched, chans: make([]channel, g.Channels),
 	}
+	s.shifts = newDecodeShifts(g, s.cols)
 	for i := range s.chans {
 		s.chans[i].banks = make([]bank, g.Banks)
 	}
@@ -236,9 +243,37 @@ func (s *System) Timing() Timing { return s.t }
 // Stats returns a snapshot of the counters.
 func (s *System) Stats() Stats { return s.stats }
 
+// decodeShifts is Map's decode when every field of the geometry is a power
+// of two (every MicronGeometry): each division becomes a shift and each
+// remainder a mask. ok is false on any other geometry, and Map divides.
+type decodeShifts struct {
+	ok                         bool
+	access, channel, col, bank uint
+}
+
+func newDecodeShifts(g Geometry, cols uint64) decodeShifts {
+	var sh [4]uint
+	for i, n := range [4]uint64{uint64(g.AccessBytes), uint64(g.Channels), cols, uint64(g.Banks)} {
+		if n&(n-1) != 0 {
+			return decodeShifts{}
+		}
+		sh[i] = uint(bits.TrailingZeros64(n))
+	}
+	return decodeShifts{true, sh[0], sh[1], sh[2], sh[3]}
+}
+
 // Map decodes a byte address: channel bits first, then column, bank, row
 // (the paper's interleaving, Section 3.3.4).
 func (s *System) Map(addr uint64) Location {
+	if d := &s.shifts; d.ok {
+		u := addr >> d.access
+		return Location{
+			Channel: int(u & (1<<d.channel - 1)),
+			Col:     u >> d.channel & (1<<d.col - 1),
+			Bank:    int(u >> (d.channel + d.col) & (1<<d.bank - 1)),
+			Row:     u >> (d.channel + d.col + d.bank),
+		}
+	}
 	u := addr / uint64(s.g.AccessBytes)
 	var loc Location
 	loc.Channel = int(u % uint64(s.g.Channels))
@@ -354,7 +389,7 @@ func (s *System) accessLoc(st *Stats, c *channel, bankIdx int, row int64, at uin
 // pins the per-channel chaining.)
 func (s *System) AccessAll(at uint64, reqs []Request) uint64 {
 	for _, r := range reqs {
-		s.Enqueue(at, r.Addr, 1, r.Write, 0)
+		s.Enqueue(at, []uint64{r.Addr}, 1, r.Write, 0)
 	}
 	return s.Drain(nil)
 }

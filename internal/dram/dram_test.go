@@ -76,6 +76,37 @@ func TestMappingBijective(t *testing.T) {
 	}
 }
 
+// TestMapShiftDecode holds the shift-and-mask decode that power-of-two
+// geometries get to the division it replaces, and keeps every other
+// geometry on division.
+func TestMapShiftDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, g := range []Geometry{MicronGeometry(1), MicronGeometry(2), MicronGeometry(4), MicronGeometry(8),
+		{Channels: 2, Banks: 4, RowBytes: 512, AccessBytes: 32}} {
+		s, err := New(g, DDR3Micron())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.shifts.ok {
+			t.Fatalf("%+v: no shift decode", g)
+		}
+		div := *s
+		div.shifts = decodeShifts{}
+		for i := 0; i < 20000; i++ {
+			addr := rng.Uint64() >> rng.Intn(64)
+			if got, want := s.Map(addr), div.Map(addr); got != want {
+				t.Fatalf("%+v: Map(%#x) = %+v, division gives %+v", g, addr, got, want)
+			}
+		}
+	}
+	for _, g := range []Geometry{MicronGeometry(3), {Channels: 2, Banks: 6, RowBytes: 8192, AccessBytes: 64},
+		{Channels: 2, Banks: 8, RowBytes: 48 * 128, AccessBytes: 48}, {Channels: 2, Banks: 8, RowBytes: 3 * 64, AccessBytes: 64}} {
+		if s, err := New(g, DDR3Micron()); err != nil || s.shifts.ok {
+			t.Errorf("%+v: shift decode on a geometry that needs division (err %v)", g, err)
+		}
+	}
+}
+
 func TestRowHitFasterThanMiss(t *testing.T) {
 	s := newSys(t, 1)
 	first := s.Access(0, 0, false) // opens the row
@@ -342,7 +373,7 @@ func TestResetClearsState(t *testing.T) {
 	s := newSys(t, 2)
 	s.Access(0, 0, false)
 	banks := &s.chans[0].banks[0]
-	s.Enqueue(0, 64, 3, true, 0) // an open batch is dropped, not issued later
+	s.Enqueue(0, []uint64{64}, 3, true, 0) // an open batch is dropped, not issued later
 	s.Reset()
 	if s.Stats() != (Stats{}) {
 		t.Error("Reset left stats")

@@ -10,6 +10,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -103,42 +104,49 @@ type queued struct {
 	write bool
 }
 
-// Enqueue appends n consecutive column accesses, the first at addr and
-// each AccessBytes further on, to the open batch. They arrive at cycle at
-// and carry the attribution tag (a small non-negative index chosen by the
+// Enqueue appends, for each address of addrs in turn (a path stage's
+// buckets), n consecutive column accesses to the open batch, the first at
+// the address and each AccessBytes further on. They arrive at cycle at and
+// carry the attribution tag (a small non-negative index chosen by the
 // caller) that routes their counters back to their stage. Batches with
 // heterogeneous arrivals are how the bus merges contemporaneous stages
 // from different ports into one scheduling window. Enqueue order is each
 // channel's queue order and should be nondecreasing in arrival per
-// channel. The address is decoded once and then stepped the way Map
-// interleaves: channel first, then column, bank, row. So burst i of the run
-// sits on channel (first+i) mod Channels, and each channel's share — every
+// channel. Each address is decoded once and then stepped the way Map
+// interleaves: channel first, then column, bank, row. So burst i sits on
+// channel (first+i) mod Channels, and each channel's share — every
 // Channels-th burst, one column apart — is filled in one go: its queue is
-// resliced once per call, and each record is written field by field into
-// its slot (a record built on the stack and copied over stalls on store
-// forwarding every burst).
-func (s *System) Enqueue(at, addr uint64, n int, write bool, tag int) {
-	first := s.Map(addr)
+// resliced once per address, and each record is written field by field
+// into its slot (a record built on the stack and copied over stalls on
+// store forwarding every burst).
+func (s *System) Enqueue(at uint64, addrs []uint64, n int, write bool, tag int) {
 	nch := s.g.Channels
-	for k := 0; k < nch && k < n; k++ {
-		c := &s.chans[first.Channel]
-		base, share := len(c.queue), (n-k+nch-1)/nch
-		q := slices.Grow(c.queue, share)[:base+share]
-		c.queue = q
-		loc, idx := first, int32(s.enqueued+k)
-		for j := base; j < len(q); j++ {
-			e := &q[j]
-			e.row, e.at, e.idx = int64(loc.Row), at, idx
-			e.tag, e.bank, e.write = int32(tag), int32(loc.Bank), write
-			idx += int32(nch)
-			s.nextCol(&loc)
+	per, extra := n/nch, n%nch // each channel's share of one address's bursts
+	for _, addr := range addrs {
+		first := s.Map(addr)
+		for k := 0; k < nch && k < n; k++ {
+			c := &s.chans[first.Channel]
+			base, share := len(c.queue), per
+			if k < extra {
+				share++
+			}
+			q := slices.Grow(c.queue, share)[:base+share]
+			c.queue = q
+			loc, idx := first, int32(s.enqueued+k)
+			for j := base; j < len(q); j++ {
+				e := &q[j]
+				e.row, e.at, e.idx = int64(loc.Row), at, idx
+				e.tag, e.bank, e.write = int32(tag), int32(loc.Bank), write
+				idx += int32(nch)
+				s.nextCol(&loc)
+			}
+			if first.Channel++; first.Channel == nch {
+				first.Channel = 0
+				s.nextCol(&first)
+			}
 		}
-		if first.Channel++; first.Channel == nch {
-			first.Channel = 0
-			s.nextCol(&first)
-		}
+		s.enqueued += n
 	}
-	s.enqueued += n
 }
 
 // nextCol steps loc one column access on within its channel: column, then
@@ -235,9 +243,7 @@ func (s *System) drainChannel(c *channel, tagStats []Stats) uint64 {
 		if s.trace != nil {
 			s.trace(int(r.idx), r.at, d)
 		}
-		if d > done {
-			done = d
-		}
+		issued := *r
 		// Close the gap by shifting the (at most q-1) older entries up and
 		// advancing the head: order is kept and the tail never moves.
 		if pick > 0 {
@@ -248,6 +254,68 @@ func (s *System) drainChannel(c *channel, tagStats []Stats) uint64 {
 		if len(pend) >= q && pend[q-1].at < d {
 			pend[q-1].at = d
 		}
+		pend, d = s.issueStreak(st, c, &issued, pend, q, d)
+		if d > done {
+			done = d
+		}
 	}
 	return done
+}
+
+// issueStreak issues, in one pass, the window heads that continue the
+// access just issued (prev, completed at d) on its bank, row, direction and
+// tag: row hits at the head, which both policies pick. The bank and bus
+// state machine reduces to the row-hit recurrence, run on locals and
+// stored once; refresh does not, so the streak stops at the first head
+// whose arrival reaches it. Trace calls and window admissions stay per
+// burst. DESIGN.md ("The replay side, a row run at a time") has the
+// argument. It returns the rest of the queue and the last completion.
+func (s *System) issueStreak(st *Stats, c *channel, prev *queued, pend []queued, q int, d uint64) ([]queued, uint64) {
+	refresh := c.nextRefresh
+	if s.t.TREFI == 0 {
+		refresh = math.MaxUint64
+	}
+	b := &c.banks[prev.bank]
+	lat, burst := uint64(s.t.CL), uint64(s.t.TBURST)
+	if prev.write {
+		lat = uint64(s.t.CWL)
+	}
+	// prev left the bus free at its data start + burst and the bank's next
+	// CAS at data start - lat + tCCD, so each hit's data start is the later
+	// of its own CAS bound + lat and the last one's + max(tCCD, burst).
+	casFloor, step := b.actAt+uint64(s.t.TRCD), max(uint64(s.t.TCCD), burst)
+	dataStart := c.busFreeAt - burst
+	var n uint64
+	for len(pend) > 0 {
+		r := &pend[0]
+		if r.bank != prev.bank || r.row != prev.row || r.write != prev.write || r.tag != prev.tag || r.at >= refresh {
+			break
+		}
+		dataStart = max(max(r.at, casFloor)+lat, dataStart+step)
+		if s.trace != nil {
+			s.trace(int(r.idx), r.at, dataStart+burst)
+		}
+		n++
+		pend = pend[1:]
+		if len(pend) >= q && pend[q-1].at < dataStart+burst {
+			pend[q-1].at = dataStart + burst
+		}
+	}
+	if n == 0 {
+		return pend, d
+	}
+	s.longestStreak = max(s.longestStreak, n)
+	busFree := dataStart + burst
+	c.busFreeAt, c.lastDataEnd, b.casReadyAt = busFree, busFree, dataStart-lat+uint64(s.t.TCCD)
+	if prev.write {
+		b.preReadyAt = max(b.actAt+uint64(s.t.TRAS), busFree+uint64(s.t.TWR))
+		st.Writes += n
+	} else {
+		b.preReadyAt = max(b.actAt+uint64(s.t.TRAS), dataStart)
+		st.Reads += n
+	}
+	st.RowHits += n
+	st.DataBusBusyCycles += n * burst
+	st.LastCompletionCycle = max(st.LastCompletionCycle, busFree)
+	return pend, busFree
 }

@@ -25,21 +25,29 @@ type issue struct {
 }
 
 // checkDrainEquivalence decodes data and compares the two loops. Layout:
-// 4 header bytes (channels 1–4, queue depth 1–16, starvation cap 1–8,
-// refresh on/off + 1–4 tags), then 5 bytes per run of consecutive bursts
-// (start unit lo/hi, length 1–8 + write + tag, arrival advance 0–255,
-// flags: start a new batch, jump the clock towards the next refresh).
-// Start units wrap at four rows per bank so that row hits, conflicts and
-// starvation forcing all occur. It returns the production system's
-// closing counters.
-func checkDrainEquivalence(t *testing.T, data []byte) Stats {
+// 4 header bytes (channels 1–4, queue depth 1–16, starvation cap 1–8 and
+// tCCD 2/4/6, refresh on/off + 1–4 tags), then 5 bytes per record (start
+// unit lo/hi, length + write + tag, arrival advance 0–255, flags:
+// path-shaped, start a new batch, jump the clock towards the next
+// refresh). A plain record is a run of 1–8 consecutive bursts. A
+// path-shaped one is what a packed subtree's bucket walk gives the
+// controller: 4–64 bursts (rounded up to whole row spans) at one arrival,
+// all in the row (on every channel) its start unit falls in, enqueued a
+// row span per address in one Enqueue call; its flags byte carries its
+// direction and tag. Start units wrap at four rows per bank so that row
+// hits, conflicts and starvation forcing all occur, and so that path
+// records keep meeting a row again with another direction or tag. It
+// returns the production system's closing counters and the longest streak
+// its issue loop took in one pass.
+func checkDrainEquivalence(t *testing.T, data []byte) (Stats, uint64) {
 	t.Helper()
 	if len(data) < 4 {
-		return Stats{}
+		return Stats{}, 0
 	}
 	channels := 1 + int(data[0]%4)
 	cfg := SchedConfig{Policy: SchedFRFCFS, QueueDepth: 1 + int(data[1]%16), StarvationCap: 1 + int(data[2]%8)}
 	tm := DDR3Micron()
+	tm.TCCD = 2 + 2*(int(data[2]>>3)%3) // below, at and above TBURST
 	if data[3]&1 == 0 {
 		tm.TREFI = 0
 	}
@@ -98,6 +106,8 @@ func checkDrainEquivalence(t *testing.T, data []byte) Stats {
 		}
 		batch++
 	}
+	span := uint64(channels * g.RowBytes / g.AccessBytes) // units in one row of every channel
+	var addrs []uint64
 	for rec := data[4:]; len(rec) >= 5; rec = rec[5:] {
 		if rec[4] < 32 {
 			flush()
@@ -108,9 +118,21 @@ func checkDrainEquivalence(t *testing.T, data []byte) Stats {
 		at += uint64(rec[3])
 		addr := (uint64(rec[0]) | uint64(rec[1])<<8) % space * unit
 		n, write, tag := 1+int(rec[2]&7), rec[2]&8 != 0, int(rec[2]>>4)%ntags
-		got.Enqueue(at, addr, n, write, tag)
-		for i := 0; i < n; i++ {
-			refReqs = append(refReqs, refTimedRequest{Addr: addr + uint64(i)*unit, Write: write, At: at, Tag: tag})
+		addrs = append(addrs[:0], addr)
+		if rec[4]&0x80 != 0 {
+			n, write, tag = 4+int(rec[2])%61, rec[4]&1 != 0, int(rec[4]>>1)%ntags
+			addr -= addr % (span * unit)
+			addrs = addrs[:0]
+			for left := n; left > 0; left -= int(span) {
+				addrs = append(addrs, addr)
+			}
+			n = min(n, int(span))
+		}
+		got.Enqueue(at, addrs, n, write, tag)
+		for _, a := range addrs {
+			for i := 0; i < n; i++ {
+				refReqs = append(refReqs, refTimedRequest{Addr: a + uint64(i)*unit, Write: write, At: at, Tag: tag})
+			}
 		}
 	}
 	flush()
@@ -130,7 +152,44 @@ func checkDrainEquivalence(t *testing.T, data []byte) Stats {
 	if got.Stats() != ref.Stats() {
 		t.Fatalf("stats after probes:\n got %+v\n ref %+v", got.Stats(), ref.Stats())
 	}
-	return got.Stats()
+	return got.Stats(), got.longestStreak
+}
+
+// pathRecord encodes one path-shaped record for checkDrainEquivalence: n
+// (4–64) bursts in the row of unit, arriving adv cycles (plus 3000 when
+// jump) after the record before.
+func pathRecord(unit uint16, n int, adv byte, jump, write bool, tag int) []byte {
+	flags := byte(0x80 | tag<<1)
+	if jump {
+		flags |= 0x40
+	}
+	if write {
+		flags |= 1
+	}
+	return []byte{byte(unit), byte(unit >> 8), byte(n - 4), adv, flags}
+}
+
+// TestStreakEdges puts the cases that end a streak, or must not, in front
+// of the reference on every depth the window-admission raise binds at
+// (1–3) and on one to three channels: a 64-burst path whose streak runs
+// into the first refresh (TREFI 5200), and one row met again with the
+// other direction and then another tag.
+func TestStreakEdges(t *testing.T) {
+	for channels := 1; channels <= 3; channels++ {
+		for depth := 1; depth <= 3; depth++ {
+			data := []byte{byte(channels - 1), byte(depth - 1), 3, 1 | 1<<1} // refresh on, two tags
+			data = append(data, pathRecord(0, 64, 255, true, false, 0)...)   // arrives at 3255
+			for i := 0; i < 6; i++ {
+				data = append(data, 200, 0, 0x1b, 255, 32) // a 4-burst plain write to another row
+			}
+			data = append(data, pathRecord(0, 64, 255, false, false, 1)...) // arrives at 5040
+			data = append(data, pathRecord(0, 64, 0, false, true, 1)...)
+			data = append(data, pathRecord(0, 64, 0, false, true, 0)...)
+			if _, longest := checkDrainEquivalence(t, data); channels < 3 && longest < 30 {
+				t.Errorf("%d channels, depth %d: longest streak %d", channels, depth, longest)
+			}
+		}
+	}
 }
 
 // diffCase draws one random input for checkDrainEquivalence.
@@ -140,15 +199,19 @@ func diffCase(rng *rand.Rand) []byte {
 	return data
 }
 
+// TestDrainMatchesReference runs with the trace hook set, so its floor on
+// the longest streak also shows that tracing leaves the streak path on.
 func TestDrainMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var sum Stats
+	var longest uint64
 	for i := 0; i < 2000; i++ {
-		sum = sum.Merge(checkDrainEquivalence(t, diffCase(rng)))
+		st, streak := checkDrainEquivalence(t, diffCase(rng))
+		sum, longest = sum.Merge(st), max(longest, streak)
 	}
 	if sum.RowHits == 0 || sum.RowMisses == 0 || sum.Refreshes == 0 || sum.StarvationForced == 0 ||
-		sum.BankOverlapActs == 0 || sum.QueueOccupancyPeak != 16 {
-		t.Fatalf("inputs left part of the loop unexercised: %+v", sum)
+		sum.BankOverlapActs == 0 || sum.QueueOccupancyPeak != 16 || longest < 30 {
+		t.Fatalf("inputs left part of the loop unexercised: longest streak %d, %+v", longest, sum)
 	}
 }
 

@@ -195,7 +195,7 @@ func TestQueueOccupancyPeakOnlyUnderFRFCFS(t *testing.T) {
 	} {
 		s := schedSys(t, 1, tc.cfg)
 		tags := make([]Stats, 1)
-		s.Enqueue(0, 0, 32, false, 0)
+		s.Enqueue(0, []uint64{0}, 32, false, 0)
 		s.Drain(tags)
 		if got := s.Stats().QueueOccupancyPeak; got != tc.want {
 			t.Errorf("%+v: system queue peak %d, want %d", tc.cfg, got, tc.want)

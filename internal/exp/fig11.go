@@ -127,10 +127,7 @@ func (s *hierSim) accessSequential(at uint64) (dataReadDone, finish uint64) {
 }
 
 func (s *hierSim) pathAddrs(level int, leaf uint64) []uint64 {
-	s.reqBuf = s.reqBuf[:0]
-	for d := 0; d <= s.trees[level].LeafLevel(); d++ {
-		s.reqBuf = append(s.reqBuf, s.mappers[level].BucketAddr(s.trees[level].PathBucket(leaf, d)))
-	}
+	s.reqBuf = s.mappers[level].PathAddrs(leaf, s.reqBuf[:0])
 	return s.reqBuf
 }
 

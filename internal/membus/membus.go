@@ -218,6 +218,7 @@ type Bus struct {
 	batchPorts []*Port // merged-window members (reused)
 	batchArr   []uint64
 	tagStats   []dram.Stats // per-member counters of the batch being retired (reused)
+	pathBuf    []uint64     // bucket addresses of the path being retired (reused)
 }
 
 // New builds a bus with the paper's DDR3 geometry and timing.
@@ -490,14 +491,21 @@ func (b *Bus) retireLocked(members []*Port, arrs []uint64) {
 	for slot, p := range members {
 		ev := &p.evq[p.evHead]
 		bursts := (p.bucketBytes + g - 1) / g
-		for d := 0; d <= p.tree.LeafLevel(); d++ {
-			if ev.skip != nil && ev.skip[d] {
-				p.stats.SkippedBuckets++
-				continue
+		path := p.mapper.PathAddrs(ev.leaf, b.pathBuf[:0])
+		b.pathBuf = path
+		if ev.skip != nil {
+			// Drop the write-buffer hits in place.
+			kept := path[:0]
+			for d, base := range path {
+				if ev.skip[d] {
+					p.stats.SkippedBuckets++
+				} else {
+					kept = append(kept, base)
+				}
 			}
-			base := p.mapper.BucketAddr(p.tree.PathBucket(ev.leaf, d))
-			b.sys.Enqueue(arrs[slot], base, bursts, ev.write, slot)
+			path = kept
 		}
+		b.sys.Enqueue(arrs[slot], path, bursts, ev.write, slot)
 	}
 	deltas := b.tagStats[:len(members)]
 	b.sys.Drain(deltas)

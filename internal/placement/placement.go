@@ -21,18 +21,22 @@ type Mapper interface {
 	BucketAddr(flat uint64) uint64
 	// Size returns the total bytes the layout spans.
 	Size() uint64
+	// PathAddrs appends the base byte address of every bucket on the path
+	// to leaf (root first) to dst: BucketAddr of each PathBucket, found by
+	// one walk down the path instead of one decode per bucket.
+	PathAddrs(leaf uint64, dst []uint64) []uint64
 }
 
 // Naive lays buckets out flat in heap order.
 type Naive struct {
+	tree        treemath.Tree
 	base        uint64
 	bucketBytes uint64
-	buckets     uint64
 }
 
 // NewNaive builds the flat layout starting at base.
 func NewNaive(tree treemath.Tree, bucketBytes int, base uint64) *Naive {
-	return &Naive{base: base, bucketBytes: uint64(bucketBytes), buckets: tree.NumBuckets()}
+	return &Naive{tree: tree, base: base, bucketBytes: uint64(bucketBytes)}
 }
 
 // Name implements Mapper.
@@ -42,16 +46,29 @@ func (n *Naive) Name() string { return "naive" }
 func (n *Naive) BucketAddr(flat uint64) uint64 { return n.base + flat*n.bucketBytes }
 
 // Size implements Mapper.
-func (n *Naive) Size() uint64 { return n.buckets * n.bucketBytes }
+func (n *Naive) Size() uint64 { return n.tree.NumBuckets() * n.bucketBytes }
+
+// PathAddrs implements Mapper: the heap child of bucket i is 2i+1 plus the
+// leaf's next bit, so each level's address is two adds from the last.
+func (n *Naive) PathAddrs(leaf uint64, dst []uint64) []uint64 {
+	addr, l := n.base, n.tree.LeafLevel()
+	dst = append(dst, addr)
+	for d := 1; d <= l; d++ {
+		bit := leaf >> uint(l-d) & 1
+		addr = 2*addr - n.base + (1+bit)*n.bucketBytes
+		dst = append(dst, addr)
+	}
+	return dst
+}
 
 // Subtree packs each k-level subtree into one node of nodeStride bytes.
 type Subtree struct {
 	tree        treemath.Tree
 	base        uint64
 	bucketBytes uint64
-	k           int    // levels per packed subtree
-	nodeStride  uint64 // bytes per packed subtree (aligned container)
-	groups      int    // ceil(levels / k)
+	k           int      // levels per packed subtree
+	nodeStride  uint64   // bytes per packed subtree (aligned container)
+	groupBase   []uint64 // byte address of group g's first node
 }
 
 // NewSubtree builds the packed layout. nodeBytes is the target node size
@@ -75,7 +92,12 @@ func NewSubtree(tree treemath.Tree, bucketBytes int, nodeBytes int, base uint64)
 		bucketBytes: uint64(bucketBytes),
 		k:           k,
 		nodeStride:  uint64(nodeBytes),
-		groups:      (tree.Levels() + k - 1) / k,
+	}
+	// Group g holds 2^(g·k) nodes: the subtrees rooted at level g·k.
+	addr := base
+	for g := 0; g < (tree.Levels()+k-1)/k; g++ {
+		s.groupBase = append(s.groupBase, addr)
+		addr += uint64(1) << uint(g*k) * s.nodeStride
 	}
 	// If the whole tree fits in fewer bytes than one node, shrink the
 	// stride to the actual subtree footprint (still bucket-aligned).
@@ -111,18 +133,25 @@ func (s *Subtree) BucketAddr(flat uint64) uint64 {
 
 // Size implements Mapper.
 func (s *Subtree) Size() uint64 {
-	var nodes uint64
-	for g := 0; g < s.groups; g++ {
-		nodes += uint64(1) << uint(g*s.k)
-	}
-	return nodes * s.nodeStride
+	last := len(s.groupBase) - 1
+	return s.groupBase[last] - s.base + uint64(1)<<uint(last*s.k)*s.nodeStride
 }
 
-// PathAddrs appends the base byte address of every bucket on the path to
-// leaf (root first) to dst.
-func PathAddrs(m Mapper, tree treemath.Tree, leaf uint64, dst []uint64) []uint64 {
-	for d := 0; d <= tree.LeafLevel(); d++ {
-		dst = append(dst, m.BucketAddr(tree.PathBucket(leaf, d)))
+// PathAddrs implements Mapper. Within a group the bucket's offset in its
+// node steps to the local heap child, 2·off + (1+bit)·bucketBytes; every k
+// levels the walk enters the next group's node for the path's position.
+func (s *Subtree) PathAddrs(leaf uint64, dst []uint64) []uint64 {
+	l := s.tree.LeafLevel()
+	node, off, g, r := s.base, uint64(0), 0, 0
+	dst = append(dst, node)
+	for d := 1; d <= l; d++ {
+		if r++; r == s.k {
+			g, r, off = g+1, 0, 0
+			node = s.groupBase[g] + (leaf>>uint(l-d))*s.nodeStride
+		} else {
+			off = 2*off + (1+(leaf>>uint(l-d))&1)*s.bucketBytes
+		}
+		dst = append(dst, node+off)
 	}
 	return dst
 }

@@ -116,7 +116,7 @@ func TestSubtreePathTouchesFewNodes(t *testing.T) {
 	naive := NewNaive(tr, 128, 0)
 	countNodes := func(m Mapper, leaf uint64) int {
 		nodes := map[uint64]bool{}
-		for _, a := range PathAddrs(m, tr, leaf, nil) {
+		for _, a := range m.PathAddrs(leaf, nil) {
 			nodes[a/2048] = true
 		}
 		return len(nodes)
@@ -135,12 +135,45 @@ func TestSubtreePathTouchesFewNodes(t *testing.T) {
 func TestPathAddrsLength(t *testing.T) {
 	tr := treemath.New(6)
 	m := NewNaive(tr, 64, 0)
-	addrs := PathAddrs(m, tr, 13, nil)
+	addrs := m.PathAddrs(13, nil)
 	if len(addrs) != 7 {
 		t.Fatalf("path length %d want 7", len(addrs))
 	}
 	if addrs[0] != 0 {
 		t.Errorf("root should be at 0")
+	}
+}
+
+// TestPathAddrsMatchesBucketAddr holds both walks to the per-bucket
+// decode on every leaf of trees with 1 to 13 levels, at a nonzero base, for
+// node sizes whose k is 1 (every level its own group), 3 or 4 (k dividing
+// Levels() for some trees and not others) and the whole tree (one group).
+func TestPathAddrsMatchesBucketAddr(t *testing.T) {
+	const base, bucket = 3 << 20, 96
+	for l := 0; l <= 12; l++ {
+		tr := treemath.New(l)
+		mappers := []Mapper{NewNaive(tr, bucket, base)}
+		for _, node := range []int{bucket, 7 * bucket, 15 * bucket, 1 << 24} {
+			s, err := NewSubtree(tr, bucket, node, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mappers = append(mappers, s)
+		}
+		var buf []uint64
+		for _, m := range mappers {
+			for leaf := uint64(0); leaf < tr.NumLeaves(); leaf++ {
+				buf = m.PathAddrs(leaf, buf[:0])
+				if len(buf) != tr.Levels() {
+					t.Fatalf("L=%d %s leaf %d: %d addresses, want %d", l, m.Name(), leaf, len(buf), tr.Levels())
+				}
+				for d, a := range buf {
+					if want := m.BucketAddr(tr.PathBucket(leaf, d)); a != want {
+						t.Fatalf("L=%d %s leaf %d level %d: walk %d, BucketAddr %d", l, m.Name(), leaf, d, a, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -194,7 +194,8 @@ type Config struct {
 	IdleWork bool
 	// EvictionsPerIdle caps background-eviction dummy accesses per idle
 	// gap (default DefaultEvictionsPerIdle; negative disables idle
-	// eviction, leaving only write-back completion).
+	// eviction, leaving only write-back completion). Only a request opens
+	// a gap's budget; an inspection spends it (evictionBudget).
 	EvictionsPerIdle int
 }
 
@@ -336,6 +337,8 @@ func (p *Pool) run(i int) {
 		if !ok {
 			break
 		}
+		// Read before handle: a handled request is its submitter's again.
+		left := p.evictionBudget(req)
 		p.handle(i, e, req)
 		if !p.idleWork {
 			continue
@@ -345,7 +348,6 @@ func (p *Pool) run(i int) {
 		// with few processors — the response's delivery would silently
 		// absorb the cost of the write-back it was supposed to skip.
 		runtime.Gosched()
-		evictions := 0
 	idle:
 		for {
 			select {
@@ -353,11 +355,11 @@ func (p *Pool) run(i int) {
 				if !ok {
 					break idle
 				}
+				left = p.evictionBudget(req)
 				p.handle(i, e, req)
-				evictions = 0
 				runtime.Gosched()
 			default:
-				w, err := e.StepBackground(evictions < p.evictionsPerIdle)
+				w, err := e.StepBackground(left > 0)
 				if err != nil {
 					p.noteBackgroundErr(err)
 					break idle
@@ -367,7 +369,7 @@ func (p *Pool) run(i int) {
 					p.idleWriteBacks.Add(1)
 				case core.BgEviction:
 					p.idleEvictions.Add(1)
-					evictions++
+					left--
 				default:
 					break idle
 				}
@@ -385,6 +387,17 @@ func (p *Pool) run(i int) {
 	if err := e.Flush(); err != nil {
 		p.noteBackgroundErr(err)
 	}
+}
+
+// evictionBudget is how many idle evictions the gap after req may issue.
+// An inspection (Flush, a snapshot, a peek) spends the gap's budget, so an
+// engine evicts nothing after one until its next request: DESIGN.md's
+// "Flush is a barrier". Owed write-backs complete in every gap.
+func (p *Pool) evictionBudget(req *Request) int {
+	if req.Op == OpInspect {
+		return 0
+	}
+	return p.evictionsPerIdle
 }
 
 func (p *Pool) noteBackgroundErr(err error) {

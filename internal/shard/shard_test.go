@@ -712,6 +712,51 @@ func TestAsyncInspectFlushesFirst(t *testing.T) {
 	}
 }
 
+// TestAsyncInspectionStartsNoIdleEviction is the deterministic form of the
+// fuzzed "Flush on a quiescent client changed stats": the engine still has
+// idle eviction due after a flush (as a real one does while its stash sits
+// between half its inline threshold and the threshold), and between two
+// snapshots the worker is given every chance to take an idle step — the
+// test waits for one. Before inspections spent the gap's budget, each
+// snapshot reopened it and the step always came.
+func TestAsyncInspectionStartsNoIdleEviction(t *testing.T) {
+	for _, peek := range []bool{false, true} {
+		p, fakes := newConfiguredPool(t, 1, Config{QueueDepth: 4, IdleWork: true, EvictionsPerIdle: 3})
+		f := fakes[0]
+		f.evictable = 100
+		if err := p.Do(0, &Request{Op: OpWrite, Addr: 1, Data: val(1)}); err != nil {
+			t.Fatal(err)
+		}
+		snapshot := func() (evictions int, counted uint64) {
+			t.Helper()
+			run := func() { evictions, counted = f.evDone, p.idleEvictions.Load() }
+			var err error
+			if peek {
+				err = p.Peek(0, run)
+			} else {
+				err = p.Inspect(0, run)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return evictions, counted
+		}
+		before, counted := snapshot()
+		for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); {
+			if p.Stats().IdleEvictions != counted {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if after, _ := snapshot(); after != before {
+			t.Errorf("peek %v: %d idle evictions between two snapshots of an idle pool", peek, after-before)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestAsyncEvictionsPerIdleCap checks that a worker issues at most
 // EvictionsPerIdle background evictions per idle gap and then goes back to
 // blocking on the queue.

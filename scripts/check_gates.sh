@@ -10,10 +10,11 @@
 # the in-order and FR-FCFS timed paths (event rings, skip-mask pool,
 # merged-window batch scratch, the per-channel scheduling window), the
 # timed recursive access seen from its record side (the timing lane's ring
-# with its inline skip masks, and the replay behind it) and the file and
-# file+WAL backends — must not allocate in steady state. Budget 1,
-# not 0: short runs can round pool warm-up and RunParallel goroutine setup
-# to 1 alloc/op; anything above that is a real per-operation allocation.
+# with its inline skip masks, and the replay behind it), its untimed twin,
+# and the file and file+WAL backends — must not allocate in steady state.
+# Budget 1, not 0: short runs can round pool warm-up and RunParallel
+# goroutine setup to 1 alloc/op; anything above that is a real
+# per-operation allocation.
 # BenchmarkAccessStrawmanEncrypted is deliberately outside the gate — the
 # Section 2.2.1 strawman allocates per block by design.
 #
@@ -29,6 +30,15 @@
 #    issue slot re-decoded its window; the decode-once loop measures ~1x) —
 #    both ns/op close with a quiesce of the shards' timing lanes, so they
 #    price the replayed model and not only the recording;
+#  - the model off the critical path: the timed recursive access
+#    (BenchmarkAccessRecursiveDRAM, FR-FCFS + PLB + overlap, its replay
+#    running on a second goroutine) must stay under 2x its untimed twin
+#    (BenchmarkAccessRecursiveUntimed, the same spec without the memory
+#    model), i.e. the DDR3 model no longer sets the pace. On a 2-vCPU Xeon
+#    the ratio measured 1.2-1.7 with the model replayed a row run at a
+#    time and 1.4-2.6 (median 2.1) before; the bound leaves a margin over
+#    the former. It needs a second CPU for the replay goroutine: on one
+#    CPU the two halves run in series and the ratio is ~2-2.5 either way;
 #  - persistence: the mmap'd file backend must stay within 3x of the
 #    in-memory counter-encrypted baseline (same geometry, so the ratio is
 #    pure storage overhead), write-ahead logging must cost something on top
@@ -51,17 +61,25 @@ benchtime="${BENCHTIME:-3000x}"
 ops="${EXPLORE_OPS:-512}"
 warmup="${EXPLORE_WARMUP:-128}"
 
-go test -run xxx \
-  -bench 'BenchmarkAccessMetadataOnly|BenchmarkAccessPlaintext|BenchmarkAccessCounterEncrypted|BenchmarkAccessConstantTimeStash|BenchmarkAccessRecursivePLBHit|BenchmarkAccessRecursiveDRAM|BenchmarkShardedThroughput$|BenchmarkShardedThroughputEncrypted|BenchmarkShardedDRAM|BenchmarkSchedInorder2Shard|BenchmarkSchedFRFCFS2Shard|BenchmarkFileBackend' \
-  -benchtime "$benchtime" -benchmem . |
+{
+  go test -run xxx \
+    -bench 'BenchmarkAccessMetadataOnly|BenchmarkAccessPlaintext|BenchmarkAccessCounterEncrypted|BenchmarkAccessConstantTimeStash|BenchmarkAccessRecursivePLBHit|BenchmarkShardedThroughput$|BenchmarkShardedThroughputEncrypted|BenchmarkShardedDRAM|BenchmarkSchedInorder2Shard|BenchmarkSchedFRFCFS2Shard|BenchmarkFileBackend' \
+    -benchtime "$benchtime" -benchmem .
+  # The timed/untimed pair runs time-based: the ramp to the final b.N wakes
+  # the second CPU the replay goroutine needs, where a 3000x run straight
+  # after single-threaded benchmarks reads 2-3x slow on a VM (EXPERIMENTS.md,
+  # "The model off the request path").
+  go test -run xxx -bench 'BenchmarkAccessRecursive(DRAM|Untimed)$' -benchtime 1s -benchmem .
+} |
   go run ./cmd/oram-benchjson -out "$out" \
-    -gate 'BenchmarkAccessPlaintext|BenchmarkAccessCounterEncrypted|BenchmarkAccessConstantTimeStash|BenchmarkAccessRecursivePLBHit|BenchmarkAccessRecursiveDRAM|BenchmarkShardedThroughput|BenchmarkSchedInorder2Shard|BenchmarkSchedFRFCFS2Shard|BenchmarkFileBackendAccess|BenchmarkFileBackendWAL$' \
+    -gate 'BenchmarkAccessPlaintext|BenchmarkAccessCounterEncrypted|BenchmarkAccessConstantTimeStash|BenchmarkAccessRecursivePLBHit|BenchmarkAccessRecursiveDRAM|BenchmarkAccessRecursiveUntimed|BenchmarkShardedThroughput|BenchmarkSchedInorder2Shard|BenchmarkSchedFRFCFS2Shard|BenchmarkFileBackendAccess|BenchmarkFileBackendWAL$' \
     -max-allocs 1 \
     -require 'BenchmarkAccessCounterEncrypted:ns/op<7*BenchmarkAccessPlaintext:ns/op' \
     -require 'BenchmarkSchedFRFCFS2Shard:cycles/op<BenchmarkSchedInorder2Shard:cycles/op' \
     -require 'BenchmarkSchedFRFCFS2Shard:row-hit>BenchmarkSchedInorder2Shard:row-hit' \
     -require 'BenchmarkSchedFRFCFS2Shard:ops/modeled-s>BenchmarkSchedInorder2Shard:ops/modeled-s' \
     -require 'BenchmarkSchedFRFCFS2Shard:ns/op<2*BenchmarkSchedInorder2Shard:ns/op' \
+    -require 'BenchmarkAccessRecursiveDRAM:ns/op<2*BenchmarkAccessRecursiveUntimed:ns/op' \
     -require 'BenchmarkFileBackendAccess:ns/op<3*BenchmarkAccessCounterEncrypted:ns/op' \
     -require 'BenchmarkFileBackendAccess:ns/op<BenchmarkFileBackendWAL:ns/op' \
     -require 'BenchmarkFileBackendWAL:ns/op<BenchmarkFileBackendWALEpochFlush:ns/op'

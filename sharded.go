@@ -710,7 +710,8 @@ func (s *Sharded) ModeledFrontier() (uint64, bool) {
 // construction could have produced. It serializes with each shard's
 // request stream (concurrent traffic keeps flowing; requests accepted
 // before the flush are included). Each engine's own Flush decides what is
-// owed, so this is a plain barrier when nothing is deferred.
+// owed, so this is a plain barrier when nothing is deferred — for idle
+// eviction too, which no inspection starts (DESIGN.md, "Flush is a barrier").
 func (s *Sharded) Flush() error {
 	errs := make([]error, len(s.engines))
 	if err := s.pool.InspectAll(s.inspectors(func(i int, e *ORAM) { errs[i] = e.Flush() })); err != nil {

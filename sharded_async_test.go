@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/testutil"
 )
@@ -358,5 +359,61 @@ func TestAsyncLeafSequencesUniform(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAsyncFlushIsIdleBarrier is FuzzOpenSpec's Flush-idempotence check on
+// the state behind its intermittent "Flush on a quiescent client changed
+// stats": AsyncEviction with idle eviction on, and a flushed stash that
+// still sits above the idle low-water mark (half the inline threshold), so
+// idle eviction is due. Each such round leaves the worker idle long enough
+// to take idle steps, inspects it again and flushes again; nothing may
+// change. internal/shard's TestAsyncInspectionStartsNoIdleEviction is the
+// same check on a fake engine.
+func TestAsyncFlushIsIdleBarrier(t *testing.T) {
+	const blocks = 512
+	s, err := NewSharded(Spec{Blocks: blocks, BlockSize: 16, Encryption: EncryptNone,
+		Z: 2, Utilization: 0.75, StashCapacity: 24, AsyncEviction: true, EvictionsPerIdle: 4,
+		Rand: rand.New(rand.NewSource(9))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	data := s.engines[0].inner.Level(0)
+	rng := rand.New(rand.NewSource(10))
+	buf := make([]byte, 16)
+	due := 0
+	for round := 0; round < 200 && due < 5; round++ {
+		for i := 0; i < 16; i++ {
+			if err := s.Write(rng.Uint64()%blocks, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var above bool
+		if err := s.pool.Peek(0, func() { above = data.StashSize() > data.Params().EvictionThreshold()/2 }); err != nil {
+			t.Fatal(err)
+		}
+		if !above {
+			continue
+		}
+		due++
+		st, idle := s.Stats(), s.SchedulerStats().IdleEvictions
+		time.Sleep(5 * time.Millisecond)
+		_, _ = s.StashSize(), s.PendingWriteBacks()
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats(); got != st {
+			t.Fatalf("round %d: Flush on a quiescent client changed stats: %+v -> %+v", round, st, got)
+		}
+		if got := s.SchedulerStats().IdleEvictions; got != idle {
+			t.Fatalf("round %d: %d idle evictions after Flush", round, got-idle)
+		}
+	}
+	if due == 0 {
+		t.Fatal("no flushed stash sat above the idle low-water mark: the spec no longer reaches the state")
 	}
 }
