@@ -81,10 +81,10 @@
 //     DRAMSim2 (Section 4.2, Figure 11).
 //   - internal/membus — the shared memory-channel scheduler of the timed
 //     serving layer: one dram.System for all trees, per-tree ports with
-//     their own modeled clocks and subtree/naive layouts (one port per
-//     hierarchy level, chained within a shard), so different shards'
-//     path reads and write-backs interleave on the modeled channels
-//     (the Figure 5 orderings between shards).
+//     subtree/naive layouts (one port per hierarchy level, the shard's
+//     ports sharing one dependency chain that the bus resolves as stages
+//     retire), so different shards' path reads and write-backs interleave
+//     on the modeled channels (the Figure 5 orderings between shards).
 //   - internal/cache, internal/cpu — the processor model of Table 1: the
 //     exclusive L1/L2 hierarchy and the in-order core timing model whose
 //     line memory is DRAM or ORAM (Sections 3.3.1 and 4.3).

@@ -1,36 +1,37 @@
 // Event-ordered arbitration. Charges do not touch the shared bank state
-// at submission: each stage is enqueued on its port's FIFO carrying the
-// arrival floor captured at submission, and stages retire into the
+// at submission: each stage is resolved by its chain (chain.go) onto its
+// port's FIFO with an arrival floor, and stages retire into the
 // dram.System in global (arrival cycle, port index) order.
 //
-// Determinism argument. A queued stage's arrival is a function of its
-// port's own stream alone: max(the AdvanceTo floor at submission, the
-// completion of the stage maxInFlight retirements back). A stage retires
-// only when it holds the minimum key among present heads AND every port
-// with an empty FIFO is provably unable to submit an earlier-keyed stage:
-// that port's next arrival is bounded below by max(its current floor, the
-// minimum of its in-flight window), both monotone in its own stream. So
-// the retirement sequence — and with it every bank/bus/row interaction in
-// the shared dram.System — is a function of the per-port stage streams,
-// not of which goroutine won the bus lock; deterministic per-shard
-// streams give bit-identical cycle totals across runs and GOMAXPROCS
-// settings.
+// Determinism argument. A resolved stage's arrival is max(its floor, the
+// completion its port's in-flight window reaches back to), and the floor
+// reads only completions of its own engine's earlier stages, retired
+// before it was resolved: a function of the engine's stream. A stage
+// retires only when it holds the minimum key among present heads AND no
+// port can still receive an earlier-keyed stage without a present one
+// retiring first. Only an empty port of an open chain can (a closed
+// chain's next stage waits for one already present), and its next
+// arrival is bounded below by max(its floor, the minimum of its in-flight
+// window, under Figure 5(a) its chain's clock), all monotone in its own
+// stream. So the retirement sequence — and with it every bank/bus/row
+// interaction in the shared dram.System — is a function of the per-engine
+// stage streams, not of which goroutine won the bus lock; deterministic
+// per-shard streams give bit-identical cycle totals across runs and
+// GOMAXPROCS settings. Under Serialize the same sequence retires one stage
+// at a time, each arrival raised to the completion frontier.
 //
 // Under the FR-FCFS policy retirement additionally merges contemporaneous
 // heads — every head within reorderWindowCycles of the minimum — into one
 // scheduling window submitted as a single per-request-arrival batch, so
 // the open queue can interleave different ports' stages (a write-back's
 // row hits can beat another shard's conflicting activate). The window
-// only forms once every non-contributing port is provably beyond it,
-// which keeps the batch composition schedule-independent by the same
-// argument.
+// only forms once every bounding port is provably beyond it, which keeps
+// the batch composition schedule-independent by the same argument.
 //
-// Two documented caveats bound the guarantee: (1) stats/ReadyAt queries
-// are quiesce points that retire everything present, so drivers that
-// query at schedule-dependent instants (concurrent hierarchy chains
-// polling mid-flight) reintroduce schedule dependence; (2) if a port goes
-// quiet without a quiesce point while others keep submitting, the
-// overflow valve force-drains at maxQueuedStages to bound memory.
+// Stats queries retire everything submitted; the serving layer makes them
+// only once every engine's timing lane is quiescent. The one caveat: if an
+// open chain goes quiet while others keep submitting, an overflow valve
+// force-drains at maxQueuedStages to bound memory.
 package membus
 
 const (
@@ -41,12 +42,13 @@ const (
 	// spans roughly 1-3k cycles).
 	reorderWindowCycles = 4096
 	// maxQueuedStages is the overflow valve on the total number of
-	// enqueued, unretired stages across all ports.
+	// submitted, unretired stages across all ports.
 	maxQueuedStages = 1 << 15
 )
 
-// stageEvent is one pending charge: the stage's protocol content plus the
-// arrival floor captured at submission.
+// stageEvent is one charge: the stage's protocol content plus its arrival
+// floor, a lower bound it is submitted with (none for a PathTimer charge)
+// until its chain resolves it.
 type stageEvent struct {
 	leaf     uint64
 	skip     []bool // pooled copy; nil when nothing is skipped
@@ -55,8 +57,9 @@ type stageEvent struct {
 	floor    uint64
 }
 
-// enqueue appends one stage to the port's FIFO. Caller holds the bus lock.
-func (p *Port) enqueue(leaf uint64, skip []bool, write, deferred bool) {
+// push appends one resolved stage to the port's FIFO. Caller holds the
+// bus lock.
+func (p *Port) push(ev stageEvent) {
 	if p.evCount == len(p.evq) {
 		n := len(p.evq) * 2
 		if n == 0 {
@@ -69,18 +72,8 @@ func (p *Port) enqueue(leaf uint64, skip []bool, write, deferred bool) {
 		p.evq = grown
 		p.evHead = 0
 	}
-	ev := &p.evq[(p.evHead+p.evCount)%len(p.evq)]
-	*ev = stageEvent{leaf: leaf, write: write, deferred: deferred, floor: p.floor}
-	if skip != nil {
-		var buf []bool
-		if n := len(p.skipPool); n > 0 {
-			buf = p.skipPool[n-1][:0]
-			p.skipPool = p.skipPool[:n-1]
-		}
-		ev.skip = append(buf, skip...)
-	}
+	p.evq[(p.evHead+p.evCount)%len(p.evq)] = ev
 	p.evCount++
-	p.bus.queued++
 }
 
 // popHead discards the port's head event after retirement, recycling its
@@ -93,12 +86,12 @@ func (p *Port) popHead() {
 	}
 	p.evHead = (p.evHead + 1) % len(p.evq)
 	p.evCount--
-	p.bus.queued--
+	p.chain.bus.queued--
 }
 
 // headArrival returns the arrival cycle of the port's oldest queued
-// stage: its submission floor, no earlier than the completion of the
-// stage maxInFlight retirements back. Caller holds the bus lock.
+// stage: its floor, no earlier than the completion of the stage its
+// in-flight window reaches back to. Caller holds the bus lock.
 func (p *Port) headArrival() uint64 {
 	arr := p.evq[p.evHead].floor
 	if oldest := p.doneRing[p.ringHead]; oldest > arr {
@@ -107,12 +100,13 @@ func (p *Port) headArrival() uint64 {
 	return arr
 }
 
-// lowerBound bounds from below the arrival of any stage this port may
-// submit in the future: its floor only rises, and a future stage's
-// in-flight-window constraint is at least the minimum completion
-// currently in the ring. Caller holds the bus lock.
+// lowerBound bounds from below the arrival of the next stage an empty
+// port of an open chain may receive: its floor only rises, a future
+// stage's in-flight-window constraint is at least the minimum completion
+// currently in the ring, and under Figure 5(a) the stage arrives at the
+// chain clock. Caller holds the bus lock.
 func (p *Port) lowerBound() uint64 {
-	lb := p.floor
+	lb := max(p.floor, p.chain.clock)
 	ringMin := p.doneRing[0]
 	for _, d := range p.doneRing[1:] {
 		if d < ringMin {
@@ -124,6 +118,11 @@ func (p *Port) lowerBound() uint64 {
 	}
 	return lb
 }
+
+// bounding reports whether the port's lower bound constrains retirement:
+// it has nothing queued and its chain could resolve a stage onto it
+// without first retiring a present one.
+func (p *Port) bounding() bool { return p.evCount == 0 && !p.chain.closed }
 
 // minHeadLocked returns the port whose head stage has the globally
 // smallest (arrival, port index) key, with its arrival. Caller holds the
@@ -144,11 +143,11 @@ func (b *Bus) minHeadLocked() (*Port, uint64) {
 }
 
 // drainReadyLocked retires every stage that is provably next in global
-// key order, stopping at the first stage some idle port could still
+// key order, stopping at the first stage some bounding port could still
 // preempt. Caller holds the bus lock.
 func (b *Bus) drainReadyLocked() {
 	for b.queued > 0 {
-		if b.frfcfs {
+		if b.windows {
 			if !b.retireWindowLocked(true) {
 				return
 			}
@@ -158,32 +157,31 @@ func (b *Bus) drainReadyLocked() {
 		if !b.safeToRetire(cand, arr) {
 			return
 		}
-		b.retireHeadLocked(cand)
+		b.retireHeadLocked(cand, arr)
 	}
 }
 
-// drainAllLocked retires everything present in key order — the quiesce
-// path behind every stats/clock query, where "no earlier submission is
-// coming" is the caller's barrier, not something to prove. Caller holds
-// the bus lock.
+// drainAllLocked retires everything submitted in key order, pending chain
+// stages included — the quiesce path behind every stats/clock query, where
+// "no earlier submission is coming" is the caller's barrier, not something
+// to prove. Caller holds the bus lock.
 func (b *Bus) drainAllLocked() {
 	for b.queued > 0 {
-		if b.frfcfs {
+		if b.windows {
 			b.retireWindowLocked(false)
 			continue
 		}
-		cand, _ := b.minHeadLocked()
-		b.retireHeadLocked(cand)
+		cand, arr := b.minHeadLocked()
+		b.retireHeadLocked(cand, arr)
 	}
 }
 
-// safeToRetire reports whether no idle port can still submit a stage with
-// a smaller key than (arr, cand): every event-less port's lower bound
-// must be beyond arr, or at arr with a larger port index. Caller holds
-// the bus lock.
+// safeToRetire reports whether no bounding port can still receive a stage
+// with a smaller key than (arr, cand): its lower bound must be beyond arr,
+// or at arr with a larger port index. Caller holds the bus lock.
 func (b *Bus) safeToRetire(cand *Port, arr uint64) bool {
 	for _, q := range b.ports {
-		if q == cand || q.evCount > 0 {
+		if !q.bounding() {
 			continue
 		}
 		lb := q.lowerBound()
@@ -194,26 +192,29 @@ func (b *Bus) safeToRetire(cand *Port, arr uint64) bool {
 	return true
 }
 
-// retireHeadLocked applies one port's head stage at its arrival cycle.
-// Caller holds the bus lock.
-func (b *Bus) retireHeadLocked(p *Port) {
-	b.retireLocked([]*Port{p}, []uint64{p.headArrival()})
+// retireHeadLocked applies one port's head stage at its arrival cycle —
+// under Serialize, no earlier than the completion frontier. Caller holds
+// the bus lock.
+func (b *Bus) retireHeadLocked(p *Port, arr uint64) {
+	if b.serialize {
+		arr = max(arr, b.frontier)
+	}
+	b.retireLocked([]*Port{p}, []uint64{arr})
 }
 
 // retireWindowLocked forms and retires the FR-FCFS merged scheduling
 // window: every head within reorderWindowCycles of the minimum head
 // arrival, submitted to the controller as one batch with per-request
 // arrival floors so the open queue can interleave the member stages. When
-// require is true the window only forms if every non-member port is
-// provably beyond it (idle ports' lower bounds past the window edge);
-// quiesce drains pass false. Returns whether a window retired. Caller
-// holds the bus lock.
+// require is true the window only forms if every bounding port is
+// provably beyond it; quiesce drains pass false. Returns whether a window
+// retired. Caller holds the bus lock.
 func (b *Bus) retireWindowLocked(require bool) bool {
 	_, m := b.minHeadLocked()
 	edge := m + reorderWindowCycles
 	if require {
 		for _, q := range b.ports {
-			if q.evCount == 0 && q.lowerBound() <= edge {
+			if q.bounding() && q.lowerBound() <= edge {
 				return false
 			}
 		}

@@ -6,32 +6,31 @@
 // write-backs — at column-access granularity — onto the shared channels
 // and banks.
 //
-// A flat shard attaches exactly one port. A hierarchical shard (recursive
-// position map, Section 2.3) attaches one port per level of its chain, so
-// every ORAM of the hierarchy owns a disjoint row-aligned region of the
-// same physical address space and the chain's recursive traffic contends
-// on the shared banks like any other tree's. Levels of one hierarchy
-// chain their ports (AdvanceTo/ReadyAt): a level's path is named by the
-// position-map level before it, so its stage may not arrive earlier in
-// modeled time than the chain's previous stage completed — the serialized
-// Figure 5(a) ordering within one access, while different shards'
-// accesses still interleave freely.
+// Every engine's ports belong to one Chain (chain.go). A hierarchical
+// shard (recursive position map, Section 2.3) attaches one port per level
+// of its chain, so every ORAM of the hierarchy owns a disjoint row-aligned
+// region of the same physical address space and the chain's recursive
+// traffic contends on the shared banks like any other tree's; a flat shard
+// is a chain of one port (AttachShard). A level's path is named by the
+// position-map access before it, so its stage may not arrive in modeled
+// time before the stages it depends on completed — Figure 5(a) or 5(b)
+// within one access, while different shards' accesses interleave freely.
+// The bus resolves those dependencies itself, when it retires a stage.
 //
-// Time is modeled, not measured: every port carries its own modeled clock
-// (the completion cycle of its last submitted stage), and a stage's
-// requests arrive at that clock regardless of when the shard's worker
-// goroutine got scheduled in real time. Because all ports share one
+// Time is modeled, not measured: a stage's requests arrive at the cycle
+// its chain's dependencies completed, regardless of when the shard's
+// worker goroutine got scheduled in real time. Because all ports share one
 // dram.System, requests from different shards contend for the same banks
 // and data buses — so shard A's stage-5 write-backs and shard B's stage-2
 // path reads interleave *within* each other's accesses, the Figure 5
 // overlap the paper studies between hierarchy levels, reproduced here
 // between shards. Config.Serialize disables the overlap (every stage then
-// arrives at the global completion frontier), giving the baseline the
-// intra-access-overlap experiment compares against.
+// retires at no earlier than the global completion frontier), giving the
+// baseline the intra-access-overlap experiment compares against.
 //
 // The deferred write-back FIFO of the staged access path maps directly
 // onto a memory controller's write buffer: deferred stage-5 charges arrive
-// on the port's clock whenever the flush schedule issues them, reads of
+// in chain order whenever the flush schedule issues them, reads of
 // buckets still sitting in the buffer are skipped (no DRAM traffic), and
 // the queue depth (core.Params.MaxDeferredWriteBacks) becomes the
 // write-buffer-depth experiment in EXPERIMENTS.md.
@@ -39,18 +38,17 @@
 // Concurrency: shard workers call their ports concurrently; every charge
 // takes the bus lock, so the dram.System only ever sees one request stream.
 // The lock serializes real time, not modeled time — modeled interleaving
-// comes from the per-port arrival clocks. Arbitration is event-ordered:
-// a charge enqueues its stage (with the arrival floor captured at
-// submission) on the port's FIFO, and stages retire into the shared
-// dram.System in global (arrival cycle, port index) order — a stage is
-// applied only once every other port either exposes a later-keyed head or
-// is provably unable to submit an earlier one (its floor and in-flight
-// window bound its next arrival from below). Retirement order is therefore
-// a function of the per-port stage streams alone, not of the goroutine
-// schedule: with deterministic per-shard streams, multi-shard cycle totals
-// are exactly reproducible across runs and GOMAXPROCS settings (see
-// eventq.go for the argument and its two documented caveats: explicit
-// drains at stats/ReadyAt queries, and the overflow valve).
+// comes from the chains' dependency arithmetic. Arbitration is
+// event-ordered: a charge enqueues its stage on the port's FIFO (or on its
+// chain's pending FIFO while a stage it depends on is unretired), and
+// stages retire into the shared dram.System in global (arrival cycle, port
+// index) order — a stage is applied only once every other port either
+// exposes a later-keyed head or is provably unable to submit an earlier
+// one. Retirement order is therefore a function of the per-engine stage
+// streams alone, not of the goroutine schedule: with deterministic
+// per-shard streams, multi-shard cycle totals are exactly reproducible
+// across runs and GOMAXPROCS settings (see eventq.go for the argument and
+// its caveats).
 package membus
 
 import (
@@ -85,8 +83,8 @@ type Config struct {
 	Channels int
 	// Layout selects the bucket-to-row placement for every attached shard.
 	Layout Layout
-	// Serialize issues every stage at the global completion frontier
-	// instead of the submitting port's own clock: no two stages ever
+	// Serialize raises every stage's arrival to the global completion
+	// frontier when it retires, one stage at a time: no two stages ever
 	// overlap in modeled time, across or within shards. It exists as the
 	// measurement baseline for the intra-access overlap result; leave it
 	// false for the actual model.
@@ -207,13 +205,15 @@ type Bus struct {
 	sys       *dram.System
 	layout    Layout
 	serialize bool
-	frfcfs    bool   // controller policy is dram.SchedFRFCFS
-	frontier  uint64 // global last completion cycle
-	nextBase  uint64 // physical base address for the next attached shard
-	ports     []*Port
+	// windows merges contemporaneous heads into one scheduling window: the
+	// FR-FCFS policy, unless Serialize retires one stage at a time.
+	windows  bool
+	frontier uint64 // global last completion cycle
+	nextBase uint64 // physical base address for the next attached shard
+	ports    []*Port
 
 	// Event-ordered arbitration state (see eventq.go).
-	queued     int // stages enqueued across all ports, not yet retired
+	queued     int // stages submitted on every port, not yet retired
 	valveCount uint64
 	batchPorts []*Port // merged-window members (reused)
 	batchArr   []uint64
@@ -242,25 +242,33 @@ func New(cfg Config) (*Bus, error) {
 		sys:       sys,
 		layout:    cfg.Layout,
 		serialize: cfg.Serialize,
-		frfcfs:    cfg.Sched.Policy == dram.SchedFRFCFS,
+		windows:   cfg.Sched.Policy == dram.SchedFRFCFS && !cfg.Serialize,
 	}, nil
 }
 
 // Geometry returns the shared memory system's shape.
 func (b *Bus) Geometry() dram.Geometry { return b.sys.Geometry() }
 
-// AttachShard carves out the next region of the physical address space for
-// one bucket tree (leafLevel levels, bucketBytes per bucket on the bus)
-// and returns the tree's port. The region starts on an aggregate-row
-// boundary so the subtree layout's nodes align with row buffers. Flat
-// shards attach once; hierarchical shards attach once per level of the
-// chain, giving every level its own disjoint region. Attach every tree
+// AttachShard attaches one flat tree: a chain of one port, whose stages
+// are serial in modeled time (NewChain(0).Attach(leafLevel, bucketBytes,
+// true)).
+func (b *Bus) AttachShard(leafLevel, bucketBytes int) (*Port, error) {
+	return b.NewChain(0).Attach(leafLevel, bucketBytes, true)
+}
+
+// Attach carves out the next region of the physical address space for one
+// bucket tree of the chain (leafLevel levels, bucketBytes per bucket on
+// the bus) and returns the tree's port; data marks the chain's data ORAM,
+// whose reads pace the rounds under Figure 5(b). The region starts on an
+// aggregate-row boundary so the subtree layout's nodes align with row
+// buffers, and every tree gets its own disjoint region. Attach every tree
 // before traffic starts; construction order fixes the address map, so a
 // fixed shard (and per-shard level) order gives a reproducible layout.
-func (b *Bus) AttachShard(leafLevel, bucketBytes int) (*Port, error) {
+func (c *Chain) Attach(leafLevel, bucketBytes int, data bool) (*Port, error) {
 	if bucketBytes < 1 {
 		return nil, fmt.Errorf("membus: bucket size %d must be >= 1", bucketBytes)
 	}
+	b := c.bus
 	tree := treemath.New(leafLevel)
 	g := b.sys.Geometry()
 	nodeBytes := g.RowBytes * g.Channels
@@ -282,12 +290,18 @@ func (b *Bus) AttachShard(leafLevel, bucketBytes int) (*Port, error) {
 	stride := uint64(nodeBytes)
 	b.nextBase += (m.Size() + stride - 1) / stride * stride
 	p := &Port{
-		bus:         b,
+		chain:       c,
 		shard:       len(b.ports),
+		data:        data,
 		tree:        tree,
 		mapper:      m,
 		bucketBytes: bucketBytes,
 		doneRing:    make([]uint64, 1),
+	}
+	if c.overlap {
+		// Two stages in flight per tree: one round's write-back and the
+		// next round's read of the same level may coexist.
+		p.doneRing = make([]uint64, 2)
 	}
 	p.stats.AccessBytes = g.AccessBytes
 	b.ports = append(b.ports, p)
@@ -345,95 +359,46 @@ func (b *Bus) Cycles() uint64 {
 // clock for pacing loops (Cycles is the exact, quiescing read).
 func (b *Bus) Frontier() uint64 { b.mu.Lock(); defer b.mu.Unlock(); return b.frontier }
 
-// Port is one shard's window onto the bus. It implements core.PathTimer:
-// the shard's TimedStore charges stage-2 path reads and stage-5 path
-// write-backs through it. A port is owned by its shard's worker goroutine;
-// the bus lock makes concurrent ports safe.
+// Port is one tree's window onto the bus. It implements core.PathTimer:
+// the tree's TimedStore charges stage-2 path reads and stage-5 path
+// write-backs through it. A port is owned by its engine's replay
+// goroutine; the bus lock makes concurrent ports safe.
 type Port struct {
-	bus         *Bus
+	chain       *Chain
 	shard       int
+	data        bool // the chain's data ORAM
 	tree        treemath.Tree
 	mapper      placement.Mapper
 	bucketBytes int
-	readyAt     uint64 // modeled completion cycle of this shard's last stage
-	floor       uint64 // explicit arrival floor (high-water mark of AdvanceTo)
-	// doneRing holds the completion cycles of the last maxInFlight stages:
-	// a new stage may not arrive before the oldest of them completed, so at
-	// most maxInFlight stages of this port are ever in flight in modeled
-	// time. Depth 1 (the default) reproduces the strictly serial port of
-	// the Figure 5(a) model — each stage waits for the previous one.
+	// lastRead is the port's completion frontier (stats.Cycles) when its
+	// latest read retired — the floor of the write-back that follows it
+	// under Figure 5(b) — and floor the high-water mark of the floors its
+	// resolved stages were given.
+	lastRead uint64
+	floor    uint64
+	// doneRing holds the completion cycles of the port's last stages, one
+	// per stage it may have in flight (two under Figure 5(b), else one): a
+	// new stage may not arrive before the oldest of them completed.
 	doneRing []uint64
 	ringHead int
 	stats    Stats
 
-	// Pending-stage FIFO for event-ordered arbitration: charges enqueue
-	// here and retire in global key order (see eventq.go). evq is a ring
-	// buffer; skipPool recycles the copied skip masks.
+	// Resolved-stage FIFO for event-ordered arbitration: stages retire
+	// from here in global key order (see eventq.go). evq is a ring buffer;
+	// skipPool recycles the copied skip masks.
 	evq      []stageEvent
 	evHead   int
 	evCount  int
 	skipPool [][]bool
 }
 
-// Shard returns the port's attach index.
-func (p *Port) Shard() int { return p.shard }
-
-// ReadyAt returns the port's modeled clock: the completion cycle of its
-// last charged stage (0 before any traffic). A quiesce point: all
-// enqueued stages retire first, so chained single-threaded drivers (the
-// hierarchy's levelTimer) observe exactly the pre-event-queue model.
-func (p *Port) ReadyAt() uint64 {
-	p.bus.mu.Lock()
-	defer p.bus.mu.Unlock()
-	p.bus.drainAllLocked()
-	return p.readyAt
-}
-
-// AdvanceTo raises the port's modeled clock to at least cycle: the next
-// charged stage arrives no earlier. Hierarchies use it to chain their
-// levels' ports — a level's path address comes out of the preceding
-// position-map access, so its stage must not be charged before that
-// access's completion even though each level keeps its own port.
-func (p *Port) AdvanceTo(cycle uint64) {
-	p.bus.mu.Lock()
-	defer p.bus.mu.Unlock()
-	if p.floor < cycle {
-		p.floor = cycle
-	}
-	if p.readyAt < cycle {
-		p.readyAt = cycle
-	}
-}
-
-// SetMaxInFlight bounds how many of this port's stages may overlap in
-// modeled time: a stage's arrival is floored at the completion of the
-// stage depth submissions earlier (plus any explicit AdvanceTo floor), so
-// up to depth stages pipeline and the depth+1-th stalls. Depth 1 — the
-// default — is the strictly serial port every construction used before
-// overlap existed: each stage waits for its predecessor's completion.
-// Call it before the port carries traffic; the hierarchy's Figure 5(b)
-// overlap mode uses depth 2 so one round's write-back and the next
-// round's read coexist on the same tree.
-func (p *Port) SetMaxInFlight(depth int) {
-	if depth < 1 {
-		depth = 1
-	}
-	p.bus.mu.Lock()
-	defer p.bus.mu.Unlock()
-	p.bus.drainAllLocked()
-	p.doneRing = make([]uint64, depth)
-	for i := range p.doneRing {
-		p.doneRing[i] = p.readyAt
-	}
-	p.ringHead = 0
-}
-
 // Stats returns a snapshot of this port's counters (a quiesce point: all
 // enqueued stages retire first).
 func (p *Port) Stats() Stats {
-	p.bus.mu.Lock()
-	defer p.bus.mu.Unlock()
-	p.bus.drainAllLocked()
+	b := p.chain.bus
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.drainAllLocked()
 	return p.stats
 }
 
@@ -449,24 +414,26 @@ func (p *Port) ReadPath(leaf uint64, skip []bool) { p.charge(leaf, skip, false, 
 func (p *Port) WritePath(leaf uint64, deferred bool) { p.charge(leaf, nil, true, deferred) }
 
 // charge submits one stage's column accesses. The stage does not touch
-// the shared bank state here: it is enqueued on this port's FIFO with the
-// arrival floor captured at submission, and retires in global (arrival,
-// port) order once no other port can contribute an earlier stage — the
-// event-ordered arbitration of eventq.go. Under Serialize the stage
-// arrives at the global frontier, which is only meaningful at application
-// time, so serialized buses quiesce and apply in submission order (the
-// legacy baseline semantics).
+// the shared bank state here: it goes to its chain, which gives it an
+// arrival floor once the stages it depends on have retired, and it
+// retires in global (arrival, port) order once no other port can
+// contribute an earlier stage — the event-ordered arbitration of
+// eventq.go.
 func (p *Port) charge(leaf uint64, skip []bool, write, deferred bool) {
-	b := p.bus
+	b := p.chain.bus
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.serialize {
-		b.drainAllLocked()
-		p.enqueue(leaf, skip, write, deferred)
-		b.retireLocked([]*Port{p}, []uint64{max(p.headArrival(), b.frontier)})
-		return
+	ev := stageEvent{leaf: leaf, write: write, deferred: deferred}
+	if skip != nil {
+		var buf []bool
+		if n := len(p.skipPool); n > 0 {
+			buf = p.skipPool[n-1][:0]
+			p.skipPool = p.skipPool[:n-1]
+		}
+		ev.skip = append(buf, skip...)
 	}
-	p.enqueue(leaf, skip, write, deferred)
+	b.queued++
+	p.chain.submit(p, ev)
 	b.drainReadyLocked()
 	if b.queued > maxQueuedStages {
 		// Overflow valve: a port has gone quiet without a quiesce point
@@ -523,17 +490,19 @@ func (b *Bus) retireLocked(members []*Port, arrs []uint64) {
 		p.finishStage(arrs[slot], done, delta, ev.write, ev.deferred)
 		p.popHead()
 	}
+	// Only now, with every member popped, may a chain resolve the stages
+	// that waited on these completions.
+	for _, p := range members {
+		p.chain.release()
+	}
 }
 
-// finishStage records one retired stage's completion and counters.
-// Caller holds the bus lock.
+// finishStage records one retired stage's completion and counters and
+// publishes it to the port's chain. Caller holds the bus lock.
 func (p *Port) finishStage(at, done uint64, delta dram.Stats, write, deferred bool) {
-	b := p.bus
+	b := p.chain.bus
 	p.doneRing[p.ringHead] = done
 	p.ringHead = (p.ringHead + 1) % len(p.doneRing)
-	if done > p.readyAt {
-		p.readyAt = done
-	}
 	if done > b.frontier {
 		b.frontier = done
 	}
@@ -541,6 +510,7 @@ func (p *Port) finishStage(at, done uint64, delta dram.Stats, write, deferred bo
 	if p.stats.Cycles < done {
 		p.stats.Cycles = done
 	}
+	p.chain.retired(p, write)
 	if write {
 		p.stats.PathWrites++
 		if deferred {

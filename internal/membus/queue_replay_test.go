@@ -87,10 +87,10 @@ func TestQueueInOrderHandChainedReplay(t *testing.T) {
 	if gotFrontier != frontier {
 		t.Fatalf("bus frontier %d != hand-chained frontier %d", gotFrontier, frontier)
 	}
-	// Per-port clocks: each port's ReadyAt is its own last completion.
+	// Per-port clocks: each port's frontier is its own last completion.
 	for s, p := range ports {
-		if r := p.ReadyAt(); r != prevDone[s] {
-			t.Fatalf("port %d ReadyAt %d != hand-chained completion %d", s, r, prevDone[s])
+		if r := p.Stats().Cycles; r != prevDone[s] {
+			t.Fatalf("port %d frontier %d != hand-chained completion %d", s, r, prevDone[s])
 		}
 	}
 }

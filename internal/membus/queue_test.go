@@ -32,14 +32,16 @@ func queueStreams(ports, n int, seed int64) [][]queueStream {
 	return out
 }
 
+// playStream submits one stage of a port's stream, carrying its floor —
+// the think time an engine spends between two stages — the way a charge
+// carries none.
 func playStream(p *Port, ev queueStream) {
-	p.AdvanceTo(ev.floor)
-	leaf := ev.leaf % p.tree.NumLeaves()
-	if ev.write {
-		p.WritePath(leaf, false)
-	} else {
-		p.ReadPath(leaf, nil)
-	}
+	b := p.chain.bus
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.queued++
+	p.chain.submit(p, stageEvent{leaf: ev.leaf % p.tree.NumLeaves(), write: ev.write, floor: ev.floor})
+	b.drainReadyLocked()
 }
 
 // TestQueueOrderIndependentOfSubmissionInterleaving pins the tentpole

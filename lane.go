@@ -14,13 +14,13 @@ import (
 // ordered stream of (round start | level, leaf, skip mask, read/write,
 // deferred) events: the engine's goroutine only records that stream into a
 // single-producer/single-consumer ring, and one replay goroutine pops it
-// and calls the real timers — a flat tree's membus.Port, a chain's
-// levelTimers, chainSched.beginRound — in stream order. The replay side
-// owns scheduler state and ports; the record side reads modeled time only
-// after quiesce. DESIGN.md, "Modeled time is replayed, not inline".
+// and calls the real timers — the engine's membus ports and its chain's
+// RoundStart — in stream order. The replay side owns the ports; the record
+// side reads modeled time only after quiesce. DESIGN.md, "Modeled time is
+// replayed, not inline".
 type timingLane struct {
 	timers []core.PathTimer // the real timers, in attach order
-	round  func()           // chainSched.beginRound
+	round  func()           // membus.Chain.RoundStart
 
 	ring [laneCap]laneEvent
 	// tail counts events recorded, head events replayed (stored only once

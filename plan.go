@@ -216,8 +216,8 @@ type engineSeed struct {
 // serving layer. A flat engine (PosMapOnChip) is the chain of length one:
 // the on-chip cap is lifted, so sizing stops after the data ORAM. What
 // PosMap still selects besides that cap is listed in DESIGN.md ("One
-// engine"): the data-tree sizing rule here, the timer attachment below,
-// and buildTree's file names and key domain. On error nothing stays open.
+// engine"): the data-tree sizing rule here and buildTree's file names and
+// key domain. On error nothing stays open.
 func (p *plan) newEngine(e engineSeed) (_ *ORAM, err error) {
 	o := &ORAM{blocks: e.blocks}
 	defer func() {
@@ -225,11 +225,14 @@ func (p *plan) newEngine(e engineSeed) (_ *ORAM, err error) {
 			o.close()
 		}
 	}()
-	sched := &chainSched{overlap: p.Overlap > 0}
+	var chain *membus.Chain
 	if p.bus != nil {
-		// Modeled time is replayed one step behind the protocol: every
-		// timer below is reached only through the engine's lane.
-		o.lane = &timingLane{round: sched.beginRound}
+		// Every tree's port joins the engine's one chain, which orders its
+		// stages in modeled time (Figure 5(a), or 5(b) under Overlap).
+		// Modeled time is replayed one step behind the protocol: the ports
+		// and round starts are reached only through the engine's lane.
+		chain = p.bus.NewChain(p.Overlap)
+		o.lane = &timingLane{round: chain.RoundStart}
 	}
 	cfg := hierarchy.Config{
 		Blocks:                e.blocks,
@@ -254,8 +257,7 @@ func (p *plan) newEngine(e engineSeed) (_ *ORAM, err error) {
 		cfg.DataLeafLevel = p.leafLevel(e.blocks)
 		cfg.OnChipPosMapMax = math.MaxUint64
 	}
-	if sched.overlap {
-		sched.ring = make([]uint64, p.Overlap)
+	if p.Overlap > 0 {
 		cfg.OnRoundStart = o.lane.roundStart
 	}
 	if hook := p.OnPathAccess; hook != nil {
@@ -270,25 +272,12 @@ func (p *plan) newEngine(e engineSeed) (_ *ORAM, err error) {
 		if p.bus == nil {
 			return t.store, nil
 		}
-		port, err := p.bus.AttachShard(leafLevel, t.busBytes)
+		port, err := chain.Attach(leafLevel, t.busBytes, level == 0)
 		if err != nil {
 			return nil, err
 		}
 		o.ports = append(o.ports, port)
-		// A flat tree's port is its own timer: its readyAt already
-		// serializes the tree's stages. A levelTimer would also quiesce
-		// the shared bus after every stage, which with several shards
-		// moves the modeled arbitration (DESIGN.md, "One engine").
-		var timer core.PathTimer = port
-		if p.PosMap != PosMapOnChip {
-			if sched.overlap {
-				// Two stages in flight per tree: one round's write-back and
-				// the next round's read of the same level may coexist.
-				port.SetMaxInFlight(2)
-			}
-			timer = &levelTimer{port: port, sched: sched, level: level}
-		}
-		return core.NewTimedStore(t.store, o.lane.attach(timer))
+		return core.NewTimedStore(t.store, o.lane.attach(port))
 	}
 	if o.inner, err = hierarchy.New(cfg); err != nil {
 		return nil, err
@@ -451,6 +440,13 @@ func (p *plan) buildTree(e engineSeed, level, leafLevel, z, blockBytes int) (t t
 		}
 	}
 	return t, nil
+}
+
+// deriveKey expands the master key into an independent per-level key
+// (deriveSubKey in the hierarchy domain). Distinct levels therefore never
+// share one-time pads even though bucket IDs repeat across trees.
+func deriveKey(master []byte, level int) ([]byte, error) {
+	return deriveSubKey(master, domainHierarchy, uint64(level))
 }
 
 // trees is the storage-side state of the bucket trees one engine owns, in

@@ -9,28 +9,42 @@ import (
 
 // Tests named TestQueue* run in the CI `-run 'FRFCFS|Queue|Paced'` shard.
 
-// queueDeterminismRun drives one full load against a fresh multi-shard
-// timed instance and returns its closing timing snapshot. Batches span
+// queueShapes are the timed deployments the determinism tests replay, each
+// a change to queueDeterminismRun's four flat shards. The one-shard
+// recursive chain with a PLB and Figure 5(b) overlap is the deepest timing
+// lane there is (round starts in the stream); the two-shard chains and the
+// two DRAMSerialize shards put several engines' chain dependencies on one
+// bus, where the bus alone must keep retirement in event order.
+var queueShapes = []struct {
+	name  string
+	shape func(*Spec)
+}{
+	{"flat4", func(*Spec) {}},
+	{"rec1-plb-ov2", func(s *Spec) {
+		s.Shards, s.PosMap, s.OnChipPosMapMax, s.PLBBytes, s.Overlap = 1, PosMapRecursive, 64, 256, 2
+	}},
+	{"rec2-plb-ov0", func(s *Spec) {
+		s.Shards, s.PosMap, s.OnChipPosMapMax, s.PLBBytes = 2, PosMapRecursive, 64, 256
+	}},
+	{"rec2-plb-ov2", func(s *Spec) {
+		s.Shards, s.PosMap, s.OnChipPosMapMax, s.PLBBytes, s.Overlap = 2, PosMapRecursive, 64, 256, 2
+	}},
+	{"serialize2", func(s *Spec) { s.Shards, s.DRAMSerialize = 2, true }},
+}
+
+// queueDeterminismRun drives one full load against a fresh timed instance
+// of the given shape and returns its closing timing snapshot. Batches span
 // every shard, so the shard workers charge the shared bus concurrently —
 // exactly the regime where lock-acquisition order used to leak into the
-// modeled cycle totals. The config is flat and synchronous: per-shard
-// request streams are then functions of the (seeded) protocol alone, and
-// the event-ordered bus must make the totals a function of those streams.
-//
-// With recursive set the instance is instead one shard of a recursive chain
-// with a PLB and Figure 5(b) overlap — the deepest timing lane there is
-// (levelTimers quiescing the bus after every stage, round starts in the
-// stream). Several recursive shards are a known hole (ROADMAP, determinism
-// (1)), one is not: its totals must not depend on how far the replay
-// goroutine happens to lag the worker.
-func queueDeterminismRun(t *testing.T, sched MemSched, recursive bool, seed int64) TimingStats {
+// modeled cycle totals. Every shape is synchronous: per-shard request
+// streams are then functions of the (seeded) protocol alone, and the
+// event-ordered bus must make the totals a function of those streams.
+func queueDeterminismRun(t *testing.T, sched MemSched, shape func(*Spec), seed int64) TimingStats {
 	t.Helper()
 	const blocks, batch, ops = 256, 16, 200
 	cfg := dramConfig(4, blocks, PartitionStripe, false, seed)
 	cfg.DRAMSched = sched
-	if recursive {
-		cfg.Shards, cfg.PosMap, cfg.OnChipPosMapMax, cfg.PLBBytes, cfg.Overlap = 1, PosMapRecursive, 64, 256, 2
-	}
+	shape(&cfg)
 	s, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -72,15 +86,15 @@ func queueDeterminismRun(t *testing.T, sched MemSched, recursive bool, seed int6
 }
 
 // TestQueueDeterministicAcrossGOMAXPROCS is the reproducibility
-// acceptance check: repeated runs of the same seeded multi-shard load
-// must produce byte-identical TimingStats — every modeled cycle total,
-// latency sum and DRAM counter — whatever GOMAXPROCS the goroutine
-// scheduler is given (1: recorder and replay goroutine alternate on one P;
-// 2 and 4: they run side by side), under both scheduling policies, for
-// flat shards and for a one-shard recursive chain.
+// acceptance check: repeated runs of the same seeded load must produce
+// byte-identical TimingStats — every modeled cycle total, latency sum and
+// DRAM counter — whatever GOMAXPROCS the goroutine scheduler is given (1:
+// recorder and replay goroutines alternate on one P; 2 and 4: they run
+// side by side), under both scheduling policies, for every queueShapes
+// deployment.
 func TestQueueDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, recursive := range []bool{false, true} {
+	for _, sh := range queueShapes {
 		for _, sched := range []MemSched{MemSchedInOrder, MemSchedFRFCFS} {
 			for _, seed := range []int64{3, 11} {
 				var ref TimingStats
@@ -88,19 +102,19 @@ func TestQueueDeterministicAcrossGOMAXPROCS(t *testing.T) {
 				for _, procs := range []int{1, 2, 4} {
 					runtime.GOMAXPROCS(procs)
 					for rep := 0; rep < 2; rep++ {
-						ts := queueDeterminismRun(t, sched, recursive, seed)
+						ts := queueDeterminismRun(t, sched, sh.shape, seed)
 						if !have {
 							ref, have = ts, true
 							continue
 						}
 						if !reflect.DeepEqual(ts, ref) {
-							t.Fatalf("recursive=%t sched=%v seed=%d GOMAXPROCS=%d rep=%d: timing diverged\nref %+v\ngot %+v",
-								recursive, sched, seed, procs, rep, ref, ts)
+							t.Fatalf("%s sched=%v seed=%d GOMAXPROCS=%d rep=%d: timing diverged\nref %+v\ngot %+v",
+								sh.name, sched, seed, procs, rep, ref, ts)
 						}
 					}
 				}
 				if ref.Cycles == 0 {
-					t.Fatalf("recursive=%t sched=%v seed=%d: modeled clock never advanced", recursive, sched, seed)
+					t.Fatalf("%s sched=%v seed=%d: modeled clock never advanced", sh.name, sched, seed)
 				}
 			}
 		}
