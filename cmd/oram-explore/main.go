@@ -2,6 +2,7 @@
 //
 //	oram-explore -grid smoke              # sweep a grid: a preset or a JSON file of flag axes
 //	oram-explore -grid fig8 -ops 131072   # a paper figure is a preset: the sweep, then the paper's table
+//	oram-explore -grid shards -clients 8  # throughput vs shard count under 8 concurrent clients
 //	oram-explore -check explore-smoke.json
 //	oram-explore -paper [-quick]          # every table and figure of the paper (EXPERIMENTS.md's source)
 //	oram-explore -record mcf -out mcf.pot # record a synthetic benchmark trace ...
@@ -50,11 +51,12 @@ func main() {
 		ops        = flag.Int("ops", 2048, "with -grid: measured operations per (config, workload) cell")
 		warmup     = flag.Int("warmup", 256, "unmeasured warm-up operations per cell")
 		batch      = flag.Int("batch", 16, "submission batch size for padded configs")
+		clients    = flag.Int("clients", 1, "with -grid: concurrent closed-loop clients per measured cell (above 1, rows are not reproducible run to run)")
 		seed       = flag.Int64("seed", 1, "PRNG seed")
 	)
 	flag.Parse()
 
-	opts := explore.Options{Ops: *ops, Warmup: *warmup, Batch: *batch, Seed: *seed}
+	opts := explore.Options{Ops: *ops, Warmup: *warmup, Batch: *batch, Clients: *clients, Seed: *seed}
 	switch {
 	case *checkPath != "":
 		runCheck(*checkPath, *minConfigs)

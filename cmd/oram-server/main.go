@@ -1,7 +1,7 @@
 // Command oram-server serves multi-tenant ORAM over HTTP: one
 // pathoram.Client per tenant (per-tenant keys derived from a service
 // master through the domain-separated KDF), the construction read from
-// Spec's text form (the internal/explore flag set oram-serve shares), and a
+// Spec's text form (the internal/explore flag set the grids share), and a
 // graceful drain on SIGTERM/SIGINT — in-flight requests finish, then
 // every tenant flushes, checkpoints its WAL and closes its tree files.
 // A failed drain (e.g. a file-backend Sync error) exits non-zero.

@@ -108,7 +108,8 @@
 //   - internal/exp — every figure and table of the evaluation: the
 //     protocol figures are internal/explore grid presets rendered here,
 //     the rest keep a runner; cmd/oram-explore prints them (-grid, -paper),
-//     and cmd/oram-serve drives the sharded serving layer.
+//     and its -grid -clients N drives the sharded serving layer under
+//     concurrent closed-loop load.
 //
 // The serving layer's threat model — what an adversary observing per-shard
 // traffic and request routing learns under each partition and batch mode —

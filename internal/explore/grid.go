@@ -30,8 +30,8 @@ type Grid struct {
 }
 
 // Point is one enumerated configuration. Its name is the flag string that
-// sets it apart from Base: appended to Base on an oram-serve or oram-server
-// command line, it builds the same construction.
+// sets it apart from Base: appended to Base on an oram-server command line
+// (or as a one-point grid's Base), it builds the same construction.
 type Point struct {
 	Name string
 	args []string
@@ -127,9 +127,10 @@ func (g Grid) Points(seed int64, logf func(format string, args ...any)) ([]Point
 // Presets are the named grids cmd/oram-explore accepts in place of a
 // JSON file. "smoke" is the CI grid: 8 points, two workloads, seconds of
 // runtime. "full" is the EXPERIMENTS.md grid: every axis the paper
-// explores, 64 points across three workloads. "fig7" .. "fig10" and the
-// two "ablate-" grids are the paper's protocol figures at their scaled
-// default sizes (figures.go).
+// explores, 64 points across three workloads. "shards" is the serving
+// layer's throughput-vs-shard-count sweep, meant for -clients N. "fig7" ..
+// "fig10" and the two "ablate-" grids are the paper's protocol figures at
+// their scaled default sizes (figures.go).
 var Presets = map[string]Grid{
 	"fig7":              Fig7Grid(1 << 14),
 	"fig8":              Fig8Grid(1 << 14),
@@ -195,6 +196,11 @@ var Presets = map[string]Grid{
 			{"-backend mem", "-backend file"},
 			{"-wal=false", "-wal"},
 		},
+		Workloads: []string{"uniform"},
+	},
+	"shards": {
+		Base:      "-blocks 16384 -blocksize 64",
+		Axes:      [][]string{{"-shards 1", "-shards 2", "-shards 4", "-shards 8"}},
 		Workloads: []string{"uniform"},
 	},
 }

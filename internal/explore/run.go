@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"sync"
 	"time"
 
 	pathoram "repro"
@@ -15,10 +16,11 @@ import (
 
 // Options are the measurement knobs shared by every point in a sweep.
 type Options struct {
-	Ops    int   // measured operations per (point, workload)
-	Warmup int   // unmeasured operations run first to reach steady state
-	Batch  int   // submission batch size for padded points
-	Seed   int64 // base seed; points and workloads derive their own
+	Ops     int   // measured operations per (point, workload)
+	Warmup  int   // unmeasured operations run first to reach steady state
+	Batch   int   // submission batch size for padded points
+	Clients int   // closed-loop clients the measured phase fans out over (default 1)
+	Seed    int64 // base seed; points, workloads and clients derive their own
 }
 
 // Row is one measured (configuration, workload) cell: the axis-encoded
@@ -41,8 +43,15 @@ type Row struct {
 // instances. Workload boundaries re-establish a clean baseline anyway:
 // stats reset and the timing snapshot flushes deferred write-backs, so
 // no cell is charged for its predecessor's debt. A point whose background
-// eviction cannot keep up is reported, not fatal: see dummyBudget. logf
-// (optional) receives one progress line per point.
+// eviction cannot keep up is reported, not fatal: see dummyBudget; a point
+// whose Close fails (a file point's last checkpoint or msync) fails the
+// sweep. logf (optional) receives one progress line per point.
+//
+// With opts.Clients > 1 each cell's measured phase runs on that many
+// concurrent closed-loop clients (closedLoop). Their interleaving is the
+// goroutine scheduler's, so such rows are not reproducible run to run;
+// with one client every metric but the wall-clock ones is a function of
+// the seed.
 func Run(g Grid, opts Options, logf func(format string, args ...any)) ([]Row, error) {
 	if opts.Ops <= 0 {
 		opts.Ops = 2048
@@ -52,6 +61,9 @@ func Run(g Grid, opts Options, logf func(format string, args ...any)) ([]Row, er
 	}
 	if opts.Batch <= 0 {
 		opts.Batch = 16
+	}
+	if opts.Clients <= 0 {
+		opts.Clients = 1
 	}
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -72,7 +84,10 @@ func Run(g Grid, opts Options, logf func(format string, args ...any)) ([]Row, er
 	return rows, nil
 }
 
-func runPoint(g Grid, p Point, opts Options) ([]Row, error) {
+// open builds a point's client; tests substitute it to inject failures.
+var open = pathoram.Open
+
+func runPoint(g Grid, p Point, opts Options) (rows []Row, err error) {
 	spec, err := p.Spec()
 	if err != nil {
 		return nil, err
@@ -88,11 +103,20 @@ func runPoint(g Grid, p Point, opts Options) ([]Row, error) {
 		defer os.RemoveAll(dir)
 		spec.Dir = dir
 	}
-	client, err := pathoram.Open(spec)
+	client, err := open(spec)
 	if err != nil {
 		return nil, err
 	}
-	defer client.Close()
+	defer func() {
+		// A file point's final checkpoint and msync run here: if they fail,
+		// the measured state never became durable, and the point must not
+		// report clean. An engine that tripped the livelock guard reports
+		// the trip again; its rows already say infeasible.
+		tripped := len(rows) > 0 && rows[len(rows)-1].Metrics["infeasible"] == 1
+		if cerr := client.Close(); cerr != nil && err == nil && !tripped {
+			rows, err = nil, fmt.Errorf("close: %w", cerr)
+		}
+	}()
 	leak := spec.LeakageClass().String()
 
 	// Pre-fill the whole working set so every workload measures steady
@@ -107,13 +131,13 @@ func runPoint(g Grid, p Point, opts Options) ([]Row, error) {
 		return nil, fmt.Errorf("fill: %w", err)
 	}
 
-	var rows []Row
 	for wi, wname := range g.Workloads {
 		var row Row
 		if err == nil {
-			w := WorkloadByName(wname)
-			rng := rand.New(rand.NewSource(opts.Seed + int64(wi)*104729 + 1))
-			row, err = runCell(client, spec, w.New(rng, spec.Blocks), opts)
+			w, seed := WorkloadByName(wname), opts.Seed+int64(wi)*104729+1
+			row, err = runCell(client, spec, func(c int) Gen {
+				return w.New(rand.New(rand.NewSource(seed+int64(c)*7919)), spec.Blocks)
+			}, opts)
 		}
 		// Once the point has tripped, its remaining cells are infeasible
 		// too: the engine that livelocked stays failed.
@@ -180,55 +204,37 @@ func unmeasured(client pathoram.Client, n int, step func(i int) error) error {
 // runCell measures one workload against an already-filled client:
 // warm-up phase, baseline reset (the timing snapshot flushes, charging
 // any warm-up debt before measurement), then the measured phase with
-// per-submission latencies.
-func runCell(client pathoram.Client, spec pathoram.Spec, gen Gen, opts Options) (Row, error) {
+// per-submission latencies. gen(c) is closed-loop client c's address
+// stream; client 0's runs the warm-up and carries on into the measurement.
+func runCell(client pathoram.Client, spec pathoram.Spec, gen func(c int) Gen, opts Options) (Row, error) {
 	payload := make([]byte, spec.BlockSize)
+	warm := gen(0)
 	if err := unmeasured(client, opts.Warmup, func(i int) error {
-		return step(client, gen, i, payload)
+		return step(client, warm, i, payload)
 	}); err != nil {
 		return Row{}, err
 	}
 	client.ResetStats()
 	preTiming, timed := client.TimingStats()
 
-	measured, submissions, submit := opts.Ops, opts.Ops, func(n int) error {
-		return step(client, gen, opts.Warmup+n, payload)
-	}
+	measured, submissions := opts.Ops, opts.Ops
 	if spec.Padded {
-		// Padded mode pads batch schedules; submit whole batches so the
-		// padding machinery actually engages. Latencies are per batch,
-		// and batches round up to whole submissions.
-		addrs := make([]uint64, opts.Batch)
-		data := make([][]byte, opts.Batch)
-		for j := range data {
-			data[j] = payload
-		}
+		// Batches round up to whole submissions.
 		submissions = (opts.Ops + opts.Batch - 1) / opts.Batch
 		measured = submissions * opts.Batch
-		submit = func(n int) error {
-			var write bool
-			for j := range addrs {
-				a, w := gen(opts.Warmup + n*opts.Batch + j)
-				addrs[j] = a
-				if j == 0 {
-					write = w
-				}
-			}
-			if write {
-				return client.WriteBatch(addrs, data)
-			}
-			_, err := client.ReadBatch(addrs)
-			return err
-		}
 	}
-	lats := make([]time.Duration, 0, submissions)
-	start := time.Now()
-	for n := 0; n < submissions; n++ {
-		t0 := time.Now()
-		if err := submit(n); err != nil {
-			return Row{}, err
+	subs := make([]func(n int) error, opts.Clients)
+	for c := range subs {
+		g := warm
+		if c > 0 {
+			g = gen(c)
 		}
-		lats = append(lats, time.Since(t0))
+		subs[c] = submitter(client, spec, g, opts, payload)
+	}
+	lats := make([]time.Duration, submissions)
+	start := time.Now()
+	if err := closedLoop(lats, subs); err != nil {
+		return Row{}, err
 	}
 	var postTiming pathoram.TimingStats
 	if timed {
@@ -268,6 +274,9 @@ func runCell(client pathoram.Client, spec pathoram.Spec, gen Gen, opts Options) 
 	if spec.Padded {
 		m["batch"] = float64(opts.Batch)
 	}
+	if opts.Clients > 1 {
+		m["clients"] = float64(opts.Clients)
+	}
 	if st.ChainSamples > 0 {
 		// Mean posmap-chain length per op: H with no PLB, shrinking toward
 		// 1.0 as hits skip levels (or pinned at H under constant shape). A
@@ -287,13 +296,73 @@ func runCell(client pathoram.Client, spec pathoram.Spec, gen Gen, opts Options) 
 		m["row-hit"] = d.RowHitRate()
 		if d.Cycles > 0 {
 			// Throughput on the modeled clock: how many ops fit in one
-			// second of DDR3 bus time. The headline metric for the paced
-			// closed loop — wall-clock ns/op measures the simulator, this
-			// measures the modeled machine.
+			// second of DDR3 bus time — wall-clock ns/op measures the
+			// simulator, this measures the modeled machine.
 			m["ops/modeled-s"] = float64(measured) * membus.CyclesPerSecond / float64(d.Cycles)
 		}
 	}
 	return Row{Ops: measured, Metrics: m}, nil
+}
+
+// submitter returns one closed-loop client's submit function over gen:
+// submission n is op opts.Warmup+n or, on a padded point, the batch of
+// opts.Batch ops from op opts.Warmup+n*opts.Batch — padded mode pads batch
+// schedules, so only whole batches engage it. A batch's first op decides
+// read or write, and its latency is the batch's.
+func submitter(client pathoram.Client, spec pathoram.Spec, gen Gen, opts Options, payload []byte) func(n int) error {
+	if !spec.Padded {
+		return func(n int) error { return step(client, gen, opts.Warmup+n, payload) }
+	}
+	addrs := make([]uint64, opts.Batch)
+	data := make([][]byte, opts.Batch)
+	for j := range data {
+		data[j] = payload
+	}
+	return func(n int) error {
+		var write bool
+		for j := range addrs {
+			a, w := gen(opts.Warmup + n*opts.Batch + j)
+			addrs[j] = a
+			if j == 0 {
+				write = w
+			}
+		}
+		if write {
+			return client.WriteBatch(addrs, data)
+		}
+		_, err := client.ReadBatch(addrs)
+		return err
+	}
+}
+
+// closedLoop runs submissions 0..len(lats)-1 split into len(subs)
+// contiguous shares: client c issues its share back to back through
+// subs[c] on its own goroutine (client 0 on the caller's, so one client is
+// a plain loop) and records submission n's latency in lats[n]. A client
+// stops at its first error; the others finish their shares.
+func closedLoop(lats []time.Duration, subs []func(n int) error) error {
+	errs := make([]error, len(subs))
+	run := func(c int) {
+		for n := c * len(lats) / len(subs); n < (c+1)*len(lats)/len(subs); n++ {
+			t0 := time.Now()
+			if err := subs[c](n); err != nil {
+				errs[c] = err
+				return
+			}
+			lats[n] = time.Since(t0)
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 1; c < len(subs); c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(c)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 func step(client pathoram.Client, gen Gen, i int, payload []byte) error {

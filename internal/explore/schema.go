@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+
+	"repro/internal/encrypt"
 )
 
 // SchemaJSON is the formal description of the report format (JSON
@@ -33,6 +35,7 @@ type Report struct {
 	GOARCH     string      `json:"goarch,omitempty"`
 	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	Keystream  string      `json:"keystream,omitempty"` // this host's pad generator: counter-encrypted rows differ ~2x between the two
 	Grid       string      `json:"grid,omitempty"`
 	Objectives []string    `json:"objectives,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
@@ -42,8 +45,9 @@ type Report struct {
 func NewReport(grid string, objectives []string, rows []Row) Report {
 	r := Report{
 		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		Pkg:  "repro/internal/explore",
-		Grid: grid, Objectives: objectives,
+		Pkg:       "repro/internal/explore",
+		Keystream: encrypt.KeystreamImpl(),
+		Grid:      grid, Objectives: objectives,
 	}
 	for _, row := range rows {
 		r.Benchmarks = append(r.Benchmarks, Benchmark{

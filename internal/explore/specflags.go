@@ -2,9 +2,11 @@
 // cmd/oram-explore -grid: a workload generator suite, a sweep runner that
 // drives every configuration point through the public Client API, and a
 // Pareto pass over the collected metrics (latency, modeled cycles,
-// on-chip bytes). It also owns the text form of pathoram.Spec — the flag
-// set cmd/oram-serve and cmd/oram-server parse and a Grid sweeps — so the
-// binaries and the grids cannot drift on flag names.
+// on-chip bytes). Run is the repository's one closed-loop measurement
+// driver: it fills a point, warms it up and measures it, on one client or
+// fanned out over several (Options.Clients). The package also owns the
+// text form of pathoram.Spec — the flag set cmd/oram-server parses and a
+// Grid sweeps — so the service and the grids cannot drift on flag names.
 package explore
 
 import (

@@ -99,7 +99,7 @@ type Config struct {
 
 // CyclesPerSecond converts modeled memory cycles to modeled seconds:
 // every Timing parameter is denominated in DDR3-1333 bus clocks at
-// 666.67 MHz. Paced serving divides ops by (frontier advance /
+// 666.67 MHz. Measurement drivers divide ops by (frontier advance /
 // CyclesPerSecond) to report ops per modeled second.
 const CyclesPerSecond = 666_666_667
 
@@ -353,11 +353,6 @@ func (b *Bus) Cycles() uint64 {
 	b.drainAllLocked()
 	return b.frontier
 }
-
-// Frontier returns the completion frontier of the stages retired so far
-// without forcing queued stages through — a cheap, slightly stale modeled
-// clock for pacing loops (Cycles is the exact, quiescing read).
-func (b *Bus) Frontier() uint64 { b.mu.Lock(); defer b.mu.Unlock(); return b.frontier }
 
 // Port is one tree's window onto the bus. It implements core.PathTimer:
 // the tree's TimedStore charges stage-2 path reads and stage-5 path

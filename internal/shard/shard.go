@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/membus"
 )
 
 // Engine is one single-threaded ORAM instance. The pool takes exclusive
@@ -75,17 +74,6 @@ type Engine interface {
 	// background eviction, leaving the engine in a state the synchronous
 	// protocol could have produced.
 	Flush() error
-}
-
-// TimedEngine is an Engine whose storage backend charges a cycle-accurate
-// memory model (a membus port behind a core.TimedStore). Engines report
-// their port's modeled-timing counters so the pool can aggregate
-// cycle/latency stats through the same serialized snapshot path as the
-// protocol counters. The bool is false when the engine runs untimed (a
-// plain in-memory backend), letting mixed pools skip those shards.
-type TimedEngine interface {
-	Engine
-	TimingStats() (membus.Stats, bool)
 }
 
 // Op selects what a Request does on its shard's engine.
@@ -571,41 +559,6 @@ func (p *Pool) inspectAll(fns []func(), peek bool) error {
 		}
 	}
 	return nil
-}
-
-// TimingStats merges every timed engine's modeled memory-timing counters
-// (counters sum, the completion frontier takes the max). Snapshots are
-// taken on the workers, serialized with each shard's request stream; under
-// idle work the engines flush first, so deferred write-backs are charged
-// before the snapshot — the numbers always describe a state the
-// synchronous protocol could have produced. Like every other snapshot
-// (Stats, StashSize), a pre-snapshot flush failure cannot be reported
-// here: it is recorded and surfaced by Close, and the affected shard's
-// stats may then be missing its still-deferred write-back charges. The
-// bool is false when no engine is timed.
-func (p *Pool) TimingStats() (membus.Stats, bool) {
-	snaps := make([]membus.Stats, len(p.engines))
-	timed := make([]bool, len(p.engines))
-	fns := make([]func(), len(p.engines))
-	for i, e := range p.engines {
-		te, ok := e.(TimedEngine)
-		if !ok {
-			fns[i] = func() {}
-			continue
-		}
-		i := i
-		fns[i] = func() { snaps[i], timed[i] = te.TimingStats() }
-	}
-	_ = p.inspectAll(fns, false)
-	var merged membus.Stats
-	any := false
-	for i := range snaps {
-		if timed[i] {
-			merged = merged.Merge(snaps[i])
-			any = true
-		}
-	}
-	return merged, any
 }
 
 // Stats returns a snapshot of the scheduler counters.

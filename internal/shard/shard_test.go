@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/membus"
 )
 
 // fakeEngine is a deliberately non-thread-safe map engine: if the pool ever
@@ -805,70 +804,5 @@ func TestSyncPoolNeverTouchesBackground(t *testing.T) {
 	}
 	if fakes[0].flushes != 1 {
 		t.Errorf("close-time drain ran %d flushes, want exactly 1", fakes[0].flushes)
-	}
-}
-
-// fakeTimedEngine is a fakeEngine that also reports modeled timing — the
-// TimedEngine capability — with a flush-sensitive cycle count so the test
-// can verify TimingStats snapshots ride the serialized Inspect path.
-type fakeTimedEngine struct {
-	*fakeEngine
-	stats        membus.Stats
-	statsOnFlush membus.Stats // replaces stats on Flush (simulates drain charges)
-	hasTiming    bool
-}
-
-func (e *fakeTimedEngine) TimingStats() (membus.Stats, bool) { return e.stats, e.hasTiming }
-
-func (e *fakeTimedEngine) Flush() error {
-	if e.statsOnFlush.Cycles != 0 {
-		e.stats = e.statsOnFlush
-	}
-	return e.fakeEngine.Flush()
-}
-
-// TestTimedPoolAggregatesTimingStats: Pool.TimingStats must merge timed
-// engines' counters (sums + frontier max), skip untimed shards, and — with
-// idle work on — observe post-flush numbers, so deferred write-backs are
-// charged before the snapshot.
-func TestTimedPoolAggregatesTimingStats(t *testing.T) {
-	a := &fakeTimedEngine{fakeEngine: newFakeEngine(), hasTiming: true,
-		stats: membus.Stats{PathReads: 2, ReadCycles: 100, Cycles: 500, AccessBytes: 64}}
-	a.statsOnFlush = membus.Stats{PathReads: 2, PathWrites: 2, DeferredWrites: 2,
-		ReadCycles: 100, WriteCycles: 80, Cycles: 700, AccessBytes: 64}
-	b := &fakeTimedEngine{fakeEngine: newFakeEngine(), hasTiming: true,
-		stats: membus.Stats{PathReads: 1, ReadCycles: 40, Cycles: 900, AccessBytes: 64}}
-	untimed := newFakeEngine()
-	p, err := NewPool([]Engine{a, b, untimed}, Config{IdleWork: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	got, any := p.TimingStats()
-	if !any {
-		t.Fatal("pool with timed engines reported none")
-	}
-	if got.PathReads != 3 || got.PathWrites != 2 || got.DeferredWrites != 2 {
-		t.Errorf("merged stage counters wrong: %+v", got)
-	}
-	if got.Cycles != 900 {
-		t.Errorf("Cycles = %d, want frontier max 900", got.Cycles)
-	}
-	if got.ReadCycles != 140 || got.WriteCycles != 80 {
-		t.Errorf("latency sums wrong: %+v", got)
-	}
-	// The snapshot must have flushed engine a first (statsOnFlush applied).
-	if a.flushes == 0 {
-		t.Error("TimingStats snapshot did not flush the engines")
-	}
-
-	// An all-untimed pool reports none.
-	p2, err := NewPool([]Engine{newFakeEngine()}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	if _, any := p2.TimingStats(); any {
-		t.Error("untimed pool claimed timing stats")
 	}
 }

@@ -317,8 +317,7 @@ func (o *ORAM) LevelStats() []Stats { return o.inner.Stats() }
 // completion frontier takes the max): DRAM traffic and row-hit counters,
 // stage-2/stage-5 path charges, and the modeled completion frontier in
 // DDR3 cycles. The bool is false under BackendMem (no model attached).
-// Implements shard.TimedEngine, so pools aggregate these like protocol
-// stats. A quiesce point of the engine's timing lane: it returns only once
+// A quiesce point of the engine's timing lane: it returns only once
 // every charge recorded so far has been replayed, so call it from the
 // goroutine that owns the ORAM. Note the counters advance when I/O is
 // *charged*: under AsyncEviction a write-back's cycles land when the flush

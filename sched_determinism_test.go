@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// Tests named TestQueue* run in the CI `-run 'FRFCFS|Queue|Paced'` shard.
+// Tests named TestQueue* are a required suite of CI's race run.
 
 // queueShapes are the timed deployments the determinism tests replay, each
 // a change to queueDeterminismRun's four flat shards. The one-shard

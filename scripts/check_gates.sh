@@ -86,6 +86,8 @@ warmup="${EXPLORE_WARMUP:-128}"
 
 echo "wrote $out"
 
+# One closed-loop client (no -clients), so every non-wall metric of these
+# reports is a function of the seed.
 for grid in smoke:8 pr8:4 pr9:3 fig7:12 fig8:40; do
   report="$explore-${grid%:*}-ci.json"
   go run ./cmd/oram-explore -grid "${grid%:*}" -ops "$ops" -warmup "$warmup" -seed 1 -out "$report"

@@ -673,35 +673,22 @@ type SchedulerStats = shard.Stats
 // batches, per-shard executed requests).
 func (s *Sharded) SchedulerStats() SchedulerStats { return s.pool.Stats() }
 
-// TimingStats returns the modeled memory-timing counters aggregated over
-// all shards (counters sum, the completion frontier takes the max —
-// membus.Stats.Merge semantics, exactly how protocol stats aggregate).
-// Snapshots are taken on the workers through the same serialized Inspect
-// path as Stats, and under AsyncEviction each shard flushes first, so the
-// returned cycle counts always include every write-back owed by the
-// traffic observed so far. Every shard's timing lane is quiesced before any
-// port is read: one port's Stats forces the whole shared bus, and forcing
-// it while another shard's lane still holds stages would retire those out
-// of event order. The bool is false under BackendMem.
+// TimingStats returns the shared memory bus's modeled-timing counters: every
+// port of every shard merged (counters sum, the completion frontier takes
+// the max — membus.Stats.Merge semantics, exactly how protocol stats
+// aggregate). The quiesce runs on the workers through the same serialized
+// Inspect path as Stats, and under AsyncEviction each shard flushes first,
+// so the returned cycle counts always include every write-back owed by the
+// traffic observed so far. Every shard's timing lane is quiesced before the
+// bus is read: reading it forces every queued stage through, and forcing it
+// while a shard's lane still holds stages would retire those out of event
+// order. The bool is false under BackendMem.
 func (s *Sharded) TimingStats() (TimingStats, bool) {
-	if s.bus != nil {
-		_ = s.pool.InspectAll(s.inspectors(func(_ int, e *ORAM) { e.lane.quiesce() }))
-	}
-	return s.pool.TimingStats()
-}
-
-// ModeledFrontier returns the shared memory bus's completion frontier —
-// the modeled cycle of the latest retired stage — without quiescing the
-// event queue or the shards' timing lanes, so it is cheap enough to poll
-// per operation and may lag the exact frontier by the stages still in the
-// reorder window plus at most one lane (laneCap charges) per shard. Paced
-// load drivers use it as the modeled clock. The bool is false under
-// BackendMem.
-func (s *Sharded) ModeledFrontier() (uint64, bool) {
 	if s.bus == nil {
-		return 0, false
+		return TimingStats{}, false
 	}
-	return s.bus.Frontier(), true
+	_ = s.pool.InspectAll(s.inspectors(func(_ int, e *ORAM) { e.lane.quiesce() }))
+	return s.bus.Stats(), true
 }
 
 // Flush completes every shard's deferred state — staged write-backs and

@@ -31,8 +31,8 @@ func (f *failingCloseStorage) Close() error {
 // of the serving layer: when several shards fail their backend close, the
 // FIRST failure is the one reported — and it is reported even though
 // later shards (including shard 3, which closes cleanly) are still all
-// closed. cmd/oram-serve and cmd/oram-server turn this error into a
-// non-zero exit, so a dropped final checkpoint can never look clean.
+// closed. The explorer fails its sweep on this error and cmd/oram-server
+// exits non-zero on it, so a dropped final checkpoint can never look clean.
 func TestShardedCloseSurfacesFirstEngineError(t *testing.T) {
 	errShard1 := errors.New("shard 1: injected close failure")
 	errShard2 := errors.New("shard 2: injected close failure")

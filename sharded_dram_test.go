@@ -343,6 +343,55 @@ func TestDRAMConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestDRAMShardedTimingStatsFlushes: under AsyncEviction a Sharded timing
+// snapshot flushes every shard before it reads the bus, so it already
+// charges every write-back the traffic owed (one per path read, and a Flush
+// after it adds nothing); an untimed Sharded reports no timing at all.
+func TestDRAMShardedTimingStatsFlushes(t *testing.T) {
+	cfg := dramConfig(2, 256, PartitionStripe, true, 17)
+	cfg.MaxDeferredWriteBacks = 64
+	s, err := NewSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	addrs := make([]uint64, 128)
+	data := make([][]byte, len(addrs))
+	for i := range addrs {
+		addrs[i], data[i] = uint64(i), make([]byte, 16)
+	}
+	if err := s.WriteBatch(addrs, data); err != nil {
+		t.Fatal(err)
+	}
+	ts, ok := s.TimingStats()
+	if !ok {
+		t.Fatal("DRAM backend reported no timing stats")
+	}
+	if ts.PathReads == 0 || ts.PathWrites != ts.PathReads {
+		t.Errorf("snapshot charged %d write-backs for %d path reads", ts.PathWrites, ts.PathReads)
+	}
+	if n := s.PendingWriteBacks(); n != 0 {
+		t.Errorf("%d write-backs survived the snapshot flush", n)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := s.TimingStats(); again != ts {
+		t.Errorf("Flush after a snapshot charged more:\n%+v\nthen\n%+v", ts, again)
+	}
+
+	memCfg := dramConfig(2, 256, PartitionStripe, true, 17)
+	memCfg.Backend, memCfg.DRAMChannels = BackendMem, 0
+	memS, err := NewSharded(memCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer memS.Close()
+	if _, ok := memS.TimingStats(); ok {
+		t.Error("mem backend claimed timing stats")
+	}
+}
+
 // TestDRAMSingleORAMTiming covers the standalone (non-sharded) wiring: a
 // DRAM-backed ORAM builds its own private bus, reports timing, and the
 // write-buffer mapping charges deferred write-backs on the flush schedule.
