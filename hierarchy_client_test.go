@@ -378,3 +378,112 @@ func TestHierarchyChainLengthViews(t *testing.T) {
 		}
 	}
 }
+
+// TestHierarchyCheckoutAcrossRemaps replays a mixed workload of inclusive
+// accesses and exclusive Load/Store round trips on a recursive chain with
+// a PLB and two-block super blocks: blocks stay checked out while their
+// siblings are accessed (remapping the shared group, often on a PLB hit),
+// then come back with random Stores. Each Store must use the group's leaf
+// as of its last remap, or the block lands off its path and reads back
+// wrong after the final Flush.
+func TestHierarchyCheckoutAcrossRemaps(t *testing.T) {
+	const blocks = 256
+	h := testHierarchy(t, func(s *Spec) {
+		s.Blocks, s.BlockSize, s.SuperBlockSize = blocks, 8, 2
+		s.OnChipPosMapMax, s.PLBBytes = 64, 512
+	})
+	if h.NumORAMs() < 3 {
+		t.Fatalf("want a real chain, got %d ORAMs", h.NumORAMs())
+	}
+	rng := rand.New(rand.NewSource(25))
+	shadow := map[uint64][]byte{} // what each address should read as
+	cache := map[uint64][]byte{}  // checked-out blocks (the "processor cache")
+	expect := func(addr uint64) []byte {
+		if d, ok := shadow[addr]; ok {
+			return d
+		}
+		return make([]byte, 8)
+	}
+	remapsWhileOut := 0
+	for i := 0; i < 4000; i++ {
+		addr := rng.Uint64() % blocks
+		op := rng.Intn(5)
+		if _, held := cache[addr]; held && op < 4 {
+			continue
+		}
+		if _, sibOut := cache[addr^1]; sibOut && op < 4 {
+			remapsWhileOut++
+		}
+		switch op {
+		case 0: // oblivious write
+			d := bytes.Repeat([]byte{byte(rng.Intn(256))}, 8)
+			if err := h.Write(addr, d); err != nil {
+				t.Fatal(err)
+			}
+			shadow[addr] = d
+		case 1: // oblivious read
+			got, err := h.Read(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, expect(addr)) {
+				t.Fatalf("step %d: Read(%d)=% x want % x", i, addr, got, expect(addr))
+			}
+		case 2: // update
+			if err := h.Update(addr, func(d []byte) { d[7] ^= 0x55 }); err != nil {
+				t.Fatal(err)
+			}
+			d := append([]byte(nil), expect(addr)...)
+			d[7] ^= 0x55
+			shadow[addr] = d
+		case 3: // exclusive load (also pulls the resident sibling)
+			data, _, group, err := h.Load(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, expect(addr)) {
+				t.Fatalf("step %d: Load(%d)=% x want % x", i, addr, data, expect(addr))
+			}
+			cache[addr] = data
+			for _, g := range group {
+				if !bytes.Equal(g.Data, expect(g.Addr)) {
+					t.Fatalf("step %d: group member %d=% x want % x", i, g.Addr, g.Data, expect(g.Addr))
+				}
+				cache[g.Addr] = g.Data
+			}
+		case 4: // write back one cached block, possibly dirty
+			for a, d := range cache {
+				if rng.Intn(2) == 0 {
+					d = bytes.Repeat([]byte{byte(rng.Intn(256))}, 8)
+				}
+				if err := h.Store(a, d); err != nil {
+					t.Fatal(err)
+				}
+				shadow[a] = append([]byte(nil), d...)
+				delete(cache, a)
+				break
+			}
+		}
+	}
+	for a, d := range cache {
+		if err := h.Store(a, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if remapsWhileOut == 0 || h.Stats().PLBHits == 0 {
+		t.Fatalf("%d accesses remapped a group with a member out, %d PLB hits; the test must do both",
+			remapsWhileOut, h.Stats().PLBHits)
+	}
+	for a := uint64(0); a < blocks; a++ {
+		got, err := h.Read(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, expect(a)) {
+			t.Fatalf("final Read(%d)=% x want % x", a, got, expect(a))
+		}
+	}
+}

@@ -151,9 +151,10 @@ func (o *ORAM) Load(addr uint64) (data []byte, found bool, group []Slot, err err
 		// member; the earlier index-walk over removeAt's swap-delete could
 		// skip entries when removal moved an unvisited group member into the
 		// just-vacated index. The extracted payloads leave stash ownership
-		// and travel to the processor with the checked-out blocks.
+		// and travel to the processor with the checked-out blocks, each
+		// tagged with the group's fresh leaf.
 		o.stash.extractRange(lo, hi, func(e Slot) {
-			o.checkedOut[e.Addr] = struct{}{}
+			o.checkedOut[e.Addr] = newLeaf
 			o.stats.BlocksInORAM--
 			if e.Addr == addr {
 				data, found = e.Data, true
@@ -161,6 +162,7 @@ func (o *ORAM) Load(addr uint64) (data []byte, found bool, group []Slot, err err
 				group = append(group, e)
 			}
 		})
+		o.checkedOut[addr] = newLeaf
 		return nil
 	})
 	if err != nil {
@@ -168,30 +170,24 @@ func (o *ORAM) Load(addr uint64) (data []byte, found bool, group []Slot, err err
 	}
 	if !found {
 		data = o.freshData()
-		o.checkedOut[addr] = struct{}{}
 	}
 	return data, found, group, o.drainBackground()
 }
 
 // Store returns a checked-out block to the ORAM. Because the ORAM is
 // exclusive it holds no stale copy, so the block goes straight into the
-// stash with its group's current leaf — no path access (Section 3.3.1).
+// stash with its group's current leaf, read from the checkout record
+// rather than the position map — no path access (Section 3.3.1).
 func (o *ORAM) Store(addr uint64, data []byte) error {
 	if err := o.checkAddr(addr); err != nil {
 		return err
 	}
-	if _, out := o.checkedOut[addr]; !out {
+	leaf, out := o.checkedOut[addr]
+	if !out {
 		return fmt.Errorf("core: address %d is not checked out; use Access for inclusive writes", addr)
 	}
 	if err := o.checkData(data); err != nil {
 		return err
-	}
-	leaf, ok, err := o.pos.Peek(o.group(addr))
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("core: no position for checked-out address %d", addr)
 	}
 	o.stash.addCopy(addr, leaf, data)
 	delete(o.checkedOut, addr)
@@ -256,6 +252,14 @@ func (o *ORAM) realAccess(addr uint64, kind AccessKind, fn func(newLeaf uint32) 
 		return err
 	}
 	lo, hi := o.groupRange(g)
+	if len(o.checkedOut) > 0 {
+		// Members out in the processor follow their group to the new leaf.
+		for a := lo; a < hi; a++ {
+			if _, out := o.checkedOut[a]; out {
+				o.checkedOut[a] = newLeaf
+			}
+		}
+	}
 	err = o.pathAccess(uint64(oldLeaf), kind, func() error {
 		if o.stash.ct {
 			o.stash.ctRemapRange(lo, hi, newLeaf)
@@ -314,9 +318,6 @@ func (o *ORAM) pathAccess(leaf uint64, kind AccessKind, mutate func() error) err
 	o.notePeak()
 	if o.p.OnPathAccess != nil {
 		o.p.OnPathAccess(leaf, kind)
-	}
-	if o.p.AfterAccess != nil {
-		o.p.AfterAccess(o.stash.len(), kind)
 	}
 	return nil
 }

@@ -104,9 +104,6 @@ type Params struct {
 	// order, tagged with what triggered the access. This is the
 	// adversary's view used by the Figure 4 attack.
 	OnPathAccess func(leaf uint64, kind AccessKind)
-	// AfterAccess, when set, observes the stash occupancy (in blocks)
-	// after each completed path access. Used by the Figure 3 study.
-	AfterAccess func(stashBlocks int, kind AccessKind)
 	// DeferWriteBack enables the staged access path: each access performs
 	// position lookup, path read, stash merge and eviction *placement*
 	// synchronously (so stash and position-map state are identical to the
@@ -348,7 +345,11 @@ type ORAM struct {
 	threshold int
 	maxDummy  int
 
-	checkedOut map[uint64]struct{} // addresses held by the processor (exclusive mode)
+	// checkedOut maps each address the processor holds (exclusive mode) to
+	// its group's current leaf: the leaf tag a secure processor keeps with
+	// a cache line, so Store needs no position-map read and the record
+	// never outgrows what the processor holds.
+	checkedOut map[uint64]uint32
 
 	// deferredStore is store when it distinguishes deferred write-backs
 	// (TimedStore tagging stage-5 write-buffer traffic); nil otherwise.
@@ -398,7 +399,7 @@ func New(p Params, store PathStore, pos PositionMap, leaves LeafSource) (*ORAM, 
 		leaves:     leaves,
 		threshold:  p.EvictionThreshold(),
 		maxDummy:   p.MaxDummyRun,
-		checkedOut: make(map[uint64]struct{}),
+		checkedOut: make(map[uint64]uint32),
 		bucketBuf:  make([][]Slot, tree.Levels()),
 		byDepth:    make([][]int, tree.Levels()),
 	}

@@ -49,17 +49,16 @@ func (s *cryptoLeafSource) Leaf(n uint64) uint64 {
 }
 
 // PositionMap associates each super block (group of adjacent program
-// addresses, Section 3.2) with its current leaf.
+// addresses, Section 3.2) with its current leaf. It is read only through
+// an access: the exclusive Store path takes a checked-out block's leaf from
+// the ORAM's own checkout record, the leaf tag a secure processor keeps
+// next to each cache line (Section 3.3.1).
 type PositionMap interface {
 	// Access returns the group's current leaf and atomically remaps the
 	// group to a fresh uniformly random leaf (step 4 of the paper's
 	// accessORAM). For a group that was never mapped, the "current" leaf
 	// is a fresh uniform draw, matching the paper's initialization rule.
 	Access(group uint64) (old, new uint32, err error)
-	// Peek returns the current leaf without remapping, used by the
-	// exclusive Store path, which inserts into the stash without a path
-	// access (Section 3.3.1). ok is false if the group was never mapped.
-	Peek(group uint64) (leaf uint32, ok bool, err error)
 }
 
 // OnChipPositionMap is the flat N-entry lookup table of Section 2.1: one
@@ -102,18 +101,6 @@ func (m *OnChipPositionMap) Access(group uint64) (old, new uint32, err error) {
 	new = uint32(m.src.Leaf(m.numLeaves))
 	m.leaves[group] = new
 	return old, new, nil
-}
-
-// Peek implements PositionMap.
-func (m *OnChipPositionMap) Peek(group uint64) (uint32, bool, error) {
-	if group >= uint64(len(m.leaves)) {
-		return 0, false, fmt.Errorf("core: position map group %d out of range", group)
-	}
-	l := m.leaves[group]
-	if l == UnassignedLeaf {
-		return 0, false, nil
-	}
-	return l, true, nil
 }
 
 // SizeBits returns the on-chip storage the table needs with labelBits-bit

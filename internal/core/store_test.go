@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -171,6 +172,20 @@ func TestMemStorePathCoverageProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Peek returns a group's current leaf without remapping (ok is false if the
+// group was never mapped): the tests' window onto the table, which the
+// protocol itself reads only through Access.
+func (m *OnChipPositionMap) Peek(group uint64) (uint32, bool, error) {
+	if group >= uint64(len(m.leaves)) {
+		return 0, false, fmt.Errorf("core: position map group %d out of range", group)
+	}
+	l := m.leaves[group]
+	if l == UnassignedLeaf {
+		return 0, false, nil
+	}
+	return l, true, nil
 }
 
 func TestOnChipPositionMap(t *testing.T) {

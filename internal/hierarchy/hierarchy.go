@@ -223,7 +223,6 @@ func New(cfg Config) (*ORAM, error) {
 				labelsPerBlock: uint64(infos[i+1].BlockBytes / labelBytes),
 				numLeaves:      1 << uint(info.LeafLevel),
 				src:            cfg.Leaves,
-				shadow:         make(map[uint64]uint32),
 				h:              h,
 				level:          i,
 				plb:            newPLB(plbPer),
@@ -684,17 +683,15 @@ func (h *ORAM) needsEviction() bool {
 
 // oramPosMap is a core.PositionMap stored inside the next ORAM of the
 // chain: each backing block packs labelsPerBlock little-endian 4-byte leaf
-// labels; 0xFFFFFFFF (the backing ORAM's fresh fill) means unassigned.
+// labels; 0xFFFFFFFF (the backing ORAM's fresh fill) means unassigned. It
+// keeps no per-group state of its own: every label lives in the backing
+// tree or the PLB, and the leaf of a checked-out block rides in the data
+// ORAM's checkout record, so the chain's client state stays bounded.
 type oramPosMap struct {
 	backing        *core.ORAM
 	labelsPerBlock uint64
 	numLeaves      uint64
 	src            core.LeafSource
-	// shadow caches the label of every group that currently has blocks
-	// checked out, so the exclusive Store path can recover the leaf
-	// without an extra oblivious access. In hardware this is the leaf tag
-	// the secure processor keeps alongside each cache line.
-	shadow map[uint64]uint32
 	// plb is the optional lookaside cache in front of this interface; h
 	// and level locate it in the chain (backing is h.levels[level+1]) for
 	// chain-length accounting and constant-shape padding.
@@ -712,17 +709,17 @@ type oramPosMap struct {
 // victim of the insert is written back exactly as cached.
 func (m *oramPosMap) Access(group uint64) (old, new uint32, err error) {
 	if m.plb != nil {
-		if leaf, ok := m.plb.lookup(group); ok {
+		if e := m.plb.lookup(group); e != nil {
 			m.plb.hits++
-			newLeaf := uint32(m.src.Leaf(m.numLeaves))
-			m.plb.update(group, newLeaf)
-			m.shadow[group] = newLeaf
+			// Remap in the cache alone: the backing copy goes stale.
+			old = e.leaf
+			e.leaf, e.dirty = uint32(m.src.Leaf(m.numLeaves)), true
 			if m.h.cfg.PLBConstantShape {
 				if err := m.h.padElidedLevels(m.level + 1); err != nil {
 					return 0, 0, err
 				}
 			}
-			return leaf, newLeaf, nil
+			return old, e.leaf, nil
 		}
 		m.plb.misses++
 	}
@@ -753,7 +750,6 @@ func (m *oramPosMap) Access(group uint64) (old, new uint32, err error) {
 			}
 		}
 	}
-	m.shadow[group] = newLeaf
 	return old, newLeaf, nil
 }
 
@@ -782,10 +778,4 @@ func (h *ORAM) padElidedLevels(from int) error {
 		}
 	}
 	return nil
-}
-
-// Peek implements core.PositionMap from the shadow tags.
-func (m *oramPosMap) Peek(group uint64) (uint32, bool, error) {
-	l, ok := m.shadow[group]
-	return l, ok, nil
 }

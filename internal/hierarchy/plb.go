@@ -66,32 +66,20 @@ func (c *plb) sizeBytes() uint64 {
 	return uint64(len(c.entries)) * plbEntryBytes
 }
 
-// lookup probes the cache. On a hit the entry's LRU stamp is refreshed.
-func (c *plb) lookup(group uint64) (uint32, bool) {
+// lookup probes the cache and returns the resident entry for group, or nil
+// on a miss. On a hit the entry's LRU stamp is refreshed; the caller remaps
+// the group by rewriting the entry's leaf in place and marking it dirty.
+func (c *plb) lookup(group uint64) *plbEntry {
 	base := (group & c.setMask) * uint64(c.ways)
 	set := c.entries[base : base+uint64(c.ways)]
 	for i := range set {
 		if set[i].valid && set[i].group == group {
 			c.clock++
 			set[i].stamp = c.clock
-			return set[i].leaf, true
+			return &set[i]
 		}
 	}
-	return 0, false
-}
-
-// update rewrites a present entry's label in place and marks it dirty (the
-// backing copy is now stale). The caller must have just hit on group.
-func (c *plb) update(group uint64, leaf uint32) {
-	base := (group & c.setMask) * uint64(c.ways)
-	set := c.entries[base : base+uint64(c.ways)]
-	for i := range set {
-		if set[i].valid && set[i].group == group {
-			set[i].leaf = leaf
-			set[i].dirty = true
-			return
-		}
-	}
+	return nil
 }
 
 // insert places a clean entry for group (the backing ORAM already holds

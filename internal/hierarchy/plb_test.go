@@ -51,22 +51,25 @@ func TestPLBLRUReplacement(t *testing.T) {
 		}
 	}
 	// Touch group 0 so group 1 becomes LRU, then overflow the set.
-	if _, ok := c.lookup(0); !ok {
-		t.Fatal("resident group 0 missed")
+	if e := c.lookup(0); e == nil || e.group != 0 || e.leaf != 0 {
+		t.Fatalf("resident group 0 looked up as %+v", e)
 	}
 	if v, dirty := c.insert(99, 99); dirty || !v.valid || v.group != 1 {
 		t.Fatalf("victim %+v dirty=%v, want clean group 1 (LRU)", v, dirty)
 	}
-	if _, ok := c.lookup(1); ok {
+	if c.lookup(1) != nil {
 		t.Error("evicted group 1 still hits")
 	}
 	for _, g := range []uint64{0, 2, 3, 99} {
-		if _, ok := c.lookup(g); !ok {
+		if c.lookup(g) == nil {
 			t.Errorf("resident group %d missed", g)
 		}
 	}
-	// update marks dirty in place; the dirty victim must surface on evict.
-	c.update(2, 42)
+	// A remap through the looked-up entry marks it dirty in place; the
+	// dirty victim must surface on evict. The lookup itself refreshed
+	// group 2's recency, so three more lookups make it LRU again.
+	e := c.lookup(2)
+	e.leaf, e.dirty = 42, true
 	c.lookup(0)
 	c.lookup(3)
 	c.lookup(99)

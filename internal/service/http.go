@@ -51,7 +51,7 @@ type statsBody struct {
 //	GET    /v1/t/{name}/stats       protocol + timing counters (admin)
 //
 // Errors are {"error":...} with 400 (malformed), 404 (no tenant), 409
-// (exists), 503 (draining).
+// (exists), 503 (draining, or the tenant closed mid-request).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -104,7 +104,7 @@ func (s *Service) handleRead(w http.ResponseWriter, r *http.Request, t *Tenant) 
 	}
 	data, err := t.Client.Read(req.Addr)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, opResult{Addr: req.Addr, Data: data})
@@ -122,7 +122,7 @@ func (s *Service) handleWrite(w http.ResponseWriter, r *http.Request, t *Tenant)
 		return
 	}
 	if err := t.Client.Write(req.Addr, req.Data); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		writeErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, opResult{Addr: req.Addr})
@@ -245,7 +245,9 @@ func writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, ErrExists):
 		status = http.StatusConflict
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrClosed), errors.Is(err, pathoram.ErrClosed):
+		// The registry is draining, or the tenant's client closed under a
+		// request that had already resolved it (Drop, Close).
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, errorBody{Error: err.Error()})

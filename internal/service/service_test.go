@@ -270,6 +270,37 @@ func TestServerStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestServerSingleOpOnClosedTenant: a read or write that resolved its
+// tenant just before the tenant's client closed (Drop, or the drain in
+// Service.Close) is told the service is unavailable, not that it was
+// malformed. Requests that are malformed stay 400.
+func TestServerSingleOpOnClosedTenant(t *testing.T) {
+	svc, ts := newServer(t, memSpec())
+	if got := doJSON(t, "POST", ts.URL+"/v1/t/x/read", wireOp{Addr: 1}, nil); got != http.StatusNotFound {
+		t.Fatalf("read on unknown tenant: status %d, want 404", got)
+	}
+	tenant, err := svc.Create("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := bytes.Repeat([]byte("a"), 16)
+	if got := doJSON(t, "POST", ts.URL+"/v1/t/alice/read", wireOp{Addr: 256}, nil); got != http.StatusBadRequest {
+		t.Errorf("out-of-range read: status %d, want 400", got)
+	}
+	if got := doJSON(t, "POST", ts.URL+"/v1/t/alice/write", wireOp{Addr: 1, Data: block[:3]}, nil); got != http.StatusBadRequest {
+		t.Errorf("short write: status %d, want 400", got)
+	}
+	if err := tenant.Client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := doJSON(t, "POST", ts.URL+"/v1/t/alice/read", wireOp{Addr: 1}, nil); got != http.StatusServiceUnavailable {
+		t.Errorf("read on a closed tenant: status %d, want 503", got)
+	}
+	if got := doJSON(t, "POST", ts.URL+"/v1/t/alice/write", wireOp{Addr: 1, Data: block}, nil); got != http.StatusServiceUnavailable {
+		t.Errorf("write on a closed tenant: status %d, want 503", got)
+	}
+}
+
 // TestServerDrainCheckpointsTenants pins the drain protocol: after Close
 // every endpoint answers 503, and each file-backed tenant's WAL has been
 // checkpointed into its tree file (empty log on disk).
