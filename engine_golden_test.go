@@ -85,6 +85,10 @@ var engineGoldenVariants = []struct {
 		return Spec{BlockSize: 16, Key: goldenKey, Backend: BackendFile, Dir: dir}
 	}},
 	{"counter-integrity", func(string) Spec { return Spec{BlockSize: 16, Key: goldenKey, Integrity: true} }},
+	// Plaintext at rest: the tree files hold the bare serialized buckets.
+	{"file-plain", func(dir string) Spec {
+		return Spec{BlockSize: 16, Encryption: EncryptNone, Backend: BackendFile, Dir: dir}
+	}},
 	{"rec-plb", func(string) Spec {
 		return Spec{BlockSize: 16, Encryption: EncryptNone,
 			PosMap: PosMapRecursive, PosBlockSize: 16, OnChipPosMapMax: 64, PLBBytes: 512}
@@ -100,6 +104,11 @@ var engineGoldenVariants = []struct {
 	}},
 	{"rec-file-counter", func(dir string) Spec {
 		return Spec{BlockSize: 16, Key: goldenKey, Backend: BackendFile, Dir: dir,
+			PosMap: PosMapRecursive, PosBlockSize: 16, OnChipPosMapMax: 64}
+	}},
+	{"rec-file-plain-wal-async", func(dir string) Spec {
+		return Spec{BlockSize: 16, Encryption: EncryptNone, Backend: BackendFile, Dir: dir,
+			WAL: true, WALDepth: 8, AsyncEviction: true,
 			PosMap: PosMapRecursive, PosBlockSize: 16, OnChipPosMapMax: 64}
 	}},
 	// A real chain on the in-order bus, and one on a two-deep FR-FCFS
@@ -341,7 +350,10 @@ func TestEngineGolden(t *testing.T) {
 // dram-serialize, rec-plb-dram-overlap, rec-dram and rec-frfcfs-qd2,
 // masked until chain dependencies resolved in the bus at retirement, was
 // recorded with that change after 60 runs at GOMAXPROCS 1/2/4 and 24
-// under -race held it still.
+// under -race held it still. The file-plain and rec-file-plain-wal-async
+// cases were recorded at 6ea5fe6, the parent of the change that moved
+// plaintext-at-rest trees onto the encrypting store under an identity
+// scheme, after runs at GOMAXPROCS 1/2/3 held them still.
 var engineGoldens = map[string]engineGolden{
 	"plain/bare": {
 		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
@@ -463,6 +475,16 @@ var engineGoldens = map[string]engineGolden{
 		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
+	"file-plain/bare": {
+		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "581ee260a18706fc",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
+	"file-plain/open2": {
+		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "4766ee24b5b3d4fe",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		timing: "untimed",
+	},
 	"rec-plb/bare": {
 		trace: "05ae54c286a75e22", out: "60ca52d48750c82e", onChip: 22752, files: "",
 		stats:  "{RealAccesses:16552 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:540 PLBMisses:11910 PLBWriteBacks:491 ChainLevels:16552 ChainSamples:4151}",
@@ -501,6 +523,16 @@ var engineGoldens = map[string]engineGolden{
 	"rec-file-counter/open2": {
 		trace: "36a94f09dffe540a 05270bb86ba567c2", out: "60ca52d48750c82e", onChip: 44864, files: "249aa4d171d4244a",
 		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		timing: "untimed",
+	},
+	"rec-file-plain-wal-async/bare": {
+		trace: "f73fa9983c21871c", out: "006ec18777d3f559", onChip: 22464, files: "9e99a088106f9419",
+		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:9 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:17308 IdleEvictions:0 PendingWriteBackPeak:8 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		timing: "untimed",
+	},
+	"rec-file-plain-wal-async/open2": {
+		trace: "36a94f09dffe540a 05270bb86ba567c2", out: "13b3c1941d354305", onChip: 44864, files: "9b3254661a0d722a",
+		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:17308 IdleEvictions:0 PendingWriteBackPeak:8 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
 		timing: "untimed",
 	},
 	"rec-dram/bare": {

@@ -93,13 +93,3 @@ func (t *TimedStore) WritePathDeferred(leaf uint64, buckets [][]Slot) error {
 	t.timer.WritePath(leaf, true)
 	return nil
 }
-
-// MemoryBytes forwards the external-memory footprint when the wrapped
-// store reports one (0 otherwise), so a timed store slots into footprint
-// accounting unchanged.
-func (t *TimedStore) MemoryBytes() uint64 {
-	if m, ok := t.inner.(interface{ MemoryBytes() uint64 }); ok {
-		return m.MemoryBytes()
-	}
-	return 0
-}

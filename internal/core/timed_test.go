@@ -255,7 +255,4 @@ func TestTimedStoreErrorsNotCharged(t *testing.T) {
 	if ts.Inner() != ms {
 		t.Error("Inner() does not return the wrapped store")
 	}
-	if ts.MemoryBytes() != 0 {
-		t.Error("MemStore-backed TimedStore should report 0 footprint")
-	}
 }

@@ -57,12 +57,12 @@ func TestCounterCiphertextGolden(t *testing.T) {
 	}
 
 	tree, ctrs := sha256.New(), sha256.New()
+	rec := make([][]byte, 1)
 	for flat := uint64(0); flat < store.Backing().NumBuckets(); flat++ {
-		rec, err := store.Backing().ReadBucket(flat)
-		if err != nil {
+		if err := store.Backing().ReadBuckets([]uint64{flat}, rec); err != nil {
 			t.Fatal(err)
 		}
-		tree.Write(rec)
+		tree.Write(rec[0])
 		var c [8]byte
 		binary.LittleEndian.PutUint64(c[:], scheme.Counter(flat))
 		ctrs.Write(c[:])

@@ -1,7 +1,9 @@
 // Package encrypt implements the paper's two randomized bucket-encryption
-// schemes (Section 2.2) and an encrypting PathStore that serializes buckets
-// into a flat external memory, optionally verified by the authentication
-// tree of internal/integrity (Section 5).
+// schemes (Section 2.2), an identity scheme for plaintext-at-rest trees,
+// and the one serializing PathStore: it lays buckets out in the Section 2.2
+// format, seals them under a scheme and keeps them in a flat external
+// memory, optionally verified by the authentication tree of
+// internal/integrity (Section 5).
 //
 // Layout note: the analytical model in internal/analysis uses the paper's
 // bit-exact field widths (L-bit leaves, U-bit addresses). The functional
@@ -240,6 +242,56 @@ func (s *StrawmanScheme) Open(_ uint64, ct []byte, z int, out []byte) error {
 // for interface completeness and is excluded from the zero-allocation
 // target.
 func (s *StrawmanScheme) SealPath(ids []uint64, plain [][]byte, z int, out [][]byte) error {
+	return sealEach(s, ids, plain, z, out)
+}
+
+// OpenPath implements Scheme by looping Open; out[d] == nil skips level d.
+func (s *StrawmanScheme) OpenPath(ids []uint64, ct [][]byte, z int, out [][]byte) error {
+	return openEach(s, ids, ct, z, out)
+}
+
+// PlainScheme is the identity scheme of plaintext-at-rest trees
+// (EncryptNone on a tree file): no overhead, and Seal and Open are copies,
+// so an unencrypted tree that must be serialized goes through the same
+// Store — and lands in the same bucket format — as an encrypted one.
+type PlainScheme struct{}
+
+// Name implements Scheme.
+func (PlainScheme) Name() string { return "none" }
+
+// Overhead implements Scheme.
+func (PlainScheme) Overhead(int) int { return 0 }
+
+// Seal implements Scheme: out is a copy of plain.
+func (PlainScheme) Seal(_ uint64, plain []byte, _ int, out []byte) error {
+	if len(out) != len(plain) {
+		return fmt.Errorf("encrypt: seal buffer %d want %d", len(out), len(plain))
+	}
+	copy(out, plain)
+	return nil
+}
+
+// Open implements Scheme: out is a copy of ct.
+func (PlainScheme) Open(_ uint64, ct []byte, _ int, out []byte) error {
+	if len(out) != len(ct) {
+		return fmt.Errorf("encrypt: open buffer %d for ct %d", len(out), len(ct))
+	}
+	copy(out, ct)
+	return nil
+}
+
+// SealPath implements Scheme by looping Seal.
+func (s PlainScheme) SealPath(ids []uint64, plain [][]byte, z int, out [][]byte) error {
+	return sealEach(s, ids, plain, z, out)
+}
+
+// OpenPath implements Scheme by looping Open; out[d] == nil skips level d.
+func (s PlainScheme) OpenPath(ids []uint64, ct [][]byte, z int, out [][]byte) error {
+	return openEach(s, ids, ct, z, out)
+}
+
+// sealEach is SealPath as one Seal per level.
+func sealEach(s Scheme, ids []uint64, plain [][]byte, z int, out [][]byte) error {
 	if len(plain) != len(ids) || len(out) != len(ids) {
 		return fmt.Errorf("encrypt: seal path of %d ids, %d plain, %d out", len(ids), len(plain), len(out))
 	}
@@ -251,8 +303,8 @@ func (s *StrawmanScheme) SealPath(ids []uint64, plain [][]byte, z int, out [][]b
 	return nil
 }
 
-// OpenPath implements Scheme by looping Open; out[d] == nil skips level d.
-func (s *StrawmanScheme) OpenPath(ids []uint64, ct [][]byte, z int, out [][]byte) error {
+// openEach is OpenPath as one Open per level; out[d] == nil skips level d.
+func openEach(s Scheme, ids []uint64, ct [][]byte, z int, out [][]byte) error {
 	if len(ct) != len(ids) || len(out) != len(ids) {
 		return fmt.Errorf("encrypt: open path of %d ids, %d ct, %d out", len(ids), len(ct), len(out))
 	}

@@ -201,7 +201,7 @@ func TestSchemesRoundTripProperty(t *testing.T) {
 func TestSchemeNames(t *testing.T) {
 	ctr, _ := NewCounterScheme(testKey, 1)
 	straw, _ := NewStrawmanScheme(testKey, rand.New(rand.NewSource(6)))
-	if ctr.Name() != "counter" || straw.Name() != "strawman" {
+	if ctr.Name() != "counter" || straw.Name() != "strawman" || (PlainScheme{}).Name() != "none" {
 		t.Error("scheme names wrong")
 	}
 }
@@ -216,5 +216,13 @@ func TestBucketSizeHelpers(t *testing.T) {
 	}
 	if got := PaddedBucketBytes(ctr, 3, 128); got != 448 {
 		t.Errorf("PaddedBucketBytes=%d want 448", got)
+	}
+	// The identity scheme adds nothing: a plaintext record is the bare
+	// serialization padded to the access granularity.
+	if got := PaddedBucketBytes(PlainScheme{}, 3, 128); got != 448 {
+		t.Errorf("plain PaddedBucketBytes=%d want 448", got)
+	}
+	if got := PaddedBucketBytes(PlainScheme{}, 3, 0); got != 64 {
+		t.Errorf("plain metadata-only PaddedBucketBytes=%d want 64", got)
 	}
 }

@@ -11,21 +11,20 @@ import (
 	"repro/internal/treemath"
 )
 
-// PadGranularity pads each bucket ciphertext to a multiple of the DRAM
-// access granularity (Section 2.4).
-const PadGranularity = 64
-
 // slotHeaderBytes is the byte-aligned per-slot header: 8-byte address
-// (stored as Addr+1; 0 marks a dummy block, the paper's reserved address)
-// plus a 4-byte leaf label.
+// (stored as Addr+1; 0 marks a dummy block, the paper's reserved address,
+// so a zero-filled arena or tree file holds an all-dummy tree) plus a
+// 4-byte leaf label.
 const slotHeaderBytes = 12
 
 // StoreConfig parameterizes a Store.
 type StoreConfig struct {
 	LeafLevel  int
 	Z          int
-	BlockBytes int // must be > 0: ciphertexts need payloads
-	Scheme     Scheme
+	BlockBytes int // must be > 0: serialized buckets need payloads
+	// Scheme seals every bucket: CounterScheme or StrawmanScheme, or
+	// PlainScheme for a plaintext tree that must still be serialized.
+	Scheme Scheme
 	// Auth, when non-nil, verifies every path read and re-authenticates
 	// every write-back (Section 5). Build it with NewAuthTree so the
 	// hashed bucket width matches.
@@ -34,9 +33,7 @@ type StoreConfig struct {
 	// construction, simulating uninitialized DRAM. Requires Auth: the
 	// valid bits are what make garbage memory safe to consume.
 	RandomizeMemory io.Reader
-	// OnBucketAccess observes external-memory traffic (bucket granularity).
-	OnBucketAccess func(flat uint64, write bool)
-	// Backing, when non-nil, is the storage the padded ciphertext buckets
+	// Backing, when non-nil, is the storage the padded sealed buckets
 	// live in (a file, a WAL-wrapped file, ...). Its geometry must match
 	// this store: NumBuckets for the leaf level and a stride of
 	// PaddedBucketBytes. Nil means a private in-memory arena — the
@@ -44,9 +41,10 @@ type StoreConfig struct {
 	Backing storage.Storage
 }
 
-// Store is a core.PathStore that serializes buckets byte-aligned, encrypts
-// them with a randomized Scheme and keeps them in a flat external memory,
-// optionally authenticated.
+// Store is a core.PathStore that serializes buckets byte-aligned, seals
+// them under a Scheme and keeps them in a flat external memory, optionally
+// authenticated. It is the one place the bucket format of Section 2.2 is
+// written and read.
 type Store struct {
 	cfg    StoreConfig
 	tree   treemath.Tree
@@ -81,8 +79,6 @@ type Store struct {
 	reachBuf  []bool
 	ctRefs    [][]byte
 	sealBufs  [][]byte
-
-	bucketReads, bucketWrites uint64
 }
 
 // PlainBucketBytes returns the serialized plaintext size of one bucket.
@@ -94,11 +90,13 @@ func CipherBucketBytes(s Scheme, z, blockBytes int) int {
 	return PlainBucketBytes(z, blockBytes) + s.Overhead(z)
 }
 
-// PaddedBucketBytes returns the external-memory stride of one bucket.
+// PaddedBucketBytes returns the external-memory stride of one bucket: its
+// ciphertext padded to the DRAM access granularity (Section 2.4), which is
+// also the bytes one bucket moves on the modeled memory bus.
 func PaddedBucketBytes(s Scheme, z, blockBytes int) int {
 	raw := CipherBucketBytes(s, z, blockBytes)
-	if r := raw % PadGranularity; r != 0 {
-		raw += PadGranularity - r
+	if r := raw % storage.RecordAlign; r != 0 {
+		raw += storage.RecordAlign - r
 	}
 	return raw
 }
@@ -118,7 +116,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		return nil, fmt.Errorf("encrypt: Z=%d must be >= 1", cfg.Z)
 	}
 	if cfg.BlockBytes < 1 {
-		return nil, fmt.Errorf("encrypt: encrypted stores need payloads (BlockBytes >= 1)")
+		return nil, fmt.Errorf("encrypt: serialized stores need payloads (BlockBytes >= 1)")
 	}
 	if cfg.RandomizeMemory != nil && cfg.Auth == nil {
 		return nil, fmt.Errorf("encrypt: RandomizeMemory requires the integrity layer")
@@ -134,11 +132,8 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		return nil, fmt.Errorf("encrypt: Z=%d buckets of %dB blocks are %dB of plaintext; the counter scheme pads at most %dB per bucket",
 			cfg.Z, cfg.BlockBytes, s.pbytes, MaxCounterBucketBytes)
 	}
-	s.cbytes = s.pbytes + cfg.Scheme.Overhead(cfg.Z)
-	s.stride = s.cbytes
-	if r := s.stride % PadGranularity; r != 0 {
-		s.stride += PadGranularity - r
-	}
+	s.cbytes = CipherBucketBytes(cfg.Scheme, cfg.Z, cfg.BlockBytes)
+	s.stride = PaddedBucketBytes(cfg.Scheme, cfg.Z, cfg.BlockBytes)
 	if cfg.Backing != nil {
 		if cfg.Backing.NumBuckets() != tree.NumBuckets() || cfg.Backing.Stride() != s.stride {
 			return nil, fmt.Errorf("encrypt: backing geometry (%d buckets, stride %d) does not match store (%d buckets, stride %d)",
@@ -169,12 +164,12 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		s.sealBufs[d] = sealArena[d*s.stride : (d+1)*s.stride : (d+1)*s.stride]
 	}
 	if cfg.RandomizeMemory != nil {
-		rec := make([]byte, s.stride)
+		recs := [][]byte{make([]byte, s.stride)}
 		for flat := uint64(0); flat < tree.NumBuckets(); flat++ {
-			if _, err := io.ReadFull(cfg.RandomizeMemory, rec); err != nil {
+			if _, err := io.ReadFull(cfg.RandomizeMemory, recs[0]); err != nil {
 				return nil, fmt.Errorf("encrypt: randomizing memory: %w", err)
 			}
-			if err := s.backing.WriteBucket(flat, rec); err != nil {
+			if err := s.backing.WriteBuckets([]uint64{flat}, recs); err != nil {
 				return nil, fmt.Errorf("encrypt: randomizing memory: %w", err)
 			}
 		}
@@ -185,20 +180,17 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 // MemoryBytes returns the external-memory footprint of the tree.
 func (s *Store) MemoryBytes() uint64 { return s.backing.MemoryBytes() }
 
-// Backing returns the storage the ciphertext buckets live in.
+// Backing returns the storage the sealed buckets live in.
 func (s *Store) Backing() storage.Storage { return s.backing }
 
-// Traffic returns cumulative bucket reads and writes.
-func (s *Store) Traffic() (reads, writes uint64) { return s.bucketReads, s.bucketWrites }
-
 // bucketSlice returns the live ciphertext of one bucket, aliasing the
-// backing (test hooks only: the hot paths use the batched calls).
+// backing (test hooks only).
 func (s *Store) bucketSlice(flat uint64) []byte {
-	rec, err := s.backing.ReadBucket(flat)
-	if err != nil {
+	rec := make([][]byte, 1)
+	if err := s.backing.ReadBuckets([]uint64{flat}, rec); err != nil {
 		panic(fmt.Sprintf("encrypt: bucketSlice(%d): %v", flat, err))
 	}
-	return rec[:s.cbytes]
+	return rec[0][:s.cbytes]
 }
 
 // ReadPath implements core.PathStore: decrypt (and verify) the path,
@@ -221,9 +213,7 @@ func (s *Store) ReadPath(leaf uint64, skip []bool, dst [][]core.Slot) ([][]core.
 	}
 	reach := s.pathReachability(leaf)
 	for d := 0; d <= s.tree.LeafLevel(); d++ {
-		flat := s.tree.PathBucket(leaf, d)
-		s.idsBuf[d] = flat
-		s.noteAccess(flat, false)
+		s.idsBuf[d] = s.tree.PathBucket(leaf, d)
 	}
 	if err := s.backing.ReadBuckets(s.idsBuf, s.ctRefs); err != nil {
 		return dst, err
@@ -343,9 +333,8 @@ func (s *Store) WritePath(leaf uint64, buckets [][]core.Slot) error {
 	if err := s.backing.WriteBuckets(s.idsBuf, s.sealBufs); err != nil {
 		return err
 	}
-	for d := 0; d <= s.tree.LeafLevel(); d++ {
-		s.written[s.idsBuf[d]] = true
-		s.noteAccess(s.idsBuf[d], true)
+	for _, flat := range s.idsBuf {
+		s.written[flat] = true
 	}
 	if s.cfg.Auth != nil {
 		return s.cfg.Auth.UpdatePath(leaf, s.ctRefs, reach)
@@ -371,15 +360,4 @@ func (s *Store) SnapshotBucket(flat uint64) []byte {
 // RestoreBucket implements the replay half of Snapshot/Restore.
 func (s *Store) RestoreBucket(flat uint64, snap []byte) {
 	copy(s.bucketSlice(flat), snap)
-}
-
-func (s *Store) noteAccess(flat uint64, write bool) {
-	if write {
-		s.bucketWrites++
-	} else {
-		s.bucketReads++
-	}
-	if s.cfg.OnBucketAccess != nil {
-		s.cfg.OnBucketAccess(flat, write)
-	}
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/integrity"
+	"repro/internal/storage"
+	"repro/internal/treemath"
 )
 
 // buildORAM wires a core ORAM over an encrypting store.
@@ -417,9 +420,6 @@ func TestTimedWrapperPreservesOutstandingPairing(t *testing.T) {
 	if err := store.WritePath(9, make([][]core.Slot, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if store.MemoryBytes() != inner.MemoryBytes() {
-		t.Errorf("footprint not forwarded: %d vs %d", store.MemoryBytes(), inner.MemoryBytes())
-	}
 }
 
 func flatten(buckets [][]core.Slot) []core.Slot {
@@ -430,12 +430,44 @@ func flatten(buckets [][]core.Slot) []core.Slot {
 	return out
 }
 
-func TestStoreTrafficAndFootprint(t *testing.T) {
-	scheme, _ := NewCounterScheme(testKey, 31)
-	store, err := NewStore(StoreConfig{LeafLevel: 4, Z: 2, BlockBytes: 8, Scheme: scheme})
+// countingBacking is a Storage that counts the buckets a store moves
+// through it: the store's whole external-memory traffic.
+type countingBacking struct {
+	storage.Storage
+	reads, writes int
+}
+
+func (c *countingBacking) ReadBuckets(flats []uint64, dst [][]byte) error {
+	c.reads += len(flats)
+	return c.Storage.ReadBuckets(flats, dst)
+}
+
+func (c *countingBacking) WriteBuckets(flats []uint64, recs [][]byte) error {
+	c.writes += len(flats)
+	return c.Storage.WriteBuckets(flats, recs)
+}
+
+// newCountingStore builds a Store over a counting in-memory backing.
+func newCountingStore(t *testing.T, leafLevel, z, blockBytes int, scheme Scheme) (*Store, *countingBacking) {
+	t.Helper()
+	mem, err := storage.NewMem(treemath.New(leafLevel).NumBuckets(), PaddedBucketBytes(scheme, z, blockBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
+	backing := &countingBacking{Storage: mem}
+	store, err := NewStore(StoreConfig{LeafLevel: leafLevel, Z: z, BlockBytes: blockBytes, Scheme: scheme, Backing: backing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store, backing
+}
+
+// TestStoreTrafficAndFootprint: a path read and its write-back each move
+// exactly the L+1 buckets of the path through the backing, and the
+// footprint is the backing's.
+func TestStoreTrafficAndFootprint(t *testing.T) {
+	scheme, _ := NewCounterScheme(testKey, 31)
+	store, backing := newCountingStore(t, 4, 2, 8, scheme)
 	stride := PaddedBucketBytes(scheme, 2, 8)
 	if got, want := store.MemoryBytes(), uint64(31*stride); got != want {
 		t.Errorf("MemoryBytes=%d want %d", got, want)
@@ -446,36 +478,8 @@ func TestStoreTrafficAndFootprint(t *testing.T) {
 	if err := store.WritePath(0, make([][]core.Slot, 5)); err != nil {
 		t.Fatal(err)
 	}
-	r, w := store.Traffic()
-	if r != 5 || w != 5 {
-		t.Errorf("traffic=(%d,%d) want (5,5) buckets", r, w)
-	}
-}
-
-func TestOnBucketAccessHook(t *testing.T) {
-	scheme, _ := NewCounterScheme(testKey, 31)
-	var reads, writes int
-	store, err := NewStore(StoreConfig{
-		LeafLevel: 4, Z: 2, BlockBytes: 8, Scheme: scheme,
-		OnBucketAccess: func(_ uint64, write bool) {
-			if write {
-				writes++
-			} else {
-				reads++
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.ReadPath(1, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.WritePath(1, make([][]core.Slot, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if reads != 5 || writes != 5 {
-		t.Errorf("hook saw (%d,%d) want (5,5)", reads, writes)
+	if backing.reads != 5 || backing.writes != 5 {
+		t.Errorf("traffic=(%d,%d) want (5,5) buckets", backing.reads, backing.writes)
 	}
 }
 
@@ -523,10 +527,7 @@ func TestWritePathAllDummiesOverFullPath(t *testing.T) {
 // read consumed, so the corrected write-back still lands.
 func TestWritePathRejectsBadPayloadUntouched(t *testing.T) {
 	scheme, _ := NewCounterScheme(testKey, 31)
-	store, err := NewStore(StoreConfig{LeafLevel: 4, Z: 2, BlockBytes: 8, Scheme: scheme})
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, backing := newCountingStore(t, 4, 2, 8, scheme)
 	if _, err := store.ReadPath(9, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -536,8 +537,8 @@ func TestWritePathRejectsBadPayloadUntouched(t *testing.T) {
 	if err := store.WritePath(9, buckets); err == nil {
 		t.Fatal("7-byte payload accepted by an 8-byte store")
 	}
-	if _, writes := store.Traffic(); writes != 0 || scheme.Counter(0) != 0 {
-		t.Errorf("refused write-back reached the tree: %d bucket writes, root counter %d", writes, scheme.Counter(0))
+	if backing.writes != 0 || scheme.Counter(0) != 0 {
+		t.Errorf("refused write-back reached the tree: %d bucket writes, root counter %d", backing.writes, scheme.Counter(0))
 	}
 	buckets[4][0].Data = fill(2, 8)
 	if err := store.WritePath(9, buckets); err != nil {
@@ -549,5 +550,92 @@ func TestWritePathRejectsBadPayloadUntouched(t *testing.T) {
 	}
 	if n := len(flatten(got)); n != 2 {
 		t.Errorf("read back %d blocks, want 2", n)
+	}
+}
+
+// TestStoragePlainStoreMatchesMemStore replays a random path workload
+// through the serializing store under the identity scheme — over a Mem
+// and over a File backing — and through core.MemStore, and requires
+// identical ReadPath results throughout: a plaintext-at-rest tree is a
+// drop-in for the unserialized one.
+func TestStoragePlainStoreMatchesMemStore(t *testing.T) {
+	const (
+		leafLevel  = 4
+		z          = 4
+		blockBytes = 24
+	)
+	tree := treemath.New(leafLevel)
+	ref, err := core.NewMemStore(leafLevel, z, blockBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride := PaddedBucketBytes(PlainScheme{}, z, blockBytes)
+	memBack, err := storage.NewMem(tree.NumBuckets(), stride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileBack, err := storage.OpenFile(filepath.Join(t.TempDir(), "p.oram"), tree.NumBuckets(), stride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fileBack.Close()
+	stores := map[string]*Store{}
+	for name, backing := range map[string]storage.Storage{"mem": memBack, "file": fileBack} {
+		s, err := NewStore(StoreConfig{LeafLevel: leafLevel, Z: z, BlockBytes: blockBytes, Scheme: PlainScheme{}, Backing: backing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[name] = s
+	}
+
+	r := rand.New(rand.NewSource(42))
+	leaves := tree.NumLeaves()
+	var nextAddr uint64 = 1
+	for step := 0; step < 300; step++ {
+		leaf := uint64(r.Intn(int(leaves)))
+		got, err := ref.ReadPath(leaf, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range stores {
+			g, err := s.ReadPath(leaf, nil, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(g) != len(got) {
+				t.Fatalf("%s: level count mismatch", name)
+			}
+			for d := range got {
+				if len(g[d]) != len(got[d]) {
+					t.Fatalf("%s: step %d level %d: %d slots, want %d", name, step, d, len(g[d]), len(got[d]))
+				}
+				for i := range got[d] {
+					if g[d][i].Addr != got[d][i].Addr || g[d][i].Leaf != got[d][i].Leaf || !bytes.Equal(g[d][i].Data, got[d][i].Data) {
+						t.Fatalf("%s: step %d level %d slot %d mismatch", name, step, d, i)
+					}
+				}
+			}
+		}
+		// Write a fresh random path back everywhere.
+		buckets := make([][]core.Slot, tree.Levels())
+		for d := range buckets {
+			n := r.Intn(z + 1)
+			for i := 0; i < n; i++ {
+				data := make([]byte, blockBytes)
+				for j := range data {
+					data[j] = byte(r.Intn(256))
+				}
+				buckets[d] = append(buckets[d], core.Slot{Addr: nextAddr, Leaf: uint32(leaf), Data: data})
+				nextAddr++
+			}
+		}
+		if err := ref.WritePath(leaf, buckets); err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range stores {
+			if err := s.WritePath(leaf, buckets); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
 	}
 }

@@ -24,8 +24,8 @@ const (
 // mapped shared read/write. Reads alias the mapping (zero-copy), writes
 // copy into it, and Sync is an msync(MS_SYNC) — the epoch barrier that
 // makes everything written so far durable. A fresh file is created
-// zero-filled, which decodes as an all-dummy tree under both the plain
-// and the encrypted serialization.
+// zero-filled, which decodes as an all-dummy tree: the serializing store
+// reads address 0 as a dummy slot.
 type File struct {
 	f          *os.File
 	mm         []byte
@@ -111,41 +111,15 @@ func (fs *File) record(flat uint64) []byte {
 	return fs.mm[off : off+uint64(fs.stride) : off+uint64(fs.stride)]
 }
 
-// ReadBucket implements Storage; the returned slice aliases the mapping.
-func (fs *File) ReadBucket(flat uint64) ([]byte, error) {
-	if fs.closed {
-		return nil, ErrClosed
-	}
-	if err := checkRecord(fs, flat, nil); err != nil {
-		return nil, err
-	}
-	return fs.record(flat), nil
-}
-
-// WriteBucket implements Storage; rec is copied into the mapping.
-func (fs *File) WriteBucket(flat uint64, rec []byte) error {
-	if fs.closed {
-		return ErrClosed
-	}
-	if err := checkRecord(fs, flat, rec); err != nil {
-		return err
-	}
-	copy(fs.record(flat), rec)
-	return nil
-}
-
 // ReadBuckets implements Storage; dst[i] receives a mapping alias.
 func (fs *File) ReadBuckets(flats []uint64, dst [][]byte) error {
 	if fs.closed {
 		return ErrClosed
 	}
-	if len(flats) != len(dst) {
-		return fmt.Errorf("storage: %d flats but %d dst slots", len(flats), len(dst))
+	if err := checkRead(fs, flats, dst); err != nil {
+		return err
 	}
 	for i, flat := range flats {
-		if err := checkRecord(fs, flat, nil); err != nil {
-			return err
-		}
 		dst[i] = fs.record(flat)
 	}
 	return nil
@@ -156,13 +130,10 @@ func (fs *File) WriteBuckets(flats []uint64, recs [][]byte) error {
 	if fs.closed {
 		return ErrClosed
 	}
-	if len(flats) != len(recs) {
-		return fmt.Errorf("storage: %d flats but %d records", len(flats), len(recs))
+	if err := checkWrite(fs, flats, recs); err != nil {
+		return err
 	}
 	for i, flat := range flats {
-		if err := checkRecord(fs, flat, recs[i]); err != nil {
-			return err
-		}
 		copy(fs.record(flat), recs[i])
 	}
 	return nil

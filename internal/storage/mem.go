@@ -1,12 +1,9 @@
 package storage
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Mem is the in-memory Storage: one flat arena, stride bytes per bucket.
-// It is the zero-overhead backing for the encrypting store's hot path —
+// It is the zero-overhead backing for the serializing store's hot path —
 // reads alias the arena and writes are a bounds-checked copy, so the
 // seam adds no per-operation allocations.
 type Mem struct {
@@ -34,42 +31,15 @@ func (m *Mem) NumBuckets() uint64 { return m.numBuckets }
 // Stride implements Storage.
 func (m *Mem) Stride() int { return m.stride }
 
-// ReadBucket implements Storage; the returned slice aliases the arena.
-func (m *Mem) ReadBucket(flat uint64) ([]byte, error) {
-	if m.closed {
-		return nil, ErrClosed
-	}
-	if err := checkRecord(m, flat, nil); err != nil {
-		return nil, err
-	}
-	off := flat * uint64(m.stride)
-	return m.arena[off : off+uint64(m.stride) : off+uint64(m.stride)], nil
-}
-
-// WriteBucket implements Storage; rec is copied in.
-func (m *Mem) WriteBucket(flat uint64, rec []byte) error {
-	if m.closed {
-		return ErrClosed
-	}
-	if err := checkRecord(m, flat, rec); err != nil {
-		return err
-	}
-	copy(m.arena[flat*uint64(m.stride):], rec)
-	return nil
-}
-
 // ReadBuckets implements Storage; dst[i] receives an arena alias.
 func (m *Mem) ReadBuckets(flats []uint64, dst [][]byte) error {
 	if m.closed {
 		return ErrClosed
 	}
-	if len(flats) != len(dst) {
-		return fmt.Errorf("storage: %d flats but %d dst slots", len(flats), len(dst))
+	if err := checkRead(m, flats, dst); err != nil {
+		return err
 	}
 	for i, flat := range flats {
-		if err := checkRecord(m, flat, nil); err != nil {
-			return err
-		}
 		off := flat * uint64(m.stride)
 		dst[i] = m.arena[off : off+uint64(m.stride) : off+uint64(m.stride)]
 	}
@@ -81,13 +51,10 @@ func (m *Mem) WriteBuckets(flats []uint64, recs [][]byte) error {
 	if m.closed {
 		return ErrClosed
 	}
-	if len(flats) != len(recs) {
-		return fmt.Errorf("storage: %d flats but %d records", len(flats), len(recs))
+	if err := checkWrite(m, flats, recs); err != nil {
+		return err
 	}
 	for i, flat := range flats {
-		if err := checkRecord(m, flat, recs[i]); err != nil {
-			return err
-		}
 		copy(m.arena[flat*uint64(m.stride):], recs[i])
 	}
 	return nil
@@ -110,13 +77,3 @@ func (m *Mem) Close() error {
 
 // MemoryBytes implements Storage.
 func (m *Mem) MemoryBytes() uint64 { return uint64(len(m.arena)) }
-
-// Fill overwrites every record with bytes from r (test/simulation hook
-// mirroring encrypt.StoreConfig.RandomizeMemory).
-func (m *Mem) Fill(r io.Reader) error {
-	if m.closed {
-		return ErrClosed
-	}
-	_, err := io.ReadFull(r, m.arena)
-	return err
-}

@@ -3,31 +3,33 @@
 // bucket index and nothing else — no serialization, no encryption, no
 // path semantics — so the same interface can be backed by an in-memory
 // arena (Mem), a flat mmap'd tree file (File), or a write-ahead log
-// wrapping either (WAL). The encrypting store (internal/encrypt) writes
-// its padded ciphertext buckets through a Storage, and PathStore in this
-// package adapts a Storage directly to core.PathStore for the
-// plaintext-at-rest configurations, so every pathoram.Backend composes
+// wrapping either (WAL). Its I/O is path-batched only: one ReadBuckets or
+// WriteBuckets call carries a whole path (or one bucket, as a batch of
+// one). The serializing store (internal/encrypt) is its one client: it
+// writes its padded sealed buckets — ciphertext, or plaintext under the
+// identity scheme — through a Storage, so every pathoram.Backend composes
 // with every Storage.
 package storage
 
 import "fmt"
 
 // RecordAlign is the node alignment of bucket records: every record
-// length is padded to a multiple of it, matching the DRAM access
-// granularity used by the encrypting store (encrypt.PadGranularity) so a
-// record never straddles an access-granule boundary in the file or the
-// arena.
+// length is padded to a multiple of it, the DRAM access granularity
+// (Section 2.4), so a record never straddles an access-granule boundary
+// in the file or the arena.
 const RecordAlign = 64
 
 // Storage stores one fixed-length record per bucket of a flattened ORAM
 // tree. Records are exactly Stride() bytes; flat indices run
 // [0, NumBuckets()).
 //
-// ReadBucket and ReadBuckets may return slices aliasing internal memory
-// (the arena or the mmap'd file); aliases stay valid until the next write
-// of the same bucket, and mutating them bypasses the write path (only the
-// tamper-simulation test hooks do). WriteBucket and WriteBuckets copy the
-// caller's records in — callers keep their buffers.
+// ReadBuckets may return slices aliasing internal memory (the arena or the
+// mmap'd file); aliases stay valid until the next write of the same
+// bucket, and mutating them bypasses the write path (only the
+// tamper-simulation test hooks do). WriteBuckets copies the caller's
+// records in — callers keep their buffers — and requires every record to
+// be exactly Stride() bytes: a batch with one short, long or nil record is
+// rejected whole, before anything is logged or written.
 //
 // WriteBuckets commits the records of one path as a unit: the WAL
 // implementation logs the whole call as a single atomic frame, so a
@@ -40,8 +42,6 @@ const RecordAlign = 64
 type Storage interface {
 	NumBuckets() uint64
 	Stride() int
-	ReadBucket(flat uint64) ([]byte, error)
-	WriteBucket(flat uint64, rec []byte) error
 	ReadBuckets(flats []uint64, dst [][]byte) error
 	WriteBuckets(flats []uint64, recs [][]byte) error
 	Sync() error
@@ -54,12 +54,34 @@ type Storage interface {
 // ErrClosed is returned by operations on a closed Storage.
 var ErrClosed = fmt.Errorf("storage: closed")
 
-func checkRecord(s Storage, flat uint64, rec []byte) error {
-	if flat >= s.NumBuckets() {
-		return fmt.Errorf("storage: bucket %d out of range (have %d)", flat, s.NumBuckets())
+// checkRead validates a read batch: matching lengths and every bucket in
+// range.
+func checkRead(s Storage, flats []uint64, dst [][]byte) error {
+	if len(flats) != len(dst) {
+		return fmt.Errorf("storage: %d flats but %d dst slots", len(flats), len(dst))
 	}
-	if rec != nil && len(rec) != s.Stride() {
-		return fmt.Errorf("storage: record is %dB, want stride %dB", len(rec), s.Stride())
+	for _, flat := range flats {
+		if flat >= s.NumBuckets() {
+			return fmt.Errorf("storage: bucket %d out of range (have %d)", flat, s.NumBuckets())
+		}
+	}
+	return nil
+}
+
+// checkWrite validates a whole write batch before any of it is applied:
+// matching lengths, every bucket in range, every record exactly one
+// stride.
+func checkWrite(s Storage, flats []uint64, recs [][]byte) error {
+	if len(flats) != len(recs) {
+		return fmt.Errorf("storage: %d flats but %d records", len(flats), len(recs))
+	}
+	for i, flat := range flats {
+		if flat >= s.NumBuckets() {
+			return fmt.Errorf("storage: bucket %d out of range (have %d)", flat, s.NumBuckets())
+		}
+		if len(recs[i]) != s.Stride() {
+			return fmt.Errorf("storage: record for bucket %d is %dB, want stride %dB", flat, len(recs[i]), s.Stride())
+		}
 	}
 	return nil
 }

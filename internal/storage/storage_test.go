@@ -6,15 +6,28 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/storage"
-	"repro/internal/treemath"
 )
 
 func fillRand(r *rand.Rand, b []byte) {
 	for i := range b {
 		b[i] = byte(r.Intn(256))
 	}
+}
+
+// writeOne writes one record as a batch of one.
+func writeOne(s storage.Storage, flat uint64, rec []byte) error {
+	return s.WriteBuckets([]uint64{flat}, [][]byte{rec})
+}
+
+// readOne reads one record as a batch of one.
+func readOne(t *testing.T, s storage.Storage, flat uint64) []byte {
+	t.Helper()
+	dst := make([][]byte, 1)
+	if err := s.ReadBuckets([]uint64{flat}, dst); err != nil {
+		t.Fatal(err)
+	}
+	return dst[0]
 }
 
 // TestStorageMemFileEquivalence drives the same random write/read
@@ -41,23 +54,15 @@ func TestStorageMemFileEquivalence(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		flat := uint64(r.Intn(numBuckets))
 		fillRand(r, rec)
-		if err := mem.WriteBucket(flat, rec); err != nil {
+		if err := writeOne(mem, flat, rec); err != nil {
 			t.Fatal(err)
 		}
-		if err := file.WriteBucket(flat, rec); err != nil {
+		if err := writeOne(file, flat, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for flat := uint64(0); flat < numBuckets; flat++ {
-		a, err := mem.ReadBucket(flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := file.ReadBucket(flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
+		if !bytes.Equal(readOne(t, mem, flat), readOne(t, file, flat)) {
 			t.Fatalf("bucket %d differs between mem and file", flat)
 		}
 	}
@@ -76,12 +81,7 @@ func TestStorageMemFileEquivalence(t *testing.T) {
 	}
 	defer re.Close()
 	for flat := uint64(0); flat < numBuckets; flat++ {
-		a, _ := mem.ReadBucket(flat)
-		b, err := re.ReadBucket(flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
+		if !bytes.Equal(readOne(t, mem, flat), readOne(t, re, flat)) {
 			t.Fatalf("bucket %d lost across reopen", flat)
 		}
 	}
@@ -111,7 +111,9 @@ func TestStorageFileGeometryValidation(t *testing.T) {
 }
 
 // TestStorageBatchedVariants pins the path-granularity calls and the
-// bounds checks shared by every backend.
+// checks shared by every backend: reads check the range, writes also
+// require every record to be exactly one stride — a nil record included —
+// and a rejected batch leaves every bucket as it was.
 func TestStorageBatchedVariants(t *testing.T) {
 	backends := map[string]storage.Storage{}
 	mem, err := storage.NewMem(7, 64)
@@ -151,115 +153,41 @@ func TestStorageBatchedVariants(t *testing.T) {
 					t.Fatalf("bucket %d round-trip mismatch", flats[i])
 				}
 			}
-			if err := s.WriteBucket(7, recs[0]); err == nil {
-				t.Fatal("out-of-range bucket accepted")
+			for _, bad := range []struct {
+				name  string
+				flats []uint64
+				recs  [][]byte
+			}{
+				{"out-of-range bucket", []uint64{7}, recs[:1]},
+				{"short record", []uint64{0}, [][]byte{recs[0][:10]}},
+				{"nil record", []uint64{2}, [][]byte{nil}},
+				{"nil record after a good one", []uint64{0, 2}, [][]byte{recs[1], nil}},
+				{"length-mismatched batch", flats, recs[:2]},
+			} {
+				if err := s.WriteBuckets(bad.flats, bad.recs); err == nil {
+					t.Fatalf("%s accepted", bad.name)
+				}
 			}
-			if err := s.WriteBucket(0, recs[0][:10]); err == nil {
-				t.Fatal("short record accepted")
-			}
-			if _, err := s.ReadBucket(7); err == nil {
+			if err := s.ReadBuckets([]uint64{7}, make([][]byte, 1)); err == nil {
 				t.Fatal("out-of-range read accepted")
 			}
-			if err := s.WriteBuckets(flats, recs[:2]); err == nil {
-				t.Fatal("length-mismatched batch accepted")
+			if err := s.ReadBuckets(flats, dst[:2]); err == nil {
+				t.Fatal("length-mismatched read accepted")
+			}
+			for i, flat := range flats {
+				if !bytes.Equal(readOne(t, s, flat), recs[i]) {
+					t.Fatalf("bucket %d changed by a rejected write", flat)
+				}
 			}
 		})
 	}
 }
 
-func mustMem(t *testing.T, buckets uint64, stride int) *storage.Mem {
+func mustMem(t testing.TB, buckets uint64, stride int) *storage.Mem {
 	t.Helper()
 	m, err := storage.NewMem(buckets, stride)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// TestStoragePathStoreMatchesMemStore replays a random path workload
-// through the plain serializing adapter (over mem and file backings) and
-// core.MemStore and requires identical ReadPath results throughout —
-// the adapter is a drop-in PathStore.
-func TestStoragePathStoreMatchesMemStore(t *testing.T) {
-	const (
-		leafLevel  = 4
-		z          = 4
-		blockBytes = 24
-	)
-	tree := treemath.New(leafLevel)
-	ref, err := core.NewMemStore(leafLevel, z, blockBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stride := storage.PlainRecordBytes(z, blockBytes)
-	adapters := map[string]*storage.PathStore{}
-	memBack := mustMem(t, tree.NumBuckets(), stride)
-	a1, err := storage.NewPathStore(memBack, leafLevel, z, blockBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adapters["mem"] = a1
-	fileBack, err := storage.OpenFile(filepath.Join(t.TempDir(), "p.oram"), tree.NumBuckets(), stride)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fileBack.Close()
-	a2, err := storage.NewPathStore(fileBack, leafLevel, z, blockBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adapters["file"] = a2
-
-	r := rand.New(rand.NewSource(42))
-	leaves := tree.NumLeaves()
-	var nextAddr uint64 = 1
-	for step := 0; step < 300; step++ {
-		leaf := uint64(r.Intn(int(leaves)))
-		got, err := ref.ReadPath(leaf, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snapshots := map[string][][]core.Slot{}
-		for name, a := range adapters {
-			g, err := a.ReadPath(leaf, nil, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			snapshots[name] = g
-		}
-		for name, g := range snapshots {
-			if len(g) != len(got) {
-				t.Fatalf("%s: level count mismatch", name)
-			}
-			for d := range got {
-				if len(g[d]) != len(got[d]) {
-					t.Fatalf("%s: step %d level %d: %d slots, want %d", name, step, d, len(g[d]), len(got[d]))
-				}
-				for i := range got[d] {
-					if g[d][i].Addr != got[d][i].Addr || g[d][i].Leaf != got[d][i].Leaf || !bytes.Equal(g[d][i].Data, got[d][i].Data) {
-						t.Fatalf("%s: step %d level %d slot %d mismatch", name, step, d, i)
-					}
-				}
-			}
-		}
-		// Write a fresh random path back everywhere.
-		buckets := make([][]core.Slot, tree.Levels())
-		for d := range buckets {
-			n := r.Intn(z + 1)
-			for i := 0; i < n; i++ {
-				data := make([]byte, blockBytes)
-				fillRand(r, data)
-				buckets[d] = append(buckets[d], core.Slot{Addr: nextAddr, Leaf: uint32(leaf), Data: data})
-				nextAddr++
-			}
-		}
-		if err := ref.WritePath(leaf, buckets); err != nil {
-			t.Fatal(err)
-		}
-		for name, a := range adapters {
-			if err := a.WritePath(leaf, buckets); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
-	}
 }

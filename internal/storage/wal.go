@@ -6,11 +6,11 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
+	"slices"
 )
 
 // WAL makes any Storage crash-consistent for the deferred write-back
-// pipeline: every WriteBucket(s) call is serialized into one CRC-framed
+// pipeline: every WriteBuckets call is serialized into one CRC-framed
 // log record and appended to the log file BEFORE it is acknowledged, and
 // the acknowledged records are held in an in-memory overlay that serves
 // reads. The inner Storage is only touched at checkpoint time (Sync):
@@ -43,6 +43,7 @@ type WAL struct {
 	recovered int
 	frameBuf  []byte
 	applyIDs  []uint64
+	applyRecs [][]byte
 	err       error // wedged by a simulated fault; sticky
 	closed    bool
 }
@@ -228,22 +229,8 @@ func (w *WAL) fault(op Op) error {
 	return nil
 }
 
-// ReadBucket implements Storage: the overlay (acknowledged, not yet
+// ReadBuckets implements Storage: the overlay (acknowledged, not yet
 // checkpointed records) shadows the inner Storage.
-func (w *WAL) ReadBucket(flat uint64) ([]byte, error) {
-	if w.err != nil {
-		return nil, w.err
-	}
-	if w.closed {
-		return nil, ErrClosed
-	}
-	if rec, ok := w.overlay[flat]; ok {
-		return rec, nil
-	}
-	return w.inner.ReadBucket(flat)
-}
-
-// ReadBuckets implements Storage.
 func (w *WAL) ReadBuckets(flats []uint64, dst [][]byte) error {
 	if w.err != nil {
 		return w.err
@@ -251,22 +238,15 @@ func (w *WAL) ReadBuckets(flats []uint64, dst [][]byte) error {
 	if w.closed {
 		return ErrClosed
 	}
-	if len(flats) != len(dst) {
-		return fmt.Errorf("storage: %d flats but %d dst slots", len(flats), len(dst))
+	if err := w.inner.ReadBuckets(flats, dst); err != nil {
+		return err
 	}
 	for i, flat := range flats {
-		rec, err := w.ReadBucket(flat)
-		if err != nil {
-			return err
+		if rec, ok := w.overlay[flat]; ok {
+			dst[i] = rec
 		}
-		dst[i] = rec
 	}
 	return nil
-}
-
-// WriteBucket implements Storage: a one-bucket frame.
-func (w *WAL) WriteBucket(flat uint64, rec []byte) error {
-	return w.WriteBuckets([]uint64{flat}, [][]byte{rec})
 }
 
 // WriteBuckets implements Storage: log one frame for the whole path,
@@ -278,13 +258,8 @@ func (w *WAL) WriteBuckets(flats []uint64, recs [][]byte) error {
 	if w.closed {
 		return ErrClosed
 	}
-	if len(flats) != len(recs) {
-		return fmt.Errorf("storage: %d flats but %d records", len(flats), len(recs))
-	}
-	for i, flat := range flats {
-		if err := checkRecord(w, flat, recs[i]); err != nil {
-			return err
-		}
+	if err := checkWrite(w, flats, recs); err != nil {
+		return err
 	}
 	// Log before ack.
 	if err := w.fault(OpAppend); err != nil {
@@ -342,8 +317,9 @@ func (w *WAL) encodeFrame(flats []uint64, recs [][]byte) {
 }
 
 // checkpoint is the WAL epoch protocol: make the log durable, apply the
-// overlay to the inner Storage (deterministic bucket order), make the
-// inner Storage durable, then truncate the log and recycle the overlay.
+// overlay to the inner Storage (deterministic bucket order, one bucket per
+// call so each apply is its own fault point), make the inner Storage
+// durable, then truncate the log and recycle the overlay.
 func (w *WAL) checkpoint() error {
 	if err := w.fault(OpSyncLog); err != nil {
 		return err
@@ -355,12 +331,16 @@ func (w *WAL) checkpoint() error {
 	for flat := range w.overlay {
 		w.applyIDs = append(w.applyIDs, flat)
 	}
-	sort.Slice(w.applyIDs, func(i, j int) bool { return w.applyIDs[i] < w.applyIDs[j] })
+	slices.Sort(w.applyIDs)
+	w.applyRecs = w.applyRecs[:0]
 	for _, flat := range w.applyIDs {
+		w.applyRecs = append(w.applyRecs, w.overlay[flat])
+	}
+	for i := range w.applyIDs {
 		if err := w.fault(OpApply); err != nil {
 			return err
 		}
-		if err := w.inner.WriteBucket(flat, w.overlay[flat]); err != nil {
+		if err := w.inner.WriteBuckets(w.applyIDs[i:i+1], w.applyRecs[i:i+1]); err != nil {
 			return fmt.Errorf("storage: wal apply: %w", err)
 		}
 	}
@@ -382,10 +362,8 @@ func (w *WAL) checkpoint() error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("storage: wal truncate sync: %w", err)
 	}
-	for _, flat := range w.applyIDs {
-		w.free = append(w.free, w.overlay[flat])
-		delete(w.overlay, flat)
-	}
+	w.free = append(w.free, w.applyRecs...)
+	clear(w.overlay)
 	w.frames = 0
 	return nil
 }

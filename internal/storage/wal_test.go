@@ -52,12 +52,7 @@ func walFixture(t *testing.T, dir string, numBuckets uint64, stride, frames int,
 func requireSameBytes(t *testing.T, s storage.Storage, shadow *storage.Mem) {
 	t.Helper()
 	for flat := uint64(0); flat < s.NumBuckets(); flat++ {
-		a, err := s.ReadBucket(flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := shadow.ReadBucket(flat)
-		if !bytes.Equal(a, b) {
+		if !bytes.Equal(readOne(t, s, flat), readOne(t, shadow, flat)) {
 			t.Fatalf("bucket %d differs from shadow", flat)
 		}
 	}
@@ -184,10 +179,12 @@ func TestWALCheckpointTruncatesAndPersists(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		flat := uint64(r.Intn(numBuckets))
 		fillRand(r, rec)
-		if err := w.WriteBucket(flat, rec); err != nil {
+		if err := writeOne(w, flat, rec); err != nil {
 			t.Fatal(err)
 		}
-		shadow.WriteBucket(flat, rec)
+		if err := writeOne(shadow, flat, rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if w.PendingFrames() == 0 {
 		t.Fatal("expected pending frames before checkpoint")
@@ -230,7 +227,7 @@ func TestWALAutoCheckpoint(t *testing.T) {
 	defer w.Close()
 	rec := make([]byte, stride)
 	for i := 0; i < 10; i++ {
-		if err := w.WriteBucket(uint64(i%numBuckets), rec); err != nil {
+		if err := writeOne(w, uint64(i%numBuckets), rec); err != nil {
 			t.Fatal(err)
 		}
 		if w.PendingFrames() >= 4 {
@@ -268,7 +265,7 @@ func TestWALFaultWedges(t *testing.T) {
 	rec := make([]byte, stride)
 	var firstErr error
 	for i := 0; i < 6; i++ {
-		if err := w.WriteBucket(uint64(i), rec); err != nil {
+		if err := writeOne(w, uint64(i), rec); err != nil {
 			firstErr = err
 			break
 		}
@@ -276,10 +273,10 @@ func TestWALFaultWedges(t *testing.T) {
 	if firstErr == nil {
 		t.Fatal("fault never fired")
 	}
-	if err := w.WriteBucket(0, rec); err == nil {
+	if err := writeOne(w, 0, rec); err == nil {
 		t.Fatal("wedged WAL accepted a write")
 	}
-	if _, err := w.ReadBucket(0); err == nil {
+	if err := w.ReadBuckets([]uint64{0}, make([][]byte, 1)); err == nil {
 		t.Fatal("wedged WAL served a read")
 	}
 	if err := w.Sync(); err == nil {
@@ -288,4 +285,155 @@ func TestWALFaultWedges(t *testing.T) {
 	if err := w.Close(); err == nil {
 		t.Fatal("wedged WAL closed cleanly")
 	}
+}
+
+// TestWALRejectsNilRecord: a batch with a nil record is refused before
+// its frame is logged, so neither a live read nor the replay after a
+// crash sees a record the caller never supplied (a frame logged for it
+// would carry whatever the reused frame buffer held last).
+func TestWALRejectsNilRecord(t *testing.T) {
+	const (
+		numBuckets = 7
+		stride     = 64
+	)
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "t.wal")
+	w, err := storage.OpenWAL(mustMem(t, numBuckets, stride), logPath, storage.WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := writeOne(w, 1, bytes.Repeat([]byte{0xAA}, stride)); err != nil {
+		t.Fatal(err)
+	}
+	logSize := func() int64 {
+		t.Helper()
+		st, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	before := logSize()
+	if err := writeOne(w, 2, nil); err == nil {
+		t.Fatal("nil record accepted")
+	}
+	if after := logSize(); after != before {
+		t.Fatalf("rejected write grew the log from %dB to %dB", before, after)
+	}
+	zero := make([]byte, stride)
+	if got := readOne(t, w, 2); !bytes.Equal(got, zero) {
+		t.Fatalf("live read of bucket 2 = % x, want zeros", got[:8])
+	}
+
+	// Crash now: replay a copy of the log into a fresh tree.
+	logBytes, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := filepath.Join(dir, "crashed.wal")
+	if err := os.WriteFile(crashed, logBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := storage.OpenWAL(mustMem(t, numBuckets, stride), crashed, storage.WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Recovered() != 1 {
+		t.Fatalf("replayed %d frames, want only bucket 1's", re.Recovered())
+	}
+	if got := readOne(t, re, 2); !bytes.Equal(got, zero) {
+		t.Fatalf("bucket 2 after replay = % x, want zeros", got[:8])
+	}
+}
+
+// FuzzReplayLog feeds arbitrary bytes to the WAL frame parser. Whatever
+// the log holds, replay must not panic; every frame it applies must carry
+// one whole stride-sized record per bucket; the count it returns must be
+// the number of frames applied; and replaying any truncation of the log
+// must apply a prefix of the frames the whole log applies — a torn tail
+// can only lose frames, never change or invent one.
+func FuzzReplayLog(f *testing.F) {
+	const stride = 16
+	dir := f.TempDir()
+	logPath := filepath.Join(dir, "seed.wal")
+	w, err := storage.OpenWAL(mustMem(f, 7, stride), logPath, storage.WALConfig{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	var frameEnds []int
+	for n := 1; n <= 3; n++ {
+		flats, recs := make([]uint64, n), make([][]byte, n)
+		for i := range flats {
+			flats[i] = uint64(r.Intn(7))
+			recs[i] = make([]byte, stride)
+			fillRand(r, recs[i])
+		}
+		if err := w.WriteBuckets(flats, recs); err != nil {
+			f.Fatal(err)
+		}
+		st, err := os.Stat(logPath)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frameEnds = append(frameEnds, int(st.Size()))
+	}
+	valid, err := os.ReadFile(logPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	flipped := append([]byte(nil), valid...)
+	flipped[frameEnds[0]+4] ^= 0x01 // the second frame's CRC
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5])
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, log []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.wal")
+		replay := func(b []byte) []string {
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var frames []string
+			n, err := storage.ReplayLog(path, stride, func(flats []uint64, recs [][]byte) error {
+				if len(flats) != len(recs) {
+					t.Fatalf("frame %d: %d flats but %d records", len(frames), len(flats), len(recs))
+				}
+				frame := fmt.Sprint(flats)
+				for _, rec := range recs {
+					if len(rec) != stride {
+						t.Fatalf("frame %d: %dB record, want %dB", len(frames), len(rec), stride)
+					}
+					frame += string(rec)
+				}
+				frames = append(frames, frame)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != len(frames) {
+				t.Fatalf("ReplayLog returned %d, applied %d frames", n, len(frames))
+			}
+			return frames
+		}
+		full := replay(log)
+		step := max(1, len(log)/64)
+		for cut := 0; cut < len(log); cut += step {
+			got := replay(log[:cut])
+			if len(got) > len(full) {
+				t.Fatalf("cut %d applied %d frames, the whole log %d", cut, len(got), len(full))
+			}
+			for i := range got {
+				if got[i] != full[i] {
+					t.Fatalf("cut %d: frame %d differs from the whole log's", cut, i)
+				}
+			}
+		}
+	})
 }

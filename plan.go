@@ -341,36 +341,33 @@ func (p *plan) leafLevel(blocks uint64) int {
 type tree struct {
 	store core.PathStore
 	// busBytes is the footprint one bucket occupies on the modeled memory
-	// bus: the external stride for encrypted stores, the plaintext
-	// serialization padded to the DRAM access granularity for plain ones —
-	// metadata-only trees still move their headers.
+	// bus: the padded external stride of the tree's scheme, which for
+	// plain trees is the plaintext serialization padded to the DRAM access
+	// granularity — metadata-only trees still move their headers.
 	busBytes int
-	// footprint accounts external memory (nil for plain in-memory stores).
+	// footprint accounts external memory (nil for core.MemStore trees).
 	footprint interface{ MemoryBytes() uint64 }
 	// persist is the durable storage under the store (BackendFile only).
 	persist storage.Storage
 }
 
 // buildTree is step two of every constructor, run once per level of the
-// engine's chain: it builds the store of one tree — plain or encrypting
-// (and authenticating), in memory or on Dir's files — leaving only the
-// timing attachment to newEngine. Trees of a PosMapRecursive engine are
-// named <prefix>-l<level> and encrypt under a per-level subkey; a flat
-// engine's one tree keeps the bare prefix and the engine key
-// (engine_golden_test.go pins the resulting files). On error nothing
-// stays open.
+// engine's chain: it builds the store of one tree, leaving only the timing
+// attachment to newEngine. A tree that is neither encrypted nor on Dir's
+// files is an unserialized core.MemStore; every other tree is one
+// encrypt.Store under its scheme (counter, strawman, or the identity
+// PlainScheme), optionally authenticating, over a private arena or the
+// tree file. Trees of a PosMapRecursive engine are named <prefix>-l<level>
+// and encrypt under a per-level subkey; a flat engine's one tree keeps the
+// bare prefix and the engine key (engine_golden_test.go pins the resulting
+// files). On error nothing stays open.
 func (p *plan) buildTree(e engineSeed, level, leafLevel, z, blockBytes int) (t tree, err error) {
 	numBuckets := treemath.New(leafLevel).NumBuckets()
 	name, key := e.name, e.key
 	if p.PosMap == PosMapRecursive {
 		name = fmt.Sprintf("%s-l%d", name, level)
 	}
-	var scheme encrypt.Scheme
-	stride := storage.PlainRecordBytes(z, blockBytes)
-	t.busBytes = encrypt.PlainBucketBytes(z, blockBytes)
-	if r := t.busBytes % encrypt.PadGranularity; r != 0 {
-		t.busBytes += encrypt.PadGranularity - r
-	}
+	var scheme encrypt.Scheme = encrypt.PlainScheme{}
 	// Metadata-only trees have nothing to encrypt.
 	if p.Encryption != EncryptNone && blockBytes > 0 {
 		if p.PosMap == PosMapRecursive {
@@ -389,8 +386,11 @@ func (p *plan) buildTree(e engineSeed, level, leafLevel, z, blockBytes int) (t t
 		if err != nil {
 			return tree{}, err
 		}
-		stride = encrypt.PaddedBucketBytes(scheme, z, blockBytes)
-		t.busBytes = stride
+	}
+	t.busBytes = encrypt.PaddedBucketBytes(scheme, z, blockBytes)
+	if _, plain := scheme.(encrypt.PlainScheme); plain && p.Backend != BackendFile {
+		t.store, err = core.NewMemStore(leafLevel, z, blockBytes)
+		return t, err
 	}
 	if p.Backend == BackendFile {
 		// The mmap'd flat tree file at Dir/<name>.tree, optionally wrapped
@@ -400,7 +400,7 @@ func (p *plan) buildTree(e engineSeed, level, leafLevel, z, blockBytes int) (t t
 			return tree{}, fmt.Errorf("pathoram: creating Dir: %w", err)
 		}
 		base := filepath.Join(p.Dir, name)
-		if t.persist, err = storage.OpenFile(base+".tree", numBuckets, stride); err != nil {
+		if t.persist, err = storage.OpenFile(base+".tree", numBuckets, t.busBytes); err != nil {
 			return tree{}, err
 		}
 		defer func() {
@@ -417,28 +417,15 @@ func (p *plan) buildTree(e engineSeed, level, leafLevel, z, blockBytes int) (t t
 			t.persist = w
 		}
 	}
-	switch {
-	case scheme != nil:
-		scfg := encrypt.StoreConfig{LeafLevel: leafLevel, Z: z, BlockBytes: blockBytes, Scheme: scheme, Backing: t.persist}
-		if p.Integrity {
-			scfg.Auth = encrypt.NewAuthTree(leafLevel, z, blockBytes, scheme)
-		}
-		es, err := encrypt.NewStore(scfg)
-		if err != nil {
-			return t, err
-		}
-		t.store, t.footprint = es, es
-	case t.persist != nil:
-		ps, err := storage.NewPathStore(t.persist, leafLevel, z, blockBytes)
-		if err != nil {
-			return t, err
-		}
-		t.store, t.footprint = ps, ps
-	default:
-		if t.store, err = core.NewMemStore(leafLevel, z, blockBytes); err != nil {
-			return t, err
-		}
+	scfg := encrypt.StoreConfig{LeafLevel: leafLevel, Z: z, BlockBytes: blockBytes, Scheme: scheme, Backing: t.persist}
+	if p.Integrity {
+		scfg.Auth = encrypt.NewAuthTree(leafLevel, z, blockBytes, scheme)
 	}
+	es, err := encrypt.NewStore(scfg)
+	if err != nil {
+		return t, err
+	}
+	t.store, t.footprint = es, es
 	return t, nil
 }
 
