@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/membus"
+	"repro/internal/shard"
 	"repro/internal/trace"
 
 	cpusim "repro/internal/cpu"
@@ -403,7 +404,7 @@ func BenchmarkShardedHierarchy(b *testing.B) {
 
 // BenchmarkShardedThroughputEncrypted is the same sweep with the
 // counter-based encryption on: per-shard AES work parallelizes across
-// workers, so sharding gains are larger than in the plaintext sweep.
+// clients, so sharding gains are larger than in the plaintext sweep.
 func BenchmarkShardedThroughputEncrypted(b *testing.B) {
 	const blocks = 1 << 13
 	const blockSize = 64
@@ -536,8 +537,8 @@ func BenchmarkSchedInorder2Shard(b *testing.B) { benchmarkSched(b, MemSchedInOrd
 func BenchmarkSchedFRFCFS2Shard(b *testing.B) { benchmarkSched(b, MemSchedFRFCFS) }
 
 // BenchmarkShardedBatch measures batched submission from a single client:
-// even one caller gets cross-shard parallelism because the batch fans out
-// to all workers.
+// even one caller gets cross-shard parallelism because the batch runs each
+// shard's share on a goroutine of its own.
 func BenchmarkShardedBatch(b *testing.B) {
 	const blocks = 1 << 14
 	const blockSize = 64
@@ -566,14 +567,49 @@ func BenchmarkShardedBatch(b *testing.B) {
 	}
 }
 
+// nopEngine answers every request at once, so a pool over it measures
+// nothing but the scheduler's own hand-off.
+type nopEngine struct{}
+
+func (nopEngine) Read(uint64) ([]byte, error)                      { return nil, nil }
+func (nopEngine) ReadInto(uint64, []byte) (bool, error)            { return true, nil }
+func (nopEngine) Write(uint64, []byte) error                       { return nil }
+func (nopEngine) Update(uint64, func([]byte)) error                { return nil }
+func (nopEngine) Load(uint64) ([]byte, bool, []core.Slot, error)   { return nil, false, nil, nil }
+func (nopEngine) Store(uint64, []byte) error                       { return nil }
+func (nopEngine) PaddingAccess() error                             { return nil }
+func (nopEngine) StepBackground(bool) (core.BackgroundWork, error) { return core.BgNone, nil }
+func (nopEngine) Flush() error                                     { return nil }
+
+// BenchmarkShardHandoff prices the scheduler's hand-off alone: one
+// goroutine alternates Do between the two shards of a pool of no-op
+// engines, so ns/op is what the serving layer adds to every single
+// operation. check_gates.sh holds it under a tenth of a plaintext access
+// at 0 allocs/op.
+func BenchmarkShardHandoff(b *testing.B) {
+	pool, err := shard.NewPool([]shard.Engine{nopEngine{}, nopEngine{}}, shard.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Close()
+	req := &shard.Request{Op: shard.OpRead, Dst: make([]byte, 64)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pool.Do(i&1, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkShardedLatency measures client-visible per-op latency — the
 // time from submission to response — in synchronous versus async (staged)
 // mode, under open-loop arrivals: the client pauses briefly between
-// requests, as real serving traffic does. The async worker answers after
-// the path read and stash merge and performs the write-back
-// (serialization, encryption, store write) plus background eviction
-// during the inter-arrival gap, so the client waits only for the read
-// half of each access; the sync worker makes the client wait for the
+// requests, as real serving traffic does. An async request returns after
+// the path read and stash merge, and the shard's idle pump performs the
+// write-back (serialization, encryption, store write) plus background
+// eviction during the inter-arrival gap, so the client waits only for the
+// read half of each access; a sync request makes the client wait for the
 // whole protocol. Under zero-gap saturation the async mode degrades to
 // sync throughput by design (the deferred queue drains inline), which the
 // throughput benchmarks above cover. Encryption is on because write-back

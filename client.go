@@ -77,7 +77,7 @@ type Client interface {
 	// ExternalMemoryBytes returns the external storage footprint.
 	ExternalMemoryBytes() uint64
 	// Close quiesces the client. Sharded clients drain in-flight work and
-	// stop their workers (further operations fail with ErrClosed);
+	// stop their idle pumps (further operations fail with ErrClosed);
 	// single-threaded clients flush and remain usable.
 	Close() error
 }
@@ -206,7 +206,7 @@ type Spec struct {
 	BlockSize int
 
 	// Shards is the number of independent per-shard engines, each owned by
-	// its own worker goroutine behind the request scheduler (default 1;
+	// its own lock behind the request scheduler (default 1;
 	// must not exceed Blocks). New builds one bare engine and rejects the
 	// serving-layer knobs of this group.
 	Shards int
@@ -224,18 +224,16 @@ type Spec struct {
 	// DESIGN.md's decision table). Padding overhead is counted in
 	// Stats.PaddingAccesses. Single operations are never padded.
 	Padded bool
-	// QueueDepth is the per-shard request queue length (default 128).
-	QueueDepth int
 	// EvictionsPerIdle caps how many background-eviction dummy accesses a
-	// shard worker issues per idle gap — the gap after a request, never
-	// after Flush or a snapshot (default 4; negative disables idle
+	// shard's idle pump issues per idle gap — the gap after a request,
+	// never after Flush or a snapshot (default 4; negative disables idle
 	// eviction, leaving only write-back completion). Requires
-	// AsyncEviction, which turns each shard into a two-stage pipeline: the
-	// worker answers a request as soon as its path has been read and
-	// merged, then completes the deferred write-back — and runs background
-	// stash eviction — during idle queue time. Under sustained saturation
-	// the deferred work drains inline and throughput matches the
-	// synchronous mode. Close, snapshots (Stats, ShardStats, StashSize)
+	// AsyncEviction, which turns each shard into a two-stage pipeline: a
+	// request returns as soon as its path has been read and merged, and
+	// the shard's pump completes the deferred write-back — and runs
+	// background stash eviction — while no request holds or waits for the
+	// shard. Under sustained saturation the deferred work drains inline
+	// and throughput matches the synchronous mode. Close, snapshots (Stats, ShardStats, StashSize)
 	// and Flush all drain fully first, so observed state always matches
 	// the synchronous protocol. See DESIGN.md (pipelining) and SECURITY.md
 	// (why the idle-time schedule leaks nothing).
@@ -343,8 +341,8 @@ type Spec struct {
 	// merged and the eviction placement computed; the write-back I/O
 	// (serialization, encryption, authentication, store write) is deferred
 	// onto a bounded per-tree queue, and stash draining is expected to
-	// happen in idle time. Someone must drain: shard workers do it
-	// automatically during idle queue time; the owner of a bare engine
+	// happen in idle time. Someone must drain: shards' idle pumps do it
+	// automatically between requests; the owner of a bare engine
 	// calls StepBackground (e.g. between requests) and Flush when
 	// quiescing. Logical contents are never stale — reads of paths with
 	// pending write-backs are served from the write buffer — and the stash
@@ -424,7 +422,7 @@ type Spec struct {
 	// order, real and dummy alike — the adversary's full view: shard is
 	// the serving shard (0 for a bare engine), level the ORAM within its
 	// chain (0 = data ORAM; always 0 for PosMapOnChip). It runs
-	// synchronously on the accessing goroutine — the shard workers, so
+	// synchronously on the goroutine holding the shard's lock, so
 	// distinct shards invoke it concurrently (per-shard accumulators
 	// indexed by the shard argument need no locking).
 	OnPathAccess func(shard, level int, leaf uint64)

@@ -13,7 +13,7 @@ import (
 // (TestCTEquivalenceBitIdentical) this proves the pooled, constant-time
 // hot path is a pure execution-strategy change: same protocol, same
 // randomness consumption, same state. Run under -race this also exercises
-// the pooled request state (reqPool) and per-shard arenas concurrently.
+// the per-shard arenas from concurrent callers.
 func TestPooledCTEquivalenceReplay(t *testing.T) {
 	const blocks = 512
 	const blockSize = 32

@@ -26,7 +26,7 @@
 //     (Spec.Padded);
 //   - a staged access path (Spec.AsyncEviction): respond after path
 //     read and stash merge, defer write-back I/O and background eviction
-//     to idle queue time — Section 3.1.1's background eviction and the
+//     to idle time — Section 3.1.1's background eviction and the
 //     Figure 5 phase-overlap study applied to the serving layer;
 //   - a timed storage backend (Spec.Backend: BackendDRAM): every
 //     shard's bucket I/O charged to one shared cycle-accurate DDR3 model
@@ -71,10 +71,11 @@
 //     (Sections 2.3 and 3.3.3), a full serving-layer engine: per-level
 //     deferred write-backs, chain-order padding accesses, coordinated
 //     background rounds.
-//   - internal/shard — the serving layer's worker pool and batched request
-//     scheduler: one goroutine per shard owning one engine exclusively
-//     (flat trees and hierarchies alike), with first-class dummy requests
-//     for padded schedules and exclusive Load/Store ops.
+//   - internal/shard — the serving layer's request scheduler: one lock per
+//     shard owning one engine exclusively (flat trees and hierarchies
+//     alike), every request run on its caller's goroutine, with
+//     first-class dummy requests for padded schedules and exclusive
+//     Load/Store ops.
 //   - internal/placement — bucket-to-DRAM address layouts, including the
 //     subtree packing of Section 3.3.4 (Figure 6).
 //   - internal/dram — an event-driven DDR3 timing model standing in for

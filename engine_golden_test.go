@@ -131,7 +131,7 @@ var engineGoldenVariants = []struct {
 // PendingWriteBackPeak included, holds still over 60 runs (20 each at
 // GOMAXPROCS 1/2/4) plus 24 under -race.
 var engineGoldenMasks = map[string]struct{ timing bool }{
-	// A shard worker picks the idle instant at which it completes a
+	// A shard's idle pump picks the instant at which it completes a
 	// deferred write-back by wall-clock scheduling, which is outside
 	// modeled time: the engine's stage stream itself, and so the cycle a
 	// write-back is charged at, differs between two runs of one seed
@@ -219,7 +219,7 @@ func runEngineGolden(t *testing.T, spec Spec, shards int) engineGolden {
 	addrs := make([]uint64, batch)
 	data := make([][]byte, batch)
 	// A sharded async pump returns whichever shard's write-back the
-	// workers have not got to yet; only the eviction-free form is replayable.
+	// idle pumps have not got to yet; only the eviction-free form is replayable.
 	pumpEvicts := !(shards > 1 && spec.AsyncEviction)
 	for op := 0; op < ops; op++ {
 		switch k := rng.Intn(16); {

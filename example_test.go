@@ -67,7 +67,7 @@ func ExampleORAM_Load() {
 }
 
 // A sharded ORAM partitions the address space over independent Path ORAM
-// shards, each behind its own worker goroutine — all methods are safe for
+// shards, each owned by its own lock — all methods are safe for
 // concurrent use, and batches fan out across shards in parallel.
 func ExampleNewSharded() {
 	store, err := pathoram.NewSharded(pathoram.Spec{

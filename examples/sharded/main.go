@@ -1,5 +1,5 @@
 // Sharded serving: partition the address space over independent Path ORAM
-// shards, each owned by a worker goroutine, and serve concurrent traffic
+// shards, each owned by its own lock, and serve concurrent traffic
 // through the batched request scheduler.
 //
 // Run with: go run ./examples/sharded
@@ -19,8 +19,8 @@ import (
 func main() {
 	// 16384 blocks of 64 bytes striped over 4 shards. Each shard is a
 	// full Path ORAM (counter-encrypted here) with its own derived key,
-	// its own tree and stash, and its own worker goroutine; the scheduler
-	// in front makes the whole thing safe for any number of callers.
+	// its own tree and stash, and its own lock; the scheduler in front
+	// makes the whole thing safe for any number of callers.
 	store, err := pathoram.NewSharded(pathoram.Spec{
 		Blocks:    16384,
 		BlockSize: 64,
@@ -99,7 +99,7 @@ func main() {
 	fmt.Printf("scheduler: %d single ops, %d batches, per-shard load %v\n",
 		sched.SingleOps, sched.Batches, sched.ExecutedPerShard)
 
-	// Close drains in-flight requests before stopping the workers.
+	// Close drains in-flight requests and refuses later ones.
 	if err := store.Close(); err != nil {
 		log.Fatal(err)
 	}

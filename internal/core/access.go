@@ -592,8 +592,8 @@ func (o *ORAM) completeOldestWriteBack() error {
 // StepBackground performs one unit of deferred work: completing the oldest
 // pending write-back, or — when the queue is empty, allowEviction is set
 // and the stash sits above the idle low-water mark — issuing one
-// background-eviction dummy access. Shard workers call it in a loop during
-// idle queue time; BgNone means there is nothing useful left to do.
+// background-eviction dummy access. Shards' idle pumps call it between
+// requests; BgNone means there is nothing useful left to do.
 //
 // Idle eviction drains to half the inline threshold (rather than the
 // threshold itself) so that a burst of subsequent accesses has headroom

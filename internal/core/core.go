@@ -112,8 +112,8 @@ type Params struct {
 	// completed later by StepBackground or Flush. Reads
 	// of paths whose write-back is still pending are served from the
 	// pending buckets (the write buffer), so logical contents are never
-	// stale. The caller is responsible for draining: shard workers do it
-	// during idle queue time, and Flush drains everything.
+	// stale. The caller is responsible for draining: shards' idle pumps
+	// do it between requests, and Flush drains everything.
 	DeferWriteBack bool
 	// MaxDeferredWriteBacks caps the deferred queue length when positive
 	// (default DefaultMaxDeferredWriteBacks). Pushing onto a full queue

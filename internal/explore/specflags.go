@@ -30,7 +30,6 @@ func BindSpec(fs *flag.FlagSet, spec *pathoram.Spec) {
 	fs.IntVar(&spec.Shards, "shards", spec.Shards, "independent trees behind the request scheduler (0 = 1)")
 	fs.TextVar(&spec.Partition, "partition", spec.Partition, "address partition: stripe|range|random (random hides request->shard routing)")
 	fs.BoolVar(&spec.Padded, "padded", spec.Padded, "padded batch mode: every batch touches every shard equally often (requires batched submission)")
-	fs.IntVar(&spec.QueueDepth, "queue", spec.QueueDepth, "per-shard request queue depth (0 = 128)")
 	fs.IntVar(&spec.EvictionsPerIdle, "idle-evictions", spec.EvictionsPerIdle, "max background evictions per idle gap (0 = 4, negative disables; with -async)")
 
 	fs.TextVar(&spec.PosMap, "posmap", spec.PosMap, "position map: flat (on-chip, 4B/block) | recursive (per-shard hierarchical ORAM chain, Section 2.3)")
@@ -50,7 +49,7 @@ func BindSpec(fs *flag.FlagSet, spec *pathoram.Spec) {
 	fs.TextVar(&spec.Encryption, "encrypt", spec.Encryption, "bucket encryption: counter|strawman|none")
 	fs.BoolVar(&spec.Integrity, "integrity", spec.Integrity, "enable the authentication tree")
 
-	fs.BoolVar(&spec.AsyncEviction, "async", spec.AsyncEviction, "staged access path: respond after the path read, write back and evict during idle queue time")
+	fs.BoolVar(&spec.AsyncEviction, "async", spec.AsyncEviction, "staged access path: respond after the path read, write back and evict between requests")
 	fs.IntVar(&spec.MaxDeferredWriteBacks, "max-deferred", spec.MaxDeferredWriteBacks, "deferred write-back queue depth = modeled write-buffer depth (0 = 8; with -async)")
 
 	fs.TextVar(&spec.Backend, "backend", spec.Backend, "bucket storage: mem (untimed) | dram (shared cycle-accurate DDR3 model; adds the modeled-cycle columns) | file (one mmap'd tree file per ORAM under -dir, msync on Flush)")

@@ -68,7 +68,7 @@ type Config struct {
 	// is queued on that level's own bounded FIFO and completed later by
 	// StepBackground, Flush or the queue-full inline drain. Stash and
 	// position-map state stay bit-identical to the synchronous protocol;
-	// someone must drain (shard workers, or the owner calling
+	// someone must drain (shards' idle pumps, or the owner calling
 	// StepBackground/Flush).
 	DeferWriteBack bool
 	// MaxDeferredWriteBacks caps each level's deferred FIFO when positive

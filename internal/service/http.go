@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,7 +52,8 @@ type statsBody struct {
 //	GET    /v1/t/{name}/stats       protocol + timing counters (admin)
 //
 // Errors are {"error":...} with 400 (malformed), 404 (no tenant), 409
-// (exists), 503 (draining, or the tenant closed mid-request).
+// (exists), 413 (a single-op body longer than one block's op can be), 503
+// (draining, or the tenant closed mid-request).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -96,10 +98,32 @@ func (s *Service) tenantHandler(fn func(w http.ResponseWriter, r *http.Request, 
 	}
 }
 
+// opEnvelope is the room a single-op body gets beyond its block's base64:
+// the JSON keys, the largest address and whitespace.
+const opEnvelope = 256
+
+// decodeOp decodes a single-op body into req, or answers the request
+// itself and reports false. The body is cut off at the longest op a
+// block needs (413 beyond it), so a client cannot make the decoder buffer
+// an unbounded body.
+func (s *Service) decodeOp(w http.ResponseWriter, r *http.Request, req *opRequest) bool {
+	limit := int64(base64.StdEncoding.EncodedLen(s.template.BlockSize)) + opEnvelope
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(req)
+	var tooLong *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLong):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", limit)})
+	case err != nil:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed request: " + err.Error()})
+	default:
+		return true
+	}
+	return false
+}
+
 func (s *Service) handleRead(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req opRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed request: " + err.Error()})
+	if !s.decodeOp(w, r, &req) {
 		return
 	}
 	data, err := t.Client.Read(req.Addr)
@@ -112,8 +136,7 @@ func (s *Service) handleRead(w http.ResponseWriter, r *http.Request, t *Tenant) 
 
 func (s *Service) handleWrite(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req opRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed request: " + err.Error()})
+	if !s.decodeOp(w, r, &req) {
 		return
 	}
 	if len(req.Data) != s.template.BlockSize {

@@ -301,6 +301,28 @@ func TestServerSingleOpOnClosedTenant(t *testing.T) {
 	}
 }
 
+// TestServerSingleOpBodyBounded: a single-op body longer than any op on
+// one block is refused with 413 before it is buffered, on both endpoints,
+// and the tenant serves the next valid request as usual.
+func TestServerSingleOpBodyBounded(t *testing.T) {
+	_, ts := newServer(t, memSpec())
+	doJSON(t, "PUT", ts.URL+"/v1/tenants/alice", nil, nil)
+	block := bytes.Repeat([]byte("b"), 16)
+	huge := wireOp{Addr: 1, Data: bytes.Repeat([]byte("x"), 1<<20)}
+	for _, op := range []string{"read", "write"} {
+		if got := doJSON(t, "POST", ts.URL+"/v1/t/alice/"+op, huge, nil); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a 1 MiB body: status %d, want 413", op, got)
+		}
+	}
+	if got := doJSON(t, "POST", ts.URL+"/v1/t/alice/write", wireOp{Addr: 1, Data: block}, nil); got != http.StatusOK {
+		t.Fatalf("write after the refused bodies: status %d, want 200", got)
+	}
+	var res wireResult
+	if got := doJSON(t, "POST", ts.URL+"/v1/t/alice/read", wireOp{Addr: 1}, &res); got != http.StatusOK || !bytes.Equal(res.Data, block) {
+		t.Fatalf("read after the refused bodies: status %d, data %q", got, res.Data)
+	}
+}
+
 // TestServerDrainCheckpointsTenants pins the drain protocol: after Close
 // every endpoint answers 503, and each file-backed tenant's WAL has been
 // checkpointed into its tree file (empty log on disk).

@@ -1,7 +1,7 @@
 // Package shard implements the concurrency layer of the sharded ORAM
-// serving stack: a pool of worker goroutines, one per shard, each owning a
-// single-threaded ORAM engine exclusively and draining a buffered request
-// queue.
+// serving stack: N single-threaded ORAM engines, each owned exclusively by
+// a per-shard lock, and a scheduler that runs every request on the
+// goroutine that submits it.
 //
 // The Path ORAM protocol in internal/core is deliberately single-threaded
 // and lock-free: an access mutates the stash, the position map, the bucket
@@ -9,22 +9,26 @@
 // inside one tree buys nothing but contention. Parallelism instead comes
 // from running N independent trees (Stefanov et al. observe that disjoint
 // trees are accessed independently without weakening obliviousness; Palermo
-// builds its throughput on the same structure). The pool enforces the
-// one-goroutine-per-tree ownership discipline: engines are handed over at
-// construction and are only ever touched from their worker goroutine, which
-// is what lets the whole stack stay mutex-free on the hot path.
+// builds its throughput on the same structure). That needs only exclusive
+// ownership of each tree, not a goroutine per tree: the pool hands each
+// engine to a lock at construction, and whoever holds the lock — a client's
+// goroutine, an inspection, Close — is the engine's only user. As the
+// processor's ORAM interface serves each last-level-cache miss itself, a
+// request here pays no scheduler hand-off: it takes the shard's lock,
+// runs, and releases it.
 //
-// Requests are submitted either singly (Do: enqueue and wait) or as a batch
-// (DoBatch: fan out across shards, join, preserve input order). Close
-// drains every request already accepted before the workers exit, so no
-// caller is ever left waiting on an abandoned request.
+// Requests are submitted either singly (Do) or as a batch (DoBatch: one
+// shard's share runs on the caller, every other share on a goroutine of
+// its own; each share keeps slice order, and results keep input order).
+// Close fences every shard — a request that got the lock first completes,
+// one that did not fails with ErrClosed — and flushes it.
 //
-// With Config.IdleWork enabled the worker loop becomes a two-stage
-// pipeline: after answering a request it performs the engine's deferred
-// work — completing queued path write-backs and running background
-// eviction — during idle queue time, yielding to the next request the
-// moment one arrives. Close and Inspect flush first, so the engines are
-// always observed (and left) in a fully written-back state.
+// With Config.IdleWork enabled each shard keeps one background goroutine,
+// a pump: after a request releases the shard it completes the engine's
+// deferred work — queued path write-backs and background eviction — one
+// unit per lock hold, stepping aside the moment a request waits for the
+// lock. Close and Inspect flush first, so the engines are always observed
+// (and left) in a fully written-back state.
 package shard
 
 import (
@@ -33,20 +37,21 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 )
 
 // Engine is one single-threaded ORAM instance. The pool takes exclusive
-// ownership: after NewPool returns, an engine must only be used by its
-// worker goroutine (or through Inspect requests, which run on the worker).
+// ownership: after NewPool returns, an engine must only be used through the
+// pool, which calls it only under its shard's lock.
 type Engine interface {
 	// Read returns a copy of the block at addr.
 	Read(addr uint64) ([]byte, error)
 	// ReadInto reads the block at addr into the caller-provided dst,
 	// avoiding Read's per-result allocation; found reports whether the
-	// block was ever written. The worker writes into dst before completing
-	// the request, so the caller may reuse dst as soon as Do returns.
+	// block was ever written. dst is written before Do returns, so the
+	// caller may reuse it as soon as Do does.
 	ReadInto(addr uint64, dst []byte) (found bool, err error)
 	// Write replaces the block at addr.
 	Write(addr uint64, data []byte) error
@@ -67,8 +72,8 @@ type Engine interface {
 	PaddingAccess() error
 	// StepBackground performs one unit of deferred work — completing one
 	// pending path write-back, or (when allowEviction is set) issuing one
-	// background-eviction dummy access — and reports which. Workers call
-	// it in a loop during idle queue time; core.BgNone ends the loop.
+	// background-eviction dummy access — and reports which. The idle pump
+	// calls it once per lock hold; core.BgNone ends the gap.
 	StepBackground(allowEviction bool) (core.BackgroundWork, error)
 	// Flush completes every pending write-back and fully drains
 	// background eviction, leaving the engine in a state the synchronous
@@ -97,33 +102,25 @@ const (
 	// sees the same per-shard traffic regardless of which slots carried
 	// real requests.
 	OpPadding
-	// OpInspect runs Run on the worker goroutine with exclusive access to
-	// the engine and nothing else in flight on that shard. Used to take
-	// consistent stats snapshots without stopping the world.
-	OpInspect
 )
 
 // ErrClosed is returned for requests submitted after Close.
 var ErrClosed = errors.New("shard: pool is closed")
 
-// Request is one operation bound for a shard worker. The Op-specific input
-// fields must be set before submission; Out and Err are written by the
-// worker and must only be read after Do/DoBatch returns.
+// Request is one operation bound for a shard. The Op-specific input fields
+// must be set before submission; Out and Err are written while the request
+// runs and must only be read after Do/DoBatch returns.
 type Request struct {
 	Op   Op
 	Addr uint64            // engine-local address (OpRead/OpWrite/OpUpdate/OpLoad/OpStore)
 	Data []byte            // OpWrite/OpStore payload
 	Dst  []byte            // OpRead: when set, the result is written here (Engine.ReadInto) and Out stays nil
 	Fn   func(data []byte) // OpUpdate mutator
-	Run  func()            // OpInspect body
-	Peek bool              // OpInspect: skip the consistency flush (observe deferred state as-is)
 
 	Out   []byte      // OpRead/OpLoad result
 	Found bool        // OpRead with Dst, OpLoad: the block had been written before
 	Group []core.Slot // OpLoad: checked-out super-block group members (engine-local addresses)
 	Err   error       // operation outcome
-
-	wg *sync.WaitGroup
 }
 
 // Stats are the scheduler's own counters (the ORAM protocol counters live
@@ -143,69 +140,95 @@ type Stats struct {
 	PaddingOps      uint64
 	PaddingPerShard []uint64
 	// IdleWriteBacks and IdleEvictions count the background work units the
-	// workers performed during idle queue time (Config.IdleWork): deferred
+	// idle pumps performed between requests (Config.IdleWork): deferred
 	// path write-backs completed, and background-eviction dummy accesses
 	// issued.
 	IdleWriteBacks uint64
 	IdleEvictions  uint64
-	// ExecutedPerShard counts real (non-padding, non-inspect) requests
-	// completed by each worker.
+	// ExecutedPerShard counts real (non-padding) requests completed on
+	// each shard.
 	ExecutedPerShard []uint64
 }
 
-// paddedCounter is an atomic counter padded to its own cache line so
-// per-shard counters don't false-share under concurrent load.
-type paddedCounter struct {
-	atomic.Uint64
-	_ [56]byte
-}
-
-// DefaultEvictionsPerIdle caps the background-eviction dummy accesses a
-// worker issues per idle gap. The cap bounds how long a worker can be busy
-// with speculative draining when a request arrives (it yields between
-// units), and keeps an idle pool from endlessly polishing its stashes.
-// Deferred write-backs are never capped: they are owed work, not
-// speculation.
+// DefaultEvictionsPerIdle caps the background-eviction dummy accesses the
+// idle pump issues per gap between requests. The cap keeps an idle pool
+// from endlessly polishing its stashes. Deferred write-backs are never
+// capped: they are owed work, not speculation.
 const DefaultEvictionsPerIdle = 4
+
+// lockSpin is how long a request yield-spins for a busy shard before it
+// blocks, so that it seldom pays a futex sleep and wake (50-100µs on a
+// VM). It is the timing lane's laneSpin rather than one access because a
+// holder's client may take the shard again for its next op: on flat-enc
+// (2-vCPU VM) a 20µs spin left p99 near 105µs and 100µs brought it to
+// 42-55µs.
+const lockSpin = 100 * time.Microsecond
 
 // Config parameterizes a Pool.
 type Config struct {
-	// QueueDepth is the per-shard request buffer (default 128): deep
-	// enough to absorb bursts, shallow enough to bound the work Close must
-	// drain.
-	QueueDepth int
-	// IdleWork enables the idle-time background scheduler: after
-	// answering a request, the worker completes deferred write-backs and
-	// runs background eviction until the queue has work again. Close and
-	// Inspect flush the engines first, so snapshots and the final state
-	// are always fully written back.
+	// IdleWork enables the idle-time background scheduler: after each
+	// request, the shard's pump completes deferred write-backs and runs
+	// background eviction until a request waits for the shard again.
+	// Close and Inspect flush the engines first, so snapshots and the
+	// final state are always fully written back.
 	IdleWork bool
 	// EvictionsPerIdle caps background-eviction dummy accesses per idle
 	// gap (default DefaultEvictionsPerIdle; negative disables idle
 	// eviction, leaving only write-back completion). Only a request opens
-	// a gap's budget; an inspection spends it (evictionBudget).
+	// a gap's budget; an inspection spends it.
 	EvictionsPerIdle int
 }
 
-// Pool owns N engines and runs one worker goroutine per engine.
+// owner is one shard: the engine and the lock that owns it, the idle-work
+// state that lock guards, and the shard's counters. Padded so that two
+// shards' locks never share a cache line.
+type owner struct {
+	mu     sync.Mutex
+	engine Engine
+	// waiting counts requests spinning or blocked on mu; the pump steps
+	// aside while it is non-zero.
+	waiting atomic.Int32
+	// budget is the idle evictions left in the current gap (guarded by mu).
+	budget int
+	// kick wakes the pump after a lock hold (IdleWork only).
+	kick     chan struct{}
+	executed atomic.Uint64
+	padded   atomic.Uint64
+	_        [64]byte
+}
+
+// lock takes the shard for a request: at once when it is free, otherwise
+// by yield-spinning for lockSpin before blocking.
+func (o *owner) lock() {
+	if o.mu.TryLock() {
+		return
+	}
+	o.waiting.Add(1)
+	for start := time.Now(); time.Since(start) < lockSpin; {
+		runtime.Gosched()
+		if o.mu.TryLock() {
+			o.waiting.Add(-1)
+			return
+		}
+	}
+	o.mu.Lock()
+	o.waiting.Add(-1)
+}
+
+// Pool owns N engines, one lock each.
 type Pool struct {
-	engines []Engine
-	queues  []chan *Request
-	workers sync.WaitGroup
+	owners []owner
 
 	idleWork         bool
 	evictionsPerIdle int
 
-	// mu guards closed against concurrent Close: submitters hold the read
-	// lock across the channel send, so Close (write lock) cannot close a
-	// channel out from under an in-flight send.
-	mu     sync.RWMutex
-	closed bool
-
-	// inspectMu serializes post-Close direct inspections: once the workers
-	// have exited, concurrent Inspect/InspectAll callers would otherwise
-	// touch the engines from their own goroutines simultaneously.
-	inspectMu sync.Mutex
+	// closed is set by Close before it fences the shards and read under a
+	// shard's lock, so a request either finishes before the fence or sees
+	// it.
+	closed  atomic.Bool
+	closeMu sync.Mutex    // serializes Close
+	done    chan struct{} // closed by Close: the pumps exit
+	pumps   sync.WaitGroup
 
 	singleOps      atomic.Uint64
 	batches        atomic.Uint64
@@ -213,17 +236,16 @@ type Pool struct {
 	paddingOps     atomic.Uint64
 	idleWriteBacks atomic.Uint64
 	idleEvictions  atomic.Uint64
-	executed       []paddedCounter
-	padded         []paddedCounter
 
-	// bgErrMu/bgErr record the first background-work or close-time flush
-	// error; Close surfaces it (request errors travel with their requests,
-	// but background work has no caller to report to).
+	// bgErrMu/bgErr record the first background-work or flush error;
+	// Close surfaces it (request errors travel with their requests, but
+	// background work has no caller to report to).
 	bgErrMu sync.Mutex
 	bgErr   error
 }
 
-// NewPool starts one worker per engine.
+// NewPool takes ownership of engines; with cfg.IdleWork it starts one
+// idle pump per engine.
 func NewPool(engines []Engine, cfg Config) (*Pool, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("shard: pool needs at least one engine")
@@ -233,35 +255,69 @@ func NewPool(engines []Engine, cfg Config) (*Pool, error) {
 			return nil, fmt.Errorf("shard: engine %d is nil", i)
 		}
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 128
-	}
 	if cfg.EvictionsPerIdle == 0 {
 		cfg.EvictionsPerIdle = DefaultEvictionsPerIdle
 	} else if cfg.EvictionsPerIdle < 0 {
 		cfg.EvictionsPerIdle = 0
 	}
 	p := &Pool{
-		engines:          engines,
-		queues:           make([]chan *Request, len(engines)),
-		executed:         make([]paddedCounter, len(engines)),
-		padded:           make([]paddedCounter, len(engines)),
+		owners:           make([]owner, len(engines)),
 		idleWork:         cfg.IdleWork,
 		evictionsPerIdle: cfg.EvictionsPerIdle,
 	}
-	for i := range engines {
-		p.queues[i] = make(chan *Request, cfg.QueueDepth)
-		p.workers.Add(1)
-		go p.run(i)
+	for i, e := range engines {
+		p.owners[i].engine = e
+	}
+	if p.idleWork {
+		p.done = make(chan struct{})
+		for i := range p.owners {
+			p.owners[i].kick = make(chan struct{}, 1)
+			p.pumps.Add(1)
+			go p.pump(&p.owners[i])
+		}
 	}
 	return p, nil
 }
 
 // NumShards returns the number of engines.
-func (p *Pool) NumShards() int { return len(p.engines) }
+func (p *Pool) NumShards() int { return len(p.owners) }
 
-// handle applies one request to shard i's engine.
-func (p *Pool) handle(i int, e Engine, req *Request) {
+func (p *Pool) owner(s int) (*owner, error) {
+	if s < 0 || s >= len(p.owners) {
+		return nil, fmt.Errorf("shard: shard %d out of range [0,%d)", s, len(p.owners))
+	}
+	return &p.owners[s], nil
+}
+
+// acquire takes o for a request, or reports false — with the lock
+// released — once the pool is closed.
+func (p *Pool) acquire(o *owner) bool {
+	o.lock()
+	if p.closed.Load() {
+		o.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// release ends a lock hold. The hold opens an idle gap with budget
+// background evictions, and kicks the pump to spend it.
+func (p *Pool) release(o *owner, budget int) {
+	if !p.idleWork {
+		o.mu.Unlock()
+		return
+	}
+	o.budget = budget
+	o.mu.Unlock()
+	select {
+	case o.kick <- struct{}{}:
+	default:
+	}
+}
+
+// handle applies one request to o's engine; the caller holds o.mu.
+func (p *Pool) handle(o *owner, req *Request) {
+	e := o.engine
 	switch req.Op {
 	case OpRead:
 		if req.Dst != nil {
@@ -278,114 +334,52 @@ func (p *Pool) handle(i int, e Engine, req *Request) {
 	case OpStore:
 		req.Err = e.Store(req.Addr, req.Data)
 	case OpPadding:
+		// Padding is scheduler overhead, counted apart so that
+		// ExecutedPerShard measures real client traffic per shard.
 		req.Err = e.PaddingAccess()
 		p.paddingOps.Add(1)
-		p.padded[i].Add(1)
-	case OpInspect:
-		// Inspections observe a consistent snapshot: with idle work on,
-		// deferred write-backs and pending evictions are flushed first, so
-		// the snapshot matches what the synchronous path would show. Peek
-		// inspections opt out to observe the deferred state itself. A
-		// flush failure travels on the request AND is recorded for Close:
-		// several snapshot callers (Stats, StashSize) have no error return
-		// and would otherwise silently observe an engine holding deferred
-		// state.
-		if p.idleWork && !req.Peek {
-			if req.Err = e.Flush(); req.Err != nil {
-				p.noteBackgroundErr(req.Err)
-			}
-		}
-		if req.Run != nil {
-			req.Run()
-		}
+		o.padded.Add(1)
+		return
 	default:
 		req.Err = fmt.Errorf("shard: unknown op %d", req.Op)
 	}
-	if req.Op != OpInspect && req.Op != OpPadding {
-		// Inspections are monitoring, not load, and padding is scheduler
-		// overhead counted in PaddingOps: keeping both out means
-		// ExecutedPerShard measures real client traffic per shard.
-		p.executed[i].Add(1)
-	}
-	req.wg.Done()
+	o.executed.Add(1)
 }
 
-// run is the worker loop: serially apply every request routed to shard i.
-// Receiving from the queue makes Close-time draining automatic — receive
-// only fails once the closed channel is empty. Between requests, idle-work
-// pools run the engine's deferred write-backs and background eviction,
-// yielding the moment the queue has a request (requests always win the
-// select, so background work never delays an already-queued client).
-func (p *Pool) run(i int) {
-	defer p.workers.Done()
-	e := p.engines[i]
-	q := p.queues[i]
+// pump is one shard's idle worker (IdleWork): woken after each lock hold,
+// it performs the engine's deferred work one StepBackground unit per hold
+// of the lock, and stops when the gap is spent or a request waits — the
+// request's release wakes it again.
+func (p *Pool) pump(o *owner) {
+	defer p.pumps.Done()
 	for {
-		req, ok := <-q
-		if !ok {
-			break
+		select {
+		case <-p.done:
+			return
+		case <-o.kick:
 		}
-		// Read before handle: a handled request is its submitter's again.
-		left := p.evictionBudget(req)
-		p.handle(i, e, req)
-		if !p.idleWork {
-			continue
-		}
-		// Yield before touching background work: the goroutine just
-		// unblocked by the response must get the processor first, or —
-		// with few processors — the response's delivery would silently
-		// absorb the cost of the write-back it was supposed to skip.
-		runtime.Gosched()
-	idle:
-		for {
-			select {
-			case req, ok := <-q:
-				if !ok {
-					break idle
-				}
-				left = p.evictionBudget(req)
-				p.handle(i, e, req)
-				runtime.Gosched()
-			default:
-				w, err := e.StepBackground(left > 0)
-				if err != nil {
-					p.noteBackgroundErr(err)
-					break idle
-				}
-				switch w {
-				case core.BgWriteBack:
-					p.idleWriteBacks.Add(1)
-				case core.BgEviction:
-					p.idleEvictions.Add(1)
-					left--
-				default:
-					break idle
-				}
+		for o.waiting.Load() == 0 && o.mu.TryLock() {
+			if p.closed.Load() {
+				o.mu.Unlock()
+				return
+			}
+			w, err := o.engine.StepBackground(o.budget > 0)
+			switch {
+			case err != nil:
+				p.noteBackgroundErr(err)
+				w = core.BgNone
+			case w == core.BgWriteBack:
+				p.idleWriteBacks.Add(1)
+			case w == core.BgEviction:
+				p.idleEvictions.Add(1)
+				o.budget--
+			}
+			o.mu.Unlock()
+			if w == core.BgNone {
+				break
 			}
 		}
-		// A break out of the idle loop with the queue still open simply
-		// returns to the blocking receive above; if the queue was closed
-		// the receive observes it and the worker exits through the drain
-		// path below.
 	}
-	// Close-time drain: leave the engine fully written back. Unconditional
-	// because deferred state is not exclusive to idle-work mode — engines
-	// with a position-map lookaside cache hold dirty labels even under the
-	// synchronous protocol; Flush is a cheap no-op when nothing is owed.
-	if err := e.Flush(); err != nil {
-		p.noteBackgroundErr(err)
-	}
-}
-
-// evictionBudget is how many idle evictions the gap after req may issue.
-// An inspection (Flush, a snapshot, a peek) spends the gap's budget, so an
-// engine evicts nothing after one until its next request: DESIGN.md's
-// "Flush is a barrier". Owed write-backs complete in every gap.
-func (p *Pool) evictionBudget(req *Request) int {
-	if req.Op == OpInspect {
-		return 0
-	}
-	return p.evictionsPerIdle
 }
 
 func (p *Pool) noteBackgroundErr(err error) {
@@ -396,80 +390,60 @@ func (p *Pool) noteBackgroundErr(err error) {
 	p.bgErrMu.Unlock()
 }
 
-// submit enqueues req on shard s. req.wg must be armed by the caller.
-func (p *Pool) submit(s int, req *Request) error {
-	if s < 0 || s >= len(p.queues) {
-		return fmt.Errorf("shard: shard %d out of range [0,%d)", s, len(p.queues))
-	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return ErrClosed
-	}
-	// Blocking on a full queue while holding the read lock is safe: the
-	// worker keeps draining, and Close merely waits until the send lands.
-	p.queues[s] <- req
-	return nil
-}
-
-// Do submits req to shard s and waits for the worker to complete it.
-// The returned error is the request's own Err (nil on success), or
-// ErrClosed if the pool no longer accepts work.
+// Do runs req on shard s from the calling goroutine. The returned error is
+// the request's own Err (nil on success), or ErrClosed if the pool no
+// longer accepts work.
 func (p *Pool) Do(s int, req *Request) error {
-	var wg sync.WaitGroup
-	return p.DoWith(s, req, &wg)
-}
-
-// DoWith is Do with a caller-supplied WaitGroup: throughput-sensitive
-// callers recycle the request and its wait state together (e.g. through a
-// sync.Pool), making single-operation submission allocation-free. wg must
-// be idle (its counter at zero) and is left idle again on return.
-func (p *Pool) DoWith(s int, req *Request, wg *sync.WaitGroup) error {
-	wg.Add(1)
-	req.wg = wg
-	if err := p.submit(s, req); err != nil {
-		wg.Done()
+	o, err := p.owner(s)
+	if err != nil {
 		req.Err = err
 		return err
 	}
-	wg.Wait()
-	if req.Op != OpInspect {
-		p.singleOps.Add(1)
+	if !p.acquire(o) {
+		req.Err = ErrClosed
+		return ErrClosed
 	}
+	p.handle(o, req)
+	p.release(o, p.evictionsPerIdle)
+	p.singleOps.Add(1)
 	return req.Err
 }
 
-// DoBatch submits reqs[i] to shards[i] for all i, then waits for every
-// request to finish. Results stay in input order because each request
-// carries its own result slot. Per-request outcomes are in reqs[i].Err;
-// the returned error is the first non-nil one (submission errors
-// included), so callers with homogeneous batches can check one value.
+// DoBatch runs reqs[i] on shards[i] for all i and returns when every
+// request has finished. The share of the first request's shard runs on
+// the caller, every other shard's share on a goroutine of its own, each
+// in slice order under one hold of its shard's lock. Results stay in
+// input order because each request carries its own result slot.
+// Per-request outcomes are in reqs[i].Err; the returned error is the first
+// non-nil one, so callers with homogeneous batches can check one value.
 func (p *Pool) DoBatch(shards []int, reqs []*Request) error {
 	if len(shards) != len(reqs) {
 		return fmt.Errorf("shard: %d shard routes for %d requests", len(shards), len(reqs))
 	}
-	var wg sync.WaitGroup
-	wg.Add(len(reqs))
-	enqueued := 0
-	for i, r := range reqs {
-		r.wg = &wg
-		if err := p.submit(shards[i], r); err != nil {
-			// Nothing from i on was enqueued: fail the remainder locally
-			// and release their waits so the join below still fires.
-			for j := i; j < len(reqs); j++ {
-				reqs[j].Err = err
-				wg.Done()
-			}
-			break
-		}
-		enqueued++
+	if len(reqs) == 0 {
+		return nil
 	}
-	wg.Wait()
-	// Count only work that reached a worker, so BatchedOps stays
-	// reconcilable with ExecutedPerShard even when submission fails.
-	if enqueued > 0 {
+	spread := false
+	for _, s := range shards {
+		if _, err := p.owner(s); err != nil {
+			for _, r := range reqs {
+				r.Err = err
+			}
+			return err
+		}
+		spread = spread || s != shards[0]
+	}
+	var ran uint64
+	if spread {
+		ran = p.fanOut(shards, reqs)
+	} else {
+		ran = p.runShare(shards[0], shards, reqs)
+	}
+	// Count only work that reached an engine, so BatchedOps stays
+	// reconcilable with ExecutedPerShard even when Close intervenes.
+	if ran > 0 {
 		p.batches.Add(1)
-		p.batchedOps.Add(uint64(enqueued))
+		p.batchedOps.Add(ran)
 	}
 	for _, r := range reqs {
 		if r.Err != nil {
@@ -479,10 +453,59 @@ func (p *Pool) DoBatch(shards []int, reqs []*Request) error {
 	return nil
 }
 
-// Inspect runs fn on shard s's worker goroutine, serialized with that
-// shard's request stream, giving fn exclusive access to the engine. If the
-// pool is closed it waits for the workers to exit and then runs fn
-// directly — the engine is quiescent either way.
+// fanOut runs a multi-shard batch: the first request's shard's share on
+// the caller, every other shard's on a goroutine of its own. It returns
+// how many requests ran.
+func (p *Pool) fanOut(shards []int, reqs []*Request) uint64 {
+	var ran atomic.Uint64
+	var wg sync.WaitGroup
+	seen := make([]bool, len(p.owners))
+	seen[shards[0]] = true
+	for _, s := range shards {
+		if !seen[s] {
+			seen[s] = true
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ran.Add(p.runShare(s, shards, reqs))
+			}()
+		}
+	}
+	ran.Add(p.runShare(shards[0], shards, reqs))
+	wg.Wait()
+	return ran.Load()
+}
+
+// runShare runs shard s's requests of a batch in slice order under one
+// hold of its lock, and returns how many ran: none once the pool is
+// closed, when each fails with ErrClosed.
+func (p *Pool) runShare(s int, shards []int, reqs []*Request) uint64 {
+	o := &p.owners[s]
+	if !p.acquire(o) {
+		for i, r := range reqs {
+			if shards[i] == s {
+				r.Err = ErrClosed
+			}
+		}
+		return 0
+	}
+	var n uint64
+	for i, r := range reqs {
+		if shards[i] == s {
+			p.handle(o, r)
+			n++
+		}
+	}
+	p.release(o, p.evictionsPerIdle)
+	return n
+}
+
+// Inspect runs fn under shard s's lock, serialized with that shard's
+// requests, giving fn exclusive access to the engine. With IdleWork the
+// engine is flushed first, so fn observes what the synchronous protocol
+// would show; a flush failure is returned AND recorded for Close, since
+// several snapshot callers have no error return. After Close fn runs on
+// the quiescent, already flushed engine.
 func (p *Pool) Inspect(s int, fn func()) error { return p.inspect(s, fn, false) }
 
 // Peek is Inspect without the idle-work consistency flush: fn observes
@@ -492,29 +515,31 @@ func (p *Pool) Inspect(s int, fn func()) error { return p.inspect(s, fn, false) 
 func (p *Pool) Peek(s int, fn func()) error { return p.inspect(s, fn, true) }
 
 func (p *Pool) inspect(s int, fn func(), peek bool) error {
-	req := &Request{Op: OpInspect, Run: fn, Peek: peek}
-	err := p.Do(s, req)
-	if errors.Is(err, ErrClosed) {
-		if s < 0 || s >= len(p.engines) {
-			return fmt.Errorf("shard: shard %d out of range [0,%d)", s, len(p.engines))
-		}
-		// closed was observed, so Close already closed the queues; the
-		// workers exit once drained. Wait, then run fn with the post-close
-		// inspection lock so concurrent inspectors stay serialized.
-		p.workers.Wait()
-		p.inspectMu.Lock()
+	o, err := p.owner(s)
+	if err != nil {
+		return err
+	}
+	o.lock()
+	if p.closed.Load() {
 		fn()
-		p.inspectMu.Unlock()
+		o.mu.Unlock()
 		return nil
 	}
+	if p.idleWork && !peek {
+		if err = o.engine.Flush(); err != nil {
+			p.noteBackgroundErr(err)
+		}
+	}
+	fn()
+	// An inspection spends the gap's eviction budget, so an engine evicts
+	// nothing after one until its next request: DESIGN.md's "Flush is a
+	// barrier". Owed write-backs complete in every gap.
+	p.release(o, 0)
 	return err
 }
 
-// InspectAll runs fns[i] on shard i's worker for every shard, fanned out
-// concurrently (one queue wait in parallel per shard, not summed) while
-// still serializing each fn with its shard's request stream. Shards whose
-// submission raced with Close are handled like Inspect: wait for the
-// drain, then run directly on the quiescent engine.
+// InspectAll runs fns[i] as Inspect(i, fns[i]) for every shard, in shard
+// order, and returns the first flush failure.
 func (p *Pool) InspectAll(fns []func()) error { return p.inspectAll(fns, false) }
 
 // PeekAll is InspectAll without the idle-work consistency flush: fns
@@ -523,42 +548,16 @@ func (p *Pool) InspectAll(fns []func()) error { return p.inspectAll(fns, false) 
 func (p *Pool) PeekAll(fns []func()) error { return p.inspectAll(fns, true) }
 
 func (p *Pool) inspectAll(fns []func(), peek bool) error {
-	if len(fns) != len(p.engines) {
-		return fmt.Errorf("shard: %d inspectors for %d shards", len(fns), len(p.engines))
+	if len(fns) != len(p.owners) {
+		return fmt.Errorf("shard: %d inspectors for %d shards", len(fns), len(p.owners))
 	}
-	var wg sync.WaitGroup
-	backing := make([]Request, len(fns))
-	var direct []int
+	var first error
 	for i, fn := range fns {
-		backing[i] = Request{Op: OpInspect, Run: fn, Peek: peek, wg: &wg}
-		wg.Add(1)
-		if err := p.submit(i, &backing[i]); err != nil {
-			wg.Done()
-			if errors.Is(err, ErrClosed) {
-				direct = append(direct, i)
-				continue
-			}
-			return err
+		if err := p.inspect(i, fn, peek); err != nil && first == nil {
+			first = err
 		}
 	}
-	wg.Wait()
-	if len(direct) > 0 {
-		p.workers.Wait()
-		p.inspectMu.Lock()
-		for _, i := range direct {
-			fns[i]()
-		}
-		p.inspectMu.Unlock()
-	}
-	// Surface per-shard flush failures (the inspections themselves cannot
-	// fail): the snapshot still ran, but on an engine that may hold
-	// deferred state.
-	for i := range backing {
-		if backing[i].Err != nil {
-			return backing[i].Err
-		}
-	}
-	return nil
+	return first
 }
 
 // Stats returns a snapshot of the scheduler counters.
@@ -570,32 +569,45 @@ func (p *Pool) Stats() Stats {
 		PaddingOps:       p.paddingOps.Load(),
 		IdleWriteBacks:   p.idleWriteBacks.Load(),
 		IdleEvictions:    p.idleEvictions.Load(),
-		ExecutedPerShard: make([]uint64, len(p.executed)),
-		PaddingPerShard:  make([]uint64, len(p.padded)),
+		ExecutedPerShard: make([]uint64, len(p.owners)),
+		PaddingPerShard:  make([]uint64, len(p.owners)),
 	}
-	for i := range p.executed {
-		s.ExecutedPerShard[i] = p.executed[i].Load()
-		s.PaddingPerShard[i] = p.padded[i].Load()
+	for i := range p.owners {
+		s.ExecutedPerShard[i] = p.owners[i].executed.Load()
+		s.PaddingPerShard[i] = p.owners[i].padded.Load()
 	}
 	return s
 }
 
-// Close stops accepting requests, waits for every already-accepted request
-// to complete, flushes each engine's deferred work (idle-work pools), and
-// stops the workers. It returns the first background-work or flush error
+// Close stops accepting requests: it fences every shard by taking its
+// lock — a request that got the lock first completes, every later one
+// fails with ErrClosed — flushes the engine's deferred work, and stops the
+// idle pumps. It returns the first background-work or flush error
 // encountered over the pool's lifetime — such errors have no request to
 // travel with. Safe to call more than once; later calls wait for the
-// drain and report the same error.
+// first to finish and report the same error.
 func (p *Pool) Close() error {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		for _, q := range p.queues {
-			close(q)
+	p.closeMu.Lock()
+	defer p.closeMu.Unlock()
+	if !p.closed.Load() {
+		p.closed.Store(true)
+		for i := range p.owners {
+			o := &p.owners[i]
+			o.mu.Lock()
+			// Unconditional: deferred state is not exclusive to idle-work
+			// mode — engines with a position-map lookaside cache hold dirty
+			// labels even under the synchronous protocol — and Flush is a
+			// cheap no-op when nothing is owed.
+			if err := o.engine.Flush(); err != nil {
+				p.noteBackgroundErr(err)
+			}
+			o.mu.Unlock()
+		}
+		if p.done != nil {
+			close(p.done)
+			p.pumps.Wait()
 		}
 	}
-	p.mu.Unlock()
-	p.workers.Wait()
 	p.bgErrMu.Lock()
 	defer p.bgErrMu.Unlock()
 	return p.bgErr

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -127,9 +128,9 @@ func (e *fakeEngine) noteOp(addr uint64) {
 	}
 }
 
-func newTestPool(t *testing.T, n, depth int) (*Pool, []*fakeEngine) {
+func newTestPool(t *testing.T, n int) (*Pool, []*fakeEngine) {
 	t.Helper()
-	return newConfiguredPool(t, n, Config{QueueDepth: depth})
+	return newConfiguredPool(t, n, Config{})
 }
 
 func newConfiguredPool(t *testing.T, n int, cfg Config) (*Pool, []*fakeEngine) {
@@ -160,7 +161,7 @@ func TestPoolValidation(t *testing.T) {
 	if _, err := NewPool([]Engine{nil}, Config{}); err == nil {
 		t.Error("nil engine accepted")
 	}
-	p, _ := newTestPool(t, 2, 0)
+	p, _ := newTestPool(t, 2)
 	defer p.Close()
 	if err := p.Do(5, &Request{Op: OpRead}); err == nil {
 		t.Error("out-of-range shard accepted")
@@ -171,7 +172,7 @@ func TestPoolValidation(t *testing.T) {
 }
 
 func TestDoRoundTrip(t *testing.T) {
-	p, _ := newTestPool(t, 3, 4)
+	p, _ := newTestPool(t, 3)
 	defer p.Close()
 	for i := uint64(0); i < 30; i++ {
 		s := int(i % 3)
@@ -200,7 +201,7 @@ func TestDoRoundTrip(t *testing.T) {
 }
 
 func TestPerShardFIFO(t *testing.T) {
-	p, fakes := newTestPool(t, 1, 64)
+	p, fakes := newTestPool(t, 1)
 	reqs := make([]*Request, 50)
 	shards := make([]int, 50)
 	for i := range reqs {
@@ -214,13 +215,13 @@ func TestPerShardFIFO(t *testing.T) {
 	}
 	for i, a := range fakes[0].ops {
 		if a != uint64(i) {
-			t.Fatalf("shard executed addr %d at position %d; queue is not FIFO", a, i)
+			t.Fatalf("shard executed addr %d at position %d; a batch share is not FIFO", a, i)
 		}
 	}
 }
 
 func TestDoBatchOrderAndErrors(t *testing.T) {
-	p, fakes := newTestPool(t, 4, 8)
+	p, fakes := newTestPool(t, 4)
 	defer p.Close()
 
 	n := 40
@@ -269,7 +270,7 @@ func TestDoBatchOrderAndErrors(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	p, _ := newTestPool(t, 4, 16)
+	p, _ := newTestPool(t, 4)
 	defer p.Close()
 	const clients = 8
 	const opsPer = 200
@@ -302,7 +303,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestCloseDrainsAcceptedRequests(t *testing.T) {
-	p, fakes := newTestPool(t, 2, 64)
+	p, fakes := newTestPool(t, 2)
 	for _, f := range fakes {
 		f.delay = 100 * time.Microsecond
 	}
@@ -357,7 +358,7 @@ func TestCloseDrainsAcceptedRequests(t *testing.T) {
 }
 
 func TestInspectSerializesWithRequests(t *testing.T) {
-	p, fakes := newTestPool(t, 1, 32)
+	p, fakes := newTestPool(t, 1)
 	var before int
 	if err := p.Inspect(0, func() { before = len(fakes[0].ops) }); err != nil {
 		t.Fatal(err)
@@ -391,8 +392,8 @@ func TestInspectSerializesWithRequests(t *testing.T) {
 	if err := p.Inspect(99, func() {}); err == nil {
 		t.Error("post-close inspect accepted out-of-range shard")
 	}
-	// Concurrent post-close inspectors must stay serialized: the workers
-	// are gone, so the pool itself has to provide the mutual exclusion.
+	// Concurrent post-close inspectors must stay serialized: the shard's
+	// lock still provides the mutual exclusion after Close.
 	var counter int
 	var cwg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -415,9 +416,9 @@ func TestInspectSerializesWithRequests(t *testing.T) {
 
 // TestLoadStoreOps covers the exclusive-checkout scheduler ops: OpLoad
 // removes the block (results in Out/Found/Group) and OpStore returns it,
-// both executing on the worker and counting as real traffic.
+// both executing on the engine and counting as real traffic.
 func TestLoadStoreOps(t *testing.T) {
-	p, fakes := newTestPool(t, 2, 8)
+	p, fakes := newTestPool(t, 2)
 	defer p.Close()
 	if err := p.Do(1, &Request{Op: OpWrite, Addr: 5, Data: val(5)}); err != nil {
 		t.Fatal(err)
@@ -460,7 +461,7 @@ func TestLoadStoreOps(t *testing.T) {
 // Peek on an idle-work pool: Inspect flushes the engine first, Peek
 // observes the deferred state as-is.
 func TestPeekSkipsConsistencyFlush(t *testing.T) {
-	p, fakes := newConfiguredPool(t, 1, Config{QueueDepth: 4, IdleWork: true, EvictionsPerIdle: -1})
+	p, fakes := newConfiguredPool(t, 1, Config{IdleWork: true, EvictionsPerIdle: -1})
 	defer p.Close()
 	fakes[0].deferring = true
 	// Submit work and immediately peek: the flush count must not move.
@@ -484,7 +485,7 @@ func TestPeekSkipsConsistencyFlush(t *testing.T) {
 }
 
 func TestInspectAllFansOut(t *testing.T) {
-	p, fakes := newTestPool(t, 3, 8)
+	p, fakes := newTestPool(t, 3)
 	for i := uint64(0); i < 9; i++ {
 		if err := p.Do(int(i%3), &Request{Op: OpWrite, Addr: i, Data: val(i)}); err != nil {
 			t.Fatal(err)
@@ -531,7 +532,7 @@ func TestInspectAllFansOut(t *testing.T) {
 }
 
 func TestUpdateOp(t *testing.T) {
-	p, _ := newTestPool(t, 2, 4)
+	p, _ := newTestPool(t, 2)
 	defer p.Close()
 	if err := p.Do(1, &Request{Op: OpWrite, Addr: 3, Data: val(41)}); err != nil {
 		t.Fatal(err)
@@ -560,7 +561,7 @@ func TestUpdateOp(t *testing.T) {
 // padding-heavy schedules don't skew it as a load measure (regression:
 // padding used to be double-counted into executed).
 func TestPaddingOp(t *testing.T) {
-	p, fakes := newTestPool(t, 2, 4)
+	p, fakes := newTestPool(t, 2)
 	defer p.Close()
 	reqs := []*Request{
 		{Op: OpWrite, Addr: 1, Data: val(1)},
@@ -590,7 +591,7 @@ func TestPaddingOp(t *testing.T) {
 }
 
 func TestPoolStatsCounters(t *testing.T) {
-	p, _ := newTestPool(t, 2, 4)
+	p, _ := newTestPool(t, 2)
 	defer p.Close()
 	for i := 0; i < 5; i++ {
 		if err := p.Do(0, &Request{Op: OpWrite, Addr: 1, Data: val(1)}); err != nil {
@@ -611,7 +612,7 @@ func TestPoolStatsCounters(t *testing.T) {
 }
 
 // pendingTotal reads every engine's outstanding fake write-backs through
-// the pool's peek path (serialized with the workers, no flush).
+// the pool's peek path (serialized with requests, no flush).
 func pendingTotal(t *testing.T, p *Pool, fakes []*fakeEngine) int {
 	t.Helper()
 	counts := make([]int, len(fakes))
@@ -630,10 +631,10 @@ func pendingTotal(t *testing.T, p *Pool, fakes []*fakeEngine) int {
 }
 
 // TestAsyncIdleWorkDrainsWriteBacks submits deferring operations and
-// checks that the workers complete the deferred write-backs on their own
-// during idle queue time — no Flush, Inspect or Close involved.
+// checks that the idle pumps complete the deferred write-backs on their own
+// between requests — no Flush, Inspect or Close involved.
 func TestAsyncIdleWorkDrainsWriteBacks(t *testing.T) {
-	p, fakes := newConfiguredPool(t, 2, Config{QueueDepth: 8, IdleWork: true})
+	p, fakes := newConfiguredPool(t, 2, Config{IdleWork: true})
 	defer p.Close()
 	for _, f := range fakes {
 		f.deferring = true
@@ -646,7 +647,7 @@ func TestAsyncIdleWorkDrainsWriteBacks(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for pendingTotal(t, p, fakes) > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("idle workers never drained: %d write-backs still pending", pendingTotal(t, p, fakes))
+			t.Fatalf("idle pumps never drained: %d write-backs still pending", pendingTotal(t, p, fakes))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -659,7 +660,7 @@ func TestAsyncIdleWorkDrainsWriteBacks(t *testing.T) {
 // TestAsyncCloseFlushes checks the drain guarantee: Close leaves every
 // engine flushed even when deferred write-backs were outstanding.
 func TestAsyncCloseFlushes(t *testing.T) {
-	p, fakes := newConfiguredPool(t, 2, Config{QueueDepth: 64, IdleWork: true})
+	p, fakes := newConfiguredPool(t, 2, Config{IdleWork: true})
 	for _, f := range fakes {
 		f.deferring = true
 	}
@@ -685,10 +686,10 @@ func TestAsyncCloseFlushes(t *testing.T) {
 // consistent (fully written-back) snapshot, while peeks observe the
 // deferred state as-is.
 func TestAsyncInspectFlushesFirst(t *testing.T) {
-	// Queue several ops back to back so the worker plausibly still holds
+	// Submit several ops back to back so the engine plausibly still holds
 	// deferred work when the inspection runs; either way the inspection
 	// itself must observe pending == 0.
-	p, fakes := newConfiguredPool(t, 1, Config{QueueDepth: 16, IdleWork: true})
+	p, fakes := newConfiguredPool(t, 1, Config{IdleWork: true})
 	defer p.Close()
 	fakes[0].deferring = true
 	for i := uint64(0); i < 8; i++ {
@@ -715,12 +716,12 @@ func TestAsyncInspectFlushesFirst(t *testing.T) {
 // fuzzed "Flush on a quiescent client changed stats": the engine still has
 // idle eviction due after a flush (as a real one does while its stash sits
 // between half its inline threshold and the threshold), and between two
-// snapshots the worker is given every chance to take an idle step — the
+// snapshots the pump is given every chance to take an idle step — the
 // test waits for one. Before inspections spent the gap's budget, each
 // snapshot reopened it and the step always came.
 func TestAsyncInspectionStartsNoIdleEviction(t *testing.T) {
 	for _, peek := range []bool{false, true} {
-		p, fakes := newConfiguredPool(t, 1, Config{QueueDepth: 4, IdleWork: true, EvictionsPerIdle: 3})
+		p, fakes := newConfiguredPool(t, 1, Config{IdleWork: true, EvictionsPerIdle: 3})
 		f := fakes[0]
 		f.evictable = 100
 		if err := p.Do(0, &Request{Op: OpWrite, Addr: 1, Data: val(1)}); err != nil {
@@ -756,22 +757,22 @@ func TestAsyncInspectionStartsNoIdleEviction(t *testing.T) {
 	}
 }
 
-// TestAsyncEvictionsPerIdleCap checks that a worker issues at most
-// EvictionsPerIdle background evictions per idle gap and then goes back to
-// blocking on the queue.
+// TestAsyncEvictionsPerIdleCap checks that a pump issues at most
+// EvictionsPerIdle background evictions per idle gap and then waits for
+// the next request.
 func TestAsyncEvictionsPerIdleCap(t *testing.T) {
-	p, fakes := newConfiguredPool(t, 1, Config{QueueDepth: 4, IdleWork: true, EvictionsPerIdle: 3})
+	p, fakes := newConfiguredPool(t, 1, Config{IdleWork: true, EvictionsPerIdle: 3})
 	fakes[0].evictable = 100
 	if err := p.Do(0, &Request{Op: OpWrite, Addr: 1, Data: val(1)}); err != nil {
 		t.Fatal(err)
 	}
-	// Give the worker ample time to (wrongly) keep evicting past the cap.
+	// Give the pump ample time to (wrongly) keep evicting past the cap.
 	time.Sleep(20 * time.Millisecond)
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if fakes[0].evDone != 3 {
-		t.Errorf("worker performed %d idle evictions, want exactly the cap of 3", fakes[0].evDone)
+		t.Errorf("pump performed %d idle evictions, want exactly the cap of 3", fakes[0].evDone)
 	}
 	if st := p.Stats(); st.IdleEvictions != 3 {
 		t.Errorf("Stats.IdleEvictions = %d, want 3", st.IdleEvictions)
@@ -785,7 +786,7 @@ func TestAsyncEvictionsPerIdleCap(t *testing.T) {
 // (a position-map lookaside cache holds dirty labels even under the
 // synchronous protocol), and Flush is a no-op when nothing is owed.
 func TestSyncPoolNeverTouchesBackground(t *testing.T) {
-	p, fakes := newTestPool(t, 1, 4)
+	p, fakes := newTestPool(t, 1)
 	fakes[0].evictable = 5
 	for i := uint64(0); i < 10; i++ {
 		if err := p.Do(0, &Request{Op: OpWrite, Addr: i, Data: val(i)}); err != nil {
@@ -804,5 +805,171 @@ func TestSyncPoolNeverTouchesBackground(t *testing.T) {
 	}
 	if fakes[0].flushes != 1 {
 		t.Errorf("close-time drain ran %d flushes, want exactly 1", fakes[0].flushes)
+	}
+}
+
+// ownerEngine fails the test if two goroutines are ever inside it at once,
+// or if the pool calls it after Close returned. runs counts executions per
+// request id (the address); it always has background work to offer.
+type ownerEngine struct {
+	t        *testing.T
+	inFlight atomic.Int32
+	sealed   atomic.Bool
+	runs     []atomic.Int32
+}
+
+func (e *ownerEngine) enter(op string) func() {
+	if n := e.inFlight.Add(1); n != 1 {
+		e.t.Errorf("%s: %d goroutines inside one engine", op, n)
+	}
+	runtime.Gosched() // widen the window a second owner would need
+	return func() { e.inFlight.Add(-1) }
+}
+
+func (e *ownerEngine) call(op string, addr uint64) {
+	if e.sealed.Load() {
+		e.t.Errorf("%s after Close returned", op)
+	}
+	defer e.enter(op)()
+	if addr != ^uint64(0) {
+		e.runs[addr].Add(1)
+	}
+}
+
+func (e *ownerEngine) Read(addr uint64) ([]byte, error) { e.call("Read", addr); return nil, nil }
+func (e *ownerEngine) ReadInto(addr uint64, _ []byte) (bool, error) {
+	e.call("ReadInto", addr)
+	return true, nil
+}
+func (e *ownerEngine) Write(addr uint64, _ []byte) error { e.call("Write", addr); return nil }
+func (e *ownerEngine) Update(addr uint64, fn func([]byte)) error {
+	e.call("Update", addr)
+	fn(nil)
+	return nil
+}
+func (e *ownerEngine) Load(addr uint64) ([]byte, bool, []core.Slot, error) {
+	e.call("Load", addr)
+	return nil, false, nil, nil
+}
+func (e *ownerEngine) Store(addr uint64, _ []byte) error { e.call("Store", addr); return nil }
+func (e *ownerEngine) PaddingAccess() error              { e.call("PaddingAccess", ^uint64(0)); return nil }
+func (e *ownerEngine) StepBackground(bool) (core.BackgroundWork, error) {
+	e.call("StepBackground", ^uint64(0))
+	return core.BgWriteBack, nil
+}
+func (e *ownerEngine) Flush() error { e.call("Flush", ^uint64(0)); return nil }
+
+// TestOwnerExclusive drives every way into a pool at once — concurrent Do,
+// multi-shard DoBatch, Inspect, Peek, InspectAll and the IdleWork pump —
+// and closes it mid-run: no engine ever has two goroutines inside it or a
+// call after Close returned, every accepted request ran exactly once and
+// every refused one never, and every request submitted after Close
+// returned is refused with ErrClosed.
+func TestOwnerExclusive(t *testing.T) {
+	const shards, clients, perClient, batch = 3, 4, 300, 6
+	const ids = clients * perClient * batch
+	engines := make([]Engine, shards)
+	owners := make([]*ownerEngine, shards)
+	for i := range engines {
+		owners[i] = &ownerEngine{t: t, runs: make([]atomic.Int32, ids)}
+		engines[i] = owners[i]
+	}
+	p, err := NewPool(engines, Config{IdleWork: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int32
+	var closeReturned atomic.Bool
+	accepted := make([]atomic.Int32, ids)
+	record := func(id int, err error, closedBefore bool) {
+		switch {
+		case err == nil && closedBefore:
+			t.Errorf("request %d submitted after Close returned was accepted", id)
+		case err == nil:
+			accepted[id].Store(1)
+		case !errors.Is(err, ErrClosed):
+			t.Errorf("request %d: %v", id, err)
+		}
+	}
+	touch := func(i int) func() { return func() { defer owners[i].enter("inspector")() } }
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < perClient; k++ {
+				calls.Add(1)
+				base := (c*perClient + k) * batch
+				closedBefore := closeReturned.Load()
+				switch k % 4 {
+				case 0:
+					err := p.Do(base%shards, &Request{Op: OpRead, Addr: uint64(base)})
+					record(base, err, closedBefore)
+				case 1:
+					err := p.Do(base%shards, &Request{Op: OpUpdate, Addr: uint64(base), Fn: func([]byte) {}})
+					record(base, err, closedBefore)
+				case 2: // a batch across every shard
+					reqs, routes := make([]*Request, batch), make([]int, batch)
+					for j := range reqs {
+						reqs[j], routes[j] = &Request{Op: OpWrite, Addr: uint64(base + j)}, j%shards
+					}
+					_ = p.DoBatch(routes, reqs)
+					for j, r := range reqs {
+						record(base+j, r.Err, closedBefore)
+					}
+				case 3: // monitoring: allowed before and after Close
+					var err error
+					switch c % 3 {
+					case 0:
+						err = p.Inspect(c%shards, touch(c%shards))
+					case 1:
+						err = p.Peek(c%shards, touch(c%shards))
+					default:
+						fns := make([]func(), shards)
+						for i := range fns {
+							fns[i] = touch(i)
+						}
+						err = p.InspectAll(fns)
+					}
+					if err != nil {
+						t.Errorf("inspection: %v", err)
+					}
+				}
+			}
+		}()
+	}
+	for calls.Load() < clients*perClient/3 {
+		runtime.Gosched()
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range owners {
+		e.sealed.Store(true)
+	}
+	closeReturned.Store(true)
+	wg.Wait()
+	if err := p.Do(0, &Request{Op: OpRead}); !errors.Is(err, ErrClosed) {
+		t.Errorf("Do after Close = %v, want ErrClosed", err)
+	}
+	if err := p.DoBatch([]int{0, 1}, []*Request{{Op: OpRead}, {Op: OpRead}}); !errors.Is(err, ErrClosed) {
+		t.Errorf("DoBatch after Close = %v, want ErrClosed", err)
+	}
+	var acc int32
+	for id := 0; id < ids; id++ {
+		var n int32
+		for _, e := range owners {
+			n += e.runs[id].Load()
+		}
+		if want := accepted[id].Load(); n != want {
+			t.Fatalf("request %d ran %d times, accepted %d", id, n, want)
+		}
+		acc += n
+	}
+	if acc == 0 || acc == clients*perClient/4*(2+batch) {
+		t.Errorf("Close did not land mid-run: %d requests accepted", acc)
+	}
+	if p.Stats().IdleWriteBacks == 0 {
+		t.Error("the idle pump never ran")
 	}
 }

@@ -48,10 +48,11 @@ const (
 	// measure alike on dram-rec-*, where the replay side is seldom idle.
 	laneSpin = 100 * time.Microsecond
 	// laneYield is the backlog at which a recorder yields when the two sides
-	// share one P. They can only alternate there, and client and worker hand
-	// the P to each other through runnext, so without it a whole ring of lag
-	// lands on every third batch (dram-rec-zipf, GOMAXPROCS 1: p50 64-80µs
-	// and p99 470-600µs, against 125-140 and 230-260 with it and inline).
+	// share one P. They can only alternate there: the replay goroutine runs
+	// only when the recorder yields, so a recorder that yields only on a
+	// full ring pays a whole ring of replay inside one batch instead of a
+	// little in each (dram-rec-zipf, GOMAXPROCS 1: p50 99-101µs and p99
+	// 504-511µs without it, against 190-196 and 295-301 with it).
 	laneYield = 16
 )
 

@@ -168,8 +168,8 @@ type Hierarchy = ORAM
 // bus; under BackendFile its own tree file. The serving-layer knobs would
 // be silently inert on one engine, so they are rejected.
 func New(spec Spec) (*ORAM, error) {
-	if spec.Shards > 1 || spec.Partition != PartitionStripe || spec.Padded || spec.QueueDepth != 0 || spec.EvictionsPerIdle != 0 {
-		return nil, fmt.Errorf("pathoram: New and NewHierarchy build one bare engine; Shards/Partition/Padded/QueueDepth/EvictionsPerIdle parameterize the serving layer (use Open)")
+	if spec.Shards > 1 || spec.Partition != PartitionStripe || spec.Padded || spec.EvictionsPerIdle != 0 {
+		return nil, fmt.Errorf("pathoram: New and NewHierarchy build one bare engine; Shards/Partition/Padded/EvictionsPerIdle parameterize the serving layer (use Open)")
 	}
 	p, err := resolve(spec)
 	if err != nil {
@@ -271,8 +271,8 @@ const (
 // some stash sits above the idle low-water mark) issuing one coordinated
 // dummy round through the whole chain — and reports which. Under
 // AsyncEviction, call it whenever the ORAM would otherwise sit idle; BgNone
-// means there is nothing useful to do right now. Inside a Sharded the shard
-// workers call it for you.
+// means there is nothing useful to do right now. Inside a Sharded the
+// shards' idle pumps call it for you.
 func (o *ORAM) StepBackground(allowEviction bool) (BackgroundWork, error) {
 	return o.inner.StepBackground(allowEviction)
 }

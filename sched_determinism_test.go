@@ -34,7 +34,7 @@ var queueShapes = []struct {
 
 // queueDeterminismRun drives one full load against a fresh timed instance
 // of the given shape and returns its closing timing snapshot. Batches span
-// every shard, so the shard workers charge the shared bus concurrently —
+// every shard, so the shards' batch shares charge the shared bus concurrently —
 // exactly the regime where lock-acquisition order used to leak into the
 // modeled cycle totals. Every shape is synchronous: per-shard request
 // streams are then functions of the (seeded) protocol alone, and the

@@ -4,7 +4,6 @@ import (
 	"crypto/aes"
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -50,9 +49,10 @@ func (p *Partition) UnmarshalText(b []byte) error { return parseEnum(partitionNa
 
 // Sharded is a concurrency-safe ORAM serving layer. It partitions the
 // logical address space over independent Path ORAM shards, each owned
-// exclusively by a worker goroutine, and schedules requests onto them:
-// single operations (Read/Write/Update) enqueue and wait, batched
-// operations (ReadBatch/WriteBatch) fan out across shards and join.
+// exclusively by a lock, and runs every request on its caller's goroutine:
+// a single operation (Read/Write/Update) takes its shard's lock and runs,
+// a batch (ReadBatch/WriteBatch) runs one shard's share on the caller and
+// the others' alongside on goroutines of their own, then joins.
 //
 // All methods are safe for concurrent use by any number of goroutines.
 //
@@ -103,7 +103,7 @@ func (e shardEngine) Load(addr uint64) ([]byte, bool, []core.Slot, error) {
 // AES_Key('S', i) (sharing one key would reuse one-time pads, since every
 // shard numbers its buckets from zero) and owns a generator seeded from a
 // draw on Rand (math/rand generators are not goroutine-safe; sharing one
-// across workers would be a data race). If construction fails, every tree
+// across shards would be a data race). If construction fails, every tree
 // file already opened is closed again.
 func NewSharded(spec Spec) (_ *Sharded, err error) {
 	p, err := resolve(spec)
@@ -151,7 +151,6 @@ func NewSharded(spec Spec) (_ *Sharded, err error) {
 		engines[i] = shardEngine{e}
 	}
 	if s.pool, err = shard.NewPool(engines, shard.Config{
-		QueueDepth:       p.QueueDepth,
 		IdleWork:         p.AsyncEviction,
 		EvictionsPerIdle: p.EvictionsPerIdle,
 	}); err != nil {
@@ -314,32 +313,6 @@ func (s *Sharded) OnChipBytes() uint64 {
 	return total
 }
 
-// reqAndWait pairs one single-operation request with its wait state so both
-// recycle together through reqPool: steady-state single operations then
-// submit without allocating (the batch paths allocate per batch, which
-// amortizes; the single-op path has nothing to amortize over).
-type reqAndWait struct {
-	req shard.Request
-	wg  sync.WaitGroup
-}
-
-var reqPool = sync.Pool{New: func() any { return new(reqAndWait) }}
-
-// doPooled submits one single-op request built by build through recycled
-// request/wait state, returning the result fields the single-op surface
-// needs. The request is scrubbed before going back in the pool so payload
-// and result buffers aren't pinned.
-func (s *Sharded) doPooled(sh int, build func(r *shard.Request)) (out []byte, found bool, err error) {
-	rw := reqPool.Get().(*reqAndWait)
-	rw.req = shard.Request{}
-	build(&rw.req)
-	err = s.pool.DoWith(sh, &rw.req, &rw.wg)
-	out, found = rw.req.Out, rw.req.Found
-	rw.req = shard.Request{}
-	reqPool.Put(rw)
-	return out, found, err
-}
-
 // Read returns a copy of the block at addr (zero-filled if never written).
 // One oblivious path access on the owning shard — two under
 // PartitionRandom (fetch from the current home, relocate to a fresh one).
@@ -351,16 +324,14 @@ func (s *Sharded) Read(addr uint64) ([]byte, error) {
 		return nil, err
 	}
 	sh, local := s.shardOf(addr)
-	out, _, err := s.doPooled(sh, func(r *shard.Request) {
-		r.Op, r.Addr = shard.OpRead, local
-	})
-	return out, err
+	req := shard.Request{Op: shard.OpRead, Addr: local}
+	err := s.pool.Do(sh, &req)
+	return req.Out, err
 }
 
 // ReadInto reads the block at addr into the caller-provided dst (BlockSize
-// bytes), avoiding the per-read result allocation of Read — with pooled
-// request state, a steady-state ReadInto allocates nothing on the serving
-// path. found reports whether the block was ever written. Under
+// bytes), avoiding the per-read result allocation of Read — a steady-state
+// ReadInto allocates nothing on the serving path. found reports whether the block was ever written. Under
 // PartitionRandom the two-leg protocol runs as usual and the fetched value
 // is copied into dst; found is then always true — the relocation leg
 // materializes every block it touches, so the router cannot distinguish a
@@ -381,10 +352,9 @@ func (s *Sharded) ReadInto(addr uint64, dst []byte) (bool, error) {
 		return false, err
 	}
 	sh, local := s.shardOf(addr)
-	_, found, err := s.doPooled(sh, func(r *shard.Request) {
-		r.Op, r.Addr, r.Dst = shard.OpRead, local, dst
-	})
-	return found, err
+	req := shard.Request{Op: shard.OpRead, Addr: local, Dst: dst}
+	err := s.pool.Do(sh, &req)
+	return req.Found, err
 }
 
 // Write replaces the block at addr. One oblivious path access on the
@@ -400,17 +370,14 @@ func (s *Sharded) Write(addr uint64, data []byte) error {
 		return err
 	}
 	sh, local := s.shardOf(addr)
-	_, _, err := s.doPooled(sh, func(r *shard.Request) {
-		r.Op, r.Addr, r.Data = shard.OpWrite, local, data
-	})
-	return err
+	return s.pool.Do(sh, &shard.Request{Op: shard.OpWrite, Addr: local, Data: data})
 }
 
 // Update applies fn to the block's content in place in a single oblivious
 // read-modify-write access (a fetch-relocate pair under PartitionRandom).
-// fn runs on the shard's worker goroutine — on the caller's goroutine
-// under PartitionRandom — so it must not call back into this Sharded (that
-// would deadlock the worker on itself) and should not block.
+// fn runs on the caller's goroutine while it holds the owning shard's
+// lock, so it should not block, and calling back into the same shard of
+// this Sharded from fn deadlocks.
 func (s *Sharded) Update(addr uint64, fn func(data []byte)) error {
 	if s.partition == PartitionRandom {
 		_, err := s.randomAccess(addr, shard.OpUpdate, nil, fn)
@@ -420,10 +387,7 @@ func (s *Sharded) Update(addr uint64, fn func(data []byte)) error {
 		return err
 	}
 	sh, local := s.shardOf(addr)
-	_, _, err := s.doPooled(sh, func(r *shard.Request) {
-		r.Op, r.Addr, r.Fn = shard.OpUpdate, local, fn
-	})
-	return err
+	return s.pool.Do(sh, &shard.Request{Op: shard.OpUpdate, Addr: local, Fn: fn})
 }
 
 // errRandomExclusive documents the one Client operation the oblivious
@@ -501,8 +465,8 @@ func (s *Sharded) PaddingAccess() error {
 // consistency flush — for one pending write-back completion or (when
 // allowEviction is set) one background-eviction dummy access, returning
 // the first unit performed. BgNone means no shard has anything useful to
-// do. With AsyncEviction the shard workers already do this in idle queue
-// time; the manual pump exists for Client-interface parity and for pools
+// do. With AsyncEviction the shards' idle pumps already do this between
+// requests; the manual pump exists for Client-interface parity and for pools
 // running with idle work disabled.
 func (s *Sharded) StepBackground(allowEviction bool) (BackgroundWork, error) {
 	n := len(s.engines)
@@ -623,8 +587,8 @@ func (s *Sharded) batchRequests(addrs []uint64, build func(i int, local uint64) 
 
 // Stats aggregates the protocol counters across all shards (Stats.Merge
 // semantics: counters sum, stash peaks take the worst shard). Each shard's
-// snapshot is taken on its worker, serialized with that shard's request
-// stream. Under AsyncEviction snapshots flush first; a flush failure
+// snapshot is taken under its lock, serialized with that shard's
+// requests. Under AsyncEviction snapshots flush first; a flush failure
 // cannot be reported here (no error return) but is recorded and surfaced
 // by Close — call Flush directly to observe it eagerly.
 func (s *Sharded) Stats() Stats {
@@ -635,10 +599,9 @@ func (s *Sharded) Stats() Stats {
 	return merged
 }
 
-// ShardStats returns each shard's own protocol counters. Snapshots are
-// taken on the workers, serialized with each shard's request stream and
-// fanned out in parallel (after Close they read the quiescent shards
-// directly).
+// ShardStats returns each shard's own protocol counters. Each snapshot is
+// taken under its shard's lock, serialized with that shard's requests
+// (after Close they read the quiescent shards).
 func (s *Sharded) ShardStats() []Stats {
 	out := make([]Stats, len(s.engines))
 	_ = s.pool.InspectAll(s.inspectors(func(i int, e *ORAM) { out[i] = e.Stats() }))
@@ -676,7 +639,7 @@ func (s *Sharded) SchedulerStats() SchedulerStats { return s.pool.Stats() }
 // TimingStats returns the shared memory bus's modeled-timing counters: every
 // port of every shard merged (counters sum, the completion frontier takes
 // the max — membus.Stats.Merge semantics, exactly how protocol stats
-// aggregate). The quiesce runs on the workers through the same serialized
+// aggregate). The quiesce runs under each shard's lock through the same
 // Inspect path as Stats, and under AsyncEviction each shard flushes first,
 // so the returned cycle counts always include every write-back owed by the
 // traffic observed so far. Every shard's timing lane is quiesced before the
@@ -751,8 +714,8 @@ func (s *Sharded) ExternalMemoryBytes() uint64 {
 }
 
 // Close stops accepting new requests, waits until every request already
-// accepted has completed (in-flight work is drained, never dropped),
-// stops the shard workers, and closes every shard's engine (under
+// running has completed (in-flight work is drained, never dropped),
+// stops the shards' idle pumps, and closes every shard's engine (under
 // BackendFile that checkpoints and closes the per-shard tree files and
 // WALs). Operations submitted after Close fail with ErrClosed. Close is
 // idempotent; Stats and ShardStats keep working on the quiescent shards

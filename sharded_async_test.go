@@ -366,7 +366,7 @@ func TestAsyncLeafSequencesUniform(t *testing.T) {
 // the state behind its intermittent "Flush on a quiescent client changed
 // stats": AsyncEviction with idle eviction on, and a flushed stash that
 // still sits above the idle low-water mark (half the inline threshold), so
-// idle eviction is due. Each such round leaves the worker idle long enough
+// idle eviction is due. Each such round leaves the shard idle long enough
 // to take idle steps, inspects it again and flushes again; nothing may
 // change. internal/shard's TestAsyncInspectionStartsNoIdleEviction is the
 // same check on a fake engine.

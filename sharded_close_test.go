@@ -74,7 +74,7 @@ func TestShardedCloseSurfacesFirstEngineError(t *testing.T) {
 // TestShardedCloseIdempotentKeepsEngineError pins re-close semantics:
 // Close is idempotent at the pool layer, and a repeated Close still
 // surfaces the engines' (sticky) backend failure rather than silently
-// reporting success once the workers are gone.
+// reporting success once the pool is closed.
 func TestShardedCloseIdempotentKeepsEngineError(t *testing.T) {
 	errEngine := errors.New("engine: injected close failure")
 	s, err := NewSharded(Spec{Blocks: 16, BlockSize: 16, Shards: 2})

@@ -161,9 +161,9 @@ func (s *Sharded) randomAccess(addr uint64, op shard.Op, data []byte, fn func([]
 	case shard.OpWrite:
 		value = data
 	case shard.OpUpdate:
-		// fn runs on the caller's goroutine here (unlike the fixed
-		// partitions, where it runs on the shard worker): the value is
-		// already checked out of the ORAM between the two legs.
+		// fn runs here between the two legs, holding no shard's lock
+		// (the fixed partitions run it under the owning shard's): the
+		// value is already checked out of the ORAM.
 		fn(value)
 	}
 

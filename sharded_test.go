@@ -318,9 +318,8 @@ func TestShardedBatchOrder(t *testing.T) {
 func TestShardedCloseDrains(t *testing.T) {
 	const blocks = 512
 	s, err := NewSharded(Spec{
-		Shards:     4,
-		QueueDepth: 8,
-		Blocks:     blocks, BlockSize: 16, Encryption: EncryptNone,
+		Shards: 4,
+		Blocks: blocks, BlockSize: 16, Encryption: EncryptNone,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +399,7 @@ func TestShardedLeafSequencesUniform(t *testing.T) {
 				Blocks: blocks, LeafLevel: leafLevel, Z: 4,
 				StashCapacity: 150,
 				Rand:          rand.New(rand.NewSource(9001)),
-				// Per-shard slots: workers write disjoint histograms.
+				// Per-shard slots: shards write disjoint histograms.
 				OnPathAccess: func(sh, _ int, leaf uint64) { hists[sh][leaf]++ },
 			})
 			if err != nil {

@@ -94,7 +94,6 @@ func TestSpecBareConstructorsRejectServingAxes(t *testing.T) {
 		"shards":     func(s *Spec) { s.Shards = 2 },
 		"partition":  func(s *Spec) { s.Partition = PartitionRange },
 		"padded":     func(s *Spec) { s.Padded = true },
-		"queue":      func(s *Spec) { s.QueueDepth = 8 },
 		"idle-evict": func(s *Spec) { s.AsyncEviction, s.EvictionsPerIdle = true, 2 },
 	} {
 		spec := Spec{Blocks: 64, BlockSize: 8}
@@ -192,7 +191,7 @@ var enabledBy = func() map[string]func(*Spec) {
 	frfcfs := func(s *Spec) { s.Backend, s.DRAMSched = BackendDRAM, MemSchedFRFCFS }
 	file := func(s *Spec) { s.Backend, s.Dir = BackendFile, "somewhere" }
 	return map[string]func(*Spec){
-		"Blocks": nil, "BlockSize": nil, "Shards": nil, "Partition": nil, "Padded": nil, "QueueDepth": nil,
+		"Blocks": nil, "BlockSize": nil, "Shards": nil, "Partition": nil, "Padded": nil,
 		"PosMap": nil, "Z": nil, "Utilization": nil, "LeafLevel": nil, "StashCapacity": nil,
 		"ConstantTimeStash": nil, "SuperBlockSize": nil, "Encryption": nil, "Integrity": nil, "Key": nil,
 		"AsyncEviction": nil, "Backend": nil, "Rand": nil, "OnPathAccess": nil,
