@@ -265,7 +265,9 @@ func runPaper(quick bool, opts explore.Options) {
 	report(exp.RunExclusiveAblation(ex))
 	fmt.Println(exp.RunEncryptionAblation(exp.PaperWorkingSet).Table())
 	show(exp.Figures["ablate-stash"](sweep(explore.StashGrid(ws))))
-	report(exp.RunDRAMChannelScaling(exp.DZ3Pb32, exp.PaperWorkingSet, []int{1, 2, 4, 8}, 32, 41))
+	// DRAM channel scaling: Figure 11's sweep extended to 8 channels.
+	report(exp.RunFig11(exp.Fig11Config{WorkingSet: exp.PaperWorkingSet, Channels: []int{1, 2, 4, 8},
+		Settings: []exp.Setting{exp.DZ3Pb32}, Accesses: 32, Seed: 41}))
 
 	fmt.Printf("\ntotal runtime: %s\n", time.Since(start).Round(time.Millisecond))
 }

@@ -43,9 +43,10 @@
 //     takes it and runs the same steps: resolve (defaults, one table of
 //     knob rules, key, memory bus), newEngine (size and assemble one
 //     chain) and buildTree (one tree's storage stack, once per level).
-//     Hierarchical shards attach one membus port per level,
-//     making the recursion's Figure 5 orderings and Table 2 latencies
-//     come from live recursive traffic;
+//     Hierarchical shards attach one membus port per level, so the
+//     recursion's Figure 5 orderings come from live recursive traffic,
+//     and the paper's Figures 5 and 11 and Table 2 replay paper-scale
+//     hierarchies on the same membus chain;
 //   - pluggable persistent storage (Spec.Backend: BackendFile, Spec.WAL):
 //     the ciphertext tree in an mmap'd file with an optional write-ahead
 //     log, so the deferred write-back pipeline survives crashes — and a
@@ -77,9 +78,10 @@
 //     first-class dummy requests for padded schedules and exclusive
 //     Load/Store ops.
 //   - internal/placement — bucket-to-DRAM address layouts, including the
-//     subtree packing of Section 3.3.4 (Figure 6).
+//     subtree packing of Section 3.3.4 (Figure 6), used by internal/membus.
 //   - internal/dram — an event-driven DDR3 timing model standing in for
-//     DRAMSim2 (Section 4.2, Figure 11).
+//     DRAMSim2 (Section 4.2), reached through internal/membus by the
+//     serving layer and the paper's DRAM figures alike (Figure 11).
 //   - internal/membus — the shared memory-channel scheduler of the timed
 //     serving layer: one dram.System for all trees, per-tree ports with
 //     subtree/naive layouts (one port per hierarchy level, the shard's

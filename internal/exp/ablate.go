@@ -271,45 +271,3 @@ func (r *StashAblationResult) Table() *Table {
 	}
 	return t
 }
-
-// DRAMChannelScalingResult measures how ORAM latency scales with channels
-// (extending Figure 11's 1/2/4 to 8).
-type DRAMChannelScalingResult struct {
-	Setting  string
-	Channels []int
-	Subtree  []float64
-	Theory   []float64
-}
-
-// RunDRAMChannelScaling extends the channel sweep.
-func RunDRAMChannelScaling(set Setting, wsBlocks uint64, channels []int, accesses int, seed int64) (*DRAMChannelScalingResult, error) {
-	h, err := set.Hierarchy(wsBlocks)
-	if err != nil {
-		return nil, err
-	}
-	res := &DRAMChannelScalingResult{Setting: set.Name, Channels: channels}
-	for _, ch := range channels {
-		sim, err := newHierSim(h, ch, "subtree", seed)
-		if err != nil {
-			return nil, err
-		}
-		_, f := sim.measure(accesses, false)
-		res.Subtree = append(res.Subtree, f)
-		res.Theory = append(res.Theory, TheoreticalLatency(h, ch))
-	}
-	return res, nil
-}
-
-// Table renders the channel-scaling ablation.
-func (r *DRAMChannelScalingResult) Table() *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Ablation: DRAM channel scaling (%s, subtree placement)", r.Setting),
-		Header: []string{"channels", "latency (DRAM cyc)", "theoretical", "ratio"},
-		Note:   "keeping many channels busy is the challenge Section 4.2 calls out",
-	}
-	for i, ch := range r.Channels {
-		t.AddRow(fmt.Sprintf("%d", ch), f1(r.Subtree[i]), f1(r.Theory[i]),
-			f2(r.Subtree[i]/r.Theory[i]))
-	}
-	return t
-}

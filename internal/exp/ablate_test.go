@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/membus"
 )
 
 func TestSuperBlockAblation(t *testing.T) {
@@ -123,20 +124,21 @@ func TestStashAblationMonotone(t *testing.T) {
 }
 
 func TestDRAMChannelScaling(t *testing.T) {
-	res, err := RunDRAMChannelScaling(DZ3Pb32, 1<<20, []int{1, 2, 4}, 16, 5)
+	res, err := RunFig11(Fig11Config{WorkingSet: 1 << 20, Channels: []int{1, 2, 4},
+		Settings: []Setting{DZ3Pb32}, Accesses: 16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(res.Subtree); i++ {
-		if res.Subtree[i] >= res.Subtree[i-1] {
-			t.Errorf("latency not decreasing with channels: %v", res.Subtree)
+	p := res.Points
+	for i := 1; i < len(p); i++ {
+		if p[i].Subtree >= p[i-1].Subtree {
+			t.Errorf("latency not decreasing with channels: %.1f -> %.1f", p[i-1].Subtree, p[i].Subtree)
 		}
 	}
 	// Efficiency (ratio to theory) degrades as channels grow — the
 	// Section 4.2 "keep all channels busy" challenge.
-	first := res.Subtree[0] / res.Theory[0]
-	lastIdx := len(res.Subtree) - 1
-	last := res.Subtree[lastIdx] / res.Theory[lastIdx]
+	first := p[0].Subtree / p[0].Theoretical
+	last := p[len(p)-1].Subtree / p[len(p)-1].Theoretical
 	if last < first {
 		t.Errorf("channel efficiency improved with more channels (%.2f -> %.2f)?", first, last)
 	}
@@ -147,10 +149,10 @@ func TestDRAMChannelScaling(t *testing.T) {
 }
 
 func TestSettingOrderingAndPlacement(t *testing.T) {
-	if BaseORAM.PlacementStrategy() != "naive" || !BaseORAM.SequentialOrder {
+	if BaseORAM.Layout != membus.LayoutNaive || !BaseORAM.SequentialOrder {
 		t.Error("baseORAM must predate the placement and ordering optimizations")
 	}
-	if DZ3Pb32.PlacementStrategy() != "subtree" || DZ3Pb32.SequentialOrder {
+	if DZ3Pb32.Layout != membus.LayoutSubtree || DZ3Pb32.SequentialOrder {
 		t.Error("optimized settings must use subtree placement and pipelined order")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/membus"
 )
 
 // measure sweeps g at ops measured accesses per point.
@@ -289,7 +290,33 @@ func TestFig5PipelinedReturnsEarlier(t *testing.T) {
 		t.Errorf("pipelined return %.0f not earlier than sequential %.0f",
 			res.PipelinedReturn, res.SeqReturn)
 	}
+	if res.PipeFinish >= res.SeqFinish {
+		t.Errorf("pipelined finish %.0f not earlier than sequential %.0f",
+			res.PipeFinish, res.SeqFinish)
+	}
 	_ = res.Table().String()
+}
+
+// TestPipelinedReturnHonoursNaming checks the recursion's naming
+// dependency under Figure 5(b): level i's leaf comes out of level i+1's
+// read, so an access's data cannot return before every level's read
+// latency has elapsed one after another.
+func TestPipelinedReturnHonoursNaming(t *testing.T) {
+	h, err := DZ3Pb32.Hierarchy(1 << 18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	ret, _, st, err := replay(h, 2, membus.LayoutSubtree, false, n, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PathReads != uint64(n*h.NumORAMs()) {
+		t.Fatalf("%d path reads for %d accesses of %d ORAMs", st.PathReads, n, h.NumORAMs())
+	}
+	if perAccess := float64(st.ReadCycles) / n; ret < perAccess {
+		t.Errorf("pipelined return %.1f below the summed level reads %.1f", ret, perAccess)
+	}
 }
 
 func TestTable2Shape(t *testing.T) {

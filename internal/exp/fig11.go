@@ -6,148 +6,61 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dram"
-	"repro/internal/placement"
-	"repro/internal/treemath"
+	"repro/internal/membus"
 )
 
-// hierSim lays a sized hierarchy out in DRAM and replays whole hierarchical
-// ORAM accesses as request streams, reproducing the Figure 11 methodology.
-type hierSim struct {
-	levels  []analysis.ORAMConfig
-	trees   []treemath.Tree
-	mappers []placement.Mapper
-	sys     *dram.System
-	rng     *rand.Rand
-	reqBuf  []uint64
-}
-
-// newHierSim builds the DRAM image of a hierarchy under one placement
-// strategy ("naive" or "subtree").
-func newHierSim(h analysis.Hierarchy, channels int, strategy string, seed int64) (*hierSim, error) {
-	sys, err := dram.New(dram.MicronGeometry(channels), dram.DDR3Micron())
+// replay feeds n whole hierarchical accesses of a sized hierarchy through
+// the serving layer's own timing model: one membus.Bus under FR-FCFS at
+// its defaults (the paper's DRAMSim2 setup), one Chain, and one Port per
+// ORAM sized by its bucket bytes, the data ORAM's region at address 0.
+// Sequential is Figure 5(a), an overlap-0 chain: each level, smallest
+// first, reads its path and writes it back. Otherwise it is 5(b), an
+// overlap-1 chain: every read, then every write-back. Each access's round
+// opens at the previous access's finish (Section 3.3.2). It returns the
+// mean return-data latency (the data ORAM's read completion) and finish
+// latency (the last write-back's completion) in DRAM cycles, and the
+// bus's counters.
+func replay(h analysis.Hierarchy, channels int, layout membus.Layout, sequential bool, n int, seed int64) (meanReturn, meanFinish float64, st membus.Stats, err error) {
+	bus, err := membus.New(membus.Config{Channels: channels, Layout: layout,
+		Sched: dram.SchedConfig{Policy: dram.SchedFRFCFS}})
 	if err != nil {
-		return nil, err
+		return 0, 0, st, err
 	}
-	g := sys.Geometry()
-	nodeBytes := g.RowBytes * g.Channels
-	s := &hierSim{sys: sys, rng: rand.New(rand.NewSource(seed))}
-	var base uint64
-	for _, lv := range h.Levels {
-		tree := treemath.New(lv.LeafLevel)
-		var m placement.Mapper
-		switch strategy {
-		case "naive":
-			m = placement.NewNaive(tree, lv.BucketBytes(), base)
-		case "subtree":
-			sm, err := placement.NewSubtree(tree, lv.BucketBytes(), nodeBytes, base)
-			if err != nil {
-				return nil, err
-			}
-			m = sm
-		default:
-			return nil, fmt.Errorf("exp: unknown placement strategy %q", strategy)
+	chain := bus.NewChain(1)
+	if sequential {
+		chain = bus.NewChain(0)
+	}
+	ports := make([]*membus.Port, len(h.Levels)) // ports[0]: the data ORAM
+	for i := range ports {
+		if ports[i], err = chain.Attach(h.Levels[i].LeafLevel, h.Levels[i].BucketBytes(), i == 0); err != nil {
+			return 0, 0, st, err
 		}
-		s.levels = append(s.levels, lv)
-		s.trees = append(s.trees, tree)
-		s.mappers = append(s.mappers, m)
-		// Next region, aligned to the aggregate row span.
-		base += (m.Size() + uint64(nodeBytes) - 1) / uint64(nodeBytes) * uint64(nodeBytes)
 	}
-	return s, nil
-}
-
-// access simulates one full hierarchical access starting at cycle `at`
-// using the pipelined ordering of Figure 5(b): read every ORAM's path
-// (smallest ORAM first, data ORAM last), then write every path back.
-// It returns when the data ORAM's path read completed (return data) and
-// when the last write completed (finish access).
-func (s *hierSim) access(at uint64) (dataReadDone, finish uint64) {
-	g := uint64(s.sys.Geometry().AccessBytes)
-	leaves := make([]uint64, len(s.levels))
-	var readsDone uint64
-	for h := len(s.levels) - 1; h >= 0; h-- {
-		leaves[h] = s.rng.Uint64() % s.trees[h].NumLeaves()
-		var done uint64
-		for _, bucketBase := range s.pathAddrs(h, leaves[h]) {
-			for off := uint64(0); off < uint64(s.levels[h].BucketBytes()); off += g {
-				if d := s.sys.Access(at, bucketBase+off, false); d > done {
-					done = d
-				}
+	rng := rand.New(rand.NewSource(seed))
+	leaves := make([]uint64, len(ports))
+	var at, sumR, sumF uint64
+	for a := 0; a < n; a++ {
+		chain.RoundStart(at)
+		for i := len(ports) - 1; i >= 0; i-- {
+			leaves[i] = rng.Uint64() % (uint64(1) << h.Levels[i].LeafLevel)
+			ports[i].ReadPath(leaves[i], nil)
+			if i == 0 {
+				sumR += ports[0].Stats().Cycles - at
+			}
+			if sequential {
+				ports[i].WritePath(leaves[i], false)
 			}
 		}
-		if h == 0 {
-			dataReadDone = done
-		}
-		if done > readsDone {
-			readsDone = done
-		}
-	}
-	finish = readsDone
-	for h := len(s.levels) - 1; h >= 0; h-- {
-		for _, bucketBase := range s.pathAddrs(h, leaves[h]) {
-			for off := uint64(0); off < uint64(s.levels[h].BucketBytes()); off += g {
-				if d := s.sys.Access(readsDone, bucketBase+off, true); d > finish {
-					finish = d
-				}
+		if !sequential {
+			for i := len(ports) - 1; i >= 0; i-- {
+				ports[i].WritePath(leaves[i], false)
 			}
 		}
+		finish := bus.Cycles()
+		sumF += finish - at
+		at = finish
 	}
-	return dataReadDone, finish
-}
-
-// accessSequential replays the naive ordering of Figure 5(a): each ORAM is
-// fully read and written before the next ORAM starts.
-func (s *hierSim) accessSequential(at uint64) (dataReadDone, finish uint64) {
-	g := uint64(s.sys.Geometry().AccessBytes)
-	t := at
-	for h := len(s.levels) - 1; h >= 0; h-- {
-		leaf := s.rng.Uint64() % s.trees[h].NumLeaves()
-		var readDone uint64
-		for _, bucketBase := range s.pathAddrs(h, leaf) {
-			for off := uint64(0); off < uint64(s.levels[h].BucketBytes()); off += g {
-				if d := s.sys.Access(t, bucketBase+off, false); d > readDone {
-					readDone = d
-				}
-			}
-		}
-		if h == 0 {
-			dataReadDone = readDone
-		}
-		var writeDone uint64
-		for _, bucketBase := range s.pathAddrs(h, leaf) {
-			for off := uint64(0); off < uint64(s.levels[h].BucketBytes()); off += g {
-				if d := s.sys.Access(readDone, bucketBase+off, true); d > writeDone {
-					writeDone = d
-				}
-			}
-		}
-		t = writeDone
-	}
-	return dataReadDone, t
-}
-
-func (s *hierSim) pathAddrs(level int, leaf uint64) []uint64 {
-	s.reqBuf = s.mappers[level].PathAddrs(leaf, s.reqBuf[:0])
-	return s.reqBuf
-}
-
-// measure runs n back-to-back accesses and returns mean return-data and
-// finish latencies in DRAM cycles.
-func (s *hierSim) measure(n int, sequential bool) (meanReturn, meanFinish float64) {
-	var at uint64
-	var sumR, sumF float64
-	for i := 0; i < n; i++ {
-		var r, f uint64
-		if sequential {
-			r, f = s.accessSequential(at)
-		} else {
-			r, f = s.access(at)
-		}
-		sumR += float64(r - at)
-		sumF += float64(f - at)
-		at = f
-	}
-	return sumR / float64(n), sumF / float64(n)
+	return float64(sumR) / float64(n), float64(sumF) / float64(n), bus.Stats(), nil
 }
 
 // TheoreticalLatency returns the paper's "theoretical" series: total bytes
@@ -210,17 +123,11 @@ func RunFig11(cfg Fig11Config) (*Fig11Result, error) {
 		for _, ch := range cfg.Channels {
 			pt := Fig11Point{Setting: set.Name, Channels: ch,
 				Theoretical: TheoreticalLatency(h, ch)}
-			for _, strat := range []string{"naive", "subtree"} {
-				sim, err := newHierSim(h, ch, strat, cfg.Seed)
-				if err != nil {
-					return nil, err
-				}
-				r, f := sim.measure(cfg.Accesses, false)
-				if strat == "naive" {
-					pt.Naive, pt.NaiveReturn = f, r
-				} else {
-					pt.Subtree, pt.SubtreeReturn = f, r
-				}
+			if pt.NaiveReturn, pt.Naive, _, err = replay(h, ch, membus.LayoutNaive, false, cfg.Accesses, cfg.Seed); err != nil {
+				return nil, err
+			}
+			if pt.SubtreeReturn, pt.Subtree, _, err = replay(h, ch, membus.LayoutSubtree, false, cfg.Accesses, cfg.Seed); err != nil {
+				return nil, err
 			}
 			res.Points = append(res.Points, pt)
 		}
@@ -233,7 +140,7 @@ func (r *Fig11Result) Table() *Table {
 	t := &Table{
 		Title:  "Figure 11: hierarchical ORAM latency on DRAM (cycles per access)",
 		Header: []string{"config", "channels", "naive", "subtree", "theoretical", "naive/theory", "subtree/theory"},
-		Note:   fmt.Sprintf("working set %d blocks; DDR3 micron timing", r.Config.WorkingSet),
+		Note:   fmt.Sprintf("working set %d blocks; DDR3 micron timing, FR-FCFS controller", r.Config.WorkingSet),
 	}
 	for _, p := range r.Points {
 		t.AddRow(p.Setting, fmt.Sprintf("%d", p.Channels),
@@ -262,22 +169,21 @@ type Fig5Result struct {
 }
 
 // RunFig5 measures sequential (per-ORAM read+write) vs pipelined
-// (read-all-then-write-all) ordering for one setting.
+// (read-all-then-write-all) ordering for one setting under the subtree
+// layout.
 func RunFig5(set Setting, wsBlocks uint64, channels, accesses int, seed int64) (*Fig5Result, error) {
 	h, err := set.Hierarchy(wsBlocks)
 	if err != nil {
 		return nil, err
 	}
-	seqSim, err := newHierSim(h, channels, "subtree", seed)
+	sr, sf, _, err := replay(h, channels, membus.LayoutSubtree, true, accesses, seed)
 	if err != nil {
 		return nil, err
 	}
-	sr, sf := seqSim.measure(accesses, true)
-	pipeSim, err := newHierSim(h, channels, "subtree", seed)
+	pr, pf, _, err := replay(h, channels, membus.LayoutSubtree, false, accesses, seed)
 	if err != nil {
 		return nil, err
 	}
-	pr, pf := pipeSim.measure(accesses, false)
 	return &Fig5Result{
 		Setting: set.Name, Channels: channels,
 		SeqReturn: sr, SeqFinish: sf,
@@ -351,11 +257,10 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim, err := newHierSim(h, cfg.Channels, set.PlacementStrategy(), cfg.Seed)
+		r, f, _, err := replay(h, cfg.Channels, set.Layout, set.SequentialOrder, cfg.Accesses, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		r, f := sim.measure(cfg.Accesses, set.SequentialOrder)
 		hn := uint64(h.NumORAMs())
 		res.Rows = append(res.Rows, Table2Row{
 			Setting:       set.Name,

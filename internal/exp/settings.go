@@ -5,6 +5,7 @@ import (
 
 	pathoram "repro"
 	"repro/internal/analysis"
+	"repro/internal/membus"
 )
 
 // Setting names one hierarchical ORAM configuration from Section 4
@@ -17,32 +18,24 @@ type Setting struct {
 	PosBlockBytes  int
 	Scheme         analysis.Scheme
 	SuperBlock     int // 1 = off, 2 = the paper's static pairs
-	// Placement selects the DRAM layout for latency studies ("subtree"
-	// default; baseORAM uses "naive" since it predates the Section 3.3.4
-	// optimization).
-	Placement string
+	// Layout selects the DRAM placement for latency studies (the zero
+	// value is subtree; baseORAM lays out naively since it predates the
+	// Section 3.3.4 optimization).
+	Layout membus.Layout
 	// SequentialOrder selects the Figure 5(a) per-ORAM read+write order
 	// instead of the pipelined 5(b) order (baseORAM predates the Section
 	// 3.3.2 optimization too).
 	SequentialOrder bool
 }
 
-// PlacementStrategy returns the DRAM layout for this setting.
-func (s Setting) PlacementStrategy() string {
-	if s.Placement == "" {
-		return "subtree"
-	}
-	return s.Placement
-}
-
 // The configurations evaluated in Figures 10-12 and Table 2.
 var (
 	// BaseORAM is the paper's baseline from the Ascend publication [3]:
 	// three ORAMs, all with 128-byte blocks, Z=4, strawman encryption,
-	// and no subtree DRAM placement.
+	// and the naive DRAM layout.
 	BaseORAM = Setting{Name: "baseORAM", DataZ: 4, PosZ: 4,
 		DataBlockBytes: 128, PosBlockBytes: 128, Scheme: analysis.SchemeStrawman,
-		SuperBlock: 1, Placement: "naive", SequentialOrder: true}
+		SuperBlock: 1, Layout: membus.LayoutNaive, SequentialOrder: true}
 	DZ3Pb32 = Setting{Name: "DZ3Pb32", DataZ: 3, PosZ: 3,
 		DataBlockBytes: 128, PosBlockBytes: 32, Scheme: analysis.SchemeCounter, SuperBlock: 1}
 	DZ4Pb32 = Setting{Name: "DZ4Pb32", DataZ: 4, PosZ: 3,

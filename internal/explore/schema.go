@@ -29,7 +29,8 @@ type Benchmark struct {
 	Pareto     bool               `json:"pareto"`
 }
 
-// Report is the top-level document of an explorer report (BENCH_pr7.json).
+// Report is the top-level document of an explorer report (explore-<grid>.json,
+// or the -out file).
 type Report struct {
 	GOOS       string      `json:"goos,omitempty"`
 	GOARCH     string      `json:"goarch,omitempty"`

@@ -7,14 +7,15 @@ package membus
 // previous stage; a flat engine is such a chain of one port. Under 5(b)
 // (overlap k) a read waits for the round's previous read (dep), a round
 // start for the data read k rounds back, a write-back for its own level's
-// read, and each port keeps two stages in flight. Every stage also
-// arrives no earlier than its port's floor. The bus runs this arithmetic
-// under its lock: a stage is resolved (given its floor) once the
-// completions it reads have retired, and until then waits on the chain's
-// pending FIFO with the round starts between them — under 5(a) behind any
-// unretired stage, under 5(b) behind an unretired read and the stages
-// resolved before it. So its arrival is a function of its engine's stream
-// alone, whenever the engine's replay goroutine reached the bus.
+// read, and each port keeps two stages in flight; a round also waits for
+// its arrival cycle. Every stage also arrives no earlier than its port's
+// floor. The bus runs this arithmetic under its lock: a stage is resolved
+// (given its floor) once the completions it reads have retired, and until
+// then waits on the chain's pending FIFO with the round starts between
+// them — under 5(a) behind any unretired stage, under 5(b) behind an
+// unretired read and the stages resolved before it. So its arrival is a
+// function of its engine's stream alone, whenever the engine's replay
+// goroutine reached the bus.
 type Chain struct {
 	bus     *Bus
 	overlap bool
@@ -49,15 +50,17 @@ func (b *Bus) NewChain(overlap int) *Chain {
 	return c
 }
 
-// RoundStart opens a chain round (hierarchy.Config.OnRoundStart); a no-op
-// under 5(a).
-func (c *Chain) RoundStart() {
+// RoundStart opens a chain round (hierarchy.Config.OnRoundStart) that
+// arrives at modeled cycle at: under 5(b) the round's first read waits for
+// max(the data read k rounds back, at); 0 is "as soon as the chain
+// allows", the serving layer's rounds. A no-op under 5(a).
+func (c *Chain) RoundStart(at uint64) {
 	if !c.overlap {
 		return
 	}
 	c.bus.mu.Lock()
 	defer c.bus.mu.Unlock()
-	c.submit(nil, stageEvent{})
+	c.submit(nil, stageEvent{floor: at})
 }
 
 // submit resolves a stage (or round start) now, or queues it behind the
@@ -67,7 +70,7 @@ func (c *Chain) submit(p *Port, ev stageEvent) {
 	case c.closed:
 		c.pending = append(c.pending, pendingStage{p, ev})
 	case p == nil:
-		c.dep = c.ring[c.head]
+		c.dep = max(c.ring[c.head], ev.floor)
 	default:
 		c.resolve(p, ev)
 	}

@@ -41,7 +41,8 @@ func TestChainTwoChainsNeverValve(t *testing.T) {
 				// Each engine's events for this round, in stream order.
 				var streams [2][]func()
 				for e := range streams {
-					streams[e] = append(streams[e], chains[e].RoundStart)
+					c := chains[e]
+					streams[e] = append(streams[e], func() { c.RoundStart(0) })
 					for l := 2; l >= 0; l-- {
 						if l == 2 && round%8 != 0 {
 							continue
@@ -78,5 +79,48 @@ func TestChainTwoChainsNeverValve(t *testing.T) {
 				t.Errorf("policy %d overlap %d: charged %d stages of %d", policy, overlap, st.PathReads+st.PathWrites, submitted)
 			}
 		}
+	}
+}
+
+// TestChainRoundStartArrival pins RoundStart's arrival cycle: on a Figure
+// 5(b) chain a round opened beyond the completion frontier issues nothing
+// earlier — its read arrives at that cycle and its write-back after the
+// read — while the same round opened at 0 arrives as soon as the chain
+// allows, before that cycle.
+func TestChainRoundStartArrival(t *testing.T) {
+	arrival := func(at uint64) (frontier, read, write uint64) {
+		b := newBus(t, Config{Channels: 2, Sched: dram.SchedConfig{Policy: dram.SchedFRFCFS}})
+		c := b.NewChain(1)
+		p, err := c.Attach(6, 256, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.RoundStart(0)
+		p.ReadPath(5, nil)
+		p.WritePath(5, false)
+		before := p.Stats()
+		frontier = before.Cycles
+		if at > 0 {
+			at += frontier
+		}
+		c.RoundStart(at)
+		p.ReadPath(40, nil)
+		mid := p.Stats()
+		p.WritePath(40, false)
+		after := p.Stats()
+		read = mid.Cycles - (mid.ReadCycles - before.ReadCycles)
+		write = after.Cycles - (after.WriteCycles - mid.WriteCycles)
+		if write < mid.Cycles {
+			t.Errorf("round at %d: write-back arrived at %d, before its read completed at %d", at, write, mid.Cycles)
+		}
+		return frontier, read, write
+	}
+	const gap = 5000
+	frontier, read, _ := arrival(gap)
+	if read != frontier+gap {
+		t.Errorf("round opened at %d: its read arrived at %d", frontier+gap, read)
+	}
+	if _, read0, _ := arrival(0); read0 >= frontier+gap {
+		t.Errorf("round opened at 0 arrived at %d, not before %d", read0, frontier+gap)
 	}
 }

@@ -6,18 +6,20 @@
 // Determinism argument. A resolved stage's arrival is max(its floor, the
 // completion its port's in-flight window reaches back to), and the floor
 // reads only completions of its own engine's earlier stages, retired
-// before it was resolved: a function of the engine's stream. A stage
-// retires only when it holds the minimum key among present heads AND no
-// port can still receive an earlier-keyed stage without a present one
-// retiring first. Only an empty port of an open chain can (a closed
-// chain's next stage waits for one already present), and its next
-// arrival is bounded below by max(its floor, the minimum of its in-flight
-// window, under Figure 5(a) its chain's clock), all monotone in its own
-// stream. So the retirement sequence — and with it every bank/bus/row
-// interaction in the shared dram.System — is a function of the per-engine
-// stage streams, not of which goroutine won the bus lock; deterministic
-// per-shard streams give bit-identical cycle totals across runs and
-// GOMAXPROCS settings. Under Serialize the same sequence retires one stage
+// before it was resolved, and its round's arrival cycle: a function of
+// the engine's stream. A stage retires only when it holds the minimum key
+// among present heads AND no port can still receive an earlier-keyed
+// stage without a present one retiring first. Only an empty port of an
+// open chain can (a closed chain's next stage waits for one already
+// present), and its next arrival is bounded below by max(its floor, the
+// minimum of its in-flight window, under Figure 5(a) its chain's clock),
+// all monotone in its own stream. A round's arrival cycle only raises the
+// floors its stages are given, never lowers one, so lowerBound stays a
+// bound under any RoundStart(at). So the retirement sequence — and with
+// it every bank/bus/row interaction in the shared dram.System — is a
+// function of the per-engine stage streams, not of which goroutine won
+// the bus lock; deterministic per-shard streams give bit-identical cycle
+// totals across runs and GOMAXPROCS settings. Under Serialize the same sequence retires one stage
 // at a time, each arrival raised to the completion frontier.
 //
 // Under the FR-FCFS policy retirement additionally merges contemporaneous

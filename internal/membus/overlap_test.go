@@ -59,7 +59,7 @@ func TestOverlapPortBoundedInFlight(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			leaf := rng.Uint64() % p.tree.NumLeaves()
 			if c != nil {
-				c.RoundStart()
+				c.RoundStart(0)
 			}
 			p.ReadPath(leaf, nil)
 			p.WritePath(leaf, false)
@@ -143,7 +143,7 @@ func TestOverlapHandChainedReplay(t *testing.T) {
 			ports[l] = p
 		}
 		for r := 0; r < rounds; r++ {
-			c.RoundStart()
+			c.RoundStart(0)
 			for l := levels - 1; l >= 0; l-- {
 				ports[l].ReadPath(leaves[r][l], nil)
 				ports[l].WritePath(leaves[r][l], false)

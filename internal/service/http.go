@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -102,13 +104,19 @@ func (s *Service) tenantHandler(fn func(w http.ResponseWriter, r *http.Request, 
 // the JSON keys, the largest address and whitespace.
 const opEnvelope = 256
 
+// opLimit is the longest op a block needs: a single-op body, or one line
+// of a batch stream. Nothing longer is buffered, so a client cannot make
+// the decoder hold an unbounded value.
+func (s *Service) opLimit() int {
+	return base64.StdEncoding.EncodedLen(s.template.BlockSize) + opEnvelope
+}
+
 // decodeOp decodes a single-op body into req, or answers the request
-// itself and reports false. The body is cut off at the longest op a
-// block needs (413 beyond it), so a client cannot make the decoder buffer
-// an unbounded body.
+// itself and reports false. The body is cut off at opLimit (413 beyond
+// it).
 func (s *Service) decodeOp(w http.ResponseWriter, r *http.Request, req *opRequest) bool {
-	limit := int64(base64.StdEncoding.EncodedLen(s.template.BlockSize)) + opEnvelope
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(req)
+	limit := s.opLimit()
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(limit))).Decode(req)
 	var tooLong *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLong):
@@ -159,12 +167,15 @@ const batchRun = 256
 // handleBatch streams NDJSON ops in and NDJSON results out, in input
 // order. Maximal runs of the same op are submitted as one ReadBatch /
 // WriteBatch, so a streamed batch enters the sharded scheduler exactly
-// like a native batched client. A malformed line or failed submission
-// emits one {"error":...} line and ends the stream (results already
-// emitted stand).
+// like a native batched client. A line longer than opLimit is refused
+// unread: 413 if it is the first, else like a malformed line. A bad line
+// submits the ops before it, then emits one {"error":...} line and ends
+// the stream; so does a failed submission (results already emitted
+// stand).
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	dec := json.NewDecoder(r.Body)
+	limit := s.opLimit()
+	lines := bufio.NewReaderSize(r.Body, limit+1) // the line and its newline
 	enc := json.NewEncoder(w)
 	fail := func(err error) { enc.Encode(errorBody{Error: err.Error()}) } //nolint:errcheck // stream already ends here
 
@@ -200,27 +211,36 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request, t *Tenant)
 		addrs, data = addrs[:0], data[:0]
 		return nil
 	}
-	for {
+	for first := true; ; first = false {
 		var req opRequest
-		if err := dec.Decode(&req); err == io.EOF {
+		err := nextOp(lines, &req)
+		if err == io.EOF {
 			break
-		} else if err != nil {
-			fail(fmt.Errorf("malformed op: %w", err))
-			return
 		}
-		switch req.Op {
-		case "read":
+		switch {
+		case err == bufio.ErrBufferFull && first:
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("op line exceeds %d bytes", limit)})
+			return
+		case err == bufio.ErrBufferFull:
+			err = fmt.Errorf("op line exceeds %d bytes", limit)
+		case err != nil:
+			err = fmt.Errorf("malformed op: %w", err)
+		case req.Op == "read":
 			if len(req.Data) != 0 {
-				fail(fmt.Errorf("read op for addr %d carries data", req.Addr))
-				return
+				err = fmt.Errorf("read op for addr %d carries data", req.Addr)
 			}
-		case "write":
+		case req.Op == "write":
 			if len(req.Data) != s.template.BlockSize {
-				fail(fmt.Errorf("write op for addr %d: data is %d bytes, want %d", req.Addr, len(req.Data), s.template.BlockSize))
-				return
+				err = fmt.Errorf("write op for addr %d: data is %d bytes, want %d", req.Addr, len(req.Data), s.template.BlockSize)
 			}
 		default:
-			fail(fmt.Errorf("unknown op %q (want read|write)", req.Op))
+			err = fmt.Errorf("unknown op %q (want read|write)", req.Op)
+		}
+		if err != nil {
+			if ferr := flush(); ferr != nil {
+				err = ferr
+			}
+			fail(err)
 			return
 		}
 		if req.Op != op || len(addrs) >= batchRun {
@@ -237,6 +257,26 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request, t *Tenant)
 	}
 	if err := flush(); err != nil {
 		fail(err)
+	}
+}
+
+// nextOp decodes the next non-blank line of an NDJSON stream into req.
+// It returns io.EOF at the end of the stream and bufio.ErrBufferFull for
+// a line that does not fit the reader's buffer.
+func nextOp(lines *bufio.Reader, req *opRequest) error {
+	for {
+		line, err := lines.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			return err
+		}
+		if len(bytes.TrimSpace(line)) > 0 {
+			// A last line without its newline comes with io.EOF; the next
+			// call reports the end.
+			return json.Unmarshal(line, req)
+		}
+		if err != nil {
+			return err
+		}
 	}
 }
 

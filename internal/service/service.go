@@ -65,11 +65,19 @@ type Service struct {
 	master     []byte
 	maxTenants int
 
-	mu      sync.RWMutex
-	tenants map[string]*Tenant
-	nextIdx uint64
-	closed  bool
+	// creating serializes Create, so the index a creation reads is the
+	// one it registers; mu guards the registry and is never held across
+	// opening a tenant, which may build trees or replay a WAL.
+	creating sync.Mutex
+	mu       sync.RWMutex
+	tenants  map[string]*Tenant
+	nextIdx  uint64
+	closed   bool
 }
+
+// open builds a tenant's client; tests substitute it to hold a creation
+// inside it.
+var open = pathoram.Open
 
 // Tenant is one named namespace: an index (fixing its derived key) and
 // the client serving it.
@@ -116,39 +124,55 @@ func (s *Service) Blocks() uint64 { return s.template.Blocks }
 
 // Create admits a new tenant: derives its key from the service master at
 // the next monotone index (indices are never reused, so a re-created
-// name gets a fresh key), opens its client, and registers it.
+// name gets a fresh key), opens its client, and registers it. Requests to
+// other tenants are served while it opens; if Close runs meanwhile, the
+// new client is closed again and Create returns ErrClosed.
 func (s *Service) Create(name string) (*Tenant, error) {
 	if !nameRE.MatchString(name) {
 		return nil, ErrBadName
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if _, ok := s.tenants[name]; ok {
-		return nil, ErrExists
-	}
-	if len(s.tenants) >= s.maxTenants {
-		return nil, fmt.Errorf("service: tenant limit %d reached", s.maxTenants)
-	}
-	spec := s.template
-	key, err := pathoram.DeriveTenantKey(s.master, s.nextIdx)
+	s.creating.Lock()
+	defer s.creating.Unlock()
+	s.mu.RLock()
+	idx, err := s.nextIdx, s.admits(name)
+	s.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	spec.Key = key
+	spec := s.template
+	if spec.Key, err = pathoram.DeriveTenantKey(s.master, idx); err != nil {
+		return nil, err
+	}
 	if spec.Backend == pathoram.BackendFile {
 		spec.Dir = filepath.Join(s.template.Dir, name)
 	}
-	client, err := pathoram.Open(spec)
+	client, err := open(spec)
 	if err != nil {
 		return nil, fmt.Errorf("service: opening tenant %q: %w", name, err)
 	}
-	t := &Tenant{Name: name, Index: s.nextIdx, Client: client}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		client.Close() //nolint:errcheck // never served; the drain is the answer
+		return nil, ErrClosed
+	}
+	t := &Tenant{Name: name, Index: idx, Client: client}
 	s.nextIdx++
 	s.tenants[name] = t
 	return t, nil
+}
+
+// admits reports why name cannot be created now, or nil. Caller holds mu.
+func (s *Service) admits(name string) error {
+	switch _, exists := s.tenants[name]; {
+	case s.closed:
+		return ErrClosed
+	case exists:
+		return ErrExists
+	case len(s.tenants) >= s.maxTenants:
+		return fmt.Errorf("service: tenant limit %d reached", s.maxTenants)
+	}
+	return nil
 }
 
 // Get returns the named tenant, or ErrNoTenant / ErrClosed.

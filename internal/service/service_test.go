@@ -323,6 +323,52 @@ func TestServerSingleOpBodyBounded(t *testing.T) {
 	}
 }
 
+// TestServerBatchLineBounded: a batch line longer than any op on one block
+// is refused before it is buffered. As the first line it answers 413; as
+// a later line it ends the stream with one error line after the results
+// of the ops before it. The tenant serves the next request as usual.
+func TestServerBatchLineBounded(t *testing.T) {
+	_, ts := newServer(t, memSpec())
+	doJSON(t, "PUT", ts.URL+"/v1/tenants/alice", nil, nil)
+	block := bytes.Repeat([]byte("b"), 16)
+	huge := wireOp{Op: "write", Addr: 2, Data: bytes.Repeat([]byte("x"), 1<<20)}
+	post := func(ops ...wireOp) *http.Response {
+		var in bytes.Buffer
+		enc := json.NewEncoder(&in)
+		for _, op := range ops {
+			enc.Encode(op)
+		}
+		resp, err := http.Post(ts.URL+"/v1/t/alice/batch", "application/x-ndjson", &in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	if resp := post(huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("batch opening with a 1 MiB line: status %d, want 413", resp.StatusCode)
+	}
+	resp := post(wireOp{Op: "write", Addr: 1, Data: block}, huge)
+	var lines []wireResult
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var r wireResult
+		if err := dec.Decode(&r); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, r)
+	}
+	if len(lines) != 2 || lines[0].Error != "" || lines[0].Addr != 1 || lines[1].Error == "" {
+		t.Fatalf("batch with a 1 MiB second line answered %+v, want the first result then an error line", lines)
+	}
+	var res wireResult
+	if got := doJSON(t, "POST", ts.URL+"/v1/t/alice/read", wireOp{Addr: 1}, &res); got != http.StatusOK || !bytes.Equal(res.Data, block) {
+		t.Fatalf("read after the refused line: status %d, data %q", got, res.Data)
+	}
+}
+
 // TestServerDrainCheckpointsTenants pins the drain protocol: after Close
 // every endpoint answers 503, and each file-backed tenant's WAL has been
 // checkpointed into its tree file (empty log on disk).

@@ -20,7 +20,7 @@ import (
 // replayed, not inline".
 type timingLane struct {
 	timers []core.PathTimer // the real timers, in attach order
-	round  func()           // membus.Chain.RoundStart
+	round  func(at uint64)  // membus.Chain.RoundStart
 
 	ring [laneCap]laneEvent
 	// tail counts events recorded, head events replayed (stored only once
@@ -163,7 +163,7 @@ func (l *timingLane) replay() {
 		ev := &l.ring[h%laneCap]
 		switch ev.kind {
 		case laneRound:
-			l.round()
+			l.round(0)
 		case laneRead:
 			var skip []bool
 			if ev.nskip >= 0 {

@@ -55,7 +55,7 @@ func (t logTimer) WritePath(leaf uint64, deferred bool) {
 // newLoggedLane builds a lane over two stub timers and a stub round start.
 func newLoggedLane(gate chan struct{}) (*timingLane, [2]core.PathTimer, *laneLog) {
 	log := &laneLog{gate: gate}
-	l := &timingLane{round: func() { log.add("round") }}
+	l := &timingLane{round: func(uint64) { log.add("round") }}
 	return l, [2]core.PathTimer{l.attach(logTimer{log, "t0"}), l.attach(logTimer{log, "t1"})}, log
 }
 
@@ -363,7 +363,7 @@ func laneDiffDrive(t *testing.T, spec Spec, lockstep bool, tape *[]tapeEvent) Ti
 			o.lane.timers[i] = tapTimer{real, i, tape}
 		}
 		round := o.lane.round
-		o.lane.round = func() { *tape = append(*tape, tapeEvent{timer: -1}); round() }
+		o.lane.round = func(at uint64) { *tape = append(*tape, tapeEvent{timer: -1}); round(at) }
 	}
 	step := func() {
 		settle()
@@ -431,7 +431,7 @@ func TestTimingLaneLagIsUnobservable(t *testing.T) {
 			for _, ev := range tape {
 				switch timer := ev.timer; {
 				case timer < 0:
-					inline.lane.round()
+					inline.lane.round(0)
 				case ev.write:
 					inline.lane.timers[timer].WritePath(ev.leaf, ev.deferred)
 				default:
