@@ -214,7 +214,7 @@ func TestCounterPadSpaceBounds(t *testing.T) {
 }
 
 // benchPath is the benchmark's flat-enc shard geometry: 15 levels of
-// 228-byte plaintext buckets (Z=4, 45-byte blocks).
+// 228-byte plaintext buckets (Z=3, 64-byte blocks).
 func benchPath(b *testing.B) (s *CounterScheme, ids []uint64, plain, ct [][]byte) {
 	const levels, pbytes = 15, 228
 	s, err := NewCounterScheme(testKey, 1<<levels-1)
@@ -234,7 +234,7 @@ func benchPath(b *testing.B) (s *CounterScheme, ids []uint64, plain, ct [][]byte
 func BenchmarkCounterSealPath(b *testing.B) {
 	s, ids, plain, ct := benchPath(b)
 	for b.Loop() {
-		if err := s.SealPath(ids, plain, 4, ct); err != nil {
+		if err := s.SealPath(ids, plain, 3, ct); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,11 +242,11 @@ func BenchmarkCounterSealPath(b *testing.B) {
 
 func BenchmarkCounterOpenPath(b *testing.B) {
 	s, ids, plain, ct := benchPath(b)
-	if err := s.SealPath(ids, plain, 4, ct); err != nil {
+	if err := s.SealPath(ids, plain, 3, ct); err != nil {
 		b.Fatal(err)
 	}
 	for b.Loop() {
-		if err := s.OpenPath(ids, ct, 4, plain); err != nil {
+		if err := s.OpenPath(ids, ct, 3, plain); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -60,6 +60,11 @@ type Scheme interface {
 type CounterScheme struct {
 	ks       *keystream
 	counters []uint64
+
+	// warm keeps OpenPath's counter load pass, so the compiler cannot
+	// drop the loads (a field, so shards on different cores do not share
+	// a sink line).
+	warm uint64
 }
 
 // NewCounterScheme builds the scheme for a tree of numBuckets buckets under
@@ -143,11 +148,21 @@ func (s *CounterScheme) SealPath(ids []uint64, plain [][]byte, z int, out [][]by
 	return nil
 }
 
-// OpenPath implements Scheme; out[d] == nil skips level d.
+// OpenPath implements Scheme; out[d] == nil skips level d. Before it
+// opens any level it loads the counter of every bucket on the path,
+// skipped levels included: the SealPath that writes the path back seals
+// all of them, and its counter loads then hit in cache.
 func (s *CounterScheme) OpenPath(ids []uint64, ct [][]byte, z int, out [][]byte) error {
 	if len(ct) != len(ids) || len(out) != len(ids) {
 		return fmt.Errorf("encrypt: open path of %d ids, %d ct, %d out", len(ids), len(ct), len(out))
 	}
+	var sum uint64
+	for _, id := range ids {
+		if id < uint64(len(s.counters)) {
+			sum += s.counters[id]
+		}
+	}
+	s.warm = sum
 	for d := range ids {
 		if out[d] == nil {
 			continue

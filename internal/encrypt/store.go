@@ -79,6 +79,11 @@ type Store struct {
 	reachBuf  []bool
 	ctRefs    [][]byte
 	sealBufs  [][]byte
+
+	// warm keeps warmPath's sum, so the compiler cannot drop the loads.
+	// It is a field of the store, not a package variable, so that shards
+	// running on different cores do not share the line it lives on.
+	warm byte
 }
 
 // PlainBucketBytes returns the serialized plaintext size of one bucket.
@@ -221,6 +226,7 @@ func (s *Store) ReadPath(leaf uint64, skip []bool, dst [][]core.Slot) ([][]core.
 	for d := range s.ctRefs {
 		s.ctRefs[d] = s.ctRefs[d][:s.cbytes]
 	}
+	s.warmPath()
 	if s.cfg.Auth != nil {
 		if err := s.cfg.Auth.VerifyPath(leaf, s.ctRefs); err != nil {
 			return dst, err
@@ -261,6 +267,23 @@ func (s *Store) ReadPath(leaf uint64, skip []bool, dst [][]core.Slot) ([][]core.
 	}
 	s.outstanding[leaf]++
 	return dst, nil
+}
+
+// warmPath is ReadPath's load pass: it reads one byte of every
+// RecordAlign-sized line of every level's ciphertext, skipped levels
+// included (VerifyPath still hashes them), before any level is verified
+// or decrypted. The loads do not depend on each other, so the path's cold
+// misses are in flight together instead of each waiting behind the
+// previous level's AES. The lines and their order are those of the path
+// read itself, a function of the public leaf only.
+func (s *Store) warmPath() {
+	var sum byte
+	for _, rec := range s.ctRefs {
+		for off := 0; off < len(rec); off += storage.RecordAlign {
+			sum += rec[off]
+		}
+	}
+	s.warm = sum
 }
 
 // pathReachability reports, per level, whether the bucket on the path to

@@ -639,3 +639,37 @@ func TestStoragePlainStoreMatchesMemStore(t *testing.T) {
 		}
 	}
 }
+
+// TestStorePathZeroAllocs: a ReadPath+WritePath pair on random leaves of
+// a 2^15-bucket counter store (one flat-enc shard: 15 levels, Z=3,
+// 64-byte blocks), load passes included, allocates nothing.
+func TestStorePathZeroAllocs(t *testing.T) {
+	const leafLevel, z, blockBytes = 14, 3, 64
+	tree := treemath.New(leafLevel)
+	scheme, err := NewCounterScheme(testKey, tree.NumBuckets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStore(StoreConfig{LeafLevel: leafLevel, Z: z, BlockBytes: blockBytes, Scheme: scheme})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := make([][]core.Slot, tree.Levels())
+	for d := range path {
+		path[d] = []core.Slot{{Addr: uint64(d), Data: fill(byte(d), blockBytes)}}
+	}
+	rng := rand.New(rand.NewSource(1))
+	var dst [][]core.Slot
+	allocs := testing.AllocsPerRun(500, func() {
+		leaf := rng.Uint64() % tree.NumLeaves()
+		if dst, err = store.ReadPath(leaf, nil, dst); err != nil {
+			t.Fatal(err)
+		}
+		if err = store.WritePath(leaf, path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ReadPath+WritePath: %g allocs/op, want 0", allocs)
+	}
+}

@@ -113,10 +113,19 @@ func (s *Service) opLimit() int {
 
 // decodeOp decodes a single-op body into req, or answers the request
 // itself and reports false. The body is cut off at opLimit (413 beyond
-// it).
+// it) and holds exactly one op, like a batch line: anything but
+// whitespace after the object is malformed (400).
 func (s *Service) decodeOp(w http.ResponseWriter, r *http.Request, req *opRequest) bool {
 	limit := s.opLimit()
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(limit))).Decode(req)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(limit)))
+	err := dec.Decode(req)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("more than one value in the body")
+		}
+	}
 	var tooLong *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLong):
@@ -132,6 +141,10 @@ func (s *Service) decodeOp(w http.ResponseWriter, r *http.Request, req *opReques
 func (s *Service) handleRead(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req opRequest
 	if !s.decodeOp(w, r, &req) {
+		return
+	}
+	if len(req.Data) != 0 {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("read of addr %d carries data", req.Addr)})
 		return
 	}
 	data, err := t.Client.Read(req.Addr)

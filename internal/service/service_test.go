@@ -3,6 +3,7 @@ package service_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -320,6 +321,38 @@ func TestServerSingleOpBodyBounded(t *testing.T) {
 	var res wireResult
 	if got := doJSON(t, "POST", ts.URL+"/v1/t/alice/read", wireOp{Addr: 1}, &res); got != http.StatusOK || !bytes.Equal(res.Data, block) {
 		t.Fatalf("read after the refused bodies: status %d, data %q", got, res.Data)
+	}
+}
+
+// TestServerSingleOpBodyStrict: a single-op body holds exactly one op, as
+// a batch line does. A second object, trailing junk or a read that carries
+// data is 400 and runs nothing; trailing whitespace is accepted.
+func TestServerSingleOpBodyStrict(t *testing.T) {
+	_, ts := newServer(t, memSpec())
+	doJSON(t, "PUT", ts.URL+"/v1/tenants/alice", nil, nil)
+	block := bytes.Repeat([]byte("c"), 16)
+	data := base64.StdEncoding.EncodeToString(block)
+	for _, tc := range []struct {
+		op, body string
+		want     int
+	}{
+		{"read", `{"addr":1}{"addr":2}`, http.StatusBadRequest},
+		{"write", `{"addr":1,"data":"` + data + `"} trailing junk`, http.StatusBadRequest},
+		{"read", `{"addr":1,"data":"` + data + `"}`, http.StatusBadRequest},
+		{"read", "{\"addr\":1}\n", http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/t/alice/"+tc.op, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %q: status %d, want %d", tc.op, tc.body, resp.StatusCode, tc.want)
+		}
+	}
+	var res wireResult
+	if got := doJSON(t, "POST", ts.URL+"/v1/t/alice/read", wireOp{Addr: 1}, &res); got != http.StatusOK || bytes.Equal(res.Data, block) {
+		t.Fatalf("read after the refused write: status %d, data %q (the write must not have landed)", got, res.Data)
 	}
 }
 
