@@ -15,9 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/membus"
 	"repro/internal/shard"
-	"repro/internal/trace"
-
-	cpusim "repro/internal/cpu"
 )
 
 // ---------- primitive benchmarks ----------
@@ -737,19 +734,6 @@ func BenchmarkShardedBatchPadded(b *testing.B) {
 			b.ReportMetric(s.Stats().PaddingPerReal(), "pad/real")
 		})
 	}
-}
-
-// BenchmarkCPUSimulator measures the timing-model throughput itself.
-func BenchmarkCPUSimulator(b *testing.B) {
-	p := trace.ProfileByName("mcf")
-	gen := p.Generator(1)
-	mem := &cpusim.ORAMMemory{ReturnLat: 1848, FinishLat: 3440}
-	cfg := cpusim.Default()
-	b.ResetTimer()
-	if _, err := cpusim.Run(cfg, gen, mem, uint64(b.N)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(b.N), "instructions")
 }
 
 // BenchmarkEvictionPath isolates the greedy eviction + path write cost.

@@ -309,7 +309,9 @@ func replayTrace(path string) {
 	check(err)
 	gen, err := trace.NewReplayer(instrs)
 	check(err)
-	mem := &cpu.ORAMMemory{ReturnLat: 1848, FinishLat: 3440}
+	ret, finish, err := exp.Table2Latency()
+	check(err)
+	mem := &cpu.ORAMMemory{ReturnLat: ret, FinishLat: finish}
 	res, err := cpu.Run(cpu.Default(), gen, mem, uint64(len(instrs)))
 	check(err)
 	fmt.Printf("replayed %d instructions: CPI=%.2f MPKI=%.2f (DZ3Pb32 ORAM memory)\n",

@@ -357,202 +357,202 @@ func TestEngineGolden(t *testing.T) {
 var engineGoldens = map[string]engineGolden{
 	"plain/bare": {
 		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"plain/open2": {
 		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"meta/bare": {
 		trace: "965f831d2a90d9dc", out: "dc04b47ced8787e6", onChip: 6496, files: "",
-		stats:  "{RealAccesses:4200 DummyAccesses:0 PaddingAccesses:138 EvictionAccesses:0 Stores:302 StashPeak:8 BlocksInORAM:927 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4200 DummyAccesses:0 PaddingAccesses:138 Stores:302 StashPeak:8 BlocksInORAM:927 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"meta/open2": {
 		trace: "d1b41b4b1705b06e c690db7c5a2cef1b", out: "dc04b47ced8787e6", onChip: 8896, files: "",
-		stats:  "{RealAccesses:4200 DummyAccesses:0 PaddingAccesses:138 EvictionAccesses:0 Stores:302 StashPeak:6 BlocksInORAM:927 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4200 DummyAccesses:0 PaddingAccesses:138 Stores:302 StashPeak:6 BlocksInORAM:927 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"super/bare": {
 		trace: "29b2ec7b346ca9d8", out: "b295a15cabf55d44", onChip: 6624, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:57 PaddingAccesses:176 EvictionAccesses:0 Stores:862 StashPeak:174 BlocksInORAM:915 MaxDummyRun:4 DeferredWriteBacks:0 IdleEvictions:47 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:57 PaddingAccesses:176 Stores:862 StashPeak:174 BlocksInORAM:915 MaxDummyRun:4 DeferredWriteBacks:0 IdleEvictions:47 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"super/open2": {
 		trace: "131d685469fb6903 934ffdcc0a367949", out: "a66f95ed3903afa8", onChip: 12224, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:861 StashPeak:91 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:861 StashPeak:91 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"tight/bare": {
 		trace: "04dc630bdb85f811", out: "c915691b9ed3bbab", onChip: 4768, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:108 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:9 DeferredWriteBacks:0 IdleEvictions:16 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:108 PaddingAccesses:176 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:9 DeferredWriteBacks:0 IdleEvictions:16 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"tight/open2": {
 		trace: "e3a069b3f6d7397e 982bbfeeb64876ad", out: "c91504dd498df2ac", onChip: 5440, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:41 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:7 BlocksInORAM:915 MaxDummyRun:5 DeferredWriteBacks:0 IdleEvictions:18 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:41 PaddingAccesses:176 Stores:315 StashPeak:7 BlocksInORAM:915 MaxDummyRun:5 DeferredWriteBacks:0 IdleEvictions:18 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"tight-async/bare": {
 		trace: "8e3db149105b761d", out: "006ec18777d3f559", onChip: 4768, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:192 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:13 DeferredWriteBacks:4519 IdleEvictions:0 PendingWriteBackPeak:4 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:192 PaddingAccesses:176 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:13 DeferredWriteBacks:4519 IdleEvictions:0 PendingWriteBackPeak:4 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"tight-async/open2": {
 		trace: "a84bc1d5c5ded82f 48147ce492ed1672", out: "13b3c1941d354305", onChip: 5440, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:38 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:7 BlocksInORAM:915 MaxDummyRun:14 DeferredWriteBacks:4365 IdleEvictions:0 PendingWriteBackPeak:4 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:38 PaddingAccesses:176 Stores:315 StashPeak:7 BlocksInORAM:915 MaxDummyRun:14 DeferredWriteBacks:4365 IdleEvictions:0 PendingWriteBackPeak:4 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"ct/bare": {
 		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"ct/open2": {
 		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"dram/bare": {
 		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "{DRAM:{Reads:86540 Writes:86540 RowHits:160850 RowMisses:12230 Refreshes:474 DataBusBusyCycles:692320 LastCompletionCycle:1234734 QueueOccupancyPeak:0 BankOverlapActs:0 StarvationForced:0} PathReads:4327 PathWrites:4327 DeferredWrites:0 SkippedBuckets:0 ReadCycles:722119 WriteCycles:512615 Cycles:1234734 AccessBytes:64}",
 	},
 	"dram/open2": {
 		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "{DRAM:{Reads:77886 Writes:77886 RowHits:139494 RowMisses:16278 Refreshes:420 DataBusBusyCycles:623088 LastCompletionCycle:1093744 QueueOccupancyPeak:0 BankOverlapActs:2168 StarvationForced:0} PathReads:4327 PathWrites:4327 DeferredWrites:0 SkippedBuckets:0 ReadCycles:1188660 WriteCycles:983918 Cycles:1093744 AccessBytes:64}",
 	},
 	"dram-frfcfs/bare": {
 		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "{DRAM:{Reads:86540 Writes:86540 RowHits:163448 RowMisses:9632 Refreshes:188 DataBusBusyCycles:692320 LastCompletionCycle:489149 QueueOccupancyPeak:8 BankOverlapActs:7308 StarvationForced:0} PathReads:4327 PathWrites:4327 DeferredWrites:0 SkippedBuckets:0 ReadCycles:254857 WriteCycles:234292 Cycles:489149 AccessBytes:64}",
 	},
 	"dram-frfcfs/open2": {
 		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "{DRAM:{Reads:77886 Writes:77886 RowHits:141864 RowMisses:13908 Refreshes:168 DataBusBusyCycles:623088 LastCompletionCycle:440814 QueueOccupancyPeak:8 BankOverlapActs:9180 StarvationForced:5826} PathReads:4327 PathWrites:4327 DeferredWrites:0 SkippedBuckets:0 ReadCycles:480928 WriteCycles:394789 Cycles:440814 AccessBytes:64}",
 	},
 	"dram-async/bare": {
 		trace: "0435ac0c94299a11", out: "006ec18777d3f559", onChip: 9696, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:4327 IdleEvictions:0 PendingWriteBackPeak:8 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:4327 IdleEvictions:0 PendingWriteBackPeak:8 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "{DRAM:{Reads:48320 Writes:86540 RowHits:116340 RowMisses:18520 Refreshes:394 DataBusBusyCycles:539440 LastCompletionCycle:1026250 QueueOccupancyPeak:0 BankOverlapActs:0 StarvationForced:0} PathReads:4327 PathWrites:4327 DeferredWrites:4327 SkippedBuckets:19110 ReadCycles:450949 WriteCycles:575301 Cycles:1026250 AccessBytes:64}",
 	},
 	"dram-async/open2": {
 		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "13b3c1941d354305", onChip: 15296, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:4327 IdleEvictions:0 PendingWriteBackPeak:8 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:4327 IdleEvictions:0 PendingWriteBackPeak:8 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "masked",
 	},
 	"dram-serialize/bare": {
 		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "{DRAM:{Reads:86540 Writes:86540 RowHits:160850 RowMisses:12230 Refreshes:474 DataBusBusyCycles:692320 LastCompletionCycle:1234734 QueueOccupancyPeak:0 BankOverlapActs:0 StarvationForced:0} PathReads:4327 PathWrites:4327 DeferredWrites:0 SkippedBuckets:0 ReadCycles:722119 WriteCycles:512615 Cycles:1234734 AccessBytes:64}",
 	},
 	"dram-serialize/open2": {
 		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "{DRAM:{Reads:77886 Writes:77886 RowHits:139420 RowMisses:16352 Refreshes:444 DataBusBusyCycles:623088 LastCompletionCycle:1156293 QueueOccupancyPeak:0 BankOverlapActs:0 StarvationForced:0} PathReads:4327 PathWrites:4327 DeferredWrites:0 SkippedBuckets:0 ReadCycles:662168 WriteCycles:494125 Cycles:1156293 AccessBytes:64}",
 	},
 	"file-counter/bare": {
 		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "5268c4ccaf568730",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"file-counter/open2": {
 		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "42440aa3051bf967",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"counter-integrity/bare": {
 		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"counter-integrity/open2": {
 		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"file-plain/bare": {
 		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "581ee260a18706fc",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:5 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"file-plain/open2": {
 		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "60ca52d48750c82e", onChip: 15296, files: "4766ee24b5b3d4fe",
-		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 EvictionAccesses:0 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
+		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
 		timing: "untimed",
 	},
 	"rec-plb/bare": {
 		trace: "05ae54c286a75e22", out: "60ca52d48750c82e", onChip: 22752, files: "",
-		stats:  "{RealAccesses:16552 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:540 PLBMisses:11910 PLBWriteBacks:491 ChainLevels:16552 ChainSamples:4151}",
+		stats:  "{RealAccesses:16552 DummyAccesses:0 PaddingAccesses:704 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:540 PLBMisses:11910 PLBWriteBacks:491 ChainLevels:16552 ChainSamples:4151}",
 		timing: "untimed",
 	},
 	"rec-plb/open2": {
 		trace: "6fc65f7395e9d213 256652349de52cb1", out: "60ca52d48750c82e", onChip: 45440, files: "",
-		stats:  "{RealAccesses:16351 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:1209 PLBMisses:11231 PLBWriteBacks:969 ChainLevels:16349 ChainSamples:4151}",
+		stats:  "{RealAccesses:16351 DummyAccesses:0 PaddingAccesses:704 Stores:315 StashPeak:5 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:1209 PLBMisses:11231 PLBWriteBacks:969 ChainLevels:16349 ChainSamples:4151}",
 		timing: "untimed",
 	},
 	"rec-tight/bare": {
 		trace: "53fb0b003a39c524", out: "51d8b96024732467", onChip: 2752, files: "",
-		stats:  "{RealAccesses:16604 DummyAccesses:644 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:9 BlocksInORAM:1251 MaxDummyRun:11 DeferredWriteBacks:0 IdleEvictions:17 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		stats:  "{RealAccesses:16604 DummyAccesses:644 PaddingAccesses:704 Stores:315 StashPeak:9 BlocksInORAM:1251 MaxDummyRun:11 DeferredWriteBacks:0 IdleEvictions:17 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
 		timing: "untimed",
 	},
 	"rec-tight/open2": {
 		trace: "200f7941af997e06 1a87097cf5fef1bc", out: "41fb665f2b4dda39", onChip: 5440, files: "",
-		stats:  "{RealAccesses:16604 DummyAccesses:252 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:8 BlocksInORAM:1251 MaxDummyRun:12 DeferredWriteBacks:0 IdleEvictions:23 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		stats:  "{RealAccesses:16604 DummyAccesses:252 PaddingAccesses:704 Stores:315 StashPeak:8 BlocksInORAM:1251 MaxDummyRun:12 DeferredWriteBacks:0 IdleEvictions:23 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
 		timing: "untimed",
 	},
 	"rec-plb-dram-overlap/bare": {
 		trace: "05ae54c286a75e22", out: "60ca52d48750c82e", onChip: 22752, files: "",
-		stats:  "{RealAccesses:16552 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:540 PLBMisses:11910 PLBWriteBacks:491 ChainLevels:16552 ChainSamples:4151}",
+		stats:  "{RealAccesses:16552 DummyAccesses:0 PaddingAccesses:704 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:540 PLBMisses:11910 PLBWriteBacks:491 ChainLevels:16552 ChainSamples:4151}",
 		timing: "{DRAM:{Reads:233230 Writes:233230 RowHits:430500 RowMisses:35960 Refreshes:1224 DataBusBusyCycles:1865840 LastCompletionCycle:3187184 QueueOccupancyPeak:0 BankOverlapActs:10002 StarvationForced:0} PathReads:17256 PathWrites:17256 DeferredWrites:0 SkippedBuckets:0 ReadCycles:5935027 WriteCycles:2012402 Cycles:3187184 AccessBytes:64}",
 	},
 	"rec-plb-dram-overlap/open2": {
 		trace: "6fc65f7395e9d213 256652349de52cb1", out: "60ca52d48750c82e", onChip: 45440, files: "",
-		stats:  "{RealAccesses:16351 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:5 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:1209 PLBMisses:11231 PLBWriteBacks:969 ChainLevels:16349 ChainSamples:4151}",
+		stats:  "{RealAccesses:16351 DummyAccesses:0 PaddingAccesses:704 Stores:315 StashPeak:5 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:1209 PLBMisses:11231 PLBWriteBacks:969 ChainLevels:16349 ChainSamples:4151}",
 		timing: "{DRAM:{Reads:197468 Writes:197468 RowHits:362084 RowMisses:32852 Refreshes:1004 DataBusBusyCycles:1579744 LastCompletionCycle:2613158 QueueOccupancyPeak:0 BankOverlapActs:15790 StarvationForced:0} PathReads:17055 PathWrites:17055 DeferredWrites:0 SkippedBuckets:0 ReadCycles:9443917 WriteCycles:5148209 Cycles:2613158 AccessBytes:64}",
 	},
 	"rec-file-counter/bare": {
 		trace: "f73fa9983c21871c", out: "60ca52d48750c82e", onChip: 22464, files: "7baf0213b726d568",
-		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:9 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 Stores:315 StashPeak:9 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
 		timing: "untimed",
 	},
 	"rec-file-counter/open2": {
 		trace: "36a94f09dffe540a 05270bb86ba567c2", out: "60ca52d48750c82e", onChip: 44864, files: "249aa4d171d4244a",
-		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
 		timing: "untimed",
 	},
 	"rec-file-plain-wal-async/bare": {
 		trace: "f73fa9983c21871c", out: "006ec18777d3f559", onChip: 22464, files: "9e99a088106f9419",
-		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:9 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:17308 IdleEvictions:0 PendingWriteBackPeak:8 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 Stores:315 StashPeak:9 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:17308 IdleEvictions:0 PendingWriteBackPeak:8 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
 		timing: "untimed",
 	},
 	"rec-file-plain-wal-async/open2": {
 		trace: "36a94f09dffe540a 05270bb86ba567c2", out: "13b3c1941d354305", onChip: 44864, files: "9b3254661a0d722a",
-		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:17308 IdleEvictions:0 PendingWriteBackPeak:8 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:17308 IdleEvictions:0 PendingWriteBackPeak:8 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
 		timing: "untimed",
 	},
 	"rec-dram/bare": {
 		trace: "f73fa9983c21871c", out: "60ca52d48750c82e", onChip: 22464, files: "",
-		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:9 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 Stores:315 StashPeak:9 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
 		timing: "{DRAM:{Reads:233658 Writes:233658 RowHits:433062 RowMisses:34254 Refreshes:1286 DataBusBusyCycles:1869264 LastCompletionCycle:3347557 QueueOccupancyPeak:0 BankOverlapActs:0 StarvationForced:0} PathReads:17308 PathWrites:17308 DeferredWrites:0 SkippedBuckets:0 ReadCycles:1978325 WriteCycles:1369232 Cycles:3347557 AccessBytes:64}",
 	},
 	"rec-dram/open2": {
 		trace: "36a94f09dffe540a 05270bb86ba567c2", out: "60ca52d48750c82e", onChip: 44864, files: "",
-		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
 		timing: "{DRAM:{Reads:199042 Writes:199042 RowHits:369990 RowMisses:28094 Refreshes:974 DataBusBusyCycles:1592336 LastCompletionCycle:2536266 QueueOccupancyPeak:0 BankOverlapActs:13206 StarvationForced:0} PathReads:17308 PathWrites:17308 DeferredWrites:0 SkippedBuckets:0 ReadCycles:2780895 WriteCycles:2255222 Cycles:2536266 AccessBytes:64}",
 	},
 	"rec-frfcfs-qd2/bare": {
 		trace: "f73fa9983c21871c", out: "60ca52d48750c82e", onChip: 22464, files: "",
-		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:9 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 Stores:315 StashPeak:9 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
 		timing: "{DRAM:{Reads:233658 Writes:233658 RowHits:434950 RowMisses:32366 Refreshes:772 DataBusBusyCycles:1869264 LastCompletionCycle:2011810 QueueOccupancyPeak:2 BankOverlapActs:3204 StarvationForced:0} PathReads:17308 PathWrites:17308 DeferredWrites:0 SkippedBuckets:0 ReadCycles:1215861 WriteCycles:795949 Cycles:2011810 AccessBytes:64}",
 	},
 	"rec-frfcfs-qd2/open2": {
 		trace: "36a94f09dffe540a 05270bb86ba567c2", out: "60ca52d48750c82e", onChip: 44864, files: "",
-		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 EvictionAccesses:0 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
+		stats:  "{RealAccesses:16604 DummyAccesses:0 PaddingAccesses:704 Stores:315 StashPeak:6 BlocksInORAM:1251 MaxDummyRun:0 DeferredWriteBacks:0 IdleEvictions:0 PendingWriteBackPeak:0 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:16604 ChainSamples:4151}",
 		timing: "{DRAM:{Reads:199042 Writes:199042 RowHits:372550 RowMisses:25534 Refreshes:598 DataBusBusyCycles:1592336 LastCompletionCycle:1559745 QueueOccupancyPeak:2 BankOverlapActs:12250 StarvationForced:4722} PathReads:17308 PathWrites:17308 DeferredWrites:0 SkippedBuckets:0 ReadCycles:1791668 WriteCycles:1305448 Cycles:1559745 AccessBytes:64}",
 	},
 }

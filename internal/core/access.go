@@ -13,9 +13,6 @@ const (
 	KindReal AccessKind = iota
 	// KindDummy is a background-eviction dummy access (Section 3.1.1).
 	KindDummy
-	// KindEviction is an insecure block-remapping eviction access
-	// (Section 3.1.3); it exists only for the Figure 4 attack study.
-	KindEviction
 	// KindPadding is a scheduler-issued padding access: a dummy path
 	// access injected by the sharded serving layer to give a batch a
 	// fixed, input-independent shard schedule (see Sharded's padded batch
@@ -37,11 +34,8 @@ var ErrStashOverflow = errors.New("core: stash overflow (Path ORAM failure)")
 // convenience). For OpWrite, data must be exactly BlockBytes long (or nil
 // in metadata-only mode) and is copied in.
 func (o *ORAM) Access(addr uint64, op Op, data []byte) ([]byte, error) {
-	if err := o.checkAddr(addr); err != nil {
+	if err := o.checkResident(addr); err != nil {
 		return nil, err
-	}
-	if _, out := o.checkedOut[addr]; out {
-		return nil, fmt.Errorf("core: address %d is checked out; use Store to return it", addr)
 	}
 	if op == OpWrite {
 		if err := o.checkData(data); err != nil {
@@ -49,7 +43,7 @@ func (o *ORAM) Access(addr uint64, op Op, data []byte) ([]byte, error) {
 		}
 	}
 	var result []byte
-	err := o.realAccess(addr, KindReal, func(newLeaf uint32) error {
+	err := o.realAccess(addr, func(newLeaf uint32) error {
 		switch op {
 		case OpRead:
 			if o.p.BlockBytes > 0 {
@@ -76,16 +70,13 @@ func (o *ORAM) Access(addr uint64, op Op, data []byte) ([]byte, error) {
 // whether the block had ever been written; on a miss dst holds the
 // deterministic fresh-fill pattern.
 func (o *ORAM) ReadInto(addr uint64, dst []byte) (found bool, err error) {
-	if err := o.checkAddr(addr); err != nil {
+	if err := o.checkResident(addr); err != nil {
 		return false, err
-	}
-	if _, out := o.checkedOut[addr]; out {
-		return false, fmt.Errorf("core: address %d is checked out; use Store to return it", addr)
 	}
 	if err := o.checkData(dst); err != nil {
 		return false, err
 	}
-	err = o.realAccess(addr, KindReal, func(uint32) error {
+	err = o.realAccess(addr, func(uint32) error {
 		found = o.stashReadInto(addr, dst)
 		return nil
 	})
@@ -101,16 +92,13 @@ func (o *ORAM) ReadInto(addr uint64, dst []byte) (found bool, err error) {
 // position map relies on this to distinguish unassigned labels). Update
 // requires a payload-carrying ORAM (BlockBytes > 0).
 func (o *ORAM) Update(addr uint64, fn func(data []byte)) error {
-	if err := o.checkAddr(addr); err != nil {
-		return err
-	}
 	if o.p.BlockBytes == 0 {
 		return fmt.Errorf("core: Update requires payloads (metadata-only ORAM)")
 	}
-	if _, out := o.checkedOut[addr]; out {
-		return fmt.Errorf("core: address %d is checked out; use Store to return it", addr)
+	if err := o.checkResident(addr); err != nil {
+		return err
 	}
-	err := o.realAccess(addr, KindReal, func(newLeaf uint32) error {
+	err := o.realAccess(addr, func(newLeaf uint32) error {
 		// The hit/miss branch is public here: whether a block exists is
 		// revealed to the caller anyway (see SECURITY.md on the residual
 		// Update channel); the lookup itself still uses the fixed-length
@@ -139,20 +127,17 @@ func (o *ORAM) Update(addr uint64, fn func(data []byte)) error {
 // (data is then a fresh-filled buffer). The returned blocks are "checked
 // out": they must come back via Store before they can be accessed again.
 func (o *ORAM) Load(addr uint64) (data []byte, found bool, group []Slot, err error) {
-	if err := o.checkAddr(addr); err != nil {
+	if err := o.checkResident(addr); err != nil {
 		return nil, false, nil, err
 	}
-	if _, out := o.checkedOut[addr]; out {
-		return nil, false, nil, fmt.Errorf("core: address %d already checked out", addr)
-	}
 	lo, hi := o.groupRange(o.group(addr))
-	err = o.realAccess(addr, KindReal, func(newLeaf uint32) error {
+	err = o.realAccess(addr, func(newLeaf uint32) error {
 		// A single stable sweep (extractRange) removes every resident group
-		// member; the earlier index-walk over removeAt's swap-delete could
-		// skip entries when removal moved an unvisited group member into the
-		// just-vacated index. The extracted payloads leave stash ownership
-		// and travel to the processor with the checked-out blocks, each
-		// tagged with the group's fresh leaf.
+		// member; an index walk over a swap-delete could skip entries when
+		// removal moved an unvisited group member into the just-vacated
+		// index. The extracted payloads leave stash ownership and travel to
+		// the processor with the checked-out blocks, each tagged with the
+		// group's fresh leaf.
 		o.stash.extractRange(lo, hi, func(e Slot) {
 			o.checkedOut[e.Addr] = newLeaf
 			o.stats.BlocksInORAM--
@@ -194,7 +179,7 @@ func (o *ORAM) Store(addr uint64, data []byte) error {
 	o.stats.Stores++
 	o.stats.BlocksInORAM++
 	o.notePeak()
-	if o.p.StashCapacity > 0 && !o.p.BackgroundEviction && o.stash.len() > o.p.StashCapacity {
+	if !o.p.BackgroundEviction && o.stash.len() > o.p.StashCapacity {
 		return ErrStashOverflow
 	}
 	return o.drainBackground()
@@ -206,24 +191,10 @@ func (o *ORAM) CheckedOut(addr uint64) bool {
 	return ok
 }
 
-// NeedsBackgroundEviction reports whether stash occupancy exceeds the
-// C - Z(L+1) threshold. Hierarchies poll this to coordinate dummy requests
-// across all their ORAMs (Section 3.1.1).
-func (o *ORAM) NeedsBackgroundEviction() bool {
-	return o.threshold >= 0 && o.stash.len() > o.threshold
-}
-
 // DummyAccess reads a uniformly random path and writes back as many blocks
 // as possible, without remapping anything — indistinguishable from a real
 // access to an observer, and guaranteed not to grow the stash.
-func (o *ORAM) DummyAccess() error {
-	leaf := o.leaves.Leaf(o.tree.NumLeaves())
-	if err := o.pathAccess(leaf, KindDummy, nil); err != nil {
-		return err
-	}
-	o.stats.DummyAccesses++
-	return nil
-}
+func (o *ORAM) DummyAccess() error { return o.randomPath(KindDummy, &o.stats.DummyAccesses) }
 
 // PaddingAccess reads a uniformly random path and writes back as many
 // blocks as possible, exactly like DummyAccess, but counts as scheduler
@@ -232,20 +203,23 @@ func (o *ORAM) DummyAccess() error {
 // batch schedule; keeping the counter separate lets Stats report the
 // padding overhead (PaddingAccesses / RealAccesses) without conflating it
 // with the stash-draining dummies of Section 3.1.
-func (o *ORAM) PaddingAccess() error {
-	leaf := o.leaves.Leaf(o.tree.NumLeaves())
-	if err := o.pathAccess(leaf, KindPadding, nil); err != nil {
+func (o *ORAM) PaddingAccess() error { return o.randomPath(KindPadding, &o.stats.PaddingAccesses) }
+
+// randomPath accesses a uniformly random path without remapping anything
+// and counts it in *n.
+func (o *ORAM) randomPath(kind AccessKind, n *uint64) error {
+	if err := o.pathAccess(o.leaves.Leaf(o.tree.NumLeaves()), kind, nil); err != nil {
 		return err
 	}
-	o.stats.PaddingAccesses++
+	*n++
 	return nil
 }
 
-// realAccess is the shared body of Access/Update/Load and of insecure
-// eviction accesses: position-map lookup + remap, then one path access
-// during which all stash-resident group members are moved to the new leaf
-// and fn applies the caller's block operation.
-func (o *ORAM) realAccess(addr uint64, kind AccessKind, fn func(newLeaf uint32) error) error {
+// realAccess is the shared body of Access/Update/Load: position-map lookup
+// + remap, then one path access during which all stash-resident group
+// members are moved to the new leaf and fn applies the caller's block
+// operation.
+func (o *ORAM) realAccess(addr uint64, fn func(newLeaf uint32) error) error {
 	g := o.group(addr)
 	oldLeaf, newLeaf, err := o.pos.Access(g)
 	if err != nil {
@@ -260,7 +234,7 @@ func (o *ORAM) realAccess(addr uint64, kind AccessKind, fn func(newLeaf uint32) 
 			}
 		}
 	}
-	err = o.pathAccess(uint64(oldLeaf), kind, func() error {
+	err = o.pathAccess(uint64(oldLeaf), KindReal, func() error {
 		if o.stash.ct {
 			o.stash.ctRemapRange(lo, hi, newLeaf)
 		} else {
@@ -275,12 +249,8 @@ func (o *ORAM) realAccess(addr uint64, kind AccessKind, fn func(newLeaf uint32) 
 	if err != nil {
 		return err
 	}
-	if kind == KindEviction {
-		o.stats.EvictionAccesses++
-	} else {
-		o.stats.RealAccesses++
-	}
-	if o.p.StashCapacity > 0 && !o.p.BackgroundEviction && o.stash.len() > o.p.StashCapacity {
+	o.stats.RealAccesses++
+	if !o.p.BackgroundEviction && o.stash.len() > o.p.StashCapacity {
 		return ErrStashOverflow
 	}
 	return nil
@@ -425,47 +395,15 @@ func (o *ORAM) writeBack(leaf uint64) error {
 	return nil
 }
 
-// drainBackground applies the configured eviction policy until the stash is
-// at or below the threshold.
-func (o *ORAM) drainBackground() error {
-	if !o.p.BackgroundEviction {
-		return nil
+// drainBackground runs the inline drain and notes its length.
+func (o *ORAM) drainBackground() error { return o.noteRun(o.bg.Drain()) }
+
+// noteRun records a completed drain of run dummy accesses.
+func (o *ORAM) noteRun(run int, err error) error {
+	if err == nil && run > o.stats.MaxDummyRun {
+		o.stats.MaxDummyRun = run
 	}
-	switch o.p.Policy {
-	case EvictBackgroundDummy:
-		run := 0
-		for o.NeedsBackgroundEviction() {
-			if run >= o.maxDummy {
-				return ErrLivelock
-			}
-			if err := o.DummyAccess(); err != nil {
-				return err
-			}
-			run++
-		}
-		if run > o.stats.MaxDummyRun {
-			o.stats.MaxDummyRun = run
-		}
-	case EvictInsecureRemap:
-		run := 0
-		for o.NeedsBackgroundEviction() {
-			if run >= o.maxDummy {
-				return ErrLivelock
-			}
-			// Remap a random stash block: this "escapes" congested paths
-			// but correlates consecutive accessed paths — the leak the
-			// Figure 4 attack detects.
-			idx := uniformIndex(o.leaves, o.stash.len())
-			addr := o.stash.entries[idx].Addr
-			if err := o.realAccess(addr, KindEviction, func(uint32) error { return nil }); err != nil {
-				return err
-			}
-			run++
-		}
-	default:
-		return fmt.Errorf("core: unknown eviction policy %d", o.p.Policy)
-	}
-	return nil
+	return err
 }
 
 // ---------- staged mode: deferred write-backs and background work ----------
@@ -513,7 +451,7 @@ const (
 // Entries are recycled through a freelist (the staged hot path must not
 // generate steady-state garbage the synchronous path does not).
 func (o *ORAM) deferWriteBack(leaf uint64) error {
-	for o.pendingLen() >= o.maxDefer {
+	for o.PendingWriteBacks() >= o.maxDefer {
 		if err := o.completeOldestWriteBack(); err != nil {
 			return err
 		}
@@ -544,7 +482,7 @@ func (o *ORAM) deferWriteBack(leaf uint64) error {
 		o.overlay[o.tree.PathBucket(leaf, d)] = overlayRef{entry: e, level: d}
 	}
 	o.stats.DeferredWriteBacks++
-	if n := o.pendingLen(); n > o.stats.PendingWriteBackPeak {
+	if n := o.PendingWriteBacks(); n > o.stats.PendingWriteBackPeak {
 		o.stats.PendingWriteBackPeak = n
 	}
 	return nil
@@ -589,61 +527,20 @@ func (o *ORAM) completeOldestWriteBack() error {
 	return nil
 }
 
-// StepBackground performs one unit of deferred work: completing the oldest
-// pending write-back, or — when the queue is empty, allowEviction is set
-// and the stash sits above the idle low-water mark — issuing one
-// background-eviction dummy access. Shards' idle pumps call it between
-// requests; BgNone means there is nothing useful left to do.
-//
-// Idle eviction drains to half the inline threshold (rather than the
-// threshold itself) so that a burst of subsequent accesses has headroom
-// before any of them must pay for inline draining. The schedule on which
-// these dummies are issued depends only on queue occupancy and stash
-// occupancy — both functions of the access *count*, never of addresses —
-// so the background path sequence leaks nothing beyond uniformly random
-// leaves (see SECURITY.md).
+// StepBackground performs one unit of deferred work (Evictor.Step).
+// Shards' idle pumps call it between requests; BgNone means there is
+// nothing useful left to do.
 func (o *ORAM) StepBackground(allowEviction bool) (BackgroundWork, error) {
-	if o.pendingLen() > 0 {
-		return BgWriteBack, o.completeOldestWriteBack()
-	}
-	// Idle eviction exists only for the paper's secure scheme: under
-	// EvictInsecureRemap (the Figure 4 attack study) speculative dummy
-	// draining would mix two eviction schemes into the observed trace and
-	// corrupt the study, so that policy drains inline only.
-	if allowEviction && o.p.BackgroundEviction && o.p.Policy == EvictBackgroundDummy &&
-		o.threshold >= 0 && o.stash.len() > o.threshold/2 {
-		if err := o.DummyAccess(); err != nil {
-			return BgEviction, err
-		}
+	w, err := o.bg.Step(allowEviction)
+	if w == BgEviction && err == nil {
 		o.stats.IdleEvictions++
-		return BgEviction, nil
 	}
-	return BgNone, nil
+	return w, err
 }
 
 // Flush completes every pending write-back and fully drains background
-// eviction, leaving the ORAM in a state a synchronous engine could have
-// reached: no deferred I/O, stash at or below the eviction threshold.
-func (o *ORAM) Flush() error {
-	for o.pendingLen() > 0 {
-		if err := o.completeOldestWriteBack(); err != nil {
-			return err
-		}
-	}
-	if o.p.BackgroundEviction {
-		// Inline draining issues dummy accesses whose write-backs are
-		// themselves deferred in staged mode; flush those too.
-		if err := o.drainBackground(); err != nil {
-			return err
-		}
-		for o.pendingLen() > 0 {
-			if err := o.completeOldestWriteBack(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// eviction (Evictor.Flush).
+func (o *ORAM) Flush() error { return o.noteRun(o.bg.Flush()) }
 
 func (o *ORAM) groupRange(g uint64) (lo, hi uint64) {
 	s := uint64(o.p.GroupSize())
@@ -756,9 +653,6 @@ func (o *ORAM) fillFresh(d []byte) {
 	}
 }
 
-// pendingLen returns the live length of the deferred write-back ring.
-func (o *ORAM) pendingLen() int { return len(o.pending) - o.pendingHead }
-
 // appendSlotCopy appends a deep copy of s to dst, reusing a payload buffer
 // retained in dst's backing capacity when one is there (the pending-entry
 // recycling protocol: truncation keeps the buffers, this put-back reuses
@@ -778,22 +672,4 @@ func appendSlotCopy(dst []Slot, s Slot, blockBytes int) []Slot {
 		buf = nil
 	}
 	return append(dst, Slot{Addr: s.Addr, Leaf: s.Leaf, Data: buf})
-}
-
-// uniformIndex draws a uniform index in [0, n) from a power-of-two
-// LeafSource by rejection sampling.
-func uniformIndex(src LeafSource, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	// next power of two >= n
-	p := uint64(1)
-	for p < uint64(n) {
-		p <<= 1
-	}
-	for {
-		if v := src.Leaf(p); v < uint64(n) {
-			return int(v)
-		}
-	}
 }

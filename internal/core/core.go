@@ -1,8 +1,8 @@
 // Package core implements the Path ORAM protocol of Ren et al. (ISCA 2013):
 // the binary-tree external memory, the stash, greedy path eviction, the
-// background-eviction schemes of Section 3.1 (including the insecure
-// block-remapping variant used by the Figure 4 attack), super blocks
-// (Section 3.2) and the exclusive Load/Store interface (Section 3.3.1).
+// secure background eviction of Section 3.1.1 (one Evictor, run over a lone
+// tree or a hierarchy's levels), super blocks (Section 3.2) and the
+// exclusive Load/Store interface (Section 3.3.1).
 //
 // The protocol logic is independent of how buckets are stored: it talks to
 // a PathStore (plain in-memory for fast metadata-only simulation, or the
@@ -29,29 +29,15 @@ const (
 	OpWrite
 )
 
-// EvictionPolicy selects what the ORAM does when the stash exceeds the
-// background-eviction threshold (Section 3.1).
-type EvictionPolicy int
-
-const (
-	// EvictBackgroundDummy is the paper's provably secure scheme: issue
-	// dummy accesses (random path read + write-back, no remap) until the
-	// stash drains below the threshold.
-	EvictBackgroundDummy EvictionPolicy = iota
-	// EvictInsecureRemap is the insecure block-remapping scheme of
-	// Section 3.1.3, implemented solely so the Figure 4 CPL attack can be
-	// reproduced. Do not use it for anything else.
-	EvictInsecureRemap
-)
-
 // UnassignedLeaf is the sentinel stored in position maps for blocks that
 // have never been mapped. Valid leaves are < 2^30 (treemath.MaxLeafLevel),
 // so the all-ones value is never a real label.
 const UnassignedLeaf = ^uint32(0)
 
-// DefaultMaxDummyRun bounds consecutive dummy accesses. Background-eviction
-// livelock is astronomically unlikely (Section 3.1.1 estimates ~1e-100);
-// the guard turns an impossible hang into a diagnosable error.
+// DefaultMaxDummyRun bounds a drain's consecutive dummy rounds.
+// Background-eviction livelock is astronomically unlikely (Section 3.1.1
+// estimates ~1e-100); the guard turns an impossible hang into a
+// diagnosable error.
 const DefaultMaxDummyRun = 1 << 20
 
 // DefaultMaxDeferredWriteBacks bounds the deferred write-back queue in
@@ -61,8 +47,8 @@ const DefaultMaxDummyRun = 1 << 20
 // write-back I/O happens.
 const DefaultMaxDeferredWriteBacks = 8
 
-// ErrLivelock is returned if background eviction issues MaxDummyRun dummy
-// accesses without draining the stash.
+// ErrLivelock is returned if background eviction issues DefaultMaxDummyRun
+// dummy rounds without draining the stash.
 var ErrLivelock = errors.New("core: background eviction livelock guard tripped")
 
 // Params configures an ORAM.
@@ -79,23 +65,18 @@ type Params struct {
 	// are 0..Blocks-1. (The paper reserves internal address 0 for dummy
 	// blocks; that shift happens inside the stores.)
 	Blocks uint64
-	// StashCapacity is C, the stash size in blocks. Zero means unbounded
-	// (used by the Figure 3 stash-occupancy study). When non-zero,
-	// background eviction keeps occupancy at or below C - Z(L+1) between
-	// accesses, so the stash can never overflow mid-access.
+	// StashCapacity is C, the stash size in blocks (at least 1). Background
+	// eviction keeps occupancy at or below C - Z(L+1) between accesses, so
+	// the stash can never overflow mid-access.
 	StashCapacity int
 	// SuperBlock is |S|, the static super block size of Section 3.2:
 	// groups of SuperBlock adjacent addresses share one position-map entry
 	// and move together. 0 or 1 disables merging.
 	SuperBlock int
 	// BackgroundEviction enables automatic draining after each operation.
-	// Hierarchies disable it and coordinate dummy accesses across levels
-	// themselves (Section 3.1.1).
+	// Hierarchies build their levels with it off and run one Evictor over
+	// all of them (Section 3.1.1).
 	BackgroundEviction bool
-	// Policy selects the eviction scheme when BackgroundEviction is on.
-	Policy EvictionPolicy
-	// MaxDummyRun overrides DefaultMaxDummyRun when positive.
-	MaxDummyRun int
 	// FreshFill is the byte replicated into a block the first time it is
 	// accessed before ever being written. Data ORAMs use 0; ORAMs holding
 	// position-map labels use 0xFF so fresh labels read as UnassignedLeaf.
@@ -126,9 +107,9 @@ type Params struct {
 	// stash_ct.go and SECURITY.md): hit position and hit-vs-miss change
 	// neither the instruction count nor the memory-touch count of the
 	// lookup, write and group-remap scans, closing the stash timing
-	// channel of the secure-processor threat model. Requires a bounded
-	// stash (StashCapacity > 0) to size the window. The stash evolves
-	// bit-identically to the default mode; only how scans execute differs.
+	// channel of the secure-processor threat model. StashCapacity sizes
+	// the window. The stash evolves bit-identically to the default mode;
+	// only how scans execute differs.
 	ConstantTimeStash bool
 }
 
@@ -156,21 +137,14 @@ const StashEntryOverheadBytes = 12
 // StashBoundBytes returns the on-chip bytes the stash is provisioned for:
 // C slots of payload plus per-entry metadata. This is a static bound fixed
 // at construction — the secure processor must reserve it whether or not the
-// stash ever fills. 0 when the stash is unbounded (simulation only: an
-// unbounded stash has no static provision to account).
+// stash ever fills.
 func (p Params) StashBoundBytes() uint64 {
-	if p.StashCapacity <= 0 {
-		return 0
-	}
 	return uint64(p.StashCapacity) * uint64(p.BlockBytes+StashEntryOverheadBytes)
 }
 
 // EvictionThreshold returns the paper's background-eviction threshold
-// C - Z(L+1), or -1 when the stash is unbounded.
+// C - Z(L+1).
 func (p Params) EvictionThreshold() int {
-	if p.StashCapacity == 0 {
-		return -1
-	}
 	return p.StashCapacity - p.Z*(p.LeafLevel+1)
 }
 
@@ -187,20 +161,11 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: negative block size")
 	case p.SuperBlock < 0:
 		return fmt.Errorf("core: negative super block size")
-	case p.StashCapacity < 0:
-		return fmt.Errorf("core: negative stash capacity")
-	}
-	if p.BackgroundEviction {
-		if p.StashCapacity == 0 {
-			return fmt.Errorf("core: background eviction requires a bounded stash")
-		}
-		if p.EvictionThreshold() < 1 {
-			return fmt.Errorf("core: stash capacity %d leaves no headroom above Z(L+1)=%d",
-				p.StashCapacity, p.Z*(p.LeafLevel+1))
-		}
-	}
-	if p.ConstantTimeStash && p.StashCapacity == 0 {
-		return fmt.Errorf("core: constant-time stash scans need a bounded stash to size their fixed window")
+	case p.StashCapacity < 1:
+		return fmt.Errorf("core: stash capacity %d must be >= 1", p.StashCapacity)
+	case p.BackgroundEviction && p.EvictionThreshold() < 1:
+		return fmt.Errorf("core: stash capacity %d leaves no headroom above Z(L+1)=%d",
+			p.StashCapacity, p.Z*(p.LeafLevel+1))
 	}
 	return nil
 }
@@ -220,9 +185,6 @@ type Stats struct {
 	// accesses like any other on the bus; the separate counter makes the
 	// padding overhead (PaddingPerReal) measurable.
 	PaddingAccesses uint64
-	// EvictionAccesses counts insecure block-remapping eviction accesses
-	// (only under EvictInsecureRemap).
-	EvictionAccesses uint64
 	// Stores counts exclusive write-backs into the stash.
 	Stores uint64
 	// StashPeak is the largest stash occupancy (blocks) ever observed.
@@ -240,8 +202,8 @@ type Stats struct {
 	DeferredWriteBacks uint64
 	// IdleEvictions counts background-eviction dummy accesses issued by
 	// StepBackground during idle time — a subset of DummyAccesses. The
-	// remainder were issued inline by drainBackground when an access left
-	// the stash above the eviction threshold.
+	// remainder were issued inline when an access left the stash above the
+	// eviction threshold.
 	IdleEvictions uint64
 	// PendingWriteBackPeak is the largest deferred write-back queue length
 	// ever observed (staged mode only).
@@ -275,7 +237,6 @@ func (s Stats) Merge(other Stats) Stats {
 	s.RealAccesses += other.RealAccesses
 	s.DummyAccesses += other.DummyAccesses
 	s.PaddingAccesses += other.PaddingAccesses
-	s.EvictionAccesses += other.EvictionAccesses
 	s.Stores += other.Stores
 	s.BlocksInORAM += other.BlocksInORAM
 	s.DeferredWriteBacks += other.DeferredWriteBacks
@@ -298,40 +259,27 @@ func (s Stats) Merge(other Stats) Stats {
 }
 
 // DummyPerReal returns DA/RA (0 when no real accesses happened).
-func (s Stats) DummyPerReal() float64 {
-	if s.RealAccesses == 0 {
-		return 0
-	}
-	return float64(s.DummyAccesses) / float64(s.RealAccesses)
-}
+func (s Stats) DummyPerReal() float64 { return ratio(s.DummyAccesses, s.RealAccesses) }
 
 // PaddingPerReal returns the padded-batch overhead: scheduler padding
 // accesses per real access (0 when no real accesses happened).
-func (s Stats) PaddingPerReal() float64 {
-	if s.RealAccesses == 0 {
-		return 0
-	}
-	return float64(s.PaddingAccesses) / float64(s.RealAccesses)
-}
+func (s Stats) PaddingPerReal() float64 { return ratio(s.PaddingAccesses, s.RealAccesses) }
 
 // PLBHitRate returns the position-map lookaside cache hit rate (0 when no
 // PLB lookups happened, i.e. the construction has no PLB).
-func (s Stats) PLBHitRate() float64 {
-	lookups := s.PLBHits + s.PLBMisses
-	if lookups == 0 {
-		return 0
-	}
-	return float64(s.PLBHits) / float64(lookups)
-}
+func (s Stats) PLBHitRate() float64 { return ratio(s.PLBHits, s.PLBHits+s.PLBMisses) }
 
 // MeanChainLength returns the mean number of ORAM path accesses one
 // program operation needed (0 outside a hierarchy). Without a PLB this is
 // exactly H; PLB hits shorten it.
-func (s Stats) MeanChainLength() float64 {
-	if s.ChainSamples == 0 {
+func (s Stats) MeanChainLength() float64 { return ratio(s.ChainLevels, s.ChainSamples) }
+
+// ratio returns a/b, or 0 when b is 0.
+func ratio(a, b uint64) float64 {
+	if b == 0 {
 		return 0
 	}
-	return float64(s.ChainLevels) / float64(s.ChainSamples)
+	return float64(a) / float64(b)
 }
 
 // ORAM is a single Path ORAM.
@@ -343,7 +291,9 @@ type ORAM struct {
 	leaves    LeafSource
 	stash     stash
 	threshold int
-	maxDummy  int
+	// bg is background eviction over this tree alone. A hierarchy builds
+	// its levels with it disabled and runs its own Evictor over them.
+	bg Evictor
 
 	// checkedOut maps each address the processor holds (exclusive mode) to
 	// its group's current leaf: the leaf tag a secure processor keeps with
@@ -398,14 +348,11 @@ func New(p Params, store PathStore, pos PositionMap, leaves LeafSource) (*ORAM, 
 		pos:        pos,
 		leaves:     leaves,
 		threshold:  p.EvictionThreshold(),
-		maxDummy:   p.MaxDummyRun,
 		checkedOut: make(map[uint64]uint32),
 		bucketBuf:  make([][]Slot, tree.Levels()),
 		byDepth:    make([][]int, tree.Levels()),
 	}
-	if o.maxDummy <= 0 {
-		o.maxDummy = DefaultMaxDummyRun
-	}
+	o.bg = Evictor{Trees: []*ORAM{o}, Enabled: p.BackgroundEviction}
 	o.deferredStore, _ = store.(deferredWriter)
 	if p.DeferWriteBack {
 		o.maxDefer = p.MaxDeferredWriteBacks
@@ -415,23 +362,19 @@ func New(p Params, store PathStore, pos PositionMap, leaves LeafSource) (*ORAM, 
 		o.overlay = make(map[uint64]overlayRef)
 		o.skipBuf = make([]bool, tree.Levels())
 	}
-	for i := range o.bucketBuf {
-		o.bucketBuf[i] = make([]Slot, 0, p.Z)
-	}
 	o.stash.blockBytes = p.BlockBytes
-	if p.StashCapacity > 0 {
-		// Worst mid-access occupancy: a full stash plus one whole path.
-		window := p.StashCapacity + p.Z*(p.LeafLevel+1)
-		if p.ConstantTimeStash {
-			o.stash.initCT(window)
-		}
-		// Presize the eviction scratch so the hot path never grows it.
-		for d := range o.byDepth {
-			o.byDepth[d] = make([]int, 0, window)
-		}
-		o.poolBuf = make([]int, 0, window)
-		o.placed = make([]int, window)
+	// Worst mid-access occupancy: a full stash plus one whole path.
+	window := p.StashCapacity + p.Z*(p.LeafLevel+1)
+	if p.ConstantTimeStash {
+		o.stash.initCT(window)
 	}
+	// Presize the eviction scratch so the hot path never grows it.
+	for d := range o.byDepth {
+		o.bucketBuf[d] = make([]Slot, 0, p.Z)
+		o.byDepth[d] = make([]int, 0, window)
+	}
+	o.poolBuf = make([]int, 0, window)
+	o.placed = make([]int, window)
 	return o, nil
 }
 
@@ -458,9 +401,14 @@ func (o *ORAM) ResetStats() { o.stats = Stats{BlocksInORAM: o.stats.BlocksInORAM
 // StashSize returns the current stash occupancy in blocks.
 func (o *ORAM) StashSize() int { return o.stash.len() }
 
+// StashAddr returns the address of the i-th stash block, 0 <= i <
+// StashSize(), in the stash's current order.
+func (o *ORAM) StashAddr(i int) uint64 { return o.stash.entries[i].Addr }
+
 // PendingWriteBacks returns the number of path write-backs whose I/O has
-// been deferred and not yet completed (always 0 outside staged mode).
-func (o *ORAM) PendingWriteBacks() int { return o.pendingLen() }
+// been deferred and not yet completed: the live length of the deferred
+// ring (always 0 outside staged mode).
+func (o *ORAM) PendingWriteBacks() int { return len(o.pending) - o.pendingHead }
 
 // group returns the position-map entry index for a program address.
 func (o *ORAM) group(addr uint64) uint64 {
@@ -472,4 +420,13 @@ func (o *ORAM) checkAddr(addr uint64) error {
 		return fmt.Errorf("core: address %d out of range [0,%d)", addr, o.p.Blocks)
 	}
 	return nil
+}
+
+// checkResident is checkAddr for the path-accessing operations, which
+// also refuse an address the processor holds.
+func (o *ORAM) checkResident(addr uint64) error {
+	if _, out := o.checkedOut[addr]; out {
+		return fmt.Errorf("core: address %d is checked out; use Store to return it", addr)
+	}
+	return o.checkAddr(addr)
 }

@@ -306,8 +306,8 @@ func TestStoreDoesNotAccessPath(t *testing.T) {
 
 func TestDummyAccessNeverGrowsStash(t *testing.T) {
 	p := smallParams()
-	p.BackgroundEviction = false // drive dummies by hand
-	p.StashCapacity = 0
+	p.BackgroundEviction = false    // drive dummies by hand
+	p.StashCapacity = int(p.Blocks) // holds every block: never overflows
 	o, _, _ := newTestORAM(t, p, 16)
 	for i := uint64(0); i < 64; i++ {
 		if _, err := o.Access(i, OpWrite, blockOf(byte(i), 16)); err != nil {
@@ -384,7 +384,6 @@ func TestLivelockGuard(t *testing.T) {
 		LeafLevel: 1, Z: 1, BlockBytes: 0, Blocks: 16,
 		StashCapacity:      1*(1+1) + 1, // threshold 1
 		BackgroundEviction: true,
-		MaxDummyRun:        16,
 	}
 	store, _ := NewMemStore(p.LeafLevel, p.Z, p.BlockBytes)
 	src := constantLeafSource{}
@@ -407,32 +406,6 @@ func TestLivelockGuard(t *testing.T) {
 type constantLeafSource struct{}
 
 func (constantLeafSource) Leaf(uint64) uint64 { return 0 }
-
-func TestInsecureRemapPolicyDrains(t *testing.T) {
-	p := Params{
-		LeafLevel: 5, Z: 1, BlockBytes: 0, Blocks: 48,
-		StashCapacity:      1*(5+1) + 4,
-		BackgroundEviction: true,
-		Policy:             EvictInsecureRemap,
-	}
-	o, _, _ := newTestORAM(t, p, 19)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 2000; i++ {
-		if _, err := o.Access(rng.Uint64()%p.Blocks, OpWrite, nil); err != nil {
-			t.Fatal(err)
-		}
-		if o.StashSize() > p.EvictionThreshold() {
-			t.Fatalf("stash above threshold under remap policy")
-		}
-	}
-	s := o.Stats()
-	if s.EvictionAccesses == 0 {
-		t.Error("remap policy never issued eviction accesses")
-	}
-	if s.DummyAccesses != 0 {
-		t.Error("remap policy must not issue dummy accesses")
-	}
-}
 
 func TestOnPathAccessKinds(t *testing.T) {
 	p := Params{
@@ -512,13 +485,27 @@ func TestValidate(t *testing.T) {
 		mut(func(p *Params) { p.Blocks = 0 }),
 		mut(func(p *Params) { p.StashCapacity = -1 }),
 		mut(func(p *Params) { p.SuperBlock = -1 }),
-		mut(func(p *Params) { p.StashCapacity = 0 }), // bg eviction needs bound
+		mut(func(p *Params) { p.StashCapacity = 0 }),
+		mut(func(p *Params) { p.StashCapacity, p.BackgroundEviction = 0, false }), // no unbounded mode
 		mut(func(p *Params) { p.StashCapacity = p.Z * (p.LeafLevel + 1) }),
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("bad params %d accepted: %+v", i, p)
 		}
+	}
+}
+
+// TestNewRejectsUnboundedStash: a zero capacity is an error even without
+// background eviction. A study that wants a stash nothing evicts from sizes
+// it to hold every block, as Figure 3 does.
+func TestNewRejectsUnboundedStash(t *testing.T) {
+	p := Params{LeafLevel: 4, Z: 2, Blocks: 16}
+	store, _ := NewMemStore(p.LeafLevel, p.Z, p.BlockBytes)
+	src := NewMathLeafSource(rand.New(rand.NewSource(1)))
+	pos, _ := NewOnChipPositionMap(p.Groups(), 1<<uint(p.LeafLevel), src)
+	if _, err := New(p, store, pos, src); err == nil {
+		t.Error("StashCapacity 0 accepted")
 	}
 }
 
@@ -549,10 +536,6 @@ func TestParamsHelpers(t *testing.T) {
 	if p.EvictionThreshold() != 20-2*4 {
 		t.Errorf("threshold=%d want 12", p.EvictionThreshold())
 	}
-	p.StashCapacity = 0
-	if p.EvictionThreshold() != -1 {
-		t.Error("unbounded stash should report threshold -1")
-	}
 	p.SuperBlock = 0
 	if p.GroupSize() != 1 {
 		t.Error("SuperBlock=0 should mean size 1")
@@ -579,25 +562,5 @@ func TestResetStats(t *testing.T) {
 	// is still resident — zeroing it would underflow on the next Load).
 	if got := o.Stats(); got != (Stats{BlocksInORAM: 1}) {
 		t.Errorf("ResetStats left %+v, want only the occupancy gauge", got)
-	}
-}
-
-func TestUniformIndex(t *testing.T) {
-	src := NewMathLeafSource(rand.New(rand.NewSource(77)))
-	counts := make([]int, 5)
-	for i := 0; i < 50000; i++ {
-		idx := uniformIndex(src, 5)
-		if idx < 0 || idx >= 5 {
-			t.Fatalf("index %d out of range", idx)
-		}
-		counts[idx]++
-	}
-	for v, c := range counts {
-		if c < 8000 || c > 12000 {
-			t.Errorf("index %d drawn %d times, want ~10000", v, c)
-		}
-	}
-	if uniformIndex(src, 1) != 0 {
-		t.Error("n=1 must return 0")
 	}
 }

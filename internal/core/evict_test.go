@@ -12,7 +12,7 @@ import (
 func TestEvictionGreedyMaximality(t *testing.T) {
 	p := Params{
 		LeafLevel: 6, Z: 2, BlockBytes: 0, Blocks: 200,
-		StashCapacity: 0, // unbounded: lets the stash accumulate
+		StashCapacity: 200, // holds every block: lets the stash accumulate
 	}
 	var lastLeaf uint64
 	p.OnPathAccess = func(leaf uint64, _ AccessKind) { lastLeaf = leaf }
@@ -58,7 +58,7 @@ func TestEvictionGreedyMaximality(t *testing.T) {
 func TestDummyAccessNetNonIncreasing(t *testing.T) {
 	p := Params{
 		LeafLevel: 7, Z: 3, BlockBytes: 0, Blocks: 500,
-		StashCapacity: 0,
+		StashCapacity: 500,
 	}
 	o, _, _ := newTestORAM(t, p, 779)
 	rng := rand.New(rand.NewSource(780))
@@ -85,7 +85,7 @@ func TestEvictionPrefersDeepPlacement(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		p := Params{
 			LeafLevel: 4, Z: 1, BlockBytes: 0, Blocks: 31,
-			StashCapacity: 0,
+			StashCapacity: 31,
 		}
 		var written uint64
 		p.OnPathAccess = func(leaf uint64, _ AccessKind) { written = leaf }

@@ -4,16 +4,16 @@ import "testing"
 
 func TestStatsMerge(t *testing.T) {
 	a := Stats{
-		RealAccesses: 10, DummyAccesses: 4, PaddingAccesses: 8, EvictionAccesses: 1,
+		RealAccesses: 10, DummyAccesses: 4, PaddingAccesses: 8,
 		Stores: 2, StashPeak: 30, BlocksInORAM: 100, MaxDummyRun: 3,
 	}
 	b := Stats{
-		RealAccesses: 5, DummyAccesses: 6, PaddingAccesses: 2, EvictionAccesses: 0,
+		RealAccesses: 5, DummyAccesses: 6, PaddingAccesses: 2,
 		Stores: 1, StashPeak: 25, BlocksInORAM: 50, MaxDummyRun: 7,
 	}
 	m := a.Merge(b)
 	want := Stats{
-		RealAccesses: 15, DummyAccesses: 10, PaddingAccesses: 10, EvictionAccesses: 1,
+		RealAccesses: 15, DummyAccesses: 10, PaddingAccesses: 10,
 		Stores: 3, StashPeak: 30, BlocksInORAM: 150, MaxDummyRun: 7,
 	}
 	if m != want {

@@ -11,7 +11,7 @@ package core
 // of which recycle their bytes — and payloads of evicted blocks are
 // recycled through an internal freelist, so the steady-state access path
 // allocates nothing. The only buffers that escape are those handed to the
-// processor by the exclusive Load interface (removeAt/extractRange), which
+// processor by the exclusive Load interface (extractRange), which
 // leave stash ownership for good.
 //
 // With ct set (Params.ConstantTimeStash) the lookup scans run in fixed
@@ -95,17 +95,6 @@ func (s *stash) addCopy(addr uint64, leaf uint32, data []byte) {
 	buf := s.take()
 	copy(buf, data)
 	s.insert(addr, leaf, buf)
-}
-
-// removeAt deletes the entry at index i (order is not preserved). The
-// returned Slot's payload leaves stash ownership.
-func (s *stash) removeAt(i int) Slot {
-	e := s.entries[i]
-	last := len(s.entries) - 1
-	s.entries[i] = s.entries[last]
-	s.entries[last] = Slot{}
-	s.entries = s.entries[:last]
-	return e
 }
 
 // extractRange removes every entry with lo <= Addr < hi, passing each to

@@ -87,6 +87,12 @@ func NewMemStore(leafLevel, z, blockBytes int) (*MemStore, error) {
 	return s, nil
 }
 
+// MemoryBytes returns the bytes the store's arrays hold: per slot an 8-byte
+// address, a 4-byte leaf and blockBytes of payload.
+func (s *MemStore) MemoryBytes() uint64 {
+	return uint64(len(s.addr1)) * uint64(8+4+s.blockBytes)
+}
+
 // slotData returns the arena sub-slice of slot idx (nil in metadata-only
 // mode).
 func (s *MemStore) slotData(idx uint64) []byte {

@@ -284,9 +284,10 @@ func TestStash(t *testing.T) {
 	if s.find(2) < 0 || s.find(9) >= 0 {
 		t.Error("find misbehaves")
 	}
-	got := s.removeAt(s.find(2))
-	if got.Addr != 2 || s.len() != 2 || s.find(2) >= 0 {
-		t.Error("removeAt misbehaves")
+	var got []uint64
+	s.extractRange(2, 3, func(e Slot) { got = append(got, e.Addr) })
+	if len(got) != 1 || got[0] != 2 || s.len() != 2 || s.find(2) >= 0 {
+		t.Error("extractRange misbehaves")
 	}
 	placed := []int{1, 0}
 	s.compact(placed)

@@ -94,13 +94,11 @@ func (r *SuperBlockAblationResult) Table() *Table {
 }
 
 // ExclusiveAblationConfig compares the exclusive interface against an
-// inclusive baseline.
+// inclusive baseline, both on Table 2's DZ3Pb32 latencies (Table2Latency).
 type ExclusiveAblationConfig struct {
 	Benchmarks   []string
 	Instructions uint64
 	Warmup       uint64
-	Return       uint64
-	Finish       uint64
 	Seed         int64
 }
 
@@ -112,8 +110,6 @@ func DefaultExclusiveAblation() ExclusiveAblationConfig {
 		Benchmarks:   []string{"bzip2", "libquantum", "mcf", "hmmer"},
 		Instructions: 1_500_000,
 		Warmup:       1_000_000,
-		Return:       1848,
-		Finish:       3440,
 		Seed:         43,
 	}
 }
@@ -135,6 +131,10 @@ type ExclusiveAblationResult struct {
 // RunExclusiveAblation runs each benchmark under both write-back policies.
 func RunExclusiveAblation(cfg ExclusiveAblationConfig) (*ExclusiveAblationResult, error) {
 	res := &ExclusiveAblationResult{Config: cfg}
+	ret, finish, err := Table2Latency()
+	if err != nil {
+		return nil, err
+	}
 	coreCfg := cpu.Default()
 	for _, name := range cfg.Benchmarks {
 		prof := trace.ProfileByName(name)
@@ -144,7 +144,7 @@ func RunExclusiveAblation(cfg ExclusiveAblationConfig) (*ExclusiveAblationResult
 		var cycles [2]uint64
 		for i, inclusive := range []bool{false, true} {
 			mem := &cpu.ORAMMemory{
-				ReturnLat: cfg.Return, FinishLat: cfg.Finish,
+				ReturnLat: ret, FinishLat: finish,
 				InclusiveWriteback: inclusive,
 			}
 			r, err := cpu.RunWithWarmup(coreCfg, prof.Generator(cfg.Seed), mem, cfg.Warmup, cfg.Instructions)

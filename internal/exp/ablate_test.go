@@ -4,8 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/explore"
 	"repro/internal/membus"
+	"repro/internal/trace"
 )
 
 func TestSuperBlockAblation(t *testing.T) {
@@ -78,6 +80,33 @@ func TestExclusiveAblation(t *testing.T) {
 		t.Errorf("mcf inclusive penalty %.3f, want > 1.02", res.Rows[0].InclusivePenalty)
 	}
 	_ = res.Table().String()
+}
+
+// TestExclusiveAblationOnTable2 holds the ablation's ORAM memory to Table
+// 2's DZ3Pb32 row: its exclusive run must match a processor run at that
+// row's latencies cycle for cycle.
+func TestExclusiveAblationOnTable2(t *testing.T) {
+	t2, err := RunTable2(DefaultTable2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := t2.Find("DZ3Pb32")
+	cfg := DefaultExclusiveAblation()
+	cfg.Benchmarks = []string{"mcf"}
+	cfg.Instructions, cfg.Warmup = 100_000, 100_000
+	res, err := RunExclusiveAblation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := &cpu.ORAMMemory{ReturnLat: row.ReturnCycles, FinishLat: row.FinishCycles}
+	want, err := cpu.RunWithWarmup(cpu.Default(), trace.ProfileByName("mcf").Generator(cfg.Seed), mem, cfg.Warmup, cfg.Instructions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0].ExclusiveCycles; got != want.Cycles {
+		t.Errorf("exclusive mcf ran %d cycles, %d at Table 2's DZ3Pb32 latencies %d/%d",
+			got, want.Cycles, row.ReturnCycles, row.FinishCycles)
+	}
 }
 
 func TestEncryptionAblation(t *testing.T) {

@@ -9,7 +9,9 @@ package exp
 import (
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/explore"
+	"repro/internal/trace"
 )
 
 func BenchmarkFig03StashOccupancy(b *testing.B) {
@@ -171,4 +173,20 @@ func BenchmarkIntegrityOverhead(b *testing.B) {
 		}
 		b.ReportMetric(res.HashReadsPerAccess, "hash_reads/access")
 	}
+}
+
+// BenchmarkCPUSimulator measures the timing-model throughput itself, on
+// Table 2's DZ3Pb32 latencies.
+func BenchmarkCPUSimulator(b *testing.B) {
+	ret, finish, err := Table2Latency()
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := trace.ProfileByName("mcf").Generator(1)
+	mem := &cpu.ORAMMemory{ReturnLat: ret, FinishLat: finish}
+	b.ResetTimer()
+	if _, err := cpu.Run(cpu.Default(), gen, mem, uint64(b.N)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N), "instructions")
 }

@@ -97,6 +97,38 @@ func TestFig3GoldenThroughSpec(t *testing.T) {
 	}
 }
 
+// TestFig4Golden pins a reduced Figure 4 to its printed digits, recorded
+// while core still ran the insecure block-remapping drain itself: the drain
+// in fig4.go draws the same stash indices from the same leaf source, so
+// every mean, std and rate is unchanged by the move.
+func TestFig4Golden(t *testing.T) {
+	cfg := DefaultFig4()
+	cfg.Experiments = 12
+	cfg.Accesses = 1000
+	res, err := RunFig4(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		got  float64
+		want string
+	}{
+		{"secure mean", res.Secure.Mean(), "1.991486"},
+		{"secure std", res.Secure.Std(), "0.032127"},
+		{"insecure mean", res.Insecure.Mean(), "1.969083"},
+		{"insecure std", res.Insecure.Std(), "0.023368"},
+		{"congested mean", res.InsecureCongested.Mean(), "2.465410"},
+		{"congested std", res.InsecureCongested.Std(), "0.037033"},
+		{"secure dummy rate", res.SecureDummyRate, "0.291167"},
+		{"insecure evict rate", res.InsecureEvictRate, "0.134667"},
+	} {
+		if got := fmt.Sprintf("%.6f", c.got); got != c.want {
+			t.Errorf("%s %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 func TestFig4AttackSeparates(t *testing.T) {
 	cfg := DefaultFig4()
 	cfg.Experiments = 15

@@ -299,3 +299,17 @@ func (r *Table2Result) Find(name string) *Table2Row {
 	}
 	return nil
 }
+
+// Table2Latency returns the return and finish latencies, in CPU cycles, of
+// Table 2's DZ3Pb32 row: the ORAM main memory of every processor-model run
+// that is not a Figure 12 setting (trace replay, the exclusive ablation,
+// the simulator benchmark).
+func Table2Latency() (ret, finish uint64, err error) {
+	cfg := DefaultTable2()
+	cfg.Settings = []Setting{DZ3Pb32}
+	t2, err := RunTable2(cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	return t2.Rows[0].ReturnCycles, t2.Rows[0].FinishCycles, nil
+}

@@ -3,6 +3,7 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/core"
@@ -76,22 +77,22 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 	var dumTot, evcTot, realTot float64
 	for e := 0; e < cfg.Experiments; e++ {
 		seed := cfg.Seed + int64(e)*17
-		mean, st, err := runCPLExperiment(cfg, core.EvictBackgroundDummy, cfg.Blocks, seed)
+		mean, real, dummies, err := runCPLExperiment(cfg, false, cfg.Blocks, seed)
 		if err != nil {
 			return nil, err
 		}
 		res.Secure.Observe(mean)
-		dumTot += float64(st.DummyAccesses)
-		realTot += float64(st.RealAccesses)
+		dumTot += float64(dummies)
+		realTot += float64(real)
 
-		mean, st, err = runCPLExperiment(cfg, core.EvictInsecureRemap, cfg.Blocks, seed)
+		mean, _, evictions, err := runCPLExperiment(cfg, true, cfg.Blocks, seed)
 		if err != nil {
 			return nil, err
 		}
 		res.Insecure.Observe(mean)
-		evcTot += float64(st.EvictionAccesses)
+		evcTot += float64(evictions)
 
-		mean, _, err = runCPLExperiment(cfg, core.EvictInsecureRemap, cfg.CongestedBlocks, seed)
+		mean, _, _, err = runCPLExperiment(cfg, true, cfg.CongestedBlocks, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -105,8 +106,10 @@ func RunFig4(cfg Fig4Config) (*Fig4Result, error) {
 }
 
 // runCPLExperiment runs one experiment and returns the mean CPL between
-// consecutive observed paths.
-func runCPLExperiment(cfg Fig4Config, policy core.EvictionPolicy, blocks uint64, seed int64) (float64, core.Stats, error) {
+// consecutive observed paths, the tree's real accesses (remapping accesses
+// included), and the accesses eviction added: dummy accesses under the
+// secure scheme, remapping accesses under the insecure one.
+func runCPLExperiment(cfg Fig4Config, insecure bool, blocks uint64, seed int64) (mean float64, real, evictions uint64, err error) {
 	tree := treemath.New(cfg.LeafLevel)
 	var cpl stats.Running
 	var prev uint64
@@ -116,9 +119,7 @@ func runCPLExperiment(cfg Fig4Config, policy core.EvictionPolicy, blocks uint64,
 		Z:                  cfg.Z,
 		Blocks:             blocks,
 		StashCapacity:      cfg.Z*(cfg.LeafLevel+1) + cfg.Headroom,
-		BackgroundEviction: true,
-		Policy:             policy,
-		MaxDummyRun:        1 << 16,
+		BackgroundEviction: !insecure,
 		OnPathAccess: func(leaf uint64, kind core.AccessKind) {
 			if havePrev {
 				cpl.Observe(float64(tree.CommonPathLength(prev, leaf)))
@@ -126,21 +127,67 @@ func runCPLExperiment(cfg Fig4Config, policy core.EvictionPolicy, blocks uint64,
 			prev, havePrev = leaf, true
 		},
 	}
-	o, err := buildMetaORAM(p, seed)
+	if insecure {
+		// remapDrain holds the stash at Headroom between accesses; a stash
+		// that fits every block never overflows while it works.
+		p.StashCapacity = int(blocks) + cfg.Z*(cfg.LeafLevel+1)
+	}
+	o, src, err := buildMetaORAM(p, seed)
 	if err != nil {
-		return 0, core.Stats{}, err
+		return 0, 0, 0, err
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
-	for i := 0; i < cfg.Accesses; i++ {
-		if _, err := o.Access(rng.Uint64()%blocks, core.OpWrite, nil); err != nil {
-			if errors.Is(err, core.ErrLivelock) {
-				// Report what was observed; the config is at the edge.
-				return cpl.Mean(), o.Stats(), nil
-			}
-			return 0, core.Stats{}, err
+	for i := 0; i < cfg.Accesses && err == nil; i++ {
+		if _, err = o.Access(rng.Uint64()%blocks, core.OpWrite, nil); err == nil && insecure {
+			var n uint64
+			n, err = remapDrain(o, src, cfg.Headroom)
+			evictions += n
 		}
 	}
-	return cpl.Mean(), o.Stats(), nil
+	// A tripped livelock guard reports what was observed: the config is at
+	// the edge.
+	if err != nil && !errors.Is(err, core.ErrLivelock) {
+		return 0, 0, 0, err
+	}
+	if !insecure {
+		evictions = o.Stats().DummyAccesses
+	}
+	return cpl.Mean(), o.Stats().RealAccesses, evictions, nil
+}
+
+// remapDrain is the insecure block-remapping eviction of Section 3.1.3,
+// here solely so the attack can be reproduced: while the stash holds more
+// than headroom blocks, access a uniformly drawn stash block, which remaps
+// it to a fresh leaf. That escapes congested paths but correlates
+// consecutive accessed paths — the leak the attack detects. It returns the
+// accesses it issued; core.DefaultMaxDummyRun of them in a row is
+// core.ErrLivelock.
+func remapDrain(o *core.ORAM, src core.LeafSource, headroom int) (n uint64, err error) {
+	for o.StashSize() > headroom {
+		if n >= core.DefaultMaxDummyRun {
+			return n, core.ErrLivelock
+		}
+		addr := o.StashAddr(uniformIndex(src, o.StashSize()))
+		if _, err := o.Access(addr, core.OpRead, nil); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
+}
+
+// uniformIndex draws a uniform index in [0, n) from a power-of-two
+// LeafSource by rejection sampling.
+func uniformIndex(src core.LeafSource, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	p := uint64(1) << bits.Len(uint(n-1)) // next power of two >= n
+	for {
+		if v := src.Leaf(p); v < uint64(n) {
+			return int(v)
+		}
+	}
 }
 
 // Table renders the Figure 4 comparison.
@@ -165,17 +212,18 @@ func (r *Fig4Result) Table() *Table {
 }
 
 // buildMetaORAM wires a metadata-only ORAM with an on-chip map straight
-// from core: the attack needs the EvictInsecureRemap policy, which Spec
-// rightly cannot express.
-func buildMetaORAM(p core.Params, seed int64) (*core.ORAM, error) {
+// from core, returning the leaf source its remapping drain draws from: the
+// insecure scheme is one Spec rightly cannot express.
+func buildMetaORAM(p core.Params, seed int64) (*core.ORAM, core.LeafSource, error) {
 	store, err := core.NewMemStore(p.LeafLevel, p.Z, 0)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	src := core.NewMathLeafSource(rand.New(rand.NewSource(seed)))
 	pos, err := core.NewOnChipPositionMap(p.Groups(), 1<<uint(p.LeafLevel), src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return core.New(p, store, pos, src)
+	o, err := core.New(p, store, pos, src)
+	return o, src, err
 }

@@ -8,7 +8,8 @@
 //
 // Background eviction is coordinated across the chain (Section 3.1.1): if
 // any stash exceeds its threshold, one dummy request is issued to every
-// ORAM in normal access order until all stashes drain.
+// ORAM in normal access order until all stashes drain — core's Evictor run
+// over the levels.
 package hierarchy
 
 import (
@@ -61,8 +62,6 @@ type Config struct {
 	StashCapacity int
 	// BackgroundEviction enables coordinated dummy accesses.
 	BackgroundEviction bool
-	// MaxDummyRun bounds consecutive dummy rounds (livelock guard).
-	MaxDummyRun int
 	// DeferWriteBack enables the staged access path on every level of the
 	// chain (core.Params.DeferWriteBack): each level's path write-back I/O
 	// is queued on that level's own bounded FIFO and completed later by
@@ -125,9 +124,10 @@ type ORAM struct {
 	// serves level i's lookups out of level i+1 (nil entries never occur;
 	// the slice is empty for a single-level chain).
 	posMaps []*oramPosMap
+	// ev runs background eviction over the levels.
+	ev core.Evictor
 
 	dummyRounds uint64
-	maxDummyRun int
 	// idleRounds counts the dummy rounds StepBackground issued in idle time
 	// and longestRun the longest inline drain, in rounds — what a lone
 	// core.ORAM keeps as IdleEvictions and MaxDummyRun. Stats reports both
@@ -178,10 +178,7 @@ func New(cfg Config) (*ORAM, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &ORAM{cfg: cfg, infos: infos, maxDummyRun: cfg.MaxDummyRun}
-	if h.maxDummyRun <= 0 {
-		h.maxDummyRun = core.DefaultMaxDummyRun
-	}
+	h := &ORAM{cfg: cfg, infos: infos}
 
 	// Instantiate from the smallest ORAM backwards: each level's position
 	// map needs the next level to exist first.
@@ -267,6 +264,7 @@ func New(cfg Config) (*ORAM, error) {
 		}
 		h.levels[i] = o
 	}
+	h.ev = core.Evictor{Trees: h.levels, Enabled: cfg.BackgroundEviction, OnRound: cfg.OnRoundStart}
 	return h, nil
 }
 
@@ -518,10 +516,8 @@ func (h *ORAM) PaddingAccess() error {
 	if h.cfg.OnRoundStart != nil {
 		h.cfg.OnRoundStart()
 	}
-	for i := len(h.levels) - 1; i >= 0; i-- {
-		if err := h.levels[i].PaddingAccess(); err != nil {
-			return err
-		}
+	if err := h.pad(0); err != nil {
+		return err
 	}
 	return h.drain()
 }
@@ -546,68 +542,27 @@ func (h *ORAM) PendingWriteBacks() int {
 	return total
 }
 
-// StepBackground performs one unit of deferred work: completing one
-// pending path write-back (levels drain smallest-ORAM first, matching the
-// access order their traffic arrived in), or — when no write-backs are
-// pending, allowEviction is set and some level's stash sits above the idle
-// low-water mark (half its inline threshold) — issuing one coordinated
-// dummy round, one dummy access to every ORAM in normal access order.
-// core.BgNone means there is nothing useful to do right now.
+// StepBackground performs one unit of deferred work over the chain
+// (core.Evictor.Step): one pending write-back, or one coordinated dummy
+// round. core.BgNone means there is nothing useful to do right now.
 func (h *ORAM) StepBackground(allowEviction bool) (core.BackgroundWork, error) {
-	for i := len(h.levels) - 1; i >= 0; i-- {
-		if h.levels[i].PendingWriteBacks() > 0 {
-			return h.levels[i].StepBackground(false)
-		}
-	}
-	if allowEviction && h.cfg.BackgroundEviction && h.needsIdleEviction() {
-		if err := h.dummyRound(); err != nil {
-			return core.BgEviction, err
-		}
+	w, err := h.ev.Step(allowEviction)
+	if w == core.BgEviction && err == nil {
+		h.dummyRounds++
 		h.idleRounds++
-		return core.BgEviction, nil
 	}
-	return core.BgNone, nil
+	return w, err
 }
 
-// needsIdleEviction reports whether any level's stash is above half its
-// inline eviction threshold — the same low-water mark core.StepBackground
-// uses, so a burst of subsequent accesses has headroom before any of them
-// pays for inline draining.
-func (h *ORAM) needsIdleEviction() bool {
-	for _, o := range h.levels {
-		if t := o.Params().EvictionThreshold(); t >= 0 && o.StashSize() > t/2 {
-			return true
-		}
-	}
-	return false
-}
-
-// Flush completes every level's pending write-backs and fully drains
-// coordinated background eviction, leaving the chain in a state the
-// synchronous protocol could have produced: no deferred I/O anywhere,
-// every stash at or below its threshold, and — with a PLB — every dirty
-// cached label written back and the cache cold, so the backing trees are
-// self-contained again.
+// Flush writes back every dirty PLB label and leaves the cache cold, so the
+// backing trees are self-contained again, then completes every level's
+// pending write-backs and fully drains coordinated background eviction
+// (core.Evictor.Flush).
 func (h *ORAM) Flush() error {
 	if err := h.plbFlush(); err != nil {
 		return err
 	}
-	for _, o := range h.levels {
-		if err := o.Flush(); err != nil {
-			return err
-		}
-	}
-	// Coordinated draining issues dummy accesses whose write-backs are
-	// themselves deferred in staged mode; flush those too.
-	if err := h.drain(); err != nil {
-		return err
-	}
-	for _, o := range h.levels {
-		if err := o.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return h.noteRun(h.ev.Flush())
 }
 
 // plbFlush writes every dirty PLB entry back into its backing ORAM and
@@ -636,49 +591,16 @@ func (h *ORAM) plbFlush() error {
 	return nil
 }
 
-// drain coordinates background eviction: while any stash exceeds its
-// threshold, issue one dummy round (Section 3.1.1).
-func (h *ORAM) drain() error {
-	if !h.cfg.BackgroundEviction {
-		return nil
-	}
-	run := 0
-	for h.needsEviction() {
-		if run >= h.maxDummyRun {
-			return core.ErrLivelock
-		}
-		if err := h.dummyRound(); err != nil {
-			return err
-		}
-		run++
-	}
-	h.longestRun = max(h.longestRun, run)
-	return nil
-}
+// drain runs coordinated background eviction after an operation.
+func (h *ORAM) drain() error { return h.noteRun(h.ev.Drain()) }
 
-// dummyRound issues one dummy request to each ORAM in normal access order
-// (smallest first, data ORAM last) — the unit of coordinated eviction, for
-// the inline drain and the idle step alike.
-func (h *ORAM) dummyRound() error {
-	if h.cfg.OnRoundStart != nil {
-		h.cfg.OnRoundStart()
+// noteRun counts a drain's dummy rounds and, when it completed, its length.
+func (h *ORAM) noteRun(run int, err error) error {
+	h.dummyRounds += uint64(run)
+	if err == nil {
+		h.longestRun = max(h.longestRun, run)
 	}
-	for i := len(h.levels) - 1; i >= 0; i-- {
-		if err := h.levels[i].DummyAccess(); err != nil {
-			return err
-		}
-	}
-	h.dummyRounds++
-	return nil
-}
-
-func (h *ORAM) needsEviction() bool {
-	for _, o := range h.levels {
-		if o.NeedsBackgroundEviction() {
-			return true
-		}
-	}
-	return false
+	return err
 }
 
 // oramPosMap is a core.PositionMap stored inside the next ORAM of the
@@ -715,7 +637,7 @@ func (m *oramPosMap) Access(group uint64) (old, new uint32, err error) {
 			old = e.leaf
 			e.leaf, e.dirty = uint32(m.src.Leaf(m.numLeaves)), true
 			if m.h.cfg.PLBConstantShape {
-				if err := m.h.padElidedLevels(m.level + 1); err != nil {
+				if err := m.h.pad(m.level + 1); err != nil {
 					return 0, 0, err
 				}
 			}
@@ -766,11 +688,11 @@ func (m *oramPosMap) writeLabel(group uint64, leaf uint32) error {
 	})
 }
 
-// padElidedLevels issues one dummy-shaped access to every level a PLB hit
-// elided (from..top, smallest first — the order the real chain would have
-// touched them), so constant-shape mode keeps hits and misses
-// indistinguishable on the wire. Counted as scheduler padding.
-func (h *ORAM) padElidedLevels(from int) error {
+// pad issues one dummy-shaped access to every level from..top, smallest
+// first as a real access touches them, counted as scheduler padding: the
+// whole chain for PaddingAccess, or the levels a PLB hit elided, so
+// constant-shape hits and misses look alike on the wire.
+func (h *ORAM) pad(from int) error {
 	for j := len(h.levels) - 1; j >= from; j-- {
 		h.curChain++
 		if err := h.levels[j].PaddingAccess(); err != nil {

@@ -244,7 +244,7 @@ func TestCoordinatedBackgroundEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		for lvl := 0; lvl < h.NumORAMs(); lvl++ {
-			if h.Level(lvl).NeedsBackgroundEviction() {
+			if o := h.Level(lvl); o.StashSize() > o.Params().EvictionThreshold() {
 				t.Fatalf("level %d above threshold after drain", lvl)
 			}
 		}

@@ -308,6 +308,3 @@ func (t *Tree) CorruptValid(flat uint64, flags uint8) {
 	}
 	t.valid[flat] = flags & 3
 }
-
-// HashAt returns the stored hash for a bucket (test hook).
-func (t *Tree) HashAt(flat uint64) Hash { return t.hashes[flat] }

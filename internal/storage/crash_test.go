@@ -150,6 +150,7 @@ func buildCrashStack(t *testing.T, dir string, useWAL, record, deferWB bool, fau
 		Z:                     crashZ,
 		BlockBytes:            crashBlockBytes,
 		Blocks:                crashBlocks,
+		StashCapacity:         crashBlocks, // holds every block: never overflows
 		DeferWriteBack:        deferWB,
 		MaxDeferredWriteBacks: crashDeferred,
 	}

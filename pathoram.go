@@ -397,5 +397,5 @@ func (o *ORAM) Close() error {
 }
 
 // ExternalMemoryBytes returns the summed external storage footprint of
-// every level (0 for plain in-memory stores).
+// every level; a plain in-memory tree counts its slot arrays.
 func (o *ORAM) ExternalMemoryBytes() uint64 { return o.externalMemoryBytes() }

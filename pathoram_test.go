@@ -22,6 +22,20 @@ func TestNewDefaults(t *testing.T) {
 	}
 }
 
+// TestPlainMemoryBytes: a plaintext in-memory tree reports the bytes its
+// slot arrays hold — per slot an 8-byte address, a 4-byte leaf and the
+// payload — not 0.
+func TestPlainMemoryBytes(t *testing.T) {
+	o, err := New(Spec{Blocks: 1000, BlockSize: 64, Encryption: EncryptNone, Rand: testRand(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := (uint64(2)<<uint(o.LeafLevel()) - 1) * 3 // default Z=3
+	if got, want := o.ExternalMemoryBytes(), slots*(8+4+64); got != want {
+		t.Errorf("ExternalMemoryBytes = %d, want %d", got, want)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Spec{}); err == nil {
 		t.Error("zero blocks accepted")

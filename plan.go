@@ -345,7 +345,7 @@ type tree struct {
 	// plain trees is the plaintext serialization padded to the DRAM access
 	// granularity — metadata-only trees still move their headers.
 	busBytes int
-	// footprint accounts external memory (nil for core.MemStore trees).
+	// footprint accounts external memory.
 	footprint interface{ MemoryBytes() uint64 }
 	// persist is the durable storage under the store (BackendFile only).
 	persist storage.Storage
@@ -389,7 +389,8 @@ func (p *plan) buildTree(e engineSeed, level, leafLevel, z, blockBytes int) (t t
 	}
 	t.busBytes = encrypt.PaddedBucketBytes(scheme, z, blockBytes)
 	if _, plain := scheme.(encrypt.PlainScheme); plain && p.Backend != BackendFile {
-		t.store, err = core.NewMemStore(leafLevel, z, blockBytes)
+		ms, err := core.NewMemStore(leafLevel, z, blockBytes)
+		t.store, t.footprint = ms, ms
 		return t, err
 	}
 	if p.Backend == BackendFile {
@@ -452,9 +453,7 @@ type trees struct {
 
 // add takes ownership of a built tree's handles.
 func (ts *trees) add(t tree) {
-	if t.footprint != nil {
-		ts.footprints = append(ts.footprints, t.footprint)
-	}
+	ts.footprints = append(ts.footprints, t.footprint)
 	if t.persist != nil {
 		ts.persists = append(ts.persists, t.persist)
 	}

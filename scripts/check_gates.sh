@@ -1,8 +1,9 @@
 #!/bin/sh
 # The repo's one gate entry point: one benchmark sweep piped through one
 # oram-benchjson call that carries every relation the hot path is held to,
-# then the explorer grids. The parsed sweep lands in BENCH.json (or $1);
-# each grid's report in $2-<grid>-ci.json (default prefix "explore").
+# then the explorer grids. The parsed sweep lands in the git-ignored
+# bench-gates.json (or $1), so a local run leaves the committed BENCH.json
+# alone; each grid's report in $2-<grid>-ci.json (default prefix "explore").
 # Every relation is relative, so nothing drifts with host hardware.
 #
 # Allocation budget (-gate/-max-allocs): the serving path — core access ->
@@ -63,7 +64,7 @@
 # cycles/op, on-chip bytes} with no infeasible row on it.
 set -eu
 
-out="${1:-BENCH.json}"
+out="${1:-bench-gates.json}"
 explore="${2:-explore}"
 benchtime="${BENCHTIME:-3000x}"
 ops="${EXPLORE_OPS:-512}"

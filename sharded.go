@@ -702,7 +702,7 @@ func (s *Sharded) StashSize() int {
 }
 
 // ExternalMemoryBytes returns the summed external storage footprint of all
-// shards (0 for plain in-memory stores).
+// shards.
 func (s *Sharded) ExternalMemoryBytes() uint64 {
 	sizes := make([]uint64, len(s.engines))
 	_ = s.pool.InspectAll(s.inspectors(func(i int, e *ORAM) { sizes[i] = e.ExternalMemoryBytes() }))
