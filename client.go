@@ -224,21 +224,6 @@ type Spec struct {
 	// DESIGN.md's decision table). Padding overhead is counted in
 	// Stats.PaddingAccesses. Single operations are never padded.
 	Padded bool
-	// EvictionsPerIdle caps how many background-eviction dummy accesses a
-	// shard's idle pump issues per idle gap — the gap after a request,
-	// never after Flush or a snapshot (default 4; negative disables idle
-	// eviction, leaving only write-back completion). Requires
-	// AsyncEviction, which turns each shard into a two-stage pipeline: a
-	// request returns as soon as its path has been read and merged, and
-	// the shard's pump completes the deferred write-back — and runs
-	// background stash eviction — while no request holds or waits for the
-	// shard. Under sustained saturation the deferred work drains inline
-	// and throughput matches the synchronous mode. Close, snapshots (Stats, ShardStats, StashSize)
-	// and Flush all drain fully first, so observed state always matches
-	// the synchronous protocol. See DESIGN.md (pipelining) and SECURITY.md
-	// (why the idle-time schedule leaks nothing).
-	EvictionsPerIdle int
-
 	// PosMap selects the position-map policy (default PosMapOnChip;
 	// NewHierarchy implies PosMapRecursive). Every policy builds the same
 	// engine; what the value selects is listed in DESIGN.md ("One engine").
@@ -340,15 +325,23 @@ type Spec struct {
 	// Read/Write/Update return as soon as every path has been read and
 	// merged and the eviction placement computed; the write-back I/O
 	// (serialization, encryption, authentication, store write) is deferred
-	// onto a bounded per-tree queue, and stash draining is expected to
-	// happen in idle time. Someone must drain: shards' idle pumps do it
-	// automatically between requests; the owner of a bare engine
-	// calls StepBackground (e.g. between requests) and Flush when
-	// quiescing. Logical contents are never stale — reads of paths with
-	// pending write-backs are served from the write buffer — and the stash
-	// bound still holds: if deferred work piles up faster than idle time
-	// drains it, draining falls back inline, degrading to the synchronous
-	// protocol rather than failing.
+	// onto a bounded per-tree queue. Who completes it: an untimed shard's
+	// idle pump completes owed write-backs between requests; a
+	// BackendDRAM tree has no pump, so its queue — the modeled write
+	// buffer — drains when full, at Flush and at snapshots (Stats,
+	// ShardStats, StashSize, TimingStats), in stream order, and its
+	// modeled time stays a function of the seed; the owner of a bare
+	// engine calls StepBackground (e.g. between requests) and Flush when
+	// quiescing. Background eviction runs inline once a stash passes its
+	// threshold, and in idle time only through StepBackground(true).
+	// Snapshots and Close flush first, so observed state always matches
+	// the synchronous protocol. Logical contents are never stale — reads
+	// of paths with pending write-backs are served from the write buffer
+	// — and the stash bound still holds: if deferred work piles up faster
+	// than idle time drains it, draining falls back inline, degrading to
+	// the synchronous protocol rather than failing. See DESIGN.md
+	// (pipelining) and SECURITY.md (why the idle-time schedule leaks
+	// nothing).
 	AsyncEviction bool
 	// MaxDeferredWriteBacks caps each tree's deferred write-back queue
 	// (default core.DefaultMaxDeferredWriteBacks). Requires AsyncEviction.

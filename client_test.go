@@ -365,13 +365,6 @@ func TestClientDRAMRecursiveReplay(t *testing.T) {
 						mu.Unlock()
 					},
 				}
-				if async {
-					// Idle evictions fire on the goroutine scheduler's whim
-					// and would consume randomness nondeterministically;
-					// write-back completions are the only other idle work and
-					// never change the post-Flush state.
-					spec.EvictionsPerIdle = -1
-				}
 				if backend == BackendDRAM {
 					spec.DRAMChannels = 2
 				}

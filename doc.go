@@ -25,8 +25,8 @@
 //     (PartitionRandom) and padded, fixed-shape batch schedules
 //     (Spec.Padded);
 //   - a staged access path (Spec.AsyncEviction): respond after path
-//     read and stash merge, defer write-back I/O and background eviction
-//     to idle time — Section 3.1.1's background eviction and the
+//     read and stash merge, defer write-back I/O to idle time —
+//     Section 3.1.1's background eviction and the
 //     Figure 5 phase-overlap study applied to the serving layer;
 //   - a timed storage backend (Spec.Backend: BackendDRAM): every
 //     shard's bucket I/O charged to one shared cycle-accurate DDR3 model

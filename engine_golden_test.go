@@ -126,19 +126,6 @@ var engineGoldenVariants = []struct {
 	}},
 }
 
-// engineGoldenMasks lists the views that are not a function of the seed, so
-// no golden can hold them; every other field of every case,
-// PendingWriteBackPeak included, holds still over 60 runs (20 each at
-// GOMAXPROCS 1/2/4) plus 24 under -race.
-var engineGoldenMasks = map[string]struct{ timing bool }{
-	// A shard's idle pump picks the instant at which it completes a
-	// deferred write-back by wall-clock scheduling, which is outside
-	// modeled time: the engine's stage stream itself, and so the cycle a
-	// write-back is charged at, differs between two runs of one seed
-	// (Cycles 966,818–969,151, SkippedBuckets 11,525–11,693).
-	"dram-async/open2": {timing: true},
-}
-
 // digest accumulates one view of a run.
 type digest struct{ h hash.Hash }
 
@@ -175,12 +162,6 @@ func runEngineGolden(t *testing.T, spec Spec, shards int) engineGolden {
 	spec.Blocks = blocks
 	spec.Shards = shards
 	spec.Rand = rand.New(rand.NewSource(23))
-	if shards > 1 && spec.AsyncEviction {
-		// Idle-time eviction fires on the goroutine scheduler's whim and
-		// draws leaves; write-back completion, the other idle work, draws
-		// none (see dramConfig).
-		spec.EvictionsPerIdle = -1
-	}
 	traces := make([]*digest, shards)
 	for i := range traces {
 		traces[i] = newDigest()
@@ -218,8 +199,10 @@ func runEngineGolden(t *testing.T, spec Spec, shards int) engineGolden {
 	dst := make([]byte, spec.BlockSize)
 	addrs := make([]uint64, batch)
 	data := make([][]byte, batch)
-	// A sharded async pump returns whichever shard's write-back the
-	// idle pumps have not got to yet; only the eviction-free form is replayable.
+	// On an untimed sharded async client a manual step returns whichever
+	// shard's write-back the idle pumps have not got to yet, and its
+	// evictions would draw leaves at a wall-clock-dependent point; only the
+	// eviction-free form, unrecorded, is replayable.
 	pumpEvicts := !(shards > 1 && spec.AsyncEviction)
 	for op := 0; op < ops; op++ {
 		switch k := rng.Intn(16); {
@@ -321,10 +304,6 @@ func TestEngineGolden(t *testing.T) {
 			key := v.name + "/" + mode.name
 			t.Run(key, func(t *testing.T) {
 				got := runEngineGolden(t, v.spec(t.TempDir()), mode.shards)
-				mask := engineGoldenMasks[key]
-				if mask.timing {
-					got.timing = "masked"
-				}
 				if *recordEngineGolden {
 					fmt.Printf("\t%q: {\n\t\ttrace: %q, out: %q, onChip: %d, files: %q,\n\t\tstats:  %q,\n\t\ttiming: %q,\n\t},\n",
 						key, got.trace, got.out, got.onChip, got.files, got.stats, got.timing)
@@ -353,7 +332,12 @@ func TestEngineGolden(t *testing.T) {
 // under -race held it still. The file-plain and rec-file-plain-wal-async
 // cases were recorded at 6ea5fe6, the parent of the change that moved
 // plaintext-at-rest trees onto the encrypting store under an identity
-// scheme, after runs at GOMAXPROCS 1/2/3 held them still.
+// scheme, after runs at GOMAXPROCS 1/2/3 held them still. The open2 timing
+// of dram-async, masked while an idle pump completed a timed shard's
+// write-backs at wall-clock moments, was recorded with the change that
+// left timed shards without a pump (their write buffers drain when full,
+// at Flush and at snapshots), after 30 runs at GOMAXPROCS 1/2/4 and 6
+// under -race held it still.
 var engineGoldens = map[string]engineGolden{
 	"plain/bare": {
 		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",
@@ -443,7 +427,7 @@ var engineGoldens = map[string]engineGolden{
 	"dram-async/open2": {
 		trace: "cdfddf60f2235aad e67a96b5ce3efc5a", out: "13b3c1941d354305", onChip: 15296, files: "",
 		stats:  "{RealAccesses:4151 DummyAccesses:0 PaddingAccesses:176 Stores:315 StashPeak:4 BlocksInORAM:915 MaxDummyRun:0 DeferredWriteBacks:4327 IdleEvictions:0 PendingWriteBackPeak:8 PLBHits:0 PLBMisses:0 PLBWriteBacks:0 ChainLevels:0 ChainSamples:0}",
-		timing: "masked",
+		timing: "{DRAM:{Reads:40244 Writes:77886 RowHits:96886 RowMisses:21244 Refreshes:336 DataBusBusyCycles:472520 LastCompletionCycle:875075 QueueOccupancyPeak:0 BankOverlapActs:2696 StarvationForced:0} PathReads:4327 PathWrites:4327 DeferredWrites:4327 SkippedBuckets:18821 ReadCycles:800648 WriteCycles:936486 Cycles:875075 AccessBytes:64}",
 	},
 	"dram-serialize/bare": {
 		trace: "0435ac0c94299a11", out: "60ca52d48750c82e", onChip: 9696, files: "",

@@ -67,7 +67,7 @@ func specFromBytes(data []byte) Spec {
 		spec.MaxDeferredWriteBacks = int(s.next()) % 9
 	}
 	if s.next()%2 == 1 {
-		spec.EvictionsPerIdle = int(s.next())%6 - 1
+		s.skip() // EvictionsPerIdle's slot
 	}
 	if s.next()%2 == 1 {
 		// Recursion knobs — valid only with PosMapRecursive; otherwise
@@ -113,7 +113,7 @@ func FuzzOpenSpec(f *testing.F) {
 		_ = spec.LeakageClass() // total on every spec, valid or not
 		if spec.Shards <= 1 {
 			bare := spec
-			bare.Partition, bare.Padded, bare.EvictionsPerIdle = PartitionStripe, false, 0
+			bare.Partition, bare.Padded = PartitionStripe, false
 			bare.Rand = nil
 			o, errNew := New(bare)
 			c, errOpen := Open(bare)

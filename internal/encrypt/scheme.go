@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // KeySize is the AES-128 key size used throughout (the paper's processor
@@ -69,7 +70,9 @@ type CounterScheme struct {
 
 // NewCounterScheme builds the scheme for a tree of numBuckets buckets under
 // the 16-byte processor key. Counters start at zero but, per the paper,
-// need no particular initial value.
+// need no particular initial value — only that no (bucket, counter) pair is
+// sealed twice, which is why NewStore continues them from a backing that
+// already holds sealed buckets.
 func NewCounterScheme(key []byte, numBuckets uint64) (*CounterScheme, error) {
 	if numBuckets > MaxCounterBuckets {
 		return nil, fmt.Errorf("encrypt: %d buckets exceed the counter scheme's 2^48 bucket IDs", numBuckets)
@@ -98,6 +101,9 @@ func (s *CounterScheme) Seal(bucketID uint64, plain []byte, z int, out []byte) e
 	}
 	if err := s.checkBucket(bucketID, len(plain)); err != nil {
 		return err
+	}
+	if s.counters[bucketID] == math.MaxUint64 {
+		return fmt.Errorf("encrypt: bucket %d's counter would wrap and reuse a pad", bucketID)
 	}
 	s.counters[bucketID]++
 	ctr := s.counters[bucketID]

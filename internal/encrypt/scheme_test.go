@@ -2,6 +2,7 @@ package encrypt
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -93,6 +94,10 @@ func TestCounterValidation(t *testing.T) {
 	}
 	if err := s.Open(9, make([]byte, 16), 1, make([]byte, 8)); err == nil {
 		t.Error("out-of-range bucket open accepted")
+	}
+	s.counters[1] = math.MaxUint64
+	if err := s.Seal(1, make([]byte, 8), 1, make([]byte, 16)); err == nil || s.counters[1] != math.MaxUint64 {
+		t.Error("a counter wrapped to 0, reusing the pad of its first seal")
 	}
 }
 

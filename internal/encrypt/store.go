@@ -152,6 +152,14 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		}
 		s.backing = mem
 	}
+	if cs, counter := cfg.Scheme.(*CounterScheme); counter && cfg.Backing != nil {
+		// A reopened tree file already holds buckets sealed under this
+		// key: continue each counter from its stored header, or the next
+		// seal would reuse an earlier seal's pad AES_K(ID‖counter‖chunk).
+		if err := s.resumeCounters(cs); err != nil {
+			return nil, err
+		}
+	}
 	s.written = make([]bool, tree.NumBuckets())
 	s.outstanding = make(map[uint64]int)
 	s.plainPath = make([][]byte, tree.Levels())
@@ -180,6 +188,28 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		}
 	}
 	return s, nil
+}
+
+// resumeCounters seeds every bucket's counter from the header of its
+// stored record. A fresh (zero-filled) backing leaves every counter at 0.
+func (s *Store) resumeCounters(cs *CounterScheme) error {
+	const batch = 256
+	n := min(s.tree.NumBuckets(), uint64(len(cs.counters)))
+	flats := make([]uint64, 0, batch)
+	recs := make([][]byte, batch)
+	for lo := uint64(0); lo < n; lo += batch {
+		flats = flats[:0]
+		for flat := lo; flat < min(lo+batch, n); flat++ {
+			flats = append(flats, flat)
+		}
+		if err := s.backing.ReadBuckets(flats, recs[:len(flats)]); err != nil {
+			return fmt.Errorf("encrypt: reading stored counters: %w", err)
+		}
+		for i, flat := range flats {
+			cs.counters[flat] = binary.LittleEndian.Uint64(recs[i][:8])
+		}
+	}
+	return nil
 }
 
 // MemoryBytes returns the external-memory footprint of the tree.

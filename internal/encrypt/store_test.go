@@ -462,12 +462,17 @@ func newCountingStore(t *testing.T, leafLevel, z, blockBytes int, scheme Scheme)
 	return store, backing
 }
 
-// TestStoreTrafficAndFootprint: a path read and its write-back each move
-// exactly the L+1 buckets of the path through the backing, and the
-// footprint is the backing's.
+// TestStoreTrafficAndFootprint: construction reads each bucket's stored
+// counter header once and writes nothing; after it, a path read and its
+// write-back each move exactly the L+1 buckets of the path through the
+// backing, and the footprint is the backing's.
 func TestStoreTrafficAndFootprint(t *testing.T) {
 	scheme, _ := NewCounterScheme(testKey, 31)
 	store, backing := newCountingStore(t, 4, 2, 8, scheme)
+	if backing.reads != 31 || backing.writes != 0 {
+		t.Errorf("construction traffic=(%d,%d) want (31,0) buckets", backing.reads, backing.writes)
+	}
+	backing.reads = 0
 	stride := PaddedBucketBytes(scheme, 2, 8)
 	if got, want := store.MemoryBytes(), uint64(31*stride); got != want {
 		t.Errorf("MemoryBytes=%d want %d", got, want)

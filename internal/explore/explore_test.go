@@ -113,18 +113,18 @@ func TestGridSyncPointsCanonicalizeIdleAxis(t *testing.T) {
 	specs := pointSpecs(t, Grid{
 		Base: "-blocks 256 -blocksize 16",
 		Axes: [][]string{
-			{"-async=false", "-async -max-deferred 4"},
-			{"-idle-evictions 0", "-idle-evictions 2"},
+			{"-async=false", "-async"},
+			{"-max-deferred 0", "-max-deferred 2"},
 		},
 		Workloads: []string{"uniform"},
 	})
-	// 1 sync point (no idle pipeline to budget) + 2 async points.
+	// 1 sync point (no idle pipeline to size) + 2 async points.
 	if len(specs) != 3 {
 		t.Fatalf("got %d points, want 3", len(specs))
 	}
 	for _, s := range specs {
-		if !s.AsyncEviction && s.EvictionsPerIdle != 0 {
-			t.Errorf("sync point carries an idle-eviction budget: %+v", s)
+		if !s.AsyncEviction && s.MaxDeferredWriteBacks != 0 {
+			t.Errorf("sync point carries a deferred-queue depth: %+v", s)
 		}
 	}
 }

@@ -160,11 +160,11 @@ var Presets = map[string]Grid{
 		},
 		Workloads: []string{"uniform", "zipf", "hammer"},
 	},
-	// "pr8" isolates the position-map acceleration axes: a recursive
+	// "plb-overlap" isolates the position-map acceleration axes: a recursive
 	// dram-backed chain swept over PLB budget x overlap depth, on the two
 	// workloads where the PLB's locality sensitivity shows (zipf hits,
 	// uniform mostly misses).
-	"pr8": {
+	"plb-overlap": {
 		Base: "-blocks 1024 -blocksize 32 -shards 1 -posmap recursive -onchip-max 512 -backend dram",
 		Axes: [][]string{
 			{"-plb-bytes 0", "-plb-bytes 4096"},
@@ -172,11 +172,11 @@ var Presets = map[string]Grid{
 		},
 		Workloads: []string{"uniform", "zipf"},
 	},
-	// "pr9" isolates the memory-controller scheduling axes: a 2-shard
+	// "mem-sched" isolates the memory-controller scheduling axes: a 2-shard
 	// dram-backed sweep over inorder vs the FR-FCFS open queue at two
 	// depths, on both workload shapes. A queue depth means nothing to the
 	// inorder controller, so the product is 3 configs x 2 workloads.
-	"pr9": {
+	"mem-sched": {
 		Base: "-blocks 1024 -blocksize 32 -shards 2 -backend dram",
 		Axes: [][]string{
 			{"-mem-sched inorder", "-mem-sched frfcfs"},
@@ -184,12 +184,12 @@ var Presets = map[string]Grid{
 		},
 		Workloads: []string{"uniform", "zipf"},
 	},
-	// "pr10" isolates the persistence axes: mem vs file storage, WAL on
+	// "persistence" isolates the persistence axes: mem vs file storage, WAL on
 	// and off, sync vs deferred write-back — 6 configs, since only files
 	// have a log. File-point latencies include real mmap/msync I/O, which
 	// is where async should show a much larger win than it did against
 	// modeled cycles.
-	"pr10": {
+	"persistence": {
 		Base: "-blocks 1024 -blocksize 32 -shards 1",
 		Axes: [][]string{
 			{"-async=false", "-async"},

@@ -10,7 +10,7 @@ import (
 )
 
 // The loop goldens pin what one closed-loop client measures: the smoke and
-// pr9 grids at seed 1, every metric except the wall-clock ones, row by row,
+// mem-sched grids at seed 1, every metric except the wall-clock ones, row by row,
 // recorded before the measurement loop learned to fan out over clients.
 // Re-record with
 //
@@ -26,7 +26,7 @@ var wallMetrics = []string{"ns/op", "p50-ns", "p95-ns", "p99-ns"}
 func TestLoopGolden(t *testing.T) {
 	path := filepath.Join("testdata", "loop_golden.json")
 	got := map[string][]Row{}
-	for _, name := range []string{"smoke", "pr9"} {
+	for _, name := range []string{"smoke", "mem-sched"} {
 		rows, err := Run(Presets[name], Options{Ops: 256, Warmup: 64, Seed: 1}, t.Logf)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -30,7 +30,6 @@ func BindSpec(fs *flag.FlagSet, spec *pathoram.Spec) {
 	fs.IntVar(&spec.Shards, "shards", spec.Shards, "independent trees behind the request scheduler (0 = 1)")
 	fs.TextVar(&spec.Partition, "partition", spec.Partition, "address partition: stripe|range|random (random hides request->shard routing)")
 	fs.BoolVar(&spec.Padded, "padded", spec.Padded, "padded batch mode: every batch touches every shard equally often (requires batched submission)")
-	fs.IntVar(&spec.EvictionsPerIdle, "idle-evictions", spec.EvictionsPerIdle, "max background evictions per idle gap (0 = 4, negative disables; with -async)")
 
 	fs.TextVar(&spec.PosMap, "posmap", spec.PosMap, "position map: flat (on-chip, 4B/block) | recursive (per-shard hierarchical ORAM chain, Section 2.3)")
 	fs.IntVar(&spec.PosBlockSize, "pos-block", spec.PosBlockSize, "position-map ORAM block size in bytes (0 = 32; with -posmap recursive)")

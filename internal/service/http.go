@@ -294,11 +294,13 @@ func nextOp(lines *bufio.Reader, req *opRequest) error {
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	// The backlog is read first: every other snapshot flushes the shards
+	// of an AsyncEviction tenant, which would empty it.
 	body := statsBody{
 		Tenant:            t.Name,
+		PendingWriteBacks: t.Client.PendingWriteBacks(),
 		Stats:             t.Client.Stats(),
 		StashSize:         t.Client.StashSize(),
-		PendingWriteBacks: t.Client.PendingWriteBacks(),
 		OnChipBytes:       t.Client.OnChipBytes(),
 		ExternalBytes:     t.Client.ExternalMemoryBytes(),
 	}

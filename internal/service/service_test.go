@@ -271,6 +271,30 @@ func TestServerStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestServerStatsReportsBacklog: the stats gauge pending_writebacks shows
+// the deferred write-backs a tenant owes. A BackendDRAM + AsyncEviction
+// tenant has no idle pump, so after a run of writes its backlog is
+// non-empty until a snapshot flushes it, and the gauge must be read before
+// the body's other snapshots do.
+func TestServerStatsReportsBacklog(t *testing.T) {
+	spec := memSpec()
+	spec.Backend, spec.AsyncEviction = pathoram.BackendDRAM, true
+	_, ts := newServer(t, spec)
+	doJSON(t, "PUT", ts.URL+"/v1/tenants/alice", nil, nil)
+	for a := uint64(0); a < 20; a++ {
+		doJSON(t, "POST", ts.URL+"/v1/t/alice/write", wireOp{Addr: a, Data: bytes.Repeat([]byte("a"), 16)}, nil)
+	}
+	var body struct {
+		Pending int `json:"pending_writebacks"`
+	}
+	if got := doJSON(t, "GET", ts.URL+"/v1/t/alice/stats", nil, &body); got != http.StatusOK {
+		t.Fatalf("stats: status %d", got)
+	}
+	if body.Pending == 0 {
+		t.Error("stats reported pending_writebacks 0 after 20 deferred writes")
+	}
+}
+
 // TestServerSingleOpOnClosedTenant: a read or write that resolved its
 // tenant just before the tenant's client closed (Drop, or the drain in
 // Service.Close) is told the service is unavailable, not that it was

@@ -25,10 +25,12 @@
 //
 // With Config.IdleWork enabled each shard keeps one background goroutine,
 // a pump: after a request releases the shard it completes the engine's
-// deferred work — queued path write-backs and background eviction — one
-// unit per lock hold, stepping aside the moment a request waits for the
-// lock. Close and Inspect flush first, so the engines are always observed
-// (and left) in a fully written-back state.
+// owed path write-backs one unit per lock hold, stepping aside the moment
+// a request waits for the lock. It never issues background eviction: that
+// runs inline when a stash passes its threshold, or when a caller asks for
+// it through StepBackground. Close flushes first, so the engines are left
+// in a fully written-back state; Inspect runs its function as-is, and a
+// caller that wants a written-back snapshot flushes inside it.
 package shard
 
 import (
@@ -73,7 +75,8 @@ type Engine interface {
 	// StepBackground performs one unit of deferred work — completing one
 	// pending path write-back, or (when allowEviction is set) issuing one
 	// background-eviction dummy access — and reports which. The idle pump
-	// calls it once per lock hold; core.BgNone ends the gap.
+	// calls it, without eviction, once per lock hold; core.BgNone ends the
+	// gap.
 	StepBackground(allowEviction bool) (core.BackgroundWork, error)
 	// Flush completes every pending write-back and fully drains
 	// background eviction, leaving the engine in a state the synchronous
@@ -139,22 +142,16 @@ type Stats struct {
 	// on-the-wire per-shard traffic is executed plus padding.
 	PaddingOps      uint64
 	PaddingPerShard []uint64
-	// IdleWriteBacks and IdleEvictions count the background work units the
-	// idle pumps performed between requests (Config.IdleWork): deferred
-	// path write-backs completed, and background-eviction dummy accesses
-	// issued.
+	// IdleWriteBacks counts the deferred path write-backs the idle pumps
+	// completed between requests (Config.IdleWork). IdleEvictions is
+	// always 0: a pump issues no eviction. It stays for the benchmark
+	// harness, which sums it.
 	IdleWriteBacks uint64
 	IdleEvictions  uint64
 	// ExecutedPerShard counts real (non-padding) requests completed on
 	// each shard.
 	ExecutedPerShard []uint64
 }
-
-// DefaultEvictionsPerIdle caps the background-eviction dummy accesses the
-// idle pump issues per gap between requests. The cap keeps an idle pool
-// from endlessly polishing its stashes. Deferred write-backs are never
-// capped: they are owed work, not speculation.
-const DefaultEvictionsPerIdle = 4
 
 // lockSpin is how long a request yield-spins for a busy shard before it
 // blocks, so that it seldom pays a futex sleep and wake (50-100µs on a
@@ -166,17 +163,11 @@ const lockSpin = 100 * time.Microsecond
 
 // Config parameterizes a Pool.
 type Config struct {
-	// IdleWork enables the idle-time background scheduler: after each
-	// request, the shard's pump completes deferred write-backs and runs
-	// background eviction until a request waits for the shard again.
-	// Close and Inspect flush the engines first, so snapshots and the
-	// final state are always fully written back.
+	// IdleWork enables the idle-time write-back scheduler: after each
+	// lock hold, the shard's pump completes deferred write-backs until
+	// none is owed or a request waits for the shard again. Close flushes
+	// the engines first, so the final state is always fully written back.
 	IdleWork bool
-	// EvictionsPerIdle caps background-eviction dummy accesses per idle
-	// gap (default DefaultEvictionsPerIdle; negative disables idle
-	// eviction, leaving only write-back completion). Only a request opens
-	// a gap's budget; an inspection spends it.
-	EvictionsPerIdle int
 }
 
 // owner is one shard: the engine and the lock that owns it, the idle-work
@@ -188,8 +179,6 @@ type owner struct {
 	// waiting counts requests spinning or blocked on mu; the pump steps
 	// aside while it is non-zero.
 	waiting atomic.Int32
-	// budget is the idle evictions left in the current gap (guarded by mu).
-	budget int
 	// kick wakes the pump after a lock hold (IdleWork only).
 	kick     chan struct{}
 	executed atomic.Uint64
@@ -217,10 +206,8 @@ func (o *owner) lock() {
 
 // Pool owns N engines, one lock each.
 type Pool struct {
-	owners []owner
-
-	idleWork         bool
-	evictionsPerIdle int
+	owners   []owner
+	idleWork bool
 
 	// closed is set by Close before it fences the shards and read under a
 	// shard's lock, so a request either finishes before the fence or sees
@@ -235,7 +222,6 @@ type Pool struct {
 	batchedOps     atomic.Uint64
 	paddingOps     atomic.Uint64
 	idleWriteBacks atomic.Uint64
-	idleEvictions  atomic.Uint64
 
 	// bgErrMu/bgErr record the first background-work or flush error;
 	// Close surfaces it (request errors travel with their requests, but
@@ -255,16 +241,7 @@ func NewPool(engines []Engine, cfg Config) (*Pool, error) {
 			return nil, fmt.Errorf("shard: engine %d is nil", i)
 		}
 	}
-	if cfg.EvictionsPerIdle == 0 {
-		cfg.EvictionsPerIdle = DefaultEvictionsPerIdle
-	} else if cfg.EvictionsPerIdle < 0 {
-		cfg.EvictionsPerIdle = 0
-	}
-	p := &Pool{
-		owners:           make([]owner, len(engines)),
-		idleWork:         cfg.IdleWork,
-		evictionsPerIdle: cfg.EvictionsPerIdle,
-	}
+	p := &Pool{owners: make([]owner, len(engines)), idleWork: cfg.IdleWork}
 	for i, e := range engines {
 		p.owners[i].engine = e
 	}
@@ -281,6 +258,10 @@ func NewPool(engines []Engine, cfg Config) (*Pool, error) {
 
 // NumShards returns the number of engines.
 func (p *Pool) NumShards() int { return len(p.owners) }
+
+// Closed reports whether Close has begun. Read inside Inspect, true means
+// the engine is flushed already or will be before Close returns.
+func (p *Pool) Closed() bool { return p.closed.Load() }
 
 func (p *Pool) owner(s int) (*owner, error) {
 	if s < 0 || s >= len(p.owners) {
@@ -300,15 +281,13 @@ func (p *Pool) acquire(o *owner) bool {
 	return true
 }
 
-// release ends a lock hold. The hold opens an idle gap with budget
-// background evictions, and kicks the pump to spend it.
-func (p *Pool) release(o *owner, budget int) {
+// release ends a lock hold and kicks the pump to complete what the hold
+// left owed.
+func (p *Pool) release(o *owner) {
+	o.mu.Unlock()
 	if !p.idleWork {
-		o.mu.Unlock()
 		return
 	}
-	o.budget = budget
-	o.mu.Unlock()
 	select {
 	case o.kick <- struct{}{}:
 	default:
@@ -347,8 +326,8 @@ func (p *Pool) handle(o *owner, req *Request) {
 }
 
 // pump is one shard's idle worker (IdleWork): woken after each lock hold,
-// it performs the engine's deferred work one StepBackground unit per hold
-// of the lock, and stops when the gap is spent or a request waits — the
+// it completes the engine's owed write-backs one StepBackground unit per
+// hold of the lock, and stops when none is left or a request waits — the
 // request's release wakes it again.
 func (p *Pool) pump(o *owner) {
 	defer p.pumps.Done()
@@ -363,19 +342,14 @@ func (p *Pool) pump(o *owner) {
 				o.mu.Unlock()
 				return
 			}
-			w, err := o.engine.StepBackground(o.budget > 0)
-			switch {
-			case err != nil:
+			w, err := o.engine.StepBackground(false)
+			if err != nil {
 				p.noteBackgroundErr(err)
-				w = core.BgNone
-			case w == core.BgWriteBack:
+			} else if w == core.BgWriteBack {
 				p.idleWriteBacks.Add(1)
-			case w == core.BgEviction:
-				p.idleEvictions.Add(1)
-				o.budget--
 			}
 			o.mu.Unlock()
-			if w == core.BgNone {
+			if err != nil || w != core.BgWriteBack {
 				break
 			}
 		}
@@ -404,7 +378,7 @@ func (p *Pool) Do(s int, req *Request) error {
 		return ErrClosed
 	}
 	p.handle(o, req)
-	p.release(o, p.evictionsPerIdle)
+	p.release(o)
 	p.singleOps.Add(1)
 	return req.Err
 }
@@ -496,64 +470,39 @@ func (p *Pool) runShare(s int, shards []int, reqs []*Request) uint64 {
 			n++
 		}
 	}
-	p.release(o, p.evictionsPerIdle)
+	p.release(o)
 	return n
 }
 
 // Inspect runs fn under shard s's lock, serialized with that shard's
-// requests, giving fn exclusive access to the engine. With IdleWork the
-// engine is flushed first, so fn observes what the synchronous protocol
-// would show; a flush failure is returned AND recorded for Close, since
-// several snapshot callers have no error return. After Close fn runs on
-// the quiescent, already flushed engine.
-func (p *Pool) Inspect(s int, fn func()) error { return p.inspect(s, fn, false) }
-
-// Peek is Inspect without the idle-work consistency flush: fn observes
-// (and may advance, e.g. via StepBackground) the engine's deferred state
-// as-is. Background pumps and backlog gauges use it so observing the
-// pipeline does not drain it.
-func (p *Pool) Peek(s int, fn func()) error { return p.inspect(s, fn, true) }
-
-func (p *Pool) inspect(s int, fn func(), peek bool) error {
+// requests, giving fn exclusive access to the engine as it stands: no
+// flush, and the idle pump's owed write-backs wait their turn. An error
+// from fn is returned AND recorded for Close, since several snapshot
+// callers have no error return. After Close fn runs on the quiescent,
+// already flushed engine.
+func (p *Pool) Inspect(s int, fn func() error) error {
 	o, err := p.owner(s)
 	if err != nil {
 		return err
 	}
 	o.lock()
-	if p.closed.Load() {
-		fn()
-		o.mu.Unlock()
-		return nil
+	err = fn()
+	p.release(o)
+	if err != nil {
+		p.noteBackgroundErr(err)
 	}
-	if p.idleWork && !peek {
-		if err = o.engine.Flush(); err != nil {
-			p.noteBackgroundErr(err)
-		}
-	}
-	fn()
-	// An inspection spends the gap's eviction budget, so an engine evicts
-	// nothing after one until its next request: DESIGN.md's "Flush is a
-	// barrier". Owed write-backs complete in every gap.
-	p.release(o, 0)
 	return err
 }
 
 // InspectAll runs fns[i] as Inspect(i, fns[i]) for every shard, in shard
-// order, and returns the first flush failure.
-func (p *Pool) InspectAll(fns []func()) error { return p.inspectAll(fns, false) }
-
-// PeekAll is InspectAll without the idle-work consistency flush: fns
-// observe each engine's deferred state as-is (pending write-backs
-// included). Monitoring that must not perturb the pipeline uses this.
-func (p *Pool) PeekAll(fns []func()) error { return p.inspectAll(fns, true) }
-
-func (p *Pool) inspectAll(fns []func(), peek bool) error {
+// order, and returns the first error.
+func (p *Pool) InspectAll(fns []func() error) error {
 	if len(fns) != len(p.owners) {
 		return fmt.Errorf("shard: %d inspectors for %d shards", len(fns), len(p.owners))
 	}
 	var first error
 	for i, fn := range fns {
-		if err := p.inspect(i, fn, peek); err != nil && first == nil {
+		if err := p.Inspect(i, fn); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -568,7 +517,6 @@ func (p *Pool) Stats() Stats {
 		BatchedOps:       p.batchedOps.Load(),
 		PaddingOps:       p.paddingOps.Load(),
 		IdleWriteBacks:   p.idleWriteBacks.Load(),
-		IdleEvictions:    p.idleEvictions.Load(),
 		ExecutedPerShard: make([]uint64, len(p.owners)),
 		PaddingPerShard:  make([]uint64, len(p.owners)),
 	}

@@ -360,7 +360,7 @@ func TestCloseDrainsAcceptedRequests(t *testing.T) {
 func TestInspectSerializesWithRequests(t *testing.T) {
 	p, fakes := newTestPool(t, 1)
 	var before int
-	if err := p.Inspect(0, func() { before = len(fakes[0].ops) }); err != nil {
+	if err := p.Inspect(0, func() error { before = len(fakes[0].ops); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if before != 0 {
@@ -372,7 +372,7 @@ func TestInspectSerializesWithRequests(t *testing.T) {
 		}
 	}
 	var during int
-	if err := p.Inspect(0, func() { during = len(fakes[0].ops) }); err != nil {
+	if err := p.Inspect(0, func() error { during = len(fakes[0].ops); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if during != 10 {
@@ -383,13 +383,13 @@ func TestInspectSerializesWithRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	var after int
-	if err := p.Inspect(0, func() { after = len(fakes[0].ops) }); err != nil {
+	if err := p.Inspect(0, func() error { after = len(fakes[0].ops); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if after != 10 {
 		t.Errorf("post-close inspect saw %d ops, want 10", after)
 	}
-	if err := p.Inspect(99, func() {}); err == nil {
+	if err := p.Inspect(99, func() error { return nil }); err == nil {
 		t.Error("post-close inspect accepted out-of-range shard")
 	}
 	// Concurrent post-close inspectors must stay serialized: the shard's
@@ -401,7 +401,7 @@ func TestInspectSerializesWithRequests(t *testing.T) {
 		go func() {
 			defer cwg.Done()
 			for k := 0; k < 50; k++ {
-				if err := p.Inspect(0, func() { counter++ }); err != nil {
+				if err := p.Inspect(0, func() error { counter++; return nil }); err != nil {
 					t.Errorf("post-close inspect: %v", err)
 					return
 				}
@@ -457,30 +457,37 @@ func TestLoadStoreOps(t *testing.T) {
 	}
 }
 
-// TestPeekSkipsConsistencyFlush pins the difference between Inspect and
-// Peek on an idle-work pool: Inspect flushes the engine first, Peek
-// observes the deferred state as-is.
-func TestPeekSkipsConsistencyFlush(t *testing.T) {
-	p, fakes := newConfiguredPool(t, 1, Config{IdleWork: true, EvictionsPerIdle: -1})
-	defer p.Close()
-	fakes[0].deferring = true
-	// Submit work and immediately peek: the flush count must not move.
-	if err := p.Do(0, &Request{Op: OpWrite, Addr: 1, Data: val(1)}); err != nil {
-		t.Fatal(err)
-	}
-	var flushesAtPeek int
-	if err := p.Peek(0, func() { flushesAtPeek = fakes[0].flushes }); err != nil {
-		t.Fatal(err)
-	}
-	if flushesAtPeek != 0 {
-		t.Errorf("peek triggered %d flushes", flushesAtPeek)
-	}
-	var flushesAtInspect int
-	if err := p.Inspect(0, func() { flushesAtInspect = fakes[0].flushes }); err != nil {
-		t.Fatal(err)
-	}
-	if flushesAtInspect == 0 {
-		t.Error("inspect did not flush first")
+// TestInspectNeverFlushes pins the pool's one inspection path: with or
+// without idle work, Inspect and InspectAll run fn on the engine as it
+// stands — a caller that wants a written-back snapshot flushes inside fn —
+// and an error from fn is returned and kept for Close.
+func TestInspectNeverFlushes(t *testing.T) {
+	for _, idle := range []bool{false, true} {
+		p, fakes := newConfiguredPool(t, 2, Config{IdleWork: idle})
+		for _, f := range fakes {
+			f.deferring = true
+		}
+		if err := p.Do(0, &Request{Op: OpWrite, Addr: 1, Data: val(1)}); err != nil {
+			t.Fatal(err)
+		}
+		nop := func() error { return nil }
+		if err := p.Inspect(0, nop); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.InspectAll([]func() error{nop, nop}); err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range fakes {
+			if f.flushes != 0 {
+				t.Errorf("idle %v: engine %d flushed %d times by inspections", idle, i, f.flushes)
+			}
+		}
+		if err := p.Inspect(1, func() error { return errFake }); !errors.Is(err, errFake) {
+			t.Errorf("idle %v: Inspect returned %v, want fn's error", idle, err)
+		}
+		if err := p.Close(); !errors.Is(err, errFake) {
+			t.Errorf("idle %v: Close returned %v, want the inspection's error", idle, err)
+		}
 	}
 }
 
@@ -492,9 +499,9 @@ func TestInspectAllFansOut(t *testing.T) {
 		}
 	}
 	counts := make([]int, 3)
-	fns := make([]func(), 3)
+	fns := make([]func() error, 3)
 	for i := range fns {
-		fns[i] = func() { counts[i] = len(fakes[i].ops) }
+		fns[i] = func() error { counts[i] = len(fakes[i].ops); return nil }
 	}
 	if err := p.InspectAll(fns); err != nil {
 		t.Fatal(err)
@@ -612,15 +619,15 @@ func TestPoolStatsCounters(t *testing.T) {
 }
 
 // pendingTotal reads every engine's outstanding fake write-backs through
-// the pool's peek path (serialized with requests, no flush).
+// the pool's inspection path (serialized with requests, no flush).
 func pendingTotal(t *testing.T, p *Pool, fakes []*fakeEngine) int {
 	t.Helper()
 	counts := make([]int, len(fakes))
-	fns := make([]func(), len(fakes))
+	fns := make([]func() error, len(fakes))
 	for i := range fns {
-		fns[i] = func() { counts[i] = fakes[i].pending }
+		fns[i] = func() error { counts[i] = fakes[i].pending; return nil }
 	}
-	if err := p.PeekAll(fns); err != nil {
+	if err := p.InspectAll(fns); err != nil {
 		t.Fatal(err)
 	}
 	var total int
@@ -682,100 +689,64 @@ func TestAsyncCloseFlushes(t *testing.T) {
 	}
 }
 
-// TestAsyncInspectFlushesFirst checks that inspections observe a
-// consistent (fully written-back) snapshot, while peeks observe the
-// deferred state as-is.
-func TestAsyncInspectFlushesFirst(t *testing.T) {
-	// Submit several ops back to back so the engine plausibly still holds
-	// deferred work when the inspection runs; either way the inspection
-	// itself must observe pending == 0.
+// TestAsyncInspectionStartsNoIdleEviction is the deterministic form of the
+// fuzzed "Flush on a quiescent client changed stats": the engine has idle
+// eviction on offer (as a real one does while its stash sits between half
+// its inline threshold and the threshold), and between two snapshots the
+// pump is given every chance to take an idle step — the test waits for
+// one. The pump only completes owed write-backs, so none comes.
+func TestAsyncInspectionStartsNoIdleEviction(t *testing.T) {
 	p, fakes := newConfiguredPool(t, 1, Config{IdleWork: true})
-	defer p.Close()
-	fakes[0].deferring = true
-	for i := uint64(0); i < 8; i++ {
+	f := fakes[0]
+	f.evictable = 100
+	if err := p.Do(0, &Request{Op: OpWrite, Addr: 1, Data: val(1)}); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() (evictions int) {
+		t.Helper()
+		if err := p.Inspect(0, func() error { evictions = f.evDone; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return evictions
+	}
+	before := snapshot()
+	time.Sleep(20 * time.Millisecond)
+	if after := snapshot(); after != before {
+		t.Errorf("%d idle evictions between two snapshots of an idle pool", after-before)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAsyncPumpNeverEvicts checks that a pump completes every owed
+// write-back and issues no background eviction, however much the engine
+// has on offer and however long the pool sits idle.
+func TestAsyncPumpNeverEvicts(t *testing.T) {
+	p, fakes := newConfiguredPool(t, 1, Config{IdleWork: true})
+	f := fakes[0]
+	f.deferring, f.evictable = true, 100
+	for i := uint64(0); i < 5; i++ {
 		if err := p.Do(0, &Request{Op: OpWrite, Addr: i, Data: val(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var pendingSeen, flushesSeen int
-	if err := p.Inspect(0, func() {
-		pendingSeen = fakes[0].pending
-		flushesSeen = fakes[0].flushes
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if pendingSeen != 0 {
-		t.Errorf("inspection saw %d pending write-backs; Inspect must flush first", pendingSeen)
-	}
-	if flushesSeen == 0 {
-		t.Error("inspection ran without a preceding flush")
-	}
-}
-
-// TestAsyncInspectionStartsNoIdleEviction is the deterministic form of the
-// fuzzed "Flush on a quiescent client changed stats": the engine still has
-// idle eviction due after a flush (as a real one does while its stash sits
-// between half its inline threshold and the threshold), and between two
-// snapshots the pump is given every chance to take an idle step — the
-// test waits for one. Before inspections spent the gap's budget, each
-// snapshot reopened it and the step always came.
-func TestAsyncInspectionStartsNoIdleEviction(t *testing.T) {
-	for _, peek := range []bool{false, true} {
-		p, fakes := newConfiguredPool(t, 1, Config{IdleWork: true, EvictionsPerIdle: 3})
-		f := fakes[0]
-		f.evictable = 100
-		if err := p.Do(0, &Request{Op: OpWrite, Addr: 1, Data: val(1)}); err != nil {
-			t.Fatal(err)
+	deadline := time.Now().Add(5 * time.Second)
+	for pendingTotal(t, p, fakes) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the pump never completed the owed write-backs")
 		}
-		snapshot := func() (evictions int, counted uint64) {
-			t.Helper()
-			run := func() { evictions, counted = f.evDone, p.idleEvictions.Load() }
-			var err error
-			if peek {
-				err = p.Peek(0, run)
-			} else {
-				err = p.Inspect(0, run)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			return evictions, counted
-		}
-		before, counted := snapshot()
-		for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); {
-			if p.Stats().IdleEvictions != counted {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if after, _ := snapshot(); after != before {
-			t.Errorf("peek %v: %d idle evictions between two snapshots of an idle pool", peek, after-before)
-		}
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
+		time.Sleep(time.Millisecond)
 	}
-}
-
-// TestAsyncEvictionsPerIdleCap checks that a pump issues at most
-// EvictionsPerIdle background evictions per idle gap and then waits for
-// the next request.
-func TestAsyncEvictionsPerIdleCap(t *testing.T) {
-	p, fakes := newConfiguredPool(t, 1, Config{IdleWork: true, EvictionsPerIdle: 3})
-	fakes[0].evictable = 100
-	if err := p.Do(0, &Request{Op: OpWrite, Addr: 1, Data: val(1)}); err != nil {
-		t.Fatal(err)
-	}
-	// Give the pump ample time to (wrongly) keep evicting past the cap.
 	time.Sleep(20 * time.Millisecond)
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fakes[0].evDone != 3 {
-		t.Errorf("pump performed %d idle evictions, want exactly the cap of 3", fakes[0].evDone)
+	if f.evDone != 0 || f.wbDone != 5 {
+		t.Errorf("pump performed %d evictions and %d write-backs, want 0 and 5", f.evDone, f.wbDone)
 	}
-	if st := p.Stats(); st.IdleEvictions != 3 {
-		t.Errorf("Stats.IdleEvictions = %d, want 3", st.IdleEvictions)
+	if st := p.Stats(); st.IdleEvictions != 0 || st.IdleWriteBacks != 5 {
+		t.Errorf("Stats idle evictions %d, write-backs %d; want 0 and 5", st.IdleEvictions, st.IdleWriteBacks)
 	}
 }
 
@@ -860,7 +831,7 @@ func (e *ownerEngine) StepBackground(bool) (core.BackgroundWork, error) {
 func (e *ownerEngine) Flush() error { e.call("Flush", ^uint64(0)); return nil }
 
 // TestOwnerExclusive drives every way into a pool at once — concurrent Do,
-// multi-shard DoBatch, Inspect, Peek, InspectAll and the IdleWork pump —
+// multi-shard DoBatch, Inspect, InspectAll and the IdleWork pump —
 // and closes it mid-run: no engine ever has two goroutines inside it or a
 // call after Close returned, every accepted request ran exactly once and
 // every refused one never, and every request submitted after Close
@@ -891,7 +862,9 @@ func TestOwnerExclusive(t *testing.T) {
 			t.Errorf("request %d: %v", id, err)
 		}
 	}
-	touch := func(i int) func() { return func() { defer owners[i].enter("inspector")() } }
+	touch := func(i int) func() error {
+		return func() error { defer owners[i].enter("inspector")(); return nil }
+	}
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -919,13 +892,10 @@ func TestOwnerExclusive(t *testing.T) {
 					}
 				case 3: // monitoring: allowed before and after Close
 					var err error
-					switch c % 3 {
-					case 0:
+					if c%2 == 0 {
 						err = p.Inspect(c%shards, touch(c%shards))
-					case 1:
-						err = p.Peek(c%shards, touch(c%shards))
-					default:
-						fns := make([]func(), shards)
+					} else {
+						fns := make([]func() error, shards)
 						for i := range fns {
 							fns[i] = touch(i)
 						}

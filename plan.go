@@ -68,8 +68,6 @@ var rules = []rule{
 
 	{func(s *Spec) bool { return !s.AsyncEviction && s.MaxDeferredWriteBacks != 0 },
 		"MaxDeferredWriteBacks sizes the deferred write-back queue; set AsyncEviction: true"},
-	{func(s *Spec) bool { return !s.AsyncEviction && s.EvictionsPerIdle != 0 },
-		"EvictionsPerIdle budgets idle-time eviction on the staged access path; set AsyncEviction: true"},
 
 	{func(s *Spec) bool {
 		return s.Backend != BackendDRAM && (s.DRAMChannels != 0 || s.DRAMLayout != LayoutSubtree || s.DRAMSerialize)

@@ -55,8 +55,9 @@
 #    every 32 ops) must cost more still.
 #
 # Explorer grids: smoke (2 shard counts x 2 position-map policies x 2
-# backends), pr8 (PLB budget x Figure 5(b) overlap depth on a recursive
-# dram-backed chain), pr9 (inorder vs FR-FCFS at two queue depths) and the
+# backends), plb-overlap (PLB budget x Figure 5(b) overlap depth on a
+# recursive dram-backed chain), mem-sched (inorder vs FR-FCFS at two queue
+# depths) and the
 # paper's Figure 7 (Z x stash) and Figure 8 (Z x utilization, whose Z=1
 # points above 2/3 full come back as infeasible rows) must each complete,
 # validate against the embedded schema, cover their 8 / 4 / 3 / 12 / 40
@@ -98,7 +99,7 @@ echo "wrote $out"
 
 # One closed-loop client (no -clients), so every non-wall metric of these
 # reports is a function of the seed.
-for grid in smoke:8 pr8:4 pr9:3 fig7:12 fig8:40; do
+for grid in smoke:8 plb-overlap:4 mem-sched:3 fig7:12 fig8:40; do
   report="$explore-${grid%:*}-ci.json"
   go run ./cmd/oram-explore -grid "${grid%:*}" -ops "$ops" -warmup "$warmup" -seed 1 -out "$report"
   go run ./cmd/oram-explore -check "$report" -min-configs "${grid#*:}"

@@ -74,6 +74,8 @@ type Sharded struct {
 	n         uint64
 	partition Partition
 	padded    bool
+	// async flushes each shard before a snapshot (AsyncEviction).
+	async bool
 	// router is the block→shard position map (PartitionRandom only).
 	router *randomRouter
 	// padDraws picks the uniform target shard of a single PaddingAccess.
@@ -117,6 +119,7 @@ func NewSharded(spec Spec) (_ *Sharded, err error) {
 		n:         n,
 		partition: p.Partition,
 		padded:    p.Padded,
+		async:     p.AsyncEviction,
 		bus:       p.bus,
 		base:      p.Blocks / n,
 		big:       p.Blocks % n,
@@ -150,10 +153,10 @@ func NewSharded(spec Spec) (_ *Sharded, err error) {
 		s.engines = append(s.engines, e)
 		engines[i] = shardEngine{e}
 	}
-	if s.pool, err = shard.NewPool(engines, shard.Config{
-		IdleWork:         p.AsyncEviction,
-		EvictionsPerIdle: p.EvictionsPerIdle,
-	}); err != nil {
+	// Only an untimed shard gets an idle pump: a timed one's write buffer
+	// drains when full, at Flush and at snapshots — points in its own
+	// request stream — so its modeled time is a function of the seed.
+	if s.pool, err = shard.NewPool(engines, shard.Config{IdleWork: p.AsyncEviction && p.bus == nil}); err != nil {
 		return nil, err
 	}
 	if p.Partition == PartitionRandom {
@@ -465,24 +468,21 @@ func (s *Sharded) PaddingAccess() error {
 // consistency flush — for one pending write-back completion or (when
 // allowEviction is set) one background-eviction dummy access, returning
 // the first unit performed. BgNone means no shard has anything useful to
-// do. With AsyncEviction the shards' idle pumps already do this between
-// requests; the manual pump exists for Client-interface parity and for pools
-// running with idle work disabled.
+// do. Under AsyncEviction an untimed shard's idle pump completes owed
+// write-backs between requests on its own; idle eviction runs only here,
+// when a caller asks for it.
 func (s *Sharded) StepBackground(allowEviction bool) (BackgroundWork, error) {
 	n := len(s.engines)
 	start := int(s.bgCursor.Add(1)-1) % n
 	for k := 0; k < n; k++ {
 		i := (start + k) % n
 		var w BackgroundWork
-		var err error
-		if perr := s.pool.Peek(i, func() { w, err = s.engines[i].StepBackground(allowEviction) }); perr != nil {
-			return BgNone, perr
-		}
-		if err != nil {
+		err := s.pool.Inspect(i, func() (err error) {
+			w, err = s.engines[i].StepBackground(allowEviction)
+			return err
+		})
+		if err != nil || w != BgNone {
 			return w, err
-		}
-		if w != BgNone {
-			return w, nil
 		}
 	}
 	return BgNone, nil
@@ -604,7 +604,7 @@ func (s *Sharded) Stats() Stats {
 // (after Close they read the quiescent shards).
 func (s *Sharded) ShardStats() []Stats {
 	out := make([]Stats, len(s.engines))
-	_ = s.pool.InspectAll(s.inspectors(func(i int, e *ORAM) { out[i] = e.Stats() }))
+	_ = s.snapshot(func(i int, e *ORAM) { out[i] = e.Stats() })
 	return out
 }
 
@@ -613,16 +613,31 @@ func (s *Sharded) ShardStats() []Stats {
 // occupancy gauge, not a counter, and survives the reset. The scheduler's
 // own counters are cumulative; diff SchedulerStats snapshots instead.
 func (s *Sharded) ResetStats() {
-	_ = s.pool.InspectAll(s.inspectors(func(_ int, e *ORAM) { e.ResetStats() }))
+	_ = s.snapshot(func(_ int, e *ORAM) { e.ResetStats() })
 }
 
-// inspectors adapts a per-shard closure to the pool's fan-out form.
-func (s *Sharded) inspectors(fn func(i int, e *ORAM)) []func() {
-	fns := make([]func(), len(s.engines))
+// each runs fn on every shard under its lock, in shard order, and returns
+// the first error (the pool also records it for Close).
+func (s *Sharded) each(fn func(i int, e *ORAM) error) error {
+	fns := make([]func() error, len(s.engines))
 	for i, e := range s.engines {
-		fns[i] = func() { fn(i, e) }
+		fns[i] = func() error { return fn(i, e) }
 	}
-	return fns
+	return s.pool.InspectAll(fns)
+}
+
+// snapshot is each for an observer: under AsyncEviction every shard is
+// flushed first, so fn sees what the synchronous protocol would show
+// (after Close the shards are quiescent and their files closed, so
+// nothing is flushed). A flush failure is returned, and fn still runs.
+func (s *Sharded) snapshot(fn func(i int, e *ORAM)) error {
+	return s.each(func(i int, e *ORAM) (err error) {
+		if s.async && !s.pool.Closed() {
+			err = e.Flush()
+		}
+		fn(i, e)
+		return err
+	})
 }
 
 // ErrClosed is returned for operations submitted after Close.
@@ -640,7 +655,7 @@ func (s *Sharded) SchedulerStats() SchedulerStats { return s.pool.Stats() }
 // port of every shard merged (counters sum, the completion frontier takes
 // the max — membus.Stats.Merge semantics, exactly how protocol stats
 // aggregate). The quiesce runs under each shard's lock through the same
-// Inspect path as Stats, and under AsyncEviction each shard flushes first,
+// snapshot path as Stats, and under AsyncEviction each shard flushes first,
 // so the returned cycle counts always include every write-back owed by the
 // traffic observed so far. Every shard's timing lane is quiesced before the
 // bus is read: reading it forces every queued stage through, and forcing it
@@ -650,7 +665,7 @@ func (s *Sharded) TimingStats() (TimingStats, bool) {
 	if s.bus == nil {
 		return TimingStats{}, false
 	}
-	_ = s.pool.InspectAll(s.inspectors(func(_ int, e *ORAM) { e.lane.quiesce() }))
+	_ = s.snapshot(func(_ int, e *ORAM) { e.lane.quiesce() })
 	return s.bus.Stats(), true
 }
 
@@ -660,29 +675,20 @@ func (s *Sharded) TimingStats() (TimingStats, bool) {
 // construction could have produced. It serializes with each shard's
 // request stream (concurrent traffic keeps flowing; requests accepted
 // before the flush are included). Each engine's own Flush decides what is
-// owed, so this is a plain barrier when nothing is deferred — for idle
-// eviction too, which no inspection starts (DESIGN.md, "Flush is a barrier").
+// owed, so this is a plain barrier when nothing is deferred; the idle pump
+// issues no eviction, so nothing moves after it until the next request
+// (DESIGN.md, "Flush is a barrier").
 func (s *Sharded) Flush() error {
-	errs := make([]error, len(s.engines))
-	if err := s.pool.InspectAll(s.inspectors(func(i int, e *ORAM) { errs[i] = e.Flush() })); err != nil {
-		return err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.each(func(_ int, e *ORAM) error { return e.Flush() })
 }
 
 // PendingWriteBacks returns the total number of deferred path write-backs
 // across all shards that have not yet been completed. Unlike the other
 // snapshots it intentionally does NOT flush first — it measures the
-// backlog, so it rides the pool's peek path. Always 0 without
-// AsyncEviction, and after Close or Flush.
+// backlog. Always 0 without AsyncEviction, and after Close or Flush.
 func (s *Sharded) PendingWriteBacks() int {
 	counts := make([]int, len(s.engines))
-	_ = s.pool.PeekAll(s.inspectors(func(i int, e *ORAM) { counts[i] = e.PendingWriteBacks() }))
+	_ = s.each(func(i int, e *ORAM) error { counts[i] = e.PendingWriteBacks(); return nil })
 	var total int
 	for _, n := range counts {
 		total += n
@@ -693,7 +699,7 @@ func (s *Sharded) PendingWriteBacks() int {
 // StashSize returns the summed stash occupancy over all shards.
 func (s *Sharded) StashSize() int {
 	sizes := make([]int, len(s.engines))
-	_ = s.pool.InspectAll(s.inspectors(func(i int, e *ORAM) { sizes[i] = e.StashSize() }))
+	_ = s.snapshot(func(i int, e *ORAM) { sizes[i] = e.StashSize() })
 	var total int
 	for _, n := range sizes {
 		total += n
@@ -705,7 +711,7 @@ func (s *Sharded) StashSize() int {
 // shards.
 func (s *Sharded) ExternalMemoryBytes() uint64 {
 	sizes := make([]uint64, len(s.engines))
-	_ = s.pool.InspectAll(s.inspectors(func(i int, e *ORAM) { sizes[i] = e.ExternalMemoryBytes() }))
+	_ = s.snapshot(func(i int, e *ORAM) { sizes[i] = e.ExternalMemoryBytes() })
 	var total uint64
 	for _, n := range sizes {
 		total += n

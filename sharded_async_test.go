@@ -362,18 +362,90 @@ func TestAsyncLeafSequencesUniform(t *testing.T) {
 	}
 }
 
+// TestAsyncIdlePumpOwesWriteBacksOnly: on the tight-async engine-golden
+// geometry, whose stashes often sit above the idle low-water mark, an
+// untimed pool left idle between requests completes owed write-backs in
+// the gaps and issues no speculative eviction.
+func TestAsyncIdlePumpOwesWriteBacksOnly(t *testing.T) {
+	const blocks = 1024
+	s, err := NewSharded(Spec{Blocks: blocks, BlockSize: 16, Encryption: EncryptNone, Shards: 2,
+		Z: 2, Utilization: 0.75, StashCapacity: 24, AsyncEviction: true, MaxDeferredWriteBacks: 4,
+		Rand: rand.New(rand.NewSource(23))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(29))
+	buf := make([]byte, 16)
+	for i := 0; i < 600; i++ {
+		if err := s.Write(rng.Uint64()%blocks, buf); err != nil {
+			t.Fatal(err)
+		}
+		if i%8 == 7 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if st := s.SchedulerStats(); st.IdleEvictions != 0 || st.IdleWriteBacks == 0 {
+		t.Errorf("idle time issued %d evictions and completed %d write-backs; want 0 and some",
+			st.IdleEvictions, st.IdleWriteBacks)
+	}
+}
+
+// TestAsyncSnapshotsFlushFirst: every Sharded snapshot flushes each shard
+// before it reads, so it observes what the synchronous protocol would
+// show, while PendingWriteBacks, the backlog gauge, does not flush. A
+// timed pool has no idle pump, so its backlog holds still until a
+// snapshot drains it.
+func TestAsyncSnapshotsFlushFirst(t *testing.T) {
+	s, err := NewSharded(dramConfig(2, 256, PartitionStripe, true, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	buf := make([]byte, 16)
+	for _, snap := range []struct {
+		name string
+		take func()
+	}{
+		{"Stats", func() { s.Stats() }},
+		{"ShardStats", func() { s.ShardStats() }},
+		{"ResetStats", s.ResetStats},
+		{"StashSize", func() { s.StashSize() }},
+		{"ExternalMemoryBytes", func() { s.ExternalMemoryBytes() }},
+		{"TimingStats", func() { s.TimingStats() }},
+	} {
+		for a := uint64(0); a < 4; a++ {
+			if err := s.Write(a, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := s.PendingWriteBacks()
+		if before == 0 {
+			t.Fatalf("%s: nothing deferred before the snapshot", snap.name)
+		}
+		if again := s.PendingWriteBacks(); again != before {
+			t.Fatalf("%s: the backlog gauge moved the backlog: %d then %d", snap.name, before, again)
+		}
+		snap.take()
+		if n := s.PendingWriteBacks(); n != 0 {
+			t.Errorf("%s left %d write-backs pending", snap.name, n)
+		}
+	}
+}
+
 // TestAsyncFlushIsIdleBarrier is FuzzOpenSpec's Flush-idempotence check on
-// the state behind its intermittent "Flush on a quiescent client changed
-// stats": AsyncEviction with idle eviction on, and a flushed stash that
-// still sits above the idle low-water mark (half the inline threshold), so
-// idle eviction is due. Each such round leaves the shard idle long enough
-// to take idle steps, inspects it again and flushes again; nothing may
-// change. internal/shard's TestAsyncInspectionStartsNoIdleEviction is the
-// same check on a fake engine.
+// the state behind its old intermittent "Flush on a quiescent client
+// changed stats": AsyncEviction, and a flushed stash that still sits above
+// the idle low-water mark (half the inline threshold), where a speculative
+// idle eviction would have been due. Each such round leaves the shard idle
+// long enough to take idle steps, inspects it again and flushes again;
+// nothing may change, since the idle pump only completes owed write-backs.
+// internal/shard's TestAsyncInspectionStartsNoIdleEviction is the same
+// check on a fake engine.
 func TestAsyncFlushIsIdleBarrier(t *testing.T) {
 	const blocks = 512
 	s, err := NewSharded(Spec{Blocks: blocks, BlockSize: 16, Encryption: EncryptNone,
-		Z: 2, Utilization: 0.75, StashCapacity: 24, AsyncEviction: true, EvictionsPerIdle: 4,
+		Z: 2, Utilization: 0.75, StashCapacity: 24, AsyncEviction: true,
 		Rand: rand.New(rand.NewSource(9))})
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +465,10 @@ func TestAsyncFlushIsIdleBarrier(t *testing.T) {
 			t.Fatal(err)
 		}
 		var above bool
-		if err := s.pool.Peek(0, func() { above = data.StashSize() > data.Params().EvictionThreshold()/2 }); err != nil {
+		if err := s.pool.Inspect(0, func() error {
+			above = data.StashSize() > data.Params().EvictionThreshold()/2
+			return nil
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if !above {

@@ -93,3 +93,30 @@ func TestShardedCloseIdempotentKeepsEngineError(t *testing.T) {
 		t.Fatalf("second Close returned %v, want the engine error again", err)
 	}
 }
+
+// TestShardedSnapshotsAfterCloseFlushNothing: snapshots keep working on
+// the quiescent shards after Close, and an AsyncEviction pool's snapshot
+// does not flush them again — their tree files are closed — so a second
+// Close still reports no error.
+func TestShardedSnapshotsAfterCloseFlushNothing(t *testing.T) {
+	s, err := NewSharded(Spec{Blocks: 64, BlockSize: 16, Shards: 2, Key: goldenKey,
+		Backend: BackendFile, Dir: t.TempDir(), WAL: true, AsyncEviction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for addr := uint64(0); addr < 8; addr++ {
+		if err := s.Write(addr, make([]byte, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.RealAccesses == 0 {
+		t.Errorf("post-Close Stats read empty: %+v", st)
+	}
+	_, _ = s.StashSize(), s.ExternalMemoryBytes()
+	if err := s.Close(); err != nil {
+		t.Errorf("second Close after snapshots: %v", err)
+	}
+}

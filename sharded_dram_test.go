@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/testutil"
@@ -15,16 +16,15 @@ import (
 // named TestDRAM* so CI can run the timed-backend suite with
 // `-run 'DRAM|Timed'`.
 
-// dramConfig returns a Spec on the timed backend. Async runs
-// disable idle eviction (EvictionsPerIdle: -1): idle-time dummy accesses
-// fire on the goroutine scheduler's whim and would consume per-shard
-// randomness nondeterministically, while write-back *completions* — the
-// only other idle work — never consume randomness and never change the
-// post-Flush state (TestStagedBitIdenticalToSync pins that). With them
-// off, a single-client replay is fully deterministic, which is what lets
-// the equivalence test demand byte-identical trees.
+// dramConfig returns a Spec on the timed backend. An async timed shard
+// has no idle pump: its write buffer drains when full, at Flush and at
+// snapshots, and no idle-time dummy access ever draws a leaf, so a
+// single-client replay is fully deterministic, which is what lets the
+// equivalence test demand byte-identical trees (write-back completions
+// never change the post-Flush state; TestStagedBitIdenticalToSync pins
+// that).
 func dramConfig(shards int, blocks uint64, part Partition, async bool, seed int64) Spec {
-	spec := Spec{
+	return Spec{
 		Shards:    shards,
 		Partition: part,
 		Blocks:    blocks, BlockSize: 16,
@@ -34,10 +34,6 @@ func dramConfig(shards int, blocks uint64, part Partition, async bool, seed int6
 		AsyncEviction: async,
 		Rand:          rand.New(rand.NewSource(seed)),
 	}
-	if async {
-		spec.EvictionsPerIdle = -1
-	}
-	return spec
 }
 
 // memTree reaches through a shard's store wrappers to the underlying
@@ -293,9 +289,7 @@ func TestDRAMConcurrentClients(t *testing.T) {
 	const blocks = 512
 	const clients = 8
 	const opsPer = 60
-	cfg := dramConfig(shards, blocks, PartitionStripe, true, 31)
-	cfg.EvictionsPerIdle = 0 // default idle eviction: exercise every bus path
-	s, err := NewSharded(cfg)
+	s, err := NewSharded(dramConfig(shards, blocks, PartitionStripe, true, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,6 +383,39 @@ func TestDRAMShardedTimingStatsFlushes(t *testing.T) {
 	defer memS.Close()
 	if _, ok := memS.TimingStats(); ok {
 		t.Error("mem backend claimed timing stats")
+	}
+}
+
+// TestDRAMAsyncTimingIsSeeded: a timed async pool has no idle pump, so
+// however long it sits idle between requests no write-back completes
+// behind its back — its write buffers drain when full, at Flush and at
+// snapshots, in stream order — and its modeled time is a function of the
+// seed.
+func TestDRAMAsyncTimingIsSeeded(t *testing.T) {
+	run := func() TimingStats {
+		s, err := NewSharded(dramConfig(2, 256, PartitionStripe, true, 19))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		rng := rand.New(rand.NewSource(20))
+		buf := make([]byte, 16)
+		for i := 0; i < 200; i++ {
+			if err := s.Write(rng.Uint64()%256, buf); err != nil {
+				t.Fatal(err)
+			}
+			if i%20 == 19 {
+				time.Sleep(2 * time.Millisecond) // an idle gap a pump would fill
+			}
+		}
+		if n := s.SchedulerStats().IdleWriteBacks; n != 0 {
+			t.Errorf("a timed pool completed %d write-backs in idle time", n)
+		}
+		ts, _ := s.TimingStats()
+		return ts
+	}
+	if a, b := run(), run(); a != b {
+		t.Errorf("two runs of one seed modeled different times:\n%+v\n%+v", a, b)
 	}
 }
 

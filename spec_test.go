@@ -33,7 +33,6 @@ var ruleTrips = []Spec{
 	{Blocks: 64, BlockSize: 8, Key: make([]byte, 32)},
 	{Blocks: 2, Z: 4, BlockSize: 1<<18 - 11},
 	{Blocks: 64, MaxDeferredWriteBacks: 4},
-	{Blocks: 64, EvictionsPerIdle: 2},
 	{Blocks: 64, DRAMChannels: 4},
 	{Blocks: 64, DRAMSched: MemSchedFRFCFS},
 	{Blocks: 64, Backend: BackendDRAM, DRAMQueueDepth: 4},
@@ -74,7 +73,7 @@ func TestSpecRules(t *testing.T) {
 		_, err = NewSharded(spec)
 		check("NewSharded", err)
 		// The bare constructors only accept the axes of one known engine.
-		if spec.Shards > 1 || spec.Partition != PartitionStripe || spec.PosMap > PosMapRecursive || spec.EvictionsPerIdle != 0 {
+		if spec.Shards > 1 || spec.Partition != PartitionStripe || spec.PosMap > PosMapRecursive {
 			continue
 		}
 		if spec.PosMap == PosMapRecursive {
@@ -91,10 +90,9 @@ func TestSpecRules(t *testing.T) {
 // constructors reject what they would otherwise ignore.
 func TestSpecBareConstructorsRejectServingAxes(t *testing.T) {
 	for name, mutate := range map[string]func(*Spec){
-		"shards":     func(s *Spec) { s.Shards = 2 },
-		"partition":  func(s *Spec) { s.Partition = PartitionRange },
-		"padded":     func(s *Spec) { s.Padded = true },
-		"idle-evict": func(s *Spec) { s.AsyncEviction, s.EvictionsPerIdle = true, 2 },
+		"shards":    func(s *Spec) { s.Shards = 2 },
+		"partition": func(s *Spec) { s.Partition = PartitionRange },
+		"padded":    func(s *Spec) { s.Padded = true },
 	} {
 		spec := Spec{Blocks: 64, BlockSize: 8}
 		mutate(&spec)
@@ -196,8 +194,8 @@ var enabledBy = func() map[string]func(*Spec) {
 		"ConstantTimeStash": nil, "SuperBlockSize": nil, "Encryption": nil, "Integrity": nil, "Key": nil,
 		"AsyncEviction": nil, "Backend": nil, "Rand": nil, "OnPathAccess": nil,
 
-		"EvictionsPerIdle": async, "MaxDeferredWriteBacks": async,
-		"PosBlockSize": recursive, "OnChipPosMapMax": recursive, "PosZ": recursive, "PLBBytes": recursive,
+		"MaxDeferredWriteBacks": async,
+		"PosBlockSize":          recursive, "OnChipPosMapMax": recursive, "PosZ": recursive, "PLBBytes": recursive,
 		"PLBConstantShape": func(s *Spec) { s.PosMap, s.PLBBytes = PosMapRecursive, 1024 },
 		"Overlap":          func(s *Spec) { s.PosMap, s.Backend = PosMapRecursive, BackendDRAM },
 		"Dir":              func(s *Spec) { s.Backend = BackendFile },
