@@ -158,7 +158,8 @@ func BenchmarkAccessConstantTimeStash(b *testing.B) {
 }
 
 func BenchmarkHierarchyAccess(b *testing.B) {
-	h, err := NewHierarchy(Spec{
+	h, err := New(Spec{
+		PosMap: PosMapRecursive,
 		Blocks: 1 << 12, BlockSize: 128, PosBlockSize: 32,
 		OnChipPosMapMax: 1 << 10, Encryption: EncryptNone,
 		Rand: rand.New(rand.NewSource(3)),
@@ -189,7 +190,8 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 // so steady state must stay allocation-free (scripts/check_gates.sh
 // holds this bench to the same budget as the other Access benches).
 func BenchmarkAccessRecursivePLBHit(b *testing.B) {
-	h, err := NewHierarchy(Spec{
+	h, err := New(Spec{
+		PosMap: PosMapRecursive,
 		Blocks: 1 << 12, BlockSize: 128, PosBlockSize: 32,
 		OnChipPosMapMax: 1 << 10, Encryption: EncryptNone,
 		PLBBytes: 1 << 14,

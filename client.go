@@ -15,10 +15,10 @@ import (
 // client.
 //
 // Concurrency: a Client built by Open is always safe for concurrent use
-// (Open returns the serving layer). The bare constructor New (and
-// NewHierarchy, the same call) returns a single-threaded Client — one
-// goroutine must own it, which is exactly the ownership the serving layer
-// enforces when it uses engines as shards.
+// (Open returns the serving layer). The bare constructor New returns a
+// single-threaded Client — one goroutine must own it, which is exactly
+// the ownership the serving layer enforces when it uses engines as
+// shards.
 type Client interface {
 	// Read returns a copy of the block at addr (zero-filled if never
 	// written). One oblivious access — one path per ORAM the construction
@@ -224,9 +224,9 @@ type Spec struct {
 	// DESIGN.md's decision table). Padding overhead is counted in
 	// Stats.PaddingAccesses. Single operations are never padded.
 	Padded bool
-	// PosMap selects the position-map policy (default PosMapOnChip;
-	// NewHierarchy implies PosMapRecursive). Every policy builds the same
-	// engine; what the value selects is listed in DESIGN.md ("One engine").
+	// PosMap selects the position-map policy (default PosMapOnChip).
+	// Every policy builds the same engine; what the value selects is
+	// listed in DESIGN.md ("One engine").
 	PosMap PosMapPolicy
 	// PosBlockSize is the position-map ORAM block size under
 	// PosMapRecursive (default 32, the paper's best practical choice,
@@ -328,20 +328,22 @@ type Spec struct {
 	// onto a bounded per-tree queue. Who completes it: an untimed shard's
 	// idle pump completes owed write-backs between requests; a
 	// BackendDRAM tree has no pump, so its queue — the modeled write
-	// buffer — drains when full, at Flush and at snapshots (Stats,
-	// ShardStats, StashSize, TimingStats), in stream order, and its
-	// modeled time stays a function of the seed; the owner of a bare
-	// engine calls StepBackground (e.g. between requests) and Flush when
-	// quiescing. Background eviction runs inline once a stash passes its
-	// threshold, and in idle time only through StepBackground(true).
-	// Snapshots and Close flush first, so observed state always matches
-	// the synchronous protocol. Logical contents are never stale — reads
-	// of paths with pending write-backs are served from the write buffer
-	// — and the stash bound still holds: if deferred work piles up faster
-	// than idle time drains it, draining falls back inline, degrading to
-	// the synchronous protocol rather than failing. See DESIGN.md
-	// (pipelining) and SECURITY.md (why the idle-time schedule leaks
-	// nothing).
+	// buffer — drains when full, at Flush and at Close, in stream order,
+	// and its modeled time stays a function of the seed; the owner of a
+	// bare engine calls StepBackground (e.g. between requests) and Flush
+	// when quiescing. Background eviction runs inline once a stash passes
+	// its threshold, and in idle time only through StepBackground(true).
+	// Close flushes. A snapshot (Stats, ShardStats, ResetStats, StashSize,
+	// ExternalMemoryBytes, TimingStats) observes the engines as they
+	// stand and completes nothing, so who reads stats never decides when
+	// the write buffer drains; call Flush first for the access-complete
+	// totals the synchronous protocol would show. Logical contents are
+	// never stale — reads of paths with pending write-backs are served
+	// from the write buffer — and the stash bound still holds: if
+	// deferred work piles up faster than idle time drains it, draining
+	// falls back inline, degrading to the synchronous protocol rather
+	// than failing. See DESIGN.md (pipelining) and SECURITY.md (why the
+	// idle-time schedule leaks nothing).
 	AsyncEviction bool
 	// MaxDeferredWriteBacks caps each tree's deferred write-back queue
 	// (default core.DefaultMaxDeferredWriteBacks). Requires AsyncEviction.

@@ -15,8 +15,8 @@ import (
 // Everything here is named TestClient* so CI can run the suite with
 // `-run 'Client|Hierarchy'`.
 
-// hierEngine unwraps shard i's engine as a *Hierarchy (recursive configs).
-func hierEngine(t *testing.T, c Client, i int) *Hierarchy {
+// hierEngine unwraps shard i's engine as a *ORAM (recursive configs).
+func hierEngine(t *testing.T, c Client, i int) *ORAM {
 	t.Helper()
 	s, ok := c.(*Sharded)
 	if !ok {
@@ -37,7 +37,7 @@ func TestClientInterfaceCompliance(t *testing.T) {
 				Encryption: EncryptNone, Rand: rand.New(rand.NewSource(1))})
 		},
 		"hierarchy": func() (Client, error) {
-			return NewHierarchy(Spec{Blocks: blocks, BlockSize: blockSize,
+			return New(Spec{PosMap: PosMapRecursive, Blocks: blocks, BlockSize: blockSize,
 				PosBlockSize: 16, OnChipPosMapMax: 128,
 				Encryption: EncryptNone, Rand: rand.New(rand.NewSource(2))})
 		},

@@ -39,7 +39,7 @@
 //     which composes the design-space axes — Shards: N, PosMap:
 //     OnChip|Recursive, Backend: mem|dram|file — so sharded ORAMs with
 //     recursive position maps on a shared timed memory bus are one
-//     literal. Every constructor (Open, New, NewHierarchy, NewSharded)
+//     literal. Every constructor (Open, New, NewSharded)
 //     takes it and runs the same steps: resolve (defaults, one table of
 //     knob rules, key, memory bus), newEngine (size and assemble one
 //     chain) and buildTree (one tree's storage stack, once per level).

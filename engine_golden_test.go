@@ -15,12 +15,11 @@ import (
 )
 
 // The engine goldens pin "same results" across a change to how engines are
-// built: one fixed seeded op stream runs on a bare engine (New, or
-// NewHierarchy for a recursive spec) and on a 2-shard Open of each variant
-// below, and everything an engine can show for it — the paths it touched,
-// what it returned, its counters, its modeled time, its tree files — must
-// equal the constants recorded at the commit before the change. Re-record
-// with
+// built: one fixed seeded op stream runs on a bare engine (New) and on a
+// 2-shard Open of each variant below, and everything an engine can show
+// for it — the paths it touched, what it returned, its counters, its
+// modeled time, its tree files — must equal the constants recorded at the
+// commit before the change. Re-record with
 //
 //	go test -run TestEngineGolden -record-engine-golden . | grep '^	"' > body
 //
@@ -170,12 +169,9 @@ func runEngineGolden(t *testing.T, spec Spec, shards int) engineGolden {
 
 	var c Client
 	var err error
-	switch {
-	case shards > 1:
+	if shards > 1 {
 		c, err = Open(spec)
-	case spec.PosMap == PosMapRecursive:
-		c, err = NewHierarchy(spec)
-	default:
+	} else {
 		c, err = New(spec)
 	}
 	if err != nil {

@@ -139,8 +139,9 @@ func ExampleOpen() {
 
 // A hierarchical ORAM keeps the position map oblivious too: H ORAMs are
 // accessed per request, smallest first (Section 2.3).
-func ExampleNewHierarchy() {
-	mem, err := pathoram.NewHierarchy(pathoram.Spec{
+func ExampleNew_recursive() {
+	mem, err := pathoram.New(pathoram.Spec{
+		PosMap:          pathoram.PosMapRecursive,
 		Blocks:          1 << 12,
 		BlockSize:       32,
 		PosBlockSize:    16,

@@ -11,9 +11,10 @@ import (
 // staged access path through the chain, and the per-level timed backend.
 // Named TestHierarchy* for the CI `-run 'Client|Hierarchy'` shard.
 
-func testHierarchy(t *testing.T, mutate func(*Spec)) *Hierarchy {
+func testHierarchy(t *testing.T, mutate func(*Spec)) *ORAM {
 	t.Helper()
 	cfg := Spec{
+		PosMap: PosMapRecursive,
 		Blocks: 2048, BlockSize: 16,
 		PosBlockSize: 16, OnChipPosMapMax: 256,
 		Encryption: EncryptNone,
@@ -22,7 +23,7 @@ func testHierarchy(t *testing.T, mutate func(*Spec)) *Hierarchy {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	h, err := NewHierarchy(cfg)
+	h, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestHierarchyAsyncBitIdenticalToSync(t *testing.T) {
 		level int
 		leaf  uint64
 	}
-	run := func(async bool) (*Hierarchy, *[]access) {
+	run := func(async bool) (*ORAM, *[]access) {
 		log := &[]access{}
 		h := testHierarchy(t, func(cfg *Spec) {
 			if async {
@@ -242,7 +243,8 @@ func TestHierarchyTimedBackend(t *testing.T) {
 // encryption and integrity on every level under the unified constructor
 // defaults (counter scheme, derived per-level keys).
 func TestHierarchyReadYourWritesEncrypted(t *testing.T) {
-	h, err := NewHierarchy(Spec{
+	h, err := New(Spec{
+		PosMap: PosMapRecursive,
 		Blocks: 512, BlockSize: 16,
 		PosBlockSize: 16, OnChipPosMapMax: 128,
 		Encryption: EncryptCounter, Integrity: true,

@@ -54,7 +54,9 @@ type Store struct {
 	stride int // padded ciphertext bucket bytes
 
 	backing storage.Storage
-	written []bool // per bucket; used instead of valid bits when Auth == nil
+	// written records per bucket whether it was ever written; nil under
+	// Auth, whose valid bits answer that instead.
+	written []bool
 
 	// outstanding counts, per leaf, ReadPaths not yet matched by a
 	// WritePath. The protocol only ever writes paths it has read, but with
@@ -160,7 +162,9 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 			return nil, err
 		}
 	}
-	s.written = make([]bool, tree.NumBuckets())
+	if cfg.Auth == nil {
+		s.written = make([]bool, tree.NumBuckets())
+	}
 	s.outstanding = make(map[uint64]int)
 	s.plainPath = make([][]byte, tree.Levels())
 	plainArena := make([]byte, tree.Levels()*s.pbytes)
@@ -386,11 +390,11 @@ func (s *Store) WritePath(leaf uint64, buckets [][]core.Slot) error {
 	if err := s.backing.WriteBuckets(s.idsBuf, s.sealBufs); err != nil {
 		return err
 	}
-	for _, flat := range s.idsBuf {
-		s.written[flat] = true
-	}
 	if s.cfg.Auth != nil {
 		return s.cfg.Auth.UpdatePath(leaf, s.ctRefs, reach)
+	}
+	for _, flat := range s.idsBuf {
+		s.written[flat] = true
 	}
 	return nil
 }

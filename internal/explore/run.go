@@ -41,11 +41,11 @@ type Row struct {
 // construction and fill dominate small sweeps, and the paper's
 // comparisons want neighboring workloads over identical steady-state
 // instances. Workload boundaries re-establish a clean baseline anyway:
-// stats reset and the timing snapshot flushes deferred write-backs, so
-// no cell is charged for its predecessor's debt. A point whose background
-// eviction cannot keep up is reported, not fatal: see dummyBudget; a point
-// whose Close fails (a file point's last checkpoint or msync) fails the
-// sweep. logf (optional) receives one progress line per point.
+// deferred write-backs are settled before the stats reset and the timing
+// snapshot, so no cell is charged for its predecessor's debt. A point
+// whose background eviction cannot keep up is reported, not fatal: see
+// dummyBudget; a point whose Close fails (a file point's last checkpoint
+// or msync) fails the sweep. logf (optional) receives one progress line per point.
 //
 // With opts.Clients > 1 each cell's measured phase runs on that many
 // concurrent closed-loop clients (closedLoop). Their interleaving is the
@@ -124,7 +124,7 @@ func runPoint(g Grid, p Point, opts Options) (rows []Row, err error) {
 	// livelocks must stop at its first guard trip, and a batch would run
 	// every address it holds into the guard before reporting.
 	buf := make([]byte, spec.BlockSize)
-	err = unmeasured(client, int(spec.Blocks), func(a int) error {
+	err = unmeasured(client, spec, int(spec.Blocks), func(a int) error {
 		return client.Write(uint64(a), buf)
 	})
 	if err != nil && !infeasible(err) {
@@ -180,19 +180,37 @@ func overBudget(st, base pathoram.Stats) error {
 	return nil
 }
 
+// settle completes the deferred work of an AsyncEviction client, so that
+// the counters read next are access-complete: a snapshot observes the
+// engines as they stand. Each call is a point in the op stream — a timed
+// point's write buffers drain there — so the points are fixed: every
+// budget read, the cell's baseline and its close.
+func settle(client pathoram.Client, spec pathoram.Spec) error {
+	if !spec.AsyncEviction {
+		return nil
+	}
+	return client.Flush()
+}
+
 // unmeasured runs steps 0..n-1 of the fill or a warm-up, checking the
 // budget every budgetWindow steps and at the end: a fixed cadence, so the
 // same seed condemns the same points on every host, and one that cuts a
 // hopeless phase off after a window rather than after the whole phase.
-// Reading the counters flushes a deferred-eviction engine, which is why
-// the measured phase is checked only once, by the Stats it ends with.
-func unmeasured(client pathoram.Client, n int, step func(i int) error) error {
+// Each check settles a deferred-eviction engine, which is why the measured
+// phase is checked only once, by the Stats it ends with.
+func unmeasured(client pathoram.Client, spec pathoram.Spec, n int, step func(i int) error) error {
+	if err := settle(client, spec); err != nil {
+		return err
+	}
 	base := client.Stats()
 	for i := 0; i < n; i++ {
 		if err := step(i); err != nil {
 			return err
 		}
 		if (i+1)%budgetWindow == 0 || i == n-1 {
+			if err := settle(client, spec); err != nil {
+				return err
+			}
 			if err := overBudget(client.Stats(), base); err != nil {
 				return err
 			}
@@ -202,16 +220,19 @@ func unmeasured(client pathoram.Client, n int, step func(i int) error) error {
 }
 
 // runCell measures one workload against an already-filled client:
-// warm-up phase, baseline reset (the timing snapshot flushes, charging
-// any warm-up debt before measurement), then the measured phase with
-// per-submission latencies. gen(c) is closed-loop client c's address
+// warm-up phase, baseline reset (settled first, charging any warm-up debt
+// before measurement), then the measured phase with per-submission
+// latencies. gen(c) is closed-loop client c's address
 // stream; client 0's runs the warm-up and carries on into the measurement.
 func runCell(client pathoram.Client, spec pathoram.Spec, gen func(c int) Gen, opts Options) (Row, error) {
 	payload := make([]byte, spec.BlockSize)
 	warm := gen(0)
-	if err := unmeasured(client, opts.Warmup, func(i int) error {
+	if err := unmeasured(client, spec, opts.Warmup, func(i int) error {
 		return step(client, warm, i, payload)
 	}); err != nil {
+		return Row{}, err
+	}
+	if err := settle(client, spec); err != nil {
 		return Row{}, err
 	}
 	client.ResetStats()
@@ -236,12 +257,15 @@ func runCell(client pathoram.Client, spec pathoram.Spec, gen func(c int) Gen, op
 	if err := closedLoop(lats, subs); err != nil {
 		return Row{}, err
 	}
+	// Before the clock stops: settling charges every deferred write-back
+	// the traffic owed, and the timing snapshot replays what the timing
+	// lanes still hold, so ns/op prices the whole simulator, not only its
+	// recording half.
+	if err := settle(client, spec); err != nil {
+		return Row{}, err
+	}
 	var postTiming pathoram.TimingStats
 	if timed {
-		// Before the clock stops: the snapshot replays what the timing
-		// lanes still hold (and flushes, charging every deferred
-		// write-back the traffic owed), so ns/op prices the whole
-		// simulator, not only its recording half.
 		postTiming, _ = client.TimingStats()
 	}
 	wall := time.Since(start)

@@ -65,47 +65,18 @@ func New(tr treemath.Tree, bucketBytes int) *Tree {
 	return t
 }
 
-// Reachable reports whether every valid bit on the path from the root to
-// the bucket (exclusive of the bucket's own child bits) is set — i.e. the
-// bucket has been written through ORAM operations at some point
-// (Section 5's reachable()).
-func (t *Tree) Reachable(flat uint64) bool {
-	// Walk from the bucket up to the root checking the parent's bit.
-	for flat != 0 {
-		parent := (flat - 1) / 2
-		bit := uint8(1) << uint((flat-1)%2) // left child has odd flat index
-		var flags uint8
-		if parent == 0 {
-			flags = t.rootValid
-		} else {
-			flags = t.valid[parent]
-		}
-		if flags&bit == 0 {
-			return false
-		}
-		flat = parent
-	}
-	return true
-}
-
 // PathReachability returns, for each level of the path to leaf, whether the
-// bucket was reachable at the start of the access. The root is always
-// reachable.
+// bucket was reachable at the start of the access (Section 5's
+// reachable(): every valid bit on the way down from the root is set).
 func (t *Tree) PathReachability(leaf uint64) []bool {
 	out := make([]bool, t.tree.Levels())
 	// The root's content is masked by (f00 ∨ f01) ∧ B0 in the hash, so its
 	// content is only meaningful after the first write-back.
 	out[0] = t.rootValid != 0
-	flags := t.rootValid
 	for d := 1; d <= t.tree.LeafLevel(); d++ {
 		flat := t.tree.PathBucket(leaf, d)
 		bit := uint8(1) << uint((flat-1)%2)
-		out[d] = out[d-1] && flags&bit != 0
-		if flat == 0 {
-			flags = t.rootValid
-		} else {
-			flags = t.valid[flat]
-		}
+		out[d] = out[d-1] && t.flags(t.tree.Parent(flat))&bit != 0
 	}
 	return out
 }
@@ -118,47 +89,7 @@ func (t *Tree) VerifyPath(leaf uint64, cts [][]byte) error {
 		return fmt.Errorf("integrity: got %d buckets, want %d", len(cts), t.tree.Levels())
 	}
 	t.verifications++
-	l := t.tree.LeafLevel()
-	if l == 0 {
-		// Degenerate single-bucket tree: the root doubles as the leaf and
-		// keeps the interior masking so pristine memory verifies.
-		if t.hashNode(t.rootValid, cts[0], Hash{}, Hash{}) != t.rootHash {
-			return ErrVerify
-		}
-		return nil
-	}
-	// Compute hashes bottom-up. Only reachable buckets contribute real
-	// content; below the reachable frontier everything is masked, exactly
-	// reproducing the on-chip root for untouched memory.
-	h := t.leafHash(cts[l])
-	for d := l - 1; d >= 0; d-- {
-		flat := t.tree.PathBucket(leaf, d)
-		child := t.tree.PathBucket(leaf, d+1)
-		sib := t.tree.Sibling(child)
-		var flags uint8
-		if flat == 0 {
-			flags = t.rootValid
-		} else {
-			flags = t.valid[flat]
-		}
-		var hl, hr Hash
-		if child < sib { // path child is the left child
-			hl = h
-			hr = t.siblingHash(sib)
-		} else {
-			hl = t.siblingHash(sib)
-			hr = h
-		}
-		// Mask invalid children (f ∧ h in the paper).
-		if flags&1 == 0 {
-			hl = Hash{}
-		}
-		if flags&2 == 0 {
-			hr = Hash{}
-		}
-		h = t.hashNode(flags, cts[d], hl, hr)
-	}
-	if h != t.rootHash {
+	if t.pathHash(leaf, cts, false) != t.rootHash {
 		return ErrVerify
 	}
 	return nil
@@ -176,57 +107,57 @@ func (t *Tree) UpdatePath(leaf uint64, newCts [][]byte, reach []bool) error {
 	l := t.tree.LeafLevel()
 	if l == 0 {
 		t.rootValid = 3 // mark the root's content as written
-		t.rootHash = t.hashNode(t.rootValid, newCts[0], Hash{}, Hash{})
-		return nil
+	} else {
+		// The leaf bucket has no children; force its bits clean once
+		// written.
+		t.valid[t.tree.PathBucket(leaf, l)] = 0
 	}
 	// Step 5 of the paper: along the path, the child-valid bit pointing at
 	// the next path bucket becomes 1; the other child keeps its old bit
 	// only if this bucket was reachable (otherwise its bits are garbage).
 	for d := 0; d < l; d++ {
 		flat := t.tree.PathBucket(leaf, d)
-		child := t.tree.PathBucket(leaf, d+1)
-		pathBit := uint8(1) << uint((child-1)%2)
-		var old uint8
-		if flat == 0 {
-			old = t.rootValid
-		} else {
-			old = t.valid[flat]
-		}
-		newFlags := pathBit
+		pathBit := uint8(1) << uint((t.tree.PathBucket(leaf, d+1)-1)%2)
+		flags := pathBit
 		if reach[d] {
-			newFlags |= old &^ pathBit
+			flags |= t.flags(flat) &^ pathBit
 		}
 		if flat == 0 {
-			t.rootValid = newFlags
+			t.rootValid = flags
 		} else {
-			t.valid[flat] = newFlags
+			t.valid[flat] = flags
 		}
 	}
-	// Leaf bucket has no children; force its bits clean once written.
-	if l > 0 {
-		t.valid[t.tree.PathBucket(leaf, l)] = 0
+	// The paper writes back the L non-root hashes; the root hash stays
+	// on-chip.
+	t.rootHash = t.pathHash(leaf, newCts, true)
+	return nil
+}
+
+// pathHash recomputes the hashes of the path to leaf bottom-up over cts
+// (cts[d] is the level-d bucket) and returns the root's, reading one
+// sibling hash per level from external memory and, with store set,
+// writing back every non-root hash. Only reachable buckets contribute real
+// content: an invalid child is masked (f ∧ h in the paper), so below the
+// reachable frontier everything is masked, exactly reproducing the on-chip
+// root for untouched memory. A single-bucket tree's root doubles as its
+// leaf and keeps the interior masking, so pristine memory verifies.
+func (t *Tree) pathHash(leaf uint64, cts [][]byte, store bool) Hash {
+	l := t.tree.LeafLevel()
+	if l == 0 {
+		return t.hashNode(t.rootValid, cts[0], Hash{}, Hash{})
 	}
-	// Recompute hashes bottom-up and store them (the paper writes back the
-	// L non-root hashes; the root hash stays on-chip).
-	h := t.leafHash(newCts[l])
-	if l > 0 {
-		t.storeHash(t.tree.PathBucket(leaf, l), h)
+	child := t.tree.PathBucket(leaf, l)
+	h := t.leafHash(cts[l])
+	if store {
+		t.storeHash(child, h)
 	}
 	for d := l - 1; d >= 0; d-- {
 		flat := t.tree.PathBucket(leaf, d)
-		child := t.tree.PathBucket(leaf, d+1)
-		sib := t.tree.Sibling(child)
-		var flags uint8
-		if flat == 0 {
-			flags = t.rootValid
-		} else {
-			flags = t.valid[flat]
-		}
-		var hl, hr Hash
-		if child < sib {
-			hl, hr = h, t.siblingHash(sib)
-		} else {
-			hl, hr = t.siblingHash(sib), h
+		flags := t.flags(flat)
+		hl, hr := h, t.siblingHash(t.tree.Sibling(child))
+		if child%2 == 0 { // the path child is the right child
+			hl, hr = hr, hl
 		}
 		if flags&1 == 0 {
 			hl = Hash{}
@@ -234,13 +165,22 @@ func (t *Tree) UpdatePath(leaf uint64, newCts [][]byte, reach []bool) error {
 		if flags&2 == 0 {
 			hr = Hash{}
 		}
-		h = t.hashNode(flags, newCts[d], hl, hr)
-		if flat != 0 {
+		h = t.hashNode(flags, cts[d], hl, hr)
+		if store && flat != 0 {
 			t.storeHash(flat, h)
 		}
+		child = flat
 	}
-	t.rootHash = h
-	return nil
+	return h
+}
+
+// flags returns a bucket's child-valid bits: on-chip for the root,
+// external for every other bucket.
+func (t *Tree) flags(flat uint64) uint8 {
+	if flat == 0 {
+		return t.rootValid
+	}
+	return t.valid[flat]
 }
 
 // siblingHash reads a sibling hash from external memory (counted toward

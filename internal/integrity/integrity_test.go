@@ -239,10 +239,10 @@ func TestReachabilityFrontier(t *testing.T) {
 			t.Errorf("level %d of untouched path 2 reachable", d)
 		}
 	}
-	if !at.Reachable(tr.PathBucket(5, 3)) {
+	if !at.PathReachability(5)[3] {
 		t.Error("leaf bucket of path 5 should be reachable")
 	}
-	if at.Reachable(tr.PathBucket(2, 2)) {
+	if at.PathReachability(2)[2] {
 		t.Error("level-2 bucket of path 2 should not be reachable")
 	}
 }

@@ -294,8 +294,6 @@ func nextOp(lines *bufio.Reader, req *opRequest) error {
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request, t *Tenant) {
-	// The backlog is read first: every other snapshot flushes the shards
-	// of an AsyncEviction tenant, which would empty it.
 	body := statsBody{
 		Tenant:            t.Name,
 		PendingWriteBacks: t.Client.PendingWriteBacks(),

@@ -21,16 +21,17 @@
 // shard's share runs on the caller, every other share on a goroutine of
 // its own; each share keeps slice order, and results keep input order).
 // Close fences every shard — a request that got the lock first completes,
-// one that did not fails with ErrClosed — and flushes it.
+// one that did not fails with ErrClosed — and stops the pumps; it calls no
+// engine, so completing deferred work and closing the engines is the
+// owner's to do afterwards, through Inspect.
 //
 // With Config.IdleWork enabled each shard keeps one background goroutine,
 // a pump: after a request releases the shard it completes the engine's
 // owed path write-backs one unit per lock hold, stepping aside the moment
 // a request waits for the lock. It never issues background eviction: that
 // runs inline when a stash passes its threshold, or when a caller asks for
-// it through StepBackground. Close flushes first, so the engines are left
-// in a fully written-back state; Inspect runs its function as-is, and a
-// caller that wants a written-back snapshot flushes inside it.
+// it through StepBackground. Inspect runs its function on the engine as it
+// stands, and a caller that wants a written-back engine flushes inside it.
 package shard
 
 import (
@@ -78,10 +79,6 @@ type Engine interface {
 	// calls it, without eviction, once per lock hold; core.BgNone ends the
 	// gap.
 	StepBackground(allowEviction bool) (core.BackgroundWork, error)
-	// Flush completes every pending write-back and fully drains
-	// background eviction, leaving the engine in a state the synchronous
-	// protocol could have produced.
-	Flush() error
 }
 
 // Op selects what a Request does on its shard's engine.
@@ -165,8 +162,7 @@ const lockSpin = 100 * time.Microsecond
 type Config struct {
 	// IdleWork enables the idle-time write-back scheduler: after each
 	// lock hold, the shard's pump completes deferred write-backs until
-	// none is owed or a request waits for the shard again. Close flushes
-	// the engines first, so the final state is always fully written back.
+	// none is owed or a request waits for the shard again.
 	IdleWork bool
 }
 
@@ -223,7 +219,7 @@ type Pool struct {
 	paddingOps     atomic.Uint64
 	idleWriteBacks atomic.Uint64
 
-	// bgErrMu/bgErr record the first background-work or flush error;
+	// bgErrMu/bgErr record the first background-work or inspection error;
 	// Close surfaces it (request errors travel with their requests, but
 	// background work has no caller to report to).
 	bgErrMu sync.Mutex
@@ -258,10 +254,6 @@ func NewPool(engines []Engine, cfg Config) (*Pool, error) {
 
 // NumShards returns the number of engines.
 func (p *Pool) NumShards() int { return len(p.owners) }
-
-// Closed reports whether Close has begun. Read inside Inspect, true means
-// the engine is flushed already or will be before Close returns.
-func (p *Pool) Closed() bool { return p.closed.Load() }
 
 func (p *Pool) owner(s int) (*owner, error) {
 	if s < 0 || s >= len(p.owners) {
@@ -478,8 +470,8 @@ func (p *Pool) runShare(s int, shards []int, reqs []*Request) uint64 {
 // requests, giving fn exclusive access to the engine as it stands: no
 // flush, and the idle pump's owed write-backs wait their turn. An error
 // from fn is returned AND recorded for Close, since several snapshot
-// callers have no error return. After Close fn runs on the quiescent,
-// already flushed engine.
+// callers have no error return. After Close fn runs on the quiescent
+// engine: the pumps are stopped and no request gets in.
 func (p *Pool) Inspect(s int, fn func() error) error {
 	o, err := p.owner(s)
 	if err != nil {
@@ -529,9 +521,10 @@ func (p *Pool) Stats() Stats {
 
 // Close stops accepting requests: it fences every shard by taking its
 // lock — a request that got the lock first completes, every later one
-// fails with ErrClosed — flushes the engine's deferred work, and stops the
-// idle pumps. It returns the first background-work or flush error
-// encountered over the pool's lifetime — such errors have no request to
+// fails with ErrClosed — and stops the idle pumps. It calls no engine:
+// whatever work the engines still owe is the owner's to complete, through
+// Inspect. It returns the first background-work or inspection error
+// recorded over the pool's lifetime — such errors have no request to
 // travel with. Safe to call more than once; later calls wait for the
 // first to finish and report the same error.
 func (p *Pool) Close() error {
@@ -540,16 +533,10 @@ func (p *Pool) Close() error {
 	if !p.closed.Load() {
 		p.closed.Store(true)
 		for i := range p.owners {
-			o := &p.owners[i]
-			o.mu.Lock()
-			// Unconditional: deferred state is not exclusive to idle-work
-			// mode — engines with a position-map lookaside cache hold dirty
-			// labels even under the synchronous protocol — and Flush is a
-			// cheap no-op when nothing is owed.
-			if err := o.engine.Flush(); err != nil {
-				p.noteBackgroundErr(err)
-			}
-			o.mu.Unlock()
+			// The hold is the fence: a request holding the lock finishes
+			// first, and every later one sees closed.
+			p.owners[i].mu.Lock()
+			p.owners[i].mu.Unlock()
 		}
 		if p.done != nil {
 			close(p.done)

@@ -30,7 +30,7 @@ type fakeEngine struct {
 	evictable int  // fake background-eviction budget
 	wbDone    int  // write-backs completed via StepBackground
 	evDone    int  // evictions performed via StepBackground
-	flushes   int  // Flush calls
+	flushes   int  // Flush calls: the pool must never make one
 }
 
 var errFake = errors.New("fake engine failure")
@@ -664,9 +664,11 @@ func TestAsyncIdleWorkDrainsWriteBacks(t *testing.T) {
 	}
 }
 
-// TestAsyncCloseFlushes checks the drain guarantee: Close leaves every
-// engine flushed even when deferred write-backs were outstanding.
-func TestAsyncCloseFlushes(t *testing.T) {
+// TestAsyncCloseOnlyFences checks that Close fences the shards and stops
+// the pumps without calling an engine: the owed work is the owner's to
+// complete afterwards through Inspect, and no pump steps in once Close has
+// returned.
+func TestAsyncCloseOnlyFences(t *testing.T) {
 	p, fakes := newConfiguredPool(t, 2, Config{IdleWork: true})
 	for _, f := range fakes {
 		f.deferring = true
@@ -679,12 +681,24 @@ func TestAsyncCloseFlushes(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
+	left := make([]int, len(fakes))
 	for i, f := range fakes {
-		if f.pending != 0 {
-			t.Errorf("engine %d: %d write-backs pending after Close", i, f.pending)
+		if f.flushes != 0 {
+			t.Errorf("engine %d: Close flushed it %d times", i, f.flushes)
 		}
-		if f.flushes == 0 {
-			t.Errorf("engine %d: never flushed on Close", i)
+		left[i] = f.pending
+	}
+	time.Sleep(5 * time.Millisecond)
+	for i, f := range fakes {
+		var now int
+		if err := p.Inspect(i, func() error { now = f.pending; return f.Flush() }); err != nil {
+			t.Fatal(err)
+		}
+		if now != left[i] {
+			t.Errorf("engine %d: %d write-backs pending at Close, %d later; a pump ran after Close", i, left[i], now)
+		}
+		if f.pending != 0 {
+			t.Errorf("engine %d: %d write-backs pending after the owner's flush", i, f.pending)
 		}
 	}
 }
@@ -751,11 +765,10 @@ func TestAsyncPumpNeverEvicts(t *testing.T) {
 }
 
 // TestSyncPoolNeverTouchesBackground checks that without IdleWork the pool
-// never calls StepBackground mid-run — synchronous engines keep their
-// exact pre-pipelining request behavior. Close still drains through one
-// engine-owned Flush: deferred state is not exclusive to idle-work mode
-// (a position-map lookaside cache holds dirty labels even under the
-// synchronous protocol), and Flush is a no-op when nothing is owed.
+// never calls StepBackground or Flush — synchronous engines keep their
+// exact pre-pipelining request behavior, and Close only fences.
+// Completing deferred state (a position-map lookaside cache holds dirty
+// labels even under the synchronous protocol) is the engine owner's.
 func TestSyncPoolNeverTouchesBackground(t *testing.T) {
 	p, fakes := newTestPool(t, 1)
 	fakes[0].evictable = 5
@@ -774,8 +787,8 @@ func TestSyncPoolNeverTouchesBackground(t *testing.T) {
 	if fakes[0].evDone != 0 || fakes[0].wbDone != 0 {
 		t.Errorf("sync pool ran background work: ev=%d wb=%d", fakes[0].evDone, fakes[0].wbDone)
 	}
-	if fakes[0].flushes != 1 {
-		t.Errorf("close-time drain ran %d flushes, want exactly 1", fakes[0].flushes)
+	if fakes[0].flushes != 0 {
+		t.Errorf("Close ran %d flushes, want none", fakes[0].flushes)
 	}
 }
 
@@ -828,7 +841,6 @@ func (e *ownerEngine) StepBackground(bool) (core.BackgroundWork, error) {
 	e.call("StepBackground", ^uint64(0))
 	return core.BgWriteBack, nil
 }
-func (e *ownerEngine) Flush() error { e.call("Flush", ^uint64(0)); return nil }
 
 // TestOwnerExclusive drives every way into a pool at once — concurrent Do,
 // multi-shard DoBatch, Inspect, InspectAll and the IdleWork pump —

@@ -9,9 +9,10 @@ package storage_test
 // is a byte-exact reference for the fully flushed asynchronous one.
 //
 // The crash model (WALConfig.Fault): the faulted step does not happen
-// and the WAL wedges. With SyncAppends off — the mode under test — the
-// only fault point inside WriteBuckets before acknowledgment is the
-// frame append itself, so after a kill the durable state is exactly
+// and the WAL wedges. Appends are not fsynced one by one (group
+// durability: the log is fsynced at the next checkpoint), so the only
+// fault point inside WriteBuckets before acknowledgment is the frame
+// append itself, and after a kill the durable state is exactly
 //
 //	(acknowledged writes)                    if the kill hit OpAppend,
 //	(acknowledged writes) + (failed frame)   if it hit a checkpoint step

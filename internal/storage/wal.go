@@ -13,7 +13,9 @@ import (
 // pipeline: every WriteBuckets call is serialized into one CRC-framed
 // log record and appended to the log file BEFORE it is acknowledged, and
 // the acknowledged records are held in an in-memory overlay that serves
-// reads. The inner Storage is only touched at checkpoint time (Sync):
+// reads. An append reaches the OS file cache before it is acknowledged
+// and the disk at the next checkpoint's log fsync (group durability).
+// The inner Storage is only touched at checkpoint time (Sync):
 // log fsync -> apply overlay to inner -> inner.Sync -> truncate log.
 // Because the inner tree file therefore never holds un-logged data, the
 // durable state at any instant is exactly (last checkpoint image) +
@@ -84,11 +86,6 @@ type WALConfig struct {
 	// frames, bounding both the overlay and the replay work after a
 	// crash; 0 checkpoints only on explicit Sync (the epoch barrier).
 	CheckpointEvery int
-	// SyncAppends fsyncs the log after every frame, making each
-	// acknowledgment individually durable. The default is group
-	// durability: appends hit the OS file cache immediately and are
-	// fsynced at the next checkpoint.
-	SyncAppends bool
 	// Fault, when non-nil, is consulted before every crash-relevant step
 	// with a monotone sequence number. A non-nil return simulates the
 	// process dying at that point: the step does not happen and the WAL
@@ -268,14 +265,6 @@ func (w *WAL) WriteBuckets(flats []uint64, recs [][]byte) error {
 	w.encodeFrame(flats, recs)
 	if _, err := w.f.Write(w.frameBuf); err != nil {
 		return fmt.Errorf("storage: wal append: %w", err)
-	}
-	if w.cfg.SyncAppends {
-		if err := w.fault(OpSyncLog); err != nil {
-			return err
-		}
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("storage: wal append sync: %w", err)
-		}
 	}
 	// Ack: install in the overlay (reusing buffers from past epochs).
 	for i, flat := range flats {

@@ -154,10 +154,6 @@ type ORAM struct {
 	blocks uint64
 }
 
-// Hierarchy is the pre-one-engine name of a recursive ORAM, kept as an
-// alias so existing *Hierarchy declarations keep compiling.
-type Hierarchy = ORAM
-
 // New builds one bare engine from spec (no serving layer): a flat tree, or
 // under PosMap: PosMapRecursive a recursion chain. Key encrypts a flat tree
 // directly — each level of a chain under a per-level key derived from it —
@@ -169,7 +165,7 @@ type Hierarchy = ORAM
 // be silently inert on one engine, so they are rejected.
 func New(spec Spec) (*ORAM, error) {
 	if spec.Shards > 1 || spec.Partition != PartitionStripe || spec.Padded {
-		return nil, fmt.Errorf("pathoram: New and NewHierarchy build one bare engine; Shards/Partition/Padded parameterize the serving layer (use Open)")
+		return nil, fmt.Errorf("pathoram: New builds one bare engine; Shards/Partition/Padded parameterize the serving layer (use Open)")
 	}
 	p, err := resolve(spec)
 	if err != nil {
@@ -177,12 +173,6 @@ func New(spec Spec) (*ORAM, error) {
 	}
 	// The whole address space, the Spec's key and generator used directly.
 	return p.newEngine(engineSeed{blocks: p.Blocks, key: p.Key, rand: p.Rand, name: "oram"})
-}
-
-// NewHierarchy is New with PosMap: PosMapRecursive implied.
-func NewHierarchy(spec Spec) (*Hierarchy, error) {
-	spec.PosMap = PosMapRecursive
-	return New(spec)
 }
 
 // Read returns a copy of the block at addr (zero-filled if never written).
@@ -321,9 +311,8 @@ func (o *ORAM) LevelStats() []Stats { return o.inner.Stats() }
 // A quiesce point of the engine's timing lane: it returns only once
 // every charge recorded so far has been replayed, so call it from the
 // goroutine that owns the ORAM. Note the counters advance when I/O is
-// *charged*: under AsyncEviction a write-back's cycles land when the flush
-// schedule issues it, so snapshot after Flush (Sharded does this
-// automatically) to see access-complete totals.
+// *charged*: under AsyncEviction a write-back's cycles land when it is
+// issued, so call Flush first to see access-complete totals.
 func (o *ORAM) TimingStats() (TimingStats, bool) { return o.timingStats() }
 
 // ResetStats clears every level's protocol counters and the coordinated

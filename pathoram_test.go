@@ -185,7 +185,8 @@ func TestDeterministicWithSeed(t *testing.T) {
 
 func TestHierarchyEndToEnd(t *testing.T) {
 	for _, enc := range []Encryption{EncryptNone, EncryptCounter} {
-		h, err := NewHierarchy(Spec{
+		h, err := New(Spec{
+			PosMap:          PosMapRecursive,
 			Blocks:          4096,
 			BlockSize:       16,
 			PosBlockSize:    16,
@@ -239,7 +240,8 @@ func TestHierarchyEndToEnd(t *testing.T) {
 }
 
 func TestHierarchyUpdateLoadStore(t *testing.T) {
-	h, err := NewHierarchy(Spec{
+	h, err := New(Spec{
+		PosMap: PosMapRecursive,
 		Blocks: 1024, BlockSize: 8, PosBlockSize: 16,
 		OnChipPosMapMax: 256, Rand: testRand(21),
 	})
@@ -264,10 +266,10 @@ func TestHierarchyUpdateLoadStore(t *testing.T) {
 }
 
 func TestHierarchyValidation(t *testing.T) {
-	if _, err := NewHierarchy(Spec{}); err == nil {
+	if _, err := New(Spec{PosMap: PosMapRecursive}); err == nil {
 		t.Error("zero blocks accepted")
 	}
-	if _, err := NewHierarchy(Spec{Blocks: 10, Encryption: EncryptNone, Integrity: true}); err == nil {
+	if _, err := New(Spec{PosMap: PosMapRecursive, Blocks: 10, Encryption: EncryptNone, Integrity: true}); err == nil {
 		t.Error("integrity without encryption accepted")
 	}
 }

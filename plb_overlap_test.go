@@ -379,9 +379,8 @@ func TestPLBInertOnOneORAMChain(t *testing.T) {
 	recursive := spec
 	recursive.PosMap = PosMapRecursive
 	for name, build := range map[string]func() (Client, error){
-		"New":          func() (Client, error) { return New(recursive) },
-		"NewHierarchy": func() (Client, error) { return NewHierarchy(spec) },
-		"Open":         func() (Client, error) { return Open(recursive) },
+		"New":  func() (Client, error) { return New(recursive) },
+		"Open": func() (Client, error) { return Open(recursive) },
 	} {
 		before := openFDs(t)
 		c, err := build()
@@ -397,8 +396,8 @@ func TestPLBInertOnOneORAMChain(t *testing.T) {
 			t.Errorf("%s: %d descriptors open after the rejection, %d before", name, after, before)
 		}
 	}
-	spec.OnChipPosMapMax = 64
-	h, err := NewHierarchy(spec)
+	recursive.OnChipPosMapMax = 64
+	h, err := New(recursive)
 	if err != nil {
 		t.Fatalf("the same PLB on a real chain: %v", err)
 	}

@@ -74,8 +74,6 @@ type Sharded struct {
 	n         uint64
 	partition Partition
 	padded    bool
-	// async flushes each shard before a snapshot (AsyncEviction).
-	async bool
 	// router is the block→shard position map (PartitionRandom only).
 	router *randomRouter
 	// padDraws picks the uniform target shard of a single PaddingAccess.
@@ -119,7 +117,6 @@ func NewSharded(spec Spec) (_ *Sharded, err error) {
 		n:         n,
 		partition: p.Partition,
 		padded:    p.Padded,
-		async:     p.AsyncEviction,
 		bus:       p.bus,
 		base:      p.Blocks / n,
 		big:       p.Blocks % n,
@@ -154,8 +151,8 @@ func NewSharded(spec Spec) (_ *Sharded, err error) {
 		engines[i] = shardEngine{e}
 	}
 	// Only an untimed shard gets an idle pump: a timed one's write buffer
-	// drains when full, at Flush and at snapshots — points in its own
-	// request stream — so its modeled time is a function of the seed.
+	// drains when full, at Flush and at Close — points in its own request
+	// stream — so its modeled time is a function of the seed.
 	if s.pool, err = shard.NewPool(engines, shard.Config{IdleWork: p.AsyncEviction && p.bus == nil}); err != nil {
 		return nil, err
 	}
@@ -464,8 +461,8 @@ func (s *Sharded) PaddingAccess() error {
 
 // StepBackground performs one unit of deferred work on some shard:
 // scanning from a rotating start, it asks each shard's engine in turn —
-// serialized with that shard's request stream, without the snapshot
-// consistency flush — for one pending write-back completion or (when
+// serialized with that shard's request stream — for one pending
+// write-back completion or (when
 // allowEviction is set) one background-eviction dummy access, returning
 // the first unit performed. BgNone means no shard has anything useful to
 // do. Under AsyncEviction an untimed shard's idle pump completes owed
@@ -588,9 +585,8 @@ func (s *Sharded) batchRequests(addrs []uint64, build func(i int, local uint64) 
 // Stats aggregates the protocol counters across all shards (Stats.Merge
 // semantics: counters sum, stash peaks take the worst shard). Each shard's
 // snapshot is taken under its lock, serialized with that shard's
-// requests. Under AsyncEviction snapshots flush first; a flush failure
-// cannot be reported here (no error return) but is recorded and surfaced
-// by Close — call Flush directly to observe it eagerly.
+// requests. Like every snapshot it observes the shards as they stand:
+// under AsyncEviction, call Flush first for access-complete totals.
 func (s *Sharded) Stats() Stats {
 	var merged Stats
 	for _, st := range s.ShardStats() {
@@ -604,7 +600,7 @@ func (s *Sharded) Stats() Stats {
 // (after Close they read the quiescent shards).
 func (s *Sharded) ShardStats() []Stats {
 	out := make([]Stats, len(s.engines))
-	_ = s.snapshot(func(i int, e *ORAM) { out[i] = e.Stats() })
+	_ = s.each(func(i int, e *ORAM) error { out[i] = e.Stats(); return nil })
 	return out
 }
 
@@ -613,7 +609,7 @@ func (s *Sharded) ShardStats() []Stats {
 // occupancy gauge, not a counter, and survives the reset. The scheduler's
 // own counters are cumulative; diff SchedulerStats snapshots instead.
 func (s *Sharded) ResetStats() {
-	_ = s.snapshot(func(_ int, e *ORAM) { e.ResetStats() })
+	_ = s.each(func(_ int, e *ORAM) error { e.ResetStats(); return nil })
 }
 
 // each runs fn on every shard under its lock, in shard order, and returns
@@ -624,20 +620,6 @@ func (s *Sharded) each(fn func(i int, e *ORAM) error) error {
 		fns[i] = func() error { return fn(i, e) }
 	}
 	return s.pool.InspectAll(fns)
-}
-
-// snapshot is each for an observer: under AsyncEviction every shard is
-// flushed first, so fn sees what the synchronous protocol would show
-// (after Close the shards are quiescent and their files closed, so
-// nothing is flushed). A flush failure is returned, and fn still runs.
-func (s *Sharded) snapshot(fn func(i int, e *ORAM)) error {
-	return s.each(func(i int, e *ORAM) (err error) {
-		if s.async && !s.pool.Closed() {
-			err = e.Flush()
-		}
-		fn(i, e)
-		return err
-	})
 }
 
 // ErrClosed is returned for operations submitted after Close.
@@ -654,18 +636,18 @@ func (s *Sharded) SchedulerStats() SchedulerStats { return s.pool.Stats() }
 // TimingStats returns the shared memory bus's modeled-timing counters: every
 // port of every shard merged (counters sum, the completion frontier takes
 // the max — membus.Stats.Merge semantics, exactly how protocol stats
-// aggregate). The quiesce runs under each shard's lock through the same
-// snapshot path as Stats, and under AsyncEviction each shard flushes first,
-// so the returned cycle counts always include every write-back owed by the
-// traffic observed so far. Every shard's timing lane is quiesced before the
-// bus is read: reading it forces every queued stage through, and forcing it
-// while a shard's lane still holds stages would retire those out of event
-// order. The bool is false under BackendMem.
+// aggregate). Every shard's timing lane is quiesced under its lock before
+// the bus is read: reading it forces every queued stage through, and
+// forcing it while a shard's lane still holds stages would retire those
+// out of event order. Like every snapshot it completes no deferred work:
+// under AsyncEviction a write-back's cycles land when it is issued, so
+// call Flush first for access-complete totals. The bool is false under
+// BackendMem.
 func (s *Sharded) TimingStats() (TimingStats, bool) {
 	if s.bus == nil {
 		return TimingStats{}, false
 	}
-	_ = s.snapshot(func(_ int, e *ORAM) { e.lane.quiesce() })
+	_ = s.each(func(_ int, e *ORAM) error { e.lane.quiesce(); return nil })
 	return s.bus.Stats(), true
 }
 
@@ -683,9 +665,8 @@ func (s *Sharded) Flush() error {
 }
 
 // PendingWriteBacks returns the total number of deferred path write-backs
-// across all shards that have not yet been completed. Unlike the other
-// snapshots it intentionally does NOT flush first — it measures the
-// backlog. Always 0 without AsyncEviction, and after Close or Flush.
+// across all shards that have not yet been completed — the backlog. Always
+// 0 without AsyncEviction, and after Close or Flush.
 func (s *Sharded) PendingWriteBacks() int {
 	counts := make([]int, len(s.engines))
 	_ = s.each(func(i int, e *ORAM) error { counts[i] = e.PendingWriteBacks(); return nil })
@@ -699,7 +680,7 @@ func (s *Sharded) PendingWriteBacks() int {
 // StashSize returns the summed stash occupancy over all shards.
 func (s *Sharded) StashSize() int {
 	sizes := make([]int, len(s.engines))
-	_ = s.snapshot(func(i int, e *ORAM) { sizes[i] = e.StashSize() })
+	_ = s.each(func(i int, e *ORAM) error { sizes[i] = e.StashSize(); return nil })
 	var total int
 	for _, n := range sizes {
 		total += n
@@ -711,7 +692,7 @@ func (s *Sharded) StashSize() int {
 // shards.
 func (s *Sharded) ExternalMemoryBytes() uint64 {
 	sizes := make([]uint64, len(s.engines))
-	_ = s.snapshot(func(i int, e *ORAM) { sizes[i] = e.ExternalMemoryBytes() })
+	_ = s.each(func(i int, e *ORAM) error { sizes[i] = e.ExternalMemoryBytes(); return nil })
 	var total uint64
 	for _, n := range sizes {
 		total += n
@@ -721,18 +702,17 @@ func (s *Sharded) ExternalMemoryBytes() uint64 {
 
 // Close stops accepting new requests, waits until every request already
 // running has completed (in-flight work is drained, never dropped),
-// stops the shards' idle pumps, and closes every shard's engine (under
-// BackendFile that checkpoints and closes the per-shard tree files and
-// WALs). Operations submitted after Close fail with ErrClosed. Close is
-// idempotent; Stats and ShardStats keep working on the quiescent shards
-// afterwards. The FIRST error — pool drain or any shard's backend — is
-// the one reported, even when later shards close cleanly.
+// stops the shards' idle pumps, and then closes every shard's engine under
+// its lock: each completes its deferred work and, under BackendFile, takes
+// one final checkpoint and closes its tree files and WALs. Operations
+// submitted after Close fail with ErrClosed. Close is idempotent; Stats
+// and ShardStats keep working on the quiescent shards afterwards. The
+// FIRST error — pool drain or any shard's engine — is the one reported,
+// even when later shards close cleanly.
 func (s *Sharded) Close() error {
 	err := s.pool.Close()
-	for _, e := range s.engines {
-		if cerr := e.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := s.each(func(_ int, e *ORAM) error { return e.Close() }); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -212,9 +214,8 @@ func TestAsyncConcurrentClientsDrainOnClose(t *testing.T) {
 }
 
 // TestAsyncInspectSnapshotsConsistent takes stats snapshots while async
-// traffic is in flight: because inspections flush first, the snapshot
-// must never show deferred remainders, and the occupancy gauge must stay
-// exact.
+// traffic is in flight: the occupancy gauge must stay exact whether or not
+// write-backs are still owed, and a Flush must leave none.
 func TestAsyncInspectSnapshotsConsistent(t *testing.T) {
 	const blocks = 256
 	s, err := NewSharded(asyncConfig(4, blocks, PartitionStripe, 31))
@@ -236,8 +237,11 @@ func TestAsyncInspectSnapshotsConsistent(t *testing.T) {
 			if got, want := st.BlocksInORAM, uint64(len(written)); got != want {
 				t.Fatalf("op %d: snapshot BlocksInORAM = %d, want %d", i, got, want)
 			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
 			if n := s.PendingWriteBacks(); n != 0 {
-				t.Fatalf("op %d: %d write-backs survived the snapshot flush", i, n)
+				t.Fatalf("op %d: %d write-backs survived Flush", i, n)
 			}
 		}
 	}
@@ -391,12 +395,11 @@ func TestAsyncIdlePumpOwesWriteBacksOnly(t *testing.T) {
 	}
 }
 
-// TestAsyncSnapshotsFlushFirst: every Sharded snapshot flushes each shard
-// before it reads, so it observes what the synchronous protocol would
-// show, while PendingWriteBacks, the backlog gauge, does not flush. A
-// timed pool has no idle pump, so its backlog holds still until a
-// snapshot drains it.
-func TestAsyncSnapshotsFlushFirst(t *testing.T) {
+// TestAsyncSnapshotsReadOnly: a Sharded snapshot observes the shards as
+// they stand and completes no deferred work, exactly like the bare
+// engine's. A timed pool has no idle pump, so its backlog holds still
+// across every snapshot method until a Flush drains it.
+func TestAsyncSnapshotsReadOnly(t *testing.T) {
 	s, err := NewSharded(dramConfig(2, 256, PartitionStripe, true, 21))
 	if err != nil {
 		t.Fatal(err)
@@ -423,13 +426,151 @@ func TestAsyncSnapshotsFlushFirst(t *testing.T) {
 		if before == 0 {
 			t.Fatalf("%s: nothing deferred before the snapshot", snap.name)
 		}
-		if again := s.PendingWriteBacks(); again != before {
-			t.Fatalf("%s: the backlog gauge moved the backlog: %d then %d", snap.name, before, again)
-		}
 		snap.take()
-		if n := s.PendingWriteBacks(); n != 0 {
-			t.Errorf("%s left %d write-backs pending", snap.name, n)
+		if n := s.PendingWriteBacks(); n != before {
+			t.Errorf("%s moved the backlog: %d then %d", snap.name, before, n)
 		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.PendingWriteBacks(); n != 0 {
+		t.Errorf("Flush left %d write-backs pending", n)
+	}
+}
+
+// walBytes sums the sizes of the write-ahead logs in dir, and fails the
+// test if there are none.
+func walBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.wal"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no WAL files in %s (%v)", dir, err)
+	}
+	var total int64
+	for _, name := range names {
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += fi.Size()
+	}
+	return total
+}
+
+// asyncWALSpec is a 2-shard file-backed client with a WAL and deferred
+// write-back: the durable configuration oram-server recommends.
+func asyncWALSpec(dir string) Spec {
+	return Spec{Blocks: 256, BlockSize: 16, Shards: 2, Key: goldenKey,
+		Backend: BackendFile, Dir: dir, WAL: true, AsyncEviction: true}
+}
+
+// TestAsyncFileSnapshotsTakeNoCheckpoint: on a file+WAL client a snapshot
+// is not a durability epoch — it neither completes write-backs nor
+// checkpoints a log — and Flush is. The idle pumps complete the owed
+// write-backs on their own, so the test waits for them and then pins
+// what the snapshots leave.
+func TestAsyncFileSnapshotsTakeNoCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewSharded(asyncWALSpec(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for a := uint64(0); a < 20; a++ {
+		if err := s.Write(a, make([]byte, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.PendingWriteBacks() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the idle pumps left %d write-backs owed", s.PendingWriteBacks())
+		}
+	}
+	logged := walBytes(t, dir)
+	if logged == 0 {
+		t.Fatal("20 writes logged nothing")
+	}
+	for _, snap := range []struct {
+		name string
+		take func()
+	}{
+		{"Stats", func() { s.Stats() }},
+		{"StashSize", func() { s.StashSize() }},
+		{"ExternalMemoryBytes", func() { s.ExternalMemoryBytes() }},
+	} {
+		snap.take()
+		if n := walBytes(t, dir); n != logged {
+			t.Errorf("%s moved the WALs: %d bytes, then %d", snap.name, logged, n)
+		}
+		if n := s.PendingWriteBacks(); n != 0 {
+			t.Errorf("%s: %d write-backs pending", snap.name, n)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := walBytes(t, dir); n != 0 {
+		t.Errorf("Flush left %d WAL bytes", n)
+	}
+}
+
+// TestAsyncCloseCompletesDeferredWork: the pool's Close only fences, so
+// Sharded.Close is where deferred work completes — each engine's own
+// Close, under its shard's lock. A pump-less timed client enters Close
+// with write-backs owed and leaves with none, a file+WAL client leaves
+// every log empty, and a Stats racing Close reads one side of it or the
+// other.
+func TestAsyncCloseCompletesDeferredWork(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec func(dir string) Spec
+	}{
+		{"dram", func(string) Spec { return dramConfig(2, 256, PartitionStripe, true, 21) }},
+		{"file-wal", asyncWALSpec},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := NewSharded(tc.spec(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a := uint64(0); a < 20; a++ {
+				if err := s.Write(a, make([]byte, 16)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.name == "dram" && s.PendingWriteBacks() == 0 {
+				t.Fatal("nothing deferred before Close")
+			}
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						s.Stats()
+						s.TimingStats()
+					}
+				}
+			}()
+			err = s.Close()
+			close(stop)
+			<-done
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := s.PendingWriteBacks(); n != 0 {
+				t.Errorf("%d write-backs pending after Close", n)
+			}
+			if tc.name == "file-wal" {
+				if n := walBytes(t, dir); n != 0 {
+					t.Errorf("%d WAL bytes left after Close", n)
+				}
+			}
+		})
 	}
 }
 

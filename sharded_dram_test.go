@@ -337,11 +337,12 @@ func TestDRAMConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestDRAMShardedTimingStatsFlushes: under AsyncEviction a Sharded timing
-// snapshot flushes every shard before it reads the bus, so it already
-// charges every write-back the traffic owed (one per path read, and a Flush
-// after it adds nothing); an untimed Sharded reports no timing at all.
-func TestDRAMShardedTimingStatsFlushes(t *testing.T) {
+// TestDRAMShardedTimingStatsAfterFlush: under AsyncEviction a Sharded
+// timing snapshot completes nothing — before a Flush it charges no
+// write-back and leaves every one owed — and after the Flush it charges
+// every write-back the traffic owed (one per path read), and a second
+// Flush adds nothing; an untimed Sharded reports no timing at all.
+func TestDRAMShardedTimingStatsAfterFlush(t *testing.T) {
 	cfg := dramConfig(2, 256, PartitionStripe, true, 17)
 	cfg.MaxDeferredWriteBacks = 64
 	s, err := NewSharded(cfg)
@@ -357,21 +358,28 @@ func TestDRAMShardedTimingStatsFlushes(t *testing.T) {
 	if err := s.WriteBatch(addrs, data); err != nil {
 		t.Fatal(err)
 	}
-	ts, ok := s.TimingStats()
+	early, ok := s.TimingStats()
 	if !ok {
 		t.Fatal("DRAM backend reported no timing stats")
 	}
-	if ts.PathReads == 0 || ts.PathWrites != ts.PathReads {
-		t.Errorf("snapshot charged %d write-backs for %d path reads", ts.PathWrites, ts.PathReads)
+	if early.PathReads == 0 || early.PathWrites != 0 {
+		t.Errorf("snapshot before Flush charged %d write-backs for %d path reads", early.PathWrites, early.PathReads)
 	}
-	if n := s.PendingWriteBacks(); n != 0 {
-		t.Errorf("%d write-backs survived the snapshot flush", n)
+	if n := s.PendingWriteBacks(); n != len(addrs) {
+		t.Errorf("%d write-backs pending after the snapshot, want %d", n, len(addrs))
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := s.TimingStats()
+	if ts.PathWrites != ts.PathReads || ts.PathReads != early.PathReads {
+		t.Errorf("after Flush: %d write-backs for %d path reads (%d before)", ts.PathWrites, ts.PathReads, early.PathReads)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if again, _ := s.TimingStats(); again != ts {
-		t.Errorf("Flush after a snapshot charged more:\n%+v\nthen\n%+v", ts, again)
+		t.Errorf("a second Flush charged more:\n%+v\nthen\n%+v", ts, again)
 	}
 
 	memCfg := dramConfig(2, 256, PartitionStripe, true, 17)

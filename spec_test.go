@@ -76,13 +76,8 @@ func TestSpecRules(t *testing.T) {
 		if spec.Shards > 1 || spec.Partition != PartitionStripe || spec.PosMap > PosMapRecursive {
 			continue
 		}
-		if spec.PosMap == PosMapRecursive {
-			_, err = NewHierarchy(spec)
-			check("NewHierarchy", err)
-		} else {
-			_, err = New(spec)
-			check("New", err)
-		}
+		_, err = New(spec)
+		check("New", err)
 	}
 }
 
@@ -99,41 +94,20 @@ func TestSpecBareConstructorsRejectServingAxes(t *testing.T) {
 		if _, err := New(spec); err == nil {
 			t.Errorf("%s: New accepted a serving-layer knob", name)
 		}
-		if _, err := NewHierarchy(spec); err == nil {
-			t.Errorf("%s: NewHierarchy accepted a serving-layer knob", name)
-		}
 		if c, err := Open(spec); err != nil {
 			t.Errorf("%s: Open rejected it: %v", name, err)
 		} else {
 			c.Close()
 		}
 	}
-	// One engine: New honours PosMap, and NewHierarchy is New with
-	// PosMapRecursive implied — the same seeded spec walks the same
-	// (level, leaf) trace through either, on a real chain.
-	walk := func(build func(Spec) (*ORAM, error), spec Spec) (trace []uint64) {
-		spec.Rand = rand.New(rand.NewSource(5))
-		spec.OnPathAccess = func(_, level int, leaf uint64) { trace = append(trace, uint64(level), leaf) }
-		o, err := build(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer o.Close()
-		if n := o.NumORAMs(); n < 3 {
-			t.Fatalf("chain of %d ORAMs, want at least 3", n)
-		}
-		for a := uint64(0); a < 200; a++ {
-			if err := o.Write(a*7%512, make([]byte, 8)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return trace
+	// One engine: New honours PosMap — a recursive spec builds a chain.
+	o, err := New(Spec{Blocks: 512, BlockSize: 8, PosMap: PosMapRecursive, PosBlockSize: 16, OnChipPosMapMax: 64})
+	if err != nil {
+		t.Fatal(err)
 	}
-	spec := Spec{Blocks: 512, BlockSize: 8, PosBlockSize: 16, OnChipPosMapMax: 64}
-	viaHierarchy := walk(NewHierarchy, spec)
-	spec.PosMap = PosMapRecursive
-	if viaNew := walk(New, spec); !reflect.DeepEqual(viaNew, viaHierarchy) {
-		t.Error("New(PosMapRecursive) and NewHierarchy walked different (level, leaf) traces")
+	defer o.Close()
+	if n := o.NumORAMs(); n < 3 {
+		t.Errorf("chain of %d ORAMs, want at least 3", n)
 	}
 }
 
@@ -328,8 +302,8 @@ func TestSpecValidationGapsClosed(t *testing.T) {
 	if _, err := New(Config{Blocks: 64, BlockSize: 8, Key: key32}); err == nil {
 		t.Error("New accepted a 32-byte key")
 	}
-	if _, err := NewHierarchy(Spec{Blocks: 64, BlockSize: 8, Key: key32}); err == nil {
-		t.Error("NewHierarchy accepted a 32-byte key")
+	if _, err := New(Spec{PosMap: PosMapRecursive, Blocks: 64, BlockSize: 8, Key: key32}); err == nil {
+		t.Error("New accepted a 32-byte key on a recursive spec")
 	}
 	// DRAMChannels 0 is the accepted default, so the bound is 0, not 1.
 	_, err := New(Config{Blocks: 64, BlockSize: 8, Backend: BackendDRAM, DRAMChannels: -1})
