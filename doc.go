@@ -90,7 +90,8 @@
 //     on the modeled channels (the Figure 5 orderings between shards).
 //   - internal/cache, internal/cpu — the processor model of Table 1: the
 //     exclusive L1/L2 hierarchy and the in-order core timing model whose
-//     line memory is DRAM or ORAM (Sections 3.3.1 and 4.3).
+//     line memory is DRAM or ORAM (Sections 3.3.1 and 4.3). The
+//     set-associative LRU in internal/cache is also the PLB's.
 //   - internal/trace — synthetic instruction/memory streams standing in
 //     for the SPEC2006 traces (Section 4.3, Figure 12).
 //   - internal/hide — the HIDE-style chunk permuter used as the paper's

@@ -198,8 +198,8 @@ func TestHierarchyTimedBackend(t *testing.T) {
 		cfg.Backend = BackendDRAM
 		cfg.DRAMChannels = 2
 	})
-	if len(h.ports) != h.NumORAMs() {
-		t.Fatalf("%d ports for %d levels", len(h.ports), h.NumORAMs())
+	if ports := h.bus.ShardStats(); len(ports) != h.NumORAMs() {
+		t.Fatalf("%d ports for %d levels", len(ports), h.NumORAMs())
 	}
 	rng := rand.New(rand.NewSource(44))
 	for i := 0; i < 200; i++ {
@@ -226,8 +226,8 @@ func TestHierarchyTimedBackend(t *testing.T) {
 	// shared frontier, and the per-level regions are disjoint (attach
 	// order fixed), so the merged DRAM view reproduces the bus totals.
 	var merged TimingStats
-	for _, p := range h.ports {
-		merged = merged.Merge(p.Stats())
+	for _, p := range h.bus.ShardStats() {
+		merged = merged.Merge(p)
 	}
 	if merged.DRAM != ts.DRAM {
 		t.Errorf("merged port DRAM stats %+v != TimingStats %+v", merged.DRAM, ts.DRAM)

@@ -94,15 +94,7 @@ func Run(cfg Config, gen trace.Generator, mem LineMemory, instructions uint64) (
 // initialization code before measuring, Section 4.3), then measures
 // `instructions` instructions.
 func RunWithWarmup(cfg Config, gen trace.Generator, mem LineMemory, warmup, instructions uint64) (Result, error) {
-	l1, err := cache.New(cfg.L1SizeBytes, cfg.L1Ways, cfg.LineBytes)
-	if err != nil {
-		return Result{}, err
-	}
-	l2, err := cache.New(cfg.L2SizeBytes, cfg.L2Ways, cfg.LineBytes)
-	if err != nil {
-		return Result{}, err
-	}
-	h, err := cache.NewHierarchy(l1, l2)
+	h, err := cache.NewHierarchy(cfg.L1SizeBytes, cfg.L1Ways, cfg.L2SizeBytes, cfg.L2Ways, cfg.LineBytes)
 	if err != nil {
 		return Result{}, err
 	}
@@ -138,14 +130,14 @@ func RunWithWarmup(cfg Config, gen trace.Generator, mem LineMemory, warmup, inst
 			now = ready
 			if sibling != NoSibling {
 				for _, v := range h.InsertPrefetch(sibling) {
-					mem.Writeback(now, v.LineAddr, v.Dirty)
+					mem.Writeback(now, v.Key, v.Dirty)
 					res.Writebacks++
 				}
 				res.Prefetches++
 			}
 		}
 		for _, v := range r.Victims {
-			mem.Writeback(now, v.LineAddr, v.Dirty)
+			mem.Writeback(now, v.Key, v.Dirty)
 			res.Writebacks++
 		}
 	}

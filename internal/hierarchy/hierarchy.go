@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/cache"
 	"repro/internal/core"
 )
 
@@ -144,7 +145,7 @@ type ORAM struct {
 	chainLevels  uint64
 	chainSamples uint64
 	chainHist    []uint64
-	plbScratch   []plbEntry // flush-time dirty-entry buffer (reused)
+	plbScratch   []cache.Entry[uint32] // flush-time dirty-entry buffer (reused)
 }
 
 // New sizes and assembles the chain.
@@ -361,8 +362,9 @@ func (h *ORAM) Stats() []core.Stats {
 			continue
 		}
 		s := &out[m.level+1]
-		s.PLBHits += m.plb.hits
-		s.PLBMisses += m.plb.misses
+		hits, misses := m.plb.Stats()
+		s.PLBHits += hits
+		s.PLBMisses += misses
 		s.PLBWriteBacks += m.plb.writeBacks
 	}
 	out[0].ChainLevels += h.chainLevels
@@ -410,7 +412,8 @@ func (h *ORAM) ResetStats() {
 		if m != nil && m.plb != nil {
 			// Counters only: cached labels are protocol state, and dropping
 			// them at a measurement boundary would change behavior.
-			m.plb.resetStats()
+			m.plb.ResetStats()
+			m.plb.writeBacks = 0
 		}
 	}
 }
@@ -576,17 +579,17 @@ func (h *ORAM) plbFlush() error {
 		if m == nil || m.plb == nil {
 			continue
 		}
-		h.plbScratch = m.plb.dirtyEntries(h.plbScratch[:0])
+		h.plbScratch = m.plb.AppendDirty(h.plbScratch[:0])
 		for _, e := range h.plbScratch {
 			m.plb.writeBacks++
 			if h.cfg.OnRoundStart != nil {
 				h.cfg.OnRoundStart()
 			}
-			if err := m.writeLabel(e.group, e.leaf); err != nil {
+			if err := m.writeLabel(e.Key, e.Val); err != nil {
 				return err
 			}
 		}
-		m.plb.invalidate()
+		m.plb.Clear()
 	}
 	return nil
 }
@@ -631,19 +634,17 @@ type oramPosMap struct {
 // victim of the insert is written back exactly as cached.
 func (m *oramPosMap) Access(group uint64) (old, new uint32, err error) {
 	if m.plb != nil {
-		if e := m.plb.lookup(group); e != nil {
-			m.plb.hits++
+		if e := m.plb.Find(group); e != nil {
 			// Remap in the cache alone: the backing copy goes stale.
-			old = e.leaf
-			e.leaf, e.dirty = uint32(m.src.Leaf(m.numLeaves)), true
+			old = e.Val
+			e.Val, e.Dirty = uint32(m.src.Leaf(m.numLeaves)), true
 			if m.h.cfg.PLBConstantShape {
 				if err := m.h.pad(m.level + 1); err != nil {
 					return 0, 0, err
 				}
 			}
-			return old, e.leaf, nil
+			return old, e.Val, nil
 		}
-		m.plb.misses++
 	}
 	newLeaf := uint32(m.src.Leaf(m.numLeaves))
 	blk := group / m.labelsPerBlock
@@ -662,12 +663,12 @@ func (m *oramPosMap) Access(group uint64) (old, new uint32, err error) {
 		return 0, 0, err
 	}
 	if m.plb != nil {
-		if victim, dirty := m.plb.insert(group, newLeaf); dirty {
+		if victim, evicted := m.plb.Put(group, newLeaf, false); evicted && victim.Dirty {
 			// The evicted label is the only live copy of that group's
 			// mapping; write it back verbatim (no remap — the group is not
 			// being accessed, its block stays on the cached leaf's path).
 			m.plb.writeBacks++
-			if err := m.writeLabel(victim.group, victim.leaf); err != nil {
+			if err := m.writeLabel(victim.Key, victim.Val); err != nil {
 				return 0, 0, err
 			}
 		}

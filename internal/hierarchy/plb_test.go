@@ -25,56 +25,16 @@ func TestPLBSizing(t *testing.T) {
 	}
 	for _, budget := range []uint64{1, 47, 48, 100, 1 << 10, 1 << 16} {
 		c := newPLB(budget)
-		if len(c.entries) < plbWays {
-			t.Errorf("budget %d: %d entries, want at least one full set", budget, len(c.entries))
+		if c.Cap() < plbWays {
+			t.Errorf("budget %d: %d entries, want at least one full set", budget, c.Cap())
 		}
-		if sets := len(c.entries) / plbWays; sets&(sets-1) != 0 {
+		if sets := c.Cap() / plbWays; sets&(sets-1) != 0 {
 			t.Errorf("budget %d: %d sets, want a power of two", budget, sets)
 		}
 		// Above the one-set minimum the provision must respect the budget.
 		if budget >= 2*plbWays*plbEntryBytes && c.sizeBytes() > budget {
 			t.Errorf("budget %d: provisioned %dB", budget, c.sizeBytes())
 		}
-	}
-}
-
-// TestPLBLRUReplacement drives one set directly: the least-recently-used
-// way is the victim, and a lookup refreshes recency.
-func TestPLBLRUReplacement(t *testing.T) {
-	c := newPLB(plbWays * plbEntryBytes) // exactly one set
-	if sets := len(c.entries) / c.ways; sets != 1 {
-		t.Fatalf("%d sets, want 1", sets)
-	}
-	for g := uint64(0); g < uint64(c.ways); g++ {
-		if v, dirty := c.insert(g, uint32(g)); dirty {
-			t.Fatalf("inserting %d into a non-full set evicted dirty %+v", g, v)
-		}
-	}
-	// Touch group 0 so group 1 becomes LRU, then overflow the set.
-	if e := c.lookup(0); e == nil || e.group != 0 || e.leaf != 0 {
-		t.Fatalf("resident group 0 looked up as %+v", e)
-	}
-	if v, dirty := c.insert(99, 99); dirty || !v.valid || v.group != 1 {
-		t.Fatalf("victim %+v dirty=%v, want clean group 1 (LRU)", v, dirty)
-	}
-	if c.lookup(1) != nil {
-		t.Error("evicted group 1 still hits")
-	}
-	for _, g := range []uint64{0, 2, 3, 99} {
-		if c.lookup(g) == nil {
-			t.Errorf("resident group %d missed", g)
-		}
-	}
-	// A remap through the looked-up entry marks it dirty in place; the
-	// dirty victim must surface on evict. The lookup itself refreshed
-	// group 2's recency, so three more lookups make it LRU again.
-	e := c.lookup(2)
-	e.leaf, e.dirty = 42, true
-	c.lookup(0)
-	c.lookup(3)
-	c.lookup(99)
-	if v, dirty := c.insert(100, 100); !dirty || v.group != 2 || v.leaf != 42 {
-		t.Fatalf("victim %+v dirty=%v, want dirty group 2 leaf 42", v, dirty)
 	}
 }
 
@@ -191,7 +151,7 @@ func TestPLBFlushWriteBackAndInvalidate(t *testing.T) {
 	}
 	dirtyBefore := 0
 	for _, m := range h.posMaps {
-		dirtyBefore += len(m.plb.dirtyEntries(nil))
+		dirtyBefore += len(m.plb.AppendDirty(nil))
 	}
 	if dirtyBefore == 0 {
 		t.Fatal("workload left no dirty PLB entries; flush has nothing to prove")
@@ -200,13 +160,11 @@ func TestPLBFlushWriteBackAndInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, m := range h.posMaps {
-		if d := m.plb.dirtyEntries(nil); len(d) != 0 {
+		if d := m.plb.AppendDirty(nil); len(d) != 0 {
 			t.Errorf("interface %d: %d dirty entries survived Flush", i, len(d))
 		}
-		for _, e := range m.plb.entries {
-			if e.valid {
-				t.Errorf("interface %d: entry %+v survived invalidation", i, e)
-			}
+		if n := m.plb.Len(); n != 0 {
+			t.Errorf("interface %d: %d entries survived invalidation", i, n)
 		}
 	}
 	var wb uint64
@@ -307,13 +265,14 @@ func TestPLBStatsPlumbing(t *testing.T) {
 	}
 	for i, m := range h.posMaps {
 		s := st[m.level+1]
-		if s.PLBHits != m.plb.hits || s.PLBMisses != m.plb.misses || s.PLBWriteBacks != m.plb.writeBacks {
+		if hits, misses := m.plb.Stats(); s.PLBHits != hits || s.PLBMisses != misses || s.PLBWriteBacks != m.plb.writeBacks {
 			t.Errorf("interface %d counters not overlaid on level %d: %+v", i, m.level+1, s)
 		}
 	}
 	hitsBefore := uint64(0)
 	for _, m := range h.posMaps {
-		hitsBefore += m.plb.hits
+		hits, _ := m.plb.Stats()
+		hitsBefore += hits
 	}
 	if hitsBefore == 0 {
 		t.Fatal("narrow workload produced no hits")
@@ -337,7 +296,8 @@ func TestPLBStatsPlumbing(t *testing.T) {
 	}
 	var hitsAfter uint64
 	for _, m := range h.posMaps {
-		hitsAfter += m.plb.hits
+		hits, _ := m.plb.Stats()
+		hitsAfter += hits
 	}
 	if hitsAfter == 0 {
 		t.Error("ResetStats dropped cached labels; it must only clear counters")

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/encrypt"
@@ -230,7 +231,7 @@ func (p *plan) newEngine(e engineSeed) (_ *ORAM, err error) {
 		// Modeled time is replayed one step behind the protocol: the ports
 		// and round starts are reached only through the engine's lane.
 		chain = p.bus.NewChain(p.Overlap)
-		o.lane = &timingLane{round: chain.RoundStart}
+		o.bus, o.lane = p.bus, &timingLane{round: chain.RoundStart}
 	}
 	cfg := hierarchy.Config{
 		Blocks:                e.blocks,
@@ -274,7 +275,6 @@ func (p *plan) newEngine(e engineSeed) (_ *ORAM, err error) {
 		if err != nil {
 			return nil, err
 		}
-		o.ports = append(o.ports, port)
 		return core.NewTimedStore(t.store, o.lane.attach(port))
 	}
 	if o.inner, err = hierarchy.New(cfg); err != nil {
@@ -328,11 +328,7 @@ func (p *plan) leafLevel(blocks uint64) int {
 		return p.LeafLevel
 	}
 	slots := uint64(float64(blocks) / p.Utilization)
-	l := 0
-	for uint64(p.Z)*(1<<uint(l+1)-1) < max(slots, blocks) && l < treemath.MaxLeafLevel {
-		l++
-	}
-	return l
+	return analysis.MinLevelsForBlocks(max(slots, blocks), p.Z)
 }
 
 // tree is one bucket tree's storage stack, as built by buildTree.
@@ -439,10 +435,12 @@ func deriveKey(master []byte, level int) ([]byte, error) {
 // construction order: one entry per level of its chain (smallest
 // position-map ORAM first, data ORAM last) — one in all for a flat ORAM.
 type trees struct {
-	// ports holds one membus port per tree under BackendDRAM, and lane the
-	// replay lane every charge reaches them through (nil otherwise).
-	ports []*membus.Port
-	lane  *timingLane
+	// bus is the construction's memory bus under BackendDRAM (a bare
+	// engine's own; every shard's shared one), where each tree has a port,
+	// and lane the replay lane every charge reaches them through (both nil
+	// otherwise).
+	bus  *membus.Bus
+	lane *timingLane
 	// footprints collects the per-tree external-memory accountants.
 	footprints []interface{ MemoryBytes() uint64 }
 	// persists holds each tree's durable storage under BackendFile.
@@ -492,18 +490,14 @@ func (ts *trees) externalMemoryBytes() uint64 {
 	return total
 }
 
-// timingStats merges the modeled memory-timing counters over the trees'
-// ports (counters sum, the completion frontier takes the max), after the
+// timingStats reads the bus's modeled memory-timing counters (every port
+// merged: counters sum, the completion frontier takes the max), after the
 // lane has replayed every charge recorded so far. The bool is false when no
 // model is attached.
 func (ts *trees) timingStats() (TimingStats, bool) {
-	if len(ts.ports) == 0 {
+	if ts.bus == nil {
 		return TimingStats{}, false
 	}
 	ts.lane.quiesce()
-	var merged TimingStats
-	for _, p := range ts.ports {
-		merged = merged.Merge(p.Stats())
-	}
-	return merged, true
+	return ts.bus.Stats(), true
 }

@@ -291,11 +291,7 @@ func (s *Sharded) NumORAMs() int {
 // final (smallest) map per shard for hierarchical ones. Fixed at
 // construction, so it reads without serializing against traffic.
 func (s *Sharded) OnChipPositionMapBytes() uint64 {
-	var total uint64
-	for _, e := range s.engines {
-		total += e.OnChipPositionMapBytes()
-	}
-	return total
+	return sumFixed(s, (*ORAM).OnChipPositionMapBytes)
 }
 
 // OnChipBytes returns the summed trusted-memory provision across shards:
@@ -305,13 +301,7 @@ func (s *Sharded) OnChipPositionMapBytes() uint64 {
 // the posmap term is roughly constant for flat shards and bounded per
 // shard for recursive ones. Fixed at construction, so it reads without
 // serializing against traffic.
-func (s *Sharded) OnChipBytes() uint64 {
-	var total uint64
-	for _, e := range s.engines {
-		total += e.OnChipBytes()
-	}
-	return total
-}
+func (s *Sharded) OnChipBytes() uint64 { return sumFixed(s, (*ORAM).OnChipBytes) }
 
 // Read returns a copy of the block at addr (zero-filled if never written).
 // One oblivious path access on the owning shard — two under
@@ -622,6 +612,23 @@ func (s *Sharded) each(fn func(i int, e *ORAM) error) error {
 	return s.pool.InspectAll(fns)
 }
 
+// sumLocked sums f over the shards, each read under its own shard's lock.
+func sumLocked[T int | uint64](s *Sharded, f func(*ORAM) T) T {
+	var total T
+	_ = s.each(func(_ int, e *ORAM) error { total += f(e); return nil })
+	return total
+}
+
+// sumFixed sums f over the shards for a value fixed at construction, which
+// reads without serializing against traffic.
+func sumFixed[T int | uint64](s *Sharded, f func(*ORAM) T) T {
+	var total T
+	for _, e := range s.engines {
+		total += f(e)
+	}
+	return total
+}
+
 // ErrClosed is returned for operations submitted after Close.
 var ErrClosed = shard.ErrClosed
 
@@ -667,37 +674,15 @@ func (s *Sharded) Flush() error {
 // PendingWriteBacks returns the total number of deferred path write-backs
 // across all shards that have not yet been completed — the backlog. Always
 // 0 without AsyncEviction, and after Close or Flush.
-func (s *Sharded) PendingWriteBacks() int {
-	counts := make([]int, len(s.engines))
-	_ = s.each(func(i int, e *ORAM) error { counts[i] = e.PendingWriteBacks(); return nil })
-	var total int
-	for _, n := range counts {
-		total += n
-	}
-	return total
-}
+func (s *Sharded) PendingWriteBacks() int { return sumLocked(s, (*ORAM).PendingWriteBacks) }
 
 // StashSize returns the summed stash occupancy over all shards.
-func (s *Sharded) StashSize() int {
-	sizes := make([]int, len(s.engines))
-	_ = s.each(func(i int, e *ORAM) error { sizes[i] = e.StashSize(); return nil })
-	var total int
-	for _, n := range sizes {
-		total += n
-	}
-	return total
-}
+func (s *Sharded) StashSize() int { return sumLocked(s, (*ORAM).StashSize) }
 
 // ExternalMemoryBytes returns the summed external storage footprint of all
 // shards.
 func (s *Sharded) ExternalMemoryBytes() uint64 {
-	sizes := make([]uint64, len(s.engines))
-	_ = s.each(func(i int, e *ORAM) error { sizes[i] = e.ExternalMemoryBytes(); return nil })
-	var total uint64
-	for _, n := range sizes {
-		total += n
-	}
-	return total
+	return sumLocked(s, (*ORAM).ExternalMemoryBytes)
 }
 
 // Close stops accepting new requests, waits until every request already
