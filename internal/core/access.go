@@ -104,13 +104,12 @@ func (o *ORAM) Update(addr uint64, fn func(data []byte)) error {
 		// Update channel); the lookup itself still uses the fixed-length
 		// scan in constant-time mode.
 		if i := o.stashFind(addr); i >= 0 {
-			fn(o.stash.entries[i].Data)
+			fn(o.stash.payload(i))
 			return nil
 		}
-		d := o.stash.take()
+		d := o.stash.add(addr, newLeaf)
 		o.fillFresh(d)
 		fn(d)
-		o.stash.insert(addr, newLeaf, d)
 		o.stats.BlocksInORAM++
 		return nil
 	})
@@ -135,9 +134,9 @@ func (o *ORAM) Load(addr uint64) (data []byte, found bool, group []Slot, err err
 		// A single stable sweep (extractRange) removes every resident group
 		// member; an index walk over a swap-delete could skip entries when
 		// removal moved an unvisited group member into the just-vacated
-		// index. The extracted payloads leave stash ownership and travel to
-		// the processor with the checked-out blocks, each tagged with the
-		// group's fresh leaf.
+		// index. Copies of the extracted payloads travel to the processor
+		// with the checked-out blocks, each tagged with the group's fresh
+		// leaf.
 		o.stash.extractRange(lo, hi, func(e Slot) {
 			o.checkedOut[e.Addr] = newLeaf
 			o.stats.BlocksInORAM--
@@ -174,7 +173,7 @@ func (o *ORAM) Store(addr uint64, data []byte) error {
 	if err := o.checkData(data); err != nil {
 		return err
 	}
-	o.stash.addCopy(addr, leaf, data)
+	copy(o.stash.add(addr, leaf), data)
 	delete(o.checkedOut, addr)
 	o.stats.Stores++
 	o.stats.BlocksInORAM++
@@ -293,53 +292,56 @@ func (o *ORAM) pathAccess(leaf uint64, kind AccessKind, mutate func() error) err
 }
 
 // readPathIntoStash performs stages 2 and 3: read every real block on the
-// path to leaf and merge it into the stash, in root-to-leaf bucket order.
-// Buckets whose live content is still sitting in a pending write-back
-// (the overlay) are not read from the store — their blocks are moved out
-// of the pending entry instead, so the store's stale copies are never
-// observed and every block keeps exactly one live home (stash, store, or
-// one pending bucket). Because the merge order is the same whether a
-// bucket came from the store or from the overlay, the stash — and with it
-// every downstream eviction decision — evolves bit-identically to the
-// synchronous protocol.
+// path to leaf into the stash, in root-to-leaf bucket order. A bucket
+// whose live content sits in a pending write-back (the overlay) is moved
+// out of the pending entry instead, in its level's place, so every block
+// keeps exactly one live home and the stash evolves bit-identically to
+// the synchronous protocol.
 func (o *ORAM) readPathIntoStash(leaf uint64) error {
-	var skip []bool
+	o.sink = pathSink{o: o, leaf: leaf}
 	if len(o.overlay) > 0 {
-		skip = o.skipBuf
-		for d := range skip {
-			_, skip[d] = o.overlay[o.tree.PathBucket(leaf, d)]
+		o.sink.skip = o.skipBuf
+		for d := range o.skipBuf {
+			_, o.skipBuf[d] = o.overlay[o.tree.PathBucket(leaf, d)]
 		}
 	}
-	buckets, err := o.store.ReadPath(leaf, skip, o.readBuf)
-	if err != nil {
+	if err := o.store.ReadPathInto(leaf, o.sink.skip, &o.sink); err != nil {
 		return err
 	}
-	o.readBuf = buckets // keep grown capacity for reuse
-	for d, bucket := range buckets {
-		if skip != nil && skip[d] {
-			ref := o.overlay[o.tree.PathBucket(leaf, d)]
-			pb := ref.entry.buckets[ref.level]
-			for i := range pb {
-				o.stash.addCopy(pb[i].Addr, pb[i].Leaf, pb[i].Data)
-			}
-			// The pending bucket's blocks now live in the stash; emptying
-			// it keeps the eventual flush from writing duplicates. The
-			// truncation keeps the entry-owned payload buffers in the
-			// backing capacity for the next deferWriteBack copy. The
-			// overlay keeps redirecting reads of this bucket to the (now
-			// empty) pending content until this access's own write-back —
-			// which covers the same bucket — supersedes it.
-			ref.entry.buckets[ref.level] = pb[:0]
+	o.sink.mergeSkipped(o.tree.Levels())
+	return nil
+}
+
+// pathSink is the stash's BlockSink for one path read; it merges each
+// skipped level from the overlay before any block below it.
+type pathSink struct {
+	o    *ORAM
+	leaf uint64
+	skip []bool
+	next int // first level not yet merged from the overlay
+}
+
+// Block implements BlockSink.
+func (s *pathSink) Block(level int, addr uint64, leaf uint32) []byte {
+	s.mergeSkipped(level)
+	return s.o.stash.add(addr, leaf)
+}
+
+// mergeSkipped moves every skipped level above level into the stash and
+// empties its pending bucket, which the overlay keeps serving until this
+// access's own write-back supersedes it.
+func (s *pathSink) mergeSkipped(level int) {
+	for ; s.skip != nil && s.next < level; s.next++ {
+		if !s.skip[s.next] {
 			continue
 		}
-		// Copy at the ownership boundary: the store's Slot.Data slices
-		// alias its decode arena and are only valid until its next
-		// operation; the stash copies them into its own recycled buffers.
-		for i := range bucket {
-			o.stash.addCopy(bucket[i].Addr, bucket[i].Leaf, bucket[i].Data)
+		ref := s.o.overlay[s.o.tree.PathBucket(s.leaf, s.next)]
+		pb := ref.entry.Buckets[ref.level]
+		for _, e := range pb {
+			copy(s.o.stash.add(e.Addr, e.Leaf), ref.entry.Slab.At(e.Slot))
 		}
+		ref.entry.Buckets[ref.level] = pb[:0]
 	}
-	return nil
 }
 
 // writeBack performs stage 5: place each stash block as deep on the path
@@ -356,36 +358,36 @@ func (o *ORAM) writeBack(leaf uint64) error {
 		o.byDepth[d] = append(o.byDepth[d], i)
 	}
 	placed := o.placedBuf(o.stash.len())
-	for d := range o.bucketBuf {
-		o.bucketBuf[d] = o.bucketBuf[d][:0]
+	buckets := o.path.Buckets
+	for d := range buckets {
+		buckets[d] = buckets[d][:0]
 	}
 	pool := o.poolBuf[:0]
 	for d := l; d >= 0; d-- {
-		pool = append(pool, o.byDepth[d]...)
-		for len(o.bucketBuf[d]) < o.p.Z && len(pool) > 0 {
+		if len(o.byDepth[d]) > 0 {
+			pool = append(pool, o.byDepth[d]...)
+		}
+		for len(buckets[d]) < o.p.Z && len(pool) > 0 {
 			idx := pool[len(pool)-1]
 			pool = pool[:len(pool)-1]
-			o.bucketBuf[d] = append(o.bucketBuf[d], o.stash.entries[idx])
+			buckets[d] = append(buckets[d], o.stash.entries[idx])
 			placed[idx] = 1
 		}
 	}
 	o.poolBuf = pool[:0]
+	o.path.Slab = o.stash.slab
 	if o.p.DeferWriteBack {
 		if err := o.deferWriteBack(leaf); err != nil {
 			return err
 		}
-	} else if err := o.store.WritePath(leaf, o.bucketBuf); err != nil {
+	} else if err := o.store.WritePathFrom(leaf, &o.path); err != nil {
 		return err
 	}
-	// The store serialized (or the pending entry copied) every placed
-	// payload above, so the stash-owned buffers can go back on the freelist
-	// before compaction drops their entries.
-	for d := range o.bucketBuf {
-		for i := range o.bucketBuf[d] {
-			o.stash.recycle(o.bucketBuf[d][i].Data)
-			o.bucketBuf[d][i] = Slot{}
+	// The placed payloads are written (or copied) now: free their slots.
+	for _, b := range o.path.Buckets {
+		for _, e := range b {
+			o.stash.release(e)
 		}
-		o.bucketBuf[d] = o.bucketBuf[d][:0]
 	}
 	if o.stash.ct {
 		o.stash.compactCT(placed)
@@ -408,13 +410,13 @@ func (o *ORAM) noteRun(run int, err error) error {
 
 // ---------- staged mode: deferred write-backs and background work ----------
 
-// pendingPath is one computed-but-unwritten path write-back. Its buckets
-// are authoritative for their tree positions until the flush: later reads
-// of an overlaid bucket move the blocks out (emptying the slice), so a
-// block never has two live copies.
+// pendingPath is one computed-but-unwritten path write-back, the level-d
+// bucket's i-th payload in slot d*Z+i of its own slab. Its buckets are
+// authoritative until the flush: later reads of an overlaid bucket move
+// the blocks out (emptying the slice), so a block has one live copy.
 type pendingPath struct {
-	leaf    uint64
-	buckets [][]Slot
+	leaf uint64
+	Path
 }
 
 // overlayRef points a flat bucket index at the pending entry (and level
@@ -427,9 +429,9 @@ type overlayRef struct {
 // deferredWriter lets a store distinguish write-backs issued from the
 // deferred FIFO — the modeled memory controller's write buffer — from
 // inline stage-5 writes. TimedStore implements it to tag the charge;
-// stores that don't care (every plain PathStore) simply receive WritePath.
+// stores that don't care (every plain PathStore) simply receive WritePathFrom.
 type deferredWriter interface {
-	WritePathDeferred(leaf uint64, buckets [][]Slot) error
+	WritePathDeferred(leaf uint64, p *Path) error
 }
 
 // BackgroundWork reports what one StepBackground call did.
@@ -445,7 +447,7 @@ const (
 	BgEviction
 )
 
-// deferWriteBack queues the just-computed eviction (o.bucketBuf) for the
+// deferWriteBack queues the just-computed eviction (o.path) for the
 // path to leaf instead of writing it. If the queue is full the oldest
 // entry is completed first, bounding both queue length and pinned memory.
 // Entries are recycled through a freelist (the staged hot path must not
@@ -463,22 +465,22 @@ func (o *ORAM) deferWriteBack(leaf uint64) error {
 		o.freePending = o.freePending[:n-1]
 		e.leaf = leaf
 	} else {
-		e = &pendingPath{leaf: leaf, buckets: make([][]Slot, len(o.bucketBuf))}
+		e = &pendingPath{leaf: leaf, Path: Path{
+			Buckets: make([][]Entry, len(o.path.Buckets)),
+			Slab:    NewSlab(len(o.path.Buckets)*o.p.Z, o.p.BlockBytes)}}
 	}
-	// Deep-copy the eviction into entry-owned payload buffers: the slots in
-	// bucketBuf alias stash-owned buffers that writeBack recycles as soon as
-	// this call returns. appendSlotCopy reuses buffers retained in the
-	// bucket's backing capacity, so the steady state copies without
-	// allocating.
-	for d, b := range o.bucketBuf {
-		dst := e.buckets[d][:0]
-		for i := range b {
-			dst = appendSlotCopy(dst, b[i], o.p.BlockBytes)
+	// Copy the eviction into the entry's own slab: the stash slots it
+	// occupies go back on the free stack as soon as this call returns.
+	for d, b := range o.path.Buckets {
+		e.Buckets[d] = e.Buckets[d][:0]
+		for i, s := range b {
+			slot := int32(d*o.p.Z + i)
+			copy(e.Slab.At(slot), o.path.Slab.At(s.Slot))
+			e.Buckets[d] = append(e.Buckets[d], Entry{Addr: s.Addr, Leaf: s.Leaf, Slot: slot})
 		}
-		e.buckets[d] = dst
 	}
 	o.pending = append(o.pending, e)
-	for d := range e.buckets {
+	for d := range e.Buckets {
 		o.overlay[o.tree.PathBucket(leaf, d)] = overlayRef{entry: e, level: d}
 	}
 	o.stats.DeferredWriteBacks++
@@ -496,9 +498,9 @@ func (o *ORAM) completeOldestWriteBack() error {
 	e := o.pending[o.pendingHead]
 	var err error
 	if o.deferredStore != nil {
-		err = o.deferredStore.WritePathDeferred(e.leaf, e.buckets)
+		err = o.deferredStore.WritePathDeferred(e.leaf, &e.Path)
 	} else {
-		err = o.store.WritePath(e.leaf, e.buckets)
+		err = o.store.WritePathFrom(e.leaf, &e.Path)
 	}
 	if err != nil {
 		return err
@@ -511,17 +513,11 @@ func (o *ORAM) completeOldestWriteBack() error {
 		o.pending = o.pending[:0]
 		o.pendingHead = 0
 	}
-	for d := range e.buckets {
+	for d := range e.Buckets {
 		b := o.tree.PathBucket(e.leaf, d)
 		if ref, ok := o.overlay[b]; ok && ref.entry == e {
 			delete(o.overlay, b)
 		}
-	}
-	// Recycle: truncate each bucket but keep the entry-owned payload
-	// buffers in the backing capacity — appendSlotCopy reuses them on the
-	// next deferWriteBack, so the staged steady state allocates nothing.
-	for d := range e.buckets {
-		e.buckets[d] = e.buckets[d][:0]
 	}
 	o.freePending = append(o.freePending, e)
 	return nil
@@ -613,7 +609,7 @@ func (o *ORAM) stashReadInto(addr uint64, dst []byte) bool {
 		return o.stash.ctReadInto(addr, dst) == 1
 	}
 	if i := o.stash.find(addr); i >= 0 {
-		copy(dst, o.stash.entries[i].Data)
+		copy(dst, o.stash.payload(i))
 		return true
 	}
 	o.fillFresh(dst)
@@ -627,16 +623,16 @@ func (o *ORAM) stashReadInto(addr uint64, dst []byte) bool {
 func (o *ORAM) stashWrite(addr uint64, leaf uint32, data []byte) {
 	if o.stash.ct {
 		if o.stash.ctWriteData(addr, data) == 0 {
-			o.stash.addCopy(addr, leaf, data)
+			copy(o.stash.add(addr, leaf), data)
 			o.stats.BlocksInORAM++
 		}
 		return
 	}
 	if i := o.stash.find(addr); i >= 0 {
-		copy(o.stash.entries[i].Data, data)
+		copy(o.stash.payload(i), data)
 		return
 	}
-	o.stash.addCopy(addr, leaf, data)
+	copy(o.stash.add(addr, leaf), data)
 	o.stats.BlocksInORAM++
 }
 
@@ -651,25 +647,4 @@ func (o *ORAM) fillFresh(d []byte) {
 	for i := range d {
 		d[i] = o.p.FreshFill
 	}
-}
-
-// appendSlotCopy appends a deep copy of s to dst, reusing a payload buffer
-// retained in dst's backing capacity when one is there (the pending-entry
-// recycling protocol: truncation keeps the buffers, this put-back reuses
-// them).
-func appendSlotCopy(dst []Slot, s Slot, blockBytes int) []Slot {
-	var buf []byte
-	if n := len(dst); n < cap(dst) {
-		buf = dst[: n+1 : cap(dst)][n].Data
-	}
-	if s.Data != nil {
-		if cap(buf) < blockBytes {
-			buf = make([]byte, blockBytes)
-		}
-		buf = buf[:blockBytes]
-		copy(buf, s.Data)
-	} else {
-		buf = nil
-	}
-	return append(dst, Slot{Addr: s.Addr, Leaf: s.Leaf, Data: buf})
 }

@@ -322,13 +322,14 @@ type ORAM struct {
 	freePending []*pendingPath // recycled entries; bounded by maxDefer+1
 	overlay     map[uint64]overlayRef
 
-	// reusable buffers
-	bucketBuf [][]Slot
-	readBuf   [][]Slot
-	byDepth   [][]int
-	poolBuf   []int
-	placed    []int
-	skipBuf   []bool
+	// reusable buffers: path is the write-back being placed (its Slab is
+	// the stash's), sink the path read in progress
+	path    Path
+	sink    pathSink
+	byDepth [][]int
+	poolBuf []int
+	placed  []int
+	skipBuf []bool
 }
 
 // New assembles an ORAM from a validated parameter set, a bucket store, a
@@ -349,7 +350,7 @@ func New(p Params, store PathStore, pos PositionMap, leaves LeafSource) (*ORAM, 
 		leaves:     leaves,
 		threshold:  p.EvictionThreshold(),
 		checkedOut: make(map[uint64]uint32),
-		bucketBuf:  make([][]Slot, tree.Levels()),
+		path:       Path{Buckets: make([][]Entry, tree.Levels())},
 		byDepth:    make([][]int, tree.Levels()),
 	}
 	o.bg = Evictor{Trees: []*ORAM{o}, Enabled: p.BackgroundEviction}
@@ -362,15 +363,18 @@ func New(p Params, store PathStore, pos PositionMap, leaves LeafSource) (*ORAM, 
 		o.overlay = make(map[uint64]overlayRef)
 		o.skipBuf = make([]bool, tree.Levels())
 	}
-	o.stash.blockBytes = p.BlockBytes
 	// Worst mid-access occupancy: a full stash plus one whole path.
 	window := p.StashCapacity + p.Z*(p.LeafLevel+1)
+	o.stash.slab.size = p.BlockBytes
+	if p.BlockBytes > 0 {
+		o.stash.grow(window)
+	}
 	if p.ConstantTimeStash {
 		o.stash.initCT(window)
 	}
 	// Presize the eviction scratch so the hot path never grows it.
 	for d := range o.byDepth {
-		o.bucketBuf[d] = make([]Slot, 0, p.Z)
+		o.path.Buckets[d] = make([]Entry, 0, p.Z)
 		o.byDepth[d] = make([]int, 0, window)
 	}
 	o.poolBuf = make([]int, 0, window)

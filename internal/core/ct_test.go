@@ -14,12 +14,11 @@ import (
 func TestCTScanCountInvariant(t *testing.T) {
 	for _, window := range []int{16, 64} {
 		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
-			var s stash
-			s.blockBytes = 16
+			s := stash{slab: Slab{size: 16}}
 			s.initCT(window)
 			// Ten live entries at addresses 100..109.
 			for i := 0; i < 10; i++ {
-				s.insert(uint64(100+i), 0, s.take())
+				s.add(uint64(100+i), 0)
 			}
 			scans := func(f func()) uint64 {
 				before := s.scanSlots
@@ -53,15 +52,13 @@ func TestCTScanCountInvariant(t *testing.T) {
 // TestCTScanResults checks that the masked scans compute the same answers
 // as the legacy early-exit scans they replace.
 func TestCTScanResults(t *testing.T) {
-	var s stash
-	s.blockBytes = 8
+	s := stash{slab: Slab{size: 8}}
 	s.initCT(16)
 	payload := []byte("01234567")
 	for i := 0; i < 5; i++ {
-		d := s.take()
+		d := s.add(uint64(10+i), uint32(i))
 		copy(d, payload)
 		d[0] = byte('a' + i)
-		s.insert(uint64(10+i), uint32(i), d)
 	}
 	if got := s.ctFind(12); got != 2 {
 		t.Errorf("ctFind(12) = %d, want 2", got)
@@ -113,8 +110,8 @@ func TestCTCompactMatchesLegacy(t *testing.T) {
 		placed := make([]int, n)
 		for i := 0; i < n; i++ {
 			addr, leaf := rng.Uint64()%1000, rng.Uint32()%64
-			legacy.insert(addr, leaf, nil)
-			ct.insert(addr, leaf, nil)
+			legacy.add(addr, leaf)
+			ct.add(addr, leaf)
 			placed[i] = rng.Intn(2)
 		}
 		legacy.compact(placed)

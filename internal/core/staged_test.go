@@ -25,6 +25,17 @@ func treeSnapshot(s *MemStore) string {
 	return b.String()
 }
 
+// stashSnapshot flattens a stash into a comparable string: every block
+// with its leaf and payload, in stash order (slab slot numbers are not
+// part of the protocol state).
+func stashSnapshot(o *ORAM) string {
+	var b bytes.Buffer
+	for i, e := range o.stash.entries {
+		fmt.Fprintf(&b, "%d leaf=%d data=%x\n", e.Addr, e.Leaf, o.stash.payload(i))
+	}
+	return b.String()
+}
+
 // TestStagedBitIdenticalToSync is the strongest equivalence statement the
 // staged design makes: because eviction placement is computed eagerly —
 // only the write I/O is deferred — a staged ORAM that is flushed at the
@@ -71,7 +82,7 @@ func TestStagedBitIdenticalToSync(t *testing.T) {
 			if got, want := treeSnapshot(stagedStore), treeSnapshot(syncStore); got != want {
 				t.Fatalf("trees diverge after flush:\nstaged:\n%s\nsync:\n%s", got, want)
 			}
-			if got, want := fmt.Sprint(staged.stash.entries), fmt.Sprint(sync.stash.entries); got != want {
+			if got, want := stashSnapshot(staged), stashSnapshot(sync); got != want {
 				t.Fatalf("stashes diverge:\nstaged: %s\nsync:   %s", got, want)
 			}
 			for g := uint64(0); g < smallParams().Groups(); g++ {

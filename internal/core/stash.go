@@ -5,14 +5,10 @@ package core
 // slice: with realistic capacities (~200 blocks, Section 4.1.2) linear
 // scans beat map overhead and keep iteration deterministic.
 //
-// Memory discipline (see DESIGN.md "Hot-path memory discipline"): the stash
-// owns every payload buffer it holds. Blocks enter by copy (addCopy) — the
-// source may be a store decode arena or a pending write-back bucket, both
-// of which recycle their bytes — and payloads of evicted blocks are
-// recycled through an internal freelist, so the steady-state access path
-// allocates nothing. The only buffers that escape are those handed to the
-// processor by the exclusive Load interface (extractRange), which
-// leave stash ownership for good.
+// Memory discipline (see DESIGN.md "Hot-path memory discipline"): every
+// payload the stash holds lives in one slot of its slab, which add hands
+// out and release returns to the free stack, so the steady-state access
+// path allocates nothing.
 //
 // With ct set (Params.ConstantTimeStash) the lookup scans run in fixed
 // length over a preallocated window using crypto/subtle selects — see
@@ -21,10 +17,10 @@ package core
 type stash struct {
 	// entries is the dense live view. In constant-time mode it is a
 	// prefix of the preallocated backing `all` (capacity = window).
-	entries []Slot
-	// free recycles payload buffers (blockBytes each) of evicted blocks.
-	free       [][]byte
-	blockBytes int
+	entries []Entry
+	slab    Slab
+	// free stacks the unused slab slots (none in metadata-only mode).
+	free []int32
 
 	// Constant-time mode state (stash_ct.go). window is the fixed scan
 	// length; all is the backing array with one extra dump slot at index
@@ -32,7 +28,7 @@ type stash struct {
 	// at dead slots.
 	ct          bool
 	window      int
-	all         []Slot
+	all         []Entry
 	deadScratch []byte
 
 	// scanSlots counts slots examined by constant-time scans; tests use it
@@ -41,6 +37,21 @@ type stash struct {
 }
 
 func (s *stash) len() int { return len(s.entries) }
+
+// grow gives the slab room for at least n slots, keeping the payloads of
+// the slots in use.
+func (s *stash) grow(n int) {
+	old := len(s.slab.buf) / s.slab.size
+	slab := NewSlab(max(n, 2*old), s.slab.size)
+	copy(slab.buf, s.slab.buf)
+	for i := len(slab.buf)/slab.size - 1; i >= old; i-- {
+		s.free = append(s.free, int32(i))
+	}
+	s.slab = slab
+}
+
+// payload returns the slab slot of entry i.
+func (s *stash) payload(i int) []byte { return s.slab.At(s.entries[i].Slot) }
 
 // find returns the index of addr, or -1 (legacy early-return scan; the
 // constant-time mode uses ctFind).
@@ -53,85 +64,59 @@ func (s *stash) find(addr uint64) int {
 	return -1
 }
 
-// take returns a payload buffer of blockBytes (nil in metadata-only mode),
-// reusing the freelist when possible. The contents are unspecified.
-func (s *stash) take() []byte {
-	if s.blockBytes == 0 {
-		return nil
-	}
-	if n := len(s.free); n > 0 {
-		buf := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		return buf
-	}
-	return make([]byte, s.blockBytes)
-}
-
-// recycle returns a payload buffer to the freelist. Only buffers sized for
-// this stash are accepted; anything else is left to the collector.
-func (s *stash) recycle(buf []byte) {
-	if s.blockBytes == 0 || cap(buf) < s.blockBytes {
-		return
-	}
-	s.free = append(s.free, buf[:s.blockBytes])
-}
-
-// insert appends a block, taking ownership of data (which must be a
-// blockBytes buffer, or nil in metadata-only mode).
-func (s *stash) insert(addr uint64, leaf uint32, data []byte) {
+// add appends a block and returns its slab slot (nil in metadata-only
+// mode), whose contents are unspecified until the caller fills them.
+func (s *stash) add(addr uint64, leaf uint32) []byte {
 	if s.ct && len(s.entries) == cap(s.entries) {
 		s.growCT()
 	}
-	s.entries = append(s.entries, Slot{Addr: addr, Leaf: leaf, Data: data})
+	var slot int32
+	if s.slab.size > 0 {
+		if len(s.free) == 0 {
+			s.grow(1)
+		}
+		slot = s.free[len(s.free)-1]
+		s.free = s.free[:len(s.free)-1]
+	}
+	s.entries = append(s.entries, Entry{Addr: addr, Leaf: leaf, Slot: slot})
+	return s.slab.At(slot)
 }
 
-// addCopy inserts a block by copying data into a stash-owned buffer. The
-// caller keeps ownership of data; this is the boundary crossing for blocks
-// arriving from store decode arenas and pending write-back buckets. The
-// caller guarantees addr is not already present (the Path ORAM invariant
-// makes tree and stash disjoint).
-func (s *stash) addCopy(addr uint64, leaf uint32, data []byte) {
-	buf := s.take()
-	copy(buf, data)
-	s.insert(addr, leaf, buf)
+// release returns a removed entry's slot to the free stack.
+func (s *stash) release(e Entry) {
+	if s.slab.size > 0 {
+		s.free = append(s.free, e.Slot)
+	}
 }
 
-// extractRange removes every entry with lo <= Addr < hi, passing each to
-// fn in stash order; the payloads leave stash ownership. A single stable
-// left-to-right sweep cannot skip or revisit entries the way a swap-delete
-// loop can when removal reorders the tail.
+// extractRange removes every entry with lo <= Addr < hi, passing each
+// with a copy of its payload to fn in stash order; a stable sweep cannot
+// skip or revisit entries as a swap-delete loop can.
 func (s *stash) extractRange(lo, hi uint64, fn func(Slot)) {
 	keep := s.entries[:0]
-	for i := range s.entries {
-		e := s.entries[i]
+	for _, e := range s.entries {
 		if e.Addr >= lo && e.Addr < hi {
-			fn(e)
+			var data []byte
+			if s.slab.size > 0 {
+				data = append([]byte(nil), s.slab.At(e.Slot)...)
+			}
+			fn(Slot{Addr: e.Addr, Leaf: e.Leaf, Data: data})
+			s.release(e)
 			continue
 		}
 		keep = append(keep, e)
-	}
-	for i := len(keep); i < len(s.entries); i++ {
-		s.entries[i] = Slot{}
 	}
 	s.entries = keep
 }
 
 // compact removes all entries whose placed mask (parallel to entries) is
-// 1 and keeps the rest in stable order. The payload buffers of placed
-// entries are NOT recycled here: they are still referenced from the
-// write-back bucket buffers; writeBack recycles them once the store (or
-// the pending copy) has consumed them.
+// 1 and keeps the rest in stable order; writeBack released their slots.
 func (s *stash) compact(placed []int) {
 	keep := s.entries[:0]
 	for i := range s.entries {
 		if placed[i] == 0 {
 			keep = append(keep, s.entries[i])
 		}
-	}
-	// Zero the tail so stale entries don't pin payload buffers.
-	for i := len(keep); i < len(s.entries); i++ {
-		s.entries[i] = Slot{}
 	}
 	s.entries = keep
 }

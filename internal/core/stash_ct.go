@@ -28,18 +28,9 @@ import "crypto/subtle"
 func (s *stash) initCT(window int) {
 	s.ct = true
 	s.window = window
-	s.all = make([]Slot, window+1)
+	s.all = make([]Entry, window+1)
 	s.entries = s.all[:0:window]
-	if s.blockBytes > 0 {
-		s.deadScratch = make([]byte, s.blockBytes)
-		// Preallocate the payload pool: one buffer per window slot, carved
-		// from a single arena, so the steady state never allocates.
-		arena := make([]byte, window*s.blockBytes)
-		s.free = make([][]byte, 0, window)
-		for i := 0; i < window; i++ {
-			s.free = append(s.free, arena[i*s.blockBytes:(i+1)*s.blockBytes:(i+1)*s.blockBytes])
-		}
-	}
+	s.deadScratch = make([]byte, s.slab.size)
 }
 
 // growCT doubles the window when the stash overflows it (possible only
@@ -50,7 +41,7 @@ func (s *stash) initCT(window int) {
 func (s *stash) growCT() {
 	n := len(s.entries)
 	window := 2 * s.window
-	all := make([]Slot, window+1)
+	all := make([]Entry, window+1)
 	copy(all, s.all[:n])
 	s.all = all
 	s.window = window
@@ -108,7 +99,7 @@ func (s *stash) ctReadInto(addr uint64, dst []byte) int {
 		src := s.deadScratch
 		if i < n { // public liveness: occupancy is not a secret
 			mask = ctEq64(full[i].Addr, addr)
-			src = full[i].Data
+			src = s.slab.At(full[i].Slot)
 		}
 		if len(dst) > 0 {
 			subtle.ConstantTimeCopy(mask, dst, src)
@@ -131,7 +122,7 @@ func (s *stash) ctWriteData(addr uint64, data []byte) int {
 		dst := s.deadScratch
 		if i < n {
 			mask = ctEq64(full[i].Addr, addr)
-			dst = full[i].Data
+			dst = s.slab.At(full[i].Slot)
 		}
 		if len(data) > 0 {
 			subtle.ConstantTimeCopy(mask, dst, data)
@@ -170,11 +161,5 @@ func (s *stash) compactCT(placed []int) {
 		s.all[dst] = s.all[i]
 		k += keepMask
 	}
-	// Zero the vacated tail and the dump slot so stale entries don't pin
-	// payload buffers (the placed payloads are recycled by writeBack).
-	for i := k; i < n; i++ {
-		s.all[i] = Slot{}
-	}
-	s.all[s.window] = Slot{}
 	s.entries = s.all[:k:s.window]
 }

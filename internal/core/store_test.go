@@ -275,9 +275,9 @@ func TestLeafSourceUniformity(t *testing.T) {
 
 func TestStash(t *testing.T) {
 	var s stash
-	s.insert(1, 0, nil)
-	s.insert(2, 0, nil)
-	s.insert(3, 0, nil)
+	s.add(1, 0)
+	s.add(2, 0)
+	s.add(3, 0)
 	if s.len() != 3 {
 		t.Fatalf("len=%d want 3", s.len())
 	}

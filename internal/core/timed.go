@@ -12,7 +12,7 @@ import "fmt"
 // (see ORAM.pathAccess):
 //
 //	ReadPath  — stage 2, the path read. skip has the same meaning as in
-//	            PathStore.ReadPath: a set flag marks a bucket whose live
+//	            PathStore.ReadPathInto: a set flag marks a bucket whose live
 //	            content sits in a pending deferred write-back, so its read
 //	            is served from the write buffer and generates NO storage
 //	            traffic. skip is only valid for the duration of the call.
@@ -61,33 +61,34 @@ func NewTimedStore(inner PathStore, timer PathTimer) (*TimedStore, error) {
 // Inner returns the wrapped store (tests compare tree contents through it).
 func (t *TimedStore) Inner() PathStore { return t.inner }
 
-// ReadPath implements PathStore: forward, then charge the stage-2 read.
-func (t *TimedStore) ReadPath(leaf uint64, skip []bool, dst [][]Slot) ([][]Slot, error) {
-	dst, err := t.inner.ReadPath(leaf, skip, dst)
-	if err != nil {
-		return dst, err
+// ReadPathInto implements PathStore: forward, then charge the stage-2
+// read.
+func (t *TimedStore) ReadPathInto(leaf uint64, skip []bool, dst BlockSink) error {
+	if err := t.inner.ReadPathInto(leaf, skip, dst); err != nil {
+		return err
 	}
 	t.timer.ReadPath(leaf, skip)
-	return dst, nil
+	return nil
 }
 
-// WritePath implements PathStore: forward, then charge an inline stage-5
-// write-back.
-func (t *TimedStore) WritePath(leaf uint64, buckets [][]Slot) error {
-	if err := t.inner.WritePath(leaf, buckets); err != nil {
+// WritePathFrom implements PathStore: forward, then charge an inline
+// stage-5 write-back.
+func (t *TimedStore) WritePathFrom(leaf uint64, p *Path) error {
+	if err := t.inner.WritePathFrom(leaf, p); err != nil {
 		return err
 	}
 	t.timer.WritePath(leaf, false)
 	return nil
 }
 
-// WritePathDeferred is WritePath for write-backs issued from the deferred
-// FIFO: the ORAM calls it (through the deferredWriter interface) instead
-// of WritePath when completing a queued entry, so the cost model sees the
-// write as write-buffer drain traffic. The wrapped store cannot tell the
-// difference — it receives a plain WritePath either way.
-func (t *TimedStore) WritePathDeferred(leaf uint64, buckets [][]Slot) error {
-	if err := t.inner.WritePath(leaf, buckets); err != nil {
+// WritePathDeferred is WritePathFrom for write-backs issued from the
+// deferred FIFO: the ORAM calls it (through the deferredWriter interface)
+// instead of WritePathFrom when completing a queued entry, so the cost
+// model sees the write as write-buffer drain traffic. The wrapped store
+// cannot tell the difference — it receives a plain WritePathFrom either
+// way.
+func (t *TimedStore) WritePathDeferred(leaf uint64, p *Path) error {
+	if err := t.inner.WritePathFrom(leaf, p); err != nil {
 		return err
 	}
 	t.timer.WritePath(leaf, true)

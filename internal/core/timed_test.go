@@ -237,10 +237,11 @@ func TestTimedStoreErrorsNotCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ts.ReadPath(1<<10, nil, nil); err == nil {
+	slots := NewSlotIO(ts, 4, 2, 0)
+	if _, err := slots.ReadPath(1<<10, nil, nil); err == nil {
 		t.Fatal("out-of-range leaf accepted")
 	}
-	if err := ts.WritePath(1<<10, make([][]Slot, 4)); err == nil {
+	if err := slots.WritePath(1<<10, make([][]Slot, 4)); err == nil {
 		t.Fatal("out-of-range write accepted")
 	}
 	if len(timer.events) != 0 {

@@ -31,6 +31,8 @@ type keystream struct {
 	// so the keystream owns it, which makes it single-goroutine like every
 	// other per-shard hot-path container.
 	group [8 * aes.BlockSize]byte
+	// blocks counts the pad blocks generated, the pad work tests pin.
+	blocks uint64
 }
 
 func newKeystream(key []byte) (*keystream, error) {
@@ -64,6 +66,7 @@ func (k *keystream) xor(bucketID, ctr uint64, src, dst []byte) {
 	// The counter block as two little-endian quadwords; the chunk index
 	// is the top 16 bits of hi.
 	lo, hi := bucketID&(MaxCounterBuckets-1)|ctr<<48, ctr>>16
+	k.blocks += uint64(len(src)+aes.BlockSize-1) / aes.BlockSize
 	if haveAESNI {
 		xorKeyStreamAsm(&k.xk, lo, hi, dst[:len(src)], src)
 		return

@@ -94,22 +94,9 @@ func (s *CounterScheme) Overhead(int) int { return 8 }
 // Section 2.2.2 non-rollover discussion).
 func (s *CounterScheme) Counter(bucketID uint64) uint64 { return s.counters[bucketID] }
 
-// Seal implements Scheme.
+// Seal implements Scheme: SealPath over one bucket.
 func (s *CounterScheme) Seal(bucketID uint64, plain []byte, z int, out []byte) error {
-	if len(out) != len(plain)+8 {
-		return fmt.Errorf("encrypt: seal buffer %d want %d", len(out), len(plain)+8)
-	}
-	if err := s.checkBucket(bucketID, len(plain)); err != nil {
-		return err
-	}
-	if s.counters[bucketID] == math.MaxUint64 {
-		return fmt.Errorf("encrypt: bucket %d's counter would wrap and reuse a pad", bucketID)
-	}
-	s.counters[bucketID]++
-	ctr := s.counters[bucketID]
-	binary.LittleEndian.PutUint64(out[:8], ctr)
-	s.ks.xor(bucketID, ctr, plain, out[8:])
-	return nil
+	return s.SealPath([]uint64{bucketID}, [][]byte{plain}, z, [][]byte{out})
 }
 
 // Open implements Scheme.
@@ -138,18 +125,31 @@ func (s *CounterScheme) checkBucket(bucketID uint64, plainBytes int) error {
 	return nil
 }
 
-// SealPath implements Scheme: one Seal per level, through the concrete
-// receiver (no per-bucket interface dispatch). The AES key schedule is
-// shared across the whole tree — it lives in s.ks — and the keystream
-// kernel runs once per bucket, so the call allocates nothing.
+// SealPath implements Scheme. It checks every level before it seals any,
+// so a refused path leaves out untouched — the encrypting store seals
+// straight into stored records. The AES key schedule is shared across the
+// whole tree — it lives in s.ks — and the keystream kernel runs once per
+// bucket, so the call allocates nothing.
 func (s *CounterScheme) SealPath(ids []uint64, plain [][]byte, z int, out [][]byte) error {
 	if len(plain) != len(ids) || len(out) != len(ids) {
 		return fmt.Errorf("encrypt: seal path of %d ids, %d plain, %d out", len(ids), len(plain), len(out))
 	}
-	for d := range ids {
-		if err := s.Seal(ids[d], plain[d], z, out[d]); err != nil {
+	for d, id := range ids {
+		if len(out[d]) != len(plain[d])+8 {
+			return fmt.Errorf("encrypt: seal buffer %d want %d", len(out[d]), len(plain[d])+8)
+		}
+		if err := s.checkBucket(id, len(plain[d])); err != nil {
 			return err
 		}
+		if s.counters[id] == math.MaxUint64 {
+			return fmt.Errorf("encrypt: bucket %d's counter would wrap and reuse a pad", id)
+		}
+	}
+	for d, id := range ids {
+		s.counters[id]++
+		ctr := s.counters[id]
+		binary.LittleEndian.PutUint64(out[d][:8], ctr)
+		s.ks.xor(id, ctr, plain[d], out[d][8:])
 	}
 	return nil
 }

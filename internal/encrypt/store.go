@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/integrity"
@@ -44,7 +45,9 @@ type StoreConfig struct {
 // Store is a core.PathStore that serializes buckets byte-aligned, seals
 // them under a Scheme and keeps them in a flat external memory, optionally
 // authenticated. It is the one place the bucket format of Section 2.2 is
-// written and read.
+// written and read. A path read opens each bucket in one pass from its
+// stored record; a write-back seals each in one pass straight into the
+// record the backing lends.
 type Store struct {
 	cfg    StoreConfig
 	tree   treemath.Tree
@@ -52,35 +55,31 @@ type Store struct {
 	pbytes int // plaintext bucket bytes
 	cbytes int // raw ciphertext bucket bytes
 	stride int // padded ciphertext bucket bytes
+	slot   int // plaintext slot bytes: header and payload
 
 	backing storage.Storage
 	// written records per bucket whether it was ever written; nil under
 	// Auth, whose valid bits answer that instead.
 	written []bool
 
-	// outstanding counts, per leaf, ReadPaths not yet matched by a
+	// outstanding lists the leaves of ReadPaths not yet matched by a
 	// WritePath. The protocol only ever writes paths it has read, but with
 	// deferred write-backs the write may arrive after reads (and writes)
 	// of other paths — a multiset is the strongest pairing the store can
-	// still enforce.
-	outstanding map[uint64]int
+	// still enforce. It holds at most the deferred queue plus one path.
+	outstanding []uint64
 
-	// Reusable per-path scratch, sized once at construction. plainPath
-	// holds one plaintext bucket per level: ReadPath decodes into it and
-	// the Slots it returns alias it (valid until the next store
-	// operation); WritePath serializes into it before sealing. openRefs
-	// selects which levels OpenPath decrypts (nil = skip); idsBuf carries
-	// the flat bucket IDs of the current path; reachBuf backs
-	// pathReachability when there is no auth tree.
-	// sealBufs holds one stride-sized store-owned record per level:
-	// WritePath seals into it and then hands the whole path to the
-	// backing in one WriteBuckets call — the seam the WAL logs at.
-	plainPath [][]byte
-	openRefs  [][]byte
-	idsBuf    []uint64
-	reachBuf  []bool
-	ctRefs    [][]byte
-	sealBufs  [][]byte
+	// Per-path scratch, sized once at construction: the path's bucket
+	// IDs, records (stored on a read, lent on a write-back), their
+	// ciphertext prefixes, reachability, plaintext image (one bucket per
+	// level) and the levels a read opens (nil skips one).
+	ids   []uint64
+	recs  [][]byte
+	cts   [][]byte
+	reach []bool
+	plain [][]byte
+	open  [][]byte
+	core.SlotIO
 
 	// warm keeps warmPath's sum, so the compiler cannot drop the loads.
 	// It is a field of the store, not a package variable, so that shards
@@ -165,21 +164,16 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Auth == nil {
 		s.written = make([]bool, tree.NumBuckets())
 	}
-	s.outstanding = make(map[uint64]int)
-	s.plainPath = make([][]byte, tree.Levels())
-	plainArena := make([]byte, tree.Levels()*s.pbytes)
-	for d := range s.plainPath {
-		s.plainPath[d] = plainArena[d*s.pbytes : (d+1)*s.pbytes : (d+1)*s.pbytes]
+	levels := tree.Levels()
+	s.slot = slotHeaderBytes + cfg.BlockBytes
+	s.ids, s.recs, s.cts = make([]uint64, levels), make([][]byte, levels), make([][]byte, levels)
+	s.reach, s.open = make([]bool, levels), make([][]byte, levels)
+	s.plain = make([][]byte, levels)
+	image := make([]byte, levels*s.pbytes)
+	for d := range s.plain {
+		s.plain[d] = image[d*s.pbytes : (d+1)*s.pbytes : (d+1)*s.pbytes]
 	}
-	s.openRefs = make([][]byte, tree.Levels())
-	s.idsBuf = make([]uint64, tree.Levels())
-	s.reachBuf = make([]bool, tree.Levels())
-	s.ctRefs = make([][]byte, tree.Levels())
-	s.sealBufs = make([][]byte, tree.Levels())
-	sealArena := make([]byte, tree.Levels()*s.stride)
-	for d := range s.sealBufs {
-		s.sealBufs[d] = sealArena[d*s.stride : (d+1)*s.stride : (d+1)*s.stride]
-	}
+	s.SlotIO = core.NewSlotIO(s, levels, cfg.Z, cfg.BlockBytes)
 	if cfg.RandomizeMemory != nil {
 		recs := [][]byte{make([]byte, s.stride)}
 		for flat := uint64(0); flat < tree.NumBuckets(); flat++ {
@@ -232,79 +226,56 @@ func (s *Store) bucketSlice(flat uint64) []byte {
 	return rec[0][:s.cbytes]
 }
 
-// ReadPath implements core.PathStore: decrypt (and verify) the path,
-// emit the real blocks per level into dst. Buckets flagged in skip are
-// still read and verified — their ciphertexts are part of the path's
-// authentication — but not decrypted or emitted: the caller holds their
-// live content in a pending deferred write-back, so the store copy is
-// stale.
-//
-// The returned Slot.Data slices alias the store's per-level decode arena
-// and stay valid only until the next ReadPath or WritePath on this store;
-// callers that keep block contents longer must copy them out.
-func (s *Store) ReadPath(leaf uint64, skip []bool, dst [][]core.Slot) ([][]core.Slot, error) {
-	var err error
-	if dst, err = core.PrepareReadBuf(dst, s.tree.Levels()); err != nil {
-		return dst, err
-	}
+// ReadPathInto implements core.PathStore: verify the path, open it into
+// the plaintext image, and copy each real block's payload into the buffer
+// dst hands out. Buckets flagged in skip are still read and verified but
+// not opened: their live content is in the caller's write buffer. A path
+// that fails verification leaves dst untouched.
+func (s *Store) ReadPathInto(leaf uint64, skip []bool, dst core.BlockSink) error {
 	if !s.tree.ValidLeaf(leaf) {
-		return dst, fmt.Errorf("encrypt: leaf %d out of range", leaf)
+		return fmt.Errorf("encrypt: leaf %d out of range", leaf)
 	}
-	reach := s.pathReachability(leaf)
-	for d := 0; d <= s.tree.LeafLevel(); d++ {
-		s.idsBuf[d] = s.tree.PathBucket(leaf, d)
+	s.pathReachability(leaf)
+	for d := range s.ids {
+		s.ids[d] = s.tree.PathBucket(leaf, d)
 	}
-	if err := s.backing.ReadBuckets(s.idsBuf, s.ctRefs); err != nil {
-		return dst, err
+	if err := s.backing.ReadBuckets(s.ids, s.recs); err != nil {
+		return err
 	}
-	for d := range s.ctRefs {
-		s.ctRefs[d] = s.ctRefs[d][:s.cbytes]
+	for d := range s.recs {
+		s.cts[d] = s.recs[d][:s.cbytes]
 	}
 	s.warmPath()
 	if s.cfg.Auth != nil {
-		if err := s.cfg.Auth.VerifyPath(leaf, s.ctRefs); err != nil {
-			return dst, err
+		if err := s.cfg.Auth.VerifyPath(leaf, s.cts); err != nil {
+			return err
 		}
 	}
-	for d := 0; d <= s.tree.LeafLevel(); d++ {
-		switch {
-		case !reach[d]:
-			// Never written: only garbage (or zeroes) there.
-			s.openRefs[d] = nil
-		case skip != nil && skip[d]:
-			// Live content is in the caller's write buffer.
-			s.openRefs[d] = nil
-		default:
-			s.openRefs[d] = s.plainPath[d]
+	for d := range s.open {
+		// An unreachable bucket was never written: only garbage (or
+		// zeroes) there.
+		s.open[d] = nil
+		if s.reach[d] && (skip == nil || !skip[d]) {
+			s.open[d] = s.plain[d]
 		}
 	}
-	if err := s.cfg.Scheme.OpenPath(s.idsBuf, s.ctRefs, s.z, s.openRefs); err != nil {
-		return dst, err
+	if err := s.cfg.Scheme.OpenPath(s.ids, s.cts, s.z, s.open); err != nil {
+		return err
 	}
-	slotBytes := slotHeaderBytes + s.cfg.BlockBytes
-	for d := 0; d <= s.tree.LeafLevel(); d++ {
-		if s.openRefs[d] == nil {
-			continue
-		}
-		for i := 0; i < s.z; i++ {
-			rec := s.plainPath[d][i*slotBytes : (i+1)*slotBytes]
-			addr1 := binary.LittleEndian.Uint64(rec[:8])
-			if addr1 == 0 {
-				continue // dummy block
+	for d, pt := range s.open {
+		for i := 0; pt != nil && i < s.z; i++ {
+			rec := pt[i*s.slot : (i+1)*s.slot]
+			if addr1 := binary.LittleEndian.Uint64(rec); addr1 != 0 {
+				copy(dst.Block(d, addr1-1, binary.LittleEndian.Uint32(rec[8:])), rec[slotHeaderBytes:])
 			}
-			dst[d] = append(dst[d], core.Slot{
-				Addr: addr1 - 1,
-				Leaf: binary.LittleEndian.Uint32(rec[8:12]),
-				Data: rec[slotHeaderBytes:slotBytes:slotBytes],
-			})
 		}
 	}
-	s.outstanding[leaf]++
-	return dst, nil
+	s.outstanding = append(s.outstanding, leaf)
+	return nil
 }
 
-// warmPath is ReadPath's load pass: it reads one byte of every
-// RecordAlign-sized line of every level's ciphertext, skipped levels
+// warmPath is ReadPathInto's load pass: it reads one byte of every
+// RecordAlign-sized line of every level's record, skipped levels
 // included (VerifyPath still hashes them), before any level is verified
 // or decrypted. The loads do not depend on each other, so the path's cold
 // misses are in flight together instead of each waiting behind the
@@ -312,7 +283,7 @@ func (s *Store) ReadPath(leaf uint64, skip []bool, dst [][]core.Slot) ([][]core.
 // read itself, a function of the public leaf only.
 func (s *Store) warmPath() {
 	var sum byte
-	for _, rec := range s.ctRefs {
+	for _, rec := range s.recs {
 		for off := 0; off < len(rec); off += storage.RecordAlign {
 			sum += rec[off]
 		}
@@ -320,80 +291,70 @@ func (s *Store) warmPath() {
 	s.warm = sum
 }
 
-// pathReachability reports, per level, whether the bucket on the path to
-// leaf has meaningful (ever-written) content right now. The result aliases
-// reachBuf (valid until the next path operation) unless the auth tree
-// answers, which allocates per call — the integrity configuration is not
-// part of the zero-allocation target.
-func (s *Store) pathReachability(leaf uint64) []bool {
+// pathReachability fills reach with, per level, whether the bucket on the
+// path to leaf has meaningful (ever-written) content right now.
+func (s *Store) pathReachability(leaf uint64) {
 	if s.cfg.Auth != nil {
-		return s.cfg.Auth.PathReachability(leaf)
+		s.cfg.Auth.FillReachability(leaf, s.reach)
+		return
 	}
-	for d := 0; d <= s.tree.LeafLevel(); d++ {
-		s.reachBuf[d] = s.written[s.tree.PathBucket(leaf, d)]
+	for d := range s.reach {
+		s.reach[d] = s.written[s.tree.PathBucket(leaf, d)]
 	}
-	return s.reachBuf
 }
 
-// WritePath implements core.PathStore: serialize, pad with dummies,
-// re-encrypt under fresh randomness and re-authenticate. The protocol
-// only writes paths it has read; the store enforces that pairing as a
-// multiset, since deferred write-backs may land after later paths were
-// read or written. Reachability is computed at write time — with
-// intervening write-backs it can only have improved since the read.
-func (s *Store) WritePath(leaf uint64, buckets [][]core.Slot) error {
-	if s.outstanding[leaf] == 0 {
+// WritePathFrom implements core.PathStore: lay p into the plaintext image
+// (unfilled slots are zero dummies), seal it under fresh randomness
+// straight into the records the backing lends, and re-authenticate.
+// Bucket sizes and every check SealPath makes (the counter's wrap guard)
+// are settled before the first byte lands in a lent record. The store
+// enforces the read/write pairing as a multiset (deferred write-backs may
+// land after later paths), and takes the auth tree's reachability at
+// write time, when it can only have improved since the read.
+func (s *Store) WritePathFrom(leaf uint64, p *core.Path) error {
+	read := slices.Index(s.outstanding, leaf)
+	if read < 0 {
 		return fmt.Errorf("encrypt: WritePath(%d) without matching ReadPath", leaf)
 	}
-	if len(buckets) != s.tree.Levels() {
-		return fmt.Errorf("encrypt: got %d buckets, want %d", len(buckets), s.tree.Levels())
+	if len(p.Buckets) != s.tree.Levels() {
+		return fmt.Errorf("encrypt: got %d buckets, want %d", len(p.Buckets), s.tree.Levels())
 	}
-	// Validate the whole path before touching any state: a bad bucket must
-	// not consume the outstanding read or leave a half-serialized path in
-	// plainPath.
-	for d, bucket := range buckets {
-		if len(bucket) > s.z {
-			return fmt.Errorf("encrypt: bucket at level %d overfull (%d > %d)", d, len(bucket), s.z)
-		}
-		for _, b := range bucket {
-			if len(b.Data) != s.cfg.BlockBytes {
-				return fmt.Errorf("encrypt: block %d payload %dB, want %dB", b.Addr, len(b.Data), s.cfg.BlockBytes)
-			}
+	for d, b := range p.Buckets {
+		if len(b) > s.z {
+			return fmt.Errorf("encrypt: bucket at level %d overfull (%d > %d)", d, len(b), s.z)
 		}
 	}
-	reach := s.pathReachability(leaf)
-	if s.outstanding[leaf]--; s.outstanding[leaf] == 0 {
-		delete(s.outstanding, leaf)
-	}
-	slotBytes := slotHeaderBytes + s.cfg.BlockBytes
-	for d, bucket := range buckets {
-		s.idsBuf[d] = s.tree.PathBucket(leaf, d)
-		plain := s.plainPath[d]
-		for i, b := range bucket {
-			rec := plain[i*slotBytes : (i+1)*slotBytes]
-			binary.LittleEndian.PutUint64(rec[:8], b.Addr+1)
-			binary.LittleEndian.PutUint32(rec[8:12], b.Leaf)
-			copy(rec[slotHeaderBytes:], b.Data)
+	for d, b := range p.Buckets {
+		s.ids[d] = s.tree.PathBucket(leaf, d)
+		for i, e := range b {
+			rec := s.plain[d][i*s.slot : (i+1)*s.slot]
+			binary.LittleEndian.PutUint64(rec, e.Addr+1)
+			binary.LittleEndian.PutUint32(rec[8:], e.Leaf)
+			copy(rec[slotHeaderBytes:], p.Slab.At(e.Slot))
 		}
-		// Dummy blocks: zero header; zero payload keeps plaintext
-		// deterministic, the randomized encryption hides it.
-		clear(plain[len(bucket)*slotBytes:])
-		s.ctRefs[d] = s.sealBufs[d][:s.cbytes]
+		clear(s.plain[d][len(b)*s.slot:]) // dummies: zero header and payload
 	}
-	// Seal the whole path in one call into the store-owned record
-	// buffers, then commit it to the backing as one batch — the unit the
-	// WAL logs atomically. The pad tail of each sealBuf is never written
-	// and stays zero.
-	if err := s.cfg.Scheme.SealPath(s.idsBuf, s.plainPath, s.z, s.ctRefs); err != nil {
+	if err := s.backing.LendBuckets(s.ids, s.recs); err != nil {
 		return err
 	}
-	if err := s.backing.WriteBuckets(s.idsBuf, s.sealBufs); err != nil {
+	for d, rec := range s.recs {
+		s.cts[d] = rec[:s.cbytes]
+	}
+	if err := s.cfg.Scheme.SealPath(s.ids, s.plain, s.z, s.cts); err != nil {
 		return err
 	}
+	for _, rec := range s.recs {
+		clear(rec[s.cbytes:]) // the pad tail of a record stays zero
+	}
+	if err := s.backing.CommitLent(); err != nil {
+		return err
+	}
+	s.outstanding = slices.Delete(s.outstanding, read, read+1)
 	if s.cfg.Auth != nil {
-		return s.cfg.Auth.UpdatePath(leaf, s.ctRefs, reach)
+		s.pathReachability(leaf)
+		return s.cfg.Auth.UpdatePath(leaf, s.cts, s.reach)
 	}
-	for _, flat := range s.idsBuf {
+	for _, flat := range s.ids {
 		s.written[flat] = true
 	}
 	return nil

@@ -29,6 +29,12 @@ func buildORAM(t *testing.T, scheme Scheme, auth *integrity.Tree, randomize bool
 	if err != nil {
 		t.Fatal(err)
 	}
+	return wireORAM(t, p, store, seed), store
+}
+
+// wireORAM builds buildORAM's ORAM over store.
+func wireORAM(t *testing.T, p core.Params, store *Store, seed int64) *core.ORAM {
+	t.Helper()
 	src := core.NewMathLeafSource(rand.New(rand.NewSource(seed)))
 	pos, err := core.NewOnChipPositionMap(p.Groups(), 1<<uint(p.LeafLevel), src)
 	if err != nil {
@@ -38,7 +44,7 @@ func buildORAM(t *testing.T, scheme Scheme, auth *integrity.Tree, randomize bool
 	if err != nil {
 		t.Fatal(err)
 	}
-	return o, store
+	return o
 }
 
 func fill(b byte, n int) []byte {
@@ -330,8 +336,8 @@ func TestDeferredWriteBackInterleavingWithAuth(t *testing.T) {
 	if len(got[4]) != 1 || !bytes.Equal(got[4][0].Data, fill(0xAB, 8)) {
 		t.Fatalf("seeded block lost before deferral: %v", got)
 	}
-	// ReadPath results alias the store's decode arena and go stale at the
-	// next path operation; copy the block out the way the stash would.
+	// ReadPath results alias the adapter's slots and go stale at the next
+	// path read; copy the block out the way the stash would.
 	carried := got[4][0]
 	carried.Data = append([]byte(nil), carried.Data...)
 	read(12)
@@ -382,10 +388,11 @@ func TestTimedWrapperPreservesOutstandingPairing(t *testing.T) {
 		t.Fatal(err)
 	}
 	timer := &countingTimer{}
-	store, err := core.NewTimedStore(inner, timer)
+	timed, err := core.NewTimedStore(inner, timer)
 	if err != nil {
 		t.Fatal(err)
 	}
+	store := core.NewSlotIO(timed, 5, 2, 8)
 
 	// Three reads outstanding at once, write-backs landing late in FIFO
 	// order — the deferred queue's traffic shape. The last one goes
@@ -401,7 +408,7 @@ func TestTimedWrapperPreservesOutstandingPairing(t *testing.T) {
 	if err := store.WritePath(12, make([][]core.Slot, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WritePathDeferred(5, make([][]core.Slot, 5)); err != nil {
+	if err := timed.WritePathDeferred(5, &core.Path{Buckets: make([][]core.Entry, 5)}); err != nil {
 		t.Fatal(err)
 	}
 	// The multiset is drained: an unmatched write must still be rejected,
@@ -445,6 +452,11 @@ func (c *countingBacking) ReadBuckets(flats []uint64, dst [][]byte) error {
 func (c *countingBacking) WriteBuckets(flats []uint64, recs [][]byte) error {
 	c.writes += len(flats)
 	return c.Storage.WriteBuckets(flats, recs)
+}
+
+func (c *countingBacking) LendBuckets(flats []uint64, dst [][]byte) error {
+	c.writes += len(flats)
+	return c.Storage.LendBuckets(flats, dst)
 }
 
 // newCountingStore builds a Store over a counting in-memory backing.

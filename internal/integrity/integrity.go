@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 
 	"repro/internal/treemath"
 )
@@ -47,6 +48,13 @@ type Tree struct {
 
 	// Stats
 	hashReads, hashWrites, verifications uint64
+
+	// Hashing scratch, so hashes allocate nothing: one digest, a masked
+	// node's zero content, a node's fields after its content, the sum.
+	digest hash.Hash
+	zero   []byte
+	fields [2*HashSize + 8]byte
+	sum    [sha256.Size]byte
 }
 
 // New builds an authentication tree for an ORAM tree whose (encrypted)
@@ -58,10 +66,12 @@ func New(tr treemath.Tree, bucketBytes int) *Tree {
 		bucketBytes: bucketBytes,
 		hashes:      make([]Hash, tr.NumBuckets()),
 		valid:       make([]uint8, tr.NumBuckets()),
+		digest:      sha256.New(),
+		zero:        make([]byte, bucketBytes),
 	}
 	// h0 starts as the hash of an all-invalid, all-masked root (the
 	// paper's "h0 = H(0)"): both flags zero, content and children masked.
-	t.rootHash = t.hashNode(0, make([]byte, bucketBytes), Hash{}, Hash{})
+	t.rootHash = t.hashNode(0, t.zero, Hash{}, Hash{})
 	return t
 }
 
@@ -70,6 +80,12 @@ func New(tr treemath.Tree, bucketBytes int) *Tree {
 // reachable(): every valid bit on the way down from the root is set).
 func (t *Tree) PathReachability(leaf uint64) []bool {
 	out := make([]bool, t.tree.Levels())
+	t.FillReachability(leaf, out)
+	return out
+}
+
+// FillReachability is PathReachability into out, one flag per level.
+func (t *Tree) FillReachability(leaf uint64, out []bool) {
 	// The root's content is masked by (f00 ∨ f01) ∧ B0 in the hash, so its
 	// content is only meaningful after the first write-back.
 	out[0] = t.rootValid != 0
@@ -78,7 +94,6 @@ func (t *Tree) PathReachability(leaf uint64) []bool {
 		bit := uint8(1) << uint((flat-1)%2)
 		out[d] = out[d-1] && t.flags(t.tree.Parent(flat))&bit != 0
 	}
-	return out
 }
 
 // VerifyPath checks the authenticity and freshness of the ciphertext
@@ -206,26 +221,26 @@ func (t *Tree) leafHash(ct []byte) Hash {
 // hashNode is H(f0 || f1 || ((f0 ∨ f1) ∧ B) || hl || hr) for interior
 // nodes. Children hashes arrive pre-masked by the caller.
 func (t *Tree) hashNode(flags uint8, ct []byte, hl, hr Hash) Hash {
-	hsh := sha256.New()
-	var fb [2]byte
-	fb[0] = flags & 1
-	fb[1] = (flags >> 1) & 1
-	hsh.Write(fb[:])
+	hsh := t.digest
+	hsh.Reset()
+	t.fields[0], t.fields[1] = flags&1, (flags>>1)&1
+	hsh.Write(t.fields[:2])
 	if flags&3 != 0 {
 		hsh.Write(ct)
 	} else {
 		// (f0 ∨ f1) ∧ B: an unreachable interior node contributes zeros,
 		// making the pristine root hash independent of memory contents.
-		zero := make([]byte, len(ct))
-		hsh.Write(zero)
+		if len(t.zero) < len(ct) {
+			t.zero = make([]byte, len(ct))
+		}
+		hsh.Write(t.zero[:len(ct)])
 	}
-	hsh.Write(hl[:])
-	hsh.Write(hr[:])
-	var lenb [8]byte
-	binary.LittleEndian.PutUint64(lenb[:], uint64(len(ct)))
-	hsh.Write(lenb[:])
+	copy(t.fields[:], hl[:])
+	copy(t.fields[HashSize:], hr[:])
+	binary.LittleEndian.PutUint64(t.fields[2*HashSize:], uint64(len(ct)))
+	hsh.Write(t.fields[:])
 	var h Hash
-	copy(h[:], hsh.Sum(nil)[:HashSize])
+	copy(h[:], hsh.Sum(t.sum[:0]))
 	return h
 }
 

@@ -62,20 +62,37 @@ type crashStack struct {
 
 // ackRecorder sits between the encrypting store and the WAL and mirrors
 // every acknowledged write into a shadow Mem — the ground truth for
-// "state the client was promised" at any kill point. The first failed
-// write is kept separately: it is the only frame that may have reached
-// the log without being acknowledged.
+// "state the client was promised" at any kill point. The store writes
+// through LendBuckets and CommitLent, so the recorder keeps each lent
+// batch until its commit. The first failed write is kept separately: it
+// is the only frame that may have reached the log without being
+// acknowledged.
 type ackRecorder struct {
 	storage.Storage
 	shadow      *storage.Mem
 	ackedFrames int
+	lentFlats   []uint64
+	lentRecs    [][]byte
 	failedFlats []uint64
 	failedRecs  [][]byte
 	failed      bool
 }
 
 func (a *ackRecorder) WriteBuckets(flats []uint64, recs [][]byte) error {
-	if err := a.Storage.WriteBuckets(flats, recs); err != nil {
+	return a.record(flats, recs, a.Storage.WriteBuckets(flats, recs))
+}
+
+func (a *ackRecorder) LendBuckets(flats []uint64, dst [][]byte) error {
+	a.lentFlats, a.lentRecs = flats, dst
+	return a.Storage.LendBuckets(flats, dst)
+}
+
+func (a *ackRecorder) CommitLent() error {
+	return a.record(a.lentFlats, a.lentRecs, a.Storage.CommitLent())
+}
+
+func (a *ackRecorder) record(flats []uint64, recs [][]byte, err error) error {
+	if err != nil {
 		if !a.failed {
 			// Only the first failure can be log-resident: the wedged WAL
 			// rejects every later call before touching the log.

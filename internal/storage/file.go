@@ -116,7 +116,7 @@ func (fs *File) ReadBuckets(flats []uint64, dst [][]byte) error {
 	if fs.closed {
 		return ErrClosed
 	}
-	if err := checkRead(fs, flats, dst); err != nil {
+	if err := checkRead(fs.numBuckets, flats, dst); err != nil {
 		return err
 	}
 	for i, flat := range flats {
@@ -135,6 +135,17 @@ func (fs *File) WriteBuckets(flats []uint64, recs [][]byte) error {
 	}
 	for i, flat := range flats {
 		copy(fs.record(flat), recs[i])
+	}
+	return nil
+}
+
+// LendBuckets implements Storage; dst[i] receives a mapping alias.
+func (fs *File) LendBuckets(flats []uint64, dst [][]byte) error { return fs.ReadBuckets(flats, dst) }
+
+// CommitLent implements Storage: the lent records are the mapping's own.
+func (fs *File) CommitLent() error {
+	if fs.closed {
+		return ErrClosed
 	}
 	return nil
 }

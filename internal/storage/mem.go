@@ -36,7 +36,7 @@ func (m *Mem) ReadBuckets(flats []uint64, dst [][]byte) error {
 	if m.closed {
 		return ErrClosed
 	}
-	if err := checkRead(m, flats, dst); err != nil {
+	if err := checkRead(m.numBuckets, flats, dst); err != nil {
 		return err
 	}
 	for i, flat := range flats {
@@ -59,6 +59,12 @@ func (m *Mem) WriteBuckets(flats []uint64, recs [][]byte) error {
 	}
 	return nil
 }
+
+// LendBuckets implements Storage; dst[i] receives an arena alias.
+func (m *Mem) LendBuckets(flats []uint64, dst [][]byte) error { return m.ReadBuckets(flats, dst) }
+
+// CommitLent implements Storage: the lent records are the arena's own.
+func (m *Mem) CommitLent() error { return m.Sync() }
 
 // Sync implements Storage (a no-op: the arena is always "durable" for the
 // lifetime of the process).

@@ -35,6 +35,12 @@ const RecordAlign = 64
 // implementation logs the whole call as a single atomic frame, so a
 // crash either keeps all of a path write-back or none of it.
 //
+// LendBuckets and CommitLent are WriteBuckets without the caller's
+// buffers: LendBuckets sets dst[i] to a writable record for bucket
+// flats[i] (the stored record itself in Mem and File, a slot of the next
+// log frame in the WAL), the caller fills each whole and writes into one
+// only once nothing can stop the commit, and CommitLent commits them.
+//
 // Sync is the epoch barrier: when it returns, every write acknowledged
 // before the call is durable (msync for File, checkpoint-and-truncate
 // for WAL, no-op for Mem). Close releases OS resources after a final
@@ -44,6 +50,8 @@ type Storage interface {
 	Stride() int
 	ReadBuckets(flats []uint64, dst [][]byte) error
 	WriteBuckets(flats []uint64, recs [][]byte) error
+	LendBuckets(flats []uint64, dst [][]byte) error
+	CommitLent() error
 	Sync() error
 	Close() error
 	// MemoryBytes reports the external-memory footprint of the tree
@@ -54,15 +62,15 @@ type Storage interface {
 // ErrClosed is returned by operations on a closed Storage.
 var ErrClosed = fmt.Errorf("storage: closed")
 
-// checkRead validates a read batch: matching lengths and every bucket in
-// range.
-func checkRead(s Storage, flats []uint64, dst [][]byte) error {
+// checkRead validates a read batch over numBuckets buckets: matching
+// lengths and every bucket in range.
+func checkRead(numBuckets uint64, flats []uint64, dst [][]byte) error {
 	if len(flats) != len(dst) {
 		return fmt.Errorf("storage: %d flats but %d dst slots", len(flats), len(dst))
 	}
 	for _, flat := range flats {
-		if flat >= s.NumBuckets() {
-			return fmt.Errorf("storage: bucket %d out of range (have %d)", flat, s.NumBuckets())
+		if flat >= numBuckets {
+			return fmt.Errorf("storage: bucket %d out of range (have %d)", flat, numBuckets)
 		}
 	}
 	return nil
@@ -72,13 +80,10 @@ func checkRead(s Storage, flats []uint64, dst [][]byte) error {
 // matching lengths, every bucket in range, every record exactly one
 // stride.
 func checkWrite(s Storage, flats []uint64, recs [][]byte) error {
-	if len(flats) != len(recs) {
-		return fmt.Errorf("storage: %d flats but %d records", len(flats), len(recs))
+	if err := checkRead(s.NumBuckets(), flats, recs); err != nil {
+		return err
 	}
 	for i, flat := range flats {
-		if flat >= s.NumBuckets() {
-			return fmt.Errorf("storage: bucket %d out of range (have %d)", flat, s.NumBuckets())
-		}
 		if len(recs[i]) != s.Stride() {
 			return fmt.Errorf("storage: record for bucket %d is %dB, want stride %dB", flat, len(recs[i]), s.Stride())
 		}

@@ -43,7 +43,7 @@ type WAL struct {
 	frames    int // frames in the log since the last checkpoint
 	seq       uint64
 	recovered int
-	frameBuf  []byte
+	frameBuf  []byte // the frame staged last
 	applyIDs  []uint64
 	applyRecs [][]byte
 	err       error // wedged by a simulated fault; sticky
@@ -229,11 +229,8 @@ func (w *WAL) fault(op Op) error {
 // ReadBuckets implements Storage: the overlay (acknowledged, not yet
 // checkpointed records) shadows the inner Storage.
 func (w *WAL) ReadBuckets(flats []uint64, dst [][]byte) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return ErrClosed
+	if err := w.usable(); err != nil {
+		return err
 	}
 	if err := w.inner.ReadBuckets(flats, dst); err != nil {
 		return err
@@ -249,25 +246,57 @@ func (w *WAL) ReadBuckets(flats []uint64, dst [][]byte) error {
 // WriteBuckets implements Storage: log one frame for the whole path,
 // then acknowledge by installing the records in the overlay.
 func (w *WAL) WriteBuckets(flats []uint64, recs [][]byte) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return ErrClosed
+	if err := w.usable(); err != nil {
+		return err
 	}
 	if err := checkWrite(w, flats, recs); err != nil {
 		return err
 	}
-	// Log before ack.
+	w.stage(flats)
+	for i := range recs {
+		copy(w.slot(i)[8:], recs[i])
+	}
+	return w.CommitLent()
+}
+
+// LendBuckets implements Storage: the lent records are the next log
+// frame's.
+func (w *WAL) LendBuckets(flats []uint64, dst [][]byte) error {
+	if err := w.usable(); err != nil {
+		return err
+	}
+	if err := checkRead(w.NumBuckets(), flats, dst); err != nil {
+		return err
+	}
+	w.stage(flats)
+	for i := range dst {
+		dst[i] = w.slot(i)[8:]
+	}
+	return nil
+}
+
+// CommitLent implements Storage: log the staged frame before
+// acknowledging its records in the overlay (reusing buffers from past
+// epochs).
+func (w *WAL) CommitLent() error {
+	if err := w.usable(); err != nil {
+		return err
+	}
+	if len(w.frameBuf) < frameHeaderBytes+4 {
+		return fmt.Errorf("storage: wal commit without lent records")
+	}
 	if err := w.fault(OpAppend); err != nil {
 		return err
 	}
-	w.encodeFrame(flats, recs)
+	payload := w.frameBuf[frameHeaderBytes:]
+	binary.LittleEndian.PutUint32(w.frameBuf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.frameBuf[4:8], crc32.ChecksumIEEE(payload))
 	if _, err := w.f.Write(w.frameBuf); err != nil {
 		return fmt.Errorf("storage: wal append: %w", err)
 	}
-	// Ack: install in the overlay (reusing buffers from past epochs).
-	for i, flat := range flats {
+	for i := range int(binary.LittleEndian.Uint32(payload)) {
+		slot := w.slot(i)
+		flat := binary.LittleEndian.Uint64(slot)
 		buf, ok := w.overlay[flat]
 		if !ok {
 			if n := len(w.free); n > 0 {
@@ -276,7 +305,7 @@ func (w *WAL) WriteBuckets(flats []uint64, recs [][]byte) error {
 				buf = make([]byte, w.Stride())
 			}
 		}
-		copy(buf, recs[i])
+		copy(buf, slot[8:])
 		w.overlay[flat] = buf
 	}
 	w.frames++
@@ -286,23 +315,34 @@ func (w *WAL) WriteBuckets(flats []uint64, recs [][]byte) error {
 	return nil
 }
 
-func (w *WAL) encodeFrame(flats []uint64, recs [][]byte) {
-	stride := w.Stride()
-	plen := 4 + len(flats)*(8+stride)
-	need := frameHeaderBytes + plen
+// usable reports a wedged or closed WAL.
+func (w *WAL) usable() error {
+	if w.err != nil {
+		return w.err
+	}
+	if w.closed {
+		return ErrClosed
+	}
+	return nil
+}
+
+// stage sizes the next frame for flats and writes its bucket count and
+// flat indices: slot(i) is then bucket i's flat index and record.
+func (w *WAL) stage(flats []uint64) {
+	need := frameHeaderBytes + 4 + len(flats)*(8+w.Stride())
 	if cap(w.frameBuf) < need {
 		w.frameBuf = make([]byte, need)
 	}
 	w.frameBuf = w.frameBuf[:need]
-	payload := w.frameBuf[frameHeaderBytes:]
-	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(flats)))
-	per := 8 + stride
+	binary.LittleEndian.PutUint32(w.frameBuf[frameHeaderBytes:], uint32(len(flats)))
 	for i, flat := range flats {
-		binary.LittleEndian.PutUint64(payload[4+i*per:], flat)
-		copy(payload[4+i*per+8:4+(i+1)*per], recs[i])
+		binary.LittleEndian.PutUint64(w.slot(i), flat)
 	}
-	binary.LittleEndian.PutUint32(w.frameBuf[0:4], uint32(plen))
-	binary.LittleEndian.PutUint32(w.frameBuf[4:8], crc32.ChecksumIEEE(payload))
+}
+
+func (w *WAL) slot(i int) []byte {
+	per := 8 + w.Stride()
+	return w.frameBuf[frameHeaderBytes+4+i*per : frameHeaderBytes+4+(i+1)*per]
 }
 
 // checkpoint is the WAL epoch protocol: make the log durable, apply the
@@ -360,11 +400,8 @@ func (w *WAL) checkpoint() error {
 // Sync implements Storage: an explicit checkpoint (the Flush/epoch
 // barrier).
 func (w *WAL) Sync() error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return ErrClosed
+	if err := w.usable(); err != nil {
+		return err
 	}
 	return w.checkpoint()
 }

@@ -7,8 +7,8 @@
 # Every relation is relative, so nothing drifts with host hardware.
 #
 # Allocation budget (-gate/-max-allocs): the serving path — core access ->
-# encrypt -> store (on an L2-resident tree and on one flat-enc shard's
-# 7.7 MB cold tree), the sharded single-op path and the shard hand-off
+# encrypt -> store (on an L2-resident tree, on one flat-enc shard's 7.7 MB
+# cold tree, and with the Section 5 authentication tree), the sharded single-op path and the shard hand-off
 # under it, a warm all-hits PLB run,
 # the in-order and FR-FCFS timed paths (event rings, skip-mask pool,
 # merged-window batch scratch, the per-channel scheduling window), the
@@ -73,7 +73,7 @@ warmup="${EXPLORE_WARMUP:-128}"
 
 {
   go test -run xxx \
-    -bench 'BenchmarkAccessMetadataOnly|BenchmarkAccessPlaintext|BenchmarkAccessCounterEncrypted(Cold)?$|BenchmarkAccessConstantTimeStash|BenchmarkAccessRecursivePLBHit|BenchmarkShardedThroughput$|BenchmarkShardedThroughputEncrypted|BenchmarkShardedDRAM|BenchmarkSchedInorder2Shard|BenchmarkSchedFRFCFS2Shard|BenchmarkFileBackend|BenchmarkShardHandoff' \
+    -bench 'BenchmarkAccessMetadataOnly|BenchmarkAccessPlaintext|BenchmarkAccessCounterEncrypted(Cold)?$|BenchmarkAccessCounterWithIntegrity|BenchmarkAccessConstantTimeStash|BenchmarkAccessRecursivePLBHit|BenchmarkShardedThroughput$|BenchmarkShardedThroughputEncrypted|BenchmarkShardedDRAM|BenchmarkSchedInorder2Shard|BenchmarkSchedFRFCFS2Shard|BenchmarkFileBackend|BenchmarkShardHandoff' \
     -benchtime "$benchtime" -benchmem .
   # The timed/untimed pair runs time-based: the ramp to the final b.N wakes
   # the second CPU the replay goroutine needs, where a 3000x run straight
@@ -82,7 +82,7 @@ warmup="${EXPLORE_WARMUP:-128}"
   go test -run xxx -bench 'BenchmarkAccessRecursive(DRAM|Untimed)$' -benchtime 1s -benchmem .
 } |
   go run ./cmd/oram-benchjson -out "$out" \
-    -gate 'BenchmarkAccessPlaintext|BenchmarkAccessCounterEncrypted(Cold)?$|BenchmarkAccessConstantTimeStash|BenchmarkAccessRecursivePLBHit|BenchmarkAccessRecursiveDRAM|BenchmarkAccessRecursiveUntimed|BenchmarkShardedThroughput|BenchmarkSchedInorder2Shard|BenchmarkSchedFRFCFS2Shard|BenchmarkFileBackendAccess|BenchmarkFileBackendWAL$|BenchmarkShardHandoff' \
+    -gate 'BenchmarkAccessPlaintext|BenchmarkAccessCounterEncrypted(Cold)?$|BenchmarkAccessCounterWithIntegrity|BenchmarkAccessConstantTimeStash|BenchmarkAccessRecursivePLBHit|BenchmarkAccessRecursiveDRAM|BenchmarkAccessRecursiveUntimed|BenchmarkShardedThroughput|BenchmarkSchedInorder2Shard|BenchmarkSchedFRFCFS2Shard|BenchmarkFileBackendAccess|BenchmarkFileBackendWAL$|BenchmarkShardHandoff' \
     -max-allocs 1 \
     -require 'BenchmarkAccessCounterEncrypted:ns/op<7*BenchmarkAccessPlaintext:ns/op' \
     -require 'BenchmarkSchedFRFCFS2Shard:cycles/op<BenchmarkSchedInorder2Shard:cycles/op' \
